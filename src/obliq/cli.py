@@ -3,9 +3,16 @@
 Scenarios are JSON files with an explicit version.  `validate` reports every
 violation it can find; `run` executes the scenario with a seeded generator
 and writes three artifacts into the output directory: `records.jsonl` (one
-structured record per shot), `summary.csv` (estimate, stderr, ledger
-counters), and `resolved-scenario` (the scenario after flag overrides).
+record per shot), `summary.csv` (estimate, stderr, ledger counters), and
+`resolved-scenario` (the scenario after flag overrides).
 Reruns with identical inputs are byte-identical.
+
+Each runner returns its records as columns: record key -> per-shot numpy
+array (1-D for a scalar, 2-D for a list) or a nested mapping of columns (for
+an object). `_write_records` turns them into `records.jsonl`, one canonical
+JSON line per shot (`json.dumps(sort_keys=True, separators=(",", ":"))`, so
+keys are sorted at every level) with `shot` the 0-based shot index. These
+bytes are stable across versions unless CHANGES.md says otherwise.
 
 Exit codes: 0 success, 2 parse error, 3 schema error, 4 semantic error,
 5 capacity error, 6 runtime failure.
@@ -30,6 +37,7 @@ from .distributed import (
     Party,
     ProtocolEngine,
     ResourceLedger,
+    check_path_probabilities,
     knit_estimate,
     pingpong_run,
     remote_cnot,
@@ -65,28 +73,42 @@ KINDS = (
 # --- literal helpers ---
 
 
+def _is_int(value) -> bool:
+    """JSON integers only: `true` and `false` are not numbers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _amplitude(entry, where: str) -> complex:
+    if _is_real(entry):
+        return complex(entry, 0.0)
+    if isinstance(entry, list) and len(entry) == 2 and all(map(_is_real, entry)):
+        return complex(entry[0], entry[1])
+    raise ScenarioSchemaError(f"{where}: amplitude {entry!r} is not a number or [re, im] pair")
+
+
 def state_from_literal(obj, where: str) -> np.ndarray:
     """Resolve a state literal to a normalized vector."""
     if isinstance(obj, dict) and "basis" in obj:
         dim = obj.get("dim")
-        if not isinstance(dim, int) or dim < 2:
+        if not _is_int(dim) or dim < 2:
             raise ScenarioSchemaError(f"{where}: basis state needs an integer dim >= 2")
         idx = obj["basis"]
-        if not isinstance(idx, int) or not 0 <= idx < dim:
+        if not _is_int(idx) or not 0 <= idx < dim:
             raise ScenarioSchemaError(f"{where}: basis index {idx} out of range")
         vec = np.zeros(dim, dtype=complex)
         vec[idx] = 1.0
         return vec
     if isinstance(obj, dict) and "vector" in obj:
-        vec = np.array(
-            [
-                complex(c, 0.0) if isinstance(c, (int, float)) else complex(c[0], c[1])
-                for c in obj["vector"]
-            ],
-            dtype=complex,
-        )
+        entries = obj["vector"]
+        if not isinstance(entries, list) or not entries:
+            raise ScenarioSchemaError(f"{where}: vector must be a non-empty list of amplitudes")
+        vec = np.array([_amplitude(c, where) for c in entries], dtype=complex)
         norm = np.linalg.norm(vec)
-        if abs(norm - 1.0) > 1e-6:
+        if not abs(norm - 1.0) <= 1e-6:
             raise ScenarioSchemaError(f"{where}: state vector norm {norm:.6g} is not 1")
         return vec / norm
     raise ScenarioSchemaError(f"{where}: unrecognized state literal")
@@ -134,15 +156,15 @@ def _schema_violations(sc: dict) -> list[str]:
     if sc.get("version") != SCENARIO_VERSION:
         out.append(f"version must be {SCENARIO_VERSION}")
     seed = sc.get("seed")
-    if not isinstance(seed, int) or not 0 <= seed < 2**64:
+    if not _is_int(seed) or not 0 <= seed < 2**64:
         out.append("seed must be a 64-bit unsigned integer")
     shots = sc.get("shots")
-    if not isinstance(shots, int) or shots < 1:
+    if not _is_int(shots) or shots < 1:
         out.append("shots must be an integer >= 1")
     if sc.get("backend", "densitymatrix") not in BACKENDS:
         out.append(f"backend must be one of {BACKENDS}")
     tol = sc.get("tolerance", 1e-9)
-    if not isinstance(tol, (int, float)) or tol <= 0:
+    if not _is_real(tol) or not tol > 0:
         out.append("tolerance must be a positive number")
     kind = sc.get("kind")
     if kind not in KINDS:
@@ -205,10 +227,10 @@ def _schema_violations(sc: dict) -> list[str]:
         if sc.get("mode", "exact_sum") not in ("exact_sum", "sampled"):
             out.append("mode must be exact_sum or sampled")
         nq = sc.get("num_qudits")
-        if not isinstance(nq, int) or nq < 1:
+        if not _is_int(nq) or nq < 1:
             out.append("num_qudits must be an integer >= 1")
         ld = sc.get("local_dim", 2)
-        if not isinstance(ld, int) or ld < 2:
+        if not _is_int(ld) or ld < 2:
             out.append("local_dim must be an integer >= 2")
         gates = sc.get("gates")
         if not isinstance(gates, list):
@@ -364,7 +386,7 @@ def _script_semantic_violations(sc: dict) -> list[str]:
             except ObliqError as exc:
                 out.append(str(exc))
         elif op == "broadcast":
-            if not isinstance(step.get("bits"), int) or step.get("bits") < 0:
+            if not _is_int(step.get("bits")) or step.get("bits") < 0:
                 out.append(f"step {n}: bits must be a non-negative integer")
     return out
 
@@ -415,7 +437,7 @@ def _semantic_violations(sc: dict) -> list[str]:
             return out  # width checks are meaningless; the capacity stage reports it
         for n, g in enumerate(sc.get("gates", [])):
             targets = g.get("targets", [])
-            if not all(isinstance(t, int) and 0 <= t < nq for t in targets):
+            if not all(_is_int(t) and 0 <= t < nq for t in targets):
                 out.append(f"gates[{n}]: targets out of range")
                 continue
             if len(set(targets)) != len(targets):
@@ -482,17 +504,13 @@ def _run_dbqc(sc: dict, rng: np.random.Generator):
     alice = Party("alice", programs=_programs(sc["alice_programs"]), states=[_state(sc["input_state"])])
     bob = Party("bob", programs=_programs(sc["bob_programs"]), states=[_state(sc["readout_state"])])
     res = run_dbqc(alice, bob, sc["shots"], rng)
-    records = [
-        {
-            "shot": i,
-            "isi_bit": int(res.isi_bits[i]),
-            "parity_bits": [int(b) for b in res.parity_bits[i]],
-            "readout": int(res.readout_bits[i]),
-            "estimate": float(res.per_shot[i]),
-        }
-        for i in range(sc["shots"])
-    ]
-    return res.estimate, res.stderr, res.ledger, records
+    columns = {
+        "isi_bit": res.isi_bits,
+        "parity_bits": res.parity_bits,
+        "readout": res.readout_bits,
+        "estimate": res.per_shot,
+    }
+    return res.estimate, res.stderr, res.ledger, columns
 
 
 def _run_triparty(sc: dict, rng: np.random.Generator):
@@ -500,15 +518,10 @@ def _run_triparty(sc: dict, rng: np.random.Generator):
     b = Party("b", programs=_programs([sc["b_program"]]), states=[_state(sc["psi_b"])])
     c = Party("c", programs=_programs([sc["nonlocal_program"]]), states=[_state(sc["readout_state"])])
     res = run_triparty(sc["scheme"], a, b, c, sc["shots"], rng)
-    records = []
-    for i in range(sc["shots"]):
-        rec = {"shot": i}
-        for key, arr in res.bits.items():
-            rec[key] = int(arr[i])
-        if res.scheme == "I":
-            rec["kept"] = bool(rec["k"] == 0)
-        records.append(rec)
-    return res.estimate, res.stderr, res.ledger, records
+    columns = dict(res.bits)
+    if res.scheme == "I":
+        columns["kept"] = res.bits["k"] == 0
+    return res.estimate, res.stderr, res.ledger, columns
 
 
 def _run_pingpong(sc: dict, rng: np.random.Generator):
@@ -537,27 +550,23 @@ def _run_pingpong(sc: dict, rng: np.random.Generator):
         svals[code] = record.s
         if ledger is None:
             ledger = led
-    probs = probs / probs.sum()
+    probs = check_path_probabilities(probs)
+    alpha = np.array([parity_mix_alpha(int(v), d) for v in svals])
 
     idx = rng.choice(len(patterns), size=shots, p=probs)
     y = (rng.random(shots) >= qvals[idx]).astype(np.int8)
     s = svals[idx]
     base = ((-1.0) ** s) * float(d * d - 1) ** s
-    alpha = np.array([parity_mix_alpha(int(v), d) for v in s])
-    t_hat = base * ((y == 0) - alpha)
+    t_hat = base * ((y == 0) - alpha[idx])
     estimate = float(t_hat.mean())
     stderr = float(t_hat.std(ddof=1) / np.sqrt(shots)) if shots > 1 else 0.0
-    records = [
-        {
-            "shot": i,
-            "parity_bits": [(int(idx[i]) >> (n - 1 - k)) & 1 for k in range(n)],
-            "s": int(s[i]),
-            "readout": int(y[i]),
-            "estimate": float(t_hat[i]),
-        }
-        for i in range(shots)
-    ]
-    return estimate, stderr, ledger, records
+    columns = {
+        "parity_bits": (idx[:, None] >> np.arange(n - 1, -1, -1)) & 1,
+        "s": s,
+        "readout": y,
+        "estimate": t_hat,
+    }
+    return estimate, stderr, ledger, columns
 
 
 def _run_knitting(sc: dict, rng: np.random.Generator):
@@ -581,22 +590,12 @@ def _run_knitting(sc: dict, rng: np.random.Generator):
     shots = sc["shots"]
     if mode == "sampled":
         res = knit_estimate(circuit, observable, mode="sampled", shots=shots, rng=rng)
-        records = [
-            {
-                "shot": i,
-                "knit_term_index": int(res.term_indices[i]),
-                "value": float(res.per_shot[i]),
-            }
-            for i in range(shots)
-        ]
+        columns = {"knit_term_index": res.term_indices, "value": res.per_shot}
     else:
         res = knit_estimate(circuit, observable, mode="exact_sum")
-        records = [
-            {"shot": i, "mode": "exact_sum", "estimate": res.estimate}
-            for i in range(shots)
-        ]
+        columns = {"mode": _constant("exact_sum", shots), "estimate": _constant(res.estimate, shots)}
     ledger = ResourceLedger(knit_overhead=res.overhead, max_live_registers=sc["num_qudits"], depth=1)
-    return res.estimate, res.stderr, ledger, records
+    return res.estimate, res.stderr, ledger, columns
 
 
 def _run_channel_composition(sc: dict, rng: np.random.Generator):
@@ -609,39 +608,30 @@ def _run_channel_composition(sc: dict, rng: np.random.Generator):
     distance = float(np.linalg.norm(branch0.post_state.matrix - direct.density()))
     tol = float(sc.get("tolerance", 1e-9))
     ledger = ResourceLedger(oqt_ops=1, max_live_registers=4, depth=1)
-    records = [
-        {
-            "shot": i,
-            "branch": 0,
-            "branch_probability": float(branch0.probability),
-            "frobenius_distance": distance,
-            "within_tolerance": bool(distance <= tol),
-        }
-        for i in range(sc["shots"])
-    ]
-    return distance, 0.0, ledger, records
+    shots = sc["shots"]
+    columns = {
+        "branch": _constant(0, shots),
+        "branch_probability": _constant(float(branch0.probability), shots),
+        "frobenius_distance": _constant(distance, shots),
+        "within_tolerance": _constant(distance <= tol, shots),
+    }
+    return distance, 0.0, ledger, columns
 
 
 def _run_script(sc: dict, rng: np.random.Generator):
     shots = sc["shots"]
-    records = []
-    ledger = None
-    estimates = []
-    for shot in range(shots):
-        bits, final_bit, led = _execute_script_once(sc, rng)
-        ledger = led if ledger is None else ledger
-        rec = {"shot": shot, "bits": bits}
-        if final_bit is not None:
-            rec["readout"] = final_bit
-            estimates.append(1.0 if final_bit == 0 else 0.0)
-        records.append(rec)
-    if estimates:
-        arr = np.array(estimates)
-        estimate = float(arr.mean())
-        stderr = float(arr.std(ddof=1) / np.sqrt(len(arr))) if len(arr) > 1 else 0.0
-    else:
-        estimate, stderr = math.nan, 0.0
-    return estimate, stderr, ledger, records
+    runs = [_execute_script_once(sc, rng) for _ in range(shots)]
+    ledger = runs[0][2]
+    # Every shot runs the same steps, so every shot records the same keys.
+    columns = {"bits": {key: np.array([bits[key] for bits, _, _ in runs]) for key in runs[0][0]}}
+    if runs[0][1] is None:
+        return math.nan, 0.0, ledger, columns
+    readout = np.array([final_bit for _, final_bit, _ in runs])
+    columns["readout"] = readout
+    arr = (readout == 0).astype(float)
+    estimate = float(arr.mean())
+    stderr = float(arr.std(ddof=1) / np.sqrt(len(arr))) if len(arr) > 1 else 0.0
+    return estimate, stderr, ledger, columns
 
 
 def _execute_script_once(sc: dict, rng: np.random.Generator):
@@ -714,8 +704,115 @@ _RUNNERS = {
 # --- artifact writing ---
 
 
+# Lines of `records.jsonl` joined in memory before each write.
+_WRITE_CHUNK = 1 << 13
+
+
 def _canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _constant(value, shots: int) -> np.ndarray:
+    """A column that holds `value` for every shot, without a copy per shot."""
+    return np.broadcast_to(np.asarray(value), (shots,))
+
+
+def _leaf_columns(columns: dict):
+    """Every 1-D column: nested mappings are walked, 2-D columns split."""
+    for col in columns.values():
+        if isinstance(col, dict):
+            yield from _leaf_columns(col)
+        elif col.ndim == 2:
+            yield from col.T
+        else:
+            yield col
+
+
+def _codes(col: np.ndarray):
+    """Integer codes in [0, n) for `col`, and n; equal codes mean equal values."""
+    kind = col.dtype.kind
+    if kind in "bi" or (kind == "u" and col.dtype.itemsize < 8):
+        lo, hi = int(col.min()), int(col.max())
+        if hi - lo < col.shape[0]:
+            return col.astype(np.int64) - lo, hi - lo + 1
+    uniq, codes = np.unique(col, return_inverse=True)
+    return codes, len(uniq)
+
+
+def _one_shot_per_key(key: np.ndarray, n: int) -> np.ndarray:
+    """For each value in [0, n), some shot whose key has it (-1 if none)."""
+    shot = np.full(n, -1, dtype=np.int64)
+    shot[key] = np.arange(len(key))
+    return shot
+
+
+def _row_keys(columns: dict, shots: int):
+    """A key per shot in [0, n), equal exactly where rows are equal, and n.
+
+    Column codes are folded in as mixed-radix digits. A column that the key
+    so far already fixes (a constant, or an estimate computed from the bits
+    before it) is skipped, so the runners' columns need no sort. Floats are
+    compared by bit pattern, so 0.0 and -0.0 differ. The key is re-coded to
+    its distinct values whenever its range passes `shots`, so the next fold
+    stays below shots**2.
+    """
+    key, n = np.zeros(shots, dtype=np.int64), 1
+    for col in _leaf_columns(columns):
+        if col.shape != (shots,):
+            raise ObliqError("internal: a record column does not have one entry per shot")
+        if col.dtype.kind == "f":
+            col = col.view(f"u{col.dtype.itemsize}")
+        if (col == col[_one_shot_per_key(key, n)[key]]).all():
+            continue
+        codes, width = _codes(col)
+        key, n = key * width + codes, n * width
+        if n > shots:
+            key, n = _codes(key)
+    return key, n
+
+
+def _row(columns: dict, i: int) -> dict:
+    return {
+        k: _row(col, i) if isinstance(col, dict) else col[i].tolist()
+        for k, col in columns.items()
+    }
+
+
+def _line_around_shot(row: dict) -> tuple[str, str]:
+    """The canonical JSON line of `row` before and after its `shot` value."""
+    before = _canonical_json({k: v for k, v in row.items() if k < "shot"})
+    after = _canonical_json({k: v for k, v in row.items() if k > "shot"})
+    head = '{"shot":' if before == "{}" else before[:-1] + ',"shot":'
+    tail = "}\n" if after == "{}" else "," + after[1:] + "\n"
+    return head, tail
+
+
+def _write_records(path: Path, columns: dict, shots: int) -> None:
+    """Write `records.jsonl`: one canonical JSON object per shot, in order.
+
+    `columns` maps each record key to a per-shot array (1-D for a scalar,
+    2-D for a list) or to a nested mapping of such columns (for an object).
+    The writer adds `shot`, the 0-based index. Shots with equal rows share
+    one rendering: each distinct row goes through `_canonical_json` once,
+    split around its `shot` value, and each line is head + shot + tail.
+    """
+    key, n = _row_keys(columns, shots)
+    heads, tails = [""] * n, [""] * n
+    # Any shot of a row stands for all of them.
+    for g, i in enumerate(_one_shot_per_key(key, n).tolist()):
+        if i >= 0:
+            heads[g], tails[g] = _line_around_shot(_row(columns, i))
+    with open(path, "w") as fh:
+        for start in range(0, shots, _WRITE_CHUNK):
+            stop = min(start + _WRITE_CHUNK, shots)
+            fh.write(
+                "".join(
+                    [
+                        f"{heads[g]}{i}{tails[g]}"
+                        for i, g in zip(range(start, stop), key[start:stop].tolist())
+                    ]
+                )
+            )
 
 
 def run_scenario(path: str | Path, overrides: dict | None = None) -> Path:
@@ -734,18 +831,14 @@ def run_scenario(path: str | Path, overrides: dict | None = None) -> Path:
     out_path.mkdir(parents=True, exist_ok=True)
 
     rng = np.random.default_rng(sc["seed"])
-    estimate, stderr, ledger, records = _RUNNERS[sc["kind"]](sc, rng)
-    if len(records) != sc["shots"]:
-        raise ObliqError("internal: record count does not equal shots")
+    estimate, stderr, ledger, columns = _RUNNERS[sc["kind"]](sc, rng)
 
     resolved = dict(sc)
     (out_path / "resolved-scenario").write_text(
         json.dumps(resolved, sort_keys=True, indent=2) + "\n"
     )
 
-    with open(out_path / "records.jsonl", "w") as fh:
-        for rec in records:
-            fh.write(_canonical_json(rec) + "\n")
+    _write_records(out_path / "records.jsonl", columns, sc["shots"])
 
     ledger = ledger or ResourceLedger()
     buf = io.StringIO()

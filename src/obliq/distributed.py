@@ -641,6 +641,19 @@ def remote_cnot(
 # --- distributed black-box quantum computing ---
 
 
+def check_path_probabilities(probs: np.ndarray) -> np.ndarray:
+    """The branch-pattern distribution `probs`, after checking it sums to 1.
+
+    The division only absorbs rounding. A sum further than 1e-9 from 1 means
+    a forced pass reported a wrong path probability, so it raises instead of
+    renormalizing the error away.
+    """
+    total = probs.sum()
+    if not abs(total - 1.0) <= 1e-9:
+        raise BranchError(f"branch path probabilities sum to {total:.12g}, not 1")
+    return probs / total
+
+
 @dataclass(frozen=True)
 class DbqcResult:
     estimate: float
@@ -740,7 +753,7 @@ def run_dbqc(
             raise ResourceError("ebit conservation violated")
         if ledger is None:
             ledger = eng.ledger
-    probs = probs / probs.sum()
+    probs = check_path_probabilities(probs)
 
     pat_arr = np.array(patterns, dtype=np.int8)
     svec = pat_arr[:, 1:].sum(axis=1)
@@ -845,7 +858,7 @@ def _run_triparty_scheme1(
             raise ResourceError("ebit conservation violated")
         if ledger is None:
             ledger = eng.ledger
-    probs = probs / probs.sum()
+    probs = check_path_probabilities(probs)
 
     pat_arr = np.array(patterns, dtype=np.int8)
     idx = rng.choice(len(patterns), size=shots, p=probs)

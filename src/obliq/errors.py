@@ -38,7 +38,8 @@ class ResourceError(ObliqError):
 
 
 class BranchError(ObliqError):
-    """A post-selected measurement branch has (numerically) zero probability."""
+    """A measurement branch has (numerically) zero probability, or branch
+    path probabilities do not sum to one."""
 
 
 class EstimationError(ObliqError):

@@ -213,3 +213,58 @@ def test_validate_scenario_api(tmp_path):
     bad = _write(tmp_path, "bad.json", _minimal_dbqc(backend="qasm"))
     with pytest.raises(ScenarioSchemaError):
         validate_scenario(bad)
+
+
+@pytest.mark.parametrize(
+    "over",
+    [
+        {"shots": True},
+        {"seed": True},
+        {"input_state": {"vector": None}},
+        {"input_state": {"vector": [["a", 0], [0, 0]]}},
+    ],
+    ids=["shots-true", "seed-true", "vector-null", "vector-string-amplitude"],
+)
+def test_non_numbers_are_schema_errors(tmp_path, over):
+    path = _write(tmp_path, "not-a-number.json", _minimal_dbqc(**over))
+    assert main(["validate", path]) == 3
+    out = tmp_path / "never"
+    assert main(["run", path, "--out", str(out)]) == 3
+    assert not out.exists()
+
+
+def _minimal_triparty_scheme1():
+    return {
+        "version": 1,
+        "kind": "triparty",
+        "scheme": "I",
+        "seed": 5,
+        "shots": 200,
+        "psi_a": {"basis": 0, "dim": 2},
+        "psi_b": {"basis": 0, "dim": 2},
+        "readout_state": {"basis": 0, "dim": 4},
+        "a_program": "H",
+        "b_program": "I",
+        "nonlocal_program": "CNOT",
+    }
+
+
+@pytest.mark.parametrize(
+    "forced, sc",
+    [("_dbqc_forced", _minimal_dbqc()), ("_triparty_scheme1_forced", _minimal_triparty_scheme1())],
+    ids=["dbqc", "triparty-I"],
+)
+def test_bad_path_probability_is_not_renormalized(tmp_path, monkeypatch, capsys, forced, sc):
+    import obliq.distributed as dist
+
+    real = getattr(dist, forced)
+
+    def halved(*args):
+        p, q, eng = real(*args)
+        return 0.5 * p, q, eng
+
+    path = _write(tmp_path, "bad-path.json", sc)
+    assert main(["run", path, "--out", str(tmp_path / "ok")]) == 0
+    monkeypatch.setattr(dist, forced, halved)
+    assert main(["run", path, "--out", str(tmp_path / "bad")]) == 6
+    assert "sum to 0.5" in capsys.readouterr().err

@@ -1,0 +1,142 @@
+"""`_write_records` must give the bytes of one `json.dumps` per shot."""
+
+import json
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from obliq.cli import _constant, _write_records
+
+# Keys that sort before, around and after "shot".
+KEYS = ["a", "bits", "estimate", "kept", "readout", "s", "sho", "shota", "z", "Shot"]
+FLOATS = [0.0, -0.0, float("nan"), float("inf"), float("-inf"), 0.1, -2.5, 1e300, 5e-324]
+
+
+def _reference(columns, shots: int) -> str:
+    """The per-record path: a dict of Python values and `json.dumps` per shot."""
+
+    def value(col, i):
+        if isinstance(col, dict):
+            return {k: value(c, i) for k, c in col.items()}
+        if col.ndim == 2:
+            return [value(c, i) for c in col.T]
+        x = col[i]
+        if col.dtype.kind == "b":
+            return bool(x)
+        if col.dtype.kind in "iu":
+            return int(x)
+        if col.dtype.kind == "f":
+            return float(x)
+        return str(x)
+
+    lines = []
+    for i in range(shots):
+        rec = {"shot": i, **{k: value(c, i) for k, c in columns.items()}}
+        lines.append(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
+    return "".join(lines)
+
+
+def _written(tmp_path, columns, shots: int) -> str:
+    path = tmp_path / "records.jsonl"
+    _write_records(path, columns, shots)
+    return path.read_text()
+
+
+@st.composite
+def _column(draw, shots: int, nested: bool = True):
+    kind = draw(st.sampled_from(["float", "bool", "int8", "int64", "list", "const", "object"]))
+    if kind == "object" and not nested:
+        kind = "int8"
+    if kind == "float":
+        pool = draw(st.lists(st.sampled_from(FLOATS) | st.floats(), min_size=1, max_size=4))
+        picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=shots, max_size=shots))
+        return np.array([pool[p] for p in picks], dtype=np.float64)
+    if kind == "bool":
+        return np.array(draw(st.lists(st.booleans(), min_size=shots, max_size=shots)))
+    if kind == "int8":
+        vals = st.integers(-128, 127)
+        return np.array(draw(st.lists(vals, min_size=shots, max_size=shots)), dtype=np.int8)
+    if kind == "int64":
+        vals = st.integers(-(2**63), 2**63 - 1) | st.integers(0, 3)
+        return np.array(draw(st.lists(vals, min_size=shots, max_size=shots)), dtype=np.int64)
+    if kind == "list":
+        width = draw(st.integers(0, 3))
+        bits = draw(st.lists(st.integers(0, 1), min_size=shots * width, max_size=shots * width))
+        return np.array(bits, dtype=np.int8).reshape(shots, width)
+    if kind == "const":
+        value = draw(st.sampled_from([0, 7, True, False, "exact_sum"] + FLOATS))
+        return _constant(value, shots)
+    keys = draw(st.lists(st.sampled_from(KEYS), min_size=0, max_size=3, unique=True))
+    return {k: draw(_column(shots, nested=False)) for k in keys}
+
+
+@st.composite
+def _table(draw):
+    shots = draw(st.integers(1, 30))
+    keys = draw(st.lists(st.sampled_from(KEYS), min_size=0, max_size=len(KEYS), unique=True))
+    return {k: draw(_column(shots)) for k in keys}, shots
+
+
+@settings(max_examples=300, deadline=None)
+@given(_table())
+def test_writer_matches_per_record_dumps(tmp_path_factory, table):
+    columns, shots = table
+    tmp_path = tmp_path_factory.mktemp("records")
+    assert _written(tmp_path, columns, shots) == _reference(columns, shots)
+
+
+def test_signed_zero_nan_and_inf_stay_apart(tmp_path):
+    est = np.array([0.0, -0.0, float("nan"), float("inf"), float("-inf"), 0.0, -0.0])
+    text = _written(tmp_path, {"estimate": est}, len(est))
+    assert text == _reference({"estimate": est}, len(est))
+    assert '"estimate":-0.0' in text and '"estimate":NaN' in text
+
+
+def test_float_column_fixed_by_the_bits_before_it(tmp_path):
+    # The estimate follows the readout, down to the sign of zero, except in
+    # the last shot, where it does not.
+    readout = np.array([0, 1, 0, 1, 0], dtype=np.int8)
+    for est in ([0.0, -0.0, 0.0, -0.0, 0.0], [0.0, -0.0, 0.0, -0.0, -0.0]):
+        cols = {"readout": readout, "estimate": np.array(est)}
+        assert _written(tmp_path, cols, 5) == _reference(cols, 5)
+
+
+def test_bool_and_int8_columns_render_differently(tmp_path):
+    cols = {"kept": np.array([True, False, True]), "k": np.array([1, 0, 1], dtype=np.int8)}
+    text = _written(tmp_path, cols, 3)
+    assert text.splitlines()[0] == '{"k":1,"kept":true,"shot":0}'
+    assert text == _reference(cols, 3)
+
+
+def test_single_shot(tmp_path):
+    cols = {"bits": {"isi_0": np.array([1])}, "readout": np.array([0], dtype=np.int8)}
+    assert _written(tmp_path, cols, 1) == '{"bits":{"isi_0":1},"readout":0,"shot":0}\n'
+
+
+def test_every_row_distinct(tmp_path):
+    shots = 2000
+    rng = np.random.default_rng(3)
+    cols = {"value": rng.normal(size=shots), "index": np.arange(shots)}
+    assert _written(tmp_path, cols, shots) == _reference(cols, shots)
+
+
+def test_many_columns_do_not_overflow_the_key(tmp_path):
+    # Column k is 1 only in shot k, so each of the 80 columns splits a row
+    # off and none is fixed by the ones before it: a mixed-radix key that is
+    # never re-coded would need 2**80 values.
+    shots = 120
+    bits = np.eye(shots, 80, dtype=np.int8)
+    cols = {f"b{k:02d}": bits[:, k] for k in range(80)}
+    cols["parity_bits"] = bits
+    assert _written(tmp_path, cols, shots) == _reference(cols, shots)
+
+
+def test_long_run_spans_write_chunks(tmp_path):
+    shots = 20000
+    rng = np.random.default_rng(9)
+    cols = {
+        "readout": rng.integers(0, 2, size=shots).astype(np.int8),
+        "mode": _constant("sampled", shots),
+    }
+    assert _written(tmp_path, cols, shots) == _reference(cols, shots)

@@ -34,7 +34,6 @@ from .qmath import (
     RegisterLayout,
     as_complex,
     dagger,
-    embed_operator,
     is_unitary,
     projector,
     tensor_product,
@@ -166,15 +165,7 @@ def compose_programs(p1: ChoiProgram, p2: ChoiProgram) -> tuple[BinaryBranch, Bi
     c1 = conjugate_program(p1)
     layout = RegisterLayout.of(("o1", d), ("i1", d), ("o2", d), ("i2", d))
     joint = tensor_product(c1.density(), p2.density())
-    p0_full = embed_operator(bell_projector(d), ["o1", "o2"], layout)
-    b0, b1 = _binary_measure(joint, layout, p0_full, ["i1", "i2"])
-    out = []
-    for br in (b0, b1):
-        relabeled = MixedState(
-            RegisterLayout.of((OUT, d), (IN, d)), br.post_state.matrix
-        )
-        out.append(BinaryBranch(br.parity, br.probability, relabeled))
-    return out[0], out[1]
+    return _binary_measure(joint, layout, bell_projector(d), ["i1", "i2"], [OUT, IN])
 
 
 # ---------------------------------------------------------------------------

@@ -122,9 +122,18 @@ def channel_from_literal(obj, where: str) -> KrausChannel:
         if name == "dephasing":
             return dephasing_channel()
         if name == "depolarizing":
-            return depolarizing_channel(int(obj.get("dim", 2)))
+            dim = obj.get("dim", 2)
+            if not _is_int(dim) or dim < 2 or dim * dim > MAX_STATE_DIM:
+                top = math.isqrt(MAX_STATE_DIM)
+                raise ScenarioSchemaError(
+                    f"{where}: depolarizing dim {dim!r} is not an integer from 2 to {top}"
+                )
+            return depolarizing_channel(dim)
         if name == "amplitude_damping":
-            return amplitude_damping_channel(float(obj.get("gamma", 0.5)))
+            gamma = obj.get("gamma", 0.5)
+            if not _is_real(gamma):
+                raise ScenarioSchemaError(f"{where}: damping rate {gamma!r} is not a number")
+            return amplitude_damping_channel(float(gamma))
         raise ScenarioSchemaError(f"{where}: unknown channel name {name!r}")
     if isinstance(obj, dict) and "kraus" in obj:
         try:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -36,8 +36,9 @@ from .oblivious import (
 from .qmath import (
     MAX_STATE_DIM,
     RegisterLayout,
+    apply_on_targets,
     as_complex,
-    embed_operator,
+    embed_operator,  # noqa: F401  (a module binding the layer probes in bench/ wrap)
     is_hermitian,
     is_unitary,
     partial_trace,
@@ -279,23 +280,22 @@ class ProtocolEngine:
             if party.name in self.parties:
                 raise DuplicateLabelError(f"duplicate party {party.name!r}")
             self.parties[party.name] = party
-        self._regs: list[tuple[str, int]] = []
+        self._layout = RegisterLayout(())
         self._owner: dict[str, str] = {}
         self._state = np.ones((1, 1), dtype=complex)
         self._ebits: dict[int, _EbitEntry] = {}
         self._distributed = 0
         self.ledger = ResourceLedger()
-        self.steps: list = []
 
     # -- layout plumbing --
 
     @property
     def layout(self) -> RegisterLayout:
-        return RegisterLayout.of(*self._regs)
+        return self._layout
 
     @property
     def live_registers(self) -> int:
-        return len(self._regs)
+        return len(self._layout)
 
     def owner(self, label: str) -> str:
         if label not in self._owner:
@@ -307,6 +307,14 @@ class ProtocolEngine:
 
     def reduced(self, labels) -> np.ndarray:
         return partial_trace(self._state, list(labels), self.layout)
+
+    def _probabilities(self, party: Party | str, ops, labels) -> np.ndarray:
+        """tr(P rho_labels) for each operator P on the registers ``labels``."""
+        self._check_owned(party, labels)
+        reduced = self.reduced(labels)
+        if any(p.shape != reduced.shape for p in ops):
+            raise DimensionError(f"operator shapes do not match the registers {list(labels)}")
+        return np.array([np.einsum("ij,ji->", p, reduced).real for p in ops])
 
     def _touch(self) -> None:
         if self.ledger.depth == 0:
@@ -340,11 +348,13 @@ class ProtocolEngine:
                 f"joint dimension {new_dim} exceeds the cap {MAX_STATE_DIM}"
             )
         self._state = np.kron(self._state, as_complex(block))
-        for lab, dim, owner in regs_with_owner:
-            self._regs.append((lab, dim))
+        self._layout = RegisterLayout(
+            self._layout.regs + tuple((lab, dim) for lab, dim, _ in regs_with_owner)
+        )
+        for lab, _, owner in regs_with_owner:
             self._owner[lab] = owner
         self.ledger.max_live_registers = max(
-            self.ledger.max_live_registers, len(self._regs)
+            self.ledger.max_live_registers, len(self._layout)
         )
         self._touch()
 
@@ -432,12 +442,12 @@ class ProtocolEngine:
         layout = self.layout
         for lab in labels:
             layout.index(lab)
-        keep = [lab for lab, _ in self._regs if lab not in set(labels)]
+        keep = [lab for lab in layout.labels if lab not in set(labels)]
         if keep:
             self._state = partial_trace(self._state, keep, layout)
         else:
             self._state = np.array([[np.trace(self._state)]], dtype=complex)
-        self._regs = [(lab, d) for lab, d in self._regs if lab in set(keep)]
+        self._layout = layout.subset(keep)
         for lab in labels:
             del self._owner[lab]
 
@@ -445,8 +455,9 @@ class ProtocolEngine:
 
     def apply_local(self, party: Party | str, matrix: np.ndarray, labels) -> None:
         self._check_owned(party, labels)
-        u = embed_operator(matrix, list(labels), self.layout)
-        self._state = u @ self._state @ u.conj().T
+        self._state = apply_on_targets(
+            matrix, self._state, list(labels), self.layout, conjugate=True
+        )
         self._touch()
 
     def broadcast(self, bits: int) -> None:
@@ -469,17 +480,15 @@ class ProtocolEngine:
         Returns (bit, probability of that bit).  Exactly one of rng / forced
         selects the branch.
         """
-        self._check_owned(party, labels)
-        full = embed_operator(p0, list(labels), self.layout)
-        return self._project(
-            [full, np.eye(full.shape[0], dtype=complex) - full], rng, forced
-        )
+        p0 = as_complex(p0)
+        if p0.ndim != 2 or p0.shape[0] != p0.shape[1]:
+            raise DimensionError(f"projector shape {p0.shape} is not square")
+        return self._project(party, [p0, np.eye(p0.shape[0]) - p0], labels, rng, forced)
 
     def probability(self, party: Party | str, p0: np.ndarray, labels) -> float:
         """Branch-0 probability of {p0, 1-p0} without collapsing the state."""
-        self._check_owned(party, labels)
-        full = embed_operator(p0, list(labels), self.layout)
-        return float(np.clip(np.trace(full @ self._state).real, 0.0, 1.0))
+        prob = self._probabilities(party, [as_complex(p0)], labels)[0]
+        return float(np.clip(prob, 0.0, 1.0))
 
     def measure_projective(
         self,
@@ -489,17 +498,14 @@ class ProtocolEngine:
         rng: np.random.Generator | None = None,
         forced: int | None = None,
     ) -> tuple[int, float]:
-        self._check_owned(party, labels)
-        full = [embed_operator(p, list(labels), self.layout) for p in projectors]
-        return self._project(full, rng, forced)
+        return self._project(party, [as_complex(p) for p in projectors], labels, rng, forced)
 
-    def _project(self, full_projectors, rng, forced) -> tuple[int, float]:
+    def _project(self, party, projectors, labels, rng, forced) -> tuple[int, float]:
+        """Outcome probabilities come from the state reduced to ``labels``;
+        the chosen projector then acts on those registers' axes only."""
         if (rng is None) == (forced is None):
             raise EstimationError("pass exactly one of rng or forced")
-        probs = np.array(
-            [float(np.trace(p @ self._state).real) for p in full_projectors]
-        )
-        probs = np.clip(probs, 0.0, None)
+        probs = np.clip(self._probabilities(party, projectors, labels), 0.0, None)
         total = probs.sum()
         if abs(total - 1.0) > 1e-8:
             raise StateValidationError(f"measurement probabilities sum to {total}")
@@ -510,8 +516,9 @@ class ProtocolEngine:
         prob = probs[idx]
         if prob < 1e-14:
             raise BranchError(f"measurement branch {idx} has vanishing probability")
-        p = full_projectors[idx]
-        self._state = (p @ self._state @ p.conj().T) / prob
+        p = projectors[idx]
+        self._state = apply_on_targets(p, self._state, list(labels), self.layout, conjugate=True)
+        self._state /= prob
         self._touch()
         return idx, float(prob)
 
@@ -940,7 +947,7 @@ def _run_triparty_scheme2(
         raise ResourceError("scheme II needs the controlled-gate program at B or C")
     db = b.states[0].dim
     gate = _controlled_block(nonlocal_prog, db)
-    b_local = replace_programs(b, b.programs[:-1]) if (c is None or not c.programs) else b
+    b_local = replace(b, programs=b.programs[:-1]) if (c is None or not c.programs) else b
 
     patterns = list(itertools.product((0, 1), (0, 1), range(4)))
     qvals = np.empty(len(patterns))
@@ -975,17 +982,6 @@ def _run_triparty_scheme2(
             "teleport": pat_arr[idx, 2],
             "y": y,
         },
-    )
-
-
-def replace_programs(party: Party, programs) -> Party:
-    return Party(
-        name=party.name,
-        programs=list(programs),
-        states=list(party.states),
-        descriptions=party.descriptions,
-        knowledge=party.knowledge,
-        ebit_endpoints=party.ebit_endpoints,
     )
 
 
@@ -1075,17 +1071,23 @@ class KnitCircuit:
             *[(f"q{k}", self.local_dim) for k in range(self.num_qudits)]
         )
 
-    def initial_density(self) -> np.ndarray:
+    def initial_factor(self) -> tuple[np.ndarray, np.ndarray]:
+        """(R, lam) with the input state rho = R diag(lam) R^dag: R is the
+        input vector itself, or the eigenbasis of an input density matrix."""
         dim = self.local_dim**self.num_qudits
         if self.input_state is None:
-            rho = np.zeros((dim, dim), dtype=complex)
-            rho[0, 0] = 1.0
-            return rho
+            r = np.zeros((dim, 1), dtype=complex)
+            r[0, 0] = 1.0
+            return r, np.ones(1)
         arr = as_complex(np.asarray(self.input_state))
-        rho = projector(arr) if arr.ndim == 1 else arr
-        if rho.shape != (dim, dim):
+        if arr.shape not in ((dim,), (dim, dim)):
             raise DimensionError("input state does not match the circuit width")
-        return rho
+        if arr.ndim == 1:
+            return arr.reshape(dim, 1), np.ones(1)
+        if not is_hermitian(arr):
+            raise StateValidationError("input density matrix must be Hermitian")
+        lam, vecs = np.linalg.eigh(arr)
+        return vecs, lam
 
 
 @dataclass(frozen=True)
@@ -1099,78 +1101,42 @@ class KnitEstimate:
     per_shot: np.ndarray | None = None
 
 
-def _knit_terms(circuit: KnitCircuit):
-    """Enumerate cut assignments: weights w_K and full-circuit matrices A_K."""
+def _knit_propagate(circuit: KnitCircuit, factor: np.ndarray):
+    """Push the input factor through every cut assignment's gates.
+
+    Each cut gate branches every partial term into its weighted Pauli pairs,
+    so terms sharing a prefix share its propagation. Returns the weights w_K
+    (ordered as itertools.product over the cuts), the propagated factors
+    A_K R stacked on a leading axis, the uncut circuit's U R, and each cut's
+    decomposition.
+    """
     layout = circuit.layout
     d = circuit.local_dim
     basis = GeneralizedPauliBasis(d)
-    cut_positions = []
-    embedded = []
+    weights, factors = [1.0 + 0.0j], [factor]
+    exact = factor
+    decomps = []
     for g in circuit.gates:
         labels = [f"q{t}" for t in g.targets]
-        if g.cut:
-            if len(g.targets) != 2:
-                raise DimensionError("cut gates must touch exactly two qudits")
-            if g.matrix.shape != (d * d, d * d) or not is_unitary(g.matrix):
-                raise StateValidationError("cut gates must be two-qudit unitaries")
-            cut_positions.append(len(embedded))
-            embedded.append((labels, None))
-        else:
-            embedded.append((labels, embed_operator(g.matrix, labels, layout)))
-
-    decomps = [
-        knit_decompose(circuit.gates[k].matrix, d)
-        for k, g in enumerate(circuit.gates)
-        if g.cut
-    ]
-    per_cut = []
-    for dec in decomps:
-        entries = []
-        for i in range(d * d):
-            for j in range(d * d):
-                w = dec.coefficients[i, j]
-                if abs(w) > 1e-14:
-                    entries.append((i, j, w))
-        per_cut.append(entries)
-
-    sigma_cache: dict[tuple[int, int, int], np.ndarray] = {}
-
-    def sigma_embed(cut_no: int, i: int, j: int) -> np.ndarray:
-        key = (cut_no, i, j)
-        if key not in sigma_cache:
-            labels, _ = embedded[cut_positions[cut_no]]
-            pair = np.kron(basis.operators[i], basis.operators[j])
-            sigma_cache[key] = embed_operator(pair, labels, layout)
-        return sigma_cache[key]
-
-    dim = layout.total_dim
-    weights = []
-    matrices = []
-    indices = []
-    for combo in itertools.product(*per_cut) if per_cut else [()]:
-        w = 1.0 + 0.0j
-        total = np.eye(dim, dtype=complex)
-        c = 0
-        for pos, (labels, mat) in enumerate(embedded):
-            if mat is None:
-                i, j, wc = combo[c]
-                w *= wc
-                mat = sigma_embed(c, i, j)
-                c += 1
-            total = mat @ total
-        weights.append(w)
-        matrices.append(total)
-        indices.append(tuple((i, j) for i, j, _ in combo))
-
-    exact = np.eye(dim, dtype=complex)
-    for pos, (labels, mat) in enumerate(embedded):
-        if mat is None:
-            mat = embed_operator(circuit.gates[pos].matrix, labels, layout)
-        exact = mat @ exact
-
-    overhead = float(np.prod([dec.overhead for dec in decomps])) if decomps else 1.0
-    one_norms = [dec.one_norm for dec in decomps]
-    return np.array(weights), matrices, indices, exact, overhead, one_norms
+        exact = apply_on_targets(g.matrix, exact, labels, layout)
+        if not g.cut:
+            factors = [apply_on_targets(g.matrix, f, labels, layout) for f in factors]
+            continue
+        if len(g.targets) != 2:
+            raise DimensionError("cut gates must touch exactly two qudits")
+        if g.matrix.shape != (d * d, d * d) or not is_unitary(g.matrix):
+            raise StateValidationError("cut gates must be two-qudit unitaries")
+        dec = knit_decompose(g.matrix, d)
+        decomps.append(dec)
+        pairs = [
+            (dec.coefficients[i, j], np.kron(basis.operators[i], basis.operators[j]))
+            for i in range(d * d)
+            for j in range(d * d)
+            if abs(dec.coefficients[i, j]) > 1e-14
+        ]
+        weights = [w * wc for w in weights for wc, _ in pairs]
+        factors = [apply_on_targets(pair, f, labels, layout) for f in factors for _, pair in pairs]
+    return np.array(weights), np.stack(factors), exact, decomps
 
 
 def knit_estimate(
@@ -1187,6 +1153,10 @@ def knit_estimate(
     assignment with probability proportional to |weight| while keeping the
     bra side summed exactly, so the standard error carries one factor of
     sqrt(overhead) as the quasi-probability mass.
+
+    With rho = R diag(lam) R^dag, every term tr(A_l^dag O A_k rho) is the
+    inner product of the propagated factors A_l R and O A_k R weighted by
+    lam, so no circuit-sized matrix is formed.
     """
     observable = as_complex(observable)
     dim = circuit.local_dim**circuit.num_qudits
@@ -1194,13 +1164,14 @@ def knit_estimate(
         raise DimensionError("observable does not match the circuit width")
     if not is_hermitian(observable):
         raise StateValidationError("observable must be Hermitian")
-    rho = circuit.initial_density()
-    weights, matrices, indices, exact, overhead, one_norms = _knit_terms(circuit)
+    factor, lam = circuit.initial_factor()
+    weights, factors, exact, decomps = _knit_propagate(circuit, factor)
+    flat = factors.reshape(len(weights), -1)
+    flat_o = ((observable @ factors) * lam).reshape(len(weights), -1)
+    overhead = float(np.prod([dec.overhead for dec in decomps])) if decomps else 1.0
 
     if mode == "exact_sum":
-        flat_a = np.stack([m.conj().ravel() for m in matrices])
-        flat_y = np.stack([(observable @ m @ rho).ravel() for m in matrices])
-        gram = flat_a @ flat_y.T
+        gram = flat.conj() @ flat_o.T
         value = np.einsum("l,k,lk->", weights.conj(), weights, gram)
         return KnitEstimate(
             estimate=float(value.real), stderr=0.0, overhead=overhead, mode=mode
@@ -1211,10 +1182,8 @@ def knit_estimate(
     if shots is None or shots < 1 or rng is None:
         raise EstimationError("sampled mode needs shots and rng")
 
-    mass = float(np.prod(one_norms)) if one_norms else 1.0
-    sandwich = np.array(
-        [np.vdot(exact, observable @ m @ rho) for m in matrices]
-    )
+    mass = float(np.prod([dec.one_norm for dec in decomps])) if decomps else 1.0
+    sandwich = flat_o @ exact.conj().ravel()
     phases = np.where(np.abs(weights) > 0, weights / np.abs(weights), 1.0)
     values = mass * (phases * sandwich).real
     probs = np.abs(weights)

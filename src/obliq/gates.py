@@ -7,6 +7,8 @@ optional angle, an explicit matrix with complex entries written as
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .errors import ScenarioSchemaError
@@ -54,6 +56,8 @@ _PARAMETRIC = {"RY": ry, "RZ": rz}
 
 
 def named_gate(name: str, theta: float | None = None) -> np.ndarray:
+    if not isinstance(name, str):
+        raise ScenarioSchemaError(f"gate name {name!r} is not a string")
     name = name.upper()
     if name in _FIXED:
         if theta is not None:
@@ -62,6 +66,8 @@ def named_gate(name: str, theta: float | None = None) -> np.ndarray:
     if name in _PARAMETRIC:
         if theta is None:
             raise ScenarioSchemaError(f"gate {name} requires an angle")
+        if isinstance(theta, bool) or not isinstance(theta, numbers.Real):
+            raise ScenarioSchemaError(f"gate {name} angle {theta!r} is not a number")
         return _PARAMETRIC[name](float(theta))
     raise ScenarioSchemaError(f"unknown gate name {name!r}")
 

@@ -101,21 +101,27 @@ class BinaryBranch:
 def _binary_measure(
     joint: np.ndarray,
     layout: RegisterLayout,
-    p0_full: np.ndarray,
+    p0: np.ndarray,
     keep: Sequence[str],
+    names: Sequence[str],
 ) -> tuple[BinaryBranch, BinaryBranch]:
-    """Measure {P0, 1 - P0} given the already-embedded trivial projector,
-    then trace everything but ``keep``."""
-    keep_layout = layout.subset(keep)
+    """Measure {P0, 1 - P0}, then trace everything but ``keep``, whose
+    registers are renamed to ``names`` in the post-measurement states.
+
+    ``p0`` is the trivial outcome's projector on the registers that are not
+    kept, in layout order. Because it acts only on traced-out registers,
+    branch 0 is tr_M(P0 rho) and branch 1 is tr_M(rho) minus branch 0, each
+    O(D^2); no layout-sized projector is built.
+    """
+    keep_layout = RegisterLayout(tuple((new, layout.dim(old)) for new, old in zip(names, keep)))
+    num0 = partial_trace(joint, list(keep), layout, p0)
+    nums = (num0, partial_trace(joint, list(keep), layout) - num0)
     branches = []
-    for parity in (0, 1):
-        proj = p0_full if parity == 0 else np.eye(layout.total_dim) - p0_full
-        num = proj @ joint @ proj
+    for parity, num in enumerate(nums):
         prob = float(np.trace(num).real)
         if prob < 1e-14:
             raise BranchError(f"branch {parity} has probability {prob}")
-        post = partial_trace(num, list(keep), layout) / prob
-        branches.append(BinaryBranch(parity, prob, MixedState(keep_layout, post)))
+        branches.append(BinaryBranch(parity, prob, MixedState(keep_layout, num / prob)))
     return branches[0], branches[1]
 
 
@@ -138,15 +144,7 @@ def isi_measure(
     if abs(norm - 1.0) > 1e-8:
         raise StateValidationError(f"inject norm {norm} is not 1")
     p0 = projector(amps.conj())
-    layout = program.state.layout
-    p0_full = embed_operator(p0, [IN], layout)
-    b0, b1 = _binary_measure(program.density(), layout, p0_full, [OUT])
-    return _relabel_branch(b0, program.out_dim), _relabel_branch(b1, program.out_dim)
-
-
-def _relabel_branch(branch: BinaryBranch, dim: int) -> BinaryBranch:
-    state = MixedState(RegisterLayout.of((SYS, dim)), branch.post_state.matrix)
-    return BinaryBranch(branch.parity, branch.probability, state)
+    return _binary_measure(program.density(), program.state.layout, p0, [OUT], [SYS])
 
 
 def _as_system(state: PureState | MixedState | np.ndarray, dim: int | None = None) -> MixedState:
@@ -177,9 +175,7 @@ def oqt_step(
         )
     layout = RegisterLayout.of((OUT, program.out_dim), (IN, d_in), (SYS, d_in))
     joint = tensor_product(program.density(), sys_state.matrix)
-    p0_full = embed_operator(bell_projector(d_in), [IN, SYS], layout)
-    b0, b1 = _binary_measure(joint, layout, p0_full, [OUT])
-    return _relabel_branch(b0, program.out_dim), _relabel_branch(b1, program.out_dim)
+    return _binary_measure(joint, layout, bell_projector(d_in), [OUT], [SYS])
 
 
 @dataclass(frozen=True)
@@ -374,26 +370,17 @@ def multiparty_binary_bell(
     if not parts:
         raise DimensionError("need at least one (program, system) part")
     regs = []
-    blocks = []
-    p0_parts = []
+    joint = p0 = np.ones((1, 1), dtype=complex)
     outs = []
     for k, (prog, system) in enumerate(parts):
         sys_state = _as_system(system)
         if sys_state.dim != prog.in_dim:
             raise DimensionError(f"part {k}: system dim does not match program in-port")
-        o, i, s = f"out{k}", f"in{k}", f"s{k}"
-        regs += [(o, prog.out_dim), (i, prog.in_dim), (s, prog.in_dim)]
-        outs.append(o)
-        blocks.append(tensor_product(prog.density(), sys_state.matrix))
-        p0_parts.append((bell_projector(prog.in_dim), [i, s]))
-    layout = RegisterLayout(tuple(regs))
-    joint = blocks[0]
-    for b in blocks[1:]:
-        joint = tensor_product(joint, b)
-    p0 = np.eye(layout.total_dim, dtype=complex)
-    for proj, labels in p0_parts:
-        p0 = p0 @ embed_operator(proj, labels, layout)
-    return _binary_measure(joint, layout, p0, outs)
+        regs += [(f"out{k}", prog.out_dim), (f"in{k}", prog.in_dim), (f"s{k}", prog.in_dim)]
+        outs.append(f"out{k}")
+        joint = tensor_product(joint, tensor_product(prog.density(), sys_state.matrix))
+        p0 = tensor_product(p0, bell_projector(prog.in_dim))
+    return _binary_measure(joint, RegisterLayout(tuple(regs)), p0, outs, outs)
 
 
 @dataclass(frozen=True)

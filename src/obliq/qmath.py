@@ -7,6 +7,11 @@ Conventions used throughout the package:
   sits at flat index ``i * dB + j`` and ``np.kron(A, B)`` acts on (A-reg,
   B-reg) in that order;
 * everything is a dense complex128 ndarray;
+* an operator on some registers of a layout is applied by contracting it
+  with those registers' axes (`apply_on_targets`), and a measurement weight
+  on the traced-out registers folds into `partial_trace`; neither ever
+  builds the layout-sized operator. `embed_operator` builds that operator
+  and is kept as the reference the contractions are tested against;
 * comparisons use an absolute elementwise tolerance, default ``EPS``.
 """
 
@@ -132,58 +137,97 @@ class RegisterLayout:
         return RegisterLayout(tuple((lab, self.dim(lab)) for lab in labels))
 
 
+def _target_axes(op: np.ndarray, targets, layout: RegisterLayout) -> tuple[list[int], list[int]]:
+    """Axes of ``targets`` (in the given order) and of the other registers
+    (in layout order), after checking that ``op`` fits the targets."""
+    pos = [layout.index(t) for t in targets]
+    if len(set(pos)) != len(pos):
+        raise DuplicateLabelError(f"repeated target in {list(targets)}")
+    dims = layout.dims
+    tdim = math.prod(dims[p] for p in pos)
+    if op.shape != (tdim, tdim):
+        raise DimensionError(
+            f"operator shape {op.shape} does not match target dims product {tdim}"
+        )
+    return pos, [k for k in range(len(dims)) if k not in pos]
+
+
 def embed_operator(op: np.ndarray, targets, layout: RegisterLayout) -> np.ndarray:
     """Lift ``op`` acting on ``targets`` (in the given order) to the full layout.
 
     The order of ``targets`` fixes which register supplies which tensor factor
     of ``op``: the first target is the most significant digit of op's own
-    index space.
+    index space. This is the dense reference for `apply_on_targets`.
     """
     op = as_complex(op)
-    targets = list(targets)
-    if len(set(targets)) != len(targets):
-        raise DuplicateLabelError(f"repeated target in {targets}")
-    tdim = math.prod(layout.dim(t) for t in targets)
-    if op.shape != (tdim, tdim):
-        raise DimensionError(
-            f"operator shape {op.shape} does not match target dims product {tdim}"
-        )
-    rest = [lab for lab in layout.labels if lab not in targets]
-    ordered = targets + rest
-    rest_dim = math.prod(layout.dim(r) for r in rest) if rest else 1
-    full = tensor_product(op, np.eye(rest_dim))
-    if ordered == list(layout.labels):
-        return full
-    dims_ordered = [layout.dim(lab) for lab in ordered]
-    n = len(layout)
-    pos = {lab: k for k, lab in enumerate(ordered)}
-    axes = [pos[lab] for lab in layout.labels]
-    t = full.reshape(dims_ordered + dims_ordered)
-    t = t.transpose(axes + [n + a for a in axes])
+    pos, rest = _target_axes(op, targets, layout)
+    dims = [layout.dims[k] for k in pos + rest]
+    full = tensor_product(op, np.eye(math.prod(dims) // op.shape[0]))
+    axes = np.argsort(pos + rest).tolist()
+    t = full.reshape(dims + dims).transpose(axes + [len(dims) + a for a in axes])
     d = layout.total_dim
     return np.ascontiguousarray(t.reshape(d, d))
 
 
-def partial_trace(rho: np.ndarray, keep, layout: RegisterLayout) -> np.ndarray:
-    """Trace out everything except ``keep``; result is ordered as ``keep``."""
+def apply_on_targets(
+    op: np.ndarray, x: np.ndarray, targets, layout: RegisterLayout, conjugate: bool = False
+) -> np.ndarray:
+    """``op`` on ``targets`` (ordered as in `embed_operator`) applied to ``x``.
+
+    ``x`` is a vector of the layout's dimension D or a matrix with D rows;
+    the result is (op ox 1) x. With ``conjugate`` it is a D x D matrix and
+    the result is (op ox 1) x (op ox 1)^dag. The target axes move to the
+    front (and, with ``conjugate``, the column targets to the back) in one
+    transpose, ``op`` contracts with them by matrix products, and one
+    transpose moves them back: O(D^2 d_op) work instead of O(D^3).
+    """
+    op = as_complex(op)
+    x = as_complex(x)
+    pos, rest = _target_axes(op, targets, layout)
+    dims = layout.dims
+    n = len(dims)
+    tdim = op.shape[0]
+    if conjugate:
+        perm = pos + rest + [n + k for k in rest] + [n + p for p in pos]
+        t = x.reshape(dims + dims).transpose(perm)
+        y = (op @ t.reshape(tdim, -1)).reshape(-1, tdim) @ op.conj().T
+    else:
+        perm = pos + rest + [n]
+        t = x.reshape(dims + (-1,)).transpose(perm)
+        y = op @ t.reshape(tdim, -1)
+    return y.reshape(t.shape).transpose(np.argsort(perm)).reshape(x.shape)
+
+
+def partial_trace(
+    rho: np.ndarray, keep, layout: RegisterLayout, weight: np.ndarray | None = None
+) -> np.ndarray:
+    """Trace out everything except ``keep``; result is ordered as ``keep``.
+
+    With ``weight``, an operator W on the traced-out registers in layout
+    order, the result is tr_out((1 ox W) rho) instead, in O(D^2).
+    """
     rho = as_complex(rho)
-    d = layout.total_dim
+    dims = layout.dims
+    d = math.prod(dims)
     if rho.shape != (d, d):
         raise DimensionError(f"state shape {rho.shape} does not match layout dim {d}")
     keep = list(keep)
     keep_pos = [layout.index(lab) for lab in keep]
     if len(set(keep_pos)) != len(keep_pos):
         raise DuplicateLabelError(f"repeated label in keep list {keep}")
-    n = len(layout)
+    n = len(dims)
     drop = [k for k in range(n) if k not in keep_pos]
     perm = keep_pos + drop
-    dims = layout.dims
     t = rho.reshape(dims + dims)
     t = t.transpose(perm + [n + p for p in perm])
     dk = math.prod(dims[p] for p in keep_pos) if keep_pos else 1
     dd = d // dk
     t = t.reshape(dk, dd, dk, dd)
-    return np.ascontiguousarray(np.trace(t, axis1=1, axis2=3))
+    if weight is None:
+        return np.ascontiguousarray(np.trace(t, axis1=1, axis2=3))
+    if weight.shape != (dd, dd):
+        raise DimensionError(f"weight shape {weight.shape} does not match traced dim {dd}")
+    return np.einsum("anbm,mn->ab", t, weight)
 
 
 def permutation_to_layout(src: RegisterLayout, dst: RegisterLayout) -> np.ndarray:

@@ -233,6 +233,47 @@ def test_non_numbers_are_schema_errors(tmp_path, over):
     assert not out.exists()
 
 
+def _minimal_channel_composition(first):
+    return {
+        "version": 1,
+        "kind": "channel_composition",
+        "seed": 5,
+        "shots": 1,
+        "channels": [first, {"channel": "dephasing"}],
+    }
+
+
+@pytest.mark.parametrize(
+    "sc",
+    [
+        _minimal_dbqc(alice_programs=[{"name": "RY", "theta": "x"}]),
+        _minimal_dbqc(alice_programs=[{"name": "RY", "theta": True}]),
+        _minimal_dbqc(alice_programs=[{"name": 5}]),
+        _minimal_channel_composition({"channel": "amplitude_damping", "gamma": "x"}),
+        _minimal_channel_composition({"channel": "amplitude_damping", "gamma": True}),
+        _minimal_channel_composition({"channel": "depolarizing", "dim": "x"}),
+        _minimal_channel_composition({"channel": "depolarizing", "dim": True}),
+        _minimal_channel_composition({"channel": "depolarizing", "dim": 33}),
+    ],
+    ids=[
+        "theta-string",
+        "theta-true",
+        "gate-name-number",
+        "gamma-string",
+        "gamma-true",
+        "dim-string",
+        "dim-true",
+        "dim-over-capacity",
+    ],
+)
+def test_malformed_gate_and_channel_parameters_are_schema_errors(tmp_path, sc):
+    path = _write(tmp_path, "bad-parameter.json", sc)
+    assert main(["validate", path]) == 3
+    out = tmp_path / "never"
+    assert main(["run", path, "--out", str(out)]) == 3
+    assert not out.exists()
+
+
 def _minimal_triparty_scheme1():
     return {
         "version": 1,

@@ -19,8 +19,8 @@ SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 # stem: (sha256 of records.jsonl, sha256 of summary.csv)
 DIGESTS = {
     "channel-composition": (
-        "d3251529980d2ecb47e245df11553b62ff5609bc5ea96c908b60912175e4d493",
-        "d864da581f04f9893139ccab57abdd591ff84aae4eca94f5ff679247cb4eb3f7",
+        "da1a97a53865f1190e2f38b128472e091e9d597359a00fb0eee93090b3146e83",
+        "b0d779805e1555d863175ca3c6b0a0e5bee5d0694b2ea0038d484cb8133a8862",
     ),
     "dbqc": (
         "ce8093f19f6dfea948e9f6bacd06c40e6520e5670096a2044ed57f7d1968b762",
@@ -31,7 +31,7 @@ DIGESTS = {
         "9433af465c0c0421f7bfb1953de78570d6a5af9de5e51d5b2480e6aec68d4da7",
     ),
     "knitting-sampled": (
-        "df8754a88b40ffc258397e8506bc81de2f3b4785d4c0693b9541fd6ecac6ddf0",
+        "43b417dcf7b2d090051b3056690a1b661b296a1f0fbdef124cf86d1428ae7809",
         "7a7d1269c089fa5c6cfc01f703983c4ca09e5ffe99fb4dc19e3860d15e5c5a38",
     ),
     "pingpong": (

@@ -96,7 +96,9 @@ class ChoiProgram:
         return isinstance(self.state, PureState)
 
     def density(self) -> np.ndarray:
-        return as_mixed(self.state).matrix
+        """The program's density matrix. Both kinds of state were validated
+        when built, so no `MixedState` is made (and checked) again."""
+        return self.state.density() if self.is_pure else self.state.matrix
 
 
 def program_layout(out_dim: int, in_dim: int) -> RegisterLayout:

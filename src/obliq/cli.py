@@ -14,6 +14,14 @@ JSON line per shot (`json.dumps(sort_keys=True, separators=(",", ":"))`, so
 keys are sorted at every level) with `shot` the 0-based shot index. These
 bytes are stable across versions unless CHANGES.md says otherwise.
 
+The dbqc, tri-party and ping-pong runners enumerate every branch pattern,
+then sample shots from the patterns' probabilities. Except for tri-party
+scheme II, they walk the outcome tree, so each outcome prefix is simulated
+once (see `distributed`). A `script` run memoizes its outcome tree: each
+shot walks it from the root, drawing with the same generator calls a fresh
+script run would make, and runs the script only at a prefix not seen
+before. `MAX_BRANCH_BITS` caps the branch bits of dbqc and ping-pong runs.
+
 Exit codes: 0 success, 2 parse error, 3 schema error, 4 semantic error,
 5 capacity error, 6 runtime failure.
 """
@@ -39,7 +47,8 @@ from .distributed import (
     ResourceLedger,
     check_path_probabilities,
     knit_estimate,
-    pingpong_run,
+    pingpong_branches,
+    pingpong_run,  # noqa: F401  (a binding the layer probes in bench/ wrap)
     remote_cnot,
     run_dbqc,
     run_triparty,
@@ -473,12 +482,26 @@ def _semantic_violations(sc: dict) -> list[str]:
     return out
 
 
+# The dbqc and ping-pong runners simulate the outcome tree of every binary
+# measurement, 2**(bits + 1) - 1 engine segments; at this cap that is about
+# half a minute (README).
+MAX_BRANCH_BITS = 16
+
+
 def _capacity_violations(sc: dict) -> list[str]:
     kind = sc.get("kind")
     if kind == "knitting":
         dim = sc.get("local_dim", 2) ** sc.get("num_qudits", 1)
         if dim > MAX_STATE_DIM:
             return [f"circuit dimension {dim} exceeds the cap {MAX_STATE_DIM}"]
+    if kind == "dbqc":
+        bits = 1 + len(sc["alice_programs"]) + len(sc["bob_programs"])
+        if bits > MAX_BRANCH_BITS:
+            return [f"dbqc has {bits} branch bits (1 + links), over the cap {MAX_BRANCH_BITS}"]
+    if kind == "pingpong":
+        bits = len(sc["programs"])
+        if bits > MAX_BRANCH_BITS:
+            return [f"pingpong has {bits} programs, over the cap {MAX_BRANCH_BITS}"]
     return []
 
 
@@ -541,28 +564,13 @@ def _run_pingpong(sc: dict, rng: np.random.Generator):
     n = len(programs)
     shots = sc["shots"]
 
-    patterns = list(range(2**n))
-    qvals = np.empty(len(patterns))
-    probs = np.empty(len(patterns))
-    ledger = None
-    svals = np.empty(len(patterns), dtype=int)
-    for code in patterns:
-        bits = [(code >> (n - 1 - k)) & 1 for k in range(n)]
-        record, led = pingpong_run(programs, psi_in, forced_bits=bits)
-        qvals[code] = float(
-            np.real(np.conj(psi_o) @ record.final_state.matrix @ psi_o)
-        )
-        p = 1.0
-        for bit in bits:
-            p *= (1.0 / d**2) if bit == 0 else (1.0 - 1.0 / d**2)
-        probs[code] = p
-        svals[code] = record.s
-        if ledger is None:
-            ledger = led
+    probs, qvals, ledger = pingpong_branches(programs, psi_in, psi_o)
     probs = check_path_probabilities(probs)
+    # In product order, pattern `code` holds bit k at binary digit n - 1 - k.
+    svals = np.array([code.bit_count() for code in range(2**n)])
     alpha = np.array([parity_mix_alpha(int(v), d) for v in svals])
 
-    idx = rng.choice(len(patterns), size=shots, p=probs)
+    idx = rng.choice(2**n, size=shots, p=probs)
     y = (rng.random(shots) >= qvals[idx]).astype(np.int8)
     s = svals[idx]
     base = ((-1.0) ** s) * float(d * d - 1) ** s
@@ -627,15 +635,64 @@ def _run_channel_composition(sc: dict, rng: np.random.Generator):
     return distance, 0.0, ledger, columns
 
 
+class _TreeDraws:
+    """The generator one script run draws from: it replays the outcomes in
+    ``known``, then draws from ``rng`` and records each new draw's
+    distribution in ``tree`` under the outcome prefix before it."""
+
+    def __init__(self, tree: dict, rng: np.random.Generator, known: tuple):
+        self.tree, self.rng, self.known = tree, rng, known
+        self.prefix: tuple = ()
+
+    def choice(self, a: int, p: np.ndarray) -> int:
+        depth = len(self.prefix)
+        if depth < len(self.known):
+            outcome = self.known[depth]
+        else:
+            self.tree[self.prefix] = p
+            outcome = int(self.rng.choice(a, p=p))
+        self.prefix += (outcome,)
+        return outcome
+
+
 def _run_script(sc: dict, rng: np.random.Generator):
+    """Shots walk the script's outcome tree, memoized on the outcome prefix.
+
+    `tree` maps a prefix to the distribution of the next draw, or to the
+    index of the finished run in `leaves`. A shot draws each outcome it
+    finds in the tree with the call `ProtocolEngine` makes, so the
+    generator sees the same calls as with one script run per shot. At a
+    prefix the tree does not hold yet, the shot runs the script once,
+    replaying the prefix and drawing the rest from `rng`.
+    """
     shots = sc["shots"]
-    runs = [_execute_script_once(sc, rng) for _ in range(shots)]
-    ledger = runs[0][2]
+    tree: dict[tuple, np.ndarray | int] = {}
+    leaves = []
+    leaf_of_shot = np.empty(shots, dtype=np.int64)
+    ledger = None
+    for shot in range(shots):
+        prefix = ()
+        node = tree.get(prefix)
+        while isinstance(node, np.ndarray):
+            prefix += (int(rng.choice(len(node), p=node)),)
+            node = tree.get(prefix)
+        if node is None:
+            draws = _TreeDraws(tree, rng, prefix)
+            bits, final_bit, run_ledger = _execute_script_once(sc, draws)
+            if ledger is None:
+                ledger = run_ledger
+            node = tree[draws.prefix] = len(leaves)
+            leaves.append((bits, final_bit))
+        leaf_of_shot[shot] = node
     # Every shot runs the same steps, so every shot records the same keys.
-    columns = {"bits": {key: np.array([bits[key] for bits, _, _ in runs]) for key in runs[0][0]}}
-    if runs[0][1] is None:
+    columns = {
+        "bits": {
+            key: np.array([bits[key] for bits, _ in leaves])[leaf_of_shot] for key in leaves[0][0]
+        }
+    }
+    if leaves[0][1] is None:
         return math.nan, 0.0, ledger, columns
-    readout = np.array([final_bit for _, final_bit, _ in runs])
+    readout = np.array([final_bit for _, final_bit in leaves])[leaf_of_shot]
     columns["readout"] = readout
     arr = (readout == 0).astype(float)
     estimate = float(arr.mean())

@@ -5,10 +5,20 @@ registers held by different parties, so entanglement can only spread through
 explicitly distributed ebits.  Every run produces a ResourceLedger counting
 ebits, broadcast bits, oblivious-teleportation events, byproduct corrections
 and forced temporal layers.
+
+The dbqc, tri-party scheme I and ping-pong runners need every outcome
+pattern of their binary measurements. Each protocol is defined once as a
+list of steps, and `_branch_leaves` walks its outcome tree depth first,
+forking the engine (`ProtocolEngine.fork`) at each measurement, so each
+outcome prefix is simulated once: 2**(n+1) - 1 segments for n bits instead
+of n * 2**n. `pingpong_run` follows one path of the same steps. Scheme II
+stays one forced pass per pattern, because its draws sit inside
+`remote_controlled_gate` and `teleport_state`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -263,6 +273,11 @@ class _EbitEntry:
         self.regs = tuple(regs)
         self.used = False
 
+    def copy(self) -> _EbitEntry:
+        twin = _EbitEntry(self.regs)
+        twin.used = self.used
+        return twin
+
 
 class ProtocolEngine:
     """Density-matrix simulator with per-party register ownership.
@@ -304,6 +319,24 @@ class ProtocolEngine:
 
     def state(self) -> np.ndarray:
         return self._state.copy()
+
+    def fork(self) -> ProtocolEngine:
+        """An independent copy, to continue a run down another branch.
+
+        The state array is shared: every operation rebinds ``_state`` to a
+        new array and none writes into the one it replaces. The owner map,
+        the ebit entries with their ``used`` flags, and the ledger are
+        copied.
+        """
+        twin = object.__new__(ProtocolEngine)
+        twin.parties = self.parties
+        twin._layout = self._layout
+        twin._owner = dict(self._owner)
+        twin._state = self._state
+        twin._ebits = {eid: entry.copy() for eid, entry in self._ebits.items()}
+        twin._distributed = self._distributed
+        twin.ledger = replace(self.ledger)
+        return twin
 
     def reduced(self, labels) -> np.ndarray:
         return partial_trace(self._state, list(labels), self.layout)
@@ -526,6 +559,18 @@ class ProtocolEngine:
 # --- teleportation primitives ---
 
 
+@functools.lru_cache(maxsize=None)
+def _bell_basis(d: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """The d^2 Pauli operators sigma_i and the projectors onto
+    (sigma_i x I)|omega>, built once per d; read-only."""
+    sigmas = GeneralizedPauliBasis(d).operators
+    omega = bell_state(d).amplitudes
+    projs = [projector(np.kron(sig, np.eye(d)) @ omega) for sig in sigmas]
+    for arr in sigmas + projs:
+        arr.flags.writeable = False
+    return tuple(sigmas), tuple(projs)
+
+
 def teleport_state(
     engine: ProtocolEngine,
     state_label: str,
@@ -555,14 +600,12 @@ def teleport_state(
     d = engine.layout.dim(state_label)
     if engine.layout.dim(ea) != d:
         raise DimensionError("ebit dimension does not match the state register")
-    basis = GeneralizedPauliBasis(d)
-    omega = bell_state(d).amplitudes
-    projs = [projector(np.kron(sig, np.eye(d)) @ omega) for sig in basis.operators]
+    corrections, projs = _bell_basis(d)
     idx, _ = engine.measure_projective(source, projs, [state_label, ea], rng, forced)
     engine.consume_ebit(ebit)
     engine.broadcast(2 * math.ceil(math.log2(d)))
     engine.discard([state_label, ea])
-    engine.apply_local(dest, basis.operators[idx], [eb])
+    engine.apply_local(dest, corrections[idx], [eb])
     engine.ledger.qt_corrections += 1
     engine.force_layer()
     return eb, idx
@@ -673,57 +716,121 @@ class DbqcResult:
     per_shot: np.ndarray
 
 
-def _dbqc_forced(alice: Party, bob: Party, pattern) -> tuple[float, float, ProtocolEngine]:
-    """One fully forced pipeline pass; returns (path probability, P(y=0), engine)."""
-    psi_in: PureState = alice.states[0]
-    psi_o: PureState = bob.states[0]
-    d = psi_in.dim
-    eng = ProtocolEngine(alice.name, bob.name)
-    bits = iter(pattern)
-    path_prob = 1.0
+# A protocol whose every measurement is binary is a list of steps. A step
+# does the outcome-free work before its measurement (allocating a program,
+# distributing an ebit) on the engine it is given, and returns that
+# measurement: measure(engine, rng, forced) -> (bit, probability of the bit),
+# which also does the outcome-free bookkeeping after it. A finish function
+# reads the run's result off the engine at the end.
 
-    eng.alloc_program(alice.name, alice.programs[0], "a_out_0", "a_in_0")
-    p0 = projector(np.conj(psi_in.amplitudes))
-    b, pb = eng.measure_binary(alice.name, p0, ["a_in_0"], forced=next(bits))
-    path_prob *= pb
-    eng.broadcast(1)
-    eng.discard(["a_in_0"])
-    current = "a_out_0"
 
-    def link(party: str, other_label: str) -> None:
-        nonlocal path_prob, current
-        t, pt = eng.measure_binary(
-            party, bell_projector(d), [other_label, current], forced=next(bits)
-        )
-        path_prob *= pt
+def _announced(party: str, p0: np.ndarray, labels, oqt: bool = False, ebit: int | None = None):
+    """The measurement {p0, 1-p0} on ``labels``, whose bit is broadcast and
+    whose registers are then discarded; ``oqt`` counts it as an OQT link and
+    ``ebit`` is the ebit it consumes."""
+
+    def measure(eng: ProtocolEngine, rng, forced) -> tuple[int, float]:
+        bit, prob = eng.measure_binary(party, p0, labels, rng, forced)
         eng.broadcast(1)
-        eng.record_oqt()
-        eng.discard([other_label, current])
+        if oqt:
+            eng.record_oqt()
+        if ebit is not None:
+            eng.consume_ebit(ebit)
+        eng.discard(labels)
+        return bit, prob
 
+    return measure
+
+
+def _isi(party: str, program: ChoiProgram, psi: PureState, out: str, inp: str):
+    """Allocate ``program`` and inject ``psi`` into its in port (ISI)."""
+
+    def step(eng: ProtocolEngine):
+        eng.alloc_program(party, program, out, inp)
+        return _announced(party, projector(np.conj(psi.amplitudes)), [inp])
+
+    return step
+
+
+def _program_link(party: str, program: ChoiProgram, out: str, inp: str, current: str, bell):
+    """Allocate ``program`` and link ``current`` into its in port by OQT."""
+
+    def step(eng: ProtocolEngine):
+        eng.alloc_program(party, program, out, inp)
+        return _announced(party, bell, [inp, current], oqt=True)
+
+    return step
+
+
+def _branch_leaves(engine: ProtocolEngine, steps, finish):
+    """Every forced outcome pattern of a protocol, each outcome prefix simulated once.
+
+    Walks the outcome tree depth first: each step's outcome-free work runs
+    once per prefix, and the engine is forked at its measurement. Returns
+    the path probabilities and the finish values in
+    ``itertools.product((0, 1), repeat=len(steps))`` order, and the first
+    leaf's ledger. Each path probability is multiplied in step order from
+    1.0. A leaf keeps no engine, so at most one fork per depth is alive.
+    """
+    probs, values, ledgers = [], [], []
+
+    def walk(eng: ProtocolEngine, depth: int, prob: float) -> None:
+        if depth == len(steps):
+            values.append(finish(eng))
+            if not eng.ebits_conserved():
+                raise ResourceError("ebit conservation violated")
+            probs.append(prob)
+            if not ledgers:
+                ledgers.append(eng.ledger)
+            return
+        measure = steps[depth](eng)
+        for bit in (0, 1):
+            branch = eng.fork() if bit == 0 else eng
+            _, p = measure(branch, None, bit)
+            walk(branch, depth + 1, prob * p)
+
+    walk(engine, 0, 1.0)
+    return np.array(probs), np.array(values), ledgers[0]
+
+
+def _readout(party: str, psi_o: PureState, label: str):
+    """Finish: P(readout 0) of ``psi_o`` on ``label``, then its broadcast bit."""
+    p0 = projector(psi_o.amplitudes)
+
+    def finish(eng: ProtocolEngine) -> float:
+        q = eng.probability(party, p0, [label])
+        eng.broadcast(1)
+        return q
+
+    return finish
+
+
+def _dbqc_protocol(alice: Party, bob: Party):
+    """The pipeline's engine, steps (ISI bit, then one parity bit per link)
+    and finish."""
+    a, b = alice.name, bob.name
+    psi_in: PureState = alice.states[0]
+    d = psi_in.dim
+    bell = bell_projector(d)
+
+    def ebit_link(current: str):
+        def step(eng: ProtocolEngine):
+            eid = eng.distribute_ebit(a, b, "e_a", "e_b", d)
+            return _announced(a, bell, [current, "e_a"], oqt=True, ebit=eid)
+
+        return step
+
+    steps = [_isi(a, alice.programs[0], psi_in, "a_out_0", "a_in_0")]
+    current = "a_out_0"
     for k, prog in enumerate(alice.programs[1:], start=1):
-        eng.alloc_program(alice.name, prog, f"a_out_{k}", f"a_in_{k}")
-        link(alice.name, f"a_in_{k}")
+        steps.append(_program_link(a, prog, f"a_out_{k}", f"a_in_{k}", current, bell))
         current = f"a_out_{k}"
-
-    eid = eng.distribute_ebit(alice.name, bob.name, "e_a", "e_b", d)
-    t, pt = eng.measure_binary(
-        alice.name, bell_projector(d), [current, "e_a"], forced=next(bits)
-    )
-    path_prob *= pt
-    eng.broadcast(1)
-    eng.record_oqt()
-    eng.consume_ebit(eid)
-    eng.discard([current, "e_a"])
+    steps.append(ebit_link(current))
     current = "e_b"
-
     for k, prog in enumerate(bob.programs):
-        eng.alloc_program(bob.name, prog, f"b_out_{k}", f"b_in_{k}")
-        link(bob.name, f"b_in_{k}")
+        steps.append(_program_link(b, prog, f"b_out_{k}", f"b_in_{k}", current, bell))
         current = f"b_out_{k}"
-
-    q = eng.probability(bob.name, projector(psi_o.amplitudes), [current])
-    eng.broadcast(1)
-    return path_prob, q, eng
+    return ProtocolEngine(a, b), steps, _readout(b, bob.states[0], current)
 
 
 def run_dbqc(
@@ -746,28 +853,16 @@ def run_dbqc(
         if prog.in_dim != d or prog.out_dim != d:
             raise DimensionError("program ports must match the input dimension")
 
-    n_links = len(alice.programs) + len(bob.programs)
-    n_bits = 1 + n_links
-    patterns = list(itertools.product((0, 1), repeat=n_bits))
-    probs = np.empty(len(patterns))
-    qvals = np.empty(len(patterns))
-    ledger = None
-    for i, pat in enumerate(patterns):
-        p, q, eng = _dbqc_forced(alice, bob, pat)
-        probs[i] = p
-        qvals[i] = q
-        if not eng.ebits_conserved():
-            raise ResourceError("ebit conservation violated")
-        if ledger is None:
-            ledger = eng.ledger
+    probs, qvals, ledger = _branch_leaves(*_dbqc_protocol(alice, bob))
     probs = check_path_probabilities(probs)
 
-    pat_arr = np.array(patterns, dtype=np.int8)
+    n_bits = 1 + len(alice.programs) + len(bob.programs)
+    pat_arr = np.array(list(itertools.product((0, 1), repeat=n_bits)), dtype=np.int8)
     svec = pat_arr[:, 1:].sum(axis=1)
     base = ((-1.0) ** svec) * float(d * d - 1) ** svec
     alpha = np.array([parity_mix_alpha(int(s), d) for s in svec])
 
-    idx = rng.choice(len(patterns), size=shots, p=probs)
+    idx = rng.choice(len(pat_arr), size=shots, p=probs)
     y = (rng.random(shots) >= qvals[idx]).astype(np.int8)
     hit = (y == 0).astype(float)
     inv = base[idx] * (hit - alpha[idx])
@@ -802,73 +897,33 @@ class TripartyResult:
     bits: dict
 
 
-def _triparty_scheme1_forced(
-    a: Party, b: Party, c: Party, pattern
-) -> tuple[float, float, ProtocolEngine]:
-    psi_a: PureState = a.states[0]
-    psi_b: PureState = b.states[0]
-    psi_o: PureState = c.states[0]
-    da, db = psi_a.dim, psi_b.dim
-    ba, bb, i, j = pattern
+def _triparty_scheme1_protocol(a: Party, b: Party, c: Party):
+    """Scheme I's engine, steps (ISI bits b_a, b_b, then parities i, j) and
+    finish."""
+    da, db = a.states[0].dim, b.states[0].dim
     eng = ProtocolEngine(a.name, b.name, c.name)
-    path_prob = 1.0
-
-    eng.alloc_program(
-        c.name, c.programs[0], "c_out", [("c_in1", da), ("c_in2", db)]
-    )
+    eng.alloc_program(c.name, c.programs[0], "c_out", [("c_in1", da), ("c_in2", db)])
     e1 = eng.transport("c_in1", a.name)
     e2 = eng.transport("c_in2", b.name)
 
-    def isi(party: Party, psi: PureState, out: str, inp: str, bit: int) -> float:
-        eng.alloc_program(party.name, party.programs[0], out, inp)
-        p0 = projector(np.conj(psi.amplitudes))
-        _, pb = eng.measure_binary(party.name, p0, [inp], forced=bit)
-        eng.broadcast(1)
-        eng.discard([inp])
-        return pb
-
-    path_prob *= isi(a, psi_a, "a_out", "a_in", ba)
-    path_prob *= isi(b, psi_b, "b_out", "b_in", bb)
-
-    _, pi = eng.measure_binary(a.name, bell_projector(da), ["a_out", "c_in1"], forced=i)
-    path_prob *= pi
-    eng.broadcast(1)
-    eng.record_oqt()
-    eng.consume_ebit(e1)
-    eng.discard(["a_out", "c_in1"])
-
-    _, pj = eng.measure_binary(b.name, bell_projector(db), ["b_out", "c_in2"], forced=j)
-    path_prob *= pj
-    eng.broadcast(1)
-    eng.record_oqt()
-    eng.consume_ebit(e2)
-    eng.discard(["b_out", "c_in2"])
-
-    q = eng.probability(c.name, projector(psi_o.amplitudes), ["c_out"])
-    eng.broadcast(1)
-    return path_prob, q, eng
+    steps = [
+        _isi(a.name, a.programs[0], a.states[0], "a_out", "a_in"),
+        _isi(b.name, b.programs[0], b.states[0], "b_out", "b_in"),
+        lambda eng: _announced(a.name, bell_projector(da), ["a_out", "c_in1"], oqt=True, ebit=e1),
+        lambda eng: _announced(b.name, bell_projector(db), ["b_out", "c_in2"], oqt=True, ebit=e2),
+    ]
+    return eng, steps, _readout(c.name, c.states[0], "c_out")
 
 
 def _run_triparty_scheme1(
     a: Party, b: Party, c: Party, shots: int, rng: np.random.Generator
 ) -> TripartyResult:
     da, db = a.states[0].dim, b.states[0].dim
-    patterns = list(itertools.product((0, 1), repeat=4))
-    probs = np.empty(len(patterns))
-    qvals = np.empty(len(patterns))
-    ledger = None
-    for n, pat in enumerate(patterns):
-        p, q, eng = _triparty_scheme1_forced(a, b, c, pat)
-        probs[n] = p
-        qvals[n] = q
-        if not eng.ebits_conserved():
-            raise ResourceError("ebit conservation violated")
-        if ledger is None:
-            ledger = eng.ledger
+    probs, qvals, ledger = _branch_leaves(*_triparty_scheme1_protocol(a, b, c))
     probs = check_path_probabilities(probs)
 
-    pat_arr = np.array(patterns, dtype=np.int8)
-    idx = rng.choice(len(patterns), size=shots, p=probs)
+    pat_arr = np.array(list(itertools.product((0, 1), repeat=4)), dtype=np.int8)
+    idx = rng.choice(len(pat_arr), size=shots, p=probs)
     y = (rng.random(shots) >= qvals[idx]).astype(np.int8)
     ba, bb = pat_arr[idx, 0], pat_arr[idx, 1]
     i, j = pat_arr[idx, 2], pat_arr[idx, 3]
@@ -1206,6 +1261,48 @@ def knit_estimate(
 # --- ping-pong register reuse ---
 
 
+def _pingpong_protocol(programs: list, system, blocks: int):
+    """The chain's engine, its steps (one parity bit per hop) and the label
+    that holds the output at the end."""
+    if blocks != 2:
+        raise DimensionError("the minimal ping-pong construction uses two blocks")
+    if not programs:
+        raise DimensionError("pingpong_run needs at least one program")
+    if isinstance(system, (PureState, MixedState)):
+        d = system.dim
+    else:
+        d = np.asarray(system).shape[0]
+    for prog in programs:
+        if prog.in_dim != d or prog.out_dim != d:
+            raise DimensionError("program ports must match the system dimension")
+    bell = bell_projector(d)
+
+    def hop(k: int, prog: ChoiProgram, out: str, inp: str, current: str):
+        def measure(eng: ProtocolEngine, rng, forced) -> tuple[int, float]:
+            bit, prob = eng.measure_binary("device", bell, [inp, current], rng, forced)
+            eng.record_oqt()
+            eng.discard([inp, current])
+            if k > 0:
+                eng.force_layer()
+            return bit, prob
+
+        def step(eng: ProtocolEngine):
+            eng.alloc_program("device", prog, out, inp)
+            return measure
+
+        return step
+
+    eng = ProtocolEngine("device")
+    eng.alloc("device", "blk0_state", system)
+    steps = []
+    current = "blk0_state"
+    for k, prog in enumerate(programs):
+        side = "blk1" if k % 2 == 0 else "blk0"
+        steps.append(hop(k, prog, f"{side}_out", f"{side}_in", current))
+        current = f"{side}_out"
+    return eng, steps, current
+
+
 def pingpong_run(
     programs,
     system,
@@ -1217,52 +1314,34 @@ def pingpong_run(
 
     The measured block is reset and re-prepared with the next program before
     each hop, so the number of live registers never grows with the program
-    count; each hop is a forced temporal layer.
+    count; each hop is a forced temporal layer. One run follows one path of
+    the outcome tree, drawn with ``rng`` or given by ``forced_bits``.
     """
-    if blocks != 2:
-        raise DimensionError("the minimal ping-pong construction uses two blocks")
     programs = list(programs)
-    if not programs:
-        raise DimensionError("pingpong_run needs at least one program")
     if (rng is None) == (forced_bits is None):
         raise EstimationError("pass exactly one of rng or forced_bits")
     if forced_bits is not None:
         forced_bits = list(forced_bits)
         if len(forced_bits) != len(programs):
             raise EstimationError("one forced bit per program is required")
-
-    if isinstance(system, PureState):
-        d = system.dim
-    elif isinstance(system, MixedState):
-        d = system.dim
-    else:
-        d = np.asarray(system).shape[0]
-    for prog in programs:
-        if prog.in_dim != d or prog.out_dim != d:
-            raise DimensionError("program ports must match the system dimension")
-
-    eng = ProtocolEngine("device")
-    eng.alloc("device", "blk0_state", system)
-    current = "blk0_state"
-    bits = []
-    for k, prog in enumerate(programs):
-        side = "blk1" if k % 2 == 0 else "blk0"
-        out_lab, in_lab = f"{side}_out", f"{side}_in"
-        eng.alloc_program("device", prog, out_lab, in_lab)
-        forced = forced_bits[k] if forced_bits is not None else None
-        t, _ = eng.measure_binary(
-            "device", bell_projector(d), [in_lab, current], rng=rng, forced=forced
-        )
-        bits.append(int(t))
-        eng.record_oqt()
-        eng.discard([in_lab, current])
-        current = out_lab
-        if k > 0:
-            eng.force_layer()
-
-    final = MixedState(RegisterLayout.of(("s", d)), eng.reduced([current]))
+    eng, steps, current = _pingpong_protocol(programs, system, blocks)
+    forced = forced_bits if forced_bits is not None else [None] * len(steps)
+    bits = [int(step(eng)(eng, rng, f)[0]) for step, f in zip(steps, forced)]
+    final = MixedState(RegisterLayout.of(("s", eng.layout.dim(current))), eng.reduced([current]))
     record = OqtRecord(parity_bits=tuple(bits), s=sum(bits), final_state=final)
     return record, eng.ledger
+
+
+def pingpong_branches(programs, system, readout: np.ndarray):
+    """Every forced parity pattern of a ping-pong chain, each outcome prefix
+    simulated once: path probabilities and P(``readout``) of the output, in
+    ``itertools.product((0, 1), repeat=len(programs))`` order, and the ledger."""
+    eng, steps, current = _pingpong_protocol(list(programs), system, 2)
+
+    def finish(eng: ProtocolEngine) -> float:
+        return float(np.real(np.conj(readout) @ eng.reduced([current]) @ readout))
+
+    return _branch_leaves(eng, steps, finish)
 
 
 # --- hybrid classical-quantum optimization ---

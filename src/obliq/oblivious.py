@@ -15,6 +15,7 @@ The three primitives are
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -79,8 +80,12 @@ class GeneralizedPauliBasis:
         return (a % self.d) * self.d + (b % self.d)
 
 
+@functools.lru_cache(maxsize=None)
 def bell_projector(d: int) -> np.ndarray:
-    return projector(bell_state(d).amplitudes)
+    """|omega><omega| on a d-dimensional Bell pair, built once per d; read-only."""
+    p = projector(bell_state(d).amplitudes)
+    p.flags.writeable = False
+    return p
 
 
 # ---------------------------------------------------------------------------

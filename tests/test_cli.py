@@ -97,6 +97,37 @@ def test_exit_code_capacity_error(tmp_path):
     assert main(["validate", path]) == 5
 
 
+def _minimal_pingpong(programs):
+    return {
+        "version": 1,
+        "kind": "pingpong",
+        "seed": 3,
+        "shots": 100,
+        "input_state": {"basis": 0, "dim": 2},
+        "readout_state": {"basis": 1, "dim": 2},
+        "programs": programs,
+    }
+
+
+@pytest.mark.parametrize(
+    "at_cap, over_cap",
+    [
+        (_minimal_dbqc(alice_programs=["H"] * 7, bob_programs=["H"] * 8),
+         _minimal_dbqc(alice_programs=["H"] * 8, bob_programs=["H"] * 8)),
+        (_minimal_pingpong(["H"] * 16), _minimal_pingpong(["H"] * 17)),
+    ],
+    ids=["dbqc", "pingpong"],
+)
+def test_branch_bit_cap_is_a_capacity_error(tmp_path, at_cap, over_cap):
+    # 16 branch bits (dbqc: 1 + links; ping-pong: one per program) pass.
+    assert main(["validate", _write(tmp_path, "at-cap.json", at_cap)]) == 0
+    path = _write(tmp_path, "over-cap.json", over_cap)
+    assert main(["validate", path]) == 5
+    out = tmp_path / "never"
+    assert main(["run", path, "--out", str(out)]) == 5
+    assert not out.exists()
+
+
 def test_validate_reports_every_violation(tmp_path, capsys):
     sc = _minimal_dbqc(seed=-4, shots=0)
     path = _write(tmp_path, "double-bad.json", sc)
@@ -291,21 +322,19 @@ def _minimal_triparty_scheme1():
 
 
 @pytest.mark.parametrize(
-    "forced, sc",
-    [("_dbqc_forced", _minimal_dbqc()), ("_triparty_scheme1_forced", _minimal_triparty_scheme1())],
-    ids=["dbqc", "triparty-I"],
+    "sc", [_minimal_dbqc(), _minimal_triparty_scheme1()], ids=["dbqc", "triparty-I"]
 )
-def test_bad_path_probability_is_not_renormalized(tmp_path, monkeypatch, capsys, forced, sc):
+def test_bad_path_probability_is_not_renormalized(tmp_path, monkeypatch, capsys, sc):
     import obliq.distributed as dist
 
-    real = getattr(dist, forced)
+    real = dist._branch_leaves
 
     def halved(*args):
-        p, q, eng = real(*args)
-        return 0.5 * p, q, eng
+        probs, qvals, ledger = real(*args)
+        return 0.5 * probs, qvals, ledger
 
     path = _write(tmp_path, "bad-path.json", sc)
     assert main(["run", path, "--out", str(tmp_path / "ok")]) == 0
-    monkeypatch.setattr(dist, forced, halved)
+    monkeypatch.setattr(dist, "_branch_leaves", halved)
     assert main(["run", path, "--out", str(tmp_path / "bad")]) == 6
     assert "sum to 0.5" in capsys.readouterr().err

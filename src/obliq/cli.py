@@ -15,12 +15,12 @@ keys are sorted at every level) with `shot` the 0-based shot index. These
 bytes are stable across versions unless CHANGES.md says otherwise.
 
 The dbqc, tri-party and ping-pong runners enumerate every branch pattern,
-then sample shots from the patterns' probabilities. Except for tri-party
-scheme II, they walk the outcome tree, so each outcome prefix is simulated
-once (see `distributed`). A `script` run memoizes its outcome tree: each
-shot walks it from the root, drawing with the same generator calls a fresh
-script run would make, and runs the script only at a prefix not seen
-before. `MAX_BRANCH_BITS` caps the branch bits of dbqc and ping-pong runs.
+then sample shots from the patterns' probabilities. They walk the outcome
+tree, so each outcome prefix is simulated once (see `distributed`). A
+`script` run memoizes its outcome tree: each shot walks it from the root,
+drawing with the same generator calls a fresh script run would make, and
+runs the script only at a prefix not seen before. `MAX_BRANCH_BITS` caps
+the branch bits of dbqc and ping-pong runs.
 
 Exit codes: 0 success, 2 parse error, 3 schema error, 4 semantic error,
 5 capacity error, 6 runtime failure.
@@ -46,7 +46,10 @@ from .distributed import (
     ProtocolEngine,
     ResourceLedger,
     check_path_probabilities,
+    controlled_block,
     knit_estimate,
+    mean_stderr,
+    parity_inverted_shots,
     pingpong_branches,
     pingpong_run,  # noqa: F401  (a binding the layer probes in bench/ wrap)
     remote_cnot,
@@ -62,13 +65,12 @@ from .errors import (
     ScenarioSemanticError,
 )
 from .gates import gate_from_literal, kraus_from_literal, matrix_from_json
-from .oblivious import bell_projector, parity_mix_alpha
+from .oblivious import bell_projector
 from .qmath import MAX_STATE_DIM, RegisterLayout, is_hermitian, projector
 from .states import PureState
 from .superchannel import oqt_compose_choi
 
 SCENARIO_VERSION = 1
-BACKENDS = ("statevector", "densitymatrix")
 KINDS = (
     "dbqc",
     "triparty",
@@ -103,8 +105,10 @@ def state_from_literal(obj, where: str) -> np.ndarray:
     """Resolve a state literal to a normalized vector."""
     if isinstance(obj, dict) and "basis" in obj:
         dim = obj.get("dim")
-        if not _is_int(dim) or dim < 2:
-            raise ScenarioSchemaError(f"{where}: basis state needs an integer dim >= 2")
+        if not _is_int(dim) or not 2 <= dim <= MAX_STATE_DIM:
+            raise ScenarioSchemaError(
+                f"{where}: basis state needs an integer dim from 2 to {MAX_STATE_DIM}"
+            )
         idx = obj["basis"]
         if not _is_int(idx) or not 0 <= idx < dim:
             raise ScenarioSchemaError(f"{where}: basis index {idx} out of range")
@@ -179,8 +183,6 @@ def _schema_violations(sc: dict) -> list[str]:
     shots = sc.get("shots")
     if not _is_int(shots) or shots < 1:
         out.append("shots must be an integer >= 1")
-    if sc.get("backend", "densitymatrix") not in BACKENDS:
-        out.append(f"backend must be one of {BACKENDS}")
     tol = sc.get("tolerance", 1e-9)
     if not _is_real(tol) or not tol > 0:
         out.append("tolerance must be a positive number")
@@ -201,44 +203,37 @@ def _schema_violations(sc: dict) -> list[str]:
         except ObliqError as exc:
             out.append(str(exc))
 
-    if kind == "dbqc":
-        for key in ("input_state", "readout_state"):
+    def need_states(*keys):
+        for key in keys:
             if key not in sc:
-                out.append(f"dbqc scenario needs {key}")
+                out.append(f"{kind} scenario needs {key}")
             else:
                 check_state(sc[key], key)
-        for key in ("alice_programs", "bob_programs"):
+
+    def need_gate_lists(*keys):
+        for key in keys:
             progs = sc.get(key)
             if not isinstance(progs, list) or not progs:
                 out.append(f"{key} must be a non-empty list of gate literals")
             else:
                 for n, g in enumerate(progs):
                     check_gate(g, f"{key}[{n}]")
+
+    if kind == "dbqc":
+        need_states("input_state", "readout_state")
+        need_gate_lists("alice_programs", "bob_programs")
     elif kind == "triparty":
         if sc.get("scheme") not in ("I", "II"):
             out.append("scheme must be 'I' or 'II'")
-        for key in ("psi_a", "psi_b", "readout_state"):
-            if key not in sc:
-                out.append(f"triparty scenario needs {key}")
-            else:
-                check_state(sc[key], key)
+        need_states("psi_a", "psi_b", "readout_state")
         for key in ("a_program", "b_program", "nonlocal_program"):
             if key not in sc:
                 out.append(f"triparty scenario needs {key}")
             else:
                 check_gate(sc[key], key)
     elif kind == "pingpong":
-        for key in ("input_state", "readout_state"):
-            if key not in sc:
-                out.append(f"pingpong scenario needs {key}")
-            else:
-                check_state(sc[key], key)
-        progs = sc.get("programs")
-        if not isinstance(progs, list) or not progs:
-            out.append("programs must be a non-empty list of gate literals")
-        else:
-            for n, g in enumerate(progs):
-                check_gate(g, f"programs[{n}]")
+        need_states("input_state", "readout_state")
+        need_gate_lists("programs")
         if sc.get("blocks", 2) != 2:
             out.append("blocks must be 2")
     elif kind == "knitting":
@@ -255,8 +250,8 @@ def _schema_violations(sc: dict) -> list[str]:
             out.append("gates must be a list")
         else:
             for n, g in enumerate(gates):
-                if not isinstance(g, dict) or "targets" not in g:
-                    out.append(f"gates[{n}] needs targets")
+                if not isinstance(g, dict) or not isinstance(g.get("targets"), list):
+                    out.append(f"gates[{n}] needs a targets list")
                     continue
                 check_gate(g, f"gates[{n}]")
         if "observable" not in sc:
@@ -288,8 +283,14 @@ def _schema_violations(sc: dict) -> list[str]:
             for n, step in enumerate(steps):
                 if not isinstance(step, dict) or "op" not in step:
                     out.append(f"steps[{n}]: each step needs an op")
-        if not isinstance(sc.get("parties"), list) or not sc.get("parties"):
-            out.append("script scenario needs a parties list")
+        parties = sc.get("parties")
+        if (
+            not isinstance(parties, list)
+            or not parties
+            or not all(isinstance(p, str) for p in parties)
+            or len(set(parties)) != len(parties)
+        ):
+            out.append("script scenario needs a list of distinct party names")
     return out
 
 
@@ -315,6 +316,9 @@ def _script_semantic_violations(sc: dict) -> list[str]:
     ebits: dict[int, dict] = {}
 
     def need_register(step_no, label, party=None):
+        if not isinstance(label, str):
+            out.append(f"step {step_no}: register label {label!r} is not a string")
+            return False
         if label not in held:
             out.append(f"step {step_no}: register {label!r} is not live")
             return False
@@ -325,39 +329,58 @@ def _script_semantic_violations(sc: dict) -> list[str]:
             return False
         return True
 
+    def new_label(step_no, step, key):
+        """``step[key]``, a label for a new register, or None if it is not one."""
+        label = step.get(key)
+        if not isinstance(label, str):
+            out.append(f"step {step_no}: {key} {label!r} is not a string")
+            return None
+        if label in held:
+            out.append(f"step {step_no}: register {label!r} already live")
+        return label
+
+    def label_list(step_no, step):
+        labels = step.get("labels", [])
+        if isinstance(labels, list):
+            return labels
+        out.append(f"step {step_no}: labels must be a list of register labels")
+        return []
+
     for n, step in enumerate(sc.get("steps", [])):
         op = step.get("op")
         if op not in _SCRIPT_OPS:
             out.append(f"step {n}: unknown op {op!r}")
+            continue
+        if not isinstance(step.get("record", ""), str):
+            out.append(f"step {n}: record must be a string")
+        rid = step.get("resource")
+        if rid is not None and not (_is_int(rid) or isinstance(rid, str)):
+            out.append(f"step {n}: resource {rid!r} is not an integer or a string")
             continue
         party = step.get("party") or step.get("party_a") or step.get("control_party")
         if party is not None and party not in parties:
             out.append(f"step {n}: unknown party {party!r}")
             continue
         if op == "prepare_state":
-            label = step.get("label")
-            if label in held:
-                out.append(f"step {n}: register {label!r} already live")
+            label = new_label(n, step, "label")
             try:
                 vec = state_from_literal(step.get("state"), f"step {n}")
-                held[label] = party
-                dims[label] = vec.shape[0]
+                if label is not None:
+                    held[label] = party
+                    dims[label] = vec.shape[0]
             except ObliqError as exc:
                 out.append(str(exc))
         elif op == "prepare_program":
-            for key in ("out_label", "in_label"):
-                if step.get(key) in held:
-                    out.append(f"step {n}: register {step.get(key)!r} already live")
+            labels = [new_label(n, step, key) for key in ("out_label", "in_label")]
             try:
                 gate = gate_from_literal(step.get("gate"))
-                held[step.get("out_label")] = party
-                held[step.get("in_label")] = party
-                dims[step.get("out_label")] = gate.shape[0]
-                dims[step.get("in_label")] = gate.shape[0]
+                for label in labels:
+                    if label is not None:
+                        held[label] = party
+                        dims[label] = gate.shape[0]
             except ObliqError as exc:
                 out.append(f"step {n}: {exc}")
         elif op == "distribute_ebit":
-            rid = step.get("resource")
             if rid in ebits:
                 out.append(f"step {n}: ebit {rid} distributed twice")
             pb = step.get("party_b")
@@ -365,19 +388,25 @@ def _script_semantic_violations(sc: dict) -> list[str]:
                 out.append(f"step {n}: unknown party {pb!r}")
                 continue
             d = step.get("dim", 2)
-            la, lb = step.get("label_a"), step.get("label_b")
+            if not _is_int(d) or d < 2 or d * d > MAX_STATE_DIM:
+                top = math.isqrt(MAX_STATE_DIM)
+                out.append(f"step {n}: ebit dim {d!r} is not an integer from 2 to {top}")
+                continue
             ebits[rid] = {"used": False}
-            held[la] = party
-            held[lb] = pb
-            dims[la] = dims[lb] = d
+            for key, owner in (("label_a", party), ("label_b", pb)):
+                label = new_label(n, step, key)
+                if label is not None:
+                    held[label] = owner
+                    dims[label] = d
         elif op in ("oqt_link", "bell_measure_qt", "remote_cnot"):
-            rid = step.get("resource")
-            if rid not in ebits:
-                out.append(f"step {n}: ebit {rid} was never distributed")
-            elif ebits[rid]["used"]:
-                out.append(f"step {n}: ebit {rid} already consumed")
-            else:
-                ebits[rid]["used"] = True
+            # A local OQT link (no resource) consumes no ebit.
+            if op != "oqt_link" or rid is not None:
+                if rid not in ebits:
+                    out.append(f"step {n}: ebit {rid} was never distributed")
+                elif ebits[rid]["used"]:
+                    out.append(f"step {n}: ebit {rid} already consumed")
+                else:
+                    ebits[rid]["used"] = True
             for key in ("labels", "state_label", "control", "target"):
                 val = step.get(key)
                 labs = val if isinstance(val, list) else [val] if val else []
@@ -388,7 +417,7 @@ def _script_semantic_violations(sc: dict) -> list[str]:
                 gate_from_literal(step.get("gate"))
             except ObliqError as exc:
                 out.append(f"step {n}: {exc}")
-            for lab in step.get("labels", []):
+            for lab in label_list(n, step):
                 need_register(n, lab, party)
         elif op == "isi_inject":
             if need_register(n, step.get("in_label"), party):
@@ -397,7 +426,7 @@ def _script_semantic_violations(sc: dict) -> list[str]:
                 except ObliqError as exc:
                     out.append(str(exc))
         elif op == "final_measure":
-            for lab in step.get("labels", []):
+            for lab in label_list(n, step):
                 need_register(n, lab, party)
             try:
                 state_from_literal(step.get("state"), f"step {n}")
@@ -412,11 +441,12 @@ def _script_semantic_violations(sc: dict) -> list[str]:
 def _semantic_violations(sc: dict) -> list[str]:
     out = []
     kind = sc.get("kind")
-    if kind == "dbqc":
+    if kind in ("dbqc", "pingpong"):
         d = len(state_from_literal(sc["input_state"], "input_state"))
         if len(state_from_literal(sc["readout_state"], "readout_state")) != d:
             out.append("readout_state dimension differs from input_state")
-        for key in ("alice_programs", "bob_programs"):
+        keys = ("alice_programs", "bob_programs") if kind == "dbqc" else ("programs",)
+        for key in keys:
             for n, g in enumerate(sc[key]):
                 if gate_from_literal(g).shape[0] != d:
                     out.append(f"{key}[{n}] does not act on dimension {d}")
@@ -434,24 +464,14 @@ def _semantic_violations(sc: dict) -> list[str]:
         if u.shape[0] != da * db:
             out.append("nonlocal_program must act on the joint A x B space")
         elif sc.get("scheme") == "II":
-            top, off1, off2 = u[:db, :db], u[:db, db:], u[db:, :db]
-            if (
-                np.abs(top - np.eye(db)).max() > 1e-9
-                or np.abs(off1).max() > 1e-12
-                or np.abs(off2).max() > 1e-12
-            ):
-                out.append("scheme II needs a controlled nonlocal gate [[I,0],[0,V]]")
-    elif kind == "pingpong":
-        d = len(state_from_literal(sc["input_state"], "input_state"))
-        if len(state_from_literal(sc["readout_state"], "readout_state")) != d:
-            out.append("readout_state dimension differs from input_state")
-        for n, g in enumerate(sc["programs"]):
-            if gate_from_literal(g).shape[0] != d:
-                out.append(f"programs[{n}] does not act on dimension {d}")
+            try:
+                controlled_block(u, db)
+            except ObliqError:
+                out.append("scheme II needs a qubit-controlled nonlocal gate [[I,0],[0,V]]")
     elif kind == "knitting":
         nq, ld = sc["num_qudits"], sc.get("local_dim", 2)
-        dim = ld**nq
-        if dim > MAX_STATE_DIM:
+        dim = _knit_dim(sc)
+        if dim is None:
             return out  # width checks are meaningless; the capacity stage reports it
         for n, g in enumerate(sc.get("gates", [])):
             targets = g.get("targets", [])
@@ -488,12 +508,22 @@ def _semantic_violations(sc: dict) -> list[str]:
 MAX_BRANCH_BITS = 16
 
 
+def _knit_dim(sc: dict) -> int | None:
+    """local_dim ** num_qudits of a knitting circuit, or None above
+    MAX_STATE_DIM; a large power is never formed."""
+    dim = 1
+    for _ in range(sc["num_qudits"]):
+        dim *= sc.get("local_dim", 2)
+        if dim > MAX_STATE_DIM:
+            return None
+    return dim
+
+
 def _capacity_violations(sc: dict) -> list[str]:
     kind = sc.get("kind")
-    if kind == "knitting":
-        dim = sc.get("local_dim", 2) ** sc.get("num_qudits", 1)
-        if dim > MAX_STATE_DIM:
-            return [f"circuit dimension {dim} exceeds the cap {MAX_STATE_DIM}"]
+    if kind == "knitting" and _knit_dim(sc) is None:
+        ld, nq = sc.get("local_dim", 2), sc["num_qudits"]
+        return [f"circuit dimension {ld}**{nq} exceeds the cap {MAX_STATE_DIM}"]
     if kind == "dbqc":
         bits = 1 + len(sc["alice_programs"]) + len(sc["bob_programs"])
         if bits > MAX_BRANCH_BITS:
@@ -560,26 +590,14 @@ def _run_pingpong(sc: dict, rng: np.random.Generator):
     programs = _programs(sc["programs"])
     psi_in = _state(sc["input_state"])
     psi_o = state_from_literal(sc["readout_state"], "readout_state")
-    d = psi_in.dim
-    n = len(programs)
-    shots = sc["shots"]
 
-    probs, qvals, ledger = pingpong_branches(programs, psi_in, psi_o)
+    patterns, probs, qvals, ledger = pingpong_branches(programs, psi_in, psi_o)
     probs = check_path_probabilities(probs)
-    # In product order, pattern `code` holds bit k at binary digit n - 1 - k.
-    svals = np.array([code.bit_count() for code in range(2**n)])
-    alpha = np.array([parity_mix_alpha(int(v), d) for v in svals])
-
-    idx = rng.choice(2**n, size=shots, p=probs)
-    y = (rng.random(shots) >= qvals[idx]).astype(np.int8)
-    s = svals[idx]
-    base = ((-1.0) ** s) * float(d * d - 1) ** s
-    t_hat = base * ((y == 0) - alpha[idx])
-    estimate = float(t_hat.mean())
-    stderr = float(t_hat.std(ddof=1) / np.sqrt(shots)) if shots > 1 else 0.0
+    idx, y, t_hat = parity_inverted_shots(patterns, probs, qvals, psi_in.dim, sc["shots"], rng)
+    estimate, stderr = mean_stderr(t_hat)
     columns = {
-        "parity_bits": (idx[:, None] >> np.arange(n - 1, -1, -1)) & 1,
-        "s": s,
+        "parity_bits": patterns[idx],
+        "s": patterns[idx].sum(axis=1),
         "readout": y,
         "estimate": t_hat,
     }
@@ -694,9 +712,7 @@ def _run_script(sc: dict, rng: np.random.Generator):
         return math.nan, 0.0, ledger, columns
     readout = np.array([final_bit for _, final_bit in leaves])[leaf_of_shot]
     columns["readout"] = readout
-    arr = (readout == 0).astype(float)
-    estimate = float(arr.mean())
-    stderr = float(arr.std(ddof=1) / np.sqrt(len(arr))) if len(arr) > 1 else 0.0
+    estimate, stderr = mean_stderr((readout == 0).astype(float))
     return estimate, stderr, ledger, columns
 
 
@@ -881,16 +897,22 @@ def _write_records(path: Path, columns: dict, shots: int) -> None:
             )
 
 
-def run_scenario(path: str | Path, overrides: dict | None = None) -> Path:
-    """Validate, run, and write artifacts; returns the output directory."""
+def _resolved_scenario(path: str | Path, overrides: dict) -> dict:
+    """The validated scenario with the flag overrides applied and re-checked."""
     sc = validate_scenario(path)
-    overrides = overrides or {}
     for key in ("seed", "shots", "tolerance"):
         if overrides.get(key) is not None:
             sc[key] = overrides[key]
     schema = _schema_violations(sc)
     if schema:
         raise ScenarioSchemaError("; ".join(schema))
+    return sc
+
+
+def run_scenario(path: str | Path, overrides: dict | None = None) -> Path:
+    """Validate, run, and write artifacts; returns the output directory."""
+    overrides = overrides or {}
+    sc = _resolved_scenario(path, overrides)
 
     out_dir = overrides.get("out") or sc.get("out") or f"runs/{Path(path).stem}"
     out_path = Path(out_dir)
@@ -971,13 +993,7 @@ def main(argv=None) -> int:
             "tolerance": args.tolerance,
         }
         if args.validate_only:
-            sc = validate_scenario(args.file)
-            for key in ("seed", "shots", "tolerance"):
-                if overrides.get(key) is not None:
-                    sc[key] = overrides[key]
-            schema = _schema_violations(sc)
-            if schema:
-                raise ScenarioSchemaError("; ".join(schema))
+            _resolved_scenario(args.file, overrides)
             print(f"{args.file}: valid")
             return 0
         out = run_scenario(args.file, overrides)

@@ -6,22 +6,20 @@ explicitly distributed ebits.  Every run produces a ResourceLedger counting
 ebits, broadcast bits, oblivious-teleportation events, byproduct corrections
 and forced temporal layers.
 
-The dbqc, tri-party scheme I and ping-pong runners need every outcome
-pattern of their binary measurements. Each protocol is defined once as a
-list of steps, and `_branch_leaves` walks its outcome tree depth first,
-forking the engine (`ProtocolEngine.fork`) at each measurement, so each
-outcome prefix is simulated once: 2**(n+1) - 1 segments for n bits instead
-of n * 2**n. `pingpong_run` follows one path of the same steps. Scheme II
-stays one forced pass per pattern, because its draws sit inside
-`remote_controlled_gate` and `teleport_state`.
+The dbqc, tri-party and ping-pong runners need every outcome pattern of
+their measurements. Each protocol is defined once as a list of steps, and
+`_branch_leaves` walks its outcome tree depth first, forking the engine
+(`ProtocolEngine.fork`) at each measurement, so each outcome prefix is
+simulated once. A step's measurement may have any number of outcomes: two
+for a binary measurement, d**2 for a teleportation. `teleport_state`,
+`remote_controlled_gate` and `pingpong_run` follow one path of the same
+steps.
 """
-
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -56,48 +54,16 @@ from .qmath import (
 )
 from .states import MixedState, PureState, bell_state
 
-# Knowledge sets per protocol (metadata tags only; no security assertions).
-# "|x>" marks a held quantum object, "[x]" a classical description.
-PROTOCOL_KNOWLEDGE = {
-    "OT": {
-        "user": ("|psi_in>", "[psi_in]", "|psi_o>", "[psi_o]"),
-        "server": ("U", "[U]"),
-    },
-    "BQC": {
-        "user": ("|psi_in>", "[psi_in]", "|psi_o>", "[psi_o]", "[U]"),
-        "server": ("U",),
-    },
-    "QvN": {
-        "user": ("|psi_in>", "[psi_in]", "|psi_o>", "[psi_o]", "|U>"),
-        "server": ("U", "[U]"),
-    },
-    "DBQC": {
-        "user": ("|psi_in>", "[psi_in]", "|U_in>"),
-        "server": ("|psi_o>", "[psi_o]", "|U_o>"),
-    },
-    "DQC": {
-        "user": ("|psi_in>", "[psi_in]", "|U_in>", "[U_in]"),
-        "server": ("|psi_o>", "[psi_o]", "|U_o>", "[U_o]"),
-    },
-}
-
-
 @dataclass
 class Party:
     """A protocol participant and what it holds at the start of a run.
 
-    ``programs`` and ``states`` are ordered holdings consumed by the runners;
-    ``descriptions`` and ``knowledge`` are classical metadata tags (see
-    PROTOCOL_KNOWLEDGE).  ``ebit_endpoints`` lists resource ids endowed before
-    the run; the engine tracks ids it creates itself separately.
+    ``programs`` and ``states`` are ordered holdings consumed by the runners.
     """
 
     name: str
     programs: list = field(default_factory=list)
     states: list = field(default_factory=list)
-    descriptions: tuple = ()
-    knowledge: tuple = ()
-    ebit_endpoints: tuple = ()
 
 
 @dataclass
@@ -120,163 +86,13 @@ class ResourceLedger:
     depth: int = 0
 
     def validate(self) -> None:
-        counters = (
-            self.ebits_consumed,
-            self.classical_bits_sent,
-            self.oqt_ops,
-            self.qt_corrections,
-            self.max_live_registers,
-            self.depth,
-        )
-        if any(c < 0 for c in counters) or self.knit_overhead < 1.0:
+        counters = asdict(self)
+        overhead = counters.pop("knit_overhead")
+        if any(c < 0 for c in counters.values()) or overhead < 1.0:
             raise ResourceError(f"invalid ledger {self}")
 
     def as_dict(self) -> dict:
-        return {
-            "ebits_consumed": self.ebits_consumed,
-            "classical_bits_sent": self.classical_bits_sent,
-            "oqt_ops": self.oqt_ops,
-            "qt_corrections": self.qt_corrections,
-            "knit_overhead": self.knit_overhead,
-            "max_live_registers": self.max_live_registers,
-            "depth": self.depth,
-        }
-
-
-# --- protocol script (structured step descriptions) ---
-
-
-@dataclass(frozen=True)
-class PrepareState:
-    party: str
-    label: str
-    dim: int
-
-
-@dataclass(frozen=True)
-class PrepareProgram:
-    party: str
-    out_label: str
-    in_label: str
-
-
-@dataclass(frozen=True)
-class DistributeEbit:
-    party_a: str
-    party_b: str
-    resource: int
-    dim: int = 2
-
-
-@dataclass(frozen=True)
-class IsiInject:
-    party: str
-    in_label: str
-
-
-@dataclass(frozen=True)
-class OqtLink:
-    party_from: str
-    party_to: str
-    resource: int | None = None
-
-
-@dataclass(frozen=True)
-class BellMeasureQT:
-    party: str
-    resource: int
-
-
-@dataclass(frozen=True)
-class PauliCorrect:
-    party: str
-    label: str
-
-
-@dataclass(frozen=True)
-class RemoteCnot:
-    control_party: str
-    target_party: str
-    resource: int
-
-
-@dataclass(frozen=True)
-class LocalGate:
-    party: str
-    labels: tuple
-
-
-@dataclass(frozen=True)
-class KnitCut:
-    gate_index: int
-
-
-@dataclass(frozen=True)
-class FinalMeasure:
-    party: str
-    labels: tuple
-
-
-@dataclass(frozen=True)
-class Broadcast:
-    party: str
-    bits: int
-
-
-@dataclass(frozen=True)
-class ProtocolScript:
-    """Ordered step description of a protocol run.
-
-    Validation checks resource bookkeeping only; execution is done by the
-    dedicated runners, which emit the script they actually followed.
-    """
-
-    steps: tuple
-
-    def validate(self, holdings: dict[str, tuple] | None = None) -> None:
-        distributed: set[int] = set()
-        used: set[int] = set()
-        held = {p: set(labs) for p, labs in (holdings or {}).items()}
-        for step in self.steps:
-            if isinstance(step, DistributeEbit):
-                if step.resource in distributed:
-                    raise ResourceError(f"ebit {step.resource} distributed twice")
-                distributed.add(step.resource)
-            elif isinstance(step, (BellMeasureQT, RemoteCnot)) or (
-                isinstance(step, OqtLink) and step.resource is not None
-            ):
-                rid = step.resource
-                if rid not in distributed:
-                    raise ResourceError(f"ebit {rid} was never distributed")
-                if rid in used:
-                    raise ResourceError(f"ebit {rid} already consumed")
-                used.add(rid)
-            elif isinstance(step, (PrepareState, PrepareProgram)):
-                labs = (
-                    (step.label,)
-                    if isinstance(step, PrepareState)
-                    else (step.out_label, step.in_label)
-                )
-                held.setdefault(step.party, set()).update(labs)
-            elif isinstance(step, FinalMeasure):
-                missing = [l for l in step.labels if l not in held.get(step.party, set())]
-                if missing:
-                    raise LocalityError(
-                        f"{step.party} does not hold measured registers {missing}"
-                    )
-
-
-class _EbitEntry:
-    __slots__ = ("regs", "used")
-
-    def __init__(self, regs):
-        self.regs = tuple(regs)
-        self.used = False
-
-    def copy(self) -> _EbitEntry:
-        twin = _EbitEntry(self.regs)
-        twin.used = self.used
-        return twin
+        return asdict(self)
 
 
 class ProtocolEngine:
@@ -298,8 +114,9 @@ class ProtocolEngine:
         self._layout = RegisterLayout(())
         self._owner: dict[str, str] = {}
         self._state = np.ones((1, 1), dtype=complex)
-        self._ebits: dict[int, _EbitEntry] = {}
-        self._distributed = 0
+        # Ebit id -> its registers; ids count up from 0.
+        self._ebits: dict[int, tuple[str, ...]] = {}
+        self._used: set[int] = set()
         self.ledger = ResourceLedger()
 
     # -- layout plumbing --
@@ -325,16 +142,15 @@ class ProtocolEngine:
 
         The state array is shared: every operation rebinds ``_state`` to a
         new array and none writes into the one it replaces. The owner map,
-        the ebit entries with their ``used`` flags, and the ledger are
-        copied.
+        the ebit registry with its used ids, and the ledger are copied.
         """
         twin = object.__new__(ProtocolEngine)
         twin.parties = self.parties
         twin._layout = self._layout
         twin._owner = dict(self._owner)
         twin._state = self._state
-        twin._ebits = {eid: entry.copy() for eid, entry in self._ebits.items()}
-        twin._distributed = self._distributed
+        twin._ebits = dict(self._ebits)
+        twin._used = set(self._used)
         twin.ledger = replace(self.ledger)
         return twin
 
@@ -432,43 +248,35 @@ class ProtocolEngine:
         self._append_block([(label_a, d, na), (label_b, d, nb)], block)
         return self._register_ebit((label_a, label_b))
 
-    def transport(self, label: str, to_party: Party | str, count_as_ebit: bool = True) -> int | None:
+    def transport(self, label: str, to_party: Party | str) -> int:
         """Physically send a live register to another party.
 
         Sending one half of an entangled pair is the generic way entanglement
-        gets distributed, so by default the move registers an ebit resource.
+        gets distributed, so the move registers an ebit resource.
         """
         self.owner(label)
         self._owner[label] = self._party(to_party)
-        if count_as_ebit:
-            return self._register_ebit((label,))
-        return None
+        return self._register_ebit((label,))
 
     def _register_ebit(self, regs) -> int:
-        eid = self._distributed
-        self._distributed += 1
-        self._ebits[eid] = _EbitEntry(regs)
+        eid = len(self._ebits)
+        self._ebits[eid] = tuple(regs)
         return eid
 
     def consume_ebit(self, eid: int) -> None:
-        entry = self._ebits.get(eid)
-        if entry is None:
+        if eid not in self._ebits:
             raise ResourceError(f"ebit {eid} was never distributed")
-        if entry.used:
+        if eid in self._used:
             raise ResourceError(f"ebit {eid} already consumed")
-        entry.used = True
+        self._used.add(eid)
         self.ledger.ebits_consumed += 1
 
     @property
-    def ebits_distributed(self) -> int:
-        return self._distributed
-
-    @property
     def ebits_unused(self) -> int:
-        return sum(1 for e in self._ebits.values() if not e.used)
+        return len(self._ebits) - len(self._used)
 
     def ebits_conserved(self) -> bool:
-        return self.ledger.ebits_consumed == self._distributed - self.ebits_unused
+        return self.ledger.ebits_consumed == len(self._used)
 
     def discard(self, labels) -> None:
         labels = list(labels)
@@ -556,6 +364,82 @@ class ProtocolEngine:
         return idx, float(prob)
 
 
+# --- protocols as steps ---
+
+# A protocol is a list of steps. A step does the outcome-free work before its
+# measurement (allocating a program, distributing an ebit, a local gate) on
+# the engine it is given, and returns (number of outcomes, measure):
+# measure(engine, rng, forced) -> (outcome, probability of the outcome), which
+# also does the work that follows the measurement (broadcast, correction,
+# discard). A finish function reads the run's result off the engine at the
+# end.
+
+
+def _follow(engine: ProtocolEngine, steps, rng, forced) -> list[int]:
+    """Run one path of ``steps`` on ``engine``; each outcome is drawn with
+    ``rng``, or taken from ``forced``. Returns the outcomes."""
+    forced = [None] * len(steps) if forced is None else forced
+    outcomes = []
+    for step, f in zip(steps, forced):
+        _, measure = step(engine)
+        outcome, _ = measure(engine, rng, f)
+        outcomes.append(int(outcome))
+    return outcomes
+
+
+def _branch_leaves(engine: ProtocolEngine, steps, finish):
+    """Every outcome pattern of a protocol, each outcome prefix simulated once.
+
+    Walks the outcome tree depth first: each step's outcome-free work runs
+    once per prefix, and the engine is forked at its measurement, once for
+    each outcome but the last. Returns the leaves' outcome patterns (one row
+    each, in lexicographic order), their path probabilities and finish
+    values, and the first leaf's ledger. Each path probability is multiplied
+    in step order from 1.0. A leaf keeps no engine, so at most one fork per
+    depth is alive.
+    """
+    patterns, probs, values, ledgers = [], [], [], []
+
+    def walk(eng: ProtocolEngine, pattern: tuple, prob: float) -> None:
+        if len(pattern) == len(steps):
+            values.append(finish(eng))
+            if not eng.ebits_conserved():
+                raise ResourceError("ebit conservation violated")
+            patterns.append(pattern)
+            probs.append(prob)
+            if not ledgers:
+                ledgers.append(eng.ledger)
+            return
+        outcomes, measure = steps[len(pattern)](eng)
+        for k in range(outcomes):
+            branch = eng.fork() if k < outcomes - 1 else eng
+            _, p = measure(branch, None, k)
+            walk(branch, pattern + (k,), prob * p)
+
+    walk(engine, (), 1.0)
+    return np.array(patterns, dtype=np.int8), np.array(probs), np.array(values), ledgers[0]
+
+
+def check_path_probabilities(probs: np.ndarray) -> np.ndarray:
+    """The branch-pattern distribution `probs`, after checking it sums to 1.
+
+    The division only absorbs rounding. A sum further than 1e-9 from 1 means
+    a forced pass reported a wrong path probability, so it raises instead of
+    renormalizing the error away.
+    """
+    total = probs.sum()
+    if not abs(total - 1.0) <= 1e-9:
+        raise BranchError(f"branch path probabilities sum to {total:.12g}, not 1")
+    return probs / total
+
+
+def mean_stderr(values: np.ndarray) -> tuple[float, float]:
+    """The mean of per-shot values and its standard error (0 for one shot)."""
+    n = len(values)
+    stderr = float(values.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    return float(values.mean()), stderr
+
+
 # --- teleportation primitives ---
 
 
@@ -571,6 +455,49 @@ def _bell_basis(d: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]
     return tuple(sigmas), tuple(projs)
 
 
+def _ebit_ends(engine: ProtocolEngine, ebit: int, near_label: str) -> tuple[str, str]:
+    """The two registers of an unused ebit, the one held with ``near_label`` first."""
+    regs = engine._ebits.get(ebit)
+    if regs is None:
+        raise ResourceError(f"ebit {ebit} was never distributed")
+    if ebit in engine._used:
+        raise ResourceError(f"ebit {ebit} already consumed")
+    if len(regs) != 2:
+        raise ResourceError(f"ebit {ebit} is not a two-register ebit")
+    ea, eb = regs
+    if engine.owner(ea) != engine.owner(near_label):
+        ea, eb = eb, ea
+    return ea, eb
+
+
+def _teleport(state_label: str, ebit: int):
+    """The step that teleports ``state_label`` through ``ebit``: a joint
+    measurement with d^2 outcomes, then the byproduct correction."""
+
+    def step(eng: ProtocolEngine):
+        ea, eb = _ebit_ends(eng, ebit, state_label)
+        source = eng._check_owned(eng.owner(state_label), [state_label, ea])
+        dest = eng.owner(eb)
+        d = eng.layout.dim(state_label)
+        if eng.layout.dim(ea) != d:
+            raise DimensionError("ebit dimension does not match the state register")
+        corrections, projs = _bell_basis(d)
+
+        def measure(eng: ProtocolEngine, rng, forced) -> tuple[int, float]:
+            idx, prob = eng.measure_projective(source, projs, [state_label, ea], rng, forced)
+            eng.consume_ebit(ebit)
+            eng.broadcast(2 * math.ceil(math.log2(d)))
+            eng.discard([state_label, ea])
+            eng.apply_local(dest, corrections[idx], [eb])
+            eng.ledger.qt_corrections += 1
+            eng.force_layer()
+            return idx, prob
+
+        return len(projs), measure
+
+    return step
+
+
 def teleport_state(
     engine: ProtocolEngine,
     state_label: str,
@@ -584,31 +511,64 @@ def teleport_state(
     destination holds sigma_i^dag psi; the correction is sigma_i.  Returns
     (destination label, byproduct index).
     """
-    entry = engine._ebits.get(ebit)
-    if entry is None:
-        raise ResourceError(f"ebit {ebit} was never distributed")
-    if entry.used:
-        raise ResourceError(f"ebit {ebit} already consumed")
-    if len(entry.regs) != 2:
-        raise ResourceError("teleportation needs a two-register ebit")
-    ea, eb = entry.regs
-    source = engine.owner(state_label)
-    if engine.owner(ea) != source:
-        ea, eb = eb, ea
-    engine._check_owned(source, [state_label, ea])
-    dest = engine.owner(eb)
-    d = engine.layout.dim(state_label)
-    if engine.layout.dim(ea) != d:
-        raise DimensionError("ebit dimension does not match the state register")
-    corrections, projs = _bell_basis(d)
-    idx, _ = engine.measure_projective(source, projs, [state_label, ea], rng, forced)
-    engine.consume_ebit(ebit)
-    engine.broadcast(2 * math.ceil(math.log2(d)))
-    engine.discard([state_label, ea])
-    engine.apply_local(dest, corrections[idx], [eb])
-    engine.ledger.qt_corrections += 1
-    engine.force_layer()
-    return eb, idx
+    _, dest = _ebit_ends(engine, ebit, state_label)
+    (idx,) = _follow(engine, [_teleport(state_label, ebit)], rng, [forced])
+    return dest, idx
+
+
+def _cat_entangler(control_label: str, target_label: str, ebit: int, gate: np.ndarray):
+    """The two steps of a controlled ``gate`` across two parties through one
+    ebit: the Z measurement of the control side's ebit half, then the X
+    measurement of the target side's half (see `remote_controlled_gate`)."""
+    ctrl = np.block(
+        [
+            [np.eye(gate.shape[0]), np.zeros_like(gate)],
+            [np.zeros_like(gate), gate],
+        ]
+    ).astype(complex)
+
+    def ends(eng: ProtocolEngine):
+        ea, eb = _ebit_ends(eng, ebit, control_label)
+        pa = eng._check_owned(eng.owner(control_label), [control_label, ea])
+        pb = eng._check_owned(eng.owner(target_label), [target_label, eb])
+        return ea, eb, pa, pb
+
+    def z_step(eng: ProtocolEngine):
+        ea, eb, pa, pb = ends(eng)
+        if eng.layout.dim(control_label) != 2 or eng.layout.dim(ea) != 2:
+            raise DimensionError("the cat-entangler control and ebit must be qubits")
+        if gate.shape != (eng.layout.dim(target_label),) * 2 or not is_unitary(gate):
+            raise StateValidationError("the controlled gate must be unitary on the target")
+        eng.apply_local(pa, CNOT, [control_label, ea])
+
+        def measure(eng: ProtocolEngine, rng, forced) -> tuple[int, float]:
+            m1, prob = eng.measure_binary(pa, np.diag([1.0, 0.0]), [ea], rng, forced)
+            eng.broadcast(1)
+            eng.apply_local(pb, np.linalg.matrix_power(X, m1), [eb])
+            eng.ledger.qt_corrections += 1
+            eng.force_layer()
+            return m1, prob
+
+        return 2, measure
+
+    def x_step(eng: ProtocolEngine):
+        ea, eb, pa, pb = ends(eng)
+        eng.apply_local(pb, ctrl, [eb, target_label])
+
+        def measure(eng: ProtocolEngine, rng, forced) -> tuple[int, float]:
+            plus = np.full((2, 2), 0.5, dtype=complex)
+            m2, prob = eng.measure_binary(pb, plus, [eb], rng, forced)
+            eng.broadcast(1)
+            eng.apply_local(pa, np.linalg.matrix_power(Z, m2), [control_label])
+            eng.ledger.qt_corrections += 1
+            eng.force_layer()
+            eng.consume_ebit(ebit)
+            eng.discard([ea, eb])
+            return m2, prob
+
+        return 2, measure
+
+    return [z_step, x_step]
 
 
 def remote_controlled_gate(
@@ -629,50 +589,8 @@ def remote_controlled_gate(
     byproduct events regardless of outcome.
     """
     gate = X if gate is None else as_complex(gate)
-    entry = engine._ebits.get(ebit)
-    if entry is None:
-        raise ResourceError(f"ebit {ebit} was never distributed")
-    if entry.used:
-        raise ResourceError(f"ebit {ebit} already consumed")
-    ea, eb = entry.regs
-    pa = engine.owner(control_label)
-    if engine.owner(ea) != pa:
-        ea, eb = eb, ea
-    pa = engine._check_owned(pa, [control_label, ea])
-    pb = engine._check_owned(engine.owner(target_label), [target_label, eb])
-    if engine.layout.dim(control_label) != 2 or engine.layout.dim(ea) != 2:
-        raise DimensionError("the cat-entangler control and ebit must be qubits")
-    if gate.shape != (engine.layout.dim(target_label),) * 2 or not is_unitary(gate):
-        raise StateValidationError("the controlled gate must be unitary on the target")
-    f1 = f2 = None
-    if forced is not None:
-        f1, f2 = forced
-    rng1 = rng if forced is None else None
-
-    engine.apply_local(pa, CNOT, [control_label, ea])
-    m1, _ = engine.measure_binary(pa, np.diag([1.0, 0.0]), [ea], rng1, f1)
-    engine.broadcast(1)
-    engine.apply_local(pb, np.linalg.matrix_power(X, m1), [eb])
-    engine.ledger.qt_corrections += 1
-    engine.force_layer()
-
-    ctrl = np.block(
-        [
-            [np.eye(gate.shape[0]), np.zeros_like(gate)],
-            [np.zeros_like(gate), gate],
-        ]
-    ).astype(complex)
-    engine.apply_local(pb, ctrl, [eb, target_label])
-
-    plus = np.full((2, 2), 0.5, dtype=complex)
-    m2, _ = engine.measure_binary(pb, plus, [eb], rng1, f2)
-    engine.broadcast(1)
-    engine.apply_local(pa, np.linalg.matrix_power(Z, m2), [control_label])
-    engine.ledger.qt_corrections += 1
-    engine.force_layer()
-
-    engine.consume_ebit(ebit)
-    engine.discard([ea, eb])
+    steps = _cat_entangler(control_label, target_label, ebit, gate)
+    m1, m2 = _follow(engine, steps, rng, forced)
     return m1, m2
 
 
@@ -691,19 +609,6 @@ def remote_cnot(
 # --- distributed black-box quantum computing ---
 
 
-def check_path_probabilities(probs: np.ndarray) -> np.ndarray:
-    """The branch-pattern distribution `probs`, after checking it sums to 1.
-
-    The division only absorbs rounding. A sum further than 1e-9 from 1 means
-    a forced pass reported a wrong path probability, so it raises instead of
-    renormalizing the error away.
-    """
-    total = probs.sum()
-    if not abs(total - 1.0) <= 1e-9:
-        raise BranchError(f"branch path probabilities sum to {total:.12g}, not 1")
-    return probs / total
-
-
 @dataclass(frozen=True)
 class DbqcResult:
     estimate: float
@@ -714,14 +619,6 @@ class DbqcResult:
     parity_bits: np.ndarray
     readout_bits: np.ndarray
     per_shot: np.ndarray
-
-
-# A protocol whose every measurement is binary is a list of steps. A step
-# does the outcome-free work before its measurement (allocating a program,
-# distributing an ebit) on the engine it is given, and returns that
-# measurement: measure(engine, rng, forced) -> (bit, probability of the bit),
-# which also does the outcome-free bookkeeping after it. A finish function
-# reads the run's result off the engine at the end.
 
 
 def _announced(party: str, p0: np.ndarray, labels, oqt: bool = False, ebit: int | None = None):
@@ -739,7 +636,7 @@ def _announced(party: str, p0: np.ndarray, labels, oqt: bool = False, ebit: int 
         eng.discard(labels)
         return bit, prob
 
-    return measure
+    return 2, measure
 
 
 def _isi(party: str, program: ChoiProgram, psi: PureState, out: str, inp: str):
@@ -762,43 +659,12 @@ def _program_link(party: str, program: ChoiProgram, out: str, inp: str, current:
     return step
 
 
-def _branch_leaves(engine: ProtocolEngine, steps, finish):
-    """Every forced outcome pattern of a protocol, each outcome prefix simulated once.
-
-    Walks the outcome tree depth first: each step's outcome-free work runs
-    once per prefix, and the engine is forked at its measurement. Returns
-    the path probabilities and the finish values in
-    ``itertools.product((0, 1), repeat=len(steps))`` order, and the first
-    leaf's ledger. Each path probability is multiplied in step order from
-    1.0. A leaf keeps no engine, so at most one fork per depth is alive.
-    """
-    probs, values, ledgers = [], [], []
-
-    def walk(eng: ProtocolEngine, depth: int, prob: float) -> None:
-        if depth == len(steps):
-            values.append(finish(eng))
-            if not eng.ebits_conserved():
-                raise ResourceError("ebit conservation violated")
-            probs.append(prob)
-            if not ledgers:
-                ledgers.append(eng.ledger)
-            return
-        measure = steps[depth](eng)
-        for bit in (0, 1):
-            branch = eng.fork() if bit == 0 else eng
-            _, p = measure(branch, None, bit)
-            walk(branch, depth + 1, prob * p)
-
-    walk(engine, 0, 1.0)
-    return np.array(probs), np.array(values), ledgers[0]
-
-
-def _readout(party: str, psi_o: PureState, label: str):
-    """Finish: P(readout 0) of ``psi_o`` on ``label``, then its broadcast bit."""
+def _readout(party: str, psi_o: PureState, labels):
+    """Finish: P(readout 0) of ``psi_o`` on ``labels``, then its broadcast bit."""
     p0 = projector(psi_o.amplitudes)
 
     def finish(eng: ProtocolEngine) -> float:
-        q = eng.probability(party, p0, [label])
+        q = eng.probability(party, p0, labels)
         eng.broadcast(1)
         return q
 
@@ -830,7 +696,31 @@ def _dbqc_protocol(alice: Party, bob: Party):
     for k, prog in enumerate(bob.programs):
         steps.append(_program_link(b, prog, f"b_out_{k}", f"b_in_{k}", current, bell))
         current = f"b_out_{k}"
-    return ProtocolEngine(a, b), steps, _readout(b, bob.states[0], current)
+    return ProtocolEngine(a, b), steps, _readout(b, bob.states[0], [current])
+
+
+def parity_inverted_shots(
+    parities: np.ndarray,
+    probs: np.ndarray,
+    qvals: np.ndarray,
+    d: int,
+    shots: int,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw ``shots`` leaves and their readouts, and invert the parity mixing.
+
+    Leaf k has the OQT parity bits ``parities[k]``, path probability
+    ``probs[k]`` and readout-0 probability ``qvals[k]``. With s the number of
+    odd parities, (-1)^s (d^2 - 1)^s (hit - alpha_s) is an unbiased per-shot
+    estimate of the unmixed readout-0 probability. Returns the drawn leaf
+    indices, the readout bits and these estimates.
+    """
+    s = parities.sum(axis=1)
+    base = ((-1.0) ** s) * float(d * d - 1) ** s
+    alpha = np.array([parity_mix_alpha(int(v), d) for v in s])
+    idx = rng.choice(len(probs), size=shots, p=probs)
+    y = (rng.random(shots) >= qvals[idx]).astype(np.int8)
+    return idx, y, base[idx] * ((y == 0) - alpha[idx])
 
 
 def run_dbqc(
@@ -853,31 +743,19 @@ def run_dbqc(
         if prog.in_dim != d or prog.out_dim != d:
             raise DimensionError("program ports must match the input dimension")
 
-    probs, qvals, ledger = _branch_leaves(*_dbqc_protocol(alice, bob))
+    patterns, probs, qvals, ledger = _branch_leaves(*_dbqc_protocol(alice, bob))
     probs = check_path_probabilities(probs)
-
-    n_bits = 1 + len(alice.programs) + len(bob.programs)
-    pat_arr = np.array(list(itertools.product((0, 1), repeat=n_bits)), dtype=np.int8)
-    svec = pat_arr[:, 1:].sum(axis=1)
-    base = ((-1.0) ** svec) * float(d * d - 1) ** svec
-    alpha = np.array([parity_mix_alpha(int(s), d) for s in svec])
-
-    idx = rng.choice(len(pat_arr), size=shots, p=probs)
-    y = (rng.random(shots) >= qvals[idx]).astype(np.int8)
-    hit = (y == 0).astype(float)
-    inv = base[idx] * (hit - alpha[idx])
-    b = pat_arr[idx, 0]
+    idx, y, inv = parity_inverted_shots(patterns[:, 1:], probs, qvals, d, shots, rng)
+    b = patterns[idx, 0]
     t_hat = np.where(b == 0, inv, 1.0 - (d - 1) * inv)
-
-    estimate = float(t_hat.mean())
-    stderr = float(t_hat.std(ddof=1) / np.sqrt(shots)) if shots > 1 else 0.0
+    estimate, stderr = mean_stderr(t_hat)
     return DbqcResult(
         estimate=estimate,
         stderr=stderr,
         ledger=ledger,
         shots=shots,
-        isi_bits=b.copy(),
-        parity_bits=pat_arr[idx, 1:].copy(),
+        isi_bits=b,
+        parity_bits=patterns[idx, 1:],
         readout_bits=y,
         per_shot=t_hat,
     )
@@ -912,21 +790,20 @@ def _triparty_scheme1_protocol(a: Party, b: Party, c: Party):
         lambda eng: _announced(a.name, bell_projector(da), ["a_out", "c_in1"], oqt=True, ebit=e1),
         lambda eng: _announced(b.name, bell_projector(db), ["b_out", "c_in2"], oqt=True, ebit=e2),
     ]
-    return eng, steps, _readout(c.name, c.states[0], "c_out")
+    return eng, steps, _readout(c.name, c.states[0], ["c_out"])
 
 
 def _run_triparty_scheme1(
     a: Party, b: Party, c: Party, shots: int, rng: np.random.Generator
 ) -> TripartyResult:
     da, db = a.states[0].dim, b.states[0].dim
-    probs, qvals, ledger = _branch_leaves(*_triparty_scheme1_protocol(a, b, c))
+    patterns, probs, qvals, ledger = _branch_leaves(*_triparty_scheme1_protocol(a, b, c))
     probs = check_path_probabilities(probs)
 
-    pat_arr = np.array(list(itertools.product((0, 1), repeat=4)), dtype=np.int8)
-    idx = rng.choice(len(pat_arr), size=shots, p=probs)
+    idx = rng.choice(len(probs), size=shots, p=probs)
     y = (rng.random(shots) >= qvals[idx]).astype(np.int8)
-    ba, bb = pat_arr[idx, 0], pat_arr[idx, 1]
-    i, j = pat_arr[idx, 2], pat_arr[idx, 3]
+    ba, bb = patterns[idx, 0], patterns[idx, 1]
+    i, j = patterns[idx, 2], patterns[idx, 3]
     k = np.maximum(i, j)
 
     keep = k == 0
@@ -935,9 +812,7 @@ def _run_triparty_scheme1(
         raise EstimationError("no all-zero parity shots; increase the shot budget")
     eta = np.where((ba == 0) & (bb == 0), 1.0, -1.0)
     t_hat = 0.5 * (1.0 + eta * da * db * (y == 0))
-    t_kept = t_hat[keep]
-    estimate = float(t_kept.mean())
-    stderr = float(t_kept.std(ddof=1) / np.sqrt(kept)) if kept > 1 else 0.0
+    estimate, stderr = mean_stderr(t_hat[keep])
     return TripartyResult(
         scheme="I",
         estimate=estimate,
@@ -949,9 +824,9 @@ def _run_triparty_scheme1(
     )
 
 
-def _controlled_block(program: ChoiProgram, db: int) -> np.ndarray:
-    """Extract V from a controlled-gate program [[I, 0], [0, V]]."""
-    u = unitary_of_choi(program)
+def controlled_block(u: np.ndarray, db: int) -> np.ndarray:
+    """Extract V from a controlled gate [[I, 0], [0, V]] on a qubit control
+    and a target of dimension ``db``."""
     if u.shape[0] != 2 * db:
         raise DimensionError("nonlocal program does not act on control x target")
     top = u[:db, :db]
@@ -966,10 +841,9 @@ def _controlled_block(program: ChoiProgram, db: int) -> np.ndarray:
     return u[db:, db:]
 
 
-def _triparty_scheme2_forced(
-    a: Party, b: Party, gate: np.ndarray, psi_o: PureState, pattern
-) -> tuple[float, float, ProtocolEngine]:
-    m1, m2, tele = pattern
+def _triparty_scheme2_protocol(a: Party, b: Party, gate: np.ndarray, psi_o: PureState):
+    """Scheme II's engine, steps (the cat-entangler's m1 and m2, then the
+    teleportation of A's register to B) and finish."""
     eng = ProtocolEngine(a.name, b.name)
     eng.alloc(a.name, "qa", a.states[0])
     eng.alloc(b.name, "qb", b.states[0])
@@ -977,53 +851,34 @@ def _triparty_scheme2_forced(
         eng.apply_local(a.name, unitary_of_choi(prog), ["qa"])
     for prog in b.programs:
         eng.apply_local(b.name, unitary_of_choi(prog), ["qb"])
-
     e1 = eng.distribute_ebit(a.name, b.name, "e1a", "e1b")
-    remote_controlled_gate(eng, "qa", "qb", e1, gate, forced=(m1, m2))
 
-    e2 = eng.distribute_ebit(a.name, b.name, "e2a", "e2b")
-    dest, _ = teleport_state(eng, "qa", e2, forced=tele)
+    def teleport_to_b(eng: ProtocolEngine):
+        e2 = eng.distribute_ebit(a.name, b.name, "e2a", "e2b")
+        return _teleport("qa", e2)(eng)
 
-    q = eng.probability(b.name, projector(psi_o.amplitudes), [dest, "qb"])
-    eng.broadcast(1)
-    return 0.5 * 0.5 * 0.25, q, eng
+    steps = [*_cat_entangler("qa", "qb", e1, gate), teleport_to_b]
+    return eng, steps, _readout(b.name, psi_o, ["e2b", "qb"])
 
 
 def _run_triparty_scheme2(
-    a: Party, b: Party, c: Party | None, shots: int, rng: np.random.Generator
+    a: Party, b: Party, c: Party, shots: int, rng: np.random.Generator
 ) -> TripartyResult:
-    if c is not None and c.programs:
-        nonlocal_prog = c.programs[0]
-        psi_o = c.states[0]
-    elif len(b.programs) >= 2:
-        nonlocal_prog = b.programs[-1]
-        psi_o = b.states[-1]
-    else:
-        raise ResourceError("scheme II needs the controlled-gate program at B or C")
-    db = b.states[0].dim
-    gate = _controlled_block(nonlocal_prog, db)
-    b_local = replace(b, programs=b.programs[:-1]) if (c is None or not c.programs) else b
-
-    patterns = list(itertools.product((0, 1), (0, 1), range(4)))
-    qvals = np.empty(len(patterns))
-    ledger = None
-    for n, pat in enumerate(patterns):
-        _, q, eng = _triparty_scheme2_forced(a, b_local, gate, psi_o, pat)
-        qvals[n] = q
-        if not eng.ebits_conserved():
-            raise ResourceError("ebit conservation violated")
-        if ledger is None:
-            ledger = eng.ledger
+    gate = controlled_block(unitary_of_choi(c.programs[0]), b.states[0].dim)
+    protocol = _triparty_scheme2_protocol(a, b, gate, c.states[0])
+    patterns, probs, qvals, ledger = _branch_leaves(*protocol)
+    probs = check_path_probabilities(probs)
+    # Every (m1, m2, teleport) path has the same probability, so shots draw
+    # their pattern uniformly.
+    if np.abs(probs - 1.0 / len(probs)).max() > 1e-9:
+        raise BranchError("scheme II path probabilities are not uniform")
     if np.ptp(qvals) > 1e-10:
         raise StateValidationError("byproduct paths disagree after correction")
     q = float(qvals.mean())
 
-    pat_arr = np.array(patterns, dtype=np.int8)
-    idx = rng.choice(len(patterns), size=shots)
+    idx = rng.choice(len(probs), size=shots)
     y = (rng.random(shots) >= q).astype(np.int8)
-    t_hat = (y == 0).astype(float)
-    estimate = float(t_hat.mean())
-    stderr = float(t_hat.std(ddof=1) / np.sqrt(shots)) if shots > 1 else 0.0
+    estimate, stderr = mean_stderr((y == 0).astype(float))
     return TripartyResult(
         scheme="II",
         estimate=estimate,
@@ -1032,9 +887,9 @@ def _run_triparty_scheme2(
         shots=shots,
         kept=shots,
         bits={
-            "m1": pat_arr[idx, 0],
-            "m2": pat_arr[idx, 1],
-            "teleport": pat_arr[idx, 2],
+            "m1": patterns[idx, 0],
+            "m2": patterns[idx, 1],
+            "teleport": patterns[idx, 2],
             "y": y,
         },
     )
@@ -1055,16 +910,17 @@ def run_triparty(
     enter the estimate.  Scheme II declares the nonlocal gate as a controlled
     gate, realizes it with a cat-entangler and finishes with a teleportation,
     so every shot counts but byproduct corrections force temporal order.
+    Both schemes take the nonlocal program and the readout state from C.
     """
     if shots < 1:
         raise EstimationError("shots must be positive")
+    if scheme not in ("I", "II"):
+        raise EstimationError(f"unknown scheme {scheme!r}")
+    if c is None or not c.programs:
+        raise ResourceError(f"scheme {scheme} needs the nonlocal program at C")
     if scheme == "I":
-        if c is None or not c.programs:
-            raise ResourceError("scheme I needs the nonlocal program at C")
         return _run_triparty_scheme1(a, b, c, shots, rng)
-    if scheme == "II":
-        return _run_triparty_scheme2(a, b, c, shots, rng)
-    raise EstimationError(f"unknown scheme {scheme!r}")
+    return _run_triparty_scheme2(a, b, c, shots, rng)
 
 
 # --- circuit knitting ---
@@ -1245,8 +1101,7 @@ def knit_estimate(
     probs = probs / probs.sum()
     idx = rng.choice(len(weights), size=shots, p=probs)
     per_shot = values[idx]
-    estimate = float(per_shot.mean())
-    stderr = float(per_shot.std(ddof=1) / np.sqrt(shots)) if shots > 1 else 0.0
+    estimate, stderr = mean_stderr(per_shot)
     return KnitEstimate(
         estimate=estimate,
         stderr=stderr,
@@ -1288,7 +1143,7 @@ def _pingpong_protocol(programs: list, system, blocks: int):
 
         def step(eng: ProtocolEngine):
             eng.alloc_program("device", prog, out, inp)
-            return measure
+            return 2, measure
 
         return step
 
@@ -1325,82 +1180,19 @@ def pingpong_run(
         if len(forced_bits) != len(programs):
             raise EstimationError("one forced bit per program is required")
     eng, steps, current = _pingpong_protocol(programs, system, blocks)
-    forced = forced_bits if forced_bits is not None else [None] * len(steps)
-    bits = [int(step(eng)(eng, rng, f)[0]) for step, f in zip(steps, forced)]
+    bits = _follow(eng, steps, rng, forced_bits)
     final = MixedState(RegisterLayout.of(("s", eng.layout.dim(current))), eng.reduced([current]))
     record = OqtRecord(parity_bits=tuple(bits), s=sum(bits), final_state=final)
     return record, eng.ledger
 
 
 def pingpong_branches(programs, system, readout: np.ndarray):
-    """Every forced parity pattern of a ping-pong chain, each outcome prefix
-    simulated once: path probabilities and P(``readout``) of the output, in
-    ``itertools.product((0, 1), repeat=len(programs))`` order, and the ledger."""
+    """Every parity pattern of a ping-pong chain, each outcome prefix
+    simulated once: the patterns, their path probabilities and P(``readout``)
+    of the output, and the ledger (see `_branch_leaves`)."""
     eng, steps, current = _pingpong_protocol(list(programs), system, 2)
 
     def finish(eng: ProtocolEngine) -> float:
         return float(np.real(np.conj(readout) @ eng.reduced([current]) @ readout))
 
     return _branch_leaves(eng, steps, finish)
-
-
-# --- hybrid classical-quantum optimization ---
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    iterations: int = 6
-    initial_step: float = 0.5
-    shrink: float = 0.5
-
-
-@dataclass(frozen=True)
-class HybridResult:
-    theta: np.ndarray
-    objective: float
-    trace: tuple[float, ...]
-
-
-def hybrid_optimize(
-    evaluate,
-    objective,
-    theta0,
-    config: OptimizerConfig | None = None,
-    rng: np.random.Generator | None = None,
-) -> HybridResult:
-    """Minimize objective(evaluate(theta, rng)) by coordinate descent.
-
-    Deterministic given the seed: candidate offsets are scanned in a fixed
-    order on a grid whose step shrinks once per sweep, and a move is accepted
-    only when strictly better, so the final objective never exceeds the
-    initial one.
-    """
-    config = config or OptimizerConfig()
-    theta = np.array(theta0, dtype=float).reshape(-1)
-
-    def child_rng():
-        if rng is None:
-            return None
-        return np.random.default_rng(int(rng.integers(2**63)))
-
-    def score(point: np.ndarray) -> float:
-        val = float(objective(evaluate(point, child_rng())))
-        if not np.isfinite(val):
-            raise EstimationError("objective is not finite")
-        return val
-
-    best = score(theta)
-    trace = [best]
-    step = config.initial_step
-    for _ in range(config.iterations):
-        for k in range(theta.size):
-            for offset in (-step, -step / 2, step / 2, step):
-                cand = theta.copy()
-                cand[k] += offset
-                val = score(cand)
-                if val < best:
-                    best = val
-                    theta = cand
-        trace.append(best)
-        step *= config.shrink
-    return HybridResult(theta=theta, objective=best, trace=tuple(trace))

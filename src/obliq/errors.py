@@ -49,16 +49,10 @@ class EstimationError(ObliqError):
 class ScenarioParseError(ObliqError):
     """Scenario file is not parseable structured text."""
 
-    exit_code = 2
-
 
 class ScenarioSchemaError(ObliqError):
     """Scenario file parses but violates the schema."""
 
-    exit_code = 3
-
 
 class ScenarioSemanticError(ObliqError):
     """Scenario is well-formed but semantically inconsistent."""
-
-    exit_code = 4

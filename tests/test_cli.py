@@ -1,12 +1,16 @@
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from obliq.cli import main, run_scenario, validate_scenario
 from obliq.errors import ScenarioSchemaError
 
-SCENARIOS = sorted(Path(__file__).resolve().parent.parent.glob("scenarios/*.json"))
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+SCENARIOS = sorted(SCENARIO_DIR.glob("*.json"))
 
 
 def _write(tmp_path, name, payload):
@@ -241,7 +245,7 @@ def test_validate_scenario_api(tmp_path):
     path = _write(tmp_path, "ok.json", _minimal_dbqc())
     sc = validate_scenario(path)
     assert sc["kind"] == "dbqc"
-    bad = _write(tmp_path, "bad.json", _minimal_dbqc(backend="qasm"))
+    bad = _write(tmp_path, "bad.json", _minimal_dbqc(shots=0))
     with pytest.raises(ScenarioSchemaError):
         validate_scenario(bad)
 
@@ -262,6 +266,22 @@ def test_non_numbers_are_schema_errors(tmp_path, over):
     out = tmp_path / "never"
     assert main(["run", path, "--out", str(out)]) == 3
     assert not out.exists()
+
+
+def _minimal_knitting(**over):
+    sc = {
+        "version": 1,
+        "kind": "knitting",
+        "seed": 1,
+        "shots": 1,
+        "mode": "exact_sum",
+        "num_qudits": 2,
+        "local_dim": 2,
+        "gates": [{"name": "CNOT", "targets": [0, 1], "cut": True}],
+        "observable": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+    }
+    sc.update(over)
+    return sc
 
 
 def _minimal_channel_composition(first):
@@ -285,6 +305,8 @@ def _minimal_channel_composition(first):
         _minimal_channel_composition({"channel": "depolarizing", "dim": "x"}),
         _minimal_channel_composition({"channel": "depolarizing", "dim": True}),
         _minimal_channel_composition({"channel": "depolarizing", "dim": 33}),
+        _minimal_knitting(gates=[{"name": "CNOT", "targets": 1}]),
+        _minimal_dbqc(input_state={"basis": 0, "dim": 10**30}),
     ],
     ids=[
         "theta-string",
@@ -295,6 +317,8 @@ def _minimal_channel_composition(first):
         "dim-string",
         "dim-true",
         "dim-over-capacity",
+        "knit-targets-int",
+        "basis-dim-huge",
     ],
 )
 def test_malformed_gate_and_channel_parameters_are_schema_errors(tmp_path, sc):
@@ -321,8 +345,14 @@ def _minimal_triparty_scheme1():
     }
 
 
+def _minimal_triparty_scheme2():
+    return dict(_minimal_triparty_scheme1(), scheme="II")
+
+
 @pytest.mark.parametrize(
-    "sc", [_minimal_dbqc(), _minimal_triparty_scheme1()], ids=["dbqc", "triparty-I"]
+    "sc",
+    [_minimal_dbqc(), _minimal_triparty_scheme1(), _minimal_triparty_scheme2()],
+    ids=["dbqc", "triparty-I", "triparty-II"],
 )
 def test_bad_path_probability_is_not_renormalized(tmp_path, monkeypatch, capsys, sc):
     import obliq.distributed as dist
@@ -330,11 +360,127 @@ def test_bad_path_probability_is_not_renormalized(tmp_path, monkeypatch, capsys,
     real = dist._branch_leaves
 
     def halved(*args):
-        probs, qvals, ledger = real(*args)
-        return 0.5 * probs, qvals, ledger
+        patterns, probs, qvals, ledger = real(*args)
+        return patterns, 0.5 * probs, qvals, ledger
 
     path = _write(tmp_path, "bad-path.json", sc)
     assert main(["run", path, "--out", str(tmp_path / "ok")]) == 0
     monkeypatch.setattr(dist, "_branch_leaves", halved)
     assert main(["run", path, "--out", str(tmp_path / "bad")]) == 6
     assert "sum to 0.5" in capsys.readouterr().err
+
+
+# --- scripts: local OQT links and malformed step fields ---
+
+
+def _script_teleport():
+    return json.loads((SCENARIO_DIR / "script-teleport.json").read_text())
+
+
+def _local_oqt_script(**link):
+    return {
+        "version": 1,
+        "kind": "script",
+        "seed": 2,
+        "shots": 50,
+        "parties": ["alice"],
+        "steps": [
+            {"op": "prepare_state", "party": "alice", "label": "psi",
+             "state": {"basis": 0, "dim": 2}},
+            {"op": "prepare_program", "party": "alice", "gate": "H",
+             "out_label": "out", "in_label": "in"},
+            dict({"op": "oqt_link", "party": "alice", "labels": ["in", "psi"]}, **link),
+            {"op": "final_measure", "party": "alice", "labels": ["out"],
+             "state": {"basis": 0, "dim": 2}},
+        ],
+    }
+
+
+def test_local_oqt_link_validates_and_runs(tmp_path):
+    path = _write(tmp_path, "local-link.json", _local_oqt_script())
+    assert main(["validate", path]) == 0
+    out = tmp_path / "local"
+    assert main(["run", path, "--out", str(out)]) == 0
+    assert len((out / "records.jsonl").read_text().splitlines()) == 50
+
+
+def test_oqt_link_through_an_undistributed_ebit_is_refused(tmp_path, capsys):
+    path = _write(tmp_path, "no-ebit.json", _local_oqt_script(resource=4))
+    assert main(["validate", path]) == 4
+    assert "ebit 4 was never distributed" in capsys.readouterr().err
+
+
+def _script_with(step_no, **fields):
+    sc = _script_teleport()
+    sc["steps"][step_no].update(fields)
+    return sc
+
+
+@pytest.mark.parametrize(
+    "sc",
+    [
+        _script_with(0, label=["psi"]),
+        _script_with(0, label={"psi": 1}),
+        _script_with(3, labels=7),
+        _script_with(1, resource=[0]),
+        _script_with(2, resource={"id": 0}),
+        _script_with(1, dim="x"),
+    ],
+    ids=["label-list", "label-dict", "labels-int", "resource-list", "resource-dict", "ebit-dim-string"],
+)
+def test_malformed_script_fields_are_semantic_errors(tmp_path, sc):
+    path = _write(tmp_path, "bad-step.json", sc)
+    assert main(["validate", path]) == 4
+    out = tmp_path / "never"
+    assert main(["run", path, "--out", str(out)]) == 4
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("num_qudits", [5000, 10**6])
+def test_knitting_width_cap_names_the_cap(tmp_path, capsys, num_qudits):
+    path = _write(tmp_path, "wide.json", _minimal_knitting(num_qudits=num_qudits))
+    assert main(["validate", path]) == 5
+    err = capsys.readouterr().err
+    assert f"2**{num_qudits} exceeds the cap 1024" in err
+    assert len(err) < 200
+
+
+# --- validate never fails at run time on mutated goldens ---
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**30), 10**30)
+    | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(obj, prefix=()):
+    """The path of every value below ``obj``: dict keys and list indices."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+def _replaced(obj, path, value):
+    if not path:
+        return value
+    copy = dict(obj) if isinstance(obj, dict) else list(obj)
+    copy[path[0]] = _replaced(obj[path[0]], path[1:], value)
+    return copy
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), golden=st.sampled_from(SCENARIOS), fields=st.integers(1, 2))
+def test_validate_exits_only_with_input_codes(data, golden, fields):
+    sc = json.loads(golden.read_text())
+    for _ in range(fields):
+        path = data.draw(st.sampled_from(list(_paths(sc))), label="path")
+        sc = _replaced(sc, path, data.draw(JSON_VALUES, label="value"))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write(Path(tmp), "mutated.json", sc)
+        assert main(["validate", path]) in (0, 2, 3, 4, 5)

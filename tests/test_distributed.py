@@ -3,17 +3,11 @@ import pytest
 
 from obliq.channels import choi_of
 from obliq.distributed import (
-    DistributeEbit,
-    FinalMeasure,
     KnitCircuit,
     KnitGate,
-    OqtLink,
     Party,
-    PrepareState,
     ProtocolEngine,
-    ProtocolScript,
     ResourceLedger,
-    hybrid_optimize,
     knit_decompose,
     knit_estimate,
     pingpong_run,
@@ -570,59 +564,3 @@ def test_pingpong_guards():
         pingpong_run(programs, basis_state(0, 2))
     with pytest.raises(DimensionError):
         pingpong_run(programs, basis_state(0, 2), blocks=3, forced_bits=[0])
-
-
-# --- script validation ---
-
-
-def test_protocol_script_validates_ebits():
-    script = ProtocolScript(
-        steps=(
-            DistributeEbit("a", "b", resource=0),
-            OqtLink("a", "b", resource=0),
-            OqtLink("a", "b", resource=0),
-        )
-    )
-    with pytest.raises(ResourceError):
-        script.validate()
-    script2 = ProtocolScript(steps=(OqtLink("a", "b", resource=1),))
-    with pytest.raises(ResourceError):
-        script2.validate()
-
-
-def test_protocol_script_validates_locality():
-    script = ProtocolScript(
-        steps=(
-            PrepareState("a", "x", 2),
-            FinalMeasure("b", ("x",)),
-        )
-    )
-    with pytest.raises(LocalityError):
-        script.validate()
-
-
-# --- hybrid loop ---
-
-
-def test_hybrid_optimizer_converges():
-    rng = np.random.default_rng(420)
-
-    def evaluate(theta, child):
-        # exact expectation of Z after RY(theta) on |0>
-        return float(np.cos(theta[0]))
-
-    def objective(val):
-        return -val
-
-    res = hybrid_optimize(evaluate, objective, [0.8], rng=rng)
-    assert abs(res.theta[0]) < 0.05
-    assert res.objective <= -np.cos(0.8)
-    assert all(b <= a + 1e-12 for a, b in zip(res.trace, res.trace[1:]))
-
-
-def test_hybrid_optimizer_rejects_nonfinite():
-    rng = np.random.default_rng(421)
-    with pytest.raises(EstimationError):
-        hybrid_optimize(
-            lambda theta, child: float("nan"), lambda v: v, [0.1], rng=rng
-        )

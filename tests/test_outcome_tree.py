@@ -1,8 +1,8 @@
 """Outcome-tree runners against one straight-line run per outcome pattern.
 
-The forced runners (dbqc, tri-party scheme I, ping-pong) walk the tree of
-measurement outcomes and fork the engine at each measurement; the script
-kind walks a memoized outcome tree shot by shot. The references kept here
+The forced runners (dbqc, tri-party schemes I and II, ping-pong) walk the
+tree of measurement outcomes and fork the engine at each measurement; the
+script kind walks a memoized outcome tree shot by shot. The references kept here
 simulate every pattern, or every shot, from scratch, and the results must
 be equal exactly, not approximately.
 """
@@ -16,12 +16,12 @@ from hypothesis import strategies as st
 
 from obliq import cli
 from obliq import distributed as dist
-from obliq.channels import KrausChannel, choi_of
+from obliq.channels import KrausChannel, choi_of, unitary_of_choi
 from obliq.distributed import Party, ProtocolEngine
-from obliq.gates import matrix_to_json
-from obliq.oblivious import bell_projector
+from obliq.gates import CNOT, X, Z, matrix_to_json
+from obliq.oblivious import GeneralizedPauliBasis, bell_projector
 from obliq.qmath import RegisterLayout, projector, random_statevector, random_unitary
-from obliq.states import PureState
+from obliq.states import PureState, bell_state
 
 SEEDS = st.integers(0, 2**32 - 1)
 TREE = settings(max_examples=25, deadline=None)
@@ -149,8 +149,60 @@ def _pingpong_reference(programs, system, readout, pattern):
     return path_prob, q, eng.ledger
 
 
-def _assert_leaves_equal(leaves, references):
-    probs, qvals, ledger = leaves
+def _triparty_scheme2_reference(a, b, gate, psi_o, pattern):
+    """Scheme II along one (m1, m2, teleport) pattern: the cat-entangler and
+    the teleportation written out with engine operations."""
+    m1, m2, tele = pattern
+    eng = ProtocolEngine(a.name, b.name)
+    path_prob = 1.0
+    eng.alloc(a.name, "qa", a.states[0])
+    eng.alloc(b.name, "qb", b.states[0])
+    for prog in a.programs:
+        eng.apply_local(a.name, unitary_of_choi(prog), ["qa"])
+    for prog in b.programs:
+        eng.apply_local(b.name, unitary_of_choi(prog), ["qb"])
+
+    e1 = eng.distribute_ebit(a.name, b.name, "e1a", "e1b")
+    eng.apply_local(a.name, CNOT, ["qa", "e1a"])
+    _, p = eng.measure_binary(a.name, np.diag([1.0, 0.0]), ["e1a"], forced=m1)
+    path_prob *= p
+    eng.broadcast(1)
+    eng.apply_local(b.name, np.linalg.matrix_power(X, m1), ["e1b"])
+    eng.ledger.qt_corrections += 1
+    eng.force_layer()
+    ctrl = np.block([[np.eye(len(gate)), np.zeros_like(gate)], [np.zeros_like(gate), gate]])
+    eng.apply_local(b.name, ctrl.astype(complex), ["e1b", "qb"])
+    _, p = eng.measure_binary(b.name, np.full((2, 2), 0.5), ["e1b"], forced=m2)
+    path_prob *= p
+    eng.broadcast(1)
+    eng.apply_local(a.name, np.linalg.matrix_power(Z, m2), ["qa"])
+    eng.ledger.qt_corrections += 1
+    eng.force_layer()
+    eng.consume_ebit(e1)
+    eng.discard(["e1a", "e1b"])
+
+    e2 = eng.distribute_ebit(a.name, b.name, "e2a", "e2b")
+    sigmas = GeneralizedPauliBasis(2).operators
+    omega = bell_state(2).amplitudes
+    projs = [projector(np.kron(sig, np.eye(2)) @ omega) for sig in sigmas]
+    _, p = eng.measure_projective(a.name, projs, ["qa", "e2a"], forced=tele)
+    path_prob *= p
+    eng.consume_ebit(e2)
+    eng.broadcast(2)
+    eng.discard(["qa", "e2a"])
+    eng.apply_local(b.name, sigmas[tele], ["e2b"])
+    eng.ledger.qt_corrections += 1
+    eng.force_layer()
+
+    q = eng.probability(b.name, projector(psi_o.amplitudes), ["e2b", "qb"])
+    eng.broadcast(1)
+    assert eng.ebits_conserved()
+    return path_prob, q, eng.ledger
+
+
+def _assert_leaves_equal(leaves, patterns, references):
+    got_patterns, probs, qvals, ledger = leaves
+    assert got_patterns.tolist() == [list(pat) for pat in patterns]
     assert probs.tolist() == [p for p, _, _ in references]
     assert qvals.tolist() == [q for _, q, _ in references]
     assert all(ledger == led for _, _, led in references)
@@ -178,8 +230,10 @@ def test_dbqc_tree_matches_one_pass_per_pattern(seed, d, n_alice, n_bob, kraus):
         states=[_pure(random_statevector(d, rng))],
     )
     leaves = dist._branch_leaves(*dist._dbqc_protocol(alice, bob))
-    patterns = itertools.product((0, 1), repeat=1 + n_alice + n_bob)
-    _assert_leaves_equal(leaves, [_dbqc_reference(alice, bob, pat) for pat in patterns])
+    patterns = list(itertools.product((0, 1), repeat=1 + n_alice + n_bob))
+    _assert_leaves_equal(
+        leaves, patterns, [_dbqc_reference(alice, bob, pat) for pat in patterns]
+    )
 
 
 @TREE
@@ -199,8 +253,33 @@ def test_triparty_scheme1_tree_matches_one_pass_per_pattern(seed, dims, kraus):
         states=[_pure(random_statevector(da * db, rng))],
     )
     leaves = dist._branch_leaves(*dist._triparty_scheme1_protocol(a, b, c))
-    patterns = itertools.product((0, 1), repeat=4)
-    _assert_leaves_equal(leaves, [_triparty_reference(a, b, c, pat) for pat in patterns])
+    patterns = list(itertools.product((0, 1), repeat=4))
+    _assert_leaves_equal(
+        leaves, patterns, [_triparty_reference(a, b, c, pat) for pat in patterns]
+    )
+
+
+@TREE
+@given(seed=SEEDS, db=st.integers(2, 3), n_local=st.integers(0, 2))
+def test_triparty_scheme2_tree_matches_one_pass_per_pattern(seed, db, n_local):
+    rng = np.random.default_rng(seed)
+    a = Party(
+        "a",
+        programs=[choi_of(random_unitary(2, rng)) for _ in range(n_local)],
+        states=[_pure(random_statevector(2, rng))],
+    )
+    b = Party(
+        "b",
+        programs=[choi_of(random_unitary(db, rng)) for _ in range(n_local)],
+        states=[_pure(random_statevector(db, rng))],
+    )
+    gate = random_unitary(db, rng)
+    psi_o = _pure(random_statevector(2 * db, rng))
+    leaves = dist._branch_leaves(*dist._triparty_scheme2_protocol(a, b, gate, psi_o))
+    patterns = list(itertools.product((0, 1), (0, 1), range(4)))
+    references = [_triparty_scheme2_reference(a, b, gate, psi_o, pat) for pat in patterns]
+    _assert_leaves_equal(leaves, patterns, references)
+    assert all(abs(p - 1 / 16) <= 1e-9 for p, _, _ in references)
 
 
 @TREE
@@ -215,9 +294,9 @@ def test_pingpong_tree_matches_one_pass_per_pattern(seed, d, kraus):
     system = _pure(random_statevector(d, rng))
     readout = random_statevector(d, rng)
     leaves = dist.pingpong_branches(programs, system, readout)
-    patterns = itertools.product((0, 1), repeat=len(programs))
+    patterns = list(itertools.product((0, 1), repeat=len(programs)))
     references = [_pingpong_reference(programs, system, readout, pat) for pat in patterns]
-    _assert_leaves_equal(leaves, references)
+    _assert_leaves_equal(leaves, patterns, references)
 
 
 # --- script kind: memoized outcome tree against one script run per shot ---
@@ -250,8 +329,9 @@ def _gate(rng, d):
 def _script(rng, d, blocks, final, shots):
     """A script that starts with an ISI at alice and passes its output along
     ``blocks``: an OQT link or a teleportation through an ebit (four
-    outcomes), each of which moves the output to the other party, or a
-    remote CNOT between two fresh qubits (two draws in one step)."""
+    outcomes), each of which moves the output to the other party, a local
+    OQT link into a fresh program at the same party, or a remote CNOT
+    between two fresh qubits (two draws in one step)."""
     parties = ["alice", "bob"]
     steps = [
         {"op": "prepare_program", "party": "alice", "gate": _gate(rng, d),
@@ -267,6 +347,13 @@ def _script(rng, d, blocks, final, shots):
         if block == "oqt":
             steps += [ebit, {"op": "oqt_link", "party": me, "labels": [cur, f"e{k}a"], "resource": k}]
             cur, holder = f"e{k}b", 1 - holder
+        elif block == "local":
+            steps += [
+                {"op": "prepare_program", "party": me, "gate": _gate(rng, d),
+                 "out_label": f"p{k}_out", "in_label": f"p{k}_in"},
+                {"op": "oqt_link", "party": me, "labels": [f"p{k}_in", cur]},
+            ]
+            cur = f"p{k}_out"
         elif block == "teleport":
             steps += [ebit, {"op": "bell_measure_qt", "party": me, "state_label": cur, "resource": k}]
             cur, holder = f"e{k}b", 1 - holder
@@ -299,7 +386,7 @@ def _assert_same_columns(got, want):
     seed=SEEDS,
     d=st.integers(2, 3),
     blocks=st.lists(
-        st.sampled_from(["oqt", "teleport", "cnot"]), max_size=3
+        st.sampled_from(["oqt", "local", "teleport", "cnot"]), max_size=3
     ).filter(lambda b: b.count("cnot") <= 2),
     final=st.booleans(),
     shots=st.integers(1, 60),

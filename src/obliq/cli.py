@@ -7,6 +7,15 @@ record per shot), `summary.csv` (estimate, stderr, ledger counters), and
 `resolved-scenario` (the scenario after flag overrides).
 Reruns with identical inputs are byte-identical.
 
+`run` applies the `--seed`/`--shots`/`--tolerance` flags to the loaded JSON;
+`validate_scenario` then parses every literal once and returns the resolved
+scenario (the same mapping, each literal swapped for its parsed value and
+each script step for a function of the engine), which the checks and the
+runners read. A script is validated by a dry run of those steps on a real
+`ProtocolEngine`: its locality, dimension and resource errors exit 4 (5 for
+capacity) as `step n: ...`. Script steps never branch on outcomes, so every
+path meets the registers, owners and ebits of the dry run.
+
 Each runner returns its records as columns: record key -> per-shot numpy
 array (1-D for a scalar, 2-D for a list) or a nested mapping of columns (for
 an object). `_write_records` turns them into `records.jsonl`, one canonical
@@ -60,11 +69,18 @@ from .distributed import (
 from .errors import (
     CapacityError,
     ObliqError,
+    ResourceError,
     ScenarioParseError,
     ScenarioSchemaError,
     ScenarioSemanticError,
 )
-from .gates import gate_from_literal, kraus_from_literal, matrix_from_json
+from .gates import (
+    complex_from_literal,
+    gate_from_literal,
+    kraus_from_literal,
+    matrix_from_json,
+    real_from_literal,
+)
 from .oblivious import bell_projector
 from .qmath import MAX_STATE_DIM, RegisterLayout, is_hermitian, projector
 from .states import PureState
@@ -81,7 +97,7 @@ KINDS = (
 )
 
 
-# --- literal helpers ---
+# --- literal parsers ---
 
 
 def _is_int(value) -> bool:
@@ -89,45 +105,31 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _amplitude(entry, where: str) -> complex:
-    if _is_real(entry):
-        return complex(entry, 0.0)
-    if isinstance(entry, list) and len(entry) == 2 and all(map(_is_real, entry)):
-        return complex(entry[0], entry[1])
-    raise ScenarioSchemaError(f"{where}: amplitude {entry!r} is not a number or [re, im] pair")
-
-
-def state_from_literal(obj, where: str) -> np.ndarray:
+def state_from_literal(obj) -> np.ndarray:
     """Resolve a state literal to a normalized vector."""
     if isinstance(obj, dict) and "basis" in obj:
         dim = obj.get("dim")
         if not _is_int(dim) or not 2 <= dim <= MAX_STATE_DIM:
-            raise ScenarioSchemaError(
-                f"{where}: basis state needs an integer dim from 2 to {MAX_STATE_DIM}"
-            )
+            raise ScenarioSchemaError(f"basis state needs an integer dim from 2 to {MAX_STATE_DIM}")
         idx = obj["basis"]
         if not _is_int(idx) or not 0 <= idx < dim:
-            raise ScenarioSchemaError(f"{where}: basis index {idx} out of range")
+            raise ScenarioSchemaError(f"basis index {idx} out of range")
         vec = np.zeros(dim, dtype=complex)
         vec[idx] = 1.0
         return vec
     if isinstance(obj, dict) and "vector" in obj:
         entries = obj["vector"]
         if not isinstance(entries, list) or not entries:
-            raise ScenarioSchemaError(f"{where}: vector must be a non-empty list of amplitudes")
-        vec = np.array([_amplitude(c, where) for c in entries], dtype=complex)
+            raise ScenarioSchemaError("vector must be a non-empty list of amplitudes")
+        vec = np.array([complex_from_literal(c) for c in entries], dtype=complex)
         norm = np.linalg.norm(vec)
         if not abs(norm - 1.0) <= 1e-6:
-            raise ScenarioSchemaError(f"{where}: state vector norm {norm:.6g} is not 1")
+            raise ScenarioSchemaError(f"state vector norm {norm:.6g} is not 1")
         return vec / norm
-    raise ScenarioSchemaError(f"{where}: unrecognized state literal")
+    raise ScenarioSchemaError("unrecognized state literal")
 
 
-def channel_from_literal(obj, where: str) -> KrausChannel:
+def channel_from_literal(obj) -> KrausChannel:
     from .channels import amplitude_damping_channel, dephasing_channel, depolarizing_channel
 
     if isinstance(obj, dict) and "channel" in obj:
@@ -138,22 +140,207 @@ def channel_from_literal(obj, where: str) -> KrausChannel:
             dim = obj.get("dim", 2)
             if not _is_int(dim) or dim < 2 or dim * dim > MAX_STATE_DIM:
                 top = math.isqrt(MAX_STATE_DIM)
-                raise ScenarioSchemaError(
-                    f"{where}: depolarizing dim {dim!r} is not an integer from 2 to {top}"
-                )
+                raise ScenarioSchemaError(f"depolarizing dim {dim!r} is not an integer from 2 to {top}")
             return depolarizing_channel(dim)
         if name == "amplitude_damping":
-            gamma = obj.get("gamma", 0.5)
-            if not _is_real(gamma):
-                raise ScenarioSchemaError(f"{where}: damping rate {gamma!r} is not a number")
-            return amplitude_damping_channel(float(gamma))
-        raise ScenarioSchemaError(f"{where}: unknown channel name {name!r}")
+            return amplitude_damping_channel(real_from_literal(obj.get("gamma", 0.5)))
+        raise ScenarioSchemaError(f"unknown channel name {name!r}")
     if isinstance(obj, dict) and "kraus" in obj:
+        return KrausChannel(kraus_from_literal(obj))
+    raise ScenarioSchemaError("unrecognized channel literal")
+
+
+def _observable(rows) -> np.ndarray:
+    obs = matrix_from_json(rows)
+    if not is_hermitian(obs):
+        raise ScenarioSchemaError("observable must be Hermitian")
+    return obs
+
+
+def _knit_gate(obj) -> KnitGate:
+    if not isinstance(obj, dict) or not isinstance(obj.get("targets"), list):
+        raise ScenarioSchemaError("needs a targets list")
+    return KnitGate(
+        matrix=gate_from_literal(obj), targets=tuple(obj["targets"]), cut=bool(obj.get("cut", False))
+    )
+
+
+# --- script steps ---
+
+
+def _ebit(ebits: dict, rid) -> int:
+    """The engine's id of the ebit a script distributed as ``rid``."""
+    if rid not in ebits:
+        raise ResourceError(f"ebit {rid} was never distributed")
+    return ebits[rid]
+
+
+def _script_step(n: int, step, parties: list):
+    """Step ``n`` of a script, parsed: a function (engine, ebit ids, bits,
+    rng) that runs the step and returns the readout bit of a
+    `final_measure`, else None. ``ebit ids`` maps the script's resource ids
+    to the engine's and ``bits`` collects the recorded outcomes.
+
+    A malformed literal raises ScenarioSchemaError here. A malformed field
+    gives a step that raises its ScenarioSemanticError when it runs, so the
+    dry run reports it together with the errors of the other steps.
+    """
+    if not isinstance(step, dict) or "op" not in step:
+        raise ScenarioSchemaError("each step needs an op")
+    try:
+        return _parse_step(n, step, parties)
+    except ScenarioSemanticError as exc:
+        error = exc
+
+        def refused(*_):
+            raise error
+
+        return refused
+
+
+def _parse_step(n: int, step: dict, parties: list):
+    op = step["op"]
+
+    def party(key="party"):
+        name = step.get(key)
+        if name not in parties:
+            raise ScenarioSemanticError(f"{key} {name!r} is not one of the parties")
+        return name
+
+    def label(key):
+        value = step.get(key)
+        if not isinstance(value, str):
+            raise ScenarioSemanticError(f"{key} {value!r} is not a string")
+        return value
+
+    def labels():
+        value = step.get("labels")
+        if not (isinstance(value, list) and value and all(isinstance(v, str) for v in value)):
+            raise ScenarioSemanticError("labels must be a non-empty list of register labels")
+        return value
+
+    def record(prefix):
+        return step.get("record", f"{prefix}_{n}")
+
+    # Literals first, so that no field error hides a schema error.
+    if op in ("prepare_state", "isi_inject", "final_measure"):
+        state = state_from_literal(step.get("state"))
+    if op in ("prepare_program", "local_gate"):
+        gate = gate_from_literal(step.get("gate"))
+    for key in ("party", "party_a", "party_b"):
+        if key in step:
+            party(key)
+    rid = step.get("resource")
+    if rid is not None and not (_is_int(rid) or isinstance(rid, str)):
+        raise ScenarioSemanticError(f"resource {rid!r} is not an integer or a string")
+    if not isinstance(step.get("record", ""), str):
+        raise ScenarioSemanticError("record must be a string")
+
+    if op == "prepare_state":
+        who, lab = party(), label("label")
+        return lambda eng, ebits, bits, rng: eng.alloc(who, lab, state)
+    if op == "prepare_program":
+        program = choi_of(gate)
+        who, out, inp = party(), label("out_label"), label("in_label")
+        return lambda eng, ebits, bits, rng: eng.alloc_program(who, program, out, inp)
+    if op == "local_gate":
+        who, labs = party(), labels()
+        return lambda eng, ebits, bits, rng: eng.apply_local(who, gate, labs)
+    if op == "broadcast":
+        count = step.get("bits")
+        if not _is_int(count) or count < 0:
+            raise ScenarioSemanticError("bits must be a non-negative integer")
+        return lambda eng, ebits, bits, rng: eng.broadcast(count)
+    if op == "distribute_ebit":
+        d = step.get("dim", 2)
+        if not _is_int(d) or d < 2 or d * d > MAX_STATE_DIM:
+            top = math.isqrt(MAX_STATE_DIM)
+            raise ScenarioSemanticError(f"ebit dim {d!r} is not an integer from 2 to {top}")
+        if rid is None:
+            raise ScenarioSemanticError("distribute_ebit needs a resource id")
+        pa, pb, la, lb = party("party_a"), party("party_b"), label("label_a"), label("label_b")
+
+        def distribute(eng, ebits, bits, rng):
+            if rid in ebits:
+                raise ResourceError(f"ebit {rid} distributed twice")
+            ebits[rid] = eng.distribute_ebit(pa, pb, la, lb, d)
+
+        return distribute
+    if op == "isi_inject":
+        p0 = projector(np.conj(state))
+        who, inp, rec = party(), label("in_label"), record("isi")
+
+        def inject(eng, ebits, bits, rng):
+            bit, _ = eng.measure_binary(who, p0, [inp], rng=rng)
+            bits[rec] = int(bit)
+            eng.broadcast(1)
+            eng.discard([inp])
+
+        return inject
+    if op == "oqt_link":
+        # Without a resource it is a local link inside one party: no ebit.
+        who, labs, rec = party(), labels(), record("parity")
+
+        def link(eng, ebits, bits, rng):
+            bell = bell_projector(eng.layout.dim(labs[0]))
+            bit, _ = eng.measure_binary(who, bell, labs, rng=rng)
+            bits[rec] = int(bit)
+            eng.broadcast(1)
+            eng.record_oqt()
+            if rid is not None:
+                eng.consume_ebit(_ebit(ebits, rid))
+            eng.discard(labs)
+
+        return link
+    if op == "bell_measure_qt":
+        who, lab, rec = party(), label("state_label"), record("teleport")
+
+        def teleport(eng, ebits, bits, rng):
+            eng.check_owned(who, [lab])
+            _, byproduct = teleport_state(eng, lab, _ebit(ebits, rid), rng=rng)
+            bits[rec] = int(byproduct)
+
+        return teleport
+    if op == "remote_cnot":
+        who, ctrl, tgt, rec = party(), label("control"), label("target"), record("cnot")
+
+        def cnot(eng, ebits, bits, rng):
+            eng.check_owned(who, [ctrl])
+            m1, m2 = remote_cnot(eng, ctrl, tgt, _ebit(ebits, rid), rng=rng)
+            bits[rec] = int(2 * m1 + m2)
+
+        return cnot
+    if op == "final_measure":
+        p0 = projector(state)
+        who, labs = party(), labels()
+
+        def measure(eng, ebits, bits, rng):
+            bit, _ = eng.measure_binary(who, p0, labs, rng=rng)
+            eng.broadcast(1)
+            return int(bit)
+
+        return measure
+    raise ScenarioSemanticError(f"unknown op {op!r}")
+
+
+def _dry_run(sc: dict) -> list[str]:
+    """Run a parsed script once and return the errors of its steps.
+
+    It continues past a failing step. A CapacityError stops it and is raised.
+    """
+    eng = ProtocolEngine(*sc["parties"])
+    ebits: dict = {}
+    bits: dict[str, int] = {}
+    rng = np.random.default_rng(sc["seed"])
+    out = []
+    for n, step in enumerate(sc["steps"]):
         try:
-            return KrausChannel(kraus_from_literal(obj))
+            step(eng, ebits, bits, rng)
+        except CapacityError as exc:
+            raise CapacityError(f"step {n}: {exc}") from exc
         except ObliqError as exc:
-            raise ScenarioSchemaError(f"{where}: {exc}") from exc
-    raise ScenarioSchemaError(f"{where}: unrecognized channel literal")
+            out.append(f"step {n}: {exc}")
+    return out
 
 
 # --- validation ---
@@ -161,129 +348,96 @@ def channel_from_literal(obj, where: str) -> KrausChannel:
 
 def load_scenario(path: str | Path) -> dict:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        data = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, not JSON, or too many digits
         raise ScenarioParseError(f"cannot read {path}: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioParseError(f"{path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ScenarioParseError(f"{path}: top level must be an object")
     return data
 
 
-def _schema_violations(sc: dict) -> list[str]:
-    out = []
-    if sc.get("version") != SCENARIO_VERSION:
+def _parsed(raw: dict) -> tuple[dict, list[str]]:
+    """A copy of ``raw`` with each literal swapped for its parsed value, and
+    the schema violations met on the way."""
+    sc, out = dict(raw), []
+    if raw.get("version") != SCENARIO_VERSION:
         out.append(f"version must be {SCENARIO_VERSION}")
-    seed = sc.get("seed")
+    seed = raw.get("seed")
     if not _is_int(seed) or not 0 <= seed < 2**64:
         out.append("seed must be a 64-bit unsigned integer")
-    shots = sc.get("shots")
+    shots = raw.get("shots")
     if not _is_int(shots) or shots < 1:
         out.append("shots must be an integer >= 1")
-    tol = sc.get("tolerance", 1e-9)
-    if not _is_real(tol) or not tol > 0:
+    if not isinstance(raw.get("out", ""), str):
+        out.append("out must be a string")
+    try:
+        tol = real_from_literal(raw.get("tolerance", 1e-9))
+    except ScenarioSchemaError:
+        tol = math.nan
+    if not tol > 0:
         out.append("tolerance must be a positive number")
-    kind = sc.get("kind")
+    sc["tolerance"] = tol
+    kind = raw.get("kind")
     if kind not in KINDS:
         out.append(f"kind must be one of {KINDS}")
-        return out
+        return sc, out
 
-    def check_gate(obj, where):
+    def parse(key, parser):
+        if key not in raw:
+            out.append(f"{kind} scenario needs {key}")
+            return
         try:
-            gate_from_literal(obj)
+            sc[key] = parser(raw[key])
         except ObliqError as exc:
-            out.append(f"{where}: {exc}")
+            out.append(f"{key}: {exc}")
 
-    def check_state(obj, where):
-        try:
-            state_from_literal(obj, where)
-        except ObliqError as exc:
-            out.append(str(exc))
-
-    def need_states(*keys):
-        for key in keys:
-            if key not in sc:
-                out.append(f"{kind} scenario needs {key}")
-            else:
-                check_state(sc[key], key)
-
-    def need_gate_lists(*keys):
-        for key in keys:
-            progs = sc.get(key)
-            if not isinstance(progs, list) or not progs:
-                out.append(f"{key} must be a non-empty list of gate literals")
-            else:
-                for n, g in enumerate(progs):
-                    check_gate(g, f"{key}[{n}]")
+    def parse_each(key, parser, what="a non-empty list", fits=len):
+        items = raw.get(key)
+        if not isinstance(items, list) or not fits(items):
+            out.append(f"{key} must be {what}")
+            return
+        sc[key] = []
+        for n, item in enumerate(items):
+            try:
+                sc[key].append(parser(item))
+            except ObliqError as exc:
+                out.append(f"{key}[{n}]: {exc}")
 
     if kind == "dbqc":
-        need_states("input_state", "readout_state")
-        need_gate_lists("alice_programs", "bob_programs")
+        parse("input_state", state_from_literal)
+        parse("readout_state", state_from_literal)
+        parse_each("alice_programs", gate_from_literal)
+        parse_each("bob_programs", gate_from_literal)
     elif kind == "triparty":
-        if sc.get("scheme") not in ("I", "II"):
+        if raw.get("scheme") not in ("I", "II"):
             out.append("scheme must be 'I' or 'II'")
-        need_states("psi_a", "psi_b", "readout_state")
+        for key in ("psi_a", "psi_b", "readout_state"):
+            parse(key, state_from_literal)
         for key in ("a_program", "b_program", "nonlocal_program"):
-            if key not in sc:
-                out.append(f"triparty scenario needs {key}")
-            else:
-                check_gate(sc[key], key)
+            parse(key, gate_from_literal)
     elif kind == "pingpong":
-        need_states("input_state", "readout_state")
-        need_gate_lists("programs")
-        if sc.get("blocks", 2) != 2:
+        parse("input_state", state_from_literal)
+        parse("readout_state", state_from_literal)
+        parse_each("programs", gate_from_literal)
+        if raw.get("blocks", 2) != 2:
             out.append("blocks must be 2")
     elif kind == "knitting":
-        if sc.get("mode", "exact_sum") not in ("exact_sum", "sampled"):
+        if raw.get("mode", "exact_sum") not in ("exact_sum", "sampled"):
             out.append("mode must be exact_sum or sampled")
-        nq = sc.get("num_qudits")
+        nq = raw.get("num_qudits")
         if not _is_int(nq) or nq < 1:
             out.append("num_qudits must be an integer >= 1")
-        ld = sc.get("local_dim", 2)
+        ld = raw.get("local_dim", 2)
         if not _is_int(ld) or ld < 2:
             out.append("local_dim must be an integer >= 2")
-        gates = sc.get("gates")
-        if not isinstance(gates, list):
-            out.append("gates must be a list")
-        else:
-            for n, g in enumerate(gates):
-                if not isinstance(g, dict) or not isinstance(g.get("targets"), list):
-                    out.append(f"gates[{n}] needs a targets list")
-                    continue
-                check_gate(g, f"gates[{n}]")
-        if "observable" not in sc:
-            out.append("knitting scenario needs an observable")
-        else:
-            try:
-                obs = matrix_from_json(sc["observable"])
-                if not is_hermitian(obs):
-                    out.append("observable must be Hermitian")
-            except ObliqError as exc:
-                out.append(f"observable: {exc}")
-        if "input_state" in sc:
-            check_state(sc["input_state"], "input_state")
+        parse_each("gates", _knit_gate, "a list", fits=lambda items: True)
+        parse("observable", _observable)
+        if "input_state" in raw:
+            parse("input_state", state_from_literal)
     elif kind == "channel_composition":
-        chans = sc.get("channels")
-        if not isinstance(chans, list) or len(chans) != 2:
-            out.append("channels must be a list of exactly two channel literals")
-        else:
-            for n, ch in enumerate(chans):
-                try:
-                    channel_from_literal(ch, f"channels[{n}]")
-                except ObliqError as exc:
-                    out.append(str(exc))
+        parse_each("channels", channel_from_literal, "a list of two", fits=lambda items: len(items) == 2)
     elif kind == "script":
-        steps = sc.get("steps")
-        if not isinstance(steps, list) or not steps:
-            out.append("script scenario needs a non-empty steps list")
-        else:
-            for n, step in enumerate(steps):
-                if not isinstance(step, dict) or "op" not in step:
-                    out.append(f"steps[{n}]: each step needs an op")
-        parties = sc.get("parties")
+        parties = raw.get("parties")
         if (
             not isinstance(parties, list)
             or not parties
@@ -291,179 +445,44 @@ def _schema_violations(sc: dict) -> list[str]:
             or len(set(parties)) != len(parties)
         ):
             out.append("script scenario needs a list of distinct party names")
-    return out
-
-
-_SCRIPT_OPS = (
-    "prepare_state",
-    "prepare_program",
-    "distribute_ebit",
-    "local_gate",
-    "isi_inject",
-    "oqt_link",
-    "bell_measure_qt",
-    "remote_cnot",
-    "final_measure",
-    "broadcast",
-)
-
-
-def _script_semantic_violations(sc: dict) -> list[str]:
-    out = []
-    parties = list(sc.get("parties", []))
-    held: dict[str, str] = {}
-    dims: dict[str, int] = {}
-    ebits: dict[int, dict] = {}
-
-    def need_register(step_no, label, party=None):
-        if not isinstance(label, str):
-            out.append(f"step {step_no}: register label {label!r} is not a string")
-            return False
-        if label not in held:
-            out.append(f"step {step_no}: register {label!r} is not live")
-            return False
-        if party is not None and held[label] != party:
-            out.append(
-                f"step {step_no}: register {label!r} belongs to {held[label]!r}, not {party!r}"
-            )
-            return False
-        return True
-
-    def new_label(step_no, step, key):
-        """``step[key]``, a label for a new register, or None if it is not one."""
-        label = step.get(key)
-        if not isinstance(label, str):
-            out.append(f"step {step_no}: {key} {label!r} is not a string")
-            return None
-        if label in held:
-            out.append(f"step {step_no}: register {label!r} already live")
-        return label
-
-    def label_list(step_no, step):
-        labels = step.get("labels", [])
-        if isinstance(labels, list):
-            return labels
-        out.append(f"step {step_no}: labels must be a list of register labels")
-        return []
-
-    for n, step in enumerate(sc.get("steps", [])):
-        op = step.get("op")
-        if op not in _SCRIPT_OPS:
-            out.append(f"step {n}: unknown op {op!r}")
-            continue
-        if not isinstance(step.get("record", ""), str):
-            out.append(f"step {n}: record must be a string")
-        rid = step.get("resource")
-        if rid is not None and not (_is_int(rid) or isinstance(rid, str)):
-            out.append(f"step {n}: resource {rid!r} is not an integer or a string")
-            continue
-        party = step.get("party") or step.get("party_a") or step.get("control_party")
-        if party is not None and party not in parties:
-            out.append(f"step {n}: unknown party {party!r}")
-            continue
-        if op == "prepare_state":
-            label = new_label(n, step, "label")
-            try:
-                vec = state_from_literal(step.get("state"), f"step {n}")
-                if label is not None:
-                    held[label] = party
-                    dims[label] = vec.shape[0]
-            except ObliqError as exc:
-                out.append(str(exc))
-        elif op == "prepare_program":
-            labels = [new_label(n, step, key) for key in ("out_label", "in_label")]
-            try:
-                gate = gate_from_literal(step.get("gate"))
-                for label in labels:
-                    if label is not None:
-                        held[label] = party
-                        dims[label] = gate.shape[0]
-            except ObliqError as exc:
-                out.append(f"step {n}: {exc}")
-        elif op == "distribute_ebit":
-            if rid in ebits:
-                out.append(f"step {n}: ebit {rid} distributed twice")
-            pb = step.get("party_b")
-            if pb not in parties:
-                out.append(f"step {n}: unknown party {pb!r}")
-                continue
-            d = step.get("dim", 2)
-            if not _is_int(d) or d < 2 or d * d > MAX_STATE_DIM:
-                top = math.isqrt(MAX_STATE_DIM)
-                out.append(f"step {n}: ebit dim {d!r} is not an integer from 2 to {top}")
-                continue
-            ebits[rid] = {"used": False}
-            for key, owner in (("label_a", party), ("label_b", pb)):
-                label = new_label(n, step, key)
-                if label is not None:
-                    held[label] = owner
-                    dims[label] = d
-        elif op in ("oqt_link", "bell_measure_qt", "remote_cnot"):
-            # A local OQT link (no resource) consumes no ebit.
-            if op != "oqt_link" or rid is not None:
-                if rid not in ebits:
-                    out.append(f"step {n}: ebit {rid} was never distributed")
-                elif ebits[rid]["used"]:
-                    out.append(f"step {n}: ebit {rid} already consumed")
-                else:
-                    ebits[rid]["used"] = True
-            for key in ("labels", "state_label", "control", "target"):
-                val = step.get(key)
-                labs = val if isinstance(val, list) else [val] if val else []
-                for lab in labs:
-                    need_register(n, lab)
-        elif op == "local_gate":
-            try:
-                gate_from_literal(step.get("gate"))
-            except ObliqError as exc:
-                out.append(f"step {n}: {exc}")
-            for lab in label_list(n, step):
-                need_register(n, lab, party)
-        elif op == "isi_inject":
-            if need_register(n, step.get("in_label"), party):
+            parties = []
+        steps = raw.get("steps")
+        if not isinstance(steps, list) or not steps:
+            out.append("script scenario needs a non-empty steps list")
+        else:
+            sc["steps"] = []
+            for n, step in enumerate(steps):
                 try:
-                    state_from_literal(step.get("state"), f"step {n}")
+                    sc["steps"].append(_script_step(n, step, parties))
                 except ObliqError as exc:
-                    out.append(str(exc))
-        elif op == "final_measure":
-            for lab in label_list(n, step):
-                need_register(n, lab, party)
-            try:
-                state_from_literal(step.get("state"), f"step {n}")
-            except ObliqError as exc:
-                out.append(str(exc))
-        elif op == "broadcast":
-            if not _is_int(step.get("bits")) or step.get("bits") < 0:
-                out.append(f"step {n}: bits must be a non-negative integer")
-    return out
+                    out.append(f"step {n}: {exc}")
+    return sc, out
 
 
 def _semantic_violations(sc: dict) -> list[str]:
     out = []
-    kind = sc.get("kind")
+    kind = sc["kind"]
     if kind in ("dbqc", "pingpong"):
-        d = len(state_from_literal(sc["input_state"], "input_state"))
-        if len(state_from_literal(sc["readout_state"], "readout_state")) != d:
+        d = len(sc["input_state"])
+        if len(sc["readout_state"]) != d:
             out.append("readout_state dimension differs from input_state")
         keys = ("alice_programs", "bob_programs") if kind == "dbqc" else ("programs",)
         for key in keys:
             for n, g in enumerate(sc[key]):
-                if gate_from_literal(g).shape[0] != d:
+                if g.shape[0] != d:
                     out.append(f"{key}[{n}] does not act on dimension {d}")
     elif kind == "triparty":
-        da = len(state_from_literal(sc["psi_a"], "psi_a"))
-        db = len(state_from_literal(sc["psi_b"], "psi_b"))
-        do = len(state_from_literal(sc["readout_state"], "readout_state"))
-        if do != da * db:
+        da, db = len(sc["psi_a"]), len(sc["psi_b"])
+        if len(sc["readout_state"]) != da * db:
             out.append("readout_state must live on the joint A x B space")
-        if gate_from_literal(sc["a_program"]).shape[0] != da:
+        if sc["a_program"].shape[0] != da:
             out.append("a_program does not act on psi_a")
-        if gate_from_literal(sc["b_program"]).shape[0] != db:
+        if sc["b_program"].shape[0] != db:
             out.append("b_program does not act on psi_b")
-        u = gate_from_literal(sc["nonlocal_program"])
+        u = sc["nonlocal_program"]
         if u.shape[0] != da * db:
             out.append("nonlocal_program must act on the joint A x B space")
-        elif sc.get("scheme") == "II":
+        elif sc["scheme"] == "II":
             try:
                 controlled_block(u, db)
             except ObliqError:
@@ -473,32 +492,27 @@ def _semantic_violations(sc: dict) -> list[str]:
         dim = _knit_dim(sc)
         if dim is None:
             return out  # width checks are meaningless; the capacity stage reports it
-        for n, g in enumerate(sc.get("gates", [])):
-            targets = g.get("targets", [])
-            if not all(_is_int(t) and 0 <= t < nq for t in targets):
+        for n, g in enumerate(sc["gates"]):
+            if not all(_is_int(t) and 0 <= t < nq for t in g.targets):
                 out.append(f"gates[{n}]: targets out of range")
                 continue
-            if len(set(targets)) != len(targets):
+            if len(set(g.targets)) != len(g.targets):
                 out.append(f"gates[{n}]: repeated target")
                 continue
-            mat = gate_from_literal(g)
-            if mat.shape[0] != ld ** len(targets):
+            if g.matrix.shape[0] != ld ** len(g.targets):
                 out.append(f"gates[{n}]: matrix does not match its targets")
-            if g.get("cut") and len(targets) != 2:
+            if g.cut and len(g.targets) != 2:
                 out.append(f"gates[{n}]: cut gates must touch exactly two qudits")
-        obs = matrix_from_json(sc["observable"])
-        if obs.shape[0] != dim:
+        if sc["observable"].shape[0] != dim:
             out.append("observable does not match the circuit width")
-        if "input_state" in sc:
-            if len(state_from_literal(sc["input_state"], "input_state")) != dim:
-                out.append("input_state does not match the circuit width")
+        if "input_state" in sc and len(sc["input_state"]) != dim:
+            out.append("input_state does not match the circuit width")
     elif kind == "channel_composition":
-        c1 = channel_from_literal(sc["channels"][0], "channels[0]")
-        c2 = channel_from_literal(sc["channels"][1], "channels[1]")
+        c1, c2 = sc["channels"]
         if c1.out_dim != c2.in_dim:
             out.append("channels cannot be chained: dimensions mismatch")
     elif kind == "script":
-        out.extend(_script_semantic_violations(sc))
+        out.extend(_dry_run(sc))
     return out
 
 
@@ -520,7 +534,7 @@ def _knit_dim(sc: dict) -> int | None:
 
 
 def _capacity_violations(sc: dict) -> list[str]:
-    kind = sc.get("kind")
+    kind = sc["kind"]
     if kind == "knitting" and _knit_dim(sc) is None:
         ld, nq = sc.get("local_dim", 2), sc["num_qudits"]
         return [f"circuit dimension {ld}**{nq} exceeds the cap {MAX_STATE_DIM}"]
@@ -535,10 +549,12 @@ def _capacity_violations(sc: dict) -> list[str]:
     return []
 
 
-def validate_scenario(path: str | Path) -> dict:
-    """Parse and fully validate a scenario file; raises staged errors."""
-    sc = load_scenario(path)
-    schema = _schema_violations(sc)
+def validate_scenario(scenario: str | Path | dict) -> dict:
+    """Validate a scenario and return it resolved: a copy with each literal
+    swapped for its parsed value. ``scenario`` is a file path, or a loaded
+    scenario with any flag overrides applied. Raises staged errors."""
+    raw = scenario if isinstance(scenario, dict) else load_scenario(scenario)
+    sc, schema = _parsed(raw)
     if schema:
         raise ScenarioSchemaError("; ".join(schema))
     semantic = _semantic_violations(sc)
@@ -553,13 +569,12 @@ def validate_scenario(path: str | Path) -> dict:
 # --- runners ---
 
 
-def _state(obj, label: str = "s") -> PureState:
-    vec = state_from_literal(obj, label)
-    return PureState(RegisterLayout.of((label, vec.shape[0])), vec)
+def _state(vec: np.ndarray) -> PureState:
+    return PureState(RegisterLayout.of(("s", vec.shape[0])), vec)
 
 
-def _programs(literals) -> list[ChoiProgram]:
-    return [choi_of(gate_from_literal(g)) for g in literals]
+def _programs(gates) -> list[ChoiProgram]:
+    return [choi_of(g) for g in gates]
 
 
 def _run_dbqc(sc: dict, rng: np.random.Generator):
@@ -589,7 +604,7 @@ def _run_triparty(sc: dict, rng: np.random.Generator):
 def _run_pingpong(sc: dict, rng: np.random.Generator):
     programs = _programs(sc["programs"])
     psi_in = _state(sc["input_state"])
-    psi_o = state_from_literal(sc["readout_state"], "readout_state")
+    psi_o = sc["readout_state"]
 
     patterns, probs, qvals, ledger = pingpong_branches(programs, psi_in, psi_o)
     probs = check_path_probabilities(probs)
@@ -605,22 +620,13 @@ def _run_pingpong(sc: dict, rng: np.random.Generator):
 
 
 def _run_knitting(sc: dict, rng: np.random.Generator):
-    ld = sc.get("local_dim", 2)
-    gates = tuple(
-        KnitGate(
-            matrix=gate_from_literal(g),
-            targets=tuple(g["targets"]),
-            cut=bool(g.get("cut", False)),
-        )
-        for g in sc["gates"]
-    )
-    input_state = (
-        state_from_literal(sc["input_state"], "input_state") if "input_state" in sc else None
-    )
     circuit = KnitCircuit(
-        num_qudits=sc["num_qudits"], gates=gates, local_dim=ld, input_state=input_state
+        num_qudits=sc["num_qudits"],
+        gates=tuple(sc["gates"]),
+        local_dim=sc.get("local_dim", 2),
+        input_state=sc.get("input_state"),
     )
-    observable = matrix_from_json(sc["observable"])
+    observable = sc["observable"]
     mode = sc.get("mode", "exact_sum")
     shots = sc["shots"]
     if mode == "sampled":
@@ -634,21 +640,19 @@ def _run_knitting(sc: dict, rng: np.random.Generator):
 
 
 def _run_channel_composition(sc: dict, rng: np.random.Generator):
-    e1 = channel_from_literal(sc["channels"][0], "channels[0]")
-    e2 = channel_from_literal(sc["channels"][1], "channels[1]")
+    e1, e2 = sc["channels"]
     p1, p2 = choi_of(e1), choi_of(e2)
     branch0, _ = oqt_compose_choi(p1, p2)
     composed = KrausChannel([b @ a for b in e2.kraus for a in e1.kraus])
     direct = choi_of(composed)
     distance = float(np.linalg.norm(branch0.post_state.matrix - direct.density()))
-    tol = float(sc.get("tolerance", 1e-9))
     ledger = ResourceLedger(oqt_ops=1, max_live_registers=4, depth=1)
     shots = sc["shots"]
     columns = {
         "branch": _constant(0, shots),
         "branch_probability": _constant(float(branch0.probability), shots),
         "frobenius_distance": _constant(distance, shots),
-        "within_tolerance": _constant(distance <= tol, shots),
+        "within_tolerance": _constant(distance <= sc["tolerance"], shots),
     }
     return distance, 0.0, ledger, columns
 
@@ -717,59 +721,16 @@ def _run_script(sc: dict, rng: np.random.Generator):
 
 
 def _execute_script_once(sc: dict, rng: np.random.Generator):
+    """One run of a parsed script: its recorded bits, readout bit (None
+    without a `final_measure`) and ledger."""
     eng = ProtocolEngine(*sc["parties"])
-    ebit_ids: dict = {}
+    ebits: dict = {}
     bits: dict[str, int] = {}
     final_bit = None
-    for n, step in enumerate(sc["steps"]):
-        op = step["op"]
-        if op == "prepare_state":
-            eng.alloc(step["party"], step["label"], state_from_literal(step["state"], f"step {n}"))
-        elif op == "prepare_program":
-            eng.alloc_program(
-                step["party"],
-                choi_of(gate_from_literal(step["gate"])),
-                step["out_label"],
-                step["in_label"],
-            )
-        elif op == "distribute_ebit":
-            ebit_ids[step["resource"]] = eng.distribute_ebit(
-                step["party_a"], step["party_b"], step["label_a"], step["label_b"], step.get("dim", 2)
-            )
-        elif op == "local_gate":
-            eng.apply_local(step["party"], gate_from_literal(step["gate"]), step["labels"])
-        elif op == "isi_inject":
-            vec = state_from_literal(step["state"], f"step {n}")
-            bit, _ = eng.measure_binary(
-                step["party"], projector(np.conj(vec)), [step["in_label"]], rng=rng
-            )
-            bits[step.get("record", f"isi_{n}")] = int(bit)
-            eng.broadcast(1)
-            eng.discard([step["in_label"]])
-        elif op == "oqt_link":
-            d = eng.layout.dim(step["labels"][0])
-            bit, _ = eng.measure_binary(
-                step["party"], bell_projector(d), step["labels"], rng=rng
-            )
-            bits[step.get("record", f"parity_{n}")] = int(bit)
-            eng.broadcast(1)
-            eng.record_oqt()
-            if step.get("resource") is not None:
-                eng.consume_ebit(ebit_ids[step["resource"]])
-            eng.discard(step["labels"])
-        elif op == "bell_measure_qt":
-            _, byproduct = teleport_state(eng, step["state_label"], ebit_ids[step["resource"]], rng=rng)
-            bits[step.get("record", f"teleport_{n}")] = int(byproduct)
-        elif op == "remote_cnot":
-            m1, m2 = remote_cnot(eng, step["control"], step["target"], ebit_ids[step["resource"]], rng=rng)
-            bits[step.get("record", f"cnot_{n}")] = int(2 * m1 + m2)
-        elif op == "broadcast":
-            eng.broadcast(step["bits"])
-        elif op == "final_measure":
-            vec = state_from_literal(step["state"], f"step {n}")
-            bit, _ = eng.measure_binary(step["party"], projector(vec), step["labels"], rng=rng)
-            eng.broadcast(1)
-            final_bit = int(bit)
+    for step in sc["steps"]:
+        bit = step(eng, ebits, bits, rng)
+        if bit is not None:
+            final_bit = bit
     return bits, final_bit, eng.ledger
 
 
@@ -897,34 +858,27 @@ def _write_records(path: Path, columns: dict, shots: int) -> None:
             )
 
 
-def _resolved_scenario(path: str | Path, overrides: dict) -> dict:
-    """The validated scenario with the flag overrides applied and re-checked."""
-    sc = validate_scenario(path)
-    for key in ("seed", "shots", "tolerance"):
-        if overrides.get(key) is not None:
-            sc[key] = overrides[key]
-    schema = _schema_violations(sc)
-    if schema:
-        raise ScenarioSchemaError("; ".join(schema))
-    return sc
+def _with_overrides(raw: dict, overrides: dict) -> dict:
+    """The loaded scenario with the --seed/--shots/--tolerance flags applied."""
+    flags = {key: overrides[key] for key in ("seed", "shots", "tolerance") if overrides.get(key) is not None}
+    return dict(raw, **flags)
 
 
 def run_scenario(path: str | Path, overrides: dict | None = None) -> Path:
-    """Validate, run, and write artifacts; returns the output directory."""
-    overrides = overrides or {}
-    sc = _resolved_scenario(path, overrides)
+    """Validate, run, and write artifacts; returns the output directory.
 
-    out_dir = overrides.get("out") or sc.get("out") or f"runs/{Path(path).stem}"
-    out_path = Path(out_dir)
-    out_path.mkdir(parents=True, exist_ok=True)
+    The directory is created only after the run succeeds."""
+    overrides = overrides or {}
+    raw = _with_overrides(load_scenario(path), overrides)
+    sc = validate_scenario(raw)
 
     rng = np.random.default_rng(sc["seed"])
     estimate, stderr, ledger, columns = _RUNNERS[sc["kind"]](sc, rng)
 
-    resolved = dict(sc)
-    (out_path / "resolved-scenario").write_text(
-        json.dumps(resolved, sort_keys=True, indent=2) + "\n"
-    )
+    out_dir = overrides.get("out") or raw.get("out") or f"runs/{Path(path).stem}"
+    out_path = Path(out_dir)
+    out_path.mkdir(parents=True, exist_ok=True)
+    (out_path / "resolved-scenario").write_text(json.dumps(raw, sort_keys=True, indent=2) + "\n")
 
     _write_records(out_path / "records.jsonl", columns, sc["shots"])
 
@@ -993,7 +947,7 @@ def main(argv=None) -> int:
             "tolerance": args.tolerance,
         }
         if args.validate_only:
-            _resolved_scenario(args.file, overrides)
+            validate_scenario(_with_overrides(load_scenario(args.file), overrides))
             print(f"{args.file}: valid")
             return 0
         out = run_scenario(args.file, overrides)

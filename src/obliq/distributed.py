@@ -159,7 +159,7 @@ class ProtocolEngine:
 
     def _probabilities(self, party: Party | str, ops, labels) -> np.ndarray:
         """tr(P rho_labels) for each operator P on the registers ``labels``."""
-        self._check_owned(party, labels)
+        self.check_owned(party, labels)
         reduced = self.reduced(labels)
         if any(p.shape != reduced.shape for p in ops):
             raise DimensionError(f"operator shapes do not match the registers {list(labels)}")
@@ -179,7 +179,9 @@ class ProtocolEngine:
             raise LocalityError(f"unknown party {name!r}")
         return name
 
-    def _check_owned(self, party: Party | str, labels) -> str:
+    def check_owned(self, party: Party | str, labels) -> str:
+        """The name of ``party``, after checking that it holds every register
+        in ``labels``; raises LocalityError otherwise."""
         name = self._party(party)
         for lab in labels:
             own = self.owner(lab)
@@ -295,7 +297,7 @@ class ProtocolEngine:
     # -- dynamics --
 
     def apply_local(self, party: Party | str, matrix: np.ndarray, labels) -> None:
-        self._check_owned(party, labels)
+        self.check_owned(party, labels)
         self._state = apply_on_targets(
             matrix, self._state, list(labels), self.layout, conjugate=True
         )
@@ -434,8 +436,11 @@ def check_path_probabilities(probs: np.ndarray) -> np.ndarray:
 
 
 def mean_stderr(values: np.ndarray) -> tuple[float, float]:
-    """The mean of per-shot values and its standard error (0 for one shot)."""
+    """The mean of per-shot values and its standard error (0 for one shot;
+    NaN and 0 for none)."""
     n = len(values)
+    if n == 0:
+        return math.nan, 0.0
     stderr = float(values.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
     return float(values.mean()), stderr
 
@@ -476,7 +481,7 @@ def _teleport(state_label: str, ebit: int):
 
     def step(eng: ProtocolEngine):
         ea, eb = _ebit_ends(eng, ebit, state_label)
-        source = eng._check_owned(eng.owner(state_label), [state_label, ea])
+        source = eng.check_owned(eng.owner(state_label), [state_label, ea])
         dest = eng.owner(eb)
         d = eng.layout.dim(state_label)
         if eng.layout.dim(ea) != d:
@@ -529,8 +534,8 @@ def _cat_entangler(control_label: str, target_label: str, ebit: int, gate: np.nd
 
     def ends(eng: ProtocolEngine):
         ea, eb = _ebit_ends(eng, ebit, control_label)
-        pa = eng._check_owned(eng.owner(control_label), [control_label, ea])
-        pb = eng._check_owned(eng.owner(target_label), [target_label, eb])
+        pa = eng.check_owned(eng.owner(control_label), [control_label, ea])
+        pb = eng.check_owned(eng.owner(target_label), [target_label, eb])
         return ea, eb, pa, pb
 
     def z_step(eng: ProtocolEngine):
@@ -808,8 +813,6 @@ def _run_triparty_scheme1(
 
     keep = k == 0
     kept = int(keep.sum())
-    if kept == 0:
-        raise EstimationError("no all-zero parity shots; increase the shot budget")
     eta = np.where((ba == 0) & (bb == 0), 1.0, -1.0)
     t_hat = 0.5 * (1.0 + eta * da * db * (y == 0))
     estimate, stderr = mean_stderr(t_hat[keep])
@@ -907,9 +910,10 @@ def run_triparty(
 
     Scheme I keeps the nonlocal program at station C and links both local
     branches to it with parity measurements; only all-zero total parity shots
-    enter the estimate.  Scheme II declares the nonlocal gate as a controlled
-    gate, realizes it with a cat-entangler and finishes with a teleportation,
-    so every shot counts but byproduct corrections force temporal order.
+    enter the estimate, which is NaN (stderr 0) when no shot has them.
+    Scheme II declares the nonlocal gate as a controlled gate, realizes it
+    with a cat-entangler and finishes with a teleportation, so every shot
+    counts but byproduct corrections force temporal order.
     Both schemes take the nonlocal program and the readout state from C.
     """
     if shots < 1:

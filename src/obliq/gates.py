@@ -2,11 +2,14 @@
 
 Gate literals appear in scenario files in three forms: a named gate with
 optional angle, an explicit matrix with complex entries written as
-``[re, im]`` pairs, or a Kraus list of such matrices.
+``[re, im]`` pairs, or a Kraus list of such matrices. Every numeric literal
+of a scenario (amplitudes, matrix entries, angles, rates, the tolerance) is
+read by `real_from_literal`, alone or through `complex_from_literal`.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
@@ -28,6 +31,33 @@ CZ = np.diag([1, 1, 1, -1]).astype(complex)
 SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
 )
+
+
+def real_from_literal(value) -> float:
+    """A JSON number as a finite float.
+
+    Bools, strings and other non-numbers, NaN, infinities and integers
+    beyond float range are schema errors.
+    """
+    # JSON floats skip the slower abstract-class check.
+    if type(value) is not float and (
+        isinstance(value, bool) or not isinstance(value, numbers.Real)
+    ):
+        raise ScenarioSchemaError(f"{value!r} is not a number")
+    try:
+        out = float(value)
+    except OverflowError:
+        raise ScenarioSchemaError("integer literal beyond float range") from None
+    if not math.isfinite(out):
+        raise ScenarioSchemaError(f"{value!r} is not a finite number")
+    return out
+
+
+def complex_from_literal(value) -> complex:
+    """A complex number written as a real or as an ``[re, im]`` pair of reals."""
+    if isinstance(value, list) and len(value) == 2:
+        return complex(real_from_literal(value[0]), real_from_literal(value[1]))
+    return complex(real_from_literal(value), 0.0)
 
 
 def ry(theta: float) -> np.ndarray:
@@ -66,31 +96,19 @@ def named_gate(name: str, theta: float | None = None) -> np.ndarray:
     if name in _PARAMETRIC:
         if theta is None:
             raise ScenarioSchemaError(f"gate {name} requires an angle")
-        if isinstance(theta, bool) or not isinstance(theta, numbers.Real):
-            raise ScenarioSchemaError(f"gate {name} angle {theta!r} is not a number")
-        return _PARAMETRIC[name](float(theta))
+        return _PARAMETRIC[name](real_from_literal(theta))
     raise ScenarioSchemaError(f"unknown gate name {name!r}")
 
 
 def matrix_from_json(rows) -> np.ndarray:
-    """Parse a matrix whose entries are [re, im] pairs (or bare reals)."""
-    try:
-        out = []
-        for row in rows:
-            r = []
-            for cell in row:
-                if isinstance(cell, (int, float)):
-                    r.append(complex(cell))
-                else:
-                    re, im = cell
-                    r.append(complex(float(re), float(im)))
-            out.append(r)
-        mat = np.array(out, dtype=complex)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioSchemaError(f"malformed matrix literal: {exc}") from exc
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] == 0:
-        raise ScenarioSchemaError(f"matrix literal must be square, got {mat.shape}")
-    return mat
+    """Parse a square matrix: a list of rows of `complex_from_literal` entries."""
+    if (
+        not isinstance(rows, list)
+        or not rows
+        or not all(isinstance(row, list) and len(row) == len(rows) for row in rows)
+    ):
+        raise ScenarioSchemaError("matrix literal must be a non-empty square list of rows")
+    return np.array([[complex_from_literal(c) for c in row] for row in rows], dtype=complex)
 
 
 def matrix_to_json(mat: np.ndarray) -> list:
@@ -120,7 +138,7 @@ def gate_from_literal(obj, require_unitary: bool = True) -> np.ndarray:
 def kraus_from_literal(obj) -> list[np.ndarray]:
     if not (isinstance(obj, dict) and "kraus" in obj):
         raise ScenarioSchemaError(f"unrecognized Kraus literal {obj!r}")
-    ops = [matrix_from_json(m) for m in obj["kraus"]]
-    if not ops:
-        raise ScenarioSchemaError("empty Kraus list")
-    return ops
+    ops = obj["kraus"]
+    if not isinstance(ops, list) or not ops:
+        raise ScenarioSchemaError("a Kraus list must be a non-empty list of matrices")
+    return [matrix_from_json(m) for m in ops]

@@ -62,6 +62,17 @@ def test_exit_code_parse_error(tmp_path):
     assert main(["validate", path]) == 2
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [b"\xff\xfe{}", b'{"seed": ' + b"1" * 5000 + b"}"],
+    ids=["not-utf8", "integer-past-digit-limit"],
+)
+def test_unreadable_text_is_a_parse_error(tmp_path, payload):
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(payload)
+    assert main(["validate", str(path)]) == 2
+
+
 def test_exit_code_schema_error(tmp_path):
     sc = _minimal_dbqc(alice_programs=[{"matrix": [[1, 1], [0, 1]]}])
     path = _write(tmp_path, "nonunitary.json", sc)
@@ -268,6 +279,16 @@ def test_non_numbers_are_schema_errors(tmp_path, over):
     assert not out.exists()
 
 
+def _script_teleport():
+    return json.loads((SCENARIO_DIR / "script-teleport.json").read_text())
+
+
+def _script_with(step_no, **fields):
+    sc = _script_teleport()
+    sc["steps"][step_no].update(fields)
+    return sc
+
+
 def _minimal_knitting(**over):
     sc = {
         "version": 1,
@@ -307,6 +328,14 @@ def _minimal_channel_composition(first):
         _minimal_channel_composition({"channel": "depolarizing", "dim": 33}),
         _minimal_knitting(gates=[{"name": "CNOT", "targets": 1}]),
         _minimal_dbqc(input_state={"basis": 0, "dim": 10**30}),
+        _minimal_dbqc(input_state={"vector": [10**400, 0]}),
+        _script_with(0, state={"vector": [10**400, 0]}),
+        _minimal_dbqc(alice_programs=[{"name": "RY", "theta": 10**400}]),
+        _minimal_channel_composition({"channel": "amplitude_damping", "gamma": 10**400}),
+        _minimal_dbqc(tolerance=10**400),
+        _minimal_dbqc(alice_programs=[{"matrix": [[["1", "0"], ["0", "0"]], [["0", "0"], ["1", "0"]]]}]),
+        _minimal_dbqc(alice_programs=[{"matrix": [[[True, False], [False, False]],
+                                                  [[False, False], [True, False]]]}]),
     ],
     ids=[
         "theta-string",
@@ -319,6 +348,13 @@ def _minimal_channel_composition(first):
         "dim-over-capacity",
         "knit-targets-int",
         "basis-dim-huge",
+        "amplitude-400-digits",
+        "script-amplitude-400-digits",
+        "theta-400-digits",
+        "gamma-400-digits",
+        "tolerance-400-digits",
+        "matrix-cells-strings",
+        "matrix-cells-bools",
     ],
 )
 def test_malformed_gate_and_channel_parameters_are_schema_errors(tmp_path, sc):
@@ -368,13 +404,32 @@ def test_bad_path_probability_is_not_renormalized(tmp_path, monkeypatch, capsys,
     monkeypatch.setattr(dist, "_branch_leaves", halved)
     assert main(["run", path, "--out", str(tmp_path / "bad")]) == 6
     assert "sum to 0.5" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", [3, 5, 6, 7, 8])
+def test_triparty_scheme1_without_kept_shots_estimates_nan(tmp_path, seed):
+    # At these seeds neither of 2 shots has all-zero parities.
+    golden = SCENARIO_DIR / "triparty-scheme1.json"
+    out = tmp_path / "few"
+    assert main(["run", str(golden), "--shots", "2", "--seed", str(seed), "--out", str(out)]) == 0
+    row = (out / "summary.csv").read_text().splitlines()[1].split(",")
+    assert row[3:5] == ["nan", "0.0"]
+    records = [json.loads(line) for line in (out / "records.jsonl").read_text().splitlines()]
+    assert [r["kept"] for r in records] == [False, False]
+
+
+def test_script_over_the_dimension_cap_is_refused_at_validation(tmp_path, capsys):
+    sc = _script_teleport()
+    sc["steps"].insert(0, {"op": "prepare_state", "party": "bob", "label": "big",
+                           "state": {"basis": 0, "dim": 512}})
+    path = _write(tmp_path, "too-wide.json", sc)
+    assert main(["validate", path]) == 5
+    assert "step 2: joint dimension" in capsys.readouterr().err
 
 
 # --- scripts: local OQT links and malformed step fields ---
-
-
-def _script_teleport():
-    return json.loads((SCENARIO_DIR / "script-teleport.json").read_text())
 
 
 def _local_oqt_script(**link):
@@ -410,9 +465,27 @@ def test_oqt_link_through_an_undistributed_ebit_is_refused(tmp_path, capsys):
     assert "ebit 4 was never distributed" in capsys.readouterr().err
 
 
-def _script_with(step_no, **fields):
+def _remote_cnot_script(party):
+    """A remote CNOT from alice's control to bob's target, acted on by ``party``."""
+    return {
+        "version": 1,
+        "kind": "script",
+        "seed": 4,
+        "shots": 20,
+        "parties": ["alice", "bob"],
+        "steps": [
+            {"op": "prepare_state", "party": "alice", "label": "c", "state": {"basis": 1, "dim": 2}},
+            {"op": "prepare_state", "party": "bob", "label": "t", "state": {"basis": 0, "dim": 2}},
+            {"op": "distribute_ebit", "party_a": "alice", "party_b": "bob",
+             "label_a": "ea", "label_b": "eb", "resource": 0},
+            {"op": "remote_cnot", "party": party, "control": "c", "target": "t", "resource": 0},
+        ],
+    }
+
+
+def _script_without(step_no, key):
     sc = _script_teleport()
-    sc["steps"][step_no].update(fields)
+    del sc["steps"][step_no][key]
     return sc
 
 
@@ -425,8 +498,25 @@ def _script_with(step_no, **fields):
         _script_with(1, resource=[0]),
         _script_with(2, resource={"id": 0}),
         _script_with(1, dim="x"),
+        _script_with(3, state={"basis": 0, "dim": 3}),
+        _script_without(0, "party"),
+        _script_with(1, dim=3),
+        _script_with(2, party="bob"),
+        _remote_cnot_script("bob"),
     ],
-    ids=["label-list", "label-dict", "labels-int", "resource-list", "resource-dict", "ebit-dim-string"],
+    ids=[
+        "label-list",
+        "label-dict",
+        "labels-int",
+        "resource-list",
+        "resource-dict",
+        "ebit-dim-string",
+        "final-measure-dim-3",
+        "step-without-party",
+        "teleport-through-dim-3-ebit",
+        "teleport-by-non-holder",
+        "remote-cnot-by-non-holder",
+    ],
 )
 def test_malformed_script_fields_are_semantic_errors(tmp_path, sc):
     path = _write(tmp_path, "bad-step.json", sc)
@@ -450,7 +540,7 @@ def test_knitting_width_cap_names_the_cap(tmp_path, capsys, num_qudits):
 JSON_VALUES = st.recursive(
     st.none()
     | st.booleans()
-    | st.integers(-(10**30), 10**30)
+    | st.integers(-(10**400), 10**400)
     | st.floats()
     | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
@@ -483,4 +573,8 @@ def test_validate_exits_only_with_input_codes(data, golden, fields):
         sc = _replaced(sc, path, data.draw(JSON_VALUES, label="value"))
     with tempfile.TemporaryDirectory() as tmp:
         path = _write(Path(tmp), "mutated.json", sc)
-        assert main(["validate", path]) in (0, 2, 3, 4, 5)
+        code = main(["validate", path])
+        assert code in (0, 2, 3, 4, 5)
+        if code == 0:
+            shots = str(min(sc["shots"], 500))
+            assert main(["run", path, "--shots", shots, "--out", str(Path(tmp) / "out")]) != 6

@@ -303,7 +303,8 @@ def test_pingpong_tree_matches_one_pass_per_pattern(seed, d, kraus):
 
 
 def _per_shot_run_script(sc, rng):
-    """The script runner with one `_execute_script_once` per shot."""
+    """The script runner with one `_execute_script_once` per shot, on a
+    resolved scenario."""
     shots = sc["shots"]
     runs = [cli._execute_script_once(sc, rng) for _ in range(shots)]
     ledger = runs[0][2]
@@ -368,7 +369,8 @@ def _script(rng, d, blocks, final, shots):
     if final:
         steps.append({"op": "final_measure", "party": parties[holder], "labels": [cur],
                       "state": _vector(rng, d)})
-    return {"kind": "script", "shots": shots, "parties": parties, "steps": steps}
+    return {"version": 1, "kind": "script", "seed": 0, "shots": shots, "parties": parties,
+            "steps": steps}
 
 
 def _assert_same_columns(got, want):
@@ -392,8 +394,7 @@ def _assert_same_columns(got, want):
     shots=st.integers(1, 60),
 )
 def test_script_tree_matches_one_run_per_shot(seed, d, blocks, final, shots):
-    sc = _script(np.random.default_rng(seed), d, blocks, final, shots)
-    assert cli._script_semantic_violations(sc) == []
+    sc = cli.validate_scenario(_script(np.random.default_rng(seed), d, blocks, final, shots))
     rng, ref_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
     estimate, stderr, ledger, columns = cli._run_script(sc, rng)
     want_estimate, want_stderr, want_ledger, want_columns = _per_shot_run_script(sc, ref_rng)

@@ -25,7 +25,8 @@ bytes are stable across versions unless CHANGES.md says otherwise.
 
 The dbqc, tri-party and ping-pong runners enumerate every branch pattern,
 then sample shots from the patterns' probabilities. They walk the outcome
-tree, so each outcome prefix is simulated once (see `distributed`). A
+tree, so each outcome prefix is simulated at most once, and dbqc and
+ping-pong merge branches whose engines agree (see `distributed`). A
 `script` run memoizes its outcome tree: each shot walks it from the root,
 drawing with the same generator calls a fresh script run would make, and
 runs the script only at a prefix not seen before. `MAX_BRANCH_BITS` caps
@@ -168,10 +169,15 @@ def _knit_gate(obj) -> KnitGate:
 # --- script steps ---
 
 
-def _ebit(ebits: dict, rid) -> int:
-    """The engine's id of the ebit a script distributed as ``rid``."""
+def _ebit(eng: ProtocolEngine, ebits: dict, rid) -> int:
+    """The engine's id of the unused ebit a script distributed as ``rid``.
+
+    Its errors name ``rid``, the id the script uses, not the engine's.
+    """
     if rid not in ebits:
         raise ResourceError(f"ebit {rid} was never distributed")
+    if eng.is_consumed(ebits[rid]):
+        raise ResourceError(f"ebit {rid} already consumed")
     return ebits[rid]
 
 
@@ -288,7 +294,7 @@ def _parse_step(n: int, step: dict, parties: list):
             eng.broadcast(1)
             eng.record_oqt()
             if rid is not None:
-                eng.consume_ebit(_ebit(ebits, rid))
+                eng.consume_ebit(_ebit(eng, ebits, rid))
             eng.discard(labs)
 
         return link
@@ -297,7 +303,7 @@ def _parse_step(n: int, step: dict, parties: list):
 
         def teleport(eng, ebits, bits, rng):
             eng.check_owned(who, [lab])
-            _, byproduct = teleport_state(eng, lab, _ebit(ebits, rid), rng=rng)
+            _, byproduct = teleport_state(eng, lab, _ebit(eng, ebits, rid), rng=rng)
             bits[rec] = int(byproduct)
 
         return teleport
@@ -306,7 +312,7 @@ def _parse_step(n: int, step: dict, parties: list):
 
         def cnot(eng, ebits, bits, rng):
             eng.check_owned(who, [ctrl])
-            m1, m2 = remote_cnot(eng, ctrl, tgt, _ebit(ebits, rid), rng=rng)
+            m1, m2 = remote_cnot(eng, ctrl, tgt, _ebit(eng, ebits, rid), rng=rng)
             bits[rec] = int(2 * m1 + m2)
 
         return cnot
@@ -516,9 +522,12 @@ def _semantic_violations(sc: dict) -> list[str]:
     return out
 
 
-# The dbqc and ping-pong runners simulate the outcome tree of every binary
-# measurement, 2**(bits + 1) - 1 engine segments; at this cap that is about
-# half a minute (README).
+# The dbqc and ping-pong runners walk the outcome tree of every binary
+# measurement, 2**(bits + 1) - 1 engine segments, merging branches whose
+# engines agree. Unitary programs merge to O(bits**2) segments, but a gate
+# that validation accepts can be far enough from unitary to merge few,
+# so the cap is still set by the tree: about 20 s at 16 bits
+# (README).
 MAX_BRANCH_BITS = 16
 
 

@@ -10,15 +10,22 @@ The dbqc, tri-party and ping-pong runners need every outcome pattern of
 their measurements. Each protocol is defined once as a list of steps, and
 `_branch_leaves` walks its outcome tree depth first, forking the engine
 (`ProtocolEngine.fork`) at each measurement, so each outcome prefix is
-simulated once. A step's measurement may have any number of outcomes: two
-for a binary measurement, d**2 for a teleportation. `teleport_state`,
-`remote_controlled_gate` and `pingpong_run` follow one path of the same
-steps.
+simulated at most once. A step's measurement may have any number of
+outcomes: two for a binary measurement, d**2 for a teleportation.
+`teleport_state`, `remote_controlled_gate` and `pingpong_run` follow one
+path of the same steps.
+
+dbqc and ping-pong also pass the walker a merge key, the parity lattice: a
+unital program's branch state depends only on the ISI bit b and the
+number s of odd parities (`oblivious.parity_mix_alpha`), so branches with
+the same (b, s), or s, merge when their engines agree
+(`ProtocolEngine.agrees_with`). Tri-party schemes I and II pass none.
 """
 from __future__ import annotations
 
 import functools
 import math
+from array import array
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -154,6 +161,18 @@ class ProtocolEngine:
         twin.ledger = replace(self.ledger)
         return twin
 
+    def agrees_with(self, other: ProtocolEngine) -> bool:
+        """Whether ``other`` holds the same layout, owners, ebit registry,
+        used ebits and ledger, and a state within 1e-12 (max abs)."""
+        return (
+            self._layout == other._layout
+            and self._owner == other._owner
+            and self._ebits == other._ebits
+            and self._used == other._used
+            and self.ledger == other.ledger
+            and np.abs(self._state - other._state).max() <= 1e-12
+        )
+
     def reduced(self, labels) -> np.ndarray:
         return partial_trace(self._state, list(labels), self.layout)
 
@@ -273,6 +292,9 @@ class ProtocolEngine:
         self._used.add(eid)
         self.ledger.ebits_consumed += 1
 
+    def is_consumed(self, eid: int) -> bool:
+        return eid in self._used
+
     @property
     def ebits_unused(self) -> int:
         return len(self._ebits) - len(self._used)
@@ -389,37 +411,80 @@ def _follow(engine: ProtocolEngine, steps, rng, forced) -> list[int]:
     return outcomes
 
 
-def _branch_leaves(engine: ProtocolEngine, steps, finish):
-    """Every outcome pattern of a protocol, each outcome prefix simulated once.
+def _branch_leaves(engine: ProtocolEngine, steps, finish, key=None):
+    """Every outcome pattern of a protocol, each distinct branch simulated once.
 
     Walks the outcome tree depth first: each step's outcome-free work runs
-    once per prefix, and the engine is forked at its measurement, once for
+    once per node, and the engine is forked at its measurement, once for
     each outcome but the last. Returns the leaves' outcome patterns (one row
     each, in lexicographic order), their path probabilities and finish
     values, and the first leaf's ledger. Each path probability is multiplied
-    in step order from 1.0. A leaf keeps no engine, so at most one fork per
-    depth is alive.
-    """
-    patterns, probs, values, ledgers = [], [], [], []
+    in step order from 1.0. A step's number of outcomes must not depend on
+    earlier outcomes.
 
-    def walk(eng: ProtocolEngine, pattern: tuple, prob: float) -> None:
-        if len(pattern) == len(steps):
+    ``key``, a function of an outcome prefix, merges equal branches (the
+    reduction rule of ordered decision diagrams). The first node walked at
+    a (depth, key) is held as its representative; a later node there whose
+    engine agrees with it (`ProtocolEngine.agrees_with`) takes the
+    representative's subtree instead of walking its own, and any other node
+    is walked as in the tree. Each node is compared with that one
+    representative only, so a walk in which nothing merges costs one state
+    comparison per node beyond the tree, and holds one engine per
+    (depth, key) beyond the one fork per depth a walk keeps alive. A walked
+    node keeps only its outcomes' probabilities and child indices (16 bytes
+    an outcome), from which the leaves are expanded at the end. Without
+    ``key`` the walk is the tree.
+    """
+    held = {}  # (depth, key) -> (representative engine, its node index)
+    # Per depth, node after node: each outcome's probability and the index
+    # of its node at the next depth.
+    probs_at = [array("d") for _ in steps]
+    children_at = [array("q") for _ in steps]
+    widths = [0] * len(steps)
+    values, ledgers = array("d"), []
+
+    def visit(eng: ProtocolEngine, pattern: tuple) -> int:
+        """Walk the node at ``pattern``; returns its index among the nodes of its depth."""
+        depth = len(pattern)
+        slot = None if key is None else (depth, key(pattern))
+        rep = held.get(slot)
+        if rep is not None and rep[0].agrees_with(eng):
+            return rep[1]
+        snapshot = eng.fork() if slot is not None and rep is None else None
+        if depth == len(steps):
             values.append(finish(eng))
             if not eng.ebits_conserved():
                 raise ResourceError("ebit conservation violated")
-            patterns.append(pattern)
-            probs.append(prob)
             if not ledgers:
                 ledgers.append(eng.ledger)
-            return
-        outcomes, measure = steps[len(pattern)](eng)
-        for k in range(outcomes):
-            branch = eng.fork() if k < outcomes - 1 else eng
-            _, p = measure(branch, None, k)
-            walk(branch, pattern + (k,), prob * p)
+            index = len(values) - 1
+        else:
+            outcomes, measure = steps[depth](eng)
+            row = []
+            for k in range(outcomes):
+                branch = eng.fork() if k < outcomes - 1 else eng
+                _, p = measure(branch, None, k)
+                row.append((p, visit(branch, pattern + (k,))))
+            widths[depth] = outcomes
+            index = len(probs_at[depth]) // outcomes
+            for p, child in row:
+                probs_at[depth].append(p)
+                children_at[depth].append(child)
+        if snapshot is not None:
+            held[slot] = (snapshot, index)
+        return index
 
-    walk(engine, (), 1.0)
-    return np.array(patterns, dtype=np.int8), np.array(probs), np.array(values), ledgers[0]
+    visit(engine, ())
+    # Expand the walked nodes into every leaf, one depth at a time: ``ids``
+    # holds each prefix's node, in lexicographic order of the prefixes. The
+    # first leaf walked is the all-zero one, so ``ledgers[0]`` is the first
+    # leaf's ledger.
+    ids, probs = np.zeros(1, dtype=np.intp), np.ones(1)
+    for p_at, c_at, width in zip(probs_at, children_at, widths):
+        probs = (probs[:, None] * np.frombuffer(p_at).reshape(-1, width)[ids]).ravel()
+        ids = np.frombuffer(c_at, dtype=np.int64).reshape(-1, width)[ids].ravel()
+    patterns = np.indices(widths, dtype=np.int8).reshape(len(widths), len(ids)).T.copy()
+    return patterns, probs, np.frombuffer(values)[ids], ledgers[0]
 
 
 def check_path_probabilities(probs: np.ndarray) -> np.ndarray:
@@ -465,7 +530,7 @@ def _ebit_ends(engine: ProtocolEngine, ebit: int, near_label: str) -> tuple[str,
     regs = engine._ebits.get(ebit)
     if regs is None:
         raise ResourceError(f"ebit {ebit} was never distributed")
-    if ebit in engine._used:
+    if engine.is_consumed(ebit):
         raise ResourceError(f"ebit {ebit} already consumed")
     if len(regs) != 2:
         raise ResourceError(f"ebit {ebit} is not a two-register ebit")
@@ -704,6 +769,12 @@ def _dbqc_protocol(alice: Party, bob: Party):
     return ProtocolEngine(a, b), steps, _readout(b, bob.states[0], [current])
 
 
+def _isi_bit_and_parity_count(pattern: tuple) -> tuple:
+    """dbqc's merge key: a unital pipeline's branch state depends only on
+    the ISI bit b and the number s of odd parities (`parity_mix_alpha`)."""
+    return pattern[:1], sum(pattern[1:])
+
+
 def parity_inverted_shots(
     parities: np.ndarray,
     probs: np.ndarray,
@@ -748,7 +819,8 @@ def run_dbqc(
         if prog.in_dim != d or prog.out_dim != d:
             raise DimensionError("program ports must match the input dimension")
 
-    patterns, probs, qvals, ledger = _branch_leaves(*_dbqc_protocol(alice, bob))
+    protocol = _dbqc_protocol(alice, bob)
+    patterns, probs, qvals, ledger = _branch_leaves(*protocol, _isi_bit_and_parity_count)
     probs = check_path_probabilities(probs)
     idx, y, inv = parity_inverted_shots(patterns[:, 1:], probs, qvals, d, shots, rng)
     b = patterns[idx, 0]
@@ -1190,13 +1262,20 @@ def pingpong_run(
     return record, eng.ledger
 
 
-def pingpong_branches(programs, system, readout: np.ndarray):
-    """Every parity pattern of a ping-pong chain, each outcome prefix
-    simulated once: the patterns, their path probabilities and P(``readout``)
-    of the output, and the ledger (see `_branch_leaves`)."""
+def _pingpong_readout_protocol(programs, system, readout: np.ndarray):
+    """The chain's engine and steps, and a finish that reads P(``readout``)
+    of its output."""
     eng, steps, current = _pingpong_protocol(list(programs), system, 2)
 
     def finish(eng: ProtocolEngine) -> float:
         return float(np.real(np.conj(readout) @ eng.reduced([current]) @ readout))
 
-    return _branch_leaves(eng, steps, finish)
+    return eng, steps, finish
+
+
+def pingpong_branches(programs, system, readout: np.ndarray):
+    """Every parity pattern of a ping-pong chain: the patterns, their path
+    probabilities and P(``readout``) of the output, and the ledger (see
+    `_branch_leaves`). A unital chain's state depends only on the number of
+    odd parities so far, so branches merge on it."""
+    return _branch_leaves(*_pingpong_readout_protocol(programs, system, readout), sum)

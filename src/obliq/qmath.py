@@ -18,7 +18,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -85,46 +85,49 @@ def tensor_product(a: np.ndarray, b: np.ndarray, max_entries: int | None = None)
 
 @dataclass(frozen=True)
 class RegisterLayout:
-    """Ordered labeled registers; first label is the most significant digit."""
+    """Ordered labeled registers; first label is the most significant digit.
+
+    The labels, dims, total dimension and label -> index map are computed
+    once, when the layout is made.
+    """
 
     regs: tuple[tuple[str, int], ...]
+    labels: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    dims: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    total_dim: int = field(init=False, repr=False, compare=False)
+    _positions: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        labels = [lab for lab, _ in self.regs]
-        if len(set(labels)) != len(labels):
-            raise DuplicateLabelError(f"duplicate register label in {labels}")
+        labels = tuple(lab for lab, _ in self.regs)
+        dims = tuple(dim for _, dim in self.regs)
+        positions = {lab: k for k, lab in enumerate(labels)}
+        if len(positions) != len(labels):
+            raise DuplicateLabelError(f"duplicate register label in {list(labels)}")
         for lab, dim in self.regs:
             if dim < 1:
                 raise DimensionError(f"register {lab!r} has dimension {dim}")
-        if self.total_dim > MAX_STATE_DIM:
+        total_dim = math.prod(dims)
+        if total_dim > MAX_STATE_DIM:
             raise CapacityError(
-                f"layout dimension {self.total_dim} exceeds capacity {MAX_STATE_DIM}"
+                f"layout dimension {total_dim} exceeds capacity {MAX_STATE_DIM}"
             )
+        for name, value in (
+            ("labels", labels), ("dims", dims), ("total_dim", total_dim), ("_positions", positions)
+        ):
+            object.__setattr__(self, name, value)
 
     @staticmethod
     def of(*regs: tuple[str, int]) -> "RegisterLayout":
         return RegisterLayout(tuple(regs))
 
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(lab for lab, _ in self.regs)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(dim for _, dim in self.regs)
-
-    @property
-    def total_dim(self) -> int:
-        return math.prod(self.dims) if self.regs else 1
-
     def __len__(self) -> int:
         return len(self.regs)
 
     def index(self, label: str) -> int:
-        for k, (lab, _) in enumerate(self.regs):
-            if lab == label:
-                return k
-        raise UnknownLabelError(f"no register {label!r} in layout {self.labels}")
+        try:
+            return self._positions[label]
+        except (KeyError, TypeError):
+            raise UnknownLabelError(f"no register {label!r} in layout {self.labels}") from None
 
     def dim(self, label: str) -> int:
         return self.regs[self.index(label)][1]

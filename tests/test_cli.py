@@ -2,12 +2,15 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from obliq.cli import main, run_scenario, validate_scenario
-from obliq.errors import ScenarioSchemaError
+from obliq.cli import main, run_scenario, state_from_literal, validate_scenario
+from obliq.errors import ObliqError, ScenarioSchemaError
+from obliq.gates import gate_from_literal, matrix_to_json
+from obliq.qmath import random_statevector, random_unitary
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 SCENARIOS = sorted(SCENARIO_DIR.glob("*.json"))
@@ -465,6 +468,31 @@ def test_oqt_link_through_an_undistributed_ebit_is_refused(tmp_path, capsys):
     assert "ebit 4 was never distributed" in capsys.readouterr().err
 
 
+def _reused_ebit_script(op):
+    """The teleport golden with its ebit renamed 7, and a second step that
+    uses the consumed ebit 7 again: a teleportation or an OQT link."""
+    sc = _script_teleport()
+    sc["steps"][1]["resource"] = sc["steps"][2]["resource"] = 7
+    again = (
+        {"op": "bell_measure_qt", "party": "alice", "state_label": "psi2", "resource": 7}
+        if op == "bell_measure_qt"
+        else {"op": "oqt_link", "party": "alice", "labels": ["psi2", "psi3"], "resource": 7}
+    )
+    sc["steps"][3:3] = [
+        {"op": "prepare_state", "party": "alice", "label": "psi2", "state": {"basis": 0, "dim": 2}},
+        {"op": "prepare_state", "party": "alice", "label": "psi3", "state": {"basis": 0, "dim": 2}},
+        again,
+    ]
+    return sc
+
+
+@pytest.mark.parametrize("op", ["bell_measure_qt", "oqt_link"])
+def test_script_errors_name_the_scripts_resource_id(tmp_path, capsys, op):
+    path = _write(tmp_path, "reused-ebit.json", _reused_ebit_script(op))
+    assert main(["validate", path]) == 4
+    assert "step 5: ebit 7 already consumed" in capsys.readouterr().err
+
+
 def _remote_cnot_script(party):
     """A remote CNOT from alice's control to bob's target, acted on by ``party``."""
     return {
@@ -564,13 +592,9 @@ def _replaced(obj, path, value):
     return copy
 
 
-@settings(max_examples=400, deadline=None)
-@given(data=st.data(), golden=st.sampled_from(SCENARIOS), fields=st.integers(1, 2))
-def test_validate_exits_only_with_input_codes(data, golden, fields):
-    sc = json.loads(golden.read_text())
-    for _ in range(fields):
-        path = data.draw(st.sampled_from(list(_paths(sc))), label="path")
-        sc = _replaced(sc, path, data.draw(JSON_VALUES, label="value"))
+def _assert_input_codes_only(sc):
+    """``validate`` exits 0 or with an input code, and a validated scenario
+    then runs without exit 6."""
     with tempfile.TemporaryDirectory() as tmp:
         path = _write(Path(tmp), "mutated.json", sc)
         code = main(["validate", path])
@@ -578,3 +602,108 @@ def test_validate_exits_only_with_input_codes(data, golden, fields):
         if code == 0:
             shots = str(min(sc["shots"], 500))
             assert main(["run", path, "--shots", shots, "--out", str(Path(tmp) / "out")]) != 6
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), golden=st.sampled_from(SCENARIOS), fields=st.integers(1, 2))
+def test_validate_exits_only_with_input_codes(data, golden, fields):
+    sc = json.loads(golden.read_text())
+    for _ in range(fields):
+        path = data.draw(st.sampled_from(list(_paths(sc))), label="path")
+        sc = _replaced(sc, path, data.draw(JSON_VALUES, label="value"))
+    _assert_input_codes_only(sc)
+
+
+# Typed mutations keep each field's type and draw within its range (gates
+# and states of the field's size), so that many mutated goldens validate and
+# the run check above is exercised.
+GATE_FIELDS = {"alice_programs", "bob_programs", "programs", "a_program", "b_program",
+               "nonlocal_program", "gate"}
+STATE_FIELDS = {"input_state", "readout_state", "psi_a", "psi_b", "state"}
+INT_RANGES = {"shots": (1, 500), "seed": (0, 2**32 - 1), "dim": (1, 4), "basis": (0, 3),
+              "num_qudits": (1, 3), "local_dim": (1, 3), "targets": (0, 2), "resource": (0, 2),
+              "blocks": (1, 3), "version": (0, 2)}
+FLOAT_RANGES = {"gamma": (0.0, 1.0), "tolerance": (1e-12, 1e-3), "theta": (-7.0, 7.0)}
+GATE_NAMES = ["I", "X", "Y", "Z", "H", "S", "T", "CNOT", "CZ", "SWAP"]
+
+
+def _strings(obj, field=None):
+    """(field, string) for every string below ``obj``; list items belong to
+    the list's field."""
+    if isinstance(obj, str):
+        yield field, obj
+    elif isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _strings(value, key)
+    elif isinstance(obj, list):
+        for value in obj:
+            yield from _strings(value, field)
+
+
+WORDS: dict = {}
+for _golden in SCENARIOS:
+    for _field, _word in _strings(json.loads(_golden.read_text())):
+        WORDS.setdefault(_field, set()).add(_word)
+
+
+def _seeded(build):
+    return st.integers(0, 2**32 - 1).map(lambda seed: build(np.random.default_rng(seed)))
+
+
+def _gate_values(n):
+    """Gate names, and random unitaries of size n as matrix literals."""
+    unitary = _seeded(lambda rng: {"matrix": matrix_to_json(random_unitary(n, rng))})
+    return st.sampled_from(GATE_NAMES) | unitary
+
+
+def _typed_values(field, old):
+    """A strategy for values of ``old``'s type in ``field``, or None when
+    ``old`` is a container with no field type of its own. A gate or a state
+    that an earlier mutation broke has no size, and is left to the scalar
+    types below."""
+    try:
+        if field in GATE_FIELDS and isinstance(old, list):
+            n = gate_from_literal(old[0]).shape[0]
+            return st.lists(_gate_values(n), min_size=1, max_size=6)
+        if field in GATE_FIELDS:
+            return _gate_values(gate_from_literal(old).shape[0])
+        if field in STATE_FIELDS:
+            dim = len(state_from_literal(old))
+            return _seeded(lambda rng: {"vector": matrix_to_json([random_statevector(dim, rng)])[0]})
+    except ObliqError:
+        pass
+    if isinstance(old, bool):
+        return st.booleans()
+    if isinstance(old, int):
+        return st.integers(*INT_RANGES.get(field, (-2, 2)))
+    if isinstance(old, float):
+        return st.floats(*FLOAT_RANGES.get(field, (-1.0, 1.0)))
+    if isinstance(old, str):
+        return st.sampled_from(sorted(WORDS[field] | (set(GATE_NAMES) if field == "name" else set())))
+    return None
+
+
+def _field(path):
+    return next((key for key in reversed(path) if isinstance(key, str)), None)
+
+
+def _at(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), golden=st.sampled_from(SCENARIOS), fields=st.integers(1, 2))
+def test_validate_exits_only_with_input_codes_on_typed_mutations(data, golden, fields):
+    sc = json.loads(golden.read_text())
+    for _ in range(fields):
+        typed = {}
+        for path in _paths(sc):
+            values = _typed_values(_field(path), _at(sc, path))
+            if values is not None:
+                typed[path] = values
+        path = data.draw(st.sampled_from(list(typed)), label="path")
+        sc = _replaced(sc, path, data.draw(typed[path], label="value"))
+    _assert_input_codes_only(sc)
+

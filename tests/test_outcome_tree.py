@@ -5,6 +5,9 @@ tree of measurement outcomes and fork the engine at each measurement; the
 script kind walks a memoized outcome tree shot by shot. The references kept here
 simulate every pattern, or every shot, from scratch, and the results must
 be equal exactly, not approximately.
+
+dbqc and ping-pong merge equal branches on a key (the parity lattice); the
+merged walk is checked against the unmerged tree.
 """
 
 import itertools
@@ -293,10 +296,115 @@ def test_pingpong_tree_matches_one_pass_per_pattern(seed, d, kraus):
     programs = [_program(rng, d, k) for k in kraus]
     system = _pure(random_statevector(d, rng))
     readout = random_statevector(d, rng)
-    leaves = dist.pingpong_branches(programs, system, readout)
+    leaves = dist._branch_leaves(*dist._pingpong_readout_protocol(programs, system, readout))
     patterns = list(itertools.product((0, 1), repeat=len(programs)))
     references = [_pingpong_reference(programs, system, readout, pat) for pat in patterns]
     _assert_leaves_equal(leaves, patterns, references)
+
+
+# --- parity lattice: the merged walk against the tree ---
+
+PROGRAM_KINDS = st.sampled_from(["unitary", "kraus", "near-unitary"])
+
+
+def _program_of_kind(rng, d, kind):
+    """A unitary or random Kraus program, or a unitary perturbed so that
+    ||U^dag U - I|| is about 1e-10, which validation accepts."""
+    if kind == "near-unitary":
+        return choi_of(random_unitary(d, rng) + 1e-10 * random_unitary(d, rng))
+    return _program(rng, d, kind == "kraus")
+
+
+def _counting_finish(protocol, calls):
+    """Wrap a protocol function so that its finish counts its calls."""
+
+    def wrapped(*args):
+        engine, steps, finish = protocol(*args)
+        return engine, steps, lambda eng: (calls.append(1), finish(eng))[1]
+
+    return wrapped
+
+
+def _assert_lattice_matches_tree(protocol, args, key):
+    """The walk merged on ``key`` against the tree: equal patterns and
+    ledgers, and probabilities and values within 1e-12, or equal when
+    nothing merged (finish ran on every leaf). Returns the number of
+    leaves the merged walk ran finish on."""
+    tree = dist._branch_leaves(*protocol(*args))
+    calls = []
+    lattice = dist._branch_leaves(*_counting_finish(protocol, calls)(*args), key)
+    assert lattice[0].tolist() == tree[0].tolist()
+    assert lattice[3] == tree[3]
+    if len(calls) == len(tree[0]):
+        assert lattice[1].tolist() == tree[1].tolist()
+        assert lattice[2].tolist() == tree[2].tolist()
+    else:
+        assert np.abs(lattice[1] - tree[1]).max() <= 1e-12
+        assert np.abs(lattice[2] - tree[2]).max() <= 1e-12
+    return len(calls)
+
+
+def _dbqc_parties(rng, d, n_alice, n_bob, kind):
+    alice = Party(
+        "alice",
+        programs=[_program_of_kind(rng, d, kind) for _ in range(n_alice)],
+        states=[_pure(random_statevector(d, rng))],
+    )
+    bob = Party(
+        "bob",
+        programs=[_program_of_kind(rng, d, kind) for _ in range(n_bob)],
+        states=[_pure(random_statevector(d, rng))],
+    )
+    return alice, bob
+
+
+@TREE
+@given(
+    seed=SEEDS,
+    d=st.integers(2, 3),
+    n_alice=st.integers(1, 3),
+    n_bob=st.integers(1, 3),
+    kind=PROGRAM_KINDS,
+)
+def test_dbqc_lattice_matches_tree(seed, d, n_alice, n_bob, kind):
+    n_bob = min(n_bob, 4 - n_alice)  # at most 4 links
+    alice, bob = _dbqc_parties(np.random.default_rng(seed), d, n_alice, n_bob, kind)
+    # With Kraus programs, branches still merge across the ebit link: it is
+    # an identity channel, so its parity flip commutes with its neighbours'.
+    key = dist._isi_bit_and_parity_count
+    _assert_lattice_matches_tree(dist._dbqc_protocol, (alice, bob), key)
+
+
+@TREE
+@given(seed=SEEDS, d=st.integers(2, 3), n=st.integers(1, 5), kind=PROGRAM_KINDS)
+def test_pingpong_lattice_matches_tree(seed, d, n, kind):
+    rng = np.random.default_rng(seed)
+    programs = [_program_of_kind(rng, d, kind) for _ in range(n)]
+    system = _pure(random_statevector(d, rng))
+    readout = random_statevector(d, rng)
+    protocol = dist._pingpong_readout_protocol
+    finished = _assert_lattice_matches_tree(protocol, (programs, system, readout), sum)
+    if kind == "kraus":  # a non-unital program does not commute with a parity flip
+        assert finished == 2**n
+
+
+def test_unitary_runs_finish_once_per_isi_bit_and_parity_count(monkeypatch):
+    rng = np.random.default_rng(5)
+    alice, bob = _dbqc_parties(rng, 2, 3, 3, "unitary")
+    tree_calls, calls = [], []
+    dist._branch_leaves(*_counting_finish(dist._dbqc_protocol, tree_calls)(alice, bob))
+    monkeypatch.setattr(dist, "_dbqc_protocol", _counting_finish(dist._dbqc_protocol, calls))
+    dist.run_dbqc(alice, bob, 10, rng)
+    assert (len(tree_calls), len(calls)) == (128, 14)  # (b, s) in {0, 1} x {0..6}
+
+    programs = [_program_of_kind(rng, 2, "unitary") for _ in range(6)]
+    system, readout = _pure(random_statevector(2, rng)), random_statevector(2, rng)
+    protocol = dist._pingpong_readout_protocol
+    tree_calls, calls = [], []
+    dist._branch_leaves(*_counting_finish(protocol, tree_calls)(programs, system, readout))
+    monkeypatch.setattr(dist, "_pingpong_readout_protocol", _counting_finish(protocol, calls))
+    dist.pingpong_branches(programs, system, readout)
+    assert (len(tree_calls), len(calls)) == (64, 7)  # s in {0..6}
 
 
 # --- script kind: memoized outcome tree against one script run per shot ---

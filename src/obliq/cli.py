@@ -14,7 +14,12 @@ each script step for a function of the engine), which the checks and the
 runners read. A script is validated by a dry run of those steps on a real
 `ProtocolEngine`: its locality, dimension and resource errors exit 4 (5 for
 capacity) as `step n: ...`. Script steps never branch on outcomes, so every
-path meets the registers, owners and ebits of the dry run.
+path meets the registers, owners and ebits of the dry run. A measurement
+consumes its registers, so a step that names a register after it was
+measured (also by `final_measure`) is refused this way.
+
+Every gate literal must be within `gates.UNITARY_TOL` of unitary; a gate
+further off exits 3.
 
 Each runner returns its records as columns: record key -> per-shot numpy
 array (1-D for a scalar, 2-D for a list) or a nested mapping of columns (for
@@ -280,7 +285,6 @@ def _parse_step(n: int, step: dict, parties: list):
             bit, _ = eng.measure_binary(who, p0, [inp], rng=rng)
             bits[rec] = int(bit)
             eng.broadcast(1)
-            eng.discard([inp])
 
         return inject
     if op == "oqt_link":
@@ -295,7 +299,6 @@ def _parse_step(n: int, step: dict, parties: list):
             eng.record_oqt()
             if rid is not None:
                 eng.consume_ebit(_ebit(eng, ebits, rid))
-            eng.discard(labs)
 
         return link
     if op == "bell_measure_qt":

@@ -6,6 +6,11 @@ explicitly distributed ebits.  Every run produces a ResourceLedger counting
 ebits, broadcast bits, oblivious-teleportation events, byproduct corrections
 and forced temporal layers.
 
+A measurement consumes the registers it measures, as every primitive of the
+paper does (injection, the OQT link, the teleportation Bell measurement):
+outcome k leaves tr_M((P_k ox 1) rho) / p_k, one weighted `partial_trace`,
+and the measured labels leave the layout and the owner map.
+
 The dbqc, tri-party and ping-pong runners need every outcome pattern of
 their measurements. Each protocol is defined once as a list of steps, and
 `_branch_leaves` walks its outcome tree depth first, forking the engine
@@ -131,10 +136,6 @@ class ProtocolEngine:
     @property
     def layout(self) -> RegisterLayout:
         return self._layout
-
-    @property
-    def live_registers(self) -> int:
-        return len(self._layout)
 
     def owner(self, label: str) -> str:
         if label not in self._owner:
@@ -302,16 +303,21 @@ class ProtocolEngine:
     def ebits_conserved(self) -> bool:
         return self.ledger.ebits_consumed == len(self._used)
 
-    def discard(self, labels) -> None:
+    def discard(self, labels, weight: np.ndarray | None = None) -> None:
+        """Trace out the registers ``labels``. With ``weight``, an operator W
+        on those registers in the order of ``labels``, the state becomes
+        tr_labels((W ox 1) rho) instead."""
         labels = list(labels)
         layout = self.layout
-        for lab in labels:
-            layout.index(lab)
+        pos = [layout.index(lab) for lab in labels]
+        if weight is not None:
+            # partial_trace takes W in layout order: permute its tensor factors.
+            dims = [layout.dims[p] for p in pos]
+            order = np.argsort(pos).tolist()
+            axes = order + [len(pos) + k for k in order]
+            weight = as_complex(weight).reshape(dims + dims).transpose(axes).reshape(weight.shape)
         keep = [lab for lab in layout.labels if lab not in set(labels)]
-        if keep:
-            self._state = partial_trace(self._state, keep, layout)
-        else:
-            self._state = np.array([[np.trace(self._state)]], dtype=complex)
+        self._state = partial_trace(self._state, keep, layout, weight)
         self._layout = layout.subset(keep)
         for lab in labels:
             del self._owner[lab]
@@ -342,8 +348,9 @@ class ProtocolEngine:
     ) -> tuple[int, float]:
         """Two-outcome measurement {p0, 1-p0} on co-located registers.
 
-        Returns (bit, probability of that bit).  Exactly one of rng / forced
-        selects the branch.
+        The measurement consumes ``labels``: they leave the layout and the
+        owner map, and the state becomes tr_labels((P_bit ox 1) rho) / p_bit.
+        Returns (bit, p_bit). Exactly one of rng / forced selects the branch.
         """
         p0 = as_complex(p0)
         if p0.ndim != 2 or p0.shape[0] != p0.shape[1]:
@@ -363,11 +370,12 @@ class ProtocolEngine:
         rng: np.random.Generator | None = None,
         forced: int | None = None,
     ) -> tuple[int, float]:
+        """One outcome per projector; consumes ``labels`` as `measure_binary` does."""
         return self._project(party, [as_complex(p) for p in projectors], labels, rng, forced)
 
     def _project(self, party, projectors, labels, rng, forced) -> tuple[int, float]:
         """Outcome probabilities come from the state reduced to ``labels``;
-        the chosen projector then acts on those registers' axes only."""
+        the chosen projector then weights the trace that consumes them."""
         if (rng is None) == (forced is None):
             raise EstimationError("pass exactly one of rng or forced")
         probs = np.clip(self._probabilities(party, projectors, labels), 0.0, None)
@@ -381,8 +389,7 @@ class ProtocolEngine:
         prob = probs[idx]
         if prob < 1e-14:
             raise BranchError(f"measurement branch {idx} has vanishing probability")
-        p = projectors[idx]
-        self._state = apply_on_targets(p, self._state, list(labels), self.layout, conjugate=True)
+        self.discard(labels, projectors[idx])
         self._state /= prob
         self._touch()
         return idx, float(prob)
@@ -394,9 +401,9 @@ class ProtocolEngine:
 # measurement (allocating a program, distributing an ebit, a local gate) on
 # the engine it is given, and returns (number of outcomes, measure):
 # measure(engine, rng, forced) -> (outcome, probability of the outcome), which
-# also does the work that follows the measurement (broadcast, correction,
-# discard). A finish function reads the run's result off the engine at the
-# end.
+# also does the work that follows the measurement (broadcast, correction);
+# the measurement itself consumes the registers it measures. A finish
+# function reads the run's result off the engine at the end.
 
 
 def _follow(engine: ProtocolEngine, steps, rng, forced) -> list[int]:
@@ -557,7 +564,6 @@ def _teleport(state_label: str, ebit: int):
             idx, prob = eng.measure_projective(source, projs, [state_label, ea], rng, forced)
             eng.consume_ebit(ebit)
             eng.broadcast(2 * math.ceil(math.log2(d)))
-            eng.discard([state_label, ea])
             eng.apply_local(dest, corrections[idx], [eb])
             eng.ledger.qt_corrections += 1
             eng.force_layer()
@@ -597,14 +603,10 @@ def _cat_entangler(control_label: str, target_label: str, ebit: int, gate: np.nd
         ]
     ).astype(complex)
 
-    def ends(eng: ProtocolEngine):
+    def z_step(eng: ProtocolEngine):
         ea, eb = _ebit_ends(eng, ebit, control_label)
         pa = eng.check_owned(eng.owner(control_label), [control_label, ea])
         pb = eng.check_owned(eng.owner(target_label), [target_label, eb])
-        return ea, eb, pa, pb
-
-    def z_step(eng: ProtocolEngine):
-        ea, eb, pa, pb = ends(eng)
         if eng.layout.dim(control_label) != 2 or eng.layout.dim(ea) != 2:
             raise DimensionError("the cat-entangler control and ebit must be qubits")
         if gate.shape != (eng.layout.dim(target_label),) * 2 or not is_unitary(gate):
@@ -622,7 +624,10 @@ def _cat_entangler(control_label: str, target_label: str, ebit: int, gate: np.nd
         return 2, measure
 
     def x_step(eng: ProtocolEngine):
-        ea, eb, pa, pb = ends(eng)
+        # The Z measurement consumed the control side's half.
+        (eb,) = [lab for lab in eng._ebits[ebit] if lab in eng._owner]
+        pa = eng.owner(control_label)
+        pb = eng.check_owned(eng.owner(target_label), [target_label, eb])
         eng.apply_local(pb, ctrl, [eb, target_label])
 
         def measure(eng: ProtocolEngine, rng, forced) -> tuple[int, float]:
@@ -633,7 +638,6 @@ def _cat_entangler(control_label: str, target_label: str, ebit: int, gate: np.nd
             eng.ledger.qt_corrections += 1
             eng.force_layer()
             eng.consume_ebit(ebit)
-            eng.discard([ea, eb])
             return m2, prob
 
         return 2, measure
@@ -692,8 +696,8 @@ class DbqcResult:
 
 
 def _announced(party: str, p0: np.ndarray, labels, oqt: bool = False, ebit: int | None = None):
-    """The measurement {p0, 1-p0} on ``labels``, whose bit is broadcast and
-    whose registers are then discarded; ``oqt`` counts it as an OQT link and
+    """The measurement {p0, 1-p0} on ``labels``, which it consumes, and the
+    broadcast of its bit; ``oqt`` counts it as an OQT link and
     ``ebit`` is the ebit it consumes."""
 
     def measure(eng: ProtocolEngine, rng, forced) -> tuple[int, float]:
@@ -703,7 +707,6 @@ def _announced(party: str, p0: np.ndarray, labels, oqt: bool = False, ebit: int 
             eng.record_oqt()
         if ebit is not None:
             eng.consume_ebit(ebit)
-        eng.discard(labels)
         return bit, prob
 
     return 2, measure
@@ -1212,7 +1215,6 @@ def _pingpong_protocol(programs: list, system, blocks: int):
         def measure(eng: ProtocolEngine, rng, forced) -> tuple[int, float]:
             bit, prob = eng.measure_binary("device", bell, [inp, current], rng, forced)
             eng.record_oqt()
-            eng.discard([inp, current])
             if k > 0:
                 eng.force_layer()
             return bit, prob

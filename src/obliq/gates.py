@@ -116,8 +116,17 @@ def matrix_to_json(mat: np.ndarray) -> list:
     return [[[float(c.real), float(c.imag)] for c in row] for row in mat]
 
 
-def gate_from_literal(obj, require_unitary: bool = True) -> np.ndarray:
-    """Resolve a scenario gate literal to a matrix.
+# How far a gate literal may be from unitary: max |U^dag U - I|. A program
+# U scales each branch's path probability by up to 1 + UNITARY_TOL, and the
+# runners refuse path probabilities that sum further than 1e-9 from 1
+# (`distributed.check_path_probabilities`); a run chains up to 16 programs
+# (`cli.MAX_BRANCH_BITS`), and 16 * 5e-11 < 1e-9.
+UNITARY_TOL = 5e-11
+
+
+def gate_from_literal(obj) -> np.ndarray:
+    """Resolve a scenario gate literal to a matrix within UNITARY_TOL of
+    unitary.
 
     Accepts a bare name string, {"name": ..., "theta": ...} or
     {"matrix": [[[re, im], ...], ...]}.
@@ -130,7 +139,7 @@ def gate_from_literal(obj, require_unitary: bool = True) -> np.ndarray:
         mat = matrix_from_json(obj["matrix"])
     else:
         raise ScenarioSchemaError(f"unrecognized gate literal {obj!r}")
-    if require_unitary and not is_unitary(mat, 1e-8):
+    if not is_unitary(mat, UNITARY_TOL):
         raise ScenarioSchemaError("gate literal is not unitary")
     return mat
 

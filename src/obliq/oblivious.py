@@ -244,12 +244,6 @@ class OqtRecordBatch:
     def __len__(self) -> int:
         return int(self.s.shape[0])
 
-    def records(self) -> list[OqtRecord]:
-        return [
-            OqtRecord(tuple(int(b) for b in row), int(sv), self.states_by_s[int(sv)])
-            for row, sv in zip(self.parity_bits, self.s)
-        ]
-
 
 def oqt_sample_records(
     programs: Sequence[ChoiProgram],
@@ -297,33 +291,19 @@ def oqt_sample_records(
     return OqtRecordBatch(bits, s_now, states)
 
 
-def _coerce_batch(records) -> OqtRecordBatch:
-    if isinstance(records, OqtRecordBatch):
-        return records
-    records = list(records)
-    if not records:
-        raise EstimationError("empty record stream")
-    bits = np.array([r.parity_bits for r in records], dtype=np.int8)
-    s = np.array([r.s for r in records], dtype=np.int64)
-    states: dict[int, MixedState] = {}
-    for r in records:
-        states.setdefault(r.s, r.final_state)
-    return OqtRecordBatch(bits, s, states)
-
-
 def oqt_estimate_observable(
-    records,
+    batch: OqtRecordBatch,
     observable: np.ndarray,
     rng: np.random.Generator | None = None,
 ) -> tuple[float, float]:
-    """Unbiased estimate of tr(O U rho U^dag) from a parity record stream.
+    """Unbiased estimate of tr(O U rho U^dag) from the parity records of
+    `oqt_sample_records`.
 
     Each record contributes (-1)^s (d^2-1)^s (m - alpha_s tr O), the affine
     branch relation inverted recursively over s. With ``rng`` the value m is
     a sampled eigenvalue of O measured on the record's final state; without
     it m is the exact expectation (a zero-variance variant).
     """
-    batch = _coerce_batch(records)
     if len(batch) == 0:
         raise EstimationError("empty record stream")
     obs = as_complex(observable)
@@ -460,10 +440,6 @@ class FlagState:
             raise StateValidationError(f"unknown flag kind {self.which!r}")
         if self.dim < 2:
             raise DimensionError(f"flag port dimension must be >= 2, got {self.dim}")
-
-    @property
-    def pair_dim(self) -> int:
-        return self.dim * self.dim
 
     def density(self, u: np.ndarray | None = None) -> np.ndarray:
         if self.which == "omega":

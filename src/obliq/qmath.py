@@ -11,7 +11,9 @@ Conventions used throughout the package:
   with those registers' axes (`apply_on_targets`), and a measurement weight
   on the traced-out registers folds into `partial_trace`; neither ever
   builds the layout-sized operator. `embed_operator` builds that operator
-  and is kept as the reference the contractions are tested against;
+  and is kept as the reference the contractions are tested against. The
+  weighted trace is the one kernel of every measurement: the measured
+  registers are traced out, weighted by the outcome's projector;
 * comparisons use an absolute elementwise tolerance, default ``EPS``.
 """
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from obliq.cli import main, run_scenario, state_from_literal, validate_scenario
 from obliq.errors import ObliqError, ScenarioSchemaError
-from obliq.gates import gate_from_literal, matrix_to_json
+from obliq.gates import CNOT, CZ, H, gate_from_literal, matrix_to_json
 from obliq.qmath import random_statevector, random_unitary
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -423,6 +423,54 @@ def test_triparty_scheme1_without_kept_shots_estimates_nan(tmp_path, seed):
     assert [r["kept"] for r in records] == [False, False]
 
 
+def _scaled(u, delta):
+    """The matrix literal of the gate ``u * (1 + delta)``."""
+    return {"matrix": matrix_to_json(np.asarray(u) * (1 + delta))}
+
+
+def _haar_pipelines(delta):
+    """A 16-program ping-pong and a 7+8 dbqc of Haar gates scaled by 1 + delta."""
+    rng = np.random.default_rng(0)
+    gates = [_scaled(random_unitary(2, rng), delta) for _ in range(16)]
+    return [_minimal_pingpong(gates), _minimal_dbqc(alice_programs=gates[:7], bob_programs=gates[7:15])]
+
+
+def _knitting_cut(gate):
+    sc = json.loads((SCENARIO_DIR / "knitting-exact.json").read_text())
+    sc["gates"][2] = dict(gate, targets=[0, 1], cut=True)
+    return sc
+
+
+@pytest.mark.parametrize(
+    "sc",
+    [
+        _minimal_dbqc(alice_programs=[_scaled(H, 4e-9)], bob_programs=[_scaled(H, 4e-9)]),
+        _minimal_pingpong([_scaled(H, 4e-9)] * 2),
+        dict(_minimal_triparty_scheme1(), a_program=_scaled(H, 4e-9),
+             b_program=_scaled(np.eye(2), 4e-9), nonlocal_program=_scaled(CNOT, 4e-9)),
+        dict(_minimal_triparty_scheme2(), a_program=_scaled(H, 4e-9), b_program=_scaled(np.eye(2), 4e-9)),
+        _knitting_cut(_scaled(CZ, 4e-10)),
+        *_haar_pipelines(2.5e-10),
+    ],
+    ids=["dbqc", "pingpong", "triparty-I", "triparty-II", "knitting-cut", "pingpong-16", "dbqc-7+8"],
+)
+def test_gates_outside_the_unitary_tolerance_are_schema_errors(tmp_path, sc):
+    # Each validated at the old tolerance (1e-8) and then failed its run.
+    path = _write(tmp_path, "near-unitary.json", sc)
+    assert main(["validate", path]) == 3
+    out = tmp_path / "never"
+    assert main(["run", path, "--out", str(out)]) == 3
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sc", _haar_pipelines(2.4e-11), ids=["pingpong-16", "dbqc-7+8"])
+def test_gates_at_the_unitary_tolerance_run(tmp_path, sc):
+    # |U^dag U - I| is 4.8e-11, so 16 programs keep the path probabilities
+    # within 1e-9 of summing to 1.
+    path = _write(tmp_path, "at-tolerance.json", sc)
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 0
+
+
 def test_script_over_the_dimension_cap_is_refused_at_validation(tmp_path, capsys):
     sc = _script_teleport()
     sc["steps"].insert(0, {"op": "prepare_state", "party": "bob", "label": "big",
@@ -491,6 +539,14 @@ def test_script_errors_name_the_scripts_resource_id(tmp_path, capsys, op):
     path = _write(tmp_path, "reused-ebit.json", _reused_ebit_script(op))
     assert main(["validate", path]) == 4
     assert "step 5: ebit 7 already consumed" in capsys.readouterr().err
+
+
+def test_a_measured_register_is_gone(tmp_path, capsys):
+    sc = _script_teleport()
+    sc["steps"].append({"op": "local_gate", "party": "bob", "gate": "H", "labels": ["eb"]})
+    path = _write(tmp_path, "after-final-measure.json", sc)
+    assert main(["validate", path]) == 4
+    assert "step 4: no live register 'eb'" in capsys.readouterr().err
 
 
 def _remote_cnot_script(party):
@@ -651,9 +707,11 @@ def _seeded(build):
 
 
 def _gate_values(n):
-    """Gate names, and random unitaries of size n as matrix literals."""
+    """Gate names, and random unitaries of size n as matrix literals, some
+    scaled by 1 + delta with delta log-uniform in [1e-12, 1e-7]."""
     unitary = _seeded(lambda rng: {"matrix": matrix_to_json(random_unitary(n, rng))})
-    return st.sampled_from(GATE_NAMES) | unitary
+    scaled = _seeded(lambda rng: _scaled(random_unitary(n, rng), 10 ** rng.uniform(-12, -7)))
+    return st.sampled_from(GATE_NAMES) | unitary | scaled
 
 
 def _typed_values(field, old):

@@ -92,8 +92,23 @@ def test_engine_max_live_tracking():
     eng.discard(["a"])
     eng.alloc("p", "c", basis_state(0, 2))
     assert eng.ledger.max_live_registers == 2
-    assert eng.live_registers == 2
+    assert len(eng.layout) == 2
     assert set(eng.layout.labels) == {"b", "c"}
+
+
+def test_measurement_consumes_its_registers():
+    eng = ProtocolEngine("p")
+    eng.alloc("p", "a", basis_state(0, 2))
+    eng.alloc("p", "b", basis_state(1, 3))
+    eng.alloc("p", "c", basis_state(0, 2))
+    # The projector onto |1>_b |0>_a, in the order of the labels.
+    p0 = np.diag([0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
+    bit, prob = eng.measure_binary("p", p0, ["b", "a"], forced=0)
+    assert (bit, prob) == (0, 1.0)
+    assert eng.layout.labels == ("c",)
+    for lab in ("a", "b"):
+        with pytest.raises(LocalityError):
+            eng.owner(lab)
 
 
 def test_ebit_bookkeeping():

@@ -131,6 +131,7 @@ def test_engine_ops_match_embedded_operators(case, seed):
 
     p0 = _projector(rng, dt)
     full = embed_operator(p0, targets, layout)
+    keep = [lab for lab in layout.labels if lab not in targets]
     want_p = float(np.trace(full @ rho).real)
     assert abs(_engine(layout, rho).probability("p", p0, targets) - want_p) <= TOL
     for bit, proj in enumerate((full, np.eye(layout.total_dim) - full)):
@@ -140,7 +141,8 @@ def test_engine_ops_match_embedded_operators(case, seed):
         eng = _engine(layout, rho)
         got_bit, got_p = eng.measure_binary("p", p0, targets, forced=bit)
         assert got_bit == bit and abs(got_p - want_p) <= TOL
-        assert np.abs(eng.state() * got_p - proj @ rho @ proj).max() <= TOL
+        want = partial_trace(proj @ rho @ proj, keep, layout)
+        assert np.abs(eng.state() * got_p - want).max() <= TOL
 
     basis = random_unitary(dt, rng)
     projs = [projector(basis[:, k]) for k in range(dt)]
@@ -150,7 +152,8 @@ def test_engine_ops_match_embedded_operators(case, seed):
     eng = _engine(layout, rho)
     _, got_p = eng.measure_projective("p", projs, targets, forced=idx)
     assert abs(got_p - want[idx]) <= TOL
-    assert np.abs(eng.state() * got_p - fulls[idx] @ rho @ fulls[idx]).max() <= TOL
+    want = partial_trace(fulls[idx] @ rho @ fulls[idx], keep, layout)
+    assert np.abs(eng.state() * got_p - want).max() <= TOL
 
 
 # --- binary Bell measurements ---

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from obliq.channels import choi_of
+from obliq.channels import amplitude_damping_channel, choi_of
 from obliq.errors import EstimationError, StateValidationError
 from obliq.gates import named_gate
 from obliq.oblivious import (
@@ -111,6 +111,14 @@ def test_oqt_estimator_unbiased():
     batch = oqt_sample_records([choi_of(u1), choi_of(u2)], psi, 40000, rng)
     est, err = oqt_estimate_observable(batch, obs, rng=rng)
     assert abs(est - truth) < 3.5 * err + 1e-12
+
+
+def test_oqt_sample_records_refuses_a_chain_whose_branches_do_not_merge():
+    # A non-unital program's branch state depends on which step flipped,
+    # not only on the parity sum the sampler keys its states by.
+    progs = [choi_of(amplitude_damping_channel(0.3))] * 3
+    with pytest.raises(StateValidationError, match="equal parity sum diverged"):
+        oqt_sample_records(progs, basis_state(0, 2), 10, np.random.default_rng(0))
 
 
 def test_oqt_parity_statistics():

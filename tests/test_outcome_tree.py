@@ -59,7 +59,6 @@ def _dbqc_reference(alice, bob, pattern):
     )
     path_prob *= pb
     eng.broadcast(1)
-    eng.discard(["a_in_0"])
     current = "a_out_0"
 
     def link(party, other_label):
@@ -70,7 +69,6 @@ def _dbqc_reference(alice, bob, pattern):
         path_prob *= pt
         eng.broadcast(1)
         eng.record_oqt()
-        eng.discard([other_label, current])
 
     for k, prog in enumerate(alice.programs[1:], start=1):
         eng.alloc_program(alice.name, prog, f"a_out_{k}", f"a_in_{k}")
@@ -82,7 +80,6 @@ def _dbqc_reference(alice, bob, pattern):
     eng.broadcast(1)
     eng.record_oqt()
     eng.consume_ebit(eid)
-    eng.discard([current, "e_a"])
     current = "e_b"
     for k, prog in enumerate(bob.programs):
         eng.alloc_program(bob.name, prog, f"b_out_{k}", f"b_in_{k}")
@@ -109,7 +106,6 @@ def _triparty_reference(a, b, c, pattern):
         p0 = projector(np.conj(party.states[0].amplitudes))
         _, pb = eng.measure_binary(party.name, p0, [inp], forced=bit)
         eng.broadcast(1)
-        eng.discard([inp])
         return pb
 
     path_prob *= isi(a, "a_out", "a_in", ba)
@@ -123,7 +119,6 @@ def _triparty_reference(a, b, c, pattern):
         eng.broadcast(1)
         eng.record_oqt()
         eng.consume_ebit(eid)
-        eng.discard(labels)
 
     q = eng.probability(c.name, projector(c.states[0].amplitudes), ["c_out"])
     eng.broadcast(1)
@@ -144,7 +139,6 @@ def _pingpong_reference(programs, system, readout, pattern):
         _, p = eng.measure_binary("device", bell_projector(d), [in_lab, current], forced=bit)
         path_prob *= p
         eng.record_oqt()
-        eng.discard([in_lab, current])
         current = out_lab
         if k > 0:
             eng.force_layer()
@@ -182,7 +176,6 @@ def _triparty_scheme2_reference(a, b, gate, psi_o, pattern):
     eng.ledger.qt_corrections += 1
     eng.force_layer()
     eng.consume_ebit(e1)
-    eng.discard(["e1a", "e1b"])
 
     e2 = eng.distribute_ebit(a.name, b.name, "e2a", "e2b")
     sigmas = GeneralizedPauliBasis(2).operators
@@ -192,7 +185,6 @@ def _triparty_scheme2_reference(a, b, gate, psi_o, pattern):
     path_prob *= p
     eng.consume_ebit(e2)
     eng.broadcast(2)
-    eng.discard(["qa", "e2a"])
     eng.apply_local(b.name, sigmas[tele], ["e2b"])
     eng.ledger.qt_corrections += 1
     eng.force_layer()

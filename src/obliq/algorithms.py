@@ -14,6 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .channels import ChoiProgram, IN, OUT, choi_of, conjugate_program, unitary_of_choi
+from .distributed import pingpong_run
 from .errors import (
     BlockEncodingError,
     BranchError,
@@ -28,7 +29,6 @@ from .oblivious import (
     _binary_measure,
     bell_projector,
     controlled_gate,
-    oqt_sequence,
 )
 from .qmath import (
     RegisterLayout,
@@ -261,7 +261,6 @@ class OaaResult:
     success_probability: float
     post_state: PureState
     iterations: int
-    recommended: int
     theta: float
 
 
@@ -293,7 +292,6 @@ def oaa_amplify(be: BlockEncoding, n: int, psi: PureState | np.ndarray) -> OaaRe
         success_probability=success,
         post_state=post,
         iterations=n,
-        recommended=recommended_iterations(be.theta),
         theta=be.theta,
     )
 
@@ -322,10 +320,11 @@ def oaa_via_oqt(
     rng: np.random.Generator | None = None,
     forced_bits: Sequence[int] | None = None,
 ) -> OqtRecord:
-    """Run the amplification product as a teleportation chain over its
-    2n+1 factor programs; the all-zero parity branch reproduces the direct
-    circuit on (control, data)."""
-    return oqt_sequence(oaa_factor_programs(be, n), system, rng=rng, forced_bits=forced_bits)
+    """Run the amplification product as a teleportation chain
+    (`pingpong_run`) over its 2n+1 factor programs; the all-zero parity
+    branch reproduces the direct circuit on (control, data)."""
+    programs = oaa_factor_programs(be, n)
+    return pingpong_run(programs, system, rng=rng, forced_bits=forced_bits)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -350,15 +349,15 @@ def _completion_with_first_column(alpha: np.ndarray) -> np.ndarray:
 class LCUPlan:
     """Prepared linear combination sum_i c_i U_i with c_i >= 0.
 
-    alpha = beta = sqrt(c_i / l1) is the symmetric factorization; complex
-    input coefficients have their phases absorbed into the unitaries.
+    alpha = sqrt(c_i / l1) is the symmetric factorization, so the same
+    vector prepares and unprepares; complex input coefficients have their
+    phases absorbed into the unitaries.
     ``black_box`` records that the unitaries arrived as applier pairs.
     """
 
     coefficients: tuple[float, ...]
     unitaries: tuple[np.ndarray, ...]
     alpha: np.ndarray
-    beta: np.ndarray
     prepare: np.ndarray
     unprepare: np.ndarray
     l1: float
@@ -424,7 +423,6 @@ class LCUPlan:
             coefficients=tuple(coeffs),
             unitaries=tuple(adjusted),
             alpha=alpha,
-            beta=alpha.copy(),
             prepare=prepare,
             unprepare=dagger(prepare),
             l1=l1,
@@ -465,7 +463,6 @@ class LCUPlan:
 class LcuResult:
     success_probability: float
     post_state: PureState
-    applied: np.ndarray
 
 
 def lcu_apply(plan: LCUPlan, psi: PureState | np.ndarray) -> LcuResult:
@@ -487,7 +484,7 @@ def lcu_apply(plan: LCUPlan, psi: PureState | np.ndarray) -> LcuResult:
     if success < 1e-14:
         raise BranchError("degenerate superposition: post-selected state has no norm")
     post = PureState(RegisterLayout.of(("data", d)), block / np.linalg.norm(block))
-    return LcuResult(success_probability=success, post_state=post, applied=block)
+    return LcuResult(success_probability=success, post_state=post)
 
 
 # ---------------------------------------------------------------------------

@@ -125,24 +125,24 @@ def choi_of(op: np.ndarray | KrausChannel) -> ChoiProgram:
     return ChoiProgram(PureState(program_layout(d, d), amps))
 
 
-def unitary_of_choi(program: ChoiProgram, tol: float = 1e-8) -> np.ndarray:
+def unitary_of_choi(program: ChoiProgram) -> np.ndarray:
     """Recover the unitary carried by a pure program state."""
     if not program.is_pure:
         raise StateValidationError("only pure program states carry a unitary")
     d_in, d_out = program.in_dim, program.out_dim
     u = program.state.amplitudes.reshape(d_out, d_in) * np.sqrt(d_in)
-    if not is_unitary(u, tol):
+    if not is_unitary(u, 1e-8):
         raise StateValidationError("program amplitudes do not form a unitary")
     return u
 
 
-def channel_of_choi(program: ChoiProgram, tol: float = 1e-10) -> KrausChannel:
+def channel_of_choi(program: ChoiProgram) -> KrausChannel:
     """Extract Kraus operators from a program state.
 
     Eigenvectors of the rescaled program matrix become Kraus operators; they
     are sorted by descending eigenvalue and phase-fixed so the first
     nonnegligible entry of each operator is real positive, making the
-    extraction deterministic.
+    extraction deterministic. Eigenvalues at or below 1e-10 are dropped.
     """
     j = program.in_dim * program.density()
     w, v = np.linalg.eigh(j)
@@ -150,7 +150,7 @@ def channel_of_choi(program: ChoiProgram, tol: float = 1e-10) -> KrausChannel:
     ops = []
     for idx in order:
         lam = float(w[idx])
-        if lam <= tol:
+        if lam <= 1e-10:
             continue
         vec = v[:, idx]
         nz = np.flatnonzero(np.abs(vec) > 1e-12)
@@ -222,11 +222,6 @@ def conjugate_program(program: ChoiProgram) -> ChoiProgram:
     return ChoiProgram(PureState(program.state.layout, program.state.amplitudes.conj()))
 
 
-def adjoint_program(program: ChoiProgram) -> ChoiProgram:
-    """Port swap plus conjugation: carries U -> U^dagger."""
-    return conjugate_program(transpose_program(program))
-
-
 # ---------------------------------------------------------------------------
 # Real-embedding of complex gates: one extra qubit carries the imaginary part.
 # The appended qubit is the least significant digit, so the embedded vector
@@ -265,14 +260,14 @@ def rebit_embed(u: np.ndarray) -> RebitEmbedding:
     return RebitEmbedding(d, q)
 
 
-def rebit_input(psi: np.ndarray | PureState, label: str = "sys") -> PureState:
+def rebit_input(psi: np.ndarray | PureState) -> PureState:
     """Real doubled vector |Re psi>|0> + |Im psi>|1>, unit norm by construction."""
     amps = psi.amplitudes if isinstance(psi, PureState) else as_complex(psi).reshape(-1)
     d = amps.shape[0]
     out = np.zeros(2 * d, dtype=complex)
     out[0::2] = amps.real
     out[1::2] = amps.imag
-    layout = RegisterLayout.of((label, d), ("rebit", 2))
+    layout = RegisterLayout.of(("sys", d), ("rebit", 2))
     return PureState(layout, out)
 
 

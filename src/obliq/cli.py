@@ -16,7 +16,10 @@ runners read. A script is validated by a dry run of those steps on a real
 capacity) as `step n: ...`. Script steps never branch on outcomes, so every
 path meets the registers, owners and ebits of the dry run. A measurement
 consumes its registers, so a step that names a register after it was
-measured (also by `final_measure`) is refused this way.
+measured (also by `final_measure`) is refused this way. `isi_inject`,
+`oqt_link` and `final_measure` run the runners' announced measurement
+(`distributed._announced`); an `oqt_link` through an ebit looks the ebit up
+before it measures.
 
 Every gate literal must be within `gates.UNITARY_TOL` of unitary; a gate
 further off exits 3.
@@ -60,6 +63,7 @@ from .distributed import (
     Party,
     ProtocolEngine,
     ResourceLedger,
+    _announced,
     check_path_probabilities,
     controlled_block,
     knit_estimate,
@@ -67,7 +71,7 @@ from .distributed import (
     parity_inverted_shots,
     pingpong_branches,
     pingpong_run,  # noqa: F401  (a binding the layer probes in bench/ wrap)
-    remote_cnot,
+    remote_controlled_gate,
     run_dbqc,
     run_triparty,
     teleport_state,
@@ -278,13 +282,11 @@ def _parse_step(n: int, step: dict, parties: list):
 
         return distribute
     if op == "isi_inject":
-        p0 = projector(np.conj(state))
         who, inp, rec = party(), label("in_label"), record("isi")
+        _, measure = _announced(who, projector(np.conj(state)), [inp])
 
         def inject(eng, ebits, bits, rng):
-            bit, _ = eng.measure_binary(who, p0, [inp], rng=rng)
-            bits[rec] = int(bit)
-            eng.broadcast(1)
+            bits[rec], _ = measure(eng, rng, None)
 
         return inject
     if op == "oqt_link":
@@ -293,12 +295,9 @@ def _parse_step(n: int, step: dict, parties: list):
 
         def link(eng, ebits, bits, rng):
             bell = bell_projector(eng.layout.dim(labs[0]))
-            bit, _ = eng.measure_binary(who, bell, labs, rng=rng)
-            bits[rec] = int(bit)
-            eng.broadcast(1)
-            eng.record_oqt()
-            if rid is not None:
-                eng.consume_ebit(_ebit(eng, ebits, rid))
+            ebit = None if rid is None else _ebit(eng, ebits, rid)
+            _, measure = _announced(who, bell, labs, oqt=True, ebit=ebit)
+            bits[rec], _ = measure(eng, rng, None)
 
         return link
     if op == "bell_measure_qt":
@@ -315,20 +314,13 @@ def _parse_step(n: int, step: dict, parties: list):
 
         def cnot(eng, ebits, bits, rng):
             eng.check_owned(who, [ctrl])
-            m1, m2 = remote_cnot(eng, ctrl, tgt, _ebit(eng, ebits, rid), rng=rng)
+            m1, m2 = remote_controlled_gate(eng, ctrl, tgt, _ebit(eng, ebits, rid), rng=rng)
             bits[rec] = int(2 * m1 + m2)
 
         return cnot
     if op == "final_measure":
-        p0 = projector(state)
-        who, labs = party(), labels()
-
-        def measure(eng, ebits, bits, rng):
-            bit, _ = eng.measure_binary(who, p0, labs, rng=rng)
-            eng.broadcast(1)
-            return int(bit)
-
-        return measure
+        _, measure = _announced(party(), projector(state), labels())
+        return lambda eng, ebits, bits, rng: measure(eng, rng, None)[0]
     raise ScenarioSemanticError(f"unknown op {op!r}")
 
 

@@ -1,15 +1,19 @@
 """Multi-party protocol simulation with explicit resource accounting.
 
-Parties own registers; the engine refuses any operation that would couple
-registers held by different parties, so entanglement can only spread through
-explicitly distributed ebits.  Every run produces a ResourceLedger counting
-ebits, broadcast bits, oblivious-teleportation events, byproduct corrections
-and forced temporal layers.
+Parties own registers; the engine knows each party by name and refuses any
+operation that would couple registers held by different parties, so
+entanglement can only spread through explicitly distributed ebits.  Every
+run produces a ResourceLedger counting ebits, broadcast bits,
+oblivious-teleportation events, byproduct corrections and forced temporal
+layers. `Party` bundles a name with the programs and states a runner
+consumes.
 
 A measurement consumes the registers it measures, as every primitive of the
 paper does (injection, the OQT link, the teleportation Bell measurement):
 outcome k leaves tr_M((P_k ox 1) rho) / p_k, one weighted `partial_trace`,
-and the measured labels leave the layout and the owner map.
+and the measured labels leave the layout and the owner map. A forced
+outcome outside the measurement's outcomes is refused before the state
+changes.
 
 The dbqc, tri-party and ping-pong runners need every outcome pattern of
 their measurements. Each protocol is defined once as a list of steps, and
@@ -18,7 +22,10 @@ their measurements. Each protocol is defined once as a list of steps, and
 simulated at most once. A step's measurement may have any number of
 outcomes: two for a binary measurement, d**2 for a teleportation.
 `teleport_state`, `remote_controlled_gate` and `pingpong_run` follow one
-path of the same steps.
+path of the same steps; `pingpong_run` is the library's one single-path OQT
+chain. `_announced` is the one announced binary measurement (measure,
+broadcast, count an OQT link, consume an ebit), shared by the runners and
+the CLI's script ops.
 
 dbqc and ping-pong also pass the walker a merge key, the parity lattice: a
 unital program's branch state depends only on the ISI bit b and the
@@ -110,19 +117,22 @@ class ResourceLedger:
 class ProtocolEngine:
     """Density-matrix simulator with per-party register ownership.
 
-    All multi-register operations require a single owner.  Cross-party
-    correlations can only be created by `distribute_ebit` or `transport`,
-    which move a register to a new owner and register an entanglement
-    resource id for the ledger's conservation check.
+    A party is a name: the constructor takes the parties' names, and every
+    method that acts for a party takes its name. All multi-register
+    operations require a single owner. Raw vector and matrix states are
+    checked on allocation, and a forced measurement outcome must be one of
+    the measurement's outcomes. Cross-party correlations can only be
+    created by `distribute_ebit` or `transport`, which move a register to a
+    new owner and register an entanglement resource id for the ledger's
+    conservation check.
     """
 
-    def __init__(self, *parties: Party | str):
-        self.parties: dict[str, Party] = {}
-        for p in parties:
-            party = p if isinstance(p, Party) else Party(str(p))
-            if party.name in self.parties:
-                raise DuplicateLabelError(f"duplicate party {party.name!r}")
-            self.parties[party.name] = party
+    def __init__(self, *parties: str):
+        self.parties: set[str] = set()
+        for name in parties:
+            if name in self.parties:
+                raise DuplicateLabelError(f"duplicate party {name!r}")
+            self.parties.add(name)
         self._layout = RegisterLayout(())
         self._owner: dict[str, str] = {}
         self._state = np.ones((1, 1), dtype=complex)
@@ -177,7 +187,7 @@ class ProtocolEngine:
     def reduced(self, labels) -> np.ndarray:
         return partial_trace(self._state, list(labels), self.layout)
 
-    def _probabilities(self, party: Party | str, ops, labels) -> np.ndarray:
+    def _probabilities(self, party: str, ops, labels) -> np.ndarray:
         """tr(P rho_labels) for each operator P on the registers ``labels``."""
         self.check_owned(party, labels)
         reduced = self.reduced(labels)
@@ -193,13 +203,12 @@ class ProtocolEngine:
         self._touch()
         self.ledger.depth += 1
 
-    def _party(self, party: Party | str) -> str:
-        name = party.name if isinstance(party, Party) else party
+    def _party(self, name: str) -> str:
         if name not in self.parties:
             raise LocalityError(f"unknown party {name!r}")
         return name
 
-    def check_owned(self, party: Party | str, labels) -> str:
+    def check_owned(self, party: str, labels) -> str:
         """The name of ``party``, after checking that it holds every register
         in ``labels``; raises LocalityError otherwise."""
         name = self._party(party)
@@ -231,20 +240,22 @@ class ProtocolEngine:
 
     # -- allocation and movement --
 
-    def alloc(self, party: Party | str, label: str, state) -> None:
+    def alloc(self, party: str, label: str, state) -> None:
+        """Allocate ``state`` on a new register. A raw vector or matrix is
+        checked as `PureState` or `MixedState` checks it."""
         name = self._party(party)
-        if isinstance(state, PureState):
-            block = projector(state.amplitudes)
-        elif isinstance(state, MixedState):
-            block = state.matrix
-        else:
+        if not isinstance(state, (PureState, MixedState)):
             arr = as_complex(np.asarray(state))
-            block = projector(arr) if arr.ndim == 1 else arr
+            if arr.ndim not in (1, 2):
+                raise DimensionError(f"a state of shape {arr.shape} is not a vector or a matrix")
+            layout = RegisterLayout.of((label, arr.shape[0]))
+            state = PureState(layout, arr) if arr.ndim == 1 else MixedState(layout, arr)
+        block = projector(state.amplitudes) if isinstance(state, PureState) else state.matrix
         self._append_block([(label, block.shape[0], name)], block)
 
     def alloc_program(
         self,
-        party: Party | str,
+        party: str,
         program: ChoiProgram,
         out_label: str,
         in_labels,
@@ -262,7 +273,7 @@ class ProtocolEngine:
         self._append_block(regs, program.density())
 
     def distribute_ebit(
-        self, party_a: Party | str, party_b: Party | str, label_a: str, label_b: str, d: int = 2
+        self, party_a: str, party_b: str, label_a: str, label_b: str, d: int = 2
     ) -> int:
         na, nb = self._party(party_a), self._party(party_b)
         pair = bell_state(d)
@@ -270,7 +281,7 @@ class ProtocolEngine:
         self._append_block([(label_a, d, na), (label_b, d, nb)], block)
         return self._register_ebit((label_a, label_b))
 
-    def transport(self, label: str, to_party: Party | str) -> int:
+    def transport(self, label: str, to_party: str) -> int:
         """Physically send a live register to another party.
 
         Sending one half of an entangled pair is the generic way entanglement
@@ -308,6 +319,8 @@ class ProtocolEngine:
         on those registers in the order of ``labels``, the state becomes
         tr_labels((W ox 1) rho) instead."""
         labels = list(labels)
+        if len(set(labels)) != len(labels):
+            raise DuplicateLabelError(f"repeated register in {labels}")
         layout = self.layout
         pos = [layout.index(lab) for lab in labels]
         if weight is not None:
@@ -324,7 +337,7 @@ class ProtocolEngine:
 
     # -- dynamics --
 
-    def apply_local(self, party: Party | str, matrix: np.ndarray, labels) -> None:
+    def apply_local(self, party: str, matrix: np.ndarray, labels) -> None:
         self.check_owned(party, labels)
         self._state = apply_on_targets(
             matrix, self._state, list(labels), self.layout, conjugate=True
@@ -340,7 +353,7 @@ class ProtocolEngine:
 
     def measure_binary(
         self,
-        party: Party | str,
+        party: str,
         p0: np.ndarray,
         labels,
         rng: np.random.Generator | None = None,
@@ -357,14 +370,14 @@ class ProtocolEngine:
             raise DimensionError(f"projector shape {p0.shape} is not square")
         return self._project(party, [p0, np.eye(p0.shape[0]) - p0], labels, rng, forced)
 
-    def probability(self, party: Party | str, p0: np.ndarray, labels) -> float:
+    def probability(self, party: str, p0: np.ndarray, labels) -> float:
         """Branch-0 probability of {p0, 1-p0} without collapsing the state."""
         prob = self._probabilities(party, [as_complex(p0)], labels)[0]
         return float(np.clip(prob, 0.0, 1.0))
 
     def measure_projective(
         self,
-        party: Party | str,
+        party: str,
         projectors,
         labels,
         rng: np.random.Generator | None = None,
@@ -378,6 +391,8 @@ class ProtocolEngine:
         the chosen projector then weights the trace that consumes them."""
         if (rng is None) == (forced is None):
             raise EstimationError("pass exactly one of rng or forced")
+        if forced is not None and forced not in range(len(projectors)):
+            raise BranchError(f"forced outcome {forced} is not one of 0..{len(projectors) - 1}")
         probs = np.clip(self._probabilities(party, projectors, labels), 0.0, None)
         total = probs.sum()
         if abs(total - 1.0) > 1e-8:
@@ -654,30 +669,20 @@ def remote_controlled_gate(
     rng: np.random.Generator | None = None,
     forced: tuple[int, int] | None = None,
 ) -> tuple[int, int]:
-    """Apply a controlled gate across two parties through one ebit.
+    """Apply a controlled ``gate`` (default X, a nonlocal CNOT) across two
+    parties through one ebit and two broadcast bits.
 
     Cat-entangler construction: CNOT the control onto the local ebit half,
     Z-measure it (outcome m1, correction X^m1 on the remote half), apply the
     controlled gate locally at the target side, X-measure the remote half
     (outcome m2, correction Z^m2 on the control).  Both corrections count as
-    byproduct events regardless of outcome.
+    byproduct events regardless of outcome. Exactly one of ``rng`` and
+    ``forced`` (the pair (m1, m2)) selects the path. Returns (m1, m2).
     """
     gate = X if gate is None else as_complex(gate)
     steps = _cat_entangler(control_label, target_label, ebit, gate)
     m1, m2 = _follow(engine, steps, rng, forced)
     return m1, m2
-
-
-def remote_cnot(
-    engine: ProtocolEngine,
-    control_label: str,
-    target_label: str,
-    ebit: int,
-    rng: np.random.Generator | None = None,
-    forced: tuple[int, int] | None = None,
-) -> tuple[int, int]:
-    """Nonlocal CNOT consuming one ebit and two broadcast bits."""
-    return remote_controlled_gate(engine, control_label, target_label, ebit, X, rng, forced)
 
 
 # --- distributed black-box quantum computing ---
@@ -1085,7 +1090,6 @@ class KnitEstimate:
     estimate: float
     stderr: float
     overhead: float
-    mode: str
     shots: int | None = None
     term_indices: np.ndarray | None = None
     per_shot: np.ndarray | None = None
@@ -1163,9 +1167,7 @@ def knit_estimate(
     if mode == "exact_sum":
         gram = flat.conj() @ flat_o.T
         value = np.einsum("l,k,lk->", weights.conj(), weights, gram)
-        return KnitEstimate(
-            estimate=float(value.real), stderr=0.0, overhead=overhead, mode=mode
-        )
+        return KnitEstimate(estimate=float(value.real), stderr=0.0, overhead=overhead)
 
     if mode != "sampled":
         raise EstimationError(f"unknown knit mode {mode!r}")
@@ -1185,7 +1187,6 @@ def knit_estimate(
         estimate=estimate,
         stderr=stderr,
         overhead=overhead,
-        mode=mode,
         shots=shots,
         term_indices=idx,
         per_shot=per_shot,
@@ -1195,17 +1196,14 @@ def knit_estimate(
 # --- ping-pong register reuse ---
 
 
-def _pingpong_protocol(programs: list, system, blocks: int):
+def _pingpong_protocol(programs: list, system):
     """The chain's engine, its steps (one parity bit per hop) and the label
     that holds the output at the end."""
-    if blocks != 2:
-        raise DimensionError("the minimal ping-pong construction uses two blocks")
     if not programs:
         raise DimensionError("pingpong_run needs at least one program")
-    if isinstance(system, (PureState, MixedState)):
-        d = system.dim
-    else:
-        d = np.asarray(system).shape[0]
+    eng = ProtocolEngine("device")
+    eng.alloc("device", "blk0_state", system)
+    d = eng.layout.dim("blk0_state")
     for prog in programs:
         if prog.in_dim != d or prog.out_dim != d:
             raise DimensionError("program ports must match the system dimension")
@@ -1225,8 +1223,6 @@ def _pingpong_protocol(programs: list, system, blocks: int):
 
         return step
 
-    eng = ProtocolEngine("device")
-    eng.alloc("device", "blk0_state", system)
     steps = []
     current = "blk0_state"
     for k, prog in enumerate(programs):
@@ -1239,16 +1235,22 @@ def _pingpong_protocol(programs: list, system, blocks: int):
 def pingpong_run(
     programs,
     system,
-    blocks: int = 2,
     rng: np.random.Generator | None = None,
     forced_bits=None,
 ) -> tuple[OqtRecord, ResourceLedger]:
-    """Chain programs through OQT while alternating between two register blocks.
+    """The single-path OQT chain: teleport ``system`` through ``programs`` in
+    application order, with no corrections, alternating between two
+    register blocks.
 
     The measured block is reset and re-prepared with the next program before
     each hop, so the number of live registers never grows with the program
     count; each hop is a forced temporal layer. One run follows one path of
-    the outcome tree, drawn with ``rng`` or given by ``forced_bits``.
+    the outcome tree: exactly one of ``rng`` (draw each parity) and
+    ``forced_bits`` (one bit per program, each 0 or 1) must be given. The
+    final state mixes the target U_n ... U_1 rho with identity noise
+    according to the number s of odd parities (`parity_mix_alpha`).
+    ``system`` is a `PureState`, a `MixedState`, or a vector or density
+    matrix, which is checked as those classes check it.
     """
     programs = list(programs)
     if (rng is None) == (forced_bits is None):
@@ -1257,7 +1259,7 @@ def pingpong_run(
         forced_bits = list(forced_bits)
         if len(forced_bits) != len(programs):
             raise EstimationError("one forced bit per program is required")
-    eng, steps, current = _pingpong_protocol(programs, system, blocks)
+    eng, steps, current = _pingpong_protocol(programs, system)
     bits = _follow(eng, steps, rng, forced_bits)
     final = MixedState(RegisterLayout.of(("s", eng.layout.dim(current))), eng.reduced([current]))
     record = OqtRecord(parity_bits=tuple(bits), s=sum(bits), final_state=final)
@@ -1267,7 +1269,7 @@ def pingpong_run(
 def _pingpong_readout_protocol(programs, system, readout: np.ndarray):
     """The chain's engine and steps, and a finish that reads P(``readout``)
     of its output."""
-    eng, steps, current = _pingpong_protocol(list(programs), system, 2)
+    eng, steps, current = _pingpong_protocol(list(programs), system)
 
     def finish(eng: ProtocolEngine) -> float:
         return float(np.real(np.conj(readout) @ eng.reduced([current]) @ readout))

@@ -7,7 +7,10 @@ The three primitives are
 * initial-state injection: a binary measurement on the in port that either
   launches U|psi> or leaves a known complement state;
 * oblivious teleportation: a binary Bell-pair measurement gluing a system to
-  the in port, with a parity bit per step and closed-form branch states;
+  the in port, with a parity bit per step and closed-form branch states
+  (`oqt_step` gives both branches of one step, `oqt_sample_records` samples
+  many trails of a chain at once; one trail of a chain on the protocol
+  engine is `distributed.pingpong_run`);
 * oblivious control: controlled application of a black-box gate built from
   controlled swaps, one unconditional doubled application U ox U*, and an
   entangled flag whose eigenvalue is exactly one.
@@ -152,7 +155,7 @@ def isi_measure(
     return _binary_measure(program.density(), program.state.layout, p0, [OUT], [SYS])
 
 
-def _as_system(state: PureState | MixedState | np.ndarray, dim: int | None = None) -> MixedState:
+def _as_system(state: PureState | MixedState | np.ndarray) -> MixedState:
     if isinstance(state, (PureState, MixedState)):
         mixed = as_mixed(state)
         return MixedState(RegisterLayout.of((SYS, mixed.dim)), mixed.matrix)
@@ -190,41 +193,6 @@ class OqtRecord:
     parity_bits: tuple[int, ...]
     s: int
     final_state: MixedState
-
-
-def oqt_sequence(
-    programs: Sequence[ChoiProgram],
-    system: PureState | MixedState | np.ndarray,
-    rng: np.random.Generator | None = None,
-    forced_bits: Sequence[int] | None = None,
-) -> OqtRecord:
-    """Chain teleportation steps through ``programs`` in application order.
-
-    Exactly one of ``rng`` (sample each parity) and ``forced_bits`` (replay a
-    fixed pattern) must be given. No corrections are ever applied; the final
-    state mixes the target U_n ... U_1 rho with identity noise according to
-    the number of nontrivial parities s.
-    """
-    if (rng is None) == (forced_bits is None):
-        raise EstimationError("pass exactly one of rng and forced_bits")
-    if forced_bits is not None and len(forced_bits) != len(programs):
-        raise DimensionError(
-            f"{len(forced_bits)} forced bits for {len(programs)} programs"
-        )
-    state: MixedState = _as_system(system)
-    bits: list[int] = []
-    for k, prog in enumerate(programs):
-        b0, b1 = oqt_step(prog, state)
-        if forced_bits is not None:
-            bit = int(forced_bits[k])
-            if bit not in (0, 1):
-                raise DimensionError(f"forced bit {bit} is not binary")
-        else:
-            bit = 0 if rng.random() < b0.probability else 1
-        chosen = (b0, b1)[bit]
-        bits.append(bit)
-        state = chosen.post_state
-    return OqtRecord(tuple(bits), sum(bits), state)
 
 
 def parity_mix_alpha(s: int, d: int) -> float:
@@ -375,8 +343,6 @@ class ParitySamples:
     shots: int
     all_zero: int
     rest: int
-    patterns: dict[str, int]
-    branch0_probabilities: tuple[float, ...]
     efficiency_factor: float
 
 
@@ -400,20 +366,10 @@ def local_parity_sampling(
         b0, _ = oqt_step(prog, system)
         p0s.append(b0.probability)
         eff *= float(prog.in_dim) ** 2
-    p0s_arr = np.array(p0s)
-    bits = (rng.random((shots, len(p0s))) >= p0s_arr).astype(np.int8)
-    patterns: dict[str, int] = {}
-    keys = ["".join(str(int(b)) for b in row) for row in bits]
-    for key in keys:
-        patterns[key] = patterns.get(key, 0) + 1
-    all_zero = patterns.get("0" * len(p0s), 0)
+    bits = (rng.random((shots, len(p0s))) >= np.array(p0s)).astype(np.int8)
+    all_zero = int((bits.sum(axis=1) == 0).sum())
     return ParitySamples(
-        shots=shots,
-        all_zero=all_zero,
-        rest=shots - all_zero,
-        patterns=dict(sorted(patterns.items())),
-        branch0_probabilities=tuple(p0s),
-        efficiency_factor=eff,
+        shots=shots, all_zero=all_zero, rest=shots - all_zero, efficiency_factor=eff
     )
 
 
@@ -476,14 +432,12 @@ def _swap_blocks(dim: int) -> np.ndarray:
     return s
 
 
-def controlled_gate(u: np.ndarray, control_dim: int = 2, on: int = 1) -> np.ndarray:
-    """P_on ox U + (1 - P_on) ox I on (control, target)."""
+def controlled_gate(u: np.ndarray) -> np.ndarray:
+    """|0><0| ox I + |1><1| ox U on (qubit control, target)."""
     u = as_complex(u)
     d = u.shape[0]
-    gate = np.zeros((control_dim * d, control_dim * d), dtype=complex)
-    for c in range(control_dim):
-        blk = u if c == on else np.eye(d)
-        gate[c * d : (c + 1) * d, c * d : (c + 1) * d] = blk
+    gate = np.eye(2 * d, dtype=complex)
+    gate[d:, d:] = u
     return gate
 
 

@@ -70,8 +70,8 @@ class MixedState:
     def purity(self) -> float:
         return float(np.trace(self.matrix @ self.matrix).real)
 
-    def is_pure(self, tol: float = EPS) -> bool:
-        return abs(self.purity() - 1.0) <= tol
+    def is_pure(self) -> bool:
+        return abs(self.purity() - 1.0) <= EPS
 
     def marginal(self, keep) -> "MixedState":
         return MixedState(self.layout.subset(keep), partial_trace(self.matrix, keep, self.layout))
@@ -89,7 +89,7 @@ def basis_state(index: int, d: int, label: str = "q") -> PureState:
     return PureState(RegisterLayout.of((label, d)), amps)
 
 
-def bell_state(d: int, labels: tuple[str, str] = ("A", "B")) -> PureState:
+def bell_state(d: int) -> PureState:
     """Maximally entangled pair sum_i |ii> / sqrt(d) on two d-dim registers."""
     if d < 2:
         raise DimensionError(f"ebit dimension must be >= 2, got {d}")
@@ -97,4 +97,4 @@ def bell_state(d: int, labels: tuple[str, str] = ("A", "B")) -> PureState:
     for i in range(d):
         amps[i * d + i] = 1.0
     amps /= np.sqrt(d)
-    return PureState(RegisterLayout.of((labels[0], d), (labels[1], d)), amps)
+    return PureState(RegisterLayout.of(("A", d), ("B", d)), amps)

@@ -146,15 +146,15 @@ def controlled_channel_superpose(
     coefficients: Sequence[complex],
     channels: Sequence,
     rho: MixedState | np.ndarray,
-    ancilla_state: np.ndarray | None = None,
 ) -> np.ndarray:
     """Interference pattern of a coefficient-weighted channel superposition.
 
     Each channel enters through a dilation unitary on a shared ancilla;
     the result is tr_anc(Ct (rho_a ox rho) Ct^dag) for
     Ct = sum_i c_i U_i / l1, carrying both the diagonal channel terms and
-    the cross terms. PSD with trace <= 1; the trace equals the success
-    probability of the matching combination circuit.
+    the cross terms, with the ancilla prepared in |0>. PSD with trace <= 1;
+    the trace equals the success probability of the matching combination
+    circuit.
     """
     if len(coefficients) != len(channels):
         raise DimensionError("one coefficient per channel is required")
@@ -177,13 +177,8 @@ def controlled_channel_superpose(
     for u, _ in dilations:
         if u.shape[0] != anc_dim * d:
             raise DimensionError("dilation dim does not match system dim")
-    if ancilla_state is None:
-        anc_vec = np.zeros(anc_dim, dtype=complex)
-        anc_vec[0] = 1.0
-    else:
-        anc_vec = as_complex(ancilla_state).reshape(-1)
-        if anc_vec.shape[0] != anc_dim:
-            raise DimensionError("ancilla state dim mismatch")
+    anc_vec = np.zeros(anc_dim, dtype=complex)
+    anc_vec[0] = 1.0
     l1 = float(sum(abs(complex(c)) for c in coefficients))
     if l1 < 1e-14:
         raise DimensionError("all coefficients vanish")

@@ -38,7 +38,6 @@ from obliq import (
     oqt_compose_choi,
     oqt_estimate_observable,
     oqt_sample_records,
-    oqt_sequence,
     oqt_step,
     parity_mix_alpha,
     pingpong_run,
@@ -100,7 +99,7 @@ def test_criterion_02_sequential_oqt():
         pushed = u_tot @ rho @ u_tot.conj().T
         by_s = {}
         for pattern in itertools.product((0, 1), repeat=n):
-            rec = oqt_sequence(progs, rho, forced_bits=pattern)
+            rec, _ = pingpong_run(progs, rho, forced_bits=pattern)
             s = sum(pattern)
             alpha = parity_mix_alpha(s, d)
             want = alpha * np.eye(d) + (-1.0) ** s * pushed / (d * d - 1.0) ** s

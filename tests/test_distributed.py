@@ -10,8 +10,8 @@ from obliq.distributed import (
     ResourceLedger,
     knit_decompose,
     knit_estimate,
+    pingpong_branches,
     pingpong_run,
-    remote_cnot,
     remote_controlled_gate,
     run_dbqc,
     run_triparty,
@@ -20,8 +20,10 @@ from obliq.distributed import (
 from obliq.errors import (
     CapacityError,
     DimensionError,
+    DuplicateLabelError,
     EstimationError,
     LocalityError,
+    ObliqError,
     ResourceError,
     StateValidationError,
 )
@@ -109,6 +111,56 @@ def test_measurement_consumes_its_registers():
     for lab in ("a", "b"):
         with pytest.raises(LocalityError):
             eng.owner(lab)
+
+
+def _engine_view(eng):
+    """Layout, owners, ledger and state: what a refused operation must leave."""
+    owners = {lab: eng.owner(lab) for lab in eng.layout.labels}
+    return eng.layout, owners, eng.ledger.as_dict(), eng.state()
+
+
+def _assert_view_unchanged(eng, before):
+    layout, owners, ledger, state = _engine_view(eng)
+    assert (layout, owners, ledger) == before[:3]
+    assert np.array_equal(state, before[3])
+
+
+def test_discard_refuses_a_repeated_label():
+    eng = ProtocolEngine("p")
+    eng.alloc("p", "a", basis_state(0, 2))
+    eng.alloc("p", "b", basis_state(1, 2))
+    before = _engine_view(eng)
+    with pytest.raises(DuplicateLabelError):
+        eng.discard(["a", "a"])
+    _assert_view_unchanged(eng, before)
+
+
+def test_forced_outcome_outside_the_outcomes_is_refused():
+    d = 2
+    eng = ProtocolEngine("a", "b")
+    eng.alloc("a", "s", _pure(plus_state()))
+    eid = eng.distribute_ebit("a", "b", "ea", "eb", d)
+    before = _engine_view(eng)
+    for forced in (-1, d * d):
+        with pytest.raises(ObliqError):
+            teleport_state(eng, "s", eid, forced=forced)
+        _assert_view_unchanged(eng, before)
+    with pytest.raises(ObliqError):
+        eng.measure_binary("a", np.diag([1.0, 0.0]), ["s"], forced=2)
+    _assert_view_unchanged(eng, before)
+
+
+def test_raw_states_are_checked_on_allocation():
+    programs = [choi_of(named_gate("H")), choi_of(named_gate("T"))]
+    not_psd = [[0.5, 0.9], [0.9, 0.5]]  # trace 1, eigenvalue -0.4
+    unnormalized = [1.0, 1.0]
+    for system, match in ((not_psd, "eigenvalue"), (unnormalized, "norm")):
+        with pytest.raises(StateValidationError, match=match):
+            pingpong_run(programs, system, forced_bits=[0, 0])
+        with pytest.raises(StateValidationError, match=match):
+            pingpong_branches(programs, system, np.array([1.0, 0.0]))
+    with pytest.raises(DimensionError):
+        pingpong_run(programs, 1.0, forced_bits=[0, 0])
 
 
 def test_ebit_bookkeeping():
@@ -213,7 +265,7 @@ def test_remote_cnot_builds_bell_pair_all_paths():
             eng.alloc("a", "c", _pure(plus_state()))
             eng.alloc("b", "t", basis_state(0, 2, label="t"))
             eid = eng.distribute_ebit("a", "b", "ea", "eb")
-            got_m = remote_cnot(eng, "c", "t", eid, forced=(m1, m2))
+            got_m = remote_controlled_gate(eng, "c", "t", eid, forced=(m1, m2))
             assert got_m == (m1, m2)
             joint = eng.reduced(["c", "t"])
             assert np.abs(joint - bell).max() < 1e-10
@@ -224,7 +276,7 @@ def test_remote_cnot_ledger():
     eng.alloc("a", "c", _pure(plus_state()))
     eng.alloc("b", "t", basis_state(0, 2, label="t"))
     eid = eng.distribute_ebit("a", "b", "ea", "eb")
-    remote_cnot(eng, "c", "t", eid, forced=(1, 1))
+    remote_controlled_gate(eng, "c", "t", eid, forced=(1, 1))
     led = eng.ledger
     assert led.ebits_consumed == 1
     assert led.classical_bits_sent == 2
@@ -240,8 +292,8 @@ def test_remote_cnot_twice_is_identity():
     eng.alloc("b", "t", basis_state(0, 2, label="t"))
     e1 = eng.distribute_ebit("a", "b", "e1a", "e1b")
     e2 = eng.distribute_ebit("a", "b", "e2a", "e2b")
-    remote_cnot(eng, "c", "t", e1, rng=rng)
-    remote_cnot(eng, "c", "t", e2, rng=rng)
+    remote_controlled_gate(eng, "c", "t", e1, rng=rng)
+    remote_controlled_gate(eng, "c", "t", e2, rng=rng)
     joint = eng.reduced(["c", "t"])
     want = np.kron(np.outer(psi_c, psi_c.conj()), np.diag([1.0, 0.0]))
     assert np.abs(joint - want).max() < 1e-10
@@ -577,5 +629,10 @@ def test_pingpong_guards():
         pingpong_run([], basis_state(0, 2), forced_bits=[])
     with pytest.raises(EstimationError):
         pingpong_run(programs, basis_state(0, 2))
-    with pytest.raises(DimensionError):
-        pingpong_run(programs, basis_state(0, 2), blocks=3, forced_bits=[0])
+
+
+def test_pingpong_refuses_a_forced_bit_that_is_not_binary():
+    programs = [choi_of(named_gate("H")), choi_of(named_gate("T"))]
+    for bits in ([-1, 0], [0, 2], [0.5, 0]):
+        with pytest.raises(ObliqError):
+            pingpong_run(programs, basis_state(0, 2), forced_bits=bits)

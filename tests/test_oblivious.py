@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from obliq.channels import amplitude_damping_channel, choi_of
+from obliq.distributed import pingpong_run
 from obliq.errors import EstimationError, StateValidationError
 from obliq.gates import named_gate
 from obliq.oblivious import (
@@ -17,7 +18,6 @@ from obliq.oblivious import (
     oqc_induced_operator,
     oqt_estimate_observable,
     oqt_sample_records,
-    oqt_sequence,
     oqt_step,
     parity_mix_alpha,
     sequence_unitary,
@@ -72,7 +72,7 @@ def test_oqt_step_branch_law():
         assert np.abs(b1.post_state.matrix - mix).max() < 1e-10
 
 
-def test_oqt_sequence_closed_form():
+def test_oqt_chain_closed_form():
     # chain state depends on the parity pattern only through its sum
     rng = np.random.default_rng(102)
     for d in (2, 3):
@@ -82,7 +82,7 @@ def test_oqt_sequence_closed_form():
         u_total = us[2] @ us[1] @ us[0]
         rho_target = np.outer(u_total @ psi, (u_total @ psi).conj())
         for bits in ((0, 0, 0), (1, 0, 0), (0, 1, 1), (1, 1, 1)):
-            rec = oqt_sequence(programs, psi, forced_bits=bits)
+            rec, _ = pingpong_run(programs, psi, forced_bits=bits)
             s = sum(bits)
             alpha = parity_mix_alpha(s, d)
             expect = alpha * np.eye(d) + (-1.0) ** s * rho_target / (d * d - 1.0) ** s
@@ -90,12 +90,12 @@ def test_oqt_sequence_closed_form():
             assert np.abs(rec.final_state.matrix - expect).max() < 1e-10
 
 
-def test_oqt_sequence_needs_exactly_one_driver():
+def test_oqt_chain_needs_exactly_one_driver():
     progs = [choi_of(named_gate("H"))]
     with pytest.raises(EstimationError):
-        oqt_sequence(progs, basis_state(0, 2))
+        pingpong_run(progs, basis_state(0, 2))
     with pytest.raises(EstimationError):
-        oqt_sequence(
+        pingpong_run(
             progs, basis_state(0, 2), rng=np.random.default_rng(0), forced_bits=[0]
         )
 

@@ -4,14 +4,16 @@ Scenarios are JSON files with an explicit version.  `validate` reports every
 violation it can find; `run` executes the scenario with a seeded generator
 and writes three artifacts into the output directory: `records.jsonl` (one
 record per shot), `summary.csv` (estimate, stderr, ledger counters), and
-`resolved-scenario` (the scenario after flag overrides).
+`resolved-scenario` (the scenario after flag overrides, as
+`json.dumps(sort_keys=True, indent=2)` and a newline, from `_indented_json`).
 Reruns with identical inputs are byte-identical.
 
 `run` applies the `--seed`/`--shots`/`--tolerance` flags to the loaded JSON;
 `validate_scenario` then parses every literal once and returns the resolved
 scenario (the same mapping, each literal swapped for its parsed value and
 each script step for a function of the engine), which the checks and the
-runners read. A script is validated by a dry run of those steps on a real
+runners read. Arrays of literals (vectors, matrices) go through the array
+parsers of `gates`, which defer to `real_from_literal`. A script is validated by a dry run of those steps on a real
 `ProtocolEngine`: its locality, dimension and resource errors exit 4 (5 for
 capacity) as `step n: ...`. Script steps never branch on outcomes, so every
 path meets the registers, owners and ebits of the dry run. A measurement
@@ -52,6 +54,7 @@ import io
 import json
 import math
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -85,7 +88,7 @@ from .errors import (
     ScenarioSemanticError,
 )
 from .gates import (
-    complex_from_literal,
+    complexes_from_literal,
     gate_from_literal,
     kraus_from_literal,
     matrix_from_json,
@@ -131,7 +134,9 @@ def state_from_literal(obj) -> np.ndarray:
         entries = obj["vector"]
         if not isinstance(entries, list) or not entries:
             raise ScenarioSchemaError("vector must be a non-empty list of amplitudes")
-        vec = np.array([complex_from_literal(c) for c in entries], dtype=complex)
+        if not 2 <= len(entries) <= MAX_STATE_DIM:
+            raise ScenarioSchemaError(f"vector needs 2 to {MAX_STATE_DIM} amplitudes")
+        vec = complexes_from_literal(entries)
         norm = np.linalg.norm(vec)
         if not abs(norm - 1.0) <= 1e-6:
             raise ScenarioSchemaError(f"state vector norm {norm:.6g} is not 1")
@@ -759,6 +764,28 @@ def _canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _indented_json(obj, pad: str = "\n") -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)``, with each list of
+    scalars, or of non-empty lists of scalars, written by one call of the C
+    encoder (``indent`` selects the pure-Python one). No raw newline occurs
+    inside an encoded scalar, so the separators are found by text."""
+    inner, deeper = pad + "  ", pad + "    "
+    if isinstance(obj, dict) and obj:
+        items = [f"{json.dumps(k)}: {_indented_json(obj[k], inner)}" for k in sorted(obj)]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if not (isinstance(obj, list) and obj):
+        return json.dumps(obj)
+    kinds, nested = set(map(type, obj)), {list, dict}
+    if not kinds & nested:
+        body = json.dumps(obj, separators=("," + inner, ": "))[1:-1]
+    elif kinds == {list} and 0 not in set(map(len, obj)) and not set(map(type, chain(*obj))) & nested:
+        rows = json.dumps(obj, separators=("," + deeper, ": "))[2:-2]
+        body = f"[{deeper}" + rows.replace("]," + deeper + "[", f"{inner}],{inner}[{deeper}") + f"{inner}]"
+    else:
+        body = ("," + inner).join([_indented_json(v, inner) for v in obj])
+    return "[" + inner + body + pad + "]"
+
+
 def _constant(value, shots: int) -> np.ndarray:
     """A column that holds `value` for every shot, without a copy per shot."""
     return np.broadcast_to(np.asarray(value), (shots,))
@@ -882,7 +909,7 @@ def run_scenario(path: str | Path, overrides: dict | None = None) -> Path:
     out_dir = overrides.get("out") or raw.get("out") or f"runs/{Path(path).stem}"
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
-    (out_path / "resolved-scenario").write_text(json.dumps(raw, sort_keys=True, indent=2) + "\n")
+    (out_path / "resolved-scenario").write_text(_indented_json(raw) + "\n")
 
     _write_records(out_path / "records.jsonl", columns, sc["shots"])
 

@@ -4,13 +4,18 @@ Gate literals appear in scenario files in three forms: a named gate with
 optional angle, an explicit matrix with complex entries written as
 ``[re, im]`` pairs, or a Kraus list of such matrices. Every numeric literal
 of a scenario (amplitudes, matrix entries, angles, rates, the tolerance) is
-read by `real_from_literal`, alone or through `complex_from_literal`.
+read by `real_from_literal`, alone or through `complex_from_literal`. Arrays
+of literals (state vectors, matrices) go through `reals_from_literal` and
+`complexes_from_literal`: one numpy conversion when every entry is a JSON
+int or float, else `real_from_literal` entry by entry, so the first bad
+literal raises the scalar parser's error.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from itertools import chain
 
 import numpy as np
 
@@ -60,6 +65,39 @@ def complex_from_literal(value) -> complex:
     return complex(real_from_literal(value), 0.0)
 
 
+_JSON_NUMBERS = {float, int}
+
+
+def _finite_floats(values) -> np.ndarray | None:
+    """``values`` as one float array if every entry is a JSON int or float
+    and every result is finite, else None."""
+    if not set(map(type, values)) <= _JSON_NUMBERS:
+        return None
+    try:
+        out = np.array(values, dtype=float)
+    except OverflowError:
+        return None
+    return out if np.isfinite(out).all() else None
+
+
+def reals_from_literal(values: list) -> np.ndarray:
+    """`real_from_literal` over a list, as a float array."""
+    out = _finite_floats(values)
+    return np.array([real_from_literal(v) for v in values], dtype=float) if out is None else out
+
+
+def complexes_from_literal(values: list) -> np.ndarray:
+    """`complex_from_literal` over a list, as a complex array."""
+    kinds = set(map(type, values))
+    if kinds <= _JSON_NUMBERS:
+        return reals_from_literal(values).astype(complex)
+    if kinds == {list} and set(map(len, values)) == {2}:
+        pairs = _finite_floats(list(chain.from_iterable(values)))
+        if pairs is not None:
+            return pairs.view(complex)
+    return np.array([complex_from_literal(v) for v in values], dtype=complex)
+
+
 def ry(theta: float) -> np.ndarray:
     c, s = np.cos(theta / 2), np.sin(theta / 2)
     return np.array([[c, -s], [s, c]], dtype=complex)
@@ -101,14 +139,16 @@ def named_gate(name: str, theta: float | None = None) -> np.ndarray:
 
 
 def matrix_from_json(rows) -> np.ndarray:
-    """Parse a square matrix: a list of rows of `complex_from_literal` entries."""
+    """Parse a square matrix: 2 or more rows of `complex_from_literal` entries."""
     if (
         not isinstance(rows, list)
         or not rows
         or not all(isinstance(row, list) and len(row) == len(rows) for row in rows)
     ):
         raise ScenarioSchemaError("matrix literal must be a non-empty square list of rows")
-    return np.array([[complex_from_literal(c) for c in row] for row in rows], dtype=complex)
+    if len(rows) < 2:
+        raise ScenarioSchemaError("matrix literal needs at least 2 rows")
+    return complexes_from_literal(list(chain.from_iterable(rows))).reshape(len(rows), len(rows))
 
 
 def matrix_to_json(mat: np.ndarray) -> list:

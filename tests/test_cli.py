@@ -1,4 +1,5 @@
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from obliq.cli import main, run_scenario, state_from_literal, validate_scenario
 from obliq.errors import ObliqError, ScenarioSchemaError
-from obliq.gates import CNOT, CZ, H, gate_from_literal, matrix_to_json
+from obliq.gates import CNOT, CZ, H, gate_from_literal, matrix_to_json, real_from_literal
 from obliq.qmath import random_statevector, random_unitary
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -109,7 +110,7 @@ def test_exit_code_capacity_error(tmp_path):
         "num_qudits": 20,
         "local_dim": 2,
         "gates": [],
-        "observable": [[1]],
+        "observable": [[1, 0], [0, 1]],
     }
     path = _write(tmp_path, "too-big.json", sc)
     assert main(["validate", path]) == 5
@@ -619,6 +620,43 @@ def test_knitting_width_cap_names_the_cap(tmp_path, capsys, num_qudits):
     assert len(err) < 200
 
 
+ONE = {"vector": [[1, 0]]}
+ONE_BY_ONE = {"matrix": [[[1, 0]]]}
+KRAUS_ONE = {"kraus": [[[[1, 0]]]]}
+
+
+@pytest.mark.parametrize(
+    "sc",
+    [
+        _minimal_dbqc(input_state=ONE, readout_state=ONE, alice_programs=[ONE_BY_ONE],
+                      bob_programs=[ONE_BY_ONE]),
+        dict(_minimal_pingpong([ONE_BY_ONE]), input_state=ONE, readout_state=ONE),
+        dict(_minimal_triparty_scheme1(), psi_a=ONE, psi_b=ONE, readout_state=ONE,
+             a_program=ONE_BY_ONE, b_program=ONE_BY_ONE, nonlocal_program=ONE_BY_ONE),
+        dict(_minimal_channel_composition(KRAUS_ONE), channels=[KRAUS_ONE] * 2),
+    ],
+    ids=["dbqc", "pingpong", "triparty-I", "channel-composition"],
+)
+def test_one_dimensional_literals_are_schema_errors(tmp_path, sc):
+    # Each validated and then exited 6 at run ("ebit dimension must be >= 2").
+    path = _write(tmp_path, "one-dim.json", sc)
+    assert main(["validate", path]) == 3
+    out = tmp_path / "never"
+    assert main(["run", path, "--out", str(out)]) == 3
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", [True, "1", 10**400, math.inf], ids=["true", "string", "10**400", "Infinity"])
+def test_one_bad_entry_in_a_large_observable_is_the_scalar_error(tmp_path, capsys, bad):
+    observable = np.eye(256, dtype=int).tolist()
+    observable[200][100] = bad
+    path = _write(tmp_path, "bad-entry.json", _minimal_knitting(num_qudits=8, observable=observable))
+    with pytest.raises(ScenarioSchemaError) as scalar:
+        real_from_literal(bad)
+    assert main(["validate", path]) == 3
+    assert f"observable: {scalar.value}" in capsys.readouterr().err
+
+
 # --- validate never fails at run time on mutated goldens ---
 
 JSON_VALUES = st.recursive(
@@ -708,26 +746,31 @@ def _seeded(build):
 
 def _gate_values(n):
     """Gate names, and random unitaries of size n as matrix literals, some
-    scaled by 1 + delta with delta log-uniform in [1e-12, 1e-7]."""
+    scaled by 1 + delta with delta log-uniform in [1e-12, 1e-7]. At n = 1
+    only the matrix literals, since every gate name is of size 2 or 4."""
     unitary = _seeded(lambda rng: {"matrix": matrix_to_json(random_unitary(n, rng))})
     scaled = _seeded(lambda rng: _scaled(random_unitary(n, rng), 10 ** rng.uniform(-12, -7)))
-    return st.sampled_from(GATE_NAMES) | unitary | scaled
+    return (st.sampled_from(GATE_NAMES) if n > 1 else st.nothing()) | unitary | scaled
 
 
-def _typed_values(field, old):
+def _state_values(dim):
+    return _seeded(lambda rng: {"vector": matrix_to_json([random_statevector(dim, rng)])[0]})
+
+
+def _typed_values(field, old, size=None):
     """A strategy for values of ``old``'s type in ``field``, or None when
-    ``old`` is a container with no field type of its own. A gate or a state
-    that an earlier mutation broke has no size, and is left to the scalar
-    types below."""
+    ``old`` is a container with no field type of its own. Gates and states
+    are drawn of ``old``'s size, or of ``size`` if it is given. A gate or a
+    state that an earlier mutation broke has no size, and is left to the
+    scalar types below."""
     try:
         if field in GATE_FIELDS and isinstance(old, list):
-            n = gate_from_literal(old[0]).shape[0]
+            n = size or gate_from_literal(old[0]).shape[0]
             return st.lists(_gate_values(n), min_size=1, max_size=6)
         if field in GATE_FIELDS:
-            return _gate_values(gate_from_literal(old).shape[0])
+            return _gate_values(size or gate_from_literal(old).shape[0])
         if field in STATE_FIELDS:
-            dim = len(state_from_literal(old))
-            return _seeded(lambda rng: {"vector": matrix_to_json([random_statevector(dim, rng)])[0]})
+            return _state_values(size or len(state_from_literal(old)))
     except ObliqError:
         pass
     if isinstance(old, bool):
@@ -752,10 +795,16 @@ def _at(obj, path):
 
 
 @settings(max_examples=400, deadline=None)
-@given(data=st.data(), golden=st.sampled_from(SCENARIOS), fields=st.integers(1, 2))
-def test_validate_exits_only_with_input_codes_on_typed_mutations(data, golden, fields):
+@given(data=st.data(), golden=st.sampled_from(SCENARIOS), fields=st.integers(1, 2), size_one=st.booleans())
+def test_validate_exits_only_with_input_codes_on_typed_mutations(data, golden, fields, size_one):
     sc = json.loads(golden.read_text())
-    for _ in range(fields):
+    if size_one:
+        # Every gate and state of size 1 at once, so that their sizes agree;
+        # then one typed mutation fewer.
+        for path in [p for p in _paths(sc) if p[-1] in GATE_FIELDS | STATE_FIELDS]:
+            values = _typed_values(path[-1], _at(sc, path), size=1)
+            sc = _replaced(sc, path, data.draw(values, label="size 1"))
+    for _ in range(fields - size_one):
         typed = {}
         for path in _paths(sc):
             values = _typed_values(_field(path), _at(sc, path))

@@ -9,8 +9,10 @@ table and says which digests changed, and why, in CHANGES.md.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from obliq.cli import main
@@ -61,6 +63,9 @@ DIGESTS = {
     ),
 }
 
+# sha256 of the `resolved-scenario` that `_wide_knitting` writes.
+WIDE_RESOLVED_SCENARIO = "0ed2215bb34ab85f652b08c81638126b36b2d716fbdb8349ced573ba50dcb632"
+
 
 def test_every_scenario_is_pinned():
     assert sorted(p.stem for p in SCENARIO_DIR.glob("*.json")) == sorted(DIGESTS)
@@ -75,3 +80,41 @@ def test_artifact_digests(stem, tmp_path):
         for name in ("records.jsonl", "summary.csv", "resolved-scenario")
     )
     assert got == DIGESTS[stem]
+
+
+def _wide_knitting() -> dict:
+    """An 8-qubit knitting scenario with a 256 x 256 real observable and a
+    16 x 16 gate in ``[re, im]`` pairs, drawn with integer draws only (no
+    LAPACK or libm), so the bytes do not depend on the platform."""
+    rng = np.random.default_rng(20261018)
+    a = rng.integers(-(2**20), 2**20, size=(256, 256)) / 1024
+    observable = (a + a.T) / 2
+    # A 16 x 16 Walsh-Hadamard matrix / 4, with rows permuted and phases
+    # from {1, i, -1, -i}: exactly unitary in floating point.
+    walsh = np.array([[(-1) ** bin(i & j).count("1") for j in range(16)] for i in range(16)]) / 4
+    phases = np.array([1, 1j, -1, -1j])[rng.integers(0, 4, size=16)]
+    gate = phases[:, None] * walsh[rng.permutation(16)]
+    return {
+        "version": 1,
+        "kind": "knitting",
+        "mode": "exact_sum",
+        "seed": 8,
+        "shots": 1,
+        "num_qudits": 8,
+        "local_dim": 2,
+        "gates": [
+            {"matrix": [[[c.real, c.imag] for c in row] for row in gate.tolist()], "targets": [0, 1, 2, 3]},
+            {"name": "CZ", "targets": [3, 4], "cut": True},
+        ],
+        "observable": observable.tolist(),
+    }
+
+
+def test_wide_resolved_scenario_digest(tmp_path):
+    # Computed with json.dumps(raw, sort_keys=True, indent=2) + "\n", the
+    # writer of the previous version, which this one must match byte for byte.
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(_wide_knitting()))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    got = hashlib.sha256((tmp_path / "out" / "resolved-scenario").read_bytes()).hexdigest()
+    assert got == WIDE_RESOLVED_SCENARIO

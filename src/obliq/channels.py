@@ -48,9 +48,11 @@ class KrausChannel:
                 raise DimensionError("Kraus operators have mixed shapes")
         object.__setattr__(self, "in_dim", din)
         object.__setattr__(self, "out_dim", dout)
-        total = sum(dagger(k) @ k for k in ops)
-        if np.abs(total - np.eye(din)).max() > 1e-8:
-            raise StateValidationError("Kraus operators do not sum to identity")
+        # Entries near the float maximum overflow to inf or nan, which fail.
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = sum(dagger(k) @ k for k in ops)
+            if not np.abs(total - np.eye(din)).max() <= 1e-8:
+                raise StateValidationError("Kraus operators do not sum to identity")
 
     def __call__(self, rho: np.ndarray) -> np.ndarray:
         return apply_channel(self, rho)

@@ -11,17 +11,19 @@ Reruns with identical inputs are byte-identical.
 `run` applies the `--seed`/`--shots`/`--tolerance` flags to the loaded JSON;
 `validate_scenario` then parses every literal once and returns the resolved
 scenario (the same mapping, each literal swapped for its parsed value and
-each script step for a function of the engine), which the checks and the
-runners read. Arrays of literals (vectors, matrices) go through the array
-parsers of `gates`, which defer to `real_from_literal`. A script is validated by a dry run of those steps on a real
-`ProtocolEngine`: its locality, dimension and resource errors exit 4 (5 for
-capacity) as `step n: ...`. Script steps never branch on outcomes, so every
-path meets the registers, owners and ebits of the dry run. A measurement
-consumes its registers, so a step that names a register after it was
-measured (also by `final_measure`) is refused this way. `isi_inject`,
-`oqt_link` and `final_measure` run the runners' announced measurement
-(`distributed._announced`); an `oqt_link` through an ebit looks the ebit up
-before it measures.
+each script step for its walker steps), which the checks and the runners
+read. Arrays of literals (vectors, matrices) go through the array parsers
+of `gates`, which defer to `real_from_literal`. A script is validated by a
+dry run that follows one path of its steps (`distributed._follow`) on a
+real `ProtocolEngine`: its locality, dimension and resource errors exit 4
+(5 for capacity) as `step n: ...`. Script steps never branch on outcomes,
+so every path meets the registers, owners and ebits of the dry run. A
+measurement consumes its registers, so a step that names a register after
+it was measured (also by `final_measure`) is refused this way. The ops are
+built from the runners' steps: `isi_inject`, `oqt_link` and `final_measure`
+from `distributed._announced` (an `oqt_link` through an ebit looks the ebit
+up before it measures), `bell_measure_qt` from `_teleport`, and
+`remote_cnot` from the two steps of `_cat_entangler`.
 
 Every gate literal must be within `gates.UNITARY_TOL` of unitary; a gate
 further off exits 3.
@@ -33,14 +35,9 @@ JSON line per shot (`json.dumps(sort_keys=True, separators=(",", ":"))`, so
 keys are sorted at every level) with `shot` the 0-based shot index. These
 bytes are stable across versions unless CHANGES.md says otherwise.
 
-The dbqc, tri-party and ping-pong runners enumerate every branch pattern,
-then sample shots from the patterns' probabilities. They walk the outcome
-tree, so each outcome prefix is simulated at most once, and dbqc and
-ping-pong merge branches whose engines agree (see `distributed`). A
-`script` run memoizes its outcome tree: each shot walks it from the root,
-drawing with the same generator calls a fresh script run would make, and
-runs the script only at a prefix not seen before. `MAX_BRANCH_BITS` caps
-the branch bits of dbqc and ping-pong runs.
+The dbqc, tri-party, ping-pong and script runners walk only the outcome
+prefixes their shots draw (`distributed._walk`); a script's ops are walker
+steps. `MAX_BRANCH_BITS` caps the branch bits of dbqc and ping-pong runs.
 
 Exit codes: 0 success, 2 parse error, 3 schema error, 4 semantic error,
 5 capacity error, 6 runtime failure.
@@ -67,17 +64,18 @@ from .distributed import (
     ProtocolEngine,
     ResourceLedger,
     _announced,
-    check_path_probabilities,
+    _binary,
+    _cat_entangler,
+    _follow,
+    _teleport,
+    _walk,
     controlled_block,
     knit_estimate,
     mean_stderr,
-    parity_inverted_shots,
-    pingpong_branches,
     pingpong_run,  # noqa: F401  (a binding the layer probes in bench/ wrap)
-    remote_controlled_gate,
+    pingpong_shots,
     run_dbqc,
     run_triparty,
-    teleport_state,
 )
 from .errors import (
     CapacityError,
@@ -88,6 +86,7 @@ from .errors import (
     ScenarioSemanticError,
 )
 from .gates import (
+    X,
     complexes_from_literal,
     gate_from_literal,
     kraus_from_literal,
@@ -137,7 +136,8 @@ def state_from_literal(obj) -> np.ndarray:
         if not 2 <= len(entries) <= MAX_STATE_DIM:
             raise ScenarioSchemaError(f"vector needs 2 to {MAX_STATE_DIM} amplitudes")
         vec = complexes_from_literal(entries)
-        norm = np.linalg.norm(vec)
+        with np.errstate(over="ignore"):  # amplitudes near the float maximum: norm inf, refused
+            norm = np.linalg.norm(vec)
         if not abs(norm - 1.0) <= 1e-6:
             raise ScenarioSchemaError(f"state vector norm {norm:.6g} is not 1")
         return vec / norm
@@ -183,23 +183,23 @@ def _knit_gate(obj) -> KnitGate:
 # --- script steps ---
 
 
-def _ebit(eng: ProtocolEngine, ebits: dict, rid) -> int:
-    """The engine's id of the unused ebit a script distributed as ``rid``.
-
-    Its errors name ``rid``, the id the script uses, not the engine's.
-    """
-    if rid not in ebits:
+def _ebit(eng: ProtocolEngine, rid, known) -> int:
+    """The engine's id of the unused ebit a script distributed as ``rid``;
+    ``known`` is (engine id, registers) from its distribute step, or None.
+    Its errors name ``rid``, the id the script uses."""
+    if known is None or eng._ebits.get(known[0]) != known[1]:
         raise ResourceError(f"ebit {rid} was never distributed")
-    if eng.is_consumed(ebits[rid]):
+    if eng.is_consumed(known[0]):
         raise ResourceError(f"ebit {rid} already consumed")
-    return ebits[rid]
+    return known[0]
 
 
-def _script_step(n: int, step, parties: list):
-    """Step ``n`` of a script, parsed: a function (engine, ebit ids, bits,
-    rng) that runs the step and returns the readout bit of a
-    `final_measure`, else None. ``ebit ids`` maps the script's resource ids
-    to the engine's and ``bits`` collects the recorded outcomes.
+def _script_step(n: int, step, parties: list, resources: dict):
+    """Step ``n`` of a script, parsed: (record, walker steps), where record
+    is ("bits", name), ("readout",) for a `final_measure`, or () for a step
+    that draws nothing. ``resources`` maps the ebit ids distributed so far
+    to (engine id, registers): every path runs the same steps, so the n-th
+    distributed ebit has engine id n.
 
     A malformed literal raises ScenarioSchemaError here. A malformed field
     gives a step that raises its ScenarioSemanticError when it runs, so the
@@ -208,17 +208,17 @@ def _script_step(n: int, step, parties: list):
     if not isinstance(step, dict) or "op" not in step:
         raise ScenarioSchemaError("each step needs an op")
     try:
-        return _parse_step(n, step, parties)
+        return _parse_step(n, step, parties, resources)
     except ScenarioSemanticError as exc:
         error = exc
 
-        def refused(*_):
+        def refused(eng):
             raise error
 
-        return refused
+        return (), [refused]
 
 
-def _parse_step(n: int, step: dict, parties: list):
+def _parse_step(n: int, step: dict, parties: list, resources: dict):
     op = step["op"]
 
     def party(key="party"):
@@ -240,7 +240,7 @@ def _parse_step(n: int, step: dict, parties: list):
         return value
 
     def record(prefix):
-        return step.get("record", f"{prefix}_{n}")
+        return "bits", step.get("record", f"{prefix}_{n}")
 
     # Literals first, so that no field error hides a schema error.
     if op in ("prepare_state", "isi_inject", "final_measure"):
@@ -255,22 +255,23 @@ def _parse_step(n: int, step: dict, parties: list):
         raise ScenarioSemanticError(f"resource {rid!r} is not an integer or a string")
     if not isinstance(step.get("record", ""), str):
         raise ScenarioSemanticError("record must be a string")
+    known = resources.get(rid)
 
     if op == "prepare_state":
         who, lab = party(), label("label")
-        return lambda eng, ebits, bits, rng: eng.alloc(who, lab, state)
+        return (), [lambda eng: eng.alloc(who, lab, state)]
     if op == "prepare_program":
         program = choi_of(gate)
         who, out, inp = party(), label("out_label"), label("in_label")
-        return lambda eng, ebits, bits, rng: eng.alloc_program(who, program, out, inp)
+        return (), [lambda eng: eng.alloc_program(who, program, out, inp)]
     if op == "local_gate":
         who, labs = party(), labels()
-        return lambda eng, ebits, bits, rng: eng.apply_local(who, gate, labs)
+        return (), [lambda eng: eng.apply_local(who, gate, labs)]
     if op == "broadcast":
         count = step.get("bits")
         if not _is_int(count) or count < 0:
             raise ScenarioSemanticError("bits must be a non-negative integer")
-        return lambda eng, ebits, bits, rng: eng.broadcast(count)
+        return (), [lambda eng: eng.broadcast(count)]
     if op == "distribute_ebit":
         d = step.get("dim", 2)
         if not _is_int(d) or d < 2 or d * d > MAX_STATE_DIM:
@@ -279,69 +280,65 @@ def _parse_step(n: int, step: dict, parties: list):
         if rid is None:
             raise ScenarioSemanticError("distribute_ebit needs a resource id")
         pa, pb, la, lb = party("party_a"), party("party_b"), label("label_a"), label("label_b")
+        if known is not None:
+            raise ScenarioSemanticError(f"ebit {rid} distributed twice")
+        resources[rid] = (len(resources), (la, lb))
 
-        def distribute(eng, ebits, bits, rng):
-            if rid in ebits:
-                raise ResourceError(f"ebit {rid} distributed twice")
-            ebits[rid] = eng.distribute_ebit(pa, pb, la, lb, d)
+        def distribute(eng):
+            eng.distribute_ebit(pa, pb, la, lb, d)
 
-        return distribute
+        return (), [distribute]
     if op == "isi_inject":
         who, inp, rec = party(), label("in_label"), record("isi")
-        _, measure = _announced(who, projector(np.conj(state)), [inp])
-
-        def inject(eng, ebits, bits, rng):
-            bits[rec], _ = measure(eng, rng, None)
-
-        return inject
+        basis = _binary(projector(np.conj(state)))
+        return rec, [lambda eng: _announced(eng, who, basis, [inp])]
     if op == "oqt_link":
         # Without a resource it is a local link inside one party: no ebit.
         who, labs, rec = party(), labels(), record("parity")
 
-        def link(eng, ebits, bits, rng):
-            bell = bell_projector(eng.layout.dim(labs[0]))
-            ebit = None if rid is None else _ebit(eng, ebits, rid)
-            _, measure = _announced(who, bell, labs, oqt=True, ebit=ebit)
-            bits[rec], _ = measure(eng, rng, None)
+        def link(eng):
+            bell = _binary(bell_projector(eng.layout.dim(labs[0])))
+            ebit = None if rid is None else _ebit(eng, rid, known)
+            return _announced(eng, who, bell, labs, oqt=True, ebit=ebit)
 
-        return link
+        return rec, [link]
     if op == "bell_measure_qt":
         who, lab, rec = party(), label("state_label"), record("teleport")
 
-        def teleport(eng, ebits, bits, rng):
+        def teleport(eng):
             eng.check_owned(who, [lab])
-            _, byproduct = teleport_state(eng, lab, _ebit(eng, ebits, rid), rng=rng)
-            bits[rec] = int(byproduct)
+            return _teleport(lab, _ebit(eng, rid, known))(eng)
 
-        return teleport
+        return rec, [teleport]
     if op == "remote_cnot":
+        # Its two measurements, m1 and m2, are recorded as 2 * m1 + m2.
         who, ctrl, tgt, rec = party(), label("control"), label("target"), record("cnot")
 
-        def cnot(eng, ebits, bits, rng):
+        def z_step(eng):
             eng.check_owned(who, [ctrl])
-            m1, m2 = remote_controlled_gate(eng, ctrl, tgt, _ebit(eng, ebits, rid), rng=rng)
-            bits[rec] = int(2 * m1 + m2)
+            return _cat_entangler(ctrl, tgt, _ebit(eng, rid, known), X)[0](eng)
 
-        return cnot
+        def x_step(eng):
+            return _cat_entangler(ctrl, tgt, _ebit(eng, rid, known), X)[1](eng)
+
+        return rec, [z_step, x_step]
     if op == "final_measure":
-        _, measure = _announced(party(), projector(state), labels())
-        return lambda eng, ebits, bits, rng: measure(eng, rng, None)[0]
+        who, basis, labs = party(), _binary(projector(state)), labels()
+        return ("readout",), [lambda eng: _announced(eng, who, basis, labs)]
     raise ScenarioSemanticError(f"unknown op {op!r}")
 
 
 def _dry_run(sc: dict) -> list[str]:
-    """Run a parsed script once and return the errors of its steps.
+    """Follow one path of a parsed script and return the errors of its steps.
 
     It continues past a failing step. A CapacityError stops it and is raised.
     """
     eng = ProtocolEngine(*sc["parties"])
-    ebits: dict = {}
-    bits: dict[str, int] = {}
     rng = np.random.default_rng(sc["seed"])
     out = []
-    for n, step in enumerate(sc["steps"]):
+    for n, (_, steps) in enumerate(sc["steps"]):
         try:
-            step(eng, ebits, bits, rng)
+            _follow(eng, steps, rng, None)
         except CapacityError as exc:
             raise CapacityError(f"step {n}: {exc}") from exc
         except ObliqError as exc:
@@ -456,10 +453,10 @@ def _parsed(raw: dict) -> tuple[dict, list[str]]:
         if not isinstance(steps, list) or not steps:
             out.append("script scenario needs a non-empty steps list")
         else:
-            sc["steps"] = []
+            sc["steps"], resources = [], {}
             for n, step in enumerate(steps):
                 try:
-                    sc["steps"].append(_script_step(n, step, parties))
+                    sc["steps"].append(_script_step(n, step, parties, resources))
                 except ObliqError as exc:
                     out.append(f"step {n}: {exc}")
     return sc, out
@@ -522,12 +519,11 @@ def _semantic_violations(sc: dict) -> list[str]:
     return out
 
 
-# The dbqc and ping-pong runners walk the outcome tree of every binary
-# measurement, 2**(bits + 1) - 1 engine segments, merging branches whose
-# engines agree. Unitary programs merge to O(bits**2) segments, but a gate
-# that validation accepts can be far enough from unitary to merge few,
-# so the cap is still set by the tree: about 20 s at 16 bits
-# (README).
+# The dbqc and ping-pong runners walk, at each depth, at most min(shots,
+# outcome combinations so far) nodes, fewer where branches merge. Gates
+# that validation accepts may merge none, and each node's cost grows with
+# the qudit dimension, so the bits stay capped until the cost of a run can
+# be predicted from the scenario (ROADMAP).
 MAX_BRANCH_BITS = 16
 
 
@@ -611,20 +607,10 @@ def _run_triparty(sc: dict, rng: np.random.Generator):
 
 
 def _run_pingpong(sc: dict, rng: np.random.Generator):
-    programs = _programs(sc["programs"])
-    psi_in = _state(sc["input_state"])
-    psi_o = sc["readout_state"]
-
-    patterns, probs, qvals, ledger = pingpong_branches(programs, psi_in, psi_o)
-    probs = check_path_probabilities(probs)
-    idx, y, t_hat = parity_inverted_shots(patterns, probs, qvals, psi_in.dim, sc["shots"], rng)
+    programs, psi_in = _programs(sc["programs"]), _state(sc["input_state"])
+    patterns, y, t_hat, ledger = pingpong_shots(programs, psi_in, sc["readout_state"], sc["shots"], rng)
     estimate, stderr = mean_stderr(t_hat)
-    columns = {
-        "parity_bits": patterns[idx],
-        "s": patterns[idx].sum(axis=1),
-        "readout": y,
-        "estimate": t_hat,
-    }
+    columns = {"parity_bits": patterns, "s": patterns.sum(axis=1), "readout": y, "estimate": t_hat}
     return estimate, stderr, ledger, columns
 
 
@@ -666,81 +652,33 @@ def _run_channel_composition(sc: dict, rng: np.random.Generator):
     return distance, 0.0, ledger, columns
 
 
-class _TreeDraws:
-    """The generator one script run draws from: it replays the outcomes in
-    ``known``, then draws from ``rng`` and records each new draw's
-    distribution in ``tree`` under the outcome prefix before it."""
-
-    def __init__(self, tree: dict, rng: np.random.Generator, known: tuple):
-        self.tree, self.rng, self.known = tree, rng, known
-        self.prefix: tuple = ()
-
-    def choice(self, a: int, p: np.ndarray) -> int:
-        depth = len(self.prefix)
-        if depth < len(self.known):
-            outcome = self.known[depth]
-        else:
-            self.tree[self.prefix] = p
-            outcome = int(self.rng.choice(a, p=p))
-        self.prefix += (outcome,)
-        return outcome
-
-
 def _run_script(sc: dict, rng: np.random.Generator):
-    """Shots walk the script's outcome tree, memoized on the outcome prefix.
-
-    `tree` maps a prefix to the distribution of the next draw, or to the
-    index of the finished run in `leaves`. A shot draws each outcome it
-    finds in the tree with the call `ProtocolEngine` makes, so the
-    generator sees the same calls as with one script run per shot. At a
-    prefix the tree does not hold yet, the shot runs the script once,
-    replaying the prefix and drawing the rest from `rng`.
-    """
+    """Shots walk the script's steps (`distributed._walk`). Shot i draws from
+    row i of ``rng.random((shots, draws))`` as one ``rng.choice`` per draw
+    would, so outcomes and generator state are those of a run per shot."""
     shots = sc["shots"]
-    tree: dict[tuple, np.ndarray | int] = {}
-    leaves = []
-    leaf_of_shot = np.empty(shots, dtype=np.int64)
-    ledger = None
-    for shot in range(shots):
-        prefix = ()
-        node = tree.get(prefix)
-        while isinstance(node, np.ndarray):
-            prefix += (int(rng.choice(len(node), p=node)),)
-            node = tree.get(prefix)
-        if node is None:
-            draws = _TreeDraws(tree, rng, prefix)
-            bits, final_bit, run_ledger = _execute_script_once(sc, draws)
-            if ledger is None:
-                ledger = run_ledger
-            node = tree[draws.prefix] = len(leaves)
-            leaves.append((bits, final_bit))
-        leaf_of_shot[shot] = node
-    # Every shot runs the same steps, so every shot records the same keys.
-    columns = {
-        "bits": {
-            key: np.array([bits[key] for bits, _ in leaves])[leaf_of_shot] for key in leaves[0][0]
-        }
-    }
-    if leaves[0][1] is None:
+    steps = [s for _, op_steps in sc["steps"] for s in op_steps]
+    draws = sum(len(op_steps) for record, op_steps in sc["steps"] if record)
+    uniforms = rng.random((shots, draws))
+    root = ProtocolEngine(*sc["parties"])
+    patterns, _, leaf_of, ledgers = _walk(root, steps, lambda eng: eng.ledger, uniforms)
+    columns, col = {"bits": {}}, 0
+    for record, op_steps in sc["steps"]:
+        if not record:
+            continue
+        value = np.zeros(shots, dtype=np.int64)
+        for outcome in patterns[:, col : col + len(op_steps)].T:
+            value = 2 * value + outcome
+        col += len(op_steps)
+        if record[0] == "bits":
+            columns["bits"][record[1]] = value
+        else:
+            columns["readout"] = value
+    ledger = ledgers[leaf_of[0]]
+    if "readout" not in columns:
         return math.nan, 0.0, ledger, columns
-    readout = np.array([final_bit for _, final_bit in leaves])[leaf_of_shot]
-    columns["readout"] = readout
-    estimate, stderr = mean_stderr((readout == 0).astype(float))
+    estimate, stderr = mean_stderr((columns["readout"] == 0).astype(float))
     return estimate, stderr, ledger, columns
-
-
-def _execute_script_once(sc: dict, rng: np.random.Generator):
-    """One run of a parsed script: its recorded bits, readout bit (None
-    without a `final_measure`) and ledger."""
-    eng = ProtocolEngine(*sc["parties"])
-    ebits: dict = {}
-    bits: dict[str, int] = {}
-    final_bit = None
-    for step in sc["steps"]:
-        bit = step(eng, ebits, bits, rng)
-        if bit is not None:
-            final_bit = bit
-    return bits, final_bit, eng.ledger
 
 
 _RUNNERS = {

@@ -15,29 +15,27 @@ and the measured labels leave the layout and the owner map. A forced
 outcome outside the measurement's outcomes is refused before the state
 changes.
 
-The dbqc, tri-party and ping-pong runners need every outcome pattern of
-their measurements. Each protocol is defined once as a list of steps, and
-`_branch_leaves` walks its outcome tree depth first, forking the engine
-(`ProtocolEngine.fork`) at each measurement, so each outcome prefix is
-simulated at most once. A step's measurement may have any number of
-outcomes: two for a binary measurement, d**2 for a teleportation.
-`teleport_state`, `remote_controlled_gate` and `pingpong_run` follow one
-path of the same steps; `pingpong_run` is the library's one single-path OQT
-chain. `_announced` is the one announced binary measurement (measure,
-broadcast, count an OQT link, consume an ebit), shared by the runners and
-the CLI's script ops.
+Every protocol is defined once as a list of steps, and `_walk` is the one
+sampler of their outcomes: depth first, each node forms its outcome row
+once and forks the engine (`ProtocolEngine.fork`) only for the outcomes
+some shot draws, by one descent rule over per-shot arrays. A measurement
+may have any number of outcomes: two for a binary one, d**2 for a
+teleportation. `teleport_state`, `remote_controlled_gate`, `pingpong_run`
+(the one single-path OQT chain) and the engine's own measurements follow
+one path (`_follow`, one ``rng.choice`` per measurement). `_announced` is
+the one announced binary measurement (measure, broadcast, count an OQT
+link, consume an ebit), shared by the runners and the CLI's script ops.
 
-dbqc and ping-pong also pass the walker a merge key, the parity lattice: a
-unital program's branch state depends only on the ISI bit b and the
-number s of odd parities (`oblivious.parity_mix_alpha`), so branches with
-the same (b, s), or s, merge when their engines agree
-(`ProtocolEngine.agrees_with`). Tri-party schemes I and II pass none.
+dbqc and ping-pong pass the walk a merge key, the parity lattice: a unital
+program's branch state depends only on the ISI bit b and the number s of
+odd parities (`oblivious.parity_mix_alpha`), so branches with the same
+(b, s), or s, merge when their engines agree (`ProtocolEngine.agrees_with`).
 """
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-from array import array
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -368,7 +366,7 @@ class ProtocolEngine:
         p0 = as_complex(p0)
         if p0.ndim != 2 or p0.shape[0] != p0.shape[1]:
             raise DimensionError(f"projector shape {p0.shape} is not square")
-        return self._project(party, [p0, np.eye(p0.shape[0]) - p0], labels, rng, forced)
+        return self._project(party, _binary(p0), labels, rng, forced)
 
     def probability(self, party: str, p0: np.ndarray, labels) -> float:
         """Branch-0 probability of {p0, 1-p0} without collapsing the state."""
@@ -387,139 +385,216 @@ class ProtocolEngine:
         return self._project(party, [as_complex(p) for p in projectors], labels, rng, forced)
 
     def _project(self, party, projectors, labels, rng, forced) -> tuple[int, float]:
-        """Outcome probabilities come from the state reduced to ``labels``;
-        the chosen projector then weights the trace that consumes them."""
-        if (rng is None) == (forced is None):
-            raise EstimationError("pass exactly one of rng or forced")
-        if forced is not None and forced not in range(len(projectors)):
-            raise BranchError(f"forced outcome {forced} is not one of 0..{len(projectors) - 1}")
+        """One path of a one-step protocol (`_follow`): the outcome, drawn
+        with ``rng`` or taken from ``forced``, and its probability."""
+        measured = _measured(self, party, projectors, labels)
+        (idx,) = _follow(self, [lambda eng: measured], rng, None if forced is None else [forced])
+        return idx, float(measured[0][idx])
+
+    def _outcomes(self, party, projectors, labels) -> np.ndarray:
+        """Each projector's probability on ``labels``, clipped at 0; raises
+        unless they sum to 1 within 1e-8, and never renormalizes."""
         probs = np.clip(self._probabilities(party, projectors, labels), 0.0, None)
         total = probs.sum()
         if abs(total - 1.0) > 1e-8:
             raise StateValidationError(f"measurement probabilities sum to {total}")
-        if forced is not None:
-            idx = int(forced)
-        else:
-            idx = int(rng.choice(len(probs), p=probs / total))
-        prob = probs[idx]
-        if prob < 1e-14:
-            raise BranchError(f"measurement branch {idx} has vanishing probability")
-        self.discard(labels, projectors[idx])
-        self._state /= prob
+        return probs
+
+    def _collapse(self, labels, projectors, probs, k: int) -> None:
+        """Keep outcome ``k``: its projector weights the trace of ``labels``."""
+        if probs[k] < 1e-14:
+            raise BranchError(f"measurement branch {k} has vanishing probability")
+        self.discard(labels, projectors[k])
+        self._state /= probs[k]
         self._touch()
-        return idx, float(prob)
 
 
-# --- protocols as steps ---
+def _binary(p0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The projectors (p0, 1 - p0) of a binary measurement."""
+    p0 = as_complex(p0)
+    return p0, np.eye(p0.shape[0]) - p0
+
+
+# --- protocols as steps: the one walk ---
 
 # A protocol is a list of steps. A step does the outcome-free work before its
-# measurement (allocating a program, distributing an ebit, a local gate) on
-# the engine it is given, and returns (number of outcomes, measure):
-# measure(engine, rng, forced) -> (outcome, probability of the outcome), which
-# also does the work that follows the measurement (broadcast, correction);
-# the measurement itself consumes the registers it measures. A finish
-# function reads the run's result off the engine at the end.
+# measurement on the node it is given (a `ProtocolEngine`; a parity count in
+# `oblivious.oqt_sample_records`) and returns None if it measures nothing,
+# else the outcome row and branch(k, last): the node after outcome k and its
+# follow-up work (broadcast, correction). A finish reads a leaf's result.
+
+
+def _measured(eng: ProtocolEngine, party: str, projectors, labels, after=None):
+    """A step's measurement of ``labels``: the outcome row, formed once, and
+    branch(k, last): ``eng`` (a fork unless ``last``) collapsed on k, then
+    ``after(engine, k)``."""
+    row = eng._outcomes(party, projectors, labels)
+
+    def branch(k: int, last: bool) -> ProtocolEngine:
+        twin = eng if last else eng.fork()
+        twin._collapse(labels, projectors, row, k)
+        if after is not None:
+            after(twin, k)
+        return twin
+
+    return row, branch
+
+
+def _cdf(row: np.ndarray) -> np.ndarray:
+    """[0, c...], where c is the CDF of outcome row ``row`` as `rng.choice`
+    forms it: cumsum(p) / cumsum(p)[-1] for p = row / sum(row)."""
+    cdf = np.cumsum(row / row.sum())
+    cdf /= cdf[-1]
+    return np.concatenate(([0.0], cdf))
+
+
+def _walk(root, steps, finish, uniforms=None, patterns=None, key=None, agree=None, tol=None):
+    """Walk the shots of ``uniforms`` or ``patterns`` through ``steps`` from
+    ``root``, forking a node only for the outcomes its shots take, and run
+    ``finish`` once per leaf. A node runs its step and forms its outcome row
+    once; with ``tol``, a row further than ``tol`` from summing to 1 raises
+    BranchError. The descent rule: shot i takes outcome k when
+    e[k] <= u < e[k+1] for e = lo + mass cdf (`_cdf`), ties going right, and
+    [lo, lo + mass) narrows to the outcome's interval. ``uniforms`` of shape
+    (shots,) carry one uniform per shot down the whole path from [0, 1), so
+    a shot takes the leaf ``rng.choice(leaves, size=shots, p=path
+    probabilities)`` takes with the same ``rng.random(shots)``, up to
+    rounding at an edge. Shape (shots, draws) gives each draw a fresh
+    uniform at lo = 0, mass = 1: exactly ``rng.choice(k, p=row)``.
+    ``patterns`` (a row per shot) give the outcomes; one that is not a
+    measurement's is refused before the state changes.
+
+    Depth first, a walk without ``key`` holds the children of one node per
+    depth. ``key``, a function of an outcome prefix, merges equal branches
+    (the reduction rule of ordered decision diagrams): the first node placed
+    at a (depth, key) is held until every node above that depth is walked,
+    and a later node there that ``agree``s with it (default
+    `ProtocolEngine.agrees_with`) hands it its shots; any other node is
+    walked at once. Returns each shot's outcomes (a column per draw), path
+    probability (multiplied in step order from 1.0) and leaf index, and the
+    leaves' finish values.
+    """
+    shots = len(uniforms if patterns is None else patterns)
+    outcomes = np.zeros((shots, len(steps)), dtype=np.int16)
+    probs, leaf_of, results, width = np.empty(shots), np.empty(shots, dtype=np.intp), [], [0]
+    agree = agree or ProtocolEngine.agrees_with
+    held = [{} for _ in range(len(steps) + 1)]  # per depth: key -> (node, prefix, draw, parts)
+    # A node's shots: their indices ``who`` and a row each in ``per``, (u, lo,
+    # mass, path probability) with carried uniforms, else the probability.
+    # Carried uniforms start sorted, so shots sharing an interval take its
+    # outcomes in runs, and its children take slices of its arrays.
+    carried = patterns is None and uniforms.ndim == 1
+    who = np.argsort(uniforms) if carried else np.arange(shots)
+    per = np.ones((shots, 4 if carried else 1))
+    if carried:
+        per[:, 0], per[:, 1] = uniforms[who], 0.0
+
+    def descend(row: np.ndarray, who: np.ndarray, per: np.ndarray, draw: int) -> list:
+        """(k, the part of the shots taking it: a slice if contiguous) per
+        outcome taken at the draw-th measurement; updates ``per``."""
+        total = row.sum()
+        if tol is not None and not abs(total - 1.0) <= tol:
+            raise BranchError(f"branch outcome probabilities sum to {total:.12g}, not 1")
+        cdf = _cdf(row)
+        u, lo, mass = per[:, :3].T if carried else (None, None, None)
+        if carried and lo.min() == lo.max() and mass.min() == mass.max():
+            # One interval, so its shots are sorted by u: cut them at its edges.
+            edges = lo[0] + mass[0] * cdf
+            cuts = [0, *np.searchsorted(u, edges[1:-1], side="left").tolist(), len(u)]
+            runs = [(k, slice(a, b)) for k, (a, b) in enumerate(zip(cuts, cuts[1:])) if b > a]
+            for k, part in runs:
+                per[part, 1], per[part, 2] = edges[k], edges[k + 1] - edges[k]
+                outcomes[who[part], draw] = k
+                per[part, -1] *= row[k]
+            return runs
+        if patterns is not None:
+            ks = patterns[who, draw]
+            if ks.min() < 0 or ks.max() >= len(row):
+                bad = ks[(ks < 0) | (ks >= len(row))][0]
+                raise BranchError(f"forced outcome {bad} is not one of 0..{len(row) - 1}")
+        elif carried:
+            ks = sum((u >= lo + mass * c for c in cdf[1:-1].tolist()), np.zeros(len(u), np.intp))
+            low, high = lo + mass * cdf[ks], lo + mass * cdf[ks + 1]
+            per[:, 1], per[:, 2] = low, high - low
+        else:  # a fresh uniform: lo = 0 and mass = 1
+            ks = (uniforms[who, draw][:, None] >= cdf[1:-1]).sum(axis=1)
+        outcomes[who, draw] = ks
+        per[:, -1] *= row[ks]
+        counts = np.bincount(ks, minlength=len(row))
+        ends, in_runs = np.cumsum(counts).tolist(), bool(np.all(ks[:-1] <= ks[1:]))
+        return [(k, slice(ends[k] - n, ends[k]) if in_runs else ks == k)
+                for k, n in enumerate(counts.tolist()) if n]
+
+    def walk(node, depth: int, prefix: tuple, draw: int, who: np.ndarray, per: np.ndarray) -> None:
+        """Walk the shots ``who`` from ``node`` depth first. A node's children are made at
+        once so that it can be dropped (they hold no more: a measurement consumes registers)."""
+        stack = [(node, depth, prefix, draw, who, per, False)]
+        while stack:
+            node, depth, prefix, draw, who, per, placed = stack.pop()
+            if placed and key is not None:
+                rep = held[depth].setdefault(key(prefix), (node, prefix, draw, []))
+                if rep[0] is node or agree(rep[0], node):
+                    rep[3].append((who, per))
+                    continue
+            for depth in range(depth, len(steps)):
+                measurement = steps[depth](node)
+                if measurement is not None:
+                    break
+            else:
+                leaf_of[who], probs[who], width[0] = len(results), per[:, -1], max(width[0], draw)
+                results.append(finish(node))
+                continue
+            row, branch = measurement
+            runs = descend(row, who, per, draw)
+            last = runs[-1][0]
+            children = [(k, part, branch(k, k == last)) for k, part in runs]
+            for k, part, kid in reversed(children):
+                stack.append((kid, depth + 1, prefix + (k,), draw + 1, who[part], per[part], True))
+
+    walk(root, 0, (), 0, who, per)
+    for depth, level in enumerate(held):
+        for node, prefix, draw, parts in level.values():
+            whos, pers = zip(*parts)
+            walk(node, depth, prefix, draw, np.concatenate(whos), np.concatenate(pers))
+        level.clear()
+    return outcomes[:, : width[0]], probs, leaf_of, results
+
+
+def _sample(engine: ProtocolEngine, steps, finish, key=None, **draws):
+    """`_walk` a protocol with each row within 1e-9 / len(steps) of 1 (a full expansion within
+    1e-9): each shot's outcomes, path probability and finish value, and shot 0's ledger."""
+
+    def leaf(eng: ProtocolEngine):
+        if not eng.ebits_conserved():
+            raise ResourceError("ebit conservation violated")
+        return finish(eng), eng.ledger
+
+    out, probs, leaf_of, ends = _walk(engine, steps, leaf, key=key, tol=1e-9 / len(steps), **draws)
+    values = np.array([value for value, _ in ends])
+    return out, probs, values[leaf_of], ends[leaf_of[0]][1]
 
 
 def _follow(engine: ProtocolEngine, steps, rng, forced) -> list[int]:
-    """Run one path of ``steps`` on ``engine``; each outcome is drawn with
-    ``rng``, or taken from ``forced``. Returns the outcomes."""
-    forced = [None] * len(steps) if forced is None else forced
+    """The outcomes of one path of ``steps`` run on ``engine`` itself, each
+    drawn as ``rng.choice(k, p=row)`` (the engine's single-path draw), or
+    taken from ``forced``."""
+    if (rng is None) == (forced is None):
+        raise EstimationError("pass exactly one of rng or forced")
     outcomes = []
-    for step, f in zip(steps, forced):
-        _, measure = step(engine)
-        outcome, _ = measure(engine, rng, f)
-        outcomes.append(int(outcome))
-    return outcomes
-
-
-def _branch_leaves(engine: ProtocolEngine, steps, finish, key=None):
-    """Every outcome pattern of a protocol, each distinct branch simulated once.
-
-    Walks the outcome tree depth first: each step's outcome-free work runs
-    once per node, and the engine is forked at its measurement, once for
-    each outcome but the last. Returns the leaves' outcome patterns (one row
-    each, in lexicographic order), their path probabilities and finish
-    values, and the first leaf's ledger. Each path probability is multiplied
-    in step order from 1.0. A step's number of outcomes must not depend on
-    earlier outcomes.
-
-    ``key``, a function of an outcome prefix, merges equal branches (the
-    reduction rule of ordered decision diagrams). The first node walked at
-    a (depth, key) is held as its representative; a later node there whose
-    engine agrees with it (`ProtocolEngine.agrees_with`) takes the
-    representative's subtree instead of walking its own, and any other node
-    is walked as in the tree. Each node is compared with that one
-    representative only, so a walk in which nothing merges costs one state
-    comparison per node beyond the tree, and holds one engine per
-    (depth, key) beyond the one fork per depth a walk keeps alive. A walked
-    node keeps only its outcomes' probabilities and child indices (16 bytes
-    an outcome), from which the leaves are expanded at the end. Without
-    ``key`` the walk is the tree.
-    """
-    held = {}  # (depth, key) -> (representative engine, its node index)
-    # Per depth, node after node: each outcome's probability and the index
-    # of its node at the next depth.
-    probs_at = [array("d") for _ in steps]
-    children_at = [array("q") for _ in steps]
-    widths = [0] * len(steps)
-    values, ledgers = array("d"), []
-
-    def visit(eng: ProtocolEngine, pattern: tuple) -> int:
-        """Walk the node at ``pattern``; returns its index among the nodes of its depth."""
-        depth = len(pattern)
-        slot = None if key is None else (depth, key(pattern))
-        rep = held.get(slot)
-        if rep is not None and rep[0].agrees_with(eng):
-            return rep[1]
-        snapshot = eng.fork() if slot is not None and rep is None else None
-        if depth == len(steps):
-            values.append(finish(eng))
-            if not eng.ebits_conserved():
-                raise ResourceError("ebit conservation violated")
-            if not ledgers:
-                ledgers.append(eng.ledger)
-            index = len(values) - 1
+    for step in steps:
+        measurement = step(engine)
+        if measurement is None:
+            continue
+        row, branch = measurement
+        if forced is None:
+            k = int(rng.choice(len(row), p=row / row.sum()))
         else:
-            outcomes, measure = steps[depth](eng)
-            row = []
-            for k in range(outcomes):
-                branch = eng.fork() if k < outcomes - 1 else eng
-                _, p = measure(branch, None, k)
-                row.append((p, visit(branch, pattern + (k,))))
-            widths[depth] = outcomes
-            index = len(probs_at[depth]) // outcomes
-            for p, child in row:
-                probs_at[depth].append(p)
-                children_at[depth].append(child)
-        if snapshot is not None:
-            held[slot] = (snapshot, index)
-        return index
-
-    visit(engine, ())
-    # Expand the walked nodes into every leaf, one depth at a time: ``ids``
-    # holds each prefix's node, in lexicographic order of the prefixes. The
-    # first leaf walked is the all-zero one, so ``ledgers[0]`` is the first
-    # leaf's ledger.
-    ids, probs = np.zeros(1, dtype=np.intp), np.ones(1)
-    for p_at, c_at, width in zip(probs_at, children_at, widths):
-        probs = (probs[:, None] * np.frombuffer(p_at).reshape(-1, width)[ids]).ravel()
-        ids = np.frombuffer(c_at, dtype=np.int64).reshape(-1, width)[ids].ravel()
-    patterns = np.indices(widths, dtype=np.int8).reshape(len(widths), len(ids)).T.copy()
-    return patterns, probs, np.frombuffer(values)[ids], ledgers[0]
-
-
-def check_path_probabilities(probs: np.ndarray) -> np.ndarray:
-    """The branch-pattern distribution `probs`, after checking it sums to 1.
-
-    The division only absorbs rounding. A sum further than 1e-9 from 1 means
-    a forced pass reported a wrong path probability, so it raises instead of
-    renormalizing the error away.
-    """
-    total = probs.sum()
-    if not abs(total - 1.0) <= 1e-9:
-        raise BranchError(f"branch path probabilities sum to {total:.12g}, not 1")
-    return probs / total
+            k = forced[len(outcomes)]
+            if k not in range(len(row)):
+                raise BranchError(f"forced outcome {k} is not one of 0..{len(row) - 1}")
+        branch(k, True)
+        outcomes.append(k)
+    return outcomes
 
 
 def mean_stderr(values: np.ndarray) -> tuple[float, float]:
@@ -575,16 +650,14 @@ def _teleport(state_label: str, ebit: int):
             raise DimensionError("ebit dimension does not match the state register")
         corrections, projs = _bell_basis(d)
 
-        def measure(eng: ProtocolEngine, rng, forced) -> tuple[int, float]:
-            idx, prob = eng.measure_projective(source, projs, [state_label, ea], rng, forced)
+        def correct(eng: ProtocolEngine, idx: int) -> None:
             eng.consume_ebit(ebit)
             eng.broadcast(2 * math.ceil(math.log2(d)))
             eng.apply_local(dest, corrections[idx], [eb])
             eng.ledger.qt_corrections += 1
             eng.force_layer()
-            return idx, prob
 
-        return len(projs), measure
+        return _measured(eng, source, projs, [state_label, ea], correct)
 
     return step
 
@@ -603,7 +676,8 @@ def teleport_state(
     (destination label, byproduct index).
     """
     _, dest = _ebit_ends(engine, ebit, state_label)
-    (idx,) = _follow(engine, [_teleport(state_label, ebit)], rng, [forced])
+    forced = None if forced is None else [forced]
+    (idx,) = _follow(engine, [_teleport(state_label, ebit)], rng, forced)
     return dest, idx
 
 
@@ -617,6 +691,7 @@ def _cat_entangler(control_label: str, target_label: str, ebit: int, gate: np.nd
             [np.zeros_like(gate), gate],
         ]
     ).astype(complex)
+    z_basis, x_basis = _binary(np.diag([1.0, 0.0])), _binary(np.full((2, 2), 0.5))
 
     def z_step(eng: ProtocolEngine):
         ea, eb = _ebit_ends(eng, ebit, control_label)
@@ -628,15 +703,13 @@ def _cat_entangler(control_label: str, target_label: str, ebit: int, gate: np.nd
             raise StateValidationError("the controlled gate must be unitary on the target")
         eng.apply_local(pa, CNOT, [control_label, ea])
 
-        def measure(eng: ProtocolEngine, rng, forced) -> tuple[int, float]:
-            m1, prob = eng.measure_binary(pa, np.diag([1.0, 0.0]), [ea], rng, forced)
+        def correct(eng: ProtocolEngine, m1: int) -> None:
             eng.broadcast(1)
             eng.apply_local(pb, np.linalg.matrix_power(X, m1), [eb])
             eng.ledger.qt_corrections += 1
             eng.force_layer()
-            return m1, prob
 
-        return 2, measure
+        return _measured(eng, pa, z_basis, [ea], correct)
 
     def x_step(eng: ProtocolEngine):
         # The Z measurement consumed the control side's half.
@@ -645,17 +718,14 @@ def _cat_entangler(control_label: str, target_label: str, ebit: int, gate: np.nd
         pb = eng.check_owned(eng.owner(target_label), [target_label, eb])
         eng.apply_local(pb, ctrl, [eb, target_label])
 
-        def measure(eng: ProtocolEngine, rng, forced) -> tuple[int, float]:
-            plus = np.full((2, 2), 0.5, dtype=complex)
-            m2, prob = eng.measure_binary(pb, plus, [eb], rng, forced)
+        def correct(eng: ProtocolEngine, m2: int) -> None:
             eng.broadcast(1)
             eng.apply_local(pa, np.linalg.matrix_power(Z, m2), [control_label])
             eng.ledger.qt_corrections += 1
             eng.force_layer()
             eng.consume_ebit(ebit)
-            return m2, prob
 
-        return 2, measure
+        return _measured(eng, pb, x_basis, [eb], correct)
 
     return [z_step, x_step]
 
@@ -700,39 +770,41 @@ class DbqcResult:
     per_shot: np.ndarray
 
 
-def _announced(party: str, p0: np.ndarray, labels, oqt: bool = False, ebit: int | None = None):
-    """The measurement {p0, 1-p0} on ``labels``, which it consumes, and the
-    broadcast of its bit; ``oqt`` counts it as an OQT link and
-    ``ebit`` is the ebit it consumes."""
+def _announced(
+    eng: ProtocolEngine, party: str, basis, labels, oqt: bool = False, ebit: int | None = None
+):
+    """The binary measurement ``basis`` = (p0, 1 - p0) on ``labels``, which
+    it consumes, and the broadcast of its bit; ``oqt`` counts it as an OQT
+    link and ``ebit`` is the ebit it consumes."""
 
-    def measure(eng: ProtocolEngine, rng, forced) -> tuple[int, float]:
-        bit, prob = eng.measure_binary(party, p0, labels, rng, forced)
+    def announce(eng: ProtocolEngine, bit: int) -> None:
         eng.broadcast(1)
         if oqt:
             eng.record_oqt()
         if ebit is not None:
             eng.consume_ebit(ebit)
-        return bit, prob
 
-    return 2, measure
+    return _measured(eng, party, basis, labels, announce)
 
 
 def _isi(party: str, program: ChoiProgram, psi: PureState, out: str, inp: str):
     """Allocate ``program`` and inject ``psi`` into its in port (ISI)."""
+    basis = _binary(projector(np.conj(psi.amplitudes)))
 
     def step(eng: ProtocolEngine):
         eng.alloc_program(party, program, out, inp)
-        return _announced(party, projector(np.conj(psi.amplitudes)), [inp])
+        return _announced(eng, party, basis, [inp])
 
     return step
 
 
 def _program_link(party: str, program: ChoiProgram, out: str, inp: str, current: str, bell):
-    """Allocate ``program`` and link ``current`` into its in port by OQT."""
+    """Allocate ``program`` and link ``current`` into its in port by OQT;
+    ``bell`` is the link's binary basis."""
 
     def step(eng: ProtocolEngine):
         eng.alloc_program(party, program, out, inp)
-        return _announced(party, bell, [inp, current], oqt=True)
+        return _announced(eng, party, bell, [inp, current], oqt=True)
 
     return step
 
@@ -755,12 +827,12 @@ def _dbqc_protocol(alice: Party, bob: Party):
     a, b = alice.name, bob.name
     psi_in: PureState = alice.states[0]
     d = psi_in.dim
-    bell = bell_projector(d)
+    bell = _binary(bell_projector(d))
 
     def ebit_link(current: str):
         def step(eng: ProtocolEngine):
             eid = eng.distribute_ebit(a, b, "e_a", "e_b", d)
-            return _announced(a, bell, [current, "e_a"], oqt=True, ebit=eid)
+            return _announced(eng, a, bell, [current, "e_a"], oqt=True, ebit=eid)
 
         return step
 
@@ -783,33 +855,20 @@ def _isi_bit_and_parity_count(pattern: tuple) -> tuple:
     return pattern[:1], sum(pattern[1:])
 
 
-def parity_inverted_shots(
-    parities: np.ndarray,
-    probs: np.ndarray,
-    qvals: np.ndarray,
-    d: int,
-    shots: int,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Draw ``shots`` leaves and their readouts, and invert the parity mixing.
-
-    Leaf k has the OQT parity bits ``parities[k]``, path probability
-    ``probs[k]`` and readout-0 probability ``qvals[k]``. With s the number of
-    odd parities, (-1)^s (d^2 - 1)^s (hit - alpha_s) is an unbiased per-shot
-    estimate of the unmixed readout-0 probability. Returns the drawn leaf
-    indices, the readout bits and these estimates.
-    """
+def _parity_inverted_shots(parities: np.ndarray, qvals: np.ndarray, d: int, rng):
+    """Each shot's readout bit, drawn from its readout-0 probability
+    ``qvals[i]``, and (-1)^s (d^2 - 1)^s (hit - alpha_s), an unbiased
+    estimate of the unmixed readout-0 probability, with s the number of odd
+    parities among ``parities[i]``."""
     s = parities.sum(axis=1)
-    base = ((-1.0) ** s) * float(d * d - 1) ** s
-    alpha = np.array([parity_mix_alpha(int(v), d) for v in s])
-    idx = rng.choice(len(probs), size=shots, p=probs)
-    y = (rng.random(shots) >= qvals[idx]).astype(np.int8)
-    return idx, y, base[idx] * ((y == 0) - alpha[idx])
+    counts = np.arange(parities.shape[1] + 1)
+    base = ((-1.0) ** counts) * float(d * d - 1) ** counts
+    alpha = np.array([parity_mix_alpha(int(v), d) for v in counts])
+    y = (rng.random(len(qvals)) >= qvals).astype(np.int8)
+    return y, base[s] * ((y == 0) - alpha[s])
 
 
-def run_dbqc(
-    alice: Party, bob: Party, shots: int, rng: np.random.Generator
-) -> DbqcResult:
+def run_dbqc(alice: Party, bob: Party, shots: int, rng: np.random.Generator) -> DbqcResult:
     """Two-party black-box pipeline: ISI at Alice, ebit OQT link, Bob's programs.
 
     Estimates |<psi_o| U_bob... U_alice... |psi_in>|^2 without either party
@@ -828,10 +887,10 @@ def run_dbqc(
             raise DimensionError("program ports must match the input dimension")
 
     protocol = _dbqc_protocol(alice, bob)
-    patterns, probs, qvals, ledger = _branch_leaves(*protocol, _isi_bit_and_parity_count)
-    probs = check_path_probabilities(probs)
-    idx, y, inv = parity_inverted_shots(patterns[:, 1:], probs, qvals, d, shots, rng)
-    b = patterns[idx, 0]
+    key, uniforms = _isi_bit_and_parity_count, rng.random(shots)
+    patterns, _, qvals, ledger = _sample(*protocol, key, uniforms=uniforms)
+    y, inv = _parity_inverted_shots(patterns[:, 1:], qvals, d, rng)
+    b = patterns[:, 0]
     t_hat = np.where(b == 0, inv, 1.0 - (d - 1) * inv)
     estimate, stderr = mean_stderr(t_hat)
     return DbqcResult(
@@ -840,7 +899,7 @@ def run_dbqc(
         ledger=ledger,
         shots=shots,
         isi_bits=b,
-        parity_bits=patterns[idx, 1:],
+        parity_bits=patterns[:, 1:],
         readout_bits=y,
         per_shot=t_hat,
     )
@@ -868,27 +927,23 @@ def _triparty_scheme1_protocol(a: Party, b: Party, c: Party):
     eng.alloc_program(c.name, c.programs[0], "c_out", [("c_in1", da), ("c_in2", db)])
     e1 = eng.transport("c_in1", a.name)
     e2 = eng.transport("c_in2", b.name)
+    bell_a, bell_b = _binary(bell_projector(da)), _binary(bell_projector(db))
 
     steps = [
         _isi(a.name, a.programs[0], a.states[0], "a_out", "a_in"),
         _isi(b.name, b.programs[0], b.states[0], "b_out", "b_in"),
-        lambda eng: _announced(a.name, bell_projector(da), ["a_out", "c_in1"], oqt=True, ebit=e1),
-        lambda eng: _announced(b.name, bell_projector(db), ["b_out", "c_in2"], oqt=True, ebit=e2),
+        lambda eng: _announced(eng, a.name, bell_a, ["a_out", "c_in1"], oqt=True, ebit=e1),
+        lambda eng: _announced(eng, b.name, bell_b, ["b_out", "c_in2"], oqt=True, ebit=e2),
     ]
     return eng, steps, _readout(c.name, c.states[0], ["c_out"])
 
 
-def _run_triparty_scheme1(
-    a: Party, b: Party, c: Party, shots: int, rng: np.random.Generator
-) -> TripartyResult:
+def _run_triparty_scheme1(a: Party, b: Party, c: Party, shots: int, rng: np.random.Generator):
     da, db = a.states[0].dim, b.states[0].dim
-    patterns, probs, qvals, ledger = _branch_leaves(*_triparty_scheme1_protocol(a, b, c))
-    probs = check_path_probabilities(probs)
-
-    idx = rng.choice(len(probs), size=shots, p=probs)
-    y = (rng.random(shots) >= qvals[idx]).astype(np.int8)
-    ba, bb = patterns[idx, 0], patterns[idx, 1]
-    i, j = patterns[idx, 2], patterns[idx, 3]
+    protocol = _triparty_scheme1_protocol(a, b, c)
+    patterns, _, qvals, ledger = _sample(*protocol, uniforms=rng.random(shots))
+    y = (rng.random(shots) >= qvals).astype(np.int8)
+    ba, bb, i, j = patterns.T
     k = np.maximum(i, j)
 
     keep = k == 0
@@ -944,15 +999,13 @@ def _triparty_scheme2_protocol(a: Party, b: Party, gate: np.ndarray, psi_o: Pure
     return eng, steps, _readout(b.name, psi_o, ["e2b", "qb"])
 
 
-def _run_triparty_scheme2(
-    a: Party, b: Party, c: Party, shots: int, rng: np.random.Generator
-) -> TripartyResult:
+def _run_triparty_scheme2(a: Party, b: Party, c: Party, shots: int, rng: np.random.Generator):
     gate = controlled_block(unitary_of_choi(c.programs[0]), b.states[0].dim)
     protocol = _triparty_scheme2_protocol(a, b, gate, c.states[0])
-    patterns, probs, qvals, ledger = _branch_leaves(*protocol)
-    probs = check_path_probabilities(probs)
-    # Every (m1, m2, teleport) path has the same probability, so shots draw
-    # their pattern uniformly.
+    # Every (m1, m2, teleport) path, each walked once, has the same
+    # probability, so shots draw their pattern uniformly.
+    patterns = np.array(list(itertools.product((0, 1), (0, 1), range(4))))
+    _, probs, qvals, ledger = _sample(*protocol, patterns=patterns)
     if np.abs(probs - 1.0 / len(probs)).max() > 1e-9:
         raise BranchError("scheme II path probabilities are not uniform")
     if np.ptp(qvals) > 1e-10:
@@ -969,12 +1022,7 @@ def _run_triparty_scheme2(
         ledger=ledger,
         shots=shots,
         kept=shots,
-        bits={
-            "m1": patterns[idx, 0],
-            "m2": patterns[idx, 1],
-            "teleport": patterns[idx, 2],
-            "y": y,
-        },
+        bits={"m1": patterns[idx, 0], "m2": patterns[idx, 1], "teleport": patterns[idx, 2], "y": y},
     )
 
 
@@ -1207,19 +1255,17 @@ def _pingpong_protocol(programs: list, system):
     for prog in programs:
         if prog.in_dim != d or prog.out_dim != d:
             raise DimensionError("program ports must match the system dimension")
-    bell = bell_projector(d)
+    bell = _binary(bell_projector(d))
 
     def hop(k: int, prog: ChoiProgram, out: str, inp: str, current: str):
-        def measure(eng: ProtocolEngine, rng, forced) -> tuple[int, float]:
-            bit, prob = eng.measure_binary("device", bell, [inp, current], rng, forced)
+        def count(eng: ProtocolEngine, bit: int) -> None:
             eng.record_oqt()
             if k > 0:
                 eng.force_layer()
-            return bit, prob
 
         def step(eng: ProtocolEngine):
             eng.alloc_program("device", prog, out, inp)
-            return 2, measure
+            return _measured(eng, "device", bell, [inp, current], count)
 
         return step
 
@@ -1277,9 +1323,16 @@ def _pingpong_readout_protocol(programs, system, readout: np.ndarray):
     return eng, steps, finish
 
 
-def pingpong_branches(programs, system, readout: np.ndarray):
-    """Every parity pattern of a ping-pong chain: the patterns, their path
-    probabilities and P(``readout``) of the output, and the ledger (see
-    `_branch_leaves`). A unital chain's state depends only on the number of
-    odd parities so far, so branches merge on it."""
-    return _branch_leaves(*_pingpong_readout_protocol(programs, system, readout), sum)
+def pingpong_shots(programs, system, readout: np.ndarray, shots: int, rng: np.random.Generator):
+    """``shots`` runs of a ping-pong chain read out on the vector
+    ``readout``: each shot's parity bits, readout bit and unbiased estimate
+    of |<readout| U_n ... U_1 |system>|^2, and the ledger. A unital chain's
+    state depends only on the number of odd parities, so branches merge on
+    it."""
+    if shots < 1:
+        raise EstimationError("shots must be positive")
+    engine, steps, finish = _pingpong_readout_protocol(programs, system, readout)
+    d = engine.layout.dim("blk0_state")
+    patterns, _, qvals, ledger = _sample(engine, steps, finish, sum, uniforms=rng.random(shots))
+    y, t_hat = _parity_inverted_shots(patterns, qvals, d, rng)
+    return patterns, y, t_hat, ledger

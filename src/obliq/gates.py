@@ -157,10 +157,10 @@ def matrix_to_json(mat: np.ndarray) -> list:
 
 
 # How far a gate literal may be from unitary: max |U^dag U - I|. A program
-# U scales each branch's path probability by up to 1 + UNITARY_TOL, and the
-# runners refuse path probabilities that sum further than 1e-9 from 1
-# (`distributed.check_path_probabilities`); a run chains up to 16 programs
-# (`cli.MAX_BRANCH_BITS`), and 16 * 5e-11 < 1e-9.
+# U scales the outcome row of the measurement that links it by up to
+# 1 + UNITARY_TOL, and the runners refuse a row that sums further than
+# 1e-9 / len(steps) from 1 (`distributed._sample`); a run has up to 16 steps
+# (`cli.MAX_BRANCH_BITS`), and 1e-9 / 16 = 6.25e-11 >= 5e-11.
 UNITARY_TOL = 5e-11
 
 

@@ -222,41 +222,38 @@ def oqt_sample_records(
     """Draw many parity trails at once.
 
     Branch states after k steps depend only on the parity sum; this is
-    checked numerically while the reachable states are enumerated, after
-    which per-shot sampling is a vectorized walk over branch probabilities.
+    checked numerically while the reachable states are enumerated. The
+    shots then walk the chain's parity counts with the protocols' sampler
+    (`distributed._walk`), one ``rng.random(shots)`` per step.
     """
+    from .distributed import _walk  # distributed imports this module
+
     if shots < 1:
         raise EstimationError(f"shots must be positive, got {shots}")
-    n = len(programs)
     states: dict[int, MixedState] = {0: _as_system(system)}
-    step_p0: list[dict[int, float]] = []
+    rows: list[dict[int, np.ndarray]] = []
     for prog in programs:
-        probs: dict[int, float] = {}
+        row: dict[int, np.ndarray] = {}
         nxt: dict[int, MixedState] = {}
         for s_val, st in sorted(states.items()):
             b0, b1 = oqt_step(prog, st)
-            probs[s_val] = b0.probability
+            row[s_val] = np.array([b0.probability, b1.probability])
             for branch in (b0, b1):
                 key = s_val + branch.parity
                 if key in nxt:
                     delta = np.abs(nxt[key].matrix - branch.post_state.matrix).max()
                     if delta > 1e-9:
-                        raise StateValidationError(
-                            "branch states with equal parity sum diverged"
-                        )
+                        raise StateValidationError("branch states with equal parity sum diverged")
                 else:
                     nxt[key] = branch.post_state
-        step_p0.append(probs)
+        rows.append(row)
         states = nxt
-    bits = np.zeros((shots, n), dtype=np.int8)
-    s_now = np.zeros(shots, dtype=np.int64)
-    for k in range(n):
-        p0_by_s = np.array([step_p0[k].get(s_val, 0.0) for s_val in range(k + 1)])
-        p0 = p0_by_s[s_now]
-        draw = (rng.random(shots) >= p0).astype(np.int8)
-        bits[:, k] = draw
-        s_now += draw
-    return OqtRecordBatch(bits, s_now, states)
+    # A node is the parity count s; equal counts merge.
+    steps = [lambda s, row=row: (row[s], lambda bit, last: s + bit) for row in rows]
+    uniforms = rng.random((len(steps), shots)).T
+    bits, *_ = _walk(0, steps, lambda s: None, uniforms, key=sum, agree=int.__eq__)
+    bits = bits.astype(np.int8)
+    return OqtRecordBatch(bits, bits.sum(axis=1), states)
 
 
 def oqt_estimate_observable(

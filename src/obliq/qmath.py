@@ -52,6 +52,13 @@ def is_square(a: np.ndarray) -> bool:
     return a.ndim == 2 and a.shape[0] == a.shape[1]
 
 
+# Entries near the float maximum overflow to inf or nan in the checks
+# below, which then fail (`nan <= tol` is false); the overflow is silenced,
+# so no warning is printed.
+_OVERFLOW_FAILS = np.errstate(over="ignore", invalid="ignore")
+
+
+@_OVERFLOW_FAILS
 def is_unitary(a: np.ndarray, tol: float = EPS) -> bool:
     a = as_complex(a)
     if not is_square(a):
@@ -60,6 +67,7 @@ def is_unitary(a: np.ndarray, tol: float = EPS) -> bool:
     return bool(np.abs(a.conj().T @ a - np.eye(d)).max() <= tol)
 
 
+@_OVERFLOW_FAILS
 def is_hermitian(a: np.ndarray, tol: float = EPS) -> bool:
     a = as_complex(a)
     return is_square(a) and bool(np.abs(a - a.conj().T).max() <= tol)

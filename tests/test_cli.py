@@ -395,17 +395,20 @@ def _minimal_triparty_scheme2():
     ids=["dbqc", "triparty-I", "triparty-II"],
 )
 def test_bad_path_probability_is_not_renormalized(tmp_path, monkeypatch, capsys, sc):
-    import obliq.distributed as dist
+    from obliq.distributed import ProtocolEngine
 
-    real = dist._branch_leaves
+    real = ProtocolEngine._outcomes
+    calls = []
 
-    def halved(*args):
-        patterns, probs, qvals, ledger = real(*args)
-        return patterns, 0.5 * probs, qvals, ledger
+    def halved(self, *args):
+        """The engine's outcome row, halved at the first node walked."""
+        calls.append(1)
+        row = real(self, *args)
+        return 0.5 * row if len(calls) == 1 else row
 
     path = _write(tmp_path, "bad-path.json", sc)
     assert main(["run", path, "--out", str(tmp_path / "ok")]) == 0
-    monkeypatch.setattr(dist, "_branch_leaves", halved)
+    monkeypatch.setattr(ProtocolEngine, "_outcomes", halved)
     assert main(["run", path, "--out", str(tmp_path / "bad")]) == 6
     assert "sum to 0.5" in capsys.readouterr().err
     assert not (tmp_path / "bad").exists()
@@ -470,6 +473,55 @@ def test_gates_at_the_unitary_tolerance_run(tmp_path, sc):
     # within 1e-9 of summing to 1.
     path = _write(tmp_path, "at-tolerance.json", sc)
     assert main(["run", path, "--out", str(tmp_path / "out")]) == 0
+
+
+def _script_near_the_gate_tolerance(draws):
+    """A script whose state passes through ``draws`` local OQT links, each
+    after a local gate 2.4e-11 from unitary."""
+    steps = [{"op": "prepare_state", "party": "alice", "label": "s0", "state": {"basis": 0, "dim": 2}}]
+    for k in range(draws):
+        steps += [
+            {"op": "local_gate", "party": "alice", "gate": _scaled(H, 2.4e-11), "labels": [f"s{k}"]},
+            {"op": "prepare_program", "party": "alice", "gate": "T",
+             "out_label": f"s{k + 1}", "in_label": f"in{k}"},
+            {"op": "oqt_link", "party": "alice", "labels": [f"in{k}", f"s{k}"]},
+        ]
+    steps.append({"op": "final_measure", "party": "alice", "labels": [f"s{draws}"],
+                  "state": {"basis": 0, "dim": 2}})
+    return {"version": 1, "kind": "script", "seed": 9, "shots": 200, "parties": ["alice"],
+            "steps": steps}
+
+
+def test_script_near_the_gate_tolerance_runs(tmp_path):
+    path = _write(tmp_path, "near-tolerance-script.json", _script_near_the_gate_tolerance(12))
+    assert main(["validate", path]) == 0
+    out = tmp_path / "out"
+    assert main(["run", path, "--out", str(out)]) == 0
+    assert len((out / "records.jsonl").read_text().splitlines()) == 200
+
+
+HUGE = [[1e308, 0], [1e308, 0]]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "sc",
+    [
+        _minimal_dbqc(input_state={"vector": HUGE}),
+        dict(_minimal_pingpong(["H"]), input_state={"vector": [[1e308, 0]] * 1024},
+             readout_state={"basis": 0, "dim": 1024}),
+        _script_with(0, state={"vector": HUGE}),
+        _minimal_dbqc(alice_programs=[{"matrix": [[[1e308, 0], [1e308, 0]], [[1e308, 0], [-1e308, 0]]]}]),
+        _minimal_channel_composition({"kraus": [[[[1e308, 0], [1e308, 0]], [[1e308, 0], [-1e308, 0]]]]}),
+    ],
+    ids=["dbqc-input-state", "pingpong-1024-input", "script-prepare-state", "gate", "kraus"],
+)
+def test_literals_near_the_float_maximum_are_schema_errors(tmp_path, sc):
+    path = _write(tmp_path, "huge.json", sc)
+    assert main(["validate", path]) == 3
+    out = tmp_path / "never"
+    assert main(["run", path, "--out", str(out)]) == 3
+    assert not out.exists()
 
 
 def test_script_over_the_dimension_cap_is_refused_at_validation(tmp_path, capsys):

@@ -10,8 +10,8 @@ from obliq.distributed import (
     ResourceLedger,
     knit_decompose,
     knit_estimate,
-    pingpong_branches,
     pingpong_run,
+    pingpong_shots,
     remote_controlled_gate,
     run_dbqc,
     run_triparty,
@@ -158,7 +158,7 @@ def test_raw_states_are_checked_on_allocation():
         with pytest.raises(StateValidationError, match=match):
             pingpong_run(programs, system, forced_bits=[0, 0])
         with pytest.raises(StateValidationError, match=match):
-            pingpong_branches(programs, system, np.array([1.0, 0.0]))
+            pingpong_shots(programs, system, np.array([1.0, 0.0]), 1, np.random.default_rng(0))
     with pytest.raises(DimensionError):
         pingpong_run(programs, 1.0, forced_bits=[0, 0])
 

@@ -43,7 +43,8 @@ def literal_lists(draw):
             break
         i = draw(st.integers(0, len(values) - 1))
         if isinstance(values[i], list) and draw(st.booleans()):
-            values[i][draw(st.integers(0, 1))] = draw(ANY_SCALAR)
+            # An entry swapped earlier may be a list of 1 to 3 values.
+            values[i][draw(st.integers(0, len(values[i]) - 1))] = draw(ANY_SCALAR)
         else:
             values[i] = draw(ANY_ENTRY)
     return values

@@ -1,9 +1,10 @@
-"""Outcome-tree runners against one straight-line run per outcome pattern.
+"""The one walk (`distributed._walk`) against straight-line references.
 
-The forced runners (dbqc, tri-party schemes I and II, ping-pong) walk the
-tree of measurement outcomes and fork the engine at each measurement; the
-script kind walks a memoized outcome tree shot by shot. The references kept here
-simulate every pattern, or every shot, from scratch, and the results must
+Every runner walks its protocol's outcome prefixes, forking the engine
+only where its shots draw. Walked over every outcome pattern, a protocol
+must give what one fresh engine per pattern gives; drawn for shots, it must
+give what expanding every pattern and calling ``rng.choice`` gives; a
+script must give what one fresh engine per shot gives. The results must
 be equal exactly, not approximately.
 
 dbqc and ping-pong merge equal branches on a key (the parity lattice); the
@@ -12,6 +13,7 @@ merged walk is checked against the unmerged tree.
 
 import itertools
 import math
+import weakref
 
 import numpy as np
 from hypothesis import given, settings
@@ -22,7 +24,7 @@ from obliq import distributed as dist
 from obliq.channels import KrausChannel, choi_of, unitary_of_choi
 from obliq.distributed import Party, ProtocolEngine
 from obliq.gates import CNOT, X, Z, matrix_to_json
-from obliq.oblivious import GeneralizedPauliBasis, bell_projector
+from obliq.oblivious import GeneralizedPauliBasis, bell_projector, parity_mix_alpha
 from obliq.qmath import RegisterLayout, projector, random_statevector, random_unitary
 from obliq.states import PureState, bell_state
 
@@ -195,6 +197,19 @@ def _triparty_scheme2_reference(a, b, gate, psi_o, pattern):
     return path_prob, q, eng.ledger
 
 
+def _walk_all(protocol, patterns, key=None):
+    """A protocol (engine, steps, finish) walked along every pattern in
+    ``patterns``, finish run once per leaf: the patterns, path
+    probabilities, finish values and the first pattern's ledger."""
+    engine, steps, finish = protocol
+    walked = dist._walk(
+        engine, steps, lambda eng: (finish(eng), eng.ledger), patterns=np.array(patterns), key=key
+    )
+    patterns, probs, leaf_of, leaves = walked
+    values = np.array([value for value, _ in leaves])
+    return patterns, probs, values[leaf_of], leaves[leaf_of[0]][1]
+
+
 def _assert_leaves_equal(leaves, patterns, references):
     got_patterns, probs, qvals, ledger = leaves
     assert got_patterns.tolist() == [list(pat) for pat in patterns]
@@ -224,8 +239,8 @@ def test_dbqc_tree_matches_one_pass_per_pattern(seed, d, n_alice, n_bob, kraus):
         programs=[_program(rng, d, kraus[-1 - k]) for k in range(n_bob)],
         states=[_pure(random_statevector(d, rng))],
     )
-    leaves = dist._branch_leaves(*dist._dbqc_protocol(alice, bob))
     patterns = list(itertools.product((0, 1), repeat=1 + n_alice + n_bob))
+    leaves = _walk_all(dist._dbqc_protocol(alice, bob), patterns)
     _assert_leaves_equal(
         leaves, patterns, [_dbqc_reference(alice, bob, pat) for pat in patterns]
     )
@@ -247,8 +262,8 @@ def test_triparty_scheme1_tree_matches_one_pass_per_pattern(seed, dims, kraus):
         programs=[_program(rng, da * db, kraus[2])],
         states=[_pure(random_statevector(da * db, rng))],
     )
-    leaves = dist._branch_leaves(*dist._triparty_scheme1_protocol(a, b, c))
     patterns = list(itertools.product((0, 1), repeat=4))
+    leaves = _walk_all(dist._triparty_scheme1_protocol(a, b, c), patterns)
     _assert_leaves_equal(
         leaves, patterns, [_triparty_reference(a, b, c, pat) for pat in patterns]
     )
@@ -270,8 +285,8 @@ def test_triparty_scheme2_tree_matches_one_pass_per_pattern(seed, db, n_local):
     )
     gate = random_unitary(db, rng)
     psi_o = _pure(random_statevector(2 * db, rng))
-    leaves = dist._branch_leaves(*dist._triparty_scheme2_protocol(a, b, gate, psi_o))
     patterns = list(itertools.product((0, 1), (0, 1), range(4)))
+    leaves = _walk_all(dist._triparty_scheme2_protocol(a, b, gate, psi_o), patterns)
     references = [_triparty_scheme2_reference(a, b, gate, psi_o, pat) for pat in patterns]
     _assert_leaves_equal(leaves, patterns, references)
     assert all(abs(p - 1 / 16) <= 1e-9 for p, _, _ in references)
@@ -288,8 +303,8 @@ def test_pingpong_tree_matches_one_pass_per_pattern(seed, d, kraus):
     programs = [_program(rng, d, k) for k in kraus]
     system = _pure(random_statevector(d, rng))
     readout = random_statevector(d, rng)
-    leaves = dist._branch_leaves(*dist._pingpong_readout_protocol(programs, system, readout))
     patterns = list(itertools.product((0, 1), repeat=len(programs)))
+    leaves = _walk_all(dist._pingpong_readout_protocol(programs, system, readout), patterns)
     references = [_pingpong_reference(programs, system, readout, pat) for pat in patterns]
     _assert_leaves_equal(leaves, patterns, references)
 
@@ -299,11 +314,12 @@ def test_pingpong_tree_matches_one_pass_per_pattern(seed, d, kraus):
 PROGRAM_KINDS = st.sampled_from(["unitary", "kraus", "near-unitary"])
 
 
-def _program_of_kind(rng, d, kind):
-    """A unitary or random Kraus program, or a unitary perturbed so that
-    ||U^dag U - I|| is about 1e-10, which validation accepts."""
+def _program_of_kind(rng, d, kind, off=1e-10):
+    """A unitary or random Kraus program, or a unitary U + off V (V a random
+    unitary), so that max |U^dag U - I| is up to about 2 off. Validation
+    accepts off = 2e-11 (`gates.UNITARY_TOL`), not the default 1e-10."""
     if kind == "near-unitary":
-        return choi_of(random_unitary(d, rng) + 1e-10 * random_unitary(d, rng))
+        return choi_of(random_unitary(d, rng) + off * random_unitary(d, rng))
     return _program(rng, d, kind == "kraus")
 
 
@@ -317,14 +333,20 @@ def _counting_finish(protocol, calls):
     return wrapped
 
 
+def _every_pattern(protocol, args):
+    """Every outcome pattern of a protocol whose steps are binary."""
+    return list(itertools.product((0, 1), repeat=len(protocol(*args)[1])))
+
+
 def _assert_lattice_matches_tree(protocol, args, key):
-    """The walk merged on ``key`` against the tree: equal patterns and
-    ledgers, and probabilities and values within 1e-12, or equal when
-    nothing merged (finish ran on every leaf). Returns the number of
-    leaves the merged walk ran finish on."""
-    tree = dist._branch_leaves(*protocol(*args))
+    """The walk over every pattern merged on ``key`` against the tree:
+    equal patterns and ledgers, and probabilities and values within 1e-12,
+    or equal when nothing merged (finish ran on every leaf). Returns the
+    number of leaves the merged walk ran finish on."""
+    patterns = _every_pattern(protocol, args)
+    tree = _walk_all(protocol(*args), patterns)
     calls = []
-    lattice = dist._branch_leaves(*_counting_finish(protocol, calls)(*args), key)
+    lattice = _walk_all(_counting_finish(protocol, calls)(*args), patterns, key)
     assert lattice[0].tolist() == tree[0].tolist()
     assert lattice[3] == tree[3]
     if len(calls) == len(tree[0]):
@@ -336,15 +358,15 @@ def _assert_lattice_matches_tree(protocol, args, key):
     return len(calls)
 
 
-def _dbqc_parties(rng, d, n_alice, n_bob, kind):
+def _dbqc_parties(rng, d, n_alice, n_bob, kind, off=1e-10):
     alice = Party(
         "alice",
-        programs=[_program_of_kind(rng, d, kind) for _ in range(n_alice)],
+        programs=[_program_of_kind(rng, d, kind, off) for _ in range(n_alice)],
         states=[_pure(random_statevector(d, rng))],
     )
     bob = Party(
         "bob",
-        programs=[_program_of_kind(rng, d, kind) for _ in range(n_bob)],
+        programs=[_program_of_kind(rng, d, kind, off) for _ in range(n_bob)],
         states=[_pure(random_statevector(d, rng))],
     )
     return alice, bob
@@ -383,30 +405,166 @@ def test_pingpong_lattice_matches_tree(seed, d, n, kind):
 def test_unitary_runs_finish_once_per_isi_bit_and_parity_count(monkeypatch):
     rng = np.random.default_rng(5)
     alice, bob = _dbqc_parties(rng, 2, 3, 3, "unitary")
-    tree_calls, calls = [], []
-    dist._branch_leaves(*_counting_finish(dist._dbqc_protocol, tree_calls)(alice, bob))
-    monkeypatch.setattr(dist, "_dbqc_protocol", _counting_finish(dist._dbqc_protocol, calls))
-    dist.run_dbqc(alice, bob, 10, rng)
+    patterns = _every_pattern(dist._dbqc_protocol, (alice, bob))
+    key = dist._isi_bit_and_parity_count
+    tree_calls, calls, drawn_calls = [], [], []
+    _walk_all(_counting_finish(dist._dbqc_protocol, tree_calls)(alice, bob), patterns)
+    _walk_all(_counting_finish(dist._dbqc_protocol, calls)(alice, bob), patterns, key)
     assert (len(tree_calls), len(calls)) == (128, 14)  # (b, s) in {0, 1} x {0..6}
+    monkeypatch.setattr(dist, "_dbqc_protocol", _counting_finish(dist._dbqc_protocol, drawn_calls))
+    dist.run_dbqc(alice, bob, 10, rng)
+    assert len(drawn_calls) <= 10  # one leaf at most per shot
 
     programs = [_program_of_kind(rng, 2, "unitary") for _ in range(6)]
-    system, readout = _pure(random_statevector(2, rng)), random_statevector(2, rng)
+    args = (programs, _pure(random_statevector(2, rng)), random_statevector(2, rng))
     protocol = dist._pingpong_readout_protocol
+    patterns = _every_pattern(protocol, args)
     tree_calls, calls = [], []
-    dist._branch_leaves(*_counting_finish(protocol, tree_calls)(programs, system, readout))
-    monkeypatch.setattr(dist, "_pingpong_readout_protocol", _counting_finish(protocol, calls))
-    dist.pingpong_branches(programs, system, readout)
+    _walk_all(_counting_finish(protocol, tree_calls)(*args), patterns)
+    _walk_all(_counting_finish(protocol, calls)(*args), patterns, sum)
     assert (len(tree_calls), len(calls)) == (64, 7)  # s in {0..6}
 
 
-# --- script kind: memoized outcome tree against one script run per shot ---
+# --- the drawn walk against expanding every pattern and rng.choice ---
+
+
+def _drawn_protocol(kind, seed, d, n, program_kind):
+    """A random small protocol that validation would accept: (runner name,
+    protocol function, its arguments, merge key)."""
+    rng, off = np.random.default_rng(seed), 2e-11
+    if kind == "dbqc":
+        n_alice = 1 + n % 2
+        alice, bob = _dbqc_parties(rng, d, n_alice, 1 + n // 2, program_kind, off)
+        return kind, dist._dbqc_protocol, (alice, bob), dist._isi_bit_and_parity_count
+    if kind == "pingpong":
+        programs = [_program_of_kind(rng, d, program_kind, off) for _ in range(n)]
+        args = (programs, _pure(random_statevector(d, rng)), random_statevector(d, rng))
+        return kind, dist._pingpong_readout_protocol, args, sum
+    parties = [
+        Party(name, programs=[_program_of_kind(rng, dim, program_kind, off)],
+              states=[_pure(random_statevector(dim, rng))])
+        for name, dim in (("a", d), ("b", 2), ("c", 2 * d))
+    ]
+    return kind, dist._triparty_scheme1_protocol, tuple(parties), None
+
+
+def _run_drawn(kind, args, shots, rng):
+    """The runner's shots: outcome patterns, readouts, and per-shot
+    estimates (scheme I: the estimate and its standard error)."""
+    if kind == "dbqc":
+        res = dist.run_dbqc(*args, shots, rng)
+        return np.column_stack([res.isi_bits, res.parity_bits]), res.readout_bits, res.per_shot
+    if kind == "pingpong":
+        patterns, y, t_hat, _ = dist.pingpong_shots(*args, shots, rng)
+        return patterns, y, t_hat
+    res = dist.run_triparty("I", *args, shots, rng)
+    patterns = np.column_stack([res.bits[b] for b in ("b_a", "b_b", "i", "j")])
+    return patterns, res.bits["y"], np.array([res.estimate, res.stderr])
+
+
+def _expanded(kind, protocol, args, key, shots, rng):
+    """The reference: every pattern walked, then ``rng.choice`` over them."""
+    patterns = np.array(_every_pattern(protocol, args))
+    _, probs, qvals, _ = _walk_all(protocol(*args), patterns, key)
+    idx = rng.choice(len(probs), size=shots, p=probs / probs.sum())
+    y = (rng.random(shots) >= qvals[idx]).astype(np.int8)
+    drawn = patterns[idx]
+    if kind == "triparty":
+        da, db = args[0].states[0].dim, args[1].states[0].dim
+        eta = np.where((drawn[:, 0] == 0) & (drawn[:, 1] == 0), 1.0, -1.0)
+        t_hat = 0.5 * (1.0 + eta * da * db * (y == 0))
+        return drawn, y, np.array(dist.mean_stderr(t_hat[drawn[:, 2:].max(axis=1) == 0]))
+    d = args[0].states[0].dim if kind == "dbqc" else len(args[2])
+    parities = drawn[:, 1:] if kind == "dbqc" else drawn
+    s = parities.sum(axis=1)
+    alpha = np.array([parity_mix_alpha(int(v), d) for v in s])
+    inv = ((-1.0) ** s) * float(d * d - 1) ** s * ((y == 0) - alpha)
+    if kind == "dbqc":
+        inv = np.where(drawn[:, 0] == 0, inv, 1.0 - (d - 1) * inv)
+    return drawn, y, inv
+
+
+@TREE
+@given(
+    seed=SEEDS,
+    kind=st.sampled_from(["dbqc", "pingpong", "triparty"]),
+    d=st.integers(2, 3),
+    n=st.integers(1, 5),
+    program_kind=PROGRAM_KINDS,
+    shots=st.integers(1, 60),
+)
+def test_drawn_walk_matches_expanding_every_pattern(seed, kind, d, n, program_kind, shots):
+    kind, protocol, args, key = _drawn_protocol(kind, seed, d, n, program_kind)
+    rng, ref_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    got = _run_drawn(kind, args, shots, rng)
+    want = _expanded(kind, protocol, args, key, shots, ref_rng)
+    for g, w in zip(got, want):
+        assert g.dtype.kind == w.dtype.kind and np.array_equal(g, w, equal_nan=True)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    # Unmerged, the drawn walk takes each shot's path probability and value
+    # from the same engines as the full expansion.
+    patterns = np.array(_every_pattern(protocol, args))
+    _, probs, qvals, ledger = _walk_all(protocol(*args), patterns)
+    uniforms = np.random.default_rng(seed + 2).random(shots)
+    idx = np.random.default_rng(seed + 2).choice(len(probs), size=shots, p=probs / probs.sum())
+    drawn = dist._sample(*protocol(*args), uniforms=uniforms)
+    assert drawn[0].tolist() == patterns[idx].tolist()
+    assert drawn[1].tolist() == probs[idx].tolist()
+    assert drawn[2].tolist() == qvals[idx].tolist()
+    assert drawn[3] == ledger
+
+
+def test_a_walk_holds_the_children_of_one_node_per_depth():
+    """Depth first: 500 shots of 10 fair binary draws reach up to 500 nodes
+    a depth, yet at most the root and two children per depth are alive."""
+
+    class Node:
+        pass
+
+    alive, counts = weakref.WeakSet(), []
+
+    def step(node):
+        counts.append(len(alive))
+
+        def branch(k, last):
+            child = Node()
+            alive.add(child)
+            return child
+
+        return np.array([0.5, 0.5]), branch
+
+    root = Node()
+    alive.add(root)
+    uniforms = np.random.default_rng(1).random((500, 10))
+    _, _, leaf_of, _ = dist._walk(root, [step] * 10, lambda node: counts.append(len(alive)), uniforms)
+    assert len(set(leaf_of.tolist())) > 350
+    assert max(counts) <= 1 + 2 * 10
+
+
+# --- script kind: the drawn walk against one script run per shot ---
+
+
+def _execute_script_once(sc, rng):
+    """One run of a resolved script on a fresh engine, one path of its steps
+    (`distributed._follow`): its recorded bits, readout bit (None without a
+    `final_measure`) and ledger."""
+    eng = ProtocolEngine(*sc["parties"])
+    bits, final_bit = {}, None
+    for record, steps in sc["steps"]:
+        outcomes = dist._follow(eng, steps, rng, None)
+        if record == ("readout",):
+            (final_bit,) = outcomes
+        elif record:
+            bits[record[1]] = outcomes[0] if len(outcomes) == 1 else 2 * outcomes[0] + outcomes[1]
+    return bits, final_bit, eng.ledger
 
 
 def _per_shot_run_script(sc, rng):
-    """The script runner with one `_execute_script_once` per shot, on a
-    resolved scenario."""
+    """The script runner with one fresh engine per shot, on a resolved
+    scenario."""
     shots = sc["shots"]
-    runs = [cli._execute_script_once(sc, rng) for _ in range(shots)]
+    runs = [_execute_script_once(sc, rng) for _ in range(shots)]
     ledger = runs[0][2]
     columns = {"bits": {key: np.array([bits[key] for bits, _, _ in runs]) for key in runs[0][0]}}
     if runs[0][1] is None:

@@ -508,6 +508,8 @@ def _semantic_violations(sc: dict) -> list[str]:
                 out.append(f"gates[{n}]: cut gates must touch exactly two qudits")
         if sc["observable"].shape[0] != dim:
             out.append("observable does not match the circuit width")
+        elif not _knit_estimates_finite(sc["observable"], ld, sum(g.cut for g in sc["gates"])):
+            out.append("observable entries are so large that an estimate could overflow")
         if "input_state" in sc and len(sc["input_state"]) != dim:
             out.append("input_state does not match the circuit width")
     elif kind == "channel_composition":
@@ -525,6 +527,19 @@ def _semantic_violations(sc: dict) -> list[str]:
 # the qudit dimension, so the bits stay capped until the cost of a run can
 # be predicted from the scenario (ROADMAP).
 MAX_BRANCH_BITS = 16
+
+
+def _knit_estimates_finite(observable: np.ndarray, d: int, cuts: int) -> bool:
+    """Whether every quantity `knit_estimate` forms stays finite: each is
+    at most max |O_ij| dim^2 (one-norm of a cut)^2 per cut, and a cut's
+    one-norm is at most d^4 coefficients of modulus <= 1/d."""
+    with np.errstate(over="ignore"):
+        largest = float(np.abs(observable).max())
+    if largest == 0.0:
+        return True
+    dim = observable.shape[0]
+    log_bound = math.log(largest) + 2 * math.log(dim) + 6 * cuts * math.log(d)
+    return log_bound < math.log(sys.float_info.max)
 
 
 def _knit_dim(sc: dict) -> int | None:
@@ -660,8 +675,8 @@ def _run_script(sc: dict, rng: np.random.Generator):
     steps = [s for _, op_steps in sc["steps"] for s in op_steps]
     draws = sum(len(op_steps) for record, op_steps in sc["steps"] if record)
     uniforms = rng.random((shots, draws))
-    root = ProtocolEngine(*sc["parties"])
-    patterns, _, leaf_of, ledgers = _walk(root, steps, lambda eng: eng.ledger, uniforms)
+    root, ledgers = ProtocolEngine(*sc["parties"]), []
+    patterns, _, _ = _walk(root, steps, lambda eng: ledgers.append(eng.ledger), uniforms)
     columns, col = {"bits": {}}, 0
     for record, op_steps in sc["steps"]:
         if not record:
@@ -674,7 +689,7 @@ def _run_script(sc: dict, rng: np.random.Generator):
             columns["bits"][record[1]] = value
         else:
             columns["readout"] = value
-    ledger = ledgers[leaf_of[0]]
+    ledger = ledgers[0]
     if "readout" not in columns:
         return math.nan, 0.0, ledger, columns
     estimate, stderr = mean_stderr((columns["readout"] == 0).astype(float))

@@ -16,20 +16,28 @@ outcome outside the measurement's outcomes is refused before the state
 changes.
 
 Every protocol is defined once as a list of steps, and `_walk` is the one
-sampler of their outcomes: depth first, each node forms its outcome row
-once and forks the engine (`ProtocolEngine.fork`) only for the outcomes
-some shot draws, by one descent rule over per-shot arrays. A measurement
+sampler of their outcomes. It goes level by level: every branch of a depth
+runs the same step on the same registers, so one `ProtocolEngine` holds
+them all as rows of a (B, D, D) stack and each engine operation acts on
+every row at once. A measurement gives a (B, outcomes) table, a fork is a
+row selection, a correction is applied to the rows that took its outcome,
+and the descent rule assigns every shot of a level its outcome at once.
+The layout, owners, ebits and ledger are the engine's, shared by its rows;
+outcome-dependent work that would make them differ is refused. A step whose
+stack would outgrow `ROW_BUDGET` complex entries runs on chunks of rows, so
+D <= 16 is batched whole and D = 343 goes one row at a time. A measurement
 may have any number of outcomes: two for a binary one, d**2 for a
 teleportation. `teleport_state`, `remote_controlled_gate`, `pingpong_run`
 (the one single-path OQT chain) and the engine's own measurements follow
-one path (`_follow`, one ``rng.choice`` per measurement). `_announced` is
-the one announced binary measurement (measure, broadcast, count an OQT
-link, consume an ebit), shared by the runners and the CLI's script ops.
+one path on an engine of one row (`_follow`, one ``rng.choice`` per
+measurement). `_announced` is the one announced binary measurement
+(measure, broadcast, count an OQT link, consume an ebit), shared by the
+runners and the CLI's script ops.
 
 dbqc and ping-pong pass the walk a merge key, the parity lattice: a unital
 program's branch state depends only on the ISI bit b and the number s of
-odd parities (`oblivious.parity_mix_alpha`), so branches with the same
-(b, s), or s, merge when their engines agree (`ProtocolEngine.agrees_with`).
+odd parities (`oblivious.parity_mix_alpha`), so rows with the same (b, s),
+or s, merge when their states agree within 1e-12.
 """
 from __future__ import annotations
 
@@ -66,6 +74,8 @@ from .qmath import (
     embed_operator,  # noqa: F401  (a module binding the layer probes in bench/ wrap)
     is_hermitian,
     is_unitary,
+    kron_rows,
+    layout_of,
     partial_trace,
     projector,
 )
@@ -115,6 +125,13 @@ class ResourceLedger:
 class ProtocolEngine:
     """Density-matrix simulator with per-party register ownership.
 
+    An engine holds a stack of B branch states, its rows, on one register
+    layout: a (B, D, D) array. The layout, the owners, the ebit registry and
+    the ledger belong to the engine and so to every row; each operation acts
+    on every row, and each reading (`state`, `reduced`, `probability`)
+    returns one entry per row. A fresh engine has one row; `_walk` makes
+    more, one per live branch of a depth.
+
     A party is a name: the constructor takes the parties' names, and every
     method that acts for a party takes its name. All multi-register
     operations require a single owner. Raw vector and matrix states are
@@ -131,15 +148,18 @@ class ProtocolEngine:
             if name in self.parties:
                 raise DuplicateLabelError(f"duplicate party {name!r}")
             self.parties.add(name)
-        self._layout = RegisterLayout(())
+        self._layout = layout_of(())
         self._owner: dict[str, str] = {}
-        self._state = np.ones((1, 1), dtype=complex)
+        self._state = np.ones((1, 1, 1), dtype=complex)
         # Ebit id -> its registers; ids count up from 0.
         self._ebits: dict[int, tuple[str, ...]] = {}
         self._used: set[int] = set()
         self.ledger = ResourceLedger()
 
     # -- layout plumbing --
+
+    def __len__(self) -> int:
+        return len(self._state)
 
     @property
     def layout(self) -> RegisterLayout:
@@ -151,15 +171,14 @@ class ProtocolEngine:
         return self._owner[label]
 
     def state(self) -> np.ndarray:
+        """A copy of the stacked states, (rows, D, D)."""
         return self._state.copy()
 
     def fork(self) -> ProtocolEngine:
-        """An independent copy, to continue a run down another branch.
-
-        The state array is shared: every operation rebinds ``_state`` to a
-        new array and none writes into the one it replaces. The owner map,
-        the ebit registry with its used ids, and the ledger are copied.
-        """
+        """An independent copy. The state array is shared: every operation
+        rebinds ``_state`` to a new array and none writes into the one it
+        replaces. The owner map, the ebit registry with its used ids, and
+        the ledger are copied."""
         twin = object.__new__(ProtocolEngine)
         twin.parties = self.parties
         twin._layout = self._layout
@@ -170,28 +189,50 @@ class ProtocolEngine:
         twin.ledger = replace(self.ledger)
         return twin
 
-    def agrees_with(self, other: ProtocolEngine) -> bool:
+    def select(self, rows) -> ProtocolEngine:
+        """An independent copy holding the rows ``rows`` (increasing indices).
+        A run of rows shares the state array, as `fork` does."""
+        twin = self.fork()
+        a, b = rows[0], rows[-1] + 1
+        twin._state = self._state[a:b] if b - a == len(rows) else self._state[rows]
+        return twin
+
+    @staticmethod
+    def stack(parts) -> ProtocolEngine:
+        """One engine of the rows ``(engine, row)`` in ``parts``, whose
+        engines must share their layout, owners, ebits and ledger."""
+        first = parts[0][0]
+        if any(eng is not first and not first._same_frame(eng) for eng, _ in parts):
+            raise BranchError("rows of one depth hold different registers, ebits or ledgers")
+        twin = first.fork()
+        twin._state = np.stack([eng._state[row] for eng, row in parts])
+        return twin
+
+    def _same_frame(self, other: ProtocolEngine) -> bool:
         """Whether ``other`` holds the same layout, owners, ebit registry,
-        used ebits and ledger, and a state within 1e-12 (max abs)."""
+        used ebits and ledger."""
         return (
             self._layout == other._layout
             and self._owner == other._owner
             and self._ebits == other._ebits
             and self._used == other._used
             and self.ledger == other.ledger
-            and np.abs(self._state - other._state).max() <= 1e-12
         )
 
     def reduced(self, labels) -> np.ndarray:
         return partial_trace(self._state, list(labels), self.layout)
 
     def _probabilities(self, party: str, ops, labels) -> np.ndarray:
-        """tr(P rho_labels) for each operator P on the registers ``labels``."""
+        """tr(P rho_labels) for each row and each operator P on the registers
+        ``labels``: a (rows, len(ops)) table."""
         self.check_owned(party, labels)
         reduced = self.reduced(labels)
-        if any(p.shape != reduced.shape for p in ops):
+        m = reduced.shape[-1]
+        if any(p.shape != (m, m) for p in ops):
             raise DimensionError(f"operator shapes do not match the registers {list(labels)}")
-        return np.array([np.einsum("ij,ji->", p, reduced).real for p in ops])
+        # Column k is vec(P_k^T), so each row's entries are one vector-matrix product.
+        columns = np.stack([p.T for p in ops], axis=-1).reshape(m * m, len(ops))
+        return (reduced.reshape(len(reduced), 1, m * m) @ columns)[:, 0].real
 
     def _touch(self) -> None:
         if self.ledger.depth == 0:
@@ -220,13 +261,15 @@ class ProtocolEngine:
         for lab, _, _ in regs_with_owner:
             if lab in self._owner:
                 raise DuplicateLabelError(f"register {lab!r} already live")
-        new_dim = self._state.shape[0] * block.shape[0]
+        new_dim = self._layout.total_dim * block.shape[0]
         if new_dim > MAX_STATE_DIM:
             raise CapacityError(
                 f"joint dimension {new_dim} exceeds the cap {MAX_STATE_DIM}"
             )
-        self._state = np.kron(self._state, as_complex(block))
-        self._layout = RegisterLayout(
+        if len(self) > 1 and len(self) * new_dim**2 > ROW_BUDGET:
+            raise _Split(max(1, ROW_BUDGET // new_dim**2))
+        self._state = kron_rows(self._state, block)
+        self._layout = layout_of(
             self._layout.regs + tuple((lab, dim) for lab, dim, _ in regs_with_owner)
         )
         for lab, _, owner in regs_with_owner:
@@ -368,10 +411,9 @@ class ProtocolEngine:
             raise DimensionError(f"projector shape {p0.shape} is not square")
         return self._project(party, _binary(p0), labels, rng, forced)
 
-    def probability(self, party: str, p0: np.ndarray, labels) -> float:
-        """Branch-0 probability of {p0, 1-p0} without collapsing the state."""
-        prob = self._probabilities(party, [as_complex(p0)], labels)[0]
-        return float(np.clip(prob, 0.0, 1.0))
+    def probability(self, party: str, p0: np.ndarray, labels) -> np.ndarray:
+        """Each row's branch-0 probability of {p0, 1-p0}, without collapsing."""
+        return np.clip(self._probabilities(party, [as_complex(p0)], labels)[:, 0], 0.0, 1.0)
 
     def measure_projective(
         self,
@@ -389,24 +431,51 @@ class ProtocolEngine:
         with ``rng`` or taken from ``forced``, and its probability."""
         measured = _measured(self, party, projectors, labels)
         (idx,) = _follow(self, [lambda eng: measured], rng, None if forced is None else [forced])
-        return idx, float(measured[0][idx])
+        return idx, float(measured[0][0, idx])
 
     def _outcomes(self, party, projectors, labels) -> np.ndarray:
-        """Each projector's probability on ``labels``, clipped at 0; raises
-        unless they sum to 1 within 1e-8, and never renormalizes."""
+        """Each row's probability of each projector on ``labels``, clipped at
+        0; raises unless every row sums to 1 within 1e-8, and never
+        renormalizes."""
         probs = np.clip(self._probabilities(party, projectors, labels), 0.0, None)
-        total = probs.sum()
-        if abs(total - 1.0) > 1e-8:
-            raise StateValidationError(f"measurement probabilities sum to {total}")
+        total = probs.sum(axis=1)
+        off = np.abs(total - 1.0) > 1e-8
+        if off.any():
+            raise StateValidationError(f"measurement probabilities sum to {total[off][0]}")
         return probs
 
-    def _collapse(self, labels, projectors, probs, k: int) -> None:
-        """Keep outcome ``k``: its projector weights the trace of ``labels``."""
-        if probs[k] < 1e-14:
-            raise BranchError(f"measurement branch {k} has vanishing probability")
-        self.discard(labels, projectors[k])
-        self._state /= probs[k]
-        self._touch()
+    def _branch(self, rows, ks, labels, projectors, table, after=None) -> ProtocolEngine:
+        """The rows ``rows`` collapsed on the outcomes ``ks`` (pairs sorted by
+        row, then outcome), as one engine in that order. Outcome k's
+        projector weights the trace of ``labels`` on the rows that took it,
+        which are divided by their probabilities in ``table``, and then
+        ``after(engine, k)`` does its follow-up work on them. That work may
+        not leave the outcomes with different registers, ebits or ledgers.
+        A single outcome taken by every row collapses this engine itself."""
+        twins = []
+        for k in sorted(set(ks.tolist())):
+            sel = rows[ks == k]
+            twin = self if len(sel) == len(ks) == len(self) else self.select(sel)
+            probs = table[sel, k]
+            if probs.min() < 1e-14:
+                raise BranchError(f"measurement branch {k} has vanishing probability")
+            twin.discard(labels, projectors[k])
+            twin._state /= probs[:, None, None]
+            twin._touch()
+            if after is not None:
+                after(twin, k)
+            twins.append(twin)
+        first = twins[0]
+        if len(twins) > 1:
+            if not all(first._same_frame(twin) for twin in twins[1:]):
+                raise BranchError(
+                    "outcome-dependent work left rows of one depth with different "
+                    "registers, ebits or ledgers"
+                )
+            stacked = np.concatenate([twin._state for twin in twins])
+            first._state = np.empty_like(stacked)
+            first._state[np.argsort(ks, kind="stable")] = stacked
+        return first
 
 
 def _binary(p0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -418,181 +487,268 @@ def _binary(p0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # --- protocols as steps: the one walk ---
 
 # A protocol is a list of steps. A step does the outcome-free work before its
-# measurement on the node it is given (a `ProtocolEngine`; a parity count in
+# measurement on the level it is given (a `ProtocolEngine` holding one row
+# per live branch; an array of parity counts in
 # `oblivious.oqt_sample_records`) and returns None if it measures nothing,
-# else the outcome row and branch(k, last): the node after outcome k and its
-# follow-up work (broadcast, correction). A finish reads a leaf's result.
+# else the (rows, outcomes) probability table and branch(rows, ks): the
+# level of the rows ``rows`` after the outcomes ``ks``, with their
+# follow-up work (broadcast, correction) done. A finish reads each row of a
+# leaf level.
+
+# Stacked states one step may hold, in complex entries: an engine whose rows
+# would outgrow it raises `_Split`, and the walk reruns the step on fewer
+# rows. A depth at D <= 16 runs as one stack; at D = 343, one row at a time.
+ROW_BUDGET = 1 << 16
+
+
+class _Split(Exception):
+    """The step outgrew `ROW_BUDGET`; rerun it on chunks of ``rows`` rows."""
+
+    def __init__(self, rows: int):
+        super().__init__(rows)
+        self.rows = rows
 
 
 def _measured(eng: ProtocolEngine, party: str, projectors, labels, after=None):
-    """A step's measurement of ``labels``: the outcome row, formed once, and
-    branch(k, last): ``eng`` (a fork unless ``last``) collapsed on k, then
-    ``after(engine, k)``."""
-    row = eng._outcomes(party, projectors, labels)
+    """A step's measurement of ``labels``: the table of every row's
+    outcome probabilities, formed once, and branch(rows, ks) (see
+    `ProtocolEngine._branch`, with ``after`` its follow-up work)."""
+    table = eng._outcomes(party, projectors, labels)
 
-    def branch(k: int, last: bool) -> ProtocolEngine:
-        twin = eng if last else eng.fork()
-        twin._collapse(labels, projectors, row, k)
-        if after is not None:
-            after(twin, k)
-        return twin
+    def branch(rows: np.ndarray, ks: np.ndarray) -> ProtocolEngine:
+        return eng._branch(rows, ks, labels, projectors, table, after)
 
-    return row, branch
+    return table, branch
 
 
-def _cdf(row: np.ndarray) -> np.ndarray:
-    """[0, c...], where c is the CDF of outcome row ``row`` as `rng.choice`
-    forms it: cumsum(p) / cumsum(p)[-1] for p = row / sum(row)."""
-    cdf = np.cumsum(row / row.sum())
-    cdf /= cdf[-1]
-    return np.concatenate(([0.0], cdf))
-
-
-def _walk(root, steps, finish, uniforms=None, patterns=None, key=None, agree=None, tol=None):
+def _walk(root, steps, finish, uniforms=None, patterns=None, key=None, tol=None):
     """Walk the shots of ``uniforms`` or ``patterns`` through ``steps`` from
-    ``root``, forking a node only for the outcomes its shots take, and run
-    ``finish`` once per leaf. A node runs its step and forms its outcome row
-    once; with ``tol``, a row further than ``tol`` from summing to 1 raises
-    BranchError. The descent rule: shot i takes outcome k when
-    e[k] <= u < e[k+1] for e = lo + mass cdf (`_cdf`), ties going right, and
-    [lo, lo + mass) narrows to the outcome's interval. ``uniforms`` of shape
-    (shots,) carry one uniform per shot down the whole path from [0, 1), so
-    a shot takes the leaf ``rng.choice(leaves, size=shots, p=path
-    probabilities)`` takes with the same ``rng.random(shots)``, up to
-    rounding at an edge. Shape (shots, draws) gives each draw a fresh
-    uniform at lo = 0, mass = 1: exactly ``rng.choice(k, p=row)``.
-    ``patterns`` (a row per shot) give the outcomes; one that is not a
-    measurement's is refused before the state changes.
+    ``root`` (a level of one row) and return each shot's outcomes (a column
+    per draw), path probability (multiplied in step order from 1.0) and
+    finish value; finish(level) returns one value per row, or None.
 
-    Depth first, a walk without ``key`` holds the children of one node per
-    depth. ``key``, a function of an outcome prefix, merges equal branches
-    (the reduction rule of ordered decision diagrams): the first node placed
-    at a (depth, key) is held until every node above that depth is walked,
-    and a later node there that ``agree``s with it (default
-    `ProtocolEngine.agrees_with`) hands it its shots; any other node is
-    walked at once. Returns each shot's outcomes (a column per draw), path
-    probability (multiplied in step order from 1.0) and leaf index, and the
-    leaves' finish values.
+    Level by level: a step runs once on a level holding every live branch
+    of its depth, one row each, and its table gives every row's outcome
+    row; with ``tol``, a row further than ``tol`` from summing to 1 raises
+    BranchError. The next level is branch(rows, ks) of the (row, outcome)
+    pairs some shot takes, in that order. The descent rule runs once per
+    level: a shot on row r takes outcome k when e[k] <= u < e[k+1] for
+    e = lo + mass cdf (the CDF of r's row as ``rng.choice`` forms it),
+    ties going right, and [lo, lo + mass) narrows to the outcome's
+    interval. ``uniforms`` of shape (shots,) carry one uniform per shot
+    down the whole path from [0, 1), so a shot takes the leaf
+    ``rng.choice(leaves, size=shots, p=path probabilities)`` takes with the
+    same ``rng.random(shots)``, up to rounding at an edge; an interval's
+    shots are a run of the sorted uniforms, cut at its edges, so a level
+    costs its intervals, not its shots. Shape (shots, draws) gives each
+    draw a fresh uniform at lo = 0, mass = 1: exactly ``rng.choice(k,
+    p=row)``. ``patterns`` (a row per shot) give the outcomes; one that is
+    not a measurement's is refused before the state changes.
+
+    An engine whose step would stack more than `ROW_BUDGET` entries raises
+    `_Split`, and the step reruns on chunks of rows that fit, walked depth
+    first. ``key``, a function of an outcome prefix, merges equal branches
+    of an engine walk (the reduction rule of ordered decision diagrams):
+    the first row placed at a (depth, key) is held until every level above
+    that depth is walked, and a later row there whose state is within
+    1e-12 of it (max abs) hands it its shots; any other row is walked at
+    once. Rows are placed in the order a node-by-node depth-first walk
+    would place them, so the same rows merge.
     """
     shots = len(uniforms if patterns is None else patterns)
-    outcomes = np.zeros((shots, len(steps)), dtype=np.int16)
-    probs, leaf_of, results, width = np.empty(shots), np.empty(shots, dtype=np.intp), [], [0]
-    agree = agree or ProtocolEngine.agrees_with
-    held = [{} for _ in range(len(steps) + 1)]  # per depth: key -> (node, prefix, draw, parts)
-    # A node's shots: their indices ``who`` and a row each in ``per``, (u, lo,
-    # mass, path probability) with carried uniforms, else the probability.
-    # Carried uniforms start sorted, so shots sharing an interval take its
-    # outcomes in runs, and its children take slices of its arrays.
     carried = patterns is None and uniforms.ndim == 1
-    who = np.argsort(uniforms) if carried else np.arange(shots)
-    per = np.ones((shots, 4 if carried else 1))
+    order = np.argsort(uniforms) if carried else None
+    ordered = uniforms[order] if carried else None
+    outcomes = np.zeros((shots, len(steps)), dtype=np.int16)
+    probs, values, width = np.empty(shots), np.zeros(shots), [0]
+    held = [{} for _ in range(len(steps) + 1)]  # per depth: key -> [engine, row, prefix, parts]
+    # A chunk's shots come in parts: one per interval of the sorted uniforms
+    # when they are carried, else one per shot. The columns: row, lo, mass,
+    # path probability, first and end position in ``order`` and the outcomes
+    # so far; a part of one shot is the shot's index, and its outcomes go
+    # straight to ``outcomes``.
     if carried:
-        per[:, 0], per[:, 1] = uniforms[who], 0.0
+        root_parts = (np.zeros(1, dtype=np.intp), np.zeros(1), np.ones(1), np.ones(1),
+                      np.zeros(1, dtype=np.intp), np.full(1, shots), np.zeros((1, len(steps)), np.int16))
+    else:
+        root_parts = (np.zeros(shots, dtype=np.intp), None, None, np.ones(shots), np.arange(shots),
+                      None, None)
 
-    def descend(row: np.ndarray, who: np.ndarray, per: np.ndarray, draw: int) -> list:
-        """(k, the part of the shots taking it: a slice if contiguous) per
-        outcome taken at the draw-th measurement; updates ``per``."""
-        total = row.sum()
-        if tol is not None and not abs(total - 1.0) <= tol:
-            raise BranchError(f"branch outcome probabilities sum to {total:.12g}, not 1")
-        cdf = _cdf(row)
-        u, lo, mass = per[:, :3].T if carried else (None, None, None)
-        if carried and lo.min() == lo.max() and mass.min() == mass.max():
-            # One interval, so its shots are sorted by u: cut them at its edges.
-            edges = lo[0] + mass[0] * cdf
-            cuts = [0, *np.searchsorted(u, edges[1:-1], side="left").tolist(), len(u)]
-            runs = [(k, slice(a, b)) for k, (a, b) in enumerate(zip(cuts, cuts[1:])) if b > a]
-            for k, part in runs:
-                per[part, 1], per[part, 2] = edges[k], edges[k + 1] - edges[k]
-                outcomes[who[part], draw] = k
-                per[part, -1] *= row[k]
-            return runs
-        if patterns is not None:
-            ks = patterns[who, draw]
-            if ks.min() < 0 or ks.max() >= len(row):
-                bad = ks[(ks < 0) | (ks >= len(row))][0]
-                raise BranchError(f"forced outcome {bad} is not one of 0..{len(row) - 1}")
-        elif carried:
-            ks = sum((u >= lo + mass * c for c in cdf[1:-1].tolist()), np.zeros(len(u), np.intp))
-            low, high = lo + mass * cdf[ks], lo + mass * cdf[ks + 1]
-            per[:, 1], per[:, 2] = low, high - low
+    def take(parts, idx) -> tuple:
+        return tuple(None if col is None else col[idx] for col in parts)
+
+    def descend(table: np.ndarray, draw: int, parts: tuple) -> tuple:
+        """The parts after the draw-th measurement: each outcome's share of
+        each part, with the pair (row, outcome) it took in place of its row."""
+        total = table.sum(axis=1)
+        if tol is not None:
+            off = ~(np.abs(total - 1.0) <= tol)
+            if off.any():
+                raise BranchError(f"branch outcome probabilities sum to {total[off][0]:.12g}, not 1")
+        n = table.shape[1]
+        cdf = np.cumsum(table / total[:, None], axis=1)
+        cdf /= cdf[:, -1:]
+        edges = np.concatenate((np.zeros((len(cdf), 1)), cdf), axis=1)
+        row, lo, mass, prob, first, end, seen = parts
+        if carried:
+            cuts = lo[:, None] + mass[:, None] * edges[row]
+            at = np.searchsorted(ordered, cuts[:, 1:-1])
+            bounds = np.concatenate(
+                (first[:, None], np.clip(at, first[:, None], end[:, None]), end[:, None]), axis=1
+            )
+            src, ks = np.nonzero(np.diff(bounds, axis=1))
+            lo, high = cuts[src, ks], cuts[src, ks + 1]
+            first, end, mass = bounds[src, ks], bounds[src, ks + 1], high - lo
+            row, prob, seen = row[src], prob[src], seen[src]
+            seen[:, draw] = ks
+        elif patterns is not None:  # a part per shot, which the chunk owns
+            ks = np.take(patterns[:, draw], first)
+            if ks.min() < 0 or ks.max() >= n:
+                bad = ks[(ks < 0) | (ks >= n)][0]
+                raise BranchError(f"forced outcome {bad} is not one of 0..{n - 1}")
+            outcomes[first, draw] = ks
         else:  # a fresh uniform: lo = 0 and mass = 1
-            ks = (uniforms[who, draw][:, None] >= cdf[1:-1]).sum(axis=1)
-        outcomes[who, draw] = ks
-        per[:, -1] *= row[ks]
-        counts = np.bincount(ks, minlength=len(row))
-        ends, in_runs = np.cumsum(counts).tolist(), bool(np.all(ks[:-1] <= ks[1:]))
-        return [(k, slice(ends[k] - n, ends[k]) if in_runs else ks == k)
-                for k, n in enumerate(counts.tolist()) if n]
+            u = np.take(uniforms[:, draw], first)
+            ks = np.zeros(len(u), dtype=np.intp)
+            for j in range(1, n):
+                ks += u >= np.take(edges[:, j], row)
+            outcomes[first, draw] = ks
+        codes = row * n + ks
+        prob *= np.take(table, codes)
+        return codes, lo, mass, prob, first, end, seen
 
-    def walk(node, depth: int, prefix: tuple, draw: int, who: np.ndarray, per: np.ndarray) -> None:
-        """Walk the shots ``who`` from ``node`` depth first. A node's children are made at
-        once so that it can be dropped (they hold no more: a measurement consumes registers)."""
-        stack = [(node, depth, prefix, draw, who, per, False)]
-        while stack:
-            node, depth, prefix, draw, who, per, placed = stack.pop()
-            if placed and key is not None:
-                rep = held[depth].setdefault(key(prefix), (node, prefix, draw, []))
-                if rep[0] is node or agree(rep[0], node):
-                    rep[3].append((who, per))
-                    continue
-            for depth in range(depth, len(steps)):
-                measurement = steps[depth](node)
-                if measurement is not None:
-                    break
+    def place(level, depth: int, prefixes: list, parts: tuple, stack: list) -> None:
+        """Push the rows of ``level`` at ``depth`` to be walked, or, with
+        ``key``, hold each row first at its key and hand a later row's
+        parts to its holder when their states agree."""
+        if key is None:
+            stack.append((level, depth, prefixes, parts))
+            return
+        by_row = np.argsort(parts[0], kind="stable")
+        bounds = np.cumsum(np.bincount(parts[0], minlength=len(prefixes)))
+        parts_of = [take(parts, by_row[a:b]) for a, b in zip([0, *bounds[:-1]], bounds)]
+        slots, later = held[depth], []
+        for i, prefix in enumerate(prefixes):
+            slot = slots.setdefault(key(prefix), [level, i, prefix, []])
+            if slot[0] is level and slot[1] == i:
+                slot[3].append(parts_of[i])
             else:
-                leaf_of[who], probs[who], width[0] = len(results), per[:, -1], max(width[0], draw)
-                results.append(finish(node))
-                continue
-            row, branch = measurement
-            runs = descend(row, who, per, draw)
-            last = runs[-1][0]
-            children = [(k, part, branch(k, k == last)) for k, part in runs]
-            for k, part, kid in reversed(children):
-                stack.append((kid, depth + 1, prefix + (k,), draw + 1, who[part], per[part], True))
+                later.append((i, slot))
+        if not later:
+            return
+        rows = np.array([i for i, _ in later])
+        reps = np.stack([slot[0]._state[slot[1]] for _, slot in later])
+        agree = np.abs(level._state[rows] - reps).max(axis=(1, 2)) <= 1e-12
+        walked = []
+        for (i, slot), same in zip(later, agree.tolist()):
+            if same and (slot[0] is level or level._same_frame(slot[0])):
+                slot[3].append(parts_of[i])
+            else:
+                walked.append(i)
+        if walked:
+            chunk = level.select(walked) if len(walked) < len(level) else level
+            stack.append((chunk, depth, [prefixes[i] for i in walked], regrouped(
+                [[parts_of[i]] for i in walked])))
 
-    walk(root, 0, (), 0, who, per)
-    for depth, level in enumerate(held):
-        for node, prefix, draw, parts in level.values():
-            whos, pers = zip(*parts)
-            walk(node, depth, prefix, draw, np.concatenate(whos), np.concatenate(pers))
-        level.clear()
-    return outcomes[:, : width[0]], probs, leaf_of, results
+    def regrouped(groups: list) -> tuple:
+        """One chunk's parts: group g's parts on its row g."""
+        cols = [None if col[0] is None else np.concatenate(col)
+                for col in zip(*(p for group in groups for p in group))]
+        sizes = [len(p[0]) for group in groups for p in group]
+        rows = [g for g, group in enumerate(groups) for _ in group]
+        cols[0] = np.repeat(rows, sizes)
+        return tuple(cols)
+
+    def run(stack: list) -> None:
+        """Walk the chunks on ``stack`` depth first."""
+        while stack:
+            level, start, prefixes, parts = stack.pop()
+            work = level.fork() if isinstance(level, ProtocolEngine) else level
+            try:
+                for depth in range(start, len(steps)):
+                    measurement = steps[depth](work)
+                    if measurement is not None:
+                        break
+                else:
+                    found = finish(work)
+                    row, _, _, prob, shot, end, seen = parts
+                    if carried:  # each part's run of shots
+                        sizes = end - shot
+                        at = np.repeat(shot - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
+                        row, prob, seen, shot = (*(np.repeat(c, sizes, axis=0) for c in (row, prob, seen)),
+                                                 order[at])
+                        outcomes[shot] = seen
+                    probs[shot] = prob
+                    if found is not None:
+                        values[shot] = np.asarray(found)[row]
+                    width[0] = max(width[0], len(prefixes[0]))
+                    continue
+            except _Split as split:
+                for a in reversed(range(0, len(level), split.rows)):
+                    rows = np.arange(a, min(a + split.rows, len(level)))
+                    mine = take(parts, (parts[0] >= a) & (parts[0] < a + split.rows))
+                    chunk = (level.select(rows), start, prefixes[a : a + split.rows])
+                    stack.append((*chunk, (mine[0] - a, *mine[1:])))
+                continue
+            table, branch = measurement
+            codes, *rest = descend(table, len(prefixes[0]), parts)
+            n = table.shape[1]
+            taken = np.bincount(codes, minlength=len(table) * n) > 0
+            pairs = np.flatnonzero(taken)
+            rows, kids = pairs // n, pairs % n
+            child = branch(rows, kids)
+            kids_prefixes = [prefixes[r] + (k,) for r, k in zip(rows.tolist(), kids.tolist())]
+            place(child, depth + 1, kids_prefixes, ((np.cumsum(taken) - 1)[codes], *rest), stack)
+
+    run([(root, 0, [()], root_parts)])
+    for depth, slots in enumerate(held):
+        reps = list(slots.values())
+        slots.clear()
+        size = max(1, ROW_BUDGET // reps[0][0].layout.total_dim ** 2) if reps else 1
+        for a in range(0, len(reps), size):
+            part = reps[a : a + size]
+            level = ProtocolEngine.stack([(slot[0], slot[1]) for slot in part])
+            run([(level, depth, [slot[2] for slot in part], regrouped([slot[3] for slot in part]))])
+    return outcomes[:, : width[0]], probs, values
 
 
 def _sample(engine: ProtocolEngine, steps, finish, key=None, **draws):
     """`_walk` a protocol with each row within 1e-9 / len(steps) of 1 (a full expansion within
-    1e-9): each shot's outcomes, path probability and finish value, and shot 0's ledger."""
+    1e-9): each shot's outcomes, path probability and finish value, and the leaves' ledger."""
+    ledgers = []
 
     def leaf(eng: ProtocolEngine):
         if not eng.ebits_conserved():
             raise ResourceError("ebit conservation violated")
-        return finish(eng), eng.ledger
+        values = finish(eng)
+        ledgers.append(eng.ledger)
+        return values
 
-    out, probs, leaf_of, ends = _walk(engine, steps, leaf, key=key, tol=1e-9 / len(steps), **draws)
-    values = np.array([value for value, _ in ends])
-    return out, probs, values[leaf_of], ends[leaf_of[0]][1]
+    out, probs, values = _walk(engine, steps, leaf, key=key, tol=1e-9 / len(steps), **draws)
+    return out, probs, values, ledgers[0]
 
 
 def _follow(engine: ProtocolEngine, steps, rng, forced) -> list[int]:
-    """The outcomes of one path of ``steps`` run on ``engine`` itself, each
-    drawn as ``rng.choice(k, p=row)`` (the engine's single-path draw), or
-    taken from ``forced``."""
+    """The outcomes of one path of ``steps`` run on ``engine`` itself (one
+    row), each drawn as ``rng.choice(k, p=row)`` (the engine's single-path
+    draw), or taken from ``forced``."""
     if (rng is None) == (forced is None):
         raise EstimationError("pass exactly one of rng or forced")
+    if len(engine) != 1:
+        raise EstimationError("one path is followed on an engine of one row")
     outcomes = []
     for step in steps:
         measurement = step(engine)
         if measurement is None:
             continue
-        row, branch = measurement
+        (row,), branch = measurement
         if forced is None:
             k = int(rng.choice(len(row), p=row / row.sum()))
         else:
             k = forced[len(outcomes)]
             if k not in range(len(row)):
                 raise BranchError(f"forced outcome {k} is not one of 0..{len(row) - 1}")
-        branch(k, True)
+        branch(np.zeros(1, dtype=np.intp), np.array([k]))
         outcomes.append(k)
     return outcomes
 
@@ -810,10 +966,11 @@ def _program_link(party: str, program: ChoiProgram, out: str, inp: str, current:
 
 
 def _readout(party: str, psi_o: PureState, labels):
-    """Finish: P(readout 0) of ``psi_o`` on ``labels``, then its broadcast bit."""
+    """Finish: each row's P(readout 0) of ``psi_o`` on ``labels``, then its
+    broadcast bit."""
     p0 = projector(psi_o.amplitudes)
 
-    def finish(eng: ProtocolEngine) -> float:
+    def finish(eng: ProtocolEngine) -> np.ndarray:
         q = eng.probability(party, p0, labels)
         eng.broadcast(1)
         return q
@@ -1307,18 +1464,19 @@ def pingpong_run(
             raise EstimationError("one forced bit per program is required")
     eng, steps, current = _pingpong_protocol(programs, system)
     bits = _follow(eng, steps, rng, forced_bits)
-    final = MixedState(RegisterLayout.of(("s", eng.layout.dim(current))), eng.reduced([current]))
+    final = MixedState(RegisterLayout.of(("s", eng.layout.dim(current))), eng.reduced([current])[0])
     record = OqtRecord(parity_bits=tuple(bits), s=sum(bits), final_state=final)
     return record, eng.ledger
 
 
 def _pingpong_readout_protocol(programs, system, readout: np.ndarray):
-    """The chain's engine and steps, and a finish that reads P(``readout``)
-    of its output."""
+    """The chain's engine and steps, and a finish that reads each row's
+    P(``readout``) of its output."""
     eng, steps, current = _pingpong_protocol(list(programs), system)
 
-    def finish(eng: ProtocolEngine) -> float:
-        return float(np.real(np.conj(readout) @ eng.reduced([current]) @ readout))
+    def finish(eng: ProtocolEngine) -> np.ndarray:
+        bra = np.conj(readout) @ eng.reduced([current])
+        return np.real(bra[:, None, :] @ readout)[:, 0]
 
     return eng, steps, finish
 

@@ -33,8 +33,9 @@ from .errors import (
 )
 from .qmath import (
     RegisterLayout,
+    apply_on_targets,
     as_complex,
-    embed_operator,
+    embed_operator,  # noqa: F401  (a module binding the layer probes in bench/ wrap)
     is_hermitian,
     partial_trace,
     projector,
@@ -223,8 +224,9 @@ def oqt_sample_records(
 
     Branch states after k steps depend only on the parity sum; this is
     checked numerically while the reachable states are enumerated. The
-    shots then walk the chain's parity counts with the protocols' sampler
-    (`distributed._walk`), one ``rng.random(shots)`` per step.
+    shots then walk the chain with the protocols' level walk
+    (`distributed._walk`), one ``rng.random(shots)`` per step: a level is
+    the array of its live rows' parity counts.
     """
     from .distributed import _walk  # distributed imports this module
 
@@ -248,10 +250,10 @@ def oqt_sample_records(
                     nxt[key] = branch.post_state
         rows.append(row)
         states = nxt
-    # A node is the parity count s; equal counts merge.
-    steps = [lambda s, row=row: (row[s], lambda bit, last: s + bit) for row in rows]
+    tables = [np.array([row[s] for s in range(len(row))]) for row in rows]
+    steps = [lambda s, table=table: (table[s], lambda at, bits: s[at] + bits) for table in tables]
     uniforms = rng.random((len(steps), shots)).T
-    bits, *_ = _walk(0, steps, lambda s: None, uniforms, key=sum, agree=int.__eq__)
+    bits, *_ = _walk(np.zeros(1, dtype=np.intp), steps, lambda s: None, uniforms)
     bits = bits.astype(np.int8)
     return OqtRecordBatch(bits, bits.sum(axis=1), states)
 
@@ -581,6 +583,5 @@ def sequence_unitary(ops: Sequence[GateOp], n_qubits: int) -> np.ndarray:
             mat = CNOT
         else:
             raise DimensionError(f"unsupported op {op.name!r} in sequence")
-        labels = [f"q{q}" for q in op.qubits]
-        total = embed_operator(mat, labels, layout) @ total
+        total = apply_on_targets(mat, total, [f"q{q}" for q in op.qubits], layout)
     return total

@@ -14,11 +14,18 @@ Conventions used throughout the package:
   and is kept as the reference the contractions are tested against. The
   weighted trace is the one kernel of every measurement: the measured
   registers are traced out, weighted by the outcome's projector;
+* a stack of states (B, D, D), one per branch, goes through the same
+  kernels with a leading batch axis: `apply_on_targets` and `partial_trace`
+  contract each row by the same matrix products, and `kron_rows` forms the
+  products np.kron forms, so a row of a stack gets the bytes it gets alone.
+  Their axis plans are cached per (dims, positions), and `layout_of` builds
+  a layout once per register list;
 * comparisons use an absolute elementwise tolerance, default ``EPS``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -142,27 +149,34 @@ class RegisterLayout:
     def dim(self, label: str) -> int:
         return self.regs[self.index(label)][1]
 
-    def without(self, labels) -> "RegisterLayout":
-        drop = set(labels)
-        return RegisterLayout(tuple(r for r in self.regs if r[0] not in drop))
-
     def subset(self, labels) -> "RegisterLayout":
-        return RegisterLayout(tuple((lab, self.dim(lab)) for lab in labels))
+        return layout_of(tuple((lab, self.dim(lab)) for lab in labels))
 
 
-def _target_axes(op: np.ndarray, targets, layout: RegisterLayout) -> tuple[list[int], list[int]]:
-    """Axes of ``targets`` (in the given order) and of the other registers
-    (in layout order), after checking that ``op`` fits the targets."""
-    pos = [layout.index(t) for t in targets]
+@functools.lru_cache(maxsize=4096)
+def layout_of(regs: tuple[tuple[str, int], ...]) -> RegisterLayout:
+    """``RegisterLayout(regs)``, built once per register list (layouts are
+    immutable, so one instance serves every caller)."""
+    return RegisterLayout(regs)
+
+
+def _positions(labels, layout: RegisterLayout) -> tuple[int, ...]:
+    pos = tuple(layout.index(lab) for lab in labels)
     if len(set(pos)) != len(pos):
-        raise DuplicateLabelError(f"repeated target in {list(targets)}")
-    dims = layout.dims
-    tdim = math.prod(dims[p] for p in pos)
+        raise DuplicateLabelError(f"repeated label in {list(labels)}")
+    return pos
+
+
+def _target_axes(op: np.ndarray, targets, layout: RegisterLayout) -> tuple[int, ...]:
+    """Axes of ``targets`` (in the given order), after checking that ``op``
+    fits them."""
+    pos = _positions(targets, layout)
+    tdim = math.prod(layout.dims[p] for p in pos)
     if op.shape != (tdim, tdim):
         raise DimensionError(
             f"operator shape {op.shape} does not match target dims product {tdim}"
         )
-    return pos, [k for k in range(len(dims)) if k not in pos]
+    return pos
 
 
 def embed_operator(op: np.ndarray, targets, layout: RegisterLayout) -> np.ndarray:
@@ -173,7 +187,8 @@ def embed_operator(op: np.ndarray, targets, layout: RegisterLayout) -> np.ndarra
     index space. This is the dense reference for `apply_on_targets`.
     """
     op = as_complex(op)
-    pos, rest = _target_axes(op, targets, layout)
+    pos = list(_target_axes(op, targets, layout))
+    rest = [k for k in range(len(layout)) if k not in pos]
     dims = [layout.dims[k] for k in pos + rest]
     full = tensor_product(op, np.eye(math.prod(dims) // op.shape[0]))
     axes = np.argsort(pos + rest).tolist()
@@ -182,33 +197,62 @@ def embed_operator(op: np.ndarray, targets, layout: RegisterLayout) -> np.ndarra
     return np.ascontiguousarray(t.reshape(d, d))
 
 
+@functools.lru_cache(maxsize=4096)
+def _apply_plan(dims: tuple, pos: tuple, conjugate: bool, lead: int) -> tuple[tuple, tuple]:
+    """The transpose that moves the target axes ``pos`` of a state on
+    ``dims`` to the front (with ``conjugate``, the column targets to the
+    back), after ``lead`` batch axes, and its inverse."""
+    n = len(dims)
+    rest = [k for k in range(n) if k not in pos]
+    if conjugate:
+        axes = [*pos, *rest, *(n + k for k in rest), *(n + p for p in pos)]
+    else:
+        axes = [*pos, *rest, n]
+    perm = tuple(range(lead)) + tuple(lead + a for a in axes)
+    return perm, tuple(np.argsort(perm).tolist())
+
+
 def apply_on_targets(
     op: np.ndarray, x: np.ndarray, targets, layout: RegisterLayout, conjugate: bool = False
 ) -> np.ndarray:
     """``op`` on ``targets`` (ordered as in `embed_operator`) applied to ``x``.
 
-    ``x`` is a vector of the layout's dimension D or a matrix with D rows;
-    the result is (op ox 1) x. With ``conjugate`` it is a D x D matrix and
-    the result is (op ox 1) x (op ox 1)^dag. The target axes move to the
-    front (and, with ``conjugate``, the column targets to the back) in one
+    ``x`` is a vector of the layout's dimension D, a matrix with D rows, or
+    a stack (B, D, k) of such matrices; the result is (op ox 1) x. With
+    ``conjugate`` it is a D x D matrix or a stack (B, D, D) of them, and the
+    result is (op ox 1) x (op ox 1)^dag. The target axes move to the front
+    (and, with ``conjugate``, the column targets to the back) in one
     transpose, ``op`` contracts with them by matrix products, and one
-    transpose moves them back: O(D^2 d_op) work instead of O(D^3).
+    transpose moves them back: O(D^2 d_op) work instead of O(D^3). A stack
+    is contracted row by row by the same products as a single matrix.
     """
     op = as_complex(op)
     x = as_complex(x)
-    pos, rest = _target_axes(op, targets, layout)
+    pos = _target_axes(op, targets, layout)
     dims = layout.dims
-    n = len(dims)
+    lead = x.shape[:1] if x.ndim == 3 else ()
+    perm, inverse = _apply_plan(dims, pos, conjugate, len(lead))
     tdim = op.shape[0]
     if conjugate:
-        perm = pos + rest + [n + k for k in rest] + [n + p for p in pos]
-        t = x.reshape(dims + dims).transpose(perm)
-        y = (op @ t.reshape(tdim, -1)).reshape(-1, tdim) @ op.conj().T
+        t = x.reshape(lead + dims + dims).transpose(perm)
+        y = (op @ t.reshape(lead + (tdim, -1))).reshape(lead + (-1, tdim)) @ op.conj().T
     else:
-        perm = pos + rest + [n]
-        t = x.reshape(dims + (-1,)).transpose(perm)
-        y = op @ t.reshape(tdim, -1)
-    return y.reshape(t.shape).transpose(np.argsort(perm)).reshape(x.shape)
+        t = x.reshape(lead + dims + (-1,)).transpose(perm)
+        y = op @ t.reshape(lead + (tdim, -1))
+    return y.reshape(t.shape).transpose(inverse).reshape(x.shape)
+
+
+@functools.lru_cache(maxsize=4096)
+def _trace_plan(dims: tuple, keep: tuple) -> tuple[tuple, int, int]:
+    """For a stack (B, D, D) on ``dims``: the transpose to (row, kept row
+    digits, kept column digits, traced row digits, traced column digits),
+    with kept registers in the order ``keep`` and traced ones in layout
+    order, and the kept and traced dimensions."""
+    n = len(dims)
+    drop = [k for k in range(n) if k not in keep]
+    perm = (0, *(1 + p for p in keep), *(1 + n + p for p in keep),
+            *(1 + p for p in drop), *(1 + n + p for p in drop))
+    return perm, math.prod(dims[p] for p in keep), math.prod(dims[p] for p in drop)
 
 
 def partial_trace(
@@ -217,20 +261,34 @@ def partial_trace(
     """Trace out everything except ``keep``; result is ordered as ``keep``.
 
     With ``weight``, an operator W on the traced-out registers in layout
-    order, the result is tr_out((1 ox W) rho) instead, in O(D^2).
+    order, the result is tr_out((1 ox W) rho) instead, in O(D^2). ``rho`` is
+    a D x D matrix, or a stack (B, D, D) whose rows are traced alike: each
+    row is one matrix-vector product of its transposed entries with vec(W^T)
+    (of its traced diagonal entries with ones, without a weight), so it
+    gets the bytes it gets alone.
     """
     rho = as_complex(rho)
     dims = layout.dims
-    d = math.prod(dims)
-    if rho.shape != (d, d):
+    d = layout.total_dim
+    if rho.shape[-2:] != (d, d) or rho.ndim not in (2, 3):
         raise DimensionError(f"state shape {rho.shape} does not match layout dim {d}")
     keep = list(keep)
-    keep_pos = [layout.index(lab) for lab in keep]
-    if len(set(keep_pos)) != len(keep_pos):
-        raise DuplicateLabelError(f"repeated label in keep list {keep}")
+    keep_pos = _positions(keep, layout)
+    if rho.ndim == 3:
+        perm, dk, dd = _trace_plan(dims, keep_pos)
+        if weight is not None and weight.shape != (dd, dd):
+            raise DimensionError(f"weight shape {weight.shape} does not match traced dim {dd}")
+        b, nk, nd = len(rho), len(keep_pos), len(dims) - len(keep_pos)
+        t = rho.reshape((b,) + dims + dims).transpose(perm)
+        if weight is not None:
+            out = t.reshape(b, dk * dk, dd * dd) @ as_complex(weight).T.reshape(-1)
+            return out.reshape(b, dk, dk)
+        for i in range(nd):  # only the traced diagonal is copied
+            t = np.diagonal(t, axis1=1 + 2 * nk, axis2=1 + 2 * nk + nd - i)
+        return (t.reshape(b, dk * dk, dd) @ np.ones(dd, dtype=complex)).reshape(b, dk, dk)
     n = len(dims)
     drop = [k for k in range(n) if k not in keep_pos]
-    perm = keep_pos + drop
+    perm = [*keep_pos, *drop]
     t = rho.reshape(dims + dims)
     t = t.transpose(perm + [n + p for p in perm])
     dk = math.prod(dims[p] for p in keep_pos) if keep_pos else 1
@@ -241,6 +299,22 @@ def partial_trace(
     if weight.shape != (dd, dd):
         raise DimensionError(f"weight shape {weight.shape} does not match traced dim {dd}")
     return np.einsum("anbm,mn->ab", t, weight)
+
+
+def kron_rows(rho: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """``np.kron(row, block)`` for every row of a stack (B, D, D): the
+    broadcast product np.kron itself forms, so the same bytes. Rows of 1 x 1
+    times a 1 x 1 block are multiplied in real arithmetic instead, because
+    numpy rounds a lone complex product unlike a run of them."""
+    b, d = len(rho), rho.shape[-1] * block.shape[0]
+    block = as_complex(block)
+    if d > 1:
+        return (rho[:, :, None, :, None] * block[:, None, :]).reshape(b, d, d)
+    x, (y,) = rho.reshape(b), block[0]
+    out = np.empty((b, 1, 1), dtype=complex)
+    out.real.flat = x.real * y.real - x.imag * y.imag
+    out.imag.flat = x.real * y.imag + x.imag * y.real
+    return out
 
 
 def permutation_to_layout(src: RegisterLayout, dst: RegisterLayout) -> np.ndarray:

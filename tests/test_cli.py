@@ -524,6 +524,22 @@ def test_literals_near_the_float_maximum_are_schema_errors(tmp_path, sc):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_knitting_observable_that_could_overflow_is_refused(tmp_path, capsys):
+    plus = {"vector": [[2**-0.5, 0], [2**-0.5, 0]]}
+    sc = _minimal_knitting(num_qudits=1, gates=[], input_state=plus,
+                           observable=[[1e308, 1e308], [1e308, 1e308]])
+    path = _write(tmp_path, "huge-observable.json", sc)
+    assert main(["validate", path]) == 4
+    assert "estimate could overflow" in capsys.readouterr().err
+    out = tmp_path / "never"
+    assert main(["run", path, "--out", str(out)]) == 4
+    assert not out.exists()
+    sc["observable"] = [[1e300, 1e300], [1e300, 1e300]]
+    path = _write(tmp_path, "large-observable.json", sc)
+    assert main(["run", path, "--out", str(out)]) == 0
+
+
 def test_script_over_the_dimension_cap_is_refused_at_validation(tmp_path, capsys):
     sc = _script_teleport()
     sc["steps"].insert(0, {"op": "prepare_state", "party": "bob", "label": "big",

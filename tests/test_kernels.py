@@ -3,7 +3,9 @@
 Every operation that acts on some registers of a larger state contracts
 with those registers' axes. Each test here rebuilds the same result the
 dense way: the operator lifted to the full layout by `embed_operator`,
-applied by full matrix products, then traced.
+applied by full matrix products, then traced. A stack of states, one per
+branch, goes through the same kernels: each row must match the reference
+and get the bytes it gets alone.
 """
 
 import itertools
@@ -24,10 +26,12 @@ from obliq.oblivious import (
     multiparty_binary_bell,
     oqt_step,
 )
+from obliq import qmath
 from obliq.qmath import (
     RegisterLayout,
     apply_on_targets,
     embed_operator,
+    kron_rows,
     partial_trace,
     projector,
     random_statevector,
@@ -102,6 +106,67 @@ def test_weighted_partial_trace_matches_embedded_weight(case, seed):
     assert np.abs(partial_trace(rho, keep, layout, weight) - want).max() <= TOL
 
 
+@KERNEL
+@given(layouts_and_targets(), SEEDS, st.integers(1, 5), st.integers(1, 3))
+def test_stacked_kernels_match_the_references_row_by_row(case, seed, rows, block_dim):
+    layout, targets = case
+    rng = np.random.default_rng(seed)
+    d = layout.total_dim
+    op = _ginibre(rng, math.prod(layout.dim(t) for t in targets))
+    full = embed_operator(op, targets, layout)
+    traced = [lab for lab in layout.labels if lab not in targets]
+    weight = _ginibre(rng, math.prod(layout.dim(t) for t in traced))
+    full_weight = embed_operator(weight, traced, layout)
+    block = _ginibre(rng, block_dim)
+    stack = np.stack([_ginibre(rng, d) for _ in range(rows)])
+    factors = np.stack([_ginibre(rng, d, 2) for _ in range(rows)])
+
+    def kernels(x, f):
+        return (
+            apply_on_targets(op, x, targets, layout, True),
+            apply_on_targets(op, f, targets, layout),
+            partial_trace(x, targets, layout),
+            partial_trace(x, targets, layout, weight),
+            kron_rows(x, block),
+        )
+
+    stacked = kernels(stack, factors)
+    for r in range(rows):
+        rho = stack[r]
+        want = (
+            full @ rho @ full.conj().T,
+            full @ factors[r],
+            partial_trace(rho, targets, layout),
+            partial_trace(full_weight @ rho, targets, layout),
+        )
+        for got, ref in zip(stacked, want):
+            assert np.abs(got[r] - ref).max() <= TOL
+        assert np.abs(stacked[4][r] - np.kron(rho, block)).max() <= TOL
+        if d * block_dim > 1:  # the same products as np.kron (see `kron_rows`)
+            assert np.array_equal(stacked[4][r], np.kron(rho, block))
+        alone = kernels(stack[r : r + 1], factors[r : r + 1])
+        assert all(np.array_equal(got[r], one[0]) for got, one in zip(stacked, alone))
+
+
+def test_axis_plans_are_cached_per_dims_and_positions():
+    rng = np.random.default_rng(7)
+    first = RegisterLayout.of(("a", 2), ("b", 3), ("c", 2))
+    second = RegisterLayout.of(("x", 2), ("y", 3), ("z", 2))
+    stack = np.stack([_density(rng, 12) for _ in range(3)])
+    op = _ginibre(rng, 6)
+    for plan, run in (
+        (qmath._apply_plan, lambda lay, labs: apply_on_targets(op, stack, labs, lay, True)),
+        (qmath._trace_plan, lambda lay, labs: partial_trace(stack, labs, lay)),
+    ):
+        plan.cache_clear()
+        run(first, ["a", "b"])
+        run(second, ["x", "y"])
+        assert (plan.cache_info().hits, plan.cache_info().misses) == (1, 1)
+        run(first, ["b", "a"])
+        assert plan.cache_info().misses == 2
+    assert qmath.layout_of(first.regs) is qmath.layout_of(first.regs)
+
+
 # --- engine operations ---
 
 
@@ -111,7 +176,7 @@ def _engine(layout, rho):
     eng = ProtocolEngine("p")
     eng._layout = layout
     eng._owner = {lab: "p" for lab in layout.labels}
-    eng._state = rho.copy()
+    eng._state = rho[None].copy()
     return eng
 
 

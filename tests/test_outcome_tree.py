@@ -1,7 +1,8 @@
 """The one walk (`distributed._walk`) against straight-line references.
 
-Every runner walks its protocol's outcome prefixes, forking the engine
-only where its shots draw. Walked over every outcome pattern, a protocol
+Every runner walks its protocol's outcome prefixes level by level, one
+engine row per live branch, forking rows only where its shots draw. Walked
+over every outcome pattern, a protocol
 must give what one fresh engine per pattern gives; drawn for shots, it must
 give what expanding every pattern and calling ``rng.choice`` gives; a
 script must give what one fresh engine per shot gives. The results must
@@ -13,16 +14,17 @@ merged walk is checked against the unmerged tree.
 
 import itertools
 import math
-import weakref
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from obliq import cli
+from obliq import cli, qmath
 from obliq import distributed as dist
 from obliq.channels import KrausChannel, choi_of, unitary_of_choi
 from obliq.distributed import Party, ProtocolEngine
+from obliq.errors import BranchError
 from obliq.gates import CNOT, X, Z, matrix_to_json
 from obliq.oblivious import GeneralizedPauliBasis, bell_projector, parity_mix_alpha
 from obliq.qmath import RegisterLayout, projector, random_statevector, random_unitary
@@ -88,7 +90,7 @@ def _dbqc_reference(alice, bob, pattern):
         link(bob.name, f"b_in_{k}")
         current = f"b_out_{k}"
 
-    q = eng.probability(bob.name, projector(psi_o.amplitudes), [current])
+    (q,) = eng.probability(bob.name, projector(psi_o.amplitudes), [current])
     eng.broadcast(1)
     assert eng.ebits_conserved()
     return path_prob, q, eng.ledger
@@ -122,7 +124,7 @@ def _triparty_reference(a, b, c, pattern):
         eng.record_oqt()
         eng.consume_ebit(eid)
 
-    q = eng.probability(c.name, projector(c.states[0].amplitudes), ["c_out"])
+    (q,) = eng.probability(c.name, projector(c.states[0].amplitudes), ["c_out"])
     eng.broadcast(1)
     assert eng.ebits_conserved()
     return path_prob, q, eng.ledger
@@ -144,7 +146,7 @@ def _pingpong_reference(programs, system, readout, pattern):
         current = out_lab
         if k > 0:
             eng.force_layer()
-    q = float(np.real(np.conj(readout) @ eng.reduced([current]) @ readout))
+    q = float(np.real(np.conj(readout) @ eng.reduced([current])[0] @ readout))
     return path_prob, q, eng.ledger
 
 
@@ -191,7 +193,7 @@ def _triparty_scheme2_reference(a, b, gate, psi_o, pattern):
     eng.ledger.qt_corrections += 1
     eng.force_layer()
 
-    q = eng.probability(b.name, projector(psi_o.amplitudes), ["e2b", "qb"])
+    (q,) = eng.probability(b.name, projector(psi_o.amplitudes), ["e2b", "qb"])
     eng.broadcast(1)
     assert eng.ebits_conserved()
     return path_prob, q, eng.ledger
@@ -199,15 +201,18 @@ def _triparty_scheme2_reference(a, b, gate, psi_o, pattern):
 
 def _walk_all(protocol, patterns, key=None):
     """A protocol (engine, steps, finish) walked along every pattern in
-    ``patterns``, finish run once per leaf: the patterns, path
-    probabilities, finish values and the first pattern's ledger."""
+    ``patterns``: the patterns, path probabilities, finish values and the
+    leaves' ledger."""
     engine, steps, finish = protocol
-    walked = dist._walk(
-        engine, steps, lambda eng: (finish(eng), eng.ledger), patterns=np.array(patterns), key=key
-    )
-    patterns, probs, leaf_of, leaves = walked
-    values = np.array([value for value, _ in leaves])
-    return patterns, probs, values[leaf_of], leaves[leaf_of[0]][1]
+    ledgers = []
+
+    def leaf(eng):
+        values = finish(eng)
+        ledgers.append(eng.ledger)
+        return values
+
+    walked = dist._walk(engine, steps, leaf, patterns=np.array(patterns), key=key)
+    return (*walked, ledgers[0])
 
 
 def _assert_leaves_equal(leaves, patterns, references):
@@ -324,11 +329,11 @@ def _program_of_kind(rng, d, kind, off=1e-10):
 
 
 def _counting_finish(protocol, calls):
-    """Wrap a protocol function so that its finish counts its calls."""
+    """Wrap a protocol function so that its finish counts the leaf rows it reads."""
 
     def wrapped(*args):
         engine, steps, finish = protocol(*args)
-        return engine, steps, lambda eng: (calls.append(1), finish(eng))[1]
+        return engine, steps, lambda eng: (calls.extend([1] * len(eng)), finish(eng))[1]
 
     return wrapped
 
@@ -341,8 +346,8 @@ def _every_pattern(protocol, args):
 def _assert_lattice_matches_tree(protocol, args, key):
     """The walk over every pattern merged on ``key`` against the tree:
     equal patterns and ledgers, and probabilities and values within 1e-12,
-    or equal when nothing merged (finish ran on every leaf). Returns the
-    number of leaves the merged walk ran finish on."""
+    or equal when nothing merged (finish read every leaf). Returns the
+    number of leaf rows the merged walk's finish read."""
     patterns = _every_pattern(protocol, args)
     tree = _walk_all(protocol(*args), patterns)
     calls = []
@@ -515,31 +520,46 @@ def test_drawn_walk_matches_expanding_every_pattern(seed, kind, d, n, program_ki
     assert drawn[3] == ledger
 
 
-def test_a_walk_holds_the_children_of_one_node_per_depth():
-    """Depth first: 500 shots of 10 fair binary draws reach up to 500 nodes
-    a depth, yet at most the root and two children per depth are alive."""
+def test_a_walk_keeps_each_step_within_the_row_budget(monkeypatch):
+    """500 shots of 10 fair draws beside a 64-dimensional bystander: each
+    step allocates a qubit (D = 128 inside the step) and measures it. Depths
+    hold up to 500 branches, yet no step stacks more than `ROW_BUDGET`
+    entries, the walk still stacks rows, and each shot draws what one path
+    per shot draws."""
+    sizes = []
 
-    class Node:
-        pass
+    def kron_rows(rho, block):
+        out = qmath.kron_rows(rho, block)
+        sizes.append(out.size)
+        return out
 
-    alive, counts = weakref.WeakSet(), []
+    monkeypatch.setattr(dist, "kron_rows", kron_rows)
+    plus = np.full(2, 2**-0.5)
+    basis = dist._binary(np.diag([1.0, 0.0]))
 
-    def step(node):
-        counts.append(len(alive))
+    def step(t):
+        def run(eng):
+            eng.alloc("p", f"q{t}", plus)
+            return dist._measured(eng, "p", basis, [f"q{t}"])
 
-        def branch(k, last):
-            child = Node()
-            alive.add(child)
-            return child
+        return run
 
-        return np.array([0.5, 0.5]), branch
-
-    root = Node()
-    alive.add(root)
+    steps = [step(t) for t in range(10)]
+    root = ProtocolEngine("p")
+    root.alloc("p", "bystander", np.eye(64) / 64)
     uniforms = np.random.default_rng(1).random((500, 10))
-    _, _, leaf_of, _ = dist._walk(root, [step] * 10, lambda node: counts.append(len(alive)), uniforms)
-    assert len(set(leaf_of.tolist())) > 350
-    assert max(counts) <= 1 + 2 * 10
+    bits, _, _ = dist._walk(root, steps, lambda eng: None, uniforms)
+    assert len({tuple(b) for b in bits.tolist()}) > 350
+    assert max(sizes) <= dist.ROW_BUDGET < 128**2 * 5
+    assert max(sizes) > 128**2  # more than one row per step
+
+    rng = np.random.default_rng(2)
+    uniforms = rng.random((500, 10))
+    bits, _, _ = dist._walk(root, steps, lambda eng: None, uniforms)
+    rng = np.random.default_rng(2)
+    for shot in range(500):
+        eng = root.fork()
+        assert dist._follow(eng, steps, rng, None) == bits[shot].tolist()
 
 
 # --- script kind: the drawn walk against one script run per shot ---
@@ -663,3 +683,157 @@ def test_script_tree_matches_one_run_per_shot(seed, d, blocks, final, shots):
     assert ledger == want_ledger
     _assert_same_columns(columns, want_columns)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+# --- the level walk against one path per shot ---
+
+
+def _level_protocol(kind, rng, d, n, program_kind):
+    """A random protocol validation would accept: (protocol function, its
+    arguments, merge key, draws) where draws are the runner's keyword for
+    the shots (carried uniforms, fresh uniforms or patterns)."""
+    off = 2e-11  # within gates.UNITARY_TOL, far enough to stop merging
+    if kind == "dbqc":
+        alice, bob = _dbqc_parties(rng, d, 1 + n % 2, 1 + n // 2, program_kind, off)
+        return dist._dbqc_protocol, (alice, bob), dist._isi_bit_and_parity_count, "carried"
+    if kind == "pingpong":
+        programs = [_program_of_kind(rng, d, program_kind, off) for _ in range(n)]
+        args = (programs, _pure(random_statevector(d, rng)), random_statevector(d, rng))
+        return dist._pingpong_readout_protocol, args, sum, "carried"
+    d = min(d, 3)  # a 3-party run at d = 7 is over the joint dimension cap
+    if kind == "triparty-I":
+        parties = tuple(
+            Party(name, programs=[_program_of_kind(rng, dim, program_kind, off)],
+                  states=[_pure(random_statevector(dim, rng))])
+            for name, dim in (("a", d), ("b", 2), ("c", 2 * d))
+        )
+        return dist._triparty_scheme1_protocol, parties, None, "carried"
+    a, b = (
+        Party(name, programs=[choi_of(random_unitary(dim, rng))], states=[_pure(random_statevector(dim, rng))])
+        for name, dim in (("a", 2), ("b", d))
+    )
+    args = (a, b, random_unitary(d, rng), _pure(random_statevector(2 * d, rng)))
+    return dist._triparty_scheme2_protocol, args, None, "patterns"
+
+
+def _script_protocol(rng, d, n):
+    """A random script's engine and steps, with a finish that reads nothing."""
+    blocks = [["oqt", "local", "teleport", "cnot"][int(k)] for k in rng.integers(0, 4, n)]
+    if d > 3:  # teleports and local links only: D = 343 at d = 7
+        blocks = ["teleport" if b == "cnot" else b for b in blocks]
+    sc = cli.validate_scenario(_script(rng, d, blocks, True, 1))
+    steps = [step for _, op_steps in sc["steps"] for step in op_steps]
+
+    def protocol():
+        return ProtocolEngine(*sc["parties"]), steps, lambda eng: None
+
+    return protocol, (), None, "fresh"
+
+
+def _followed(protocol, args, pattern):
+    """One path of a protocol forced along ``pattern`` with `_follow` on a
+    fresh engine: its outcomes, path probability and finish value."""
+    engine, steps, finish = protocol(*args)
+    rows = []
+
+    def recorded(step):
+        def run(eng):
+            measurement = step(eng)
+            if measurement is not None:
+                rows.append(measurement[0][0])
+            return measurement
+
+        return run
+
+    outcomes = dist._follow(engine, [recorded(step) for step in steps], None, list(pattern))
+    prob = 1.0
+    for row, k in zip(rows, outcomes):
+        prob *= row[k]
+    value = finish(engine)
+    return outcomes, prob, 0.0 if value is None else value[0]
+
+
+def _level_walk(protocol, args, key, draws, rng, shots):
+    engine, steps, finish = protocol(*args)
+    if draws == "patterns":
+        kw = {"patterns": np.array(list(itertools.product((0, 1), (0, 1), range(4))))}
+    elif draws == "fresh":
+        width = sum(1 for _ in dist._follow(*protocol(*args)[:2], np.random.default_rng(0), None))
+        kw = {"uniforms": rng.random((shots, width))}
+    else:
+        kw = {"uniforms": rng.random(shots)}
+    return dist._walk(engine, steps, finish, key=key, **kw)
+
+
+LEVEL = settings(max_examples=40, deadline=None)
+
+
+@LEVEL
+@given(
+    seed=SEEDS,
+    kind=st.sampled_from(["dbqc", "pingpong", "triparty-I", "triparty-II", "script"]),
+    d=st.sampled_from([2, 7]),
+    n=st.integers(1, 4),
+    program_kind=PROGRAM_KINDS,
+    shots=st.integers(1, 40),
+)
+def test_level_walk_matches_one_path_per_shot(seed, kind, d, n, program_kind, shots):
+    """Each shot of the level walk takes the outcomes, path probability and
+    finish value of `_follow` on its own pattern, merged or not; and a walk
+    of one row per step (the node-by-node walk) gives the same bytes, so
+    stacking rows and chunking them by the row budget change nothing."""
+    rng = np.random.default_rng(seed)
+    if kind == "script":
+        protocol, args, key, draws = _script_protocol(rng, d, min(n, 2 if d > 3 else 3))
+    else:
+        n = min(n, 2) if d > 3 else n
+        protocol, args, key, draws = _level_protocol(kind, rng, d, n, program_kind)
+    walked = _level_walk(protocol, args, key, draws, np.random.default_rng(seed + 1), shots)
+    outcomes, probs, values = walked
+    for shot, pattern in enumerate(outcomes.tolist()):
+        got, prob, value = _followed(protocol, args, pattern)
+        assert got == pattern
+        assert abs(probs[shot] - prob) <= 1e-12
+        assert abs(values[shot] - value) <= 1e-12
+    budget = dist.ROW_BUDGET
+    try:
+        dist.ROW_BUDGET = 1
+        alone = _level_walk(protocol, args, key, draws, np.random.default_rng(seed + 1), shots)
+    finally:
+        dist.ROW_BUDGET = budget
+    for got, want in zip(alone, walked):
+        assert np.array_equal(got, want)
+
+
+def test_outcome_dependent_work_may_not_split_a_level():
+    """The rows of a level share their registers, ebits and ledger: a step
+    whose follow-up work differs by outcome in any of them is refused when
+    two outcomes are taken at once."""
+    basis = dist._binary(np.diag([1.0, 0.0]))
+
+    def step_with(after):
+        def run(eng):
+            eng.alloc("p", "q", np.full(2, 2**-0.5))
+            return dist._measured(eng, "p", basis, ["q"], after)
+
+        return run
+
+    def walk(after, patterns):
+        return dist._walk(ProtocolEngine("p"), [step_with(after)], lambda eng: None,
+                          patterns=np.array(patterns))
+
+    def ebit_used_on_one(eng, k):
+        eid = eng.distribute_ebit("p", "p", "e1", "e2")
+        if k:
+            eng.consume_ebit(eid)
+
+    def register_per_outcome(eng, k):
+        eng.alloc("p", f"r{k}", np.array([1.0, 0.0]))
+
+    for after in (lambda eng, k: eng.broadcast(k), ebit_used_on_one, register_per_outcome):
+        with pytest.raises(BranchError, match="different registers, ebits or ledgers"):
+            walk(after, [[0], [1]])
+        walk(after, [[1], [1]])  # one outcome: nothing to disagree with
+    outcomes, probs, _ = walk(lambda eng, k: eng.broadcast(1), [[0], [1], [1]])
+    assert outcomes.tolist() == [[0], [1], [1]]
+    assert np.abs(probs - 0.5).max() <= 1e-15

@@ -23,7 +23,7 @@ from .qmath import (
     partial_trace,
     tensor_product,
 )
-from .states import MixedState, PureState, as_mixed, bell_state
+from .states import MixedState, PureState, bell_state
 
 OUT = "out"
 IN = "in"
@@ -89,7 +89,7 @@ class ChoiProgram:
             raise DimensionError(f"program layout must be (out, in), got {layout.labels}")
         object.__setattr__(self, "out_dim", layout.dim(OUT))
         object.__setattr__(self, "in_dim", layout.dim(IN))
-        marg = partial_trace(as_mixed(self.state).matrix, [IN], layout)
+        marg = partial_trace(self.density(), [IN], layout)
         if np.abs(marg - np.eye(self.in_dim) / self.in_dim).max() > 1e-8:
             raise StateValidationError("program in-port marginal is not I/d")
 

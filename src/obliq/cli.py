@@ -713,8 +713,8 @@ _RUNNERS = {
 _WRITE_CHUNK = 1 << 13
 
 
-def _canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+# One encoder: `json.dumps` with options builds a new one per call.
+_canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _indented_json(obj, pad: str = "\n") -> str:
@@ -798,20 +798,23 @@ def _row_keys(columns: dict, shots: int):
     return key, n
 
 
-def _row(columns: dict, i: int) -> dict:
-    return {
-        k: _row(col, i) if isinstance(col, dict) else col[i].tolist()
-        for k, col in columns.items()
-    }
-
-
-def _line_around_shot(row: dict) -> tuple[str, str]:
-    """The canonical JSON line of `row` before and after its `shot` value."""
-    before = _canonical_json({k: v for k, v in row.items() if k < "shot"})
-    after = _canonical_json({k: v for k, v in row.items() if k > "shot"})
-    head = '{"shot":' if before == "{}" else before[:-1] + ',"shot":'
-    tail = "}\n" if after == "{}" else "," + after[1:] + "\n"
-    return head, tail
+def _values(col, idx: np.ndarray) -> list[str]:
+    """The canonical JSON of `col` at each shot in `idx`. No encoded bool,
+    int or float holds a comma or a bracket, so a numeric column is encoded
+    by one call and split by text; strings may, so each is encoded alone."""
+    if isinstance(col, dict):
+        keys = sorted(col)
+        prefixes = [_canonical_json(k) + ":" for k in keys]
+        members = zip(*[_values(col[k], idx) for k in keys]) if keys else [()] * len(idx)
+        return ["{" + ",".join(map(str.__add__, prefixes, m)) + "}" for m in members]
+    values = col[idx].tolist()
+    if col.dtype.kind not in "biuf":
+        return [_canonical_json(v) for v in values]
+    text = _canonical_json(values)
+    if col.ndim == 1:
+        return text[1:-1].split(",")
+    # A width-0 column reads "[[],[]]": its pieces are empty, as they should be.
+    return [f"[{v}]" for v in text[2:-2].split("],[")]
 
 
 def _write_records(path: Path, columns: dict, shots: int) -> None:
@@ -820,15 +823,20 @@ def _write_records(path: Path, columns: dict, shots: int) -> None:
     `columns` maps each record key to a per-shot array (1-D for a scalar,
     2-D for a list) or to a nested mapping of such columns (for an object).
     The writer adds `shot`, the 0-based index. Shots with equal rows share
-    one rendering: each distinct row goes through `_canonical_json` once,
-    split around its `shot` value, and each line is head + shot + tail.
+    one rendering, built by column (`_values`, one encoder call per numeric
+    column at one shot per row): the keys before `shot` and those after it
+    each render as an object, split open, and each line is head + shot + tail.
     """
     key, n = _row_keys(columns, shots)
+    # Any shot of a row stands for all of them; some codes in [0, n) have none.
+    shot_of = _one_shot_per_key(key, n)
+    rows = np.flatnonzero(shot_of >= 0)
+    before = _values({k: c for k, c in columns.items() if k < "shot"}, shot_of[rows])
+    after = _values({k: c for k, c in columns.items() if k > "shot"}, shot_of[rows])
     heads, tails = [""] * n, [""] * n
-    # Any shot of a row stands for all of them.
-    for g, i in enumerate(_one_shot_per_key(key, n).tolist()):
-        if i >= 0:
-            heads[g], tails[g] = _line_around_shot(_row(columns, i))
+    for g, b, a in zip(rows.tolist(), before, after):
+        heads[g] = '{"shot":' if b == "{}" else b[:-1] + ',"shot":'
+        tails[g] = "}\n" if a == "{}" else "," + a[1:] + "\n"
     with open(path, "w") as fh:
         for start in range(0, shots, _WRITE_CHUNK):
             stop = min(start + _WRITE_CHUNK, shots)
@@ -909,6 +917,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once: parsing leaves a parser unchanged.
+_PARSER = _build_parser()
+
 _EXIT_CODES = (
     (ScenarioParseError, 2),
     (ScenarioSchemaError, 3),
@@ -918,7 +929,7 @@ _EXIT_CODES = (
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if args.command == "validate":
             validate_scenario(args.file)

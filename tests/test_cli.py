@@ -194,6 +194,22 @@ def test_flag_overrides_reach_resolved_scenario(tmp_path):
     assert len((out / "records.jsonl").read_text().splitlines()) == 13
 
 
+def test_the_shared_parser_keeps_no_flags_between_calls(tmp_path, capsys):
+    sc = _minimal_dbqc()
+    path = _write(tmp_path, "shared.json", sc)
+    flags = ["--seed", "5", "--shots", "3", "--tolerance", "0.25", "--out", str(tmp_path / "a")]
+    assert main(["run", path, *flags]) == 0
+    assert main(["run", path, "--validate-only", "--out", str(tmp_path / "never")]) == 0
+    assert main(["run", path, "--out", str(tmp_path / "b")]) == 0
+    resolved = json.loads((tmp_path / "b" / "resolved-scenario").read_text())
+    assert (resolved["seed"], resolved["shots"]) == (sc["seed"], sc["shots"])
+    assert "tolerance" not in resolved
+    assert len((tmp_path / "b" / "records.jsonl").read_text().splitlines()) == sc["shots"]
+    capsys.readouterr()
+    assert main(["validate", path]) == 0
+    assert capsys.readouterr().out == f"{path}: valid\n"
+
+
 def test_shot_override_must_stay_valid(tmp_path):
     path = _write(tmp_path, "bad-override.json", _minimal_dbqc())
     out = tmp_path / "o2"

@@ -66,6 +66,13 @@ DIGESTS = {
 # sha256 of the `resolved-scenario` that `_wide_knitting` writes.
 WIDE_RESOLVED_SCENARIO = "0ed2215bb34ab85f652b08c81638126b36b2d716fbdb8349ced573ba50dcb632"
 
+# sha256 of (records.jsonl, summary.csv, resolved-scenario) of `_wide_dbqc`.
+WIDE_DBQC = (
+    "de3127266ed079617ce40d3ced89e64baddebd7624d1753cb109785b6dc4457b",
+    "0e3d7573119e1e731601f573717cea26ff39c970a6aab4bfdb163741216d65d9",
+    "65dd73bed781f936897b003cf1de1ec5e8ddba212ffccff3230d408b103aebfa",
+)
+
 
 def test_every_scenario_is_pinned():
     assert sorted(p.stem for p in SCENARIO_DIR.glob("*.json")) == sorted(DIGESTS)
@@ -110,6 +117,34 @@ def _wide_knitting() -> dict:
     }
 
 
+def _wide_dbqc() -> dict:
+    """A dbqc 3+3 run at d = 2 with 2,000 shots and about 200 distinct
+    records. Gates and states are Pythagorean rotations with phases from
+    {1, i, -1, -i}, drawn with integer draws only."""
+    rng = np.random.default_rng(20261019)
+    triples = np.array([[3, 4, 5], [5, 12, 13], [8, 15, 17], [7, 24, 25]])
+
+    def rotation():
+        a, b, c = triples[rng.integers(0, 4)]
+        phases = np.array([1, 1j, -1, -1j])[rng.integers(0, 4, size=2)]
+        return phases[:, None] * np.array([[a, -b], [b, a]]) / c
+
+    def literal(m):
+        return [[c.real, c.imag] for c in m.tolist()]
+
+    return {
+        "version": 1,
+        "kind": "dbqc",
+        "seed": 19,
+        "shots": 2000,
+        "tolerance": 1e-9,
+        "input_state": {"vector": literal(rotation()[:, 0])},
+        "readout_state": {"vector": literal(rotation()[:, 1])},
+        "alice_programs": [{"matrix": [literal(row) for row in rotation()]} for _ in range(3)],
+        "bob_programs": [{"matrix": [literal(row) for row in rotation()]} for _ in range(3)],
+    }
+
+
 def test_wide_resolved_scenario_digest(tmp_path):
     # Computed with json.dumps(raw, sort_keys=True, indent=2) + "\n", the
     # writer of the previous version, which this one must match byte for byte.
@@ -118,3 +153,17 @@ def test_wide_resolved_scenario_digest(tmp_path):
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
     got = hashlib.sha256((tmp_path / "out" / "resolved-scenario").read_bytes()).hexdigest()
     assert got == WIDE_RESOLVED_SCENARIO
+
+
+def test_many_row_digests(tmp_path):
+    # The shipped scenarios write at most 32 distinct records; this one
+    # writes 214, with estimates such as 122.00000000000001.
+    path = tmp_path / "wide-dbqc.json"
+    path.write_text(json.dumps(_wide_dbqc()))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    got = tuple(
+        hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("records.jsonl", "summary.csv", "resolved-scenario")
+    )
+    assert got == WIDE_DBQC

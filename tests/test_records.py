@@ -6,11 +6,17 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import obliq.cli
 from obliq.cli import _constant, _write_records
 
 # Keys that sort before, around and after "shot".
 KEYS = ["a", "bits", "estimate", "kept", "readout", "s", "sho", "shota", "z", "Shot"]
+# Keys of nested objects are user strings (script record names): some need
+# escaping or are not ASCII.
+NESTED_KEYS = KEYS + ['na"me', "é", "a,b", "back\\slash"]
 FLOATS = [0.0, -0.0, float("nan"), float("inf"), float("-inf"), 0.1, -2.5, 1e300, 5e-324]
+# Strings that hold a separator, a quote, a backslash or a non-ASCII character.
+STRINGS = ["exact_sum", "a,b", 'q"', "\\", "é", "],[", ""]
 
 
 def _reference(columns, shots: int) -> str:
@@ -43,15 +49,20 @@ def _written(tmp_path, columns, shots: int) -> str:
     return path.read_text()
 
 
+def _floats(draw, size: int) -> np.ndarray:
+    pool = draw(st.lists(st.sampled_from(FLOATS) | st.floats(), min_size=1, max_size=4))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=size, max_size=size))
+    return np.array([pool[p] for p in picks], dtype=np.float64)
+
+
 @st.composite
 def _column(draw, shots: int, nested: bool = True):
-    kind = draw(st.sampled_from(["float", "bool", "int8", "int64", "list", "const", "object"]))
+    kinds = ["float", "bool", "int8", "int64", "str", "list", "bool_list", "float_list", "const", "object"]
+    kind = draw(st.sampled_from(kinds))
     if kind == "object" and not nested:
         kind = "int8"
     if kind == "float":
-        pool = draw(st.lists(st.sampled_from(FLOATS) | st.floats(), min_size=1, max_size=4))
-        picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=shots, max_size=shots))
-        return np.array([pool[p] for p in picks], dtype=np.float64)
+        return _floats(draw, shots)
     if kind == "bool":
         return np.array(draw(st.lists(st.booleans(), min_size=shots, max_size=shots)))
     if kind == "int8":
@@ -60,14 +71,19 @@ def _column(draw, shots: int, nested: bool = True):
     if kind == "int64":
         vals = st.integers(-(2**63), 2**63 - 1) | st.integers(0, 3)
         return np.array(draw(st.lists(vals, min_size=shots, max_size=shots)), dtype=np.int64)
-    if kind == "list":
+    if kind == "str":
+        return np.array(draw(st.lists(st.sampled_from(STRINGS), min_size=shots, max_size=shots)))
+    if kind in ("list", "bool_list", "float_list"):
         width = draw(st.integers(0, 3))
+        if kind == "float_list":
+            return _floats(draw, shots * width).reshape(shots, width)
         bits = draw(st.lists(st.integers(0, 1), min_size=shots * width, max_size=shots * width))
-        return np.array(bits, dtype=np.int8).reshape(shots, width)
+        dtype = np.int8 if kind == "list" else bool
+        return np.array(bits, dtype=dtype).reshape(shots, width)
     if kind == "const":
-        value = draw(st.sampled_from([0, 7, True, False, "exact_sum"] + FLOATS))
+        value = draw(st.sampled_from([0, 7, True, False] + STRINGS + FLOATS))
         return _constant(value, shots)
-    keys = draw(st.lists(st.sampled_from(KEYS), min_size=0, max_size=3, unique=True))
+    keys = draw(st.lists(st.sampled_from(NESTED_KEYS), min_size=0, max_size=3, unique=True))
     return {k: draw(_column(shots, nested=False)) for k in keys}
 
 
@@ -140,3 +156,29 @@ def test_long_run_spans_write_chunks(tmp_path):
         "mode": _constant("sampled", shots),
     }
     assert _written(tmp_path, cols, shots) == _reference(cols, shots)
+
+
+def test_two_dimensional_bool_and_float_columns(tmp_path):
+    floats = np.array([[float("nan"), -0.0, 1e300], [0.0, -0.0, 1e300], [float("nan"), -0.0, 1e300]])
+    cols = {"f": floats, "b": np.array([[True, False], [False, False], [True, False]]), "e": np.zeros((3, 0))}
+    text = _written(tmp_path, cols, 3)
+    assert text.splitlines()[0] == '{"b":[true,false],"e":[],"f":[NaN,-0.0,1e+300],"shot":0}'
+    assert text == _reference(cols, 3)
+
+
+def test_encoder_calls_grow_with_columns_not_rows(tmp_path, monkeypatch):
+    # 2,000 shots, 200 distinct rows, 4 leaf columns: one encoding per
+    # column and per key, none per row.
+    shots = 2000
+    code = np.random.default_rng(5).permutation(np.arange(shots) % 200)
+    cols = {
+        "readout": (code % 2).astype(np.int8),
+        "parity_bits": np.stack([code // 2 % 2, code // 4 % 50], axis=1).astype(np.int8),
+        "estimate": code * 0.1 - 3.0,
+    }
+    calls = []
+    encode = obliq.cli._canonical_json
+    monkeypatch.setattr(obliq.cli, "_canonical_json", lambda obj: calls.append(obj) or encode(obj))
+    text = _written(tmp_path, cols, shots)
+    assert len(calls) < 20, len(calls)
+    assert text == _reference(cols, shots)

@@ -72,6 +72,22 @@ def test_choi_in_marginal_enforced():
         ChoiProgram(MixedState(lay, bad))
 
 
+@pytest.mark.parametrize("pure", [True, False])
+def test_choi_in_marginal_is_checked_to_1e_8(pure):
+    # A valid, normalised state whose in-port marginal misses I/2 by delta.
+    lay = program_layout(2, 2)
+
+    def program(delta):
+        amps = np.zeros(4, dtype=complex)
+        amps[0], amps[3] = np.sqrt(0.5 + delta), np.sqrt(0.5 - delta)
+        state = PureState(lay, amps)
+        return ChoiProgram(state if pure else MixedState(lay, state.density()))
+
+    program(1e-10)
+    with pytest.raises(StateValidationError):
+        program(1e-7)
+
+
 def test_choi_of_channel_and_back():
     rng = np.random.default_rng(7)
     for gamma in (0.0, 0.35, 1.0):

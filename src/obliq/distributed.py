@@ -64,7 +64,8 @@ from .oblivious import (
     GeneralizedPauliBasis,
     OqtRecord,
     bell_projector,
-    parity_mix_alpha,
+    check_square_ports,
+    parity_inverted,
 )
 from .qmath import (
     MAX_STATE_DIM,
@@ -488,12 +489,10 @@ def _binary(p0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 # A protocol is a list of steps. A step does the outcome-free work before its
 # measurement on the level it is given (a `ProtocolEngine` holding one row
-# per live branch; an array of parity counts in
-# `oblivious.oqt_sample_records`) and returns None if it measures nothing,
-# else the (rows, outcomes) probability table and branch(rows, ks): the
-# level of the rows ``rows`` after the outcomes ``ks``, with their
-# follow-up work (broadcast, correction) done. A finish reads each row of a
-# leaf level.
+# per live branch) and returns None if it measures nothing, else the
+# (rows, outcomes) probability table and branch(rows, ks): the level of the
+# rows ``rows`` after the outcomes ``ks``, with their follow-up work
+# (broadcast, correction) done. A finish reads each row of a leaf level.
 
 # Stacked states one step may hold, in complex entries: an engine whose rows
 # would outgrow it raises `_Split`, and the walk reruns the step on fewer
@@ -523,37 +522,37 @@ def _measured(eng: ProtocolEngine, party: str, projectors, labels, after=None):
 
 def _walk(root, steps, finish, uniforms=None, patterns=None, key=None, tol=None):
     """Walk the shots of ``uniforms`` or ``patterns`` through ``steps`` from
-    ``root`` (a level of one row) and return each shot's outcomes (a column
-    per draw), path probability (multiplied in step order from 1.0) and
-    finish value; finish(level) returns one value per row, or None.
+    ``root`` (an engine of one row) and return each shot's outcomes (a
+    column per draw), path probability (multiplied in step order from 1.0)
+    and finish value; finish(level) returns one value per row, or None.
 
-    Level by level: a step runs once on a level holding every live branch
-    of its depth, one row each, and its table gives every row's outcome
-    row; with ``tol``, a row further than ``tol`` from summing to 1 raises
-    BranchError. The next level is branch(rows, ks) of the (row, outcome)
-    pairs some shot takes, in that order. The descent rule runs once per
-    level: a shot on row r takes outcome k when e[k] <= u < e[k+1] for
-    e = lo + mass cdf (the CDF of r's row as ``rng.choice`` forms it),
-    ties going right, and [lo, lo + mass) narrows to the outcome's
-    interval. ``uniforms`` of shape (shots,) carry one uniform per shot
-    down the whole path from [0, 1), so a shot takes the leaf
-    ``rng.choice(leaves, size=shots, p=path probabilities)`` takes with the
-    same ``rng.random(shots)``, up to rounding at an edge; an interval's
-    shots are a run of the sorted uniforms, cut at its edges, so a level
-    costs its intervals, not its shots. Shape (shots, draws) gives each
-    draw a fresh uniform at lo = 0, mass = 1: exactly ``rng.choice(k,
-    p=row)``. ``patterns`` (a row per shot) give the outcomes; one that is
-    not a measurement's is refused before the state changes.
+    Level by level: a step runs once on a level, an engine holding every
+    live branch of its depth, one row each, and its table gives every row's
+    outcome row; with ``tol``, a row further than ``tol`` from summing to 1
+    raises BranchError. The next level is branch(rows, ks) of the (row,
+    outcome) pairs some shot takes, in that order. The descent rule runs
+    once per level: a shot on row r takes outcome k when e[k] <= u < e[k+1]
+    for e = lo + mass cdf (the CDF of r's row as ``rng.choice`` forms it),
+    ties going right, and [lo, lo + mass) narrows to the outcome's interval.
+    ``uniforms`` of shape (shots,) carry one uniform per shot down the whole
+    path from [0, 1), so a shot takes the leaf ``rng.choice(leaves,
+    size=shots, p=path probabilities)`` takes with the same
+    ``rng.random(shots)``, up to rounding at an edge; an interval's shots
+    are a run of the sorted uniforms, cut at its edges, so a level costs its
+    intervals, not its shots. Shape (shots, draws) gives each draw a fresh
+    uniform at lo = 0, mass = 1: exactly ``rng.choice(k, p=row)``, as a
+    script draws. ``patterns`` (a row per shot) give the outcomes; one that
+    is not a measurement's is refused before the state changes.
 
     An engine whose step would stack more than `ROW_BUDGET` entries raises
     `_Split`, and the step reruns on chunks of rows that fit, walked depth
     first. ``key``, a function of an outcome prefix, merges equal branches
-    of an engine walk (the reduction rule of ordered decision diagrams):
-    the first row placed at a (depth, key) is held until every level above
-    that depth is walked, and a later row there whose state is within
-    1e-12 of it (max abs) hands it its shots; any other row is walked at
-    once. Rows are placed in the order a node-by-node depth-first walk
-    would place them, so the same rows merge.
+    (the reduction rule of ordered decision diagrams): the first row placed
+    at a (depth, key) is held until every level above that depth is walked,
+    and a later row there whose state is within 1e-12 of it (max abs) hands
+    it its shots; any other row is walked at once. Rows are placed in the
+    order a node-by-node depth-first walk would place them, so the same rows
+    merge.
     """
     shots = len(uniforms if patterns is None else patterns)
     carried = patterns is None and uniforms.ndim == 1
@@ -663,7 +662,7 @@ def _walk(root, steps, finish, uniforms=None, patterns=None, key=None, tol=None)
         """Walk the chunks on ``stack`` depth first."""
         while stack:
             level, start, prefixes, parts = stack.pop()
-            work = level.fork() if isinstance(level, ProtocolEngine) else level
+            work = level.fork()
             try:
                 for depth in range(start, len(steps)):
                     measurement = steps[depth](work)
@@ -1012,19 +1011,6 @@ def _isi_bit_and_parity_count(pattern: tuple) -> tuple:
     return pattern[:1], sum(pattern[1:])
 
 
-def _parity_inverted_shots(parities: np.ndarray, qvals: np.ndarray, d: int, rng):
-    """Each shot's readout bit, drawn from its readout-0 probability
-    ``qvals[i]``, and (-1)^s (d^2 - 1)^s (hit - alpha_s), an unbiased
-    estimate of the unmixed readout-0 probability, with s the number of odd
-    parities among ``parities[i]``."""
-    s = parities.sum(axis=1)
-    counts = np.arange(parities.shape[1] + 1)
-    base = ((-1.0) ** counts) * float(d * d - 1) ** counts
-    alpha = np.array([parity_mix_alpha(int(v), d) for v in counts])
-    y = (rng.random(len(qvals)) >= qvals).astype(np.int8)
-    return y, base[s] * ((y == 0) - alpha[s])
-
-
 def run_dbqc(alice: Party, bob: Party, shots: int, rng: np.random.Generator) -> DbqcResult:
     """Two-party black-box pipeline: ISI at Alice, ebit OQT link, Bob's programs.
 
@@ -1039,14 +1025,13 @@ def run_dbqc(alice: Party, bob: Party, shots: int, rng: np.random.Generator) -> 
     if not alice.states or not bob.states:
         raise ResourceError("alice needs an input state, bob a readout state")
     d = alice.states[0].dim
-    for prog in alice.programs + bob.programs:
-        if prog.in_dim != d or prog.out_dim != d:
-            raise DimensionError("program ports must match the input dimension")
+    check_square_ports(alice.programs + bob.programs, d)
 
     protocol = _dbqc_protocol(alice, bob)
     key, uniforms = _isi_bit_and_parity_count, rng.random(shots)
     patterns, _, qvals, ledger = _sample(*protocol, key, uniforms=uniforms)
-    y, inv = _parity_inverted_shots(patterns[:, 1:], qvals, d, rng)
+    y = (rng.random(shots) >= qvals).astype(np.int8)  # the readout bit, 0 with probability q
+    inv = parity_inverted(y == 0, patterns[:, 1:].sum(axis=1), d)
     b = patterns[:, 0]
     t_hat = np.where(b == 0, inv, 1.0 - (d - 1) * inv)
     estimate, stderr = mean_stderr(t_hat)
@@ -1409,9 +1394,7 @@ def _pingpong_protocol(programs: list, system):
     eng = ProtocolEngine("device")
     eng.alloc("device", "blk0_state", system)
     d = eng.layout.dim("blk0_state")
-    for prog in programs:
-        if prog.in_dim != d or prog.out_dim != d:
-            raise DimensionError("program ports must match the system dimension")
+    check_square_ports(programs, d)
     bell = _binary(bell_projector(d))
 
     def hop(k: int, prog: ChoiProgram, out: str, inp: str, current: str):
@@ -1492,5 +1475,6 @@ def pingpong_shots(programs, system, readout: np.ndarray, shots: int, rng: np.ra
     engine, steps, finish = _pingpong_readout_protocol(programs, system, readout)
     d = engine.layout.dim("blk0_state")
     patterns, _, qvals, ledger = _sample(engine, steps, finish, sum, uniforms=rng.random(shots))
-    y, t_hat = _parity_inverted_shots(patterns, qvals, d, rng)
+    y = (rng.random(shots) >= qvals).astype(np.int8)
+    t_hat = parity_inverted(y == 0, patterns.sum(axis=1), d)
     return patterns, y, t_hat, ledger

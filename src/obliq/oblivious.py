@@ -9,8 +9,8 @@ The three primitives are
 * oblivious teleportation: a binary Bell-pair measurement gluing a system to
   the in port, with a parity bit per step and closed-form branch states
   (`oqt_step` gives both branches of one step, `oqt_sample_records` samples
-  many trails of a chain at once; one trail of a chain on the protocol
-  engine is `distributed.pingpong_run`);
+  many trails of a unital chain at once by the parity law; one trail of a
+  chain on the protocol engine is `distributed.pingpong_run`);
 * oblivious control: controlled application of a black-box gate built from
   controlled swaps, one unconditional doubled application U ox U*, and an
   entangled flag whose eigenvalue is exactly one.
@@ -202,6 +202,16 @@ def parity_mix_alpha(s: int, d: int) -> float:
     return (1.0 - (-1.0) ** s / (d * d - 1.0) ** s) / d
 
 
+def parity_inverted(values: np.ndarray, s: np.ndarray, d: int, trace: float = 1.0) -> np.ndarray:
+    """(-1)^s (d^2-1)^s (m - alpha_s tr O) per record: the chain closed form
+    inverted for tr(O target), with ``values`` the records' m (an
+    expectation or an eigenvalue of O) and ``trace`` tr O."""
+    counts = np.arange(int(s.max(initial=0)) + 1)
+    base = ((-1.0) ** counts) * float(d * d - 1) ** counts
+    alpha = np.array([parity_mix_alpha(int(v), d) for v in counts])
+    return base[s] * (values - alpha[s] * trace)
+
+
 @dataclass(frozen=True)
 class OqtRecordBatch:
     """Vectorized stand-in for a list of OqtRecords sharing one chain."""
@@ -214,47 +224,53 @@ class OqtRecordBatch:
         return int(self.s.shape[0])
 
 
+def check_square_ports(programs: Sequence[ChoiProgram], d: int) -> None:
+    """Refuse a program whose in or out port is not ``d``-dimensional."""
+    if any(prog.in_dim != d or prog.out_dim != d for prog in programs):
+        raise DimensionError(f"program ports must match the system dimension {d}")
+
+
 def oqt_sample_records(
     programs: Sequence[ChoiProgram],
     system: PureState | MixedState | np.ndarray,
     shots: int,
     rng: np.random.Generator,
 ) -> OqtRecordBatch:
-    """Draw many parity trails at once.
+    """Draw many parity trails of a chain of unital programs at once.
 
-    Branch states after k steps depend only on the parity sum; this is
-    checked numerically while the reachable states are enumerated. The
-    shots then walk the chain with the protocols' level walk
-    (`distributed._walk`), one ``rng.random(shots)`` per step: a level is
-    the array of its live rows' parity counts.
+    Each program needs square ports of the system's dimension d and an
+    out-port marginal within 1e-8 of I/d, the in-port bound of `ChoiProgram`.
+    A link's trivial outcome then has probability 1/d^2 for any input, so
+    one `oqt_step` per link simulates the all-trivial path only: shot i's
+    bit at link k is u[k, i] >= edge_k, u = ``rng.random((n, shots))`` and
+    edge_k the link's CDF as ``rng.choice`` forms it. The state after s odd
+    parities is the closed form of `parity_mix_alpha` on that path's state.
     """
-    from .distributed import _walk  # distributed imports this module
-
     if shots < 1:
         raise EstimationError(f"shots must be positive, got {shots}")
-    states: dict[int, MixedState] = {0: _as_system(system)}
-    rows: list[dict[int, np.ndarray]] = []
-    for prog in programs:
-        row: dict[int, np.ndarray] = {}
-        nxt: dict[int, MixedState] = {}
-        for s_val, st in sorted(states.items()):
-            b0, b1 = oqt_step(prog, st)
-            row[s_val] = np.array([b0.probability, b1.probability])
-            for branch in (b0, b1):
-                key = s_val + branch.parity
-                if key in nxt:
-                    delta = np.abs(nxt[key].matrix - branch.post_state.matrix).max()
-                    if delta > 1e-9:
-                        raise StateValidationError("branch states with equal parity sum diverged")
-                else:
-                    nxt[key] = branch.post_state
-        rows.append(row)
-        states = nxt
-    tables = [np.array([row[s] for s in range(len(row))]) for row in rows]
-    steps = [lambda s, table=table: (table[s], lambda at, bits: s[at] + bits) for table in tables]
-    uniforms = rng.random((len(steps), shots)).T
-    bits, *_ = _walk(np.zeros(1, dtype=np.intp), steps, lambda s: None, uniforms)
-    bits = bits.astype(np.int8)
+    rho = _as_system(system)
+    d = rho.dim
+    check_square_ports(programs, d)
+    edges = np.empty(len(programs))
+    for k, prog in enumerate(programs):
+        marg = partial_trace(prog.density(), [OUT], prog.state.layout)
+        if np.abs(marg - np.eye(d) / d).max() > 1e-8:
+            raise StateValidationError(
+                f"program {k} is not unital: branch states with equal parity sum diverged"
+            )
+        b0, b1 = oqt_step(prog, rho)
+        total = b0.probability + b1.probability
+        head, tail = b0.probability / total, b1.probability / total
+        edges[k] = head / (head + tail)
+        rho = b0.post_state
+    bits = (rng.random((len(programs), shots)) >= edges[:, None]).T.astype(np.int8, order="C")
+    # c_s = (-1)^s / (d^2-1)^s and alpha_s = (1 - c_s) / d, which underflows
+    # to I/d where (d^2-1)^s would overflow.
+    weights = (-1.0 / (d * d - 1)) ** np.arange(len(programs) + 1)
+    states = {
+        s: MixedState(rho.layout, (1.0 - c) / d * np.eye(d) + c * rho.matrix)
+        for s, c in enumerate(weights.tolist())
+    }
     return OqtRecordBatch(bits, bits.sum(axis=1), states)
 
 
@@ -266,10 +282,9 @@ def oqt_estimate_observable(
     """Unbiased estimate of tr(O U rho U^dag) from the parity records of
     `oqt_sample_records`.
 
-    Each record contributes (-1)^s (d^2-1)^s (m - alpha_s tr O), the affine
-    branch relation inverted recursively over s. With ``rng`` the value m is
-    a sampled eigenvalue of O measured on the record's final state; without
-    it m is the exact expectation (a zero-variance variant).
+    Each record contributes `parity_inverted` of its m. With ``rng`` the
+    value m is a sampled eigenvalue of O measured on the record's final
+    state; without it m is the exact expectation (a zero-variance variant).
     """
     if len(batch) == 0:
         raise EstimationError("empty record stream")
@@ -297,9 +312,7 @@ def oqt_estimate_observable(
             probs /= probs.sum()
             idx = rng.choice(evals.shape[0], size=count, p=probs)
             values[mask] = evals[idx]
-    s = batch.s.astype(float)
-    alpha = (1.0 - (-1.0) ** s / (d * d - 1.0) ** s) / d
-    t_hat = (-1.0) ** s * (d * d - 1.0) ** s * (values - alpha * tr_obs)
+    t_hat = parity_inverted(values, batch.s, d, tr_obs)
     estimate = float(t_hat.mean())
     stderr = float(t_hat.std(ddof=1) / np.sqrt(len(batch))) if len(batch) > 1 else 0.0
     return estimate, stderr

@@ -1,9 +1,14 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from obliq.channels import amplitude_damping_channel, choi_of
+from obliq import oblivious
+from obliq.channels import KrausChannel, amplitude_damping_channel, choi_of
 from obliq.distributed import pingpong_run
-from obliq.errors import EstimationError, StateValidationError
+from obliq.errors import DimensionError, EstimationError, StateValidationError
 from obliq.gates import named_gate
 from obliq.oblivious import (
     FlagState,
@@ -119,6 +124,90 @@ def test_oqt_sample_records_refuses_a_chain_whose_branches_do_not_merge():
     progs = [choi_of(amplitude_damping_channel(0.3))] * 3
     with pytest.raises(StateValidationError, match="equal parity sum diverged"):
         oqt_sample_records(progs, basis_state(0, 2), 10, np.random.default_rng(0))
+
+
+def test_oqt_sample_records_refuses_a_non_unital_last_program():
+    # No later link compares the branch states a last program leaves, so
+    # unitality is checked program by program.
+    rng = np.random.default_rng(7)
+    progs = [choi_of(random_unitary(2, rng)), choi_of(amplitude_damping_channel(0.3))]
+    with pytest.raises(StateValidationError, match="equal parity sum diverged"):
+        oqt_sample_records(progs, random_statevector(2, rng), 10, rng)
+
+
+def test_oqt_sample_records_refuses_ports_that_are_not_square_of_the_system_dimension():
+    rng = np.random.default_rng(8)
+    iso = random_unitary(3, rng)[:, :2]  # an isometry from dimension 2 into 3
+    widening = choi_of(KrausChannel([iso]))
+    with pytest.raises(DimensionError):
+        oqt_sample_records([widening], basis_state(0, 2), 10, rng)
+    with pytest.raises(DimensionError):
+        oqt_sample_records([choi_of(random_unitary(3, rng))], basis_state(0, 2), 10, rng)
+
+
+def _mixed_unitary(d, rng):
+    """A unital channel: 2-3 random unitaries mixed with random weights."""
+    weights = rng.dirichlet(np.ones(int(rng.integers(2, 4))))
+    return KrausChannel(tuple(np.sqrt(w) * random_unitary(d, rng) for w in weights))
+
+
+def _chain(d, n, mixed, rng):
+    """n random unitary or mixed-unitary programs and a random input state."""
+    ops = [_mixed_unitary(d, rng) if mixed else random_unitary(d, rng) for _ in range(n)]
+    return [choi_of(op) for op in ops], random_statevector(d, rng)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.sampled_from([2, 3, 6]),
+    n=st.integers(1, 6),
+    mixed=st.booleans(),
+)
+def test_oqt_states_by_s_match_the_dense_chain(seed, d, n, mixed):
+    rng = np.random.default_rng(seed)
+    progs, psi = _chain(d, n, mixed, rng)
+    batch = oqt_sample_records(progs, psi, 4, rng)
+    assert sorted(batch.states_by_s) == list(range(n + 1))
+    for s in range(n + 1):
+        bits = np.zeros(n, dtype=int)
+        bits[rng.choice(n, size=s, replace=False)] = 1
+        record, _ = pingpong_run(progs, psi, forced_bits=bits.tolist())
+        dense = record.final_state.matrix
+        assert np.abs(batch.states_by_s[s].matrix - dense).max() < 1e-10
+
+
+@pytest.mark.parametrize(
+    "d, n, mixed, seed, digest",
+    [
+        (2, 5, False, 11, "564a60a9296611657daa7acd96fb4abf7f40aa051aacfacd02f30e85f7bfecdc"),
+        (3, 4, True, 12, "4ff924a5be6a4823ebce6ef31d21ceb9c84d737e41dee2ac5adba659a029f390"),
+        (6, 3, False, 13, "d7de23497c337e8935d46761968aac045a4cf905a678e41504cb781ac1cffea1"),
+        (2, 6, True, 14, "8e4a0343e886aa008b8ed05c69f9415c6c034c108bfb79e08bb9ddc3f083604c"),
+    ],
+)
+def test_oqt_sample_records_draws_pinned_parity_bits(d, n, mixed, seed, digest):
+    # sha256 of the int8 parity bits and of the generator's next three
+    # uniforms, as drawn when every (step, s) state was simulated densely.
+    progs, psi = _chain(d, n, mixed, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed + 100)
+    batch = oqt_sample_records(progs, psi, 64, rng)
+    assert batch.parity_bits.dtype == np.int8 and batch.parity_bits.shape == (64, n)
+    found = hashlib.sha256(batch.parity_bits.tobytes() + rng.random(3).tobytes()).hexdigest()
+    assert found == digest
+
+
+def test_oqt_sample_records_makes_one_step_per_link(monkeypatch):
+    calls = []
+
+    def counting_step(program, system):
+        calls.append(program)
+        return oqt_step(program, system)
+
+    monkeypatch.setattr(oblivious, "oqt_step", counting_step)
+    progs, psi = _chain(2, 12, False, np.random.default_rng(15))
+    oqt_sample_records(progs, psi, 100, np.random.default_rng(0))
+    assert len(calls) == len(progs) == 12
 
 
 def test_oqt_parity_statistics():

@@ -35,9 +35,11 @@ JSON line per shot (`json.dumps(sort_keys=True, separators=(",", ":"))`, so
 keys are sorted at every level) with `shot` the 0-based shot index. These
 bytes are stable across versions unless CHANGES.md says otherwise.
 
-The dbqc, tri-party, ping-pong and script runners walk only the outcome
-prefixes their shots draw (`distributed._walk`); a script's ops are walker
-steps. `MAX_BRANCH_BITS` caps the branch bits of dbqc and ping-pong runs.
+The tri-party and script runners walk only the outcome prefixes their
+shots draw (`distributed._walk`); a script's ops are walker steps. The
+dbqc and ping-pong runners simulate one path and draw every shot by the
+parity law (`distributed._unital_shots`). `MAX_BRANCH_BITS` caps the
+branch bits of dbqc and ping-pong runs.
 
 Exit codes: 0 success, 2 parse error, 3 schema error, 4 semantic error,
 5 capacity error, 6 runtime failure.
@@ -521,11 +523,12 @@ def _semantic_violations(sc: dict) -> list[str]:
     return out
 
 
-# The dbqc and ping-pong runners walk, at each depth, at most min(shots,
-# outcome combinations so far) nodes, fewer where branches merge. Gates
-# that validation accepts may merge none, and each node's cost grows with
-# the qudit dimension, so the bits stay capped until the cost of a run can
-# be predicted from the scenario (ROADMAP).
+# The dbqc and ping-pong runners simulate one path, so their time no longer
+# grows with the bits. The cap stays for their checks: each simulated
+# outcome row must sum to 1 within 1e-9 / len(steps), which gates within
+# `gates.UNITARY_TOL` = 5e-11 of unitary meet up to 16 steps, and the
+# estimator multiplies each readout by (d^2-1)^s, which must stay a finite
+# float64 (`oblivious.parity_inverted`) and sets the standard error.
 MAX_BRANCH_BITS = 16
 
 

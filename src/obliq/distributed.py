@@ -16,7 +16,7 @@ outcome outside the measurement's outcomes is refused before the state
 changes.
 
 Every protocol is defined once as a list of steps, and `_walk` is the one
-sampler of their outcomes. It goes level by level: every branch of a depth
+walk of their outcomes. It goes level by level: every branch of a depth
 runs the same step on the same registers, so one `ProtocolEngine` holds
 them all as rows of a (B, D, D) stack and each engine operation acts on
 every row at once. A measurement gives a (B, outcomes) table, a fork is a
@@ -34,10 +34,12 @@ measurement). `_announced` is the one announced binary measurement
 (measure, broadcast, count an OQT link, consume an ebit), shared by the
 runners and the CLI's script ops.
 
-dbqc and ping-pong pass the walk a merge key, the parity lattice: a unital
-program's branch state depends only on the ISI bit b and the number s of
-odd parities (`oblivious.parity_mix_alpha`), so rows with the same (b, s),
-or s, merge when their states agree within 1e-12.
+dbqc and ping-pong take unital programs only (`oblivious.check_unital`)
+and sample by the paper's parity law instead of walking: after ISI bit b
+and s odd parities the branch state is alpha_s I + c_s rho(b, 0), with
+c_s = (-1)^s / (d^2-1)^s, and rho(1, 0) = (I - rho(0, 0)) / (d - 1). So
+`_unital_shots` simulates the all-trivial path alone and forms every other
+branch's readout probability from it.
 """
 from __future__ import annotations
 
@@ -65,7 +67,9 @@ from .oblivious import (
     OqtRecord,
     bell_projector,
     check_square_ports,
+    check_unital,
     parity_inverted,
+    parity_weights,
 )
 from .qmath import (
     MAX_STATE_DIM,
@@ -196,17 +200,6 @@ class ProtocolEngine:
         twin = self.fork()
         a, b = rows[0], rows[-1] + 1
         twin._state = self._state[a:b] if b - a == len(rows) else self._state[rows]
-        return twin
-
-    @staticmethod
-    def stack(parts) -> ProtocolEngine:
-        """One engine of the rows ``(engine, row)`` in ``parts``, whose
-        engines must share their layout, owners, ebits and ledger."""
-        first = parts[0][0]
-        if any(eng is not first and not first._same_frame(eng) for eng, _ in parts):
-            raise BranchError("rows of one depth hold different registers, ebits or ledgers")
-        twin = first.fork()
-        twin._state = np.stack([eng._state[row] for eng, row in parts])
         return twin
 
     def _same_frame(self, other: ProtocolEngine) -> bool:
@@ -520,7 +513,7 @@ def _measured(eng: ProtocolEngine, party: str, projectors, labels, after=None):
     return table, branch
 
 
-def _walk(root, steps, finish, uniforms=None, patterns=None, key=None, tol=None):
+def _walk(root, steps, finish, uniforms=None, patterns=None, tol=None):
     """Walk the shots of ``uniforms`` or ``patterns`` through ``steps`` from
     ``root`` (an engine of one row) and return each shot's outcomes (a
     column per draw), path probability (multiplied in step order from 1.0)
@@ -546,21 +539,14 @@ def _walk(root, steps, finish, uniforms=None, patterns=None, key=None, tol=None)
 
     An engine whose step would stack more than `ROW_BUDGET` entries raises
     `_Split`, and the step reruns on chunks of rows that fit, walked depth
-    first. ``key``, a function of an outcome prefix, merges equal branches
-    (the reduction rule of ordered decision diagrams): the first row placed
-    at a (depth, key) is held until every level above that depth is walked,
-    and a later row there whose state is within 1e-12 of it (max abs) hands
-    it its shots; any other row is walked at once. Rows are placed in the
-    order a node-by-node depth-first walk would place them, so the same rows
-    merge.
+    first.
     """
     shots = len(uniforms if patterns is None else patterns)
     carried = patterns is None and uniforms.ndim == 1
     order = np.argsort(uniforms) if carried else None
     ordered = uniforms[order] if carried else None
     outcomes = np.zeros((shots, len(steps)), dtype=np.int16)
-    probs, values, width = np.empty(shots), np.zeros(shots), [0]
-    held = [{} for _ in range(len(steps) + 1)]  # per depth: key -> [engine, row, prefix, parts]
+    probs, values, width = np.empty(shots), np.zeros(shots), 0
     # A chunk's shots come in parts: one per interval of the sorted uniforms
     # when they are carried, else one per shot. The columns: row, lo, mass,
     # path probability, first and end position in ``order`` and the outcomes
@@ -572,9 +558,6 @@ def _walk(root, steps, finish, uniforms=None, patterns=None, key=None, tol=None)
     else:
         root_parts = (np.zeros(shots, dtype=np.intp), None, None, np.ones(shots), np.arange(shots),
                       None, None)
-
-    def take(parts, idx) -> tuple:
-        return tuple(None if col is None else col[idx] for col in parts)
 
     def descend(table: np.ndarray, draw: int, parts: tuple) -> tuple:
         """The parts after the draw-th measurement: each outcome's share of
@@ -616,102 +599,48 @@ def _walk(root, steps, finish, uniforms=None, patterns=None, key=None, tol=None)
         prob *= np.take(table, codes)
         return codes, lo, mass, prob, first, end, seen
 
-    def place(level, depth: int, prefixes: list, parts: tuple, stack: list) -> None:
-        """Push the rows of ``level`` at ``depth`` to be walked, or, with
-        ``key``, hold each row first at its key and hand a later row's
-        parts to its holder when their states agree."""
-        if key is None:
-            stack.append((level, depth, prefixes, parts))
-            return
-        by_row = np.argsort(parts[0], kind="stable")
-        bounds = np.cumsum(np.bincount(parts[0], minlength=len(prefixes)))
-        parts_of = [take(parts, by_row[a:b]) for a, b in zip([0, *bounds[:-1]], bounds)]
-        slots, later = held[depth], []
-        for i, prefix in enumerate(prefixes):
-            slot = slots.setdefault(key(prefix), [level, i, prefix, []])
-            if slot[0] is level and slot[1] == i:
-                slot[3].append(parts_of[i])
+    # Chunks to walk, depth first: (level, depth, draws so far, parts).
+    stack = [(root, 0, 0, root_parts)]
+    while stack:
+        level, start, draws, parts = stack.pop()
+        work = level.fork()
+        try:
+            for depth in range(start, len(steps)):
+                measurement = steps[depth](work)
+                if measurement is not None:
+                    break
             else:
-                later.append((i, slot))
-        if not later:
-            return
-        rows = np.array([i for i, _ in later])
-        reps = np.stack([slot[0]._state[slot[1]] for _, slot in later])
-        agree = np.abs(level._state[rows] - reps).max(axis=(1, 2)) <= 1e-12
-        walked = []
-        for (i, slot), same in zip(later, agree.tolist()):
-            if same and (slot[0] is level or level._same_frame(slot[0])):
-                slot[3].append(parts_of[i])
-            else:
-                walked.append(i)
-        if walked:
-            chunk = level.select(walked) if len(walked) < len(level) else level
-            stack.append((chunk, depth, [prefixes[i] for i in walked], regrouped(
-                [[parts_of[i]] for i in walked])))
-
-    def regrouped(groups: list) -> tuple:
-        """One chunk's parts: group g's parts on its row g."""
-        cols = [None if col[0] is None else np.concatenate(col)
-                for col in zip(*(p for group in groups for p in group))]
-        sizes = [len(p[0]) for group in groups for p in group]
-        rows = [g for g, group in enumerate(groups) for _ in group]
-        cols[0] = np.repeat(rows, sizes)
-        return tuple(cols)
-
-    def run(stack: list) -> None:
-        """Walk the chunks on ``stack`` depth first."""
-        while stack:
-            level, start, prefixes, parts = stack.pop()
-            work = level.fork()
-            try:
-                for depth in range(start, len(steps)):
-                    measurement = steps[depth](work)
-                    if measurement is not None:
-                        break
-                else:
-                    found = finish(work)
-                    row, _, _, prob, shot, end, seen = parts
-                    if carried:  # each part's run of shots
-                        sizes = end - shot
-                        at = np.repeat(shot - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
-                        row, prob, seen, shot = (*(np.repeat(c, sizes, axis=0) for c in (row, prob, seen)),
-                                                 order[at])
-                        outcomes[shot] = seen
-                    probs[shot] = prob
-                    if found is not None:
-                        values[shot] = np.asarray(found)[row]
-                    width[0] = max(width[0], len(prefixes[0]))
-                    continue
-            except _Split as split:
-                for a in reversed(range(0, len(level), split.rows)):
-                    rows = np.arange(a, min(a + split.rows, len(level)))
-                    mine = take(parts, (parts[0] >= a) & (parts[0] < a + split.rows))
-                    chunk = (level.select(rows), start, prefixes[a : a + split.rows])
-                    stack.append((*chunk, (mine[0] - a, *mine[1:])))
+                found = finish(work)
+                row, _, _, prob, shot, end, seen = parts
+                if carried:  # each part's run of shots
+                    sizes = end - shot
+                    at = np.repeat(shot - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
+                    row, prob, seen, shot = (*(np.repeat(c, sizes, axis=0) for c in (row, prob, seen)),
+                                             order[at])
+                    outcomes[shot] = seen
+                probs[shot] = prob
+                if found is not None:
+                    values[shot] = np.asarray(found)[row]
+                width = max(width, draws)
                 continue
-            table, branch = measurement
-            codes, *rest = descend(table, len(prefixes[0]), parts)
-            n = table.shape[1]
-            taken = np.bincount(codes, minlength=len(table) * n) > 0
-            pairs = np.flatnonzero(taken)
-            rows, kids = pairs // n, pairs % n
-            child = branch(rows, kids)
-            kids_prefixes = [prefixes[r] + (k,) for r, k in zip(rows.tolist(), kids.tolist())]
-            place(child, depth + 1, kids_prefixes, ((np.cumsum(taken) - 1)[codes], *rest), stack)
-
-    run([(root, 0, [()], root_parts)])
-    for depth, slots in enumerate(held):
-        reps = list(slots.values())
-        slots.clear()
-        size = max(1, ROW_BUDGET // reps[0][0].layout.total_dim ** 2) if reps else 1
-        for a in range(0, len(reps), size):
-            part = reps[a : a + size]
-            level = ProtocolEngine.stack([(slot[0], slot[1]) for slot in part])
-            run([(level, depth, [slot[2] for slot in part], regrouped([slot[3] for slot in part]))])
-    return outcomes[:, : width[0]], probs, values
+        except _Split as split:
+            for a in reversed(range(0, len(level), split.rows)):
+                rows = np.arange(a, min(a + split.rows, len(level)))
+                mine = (parts[0] >= a) & (parts[0] < a + split.rows)
+                mine = tuple(None if col is None else col[mine] for col in parts)
+                stack.append((level.select(rows), start, draws, (mine[0] - a, *mine[1:])))
+            continue
+        table, branch = measurement
+        codes, *rest = descend(table, draws, parts)
+        n = table.shape[1]
+        taken = np.bincount(codes, minlength=len(table) * n) > 0
+        pairs = np.flatnonzero(taken)
+        child = branch(pairs // n, pairs % n)
+        stack.append((child, depth + 1, draws + 1, ((np.cumsum(taken) - 1)[codes], *rest)))
+    return outcomes[:, :width], probs, values
 
 
-def _sample(engine: ProtocolEngine, steps, finish, key=None, **draws):
+def _sample(engine: ProtocolEngine, steps, finish, **draws):
     """`_walk` a protocol with each row within 1e-9 / len(steps) of 1 (a full expansion within
     1e-9): each shot's outcomes, path probability and finish value, and the leaves' ledger."""
     ledgers = []
@@ -723,8 +652,41 @@ def _sample(engine: ProtocolEngine, steps, finish, key=None, **draws):
         ledgers.append(eng.ledger)
         return values
 
-    out, probs, values = _walk(engine, steps, leaf, key=key, tol=1e-9 / len(steps), **draws)
+    out, probs, values = _walk(engine, steps, leaf, tol=1e-9 / len(steps), **draws)
     return out, probs, values, ledgers[0]
+
+
+def _parity_law(q0: float, d: int, patterns: np.ndarray, isi: bool) -> np.ndarray:
+    """Each pattern's q by the parity law: q(b, s) = (1 - c_s)/d + c_s q_b,
+    with s the pattern's odd parities, b its ISI bit (its first column when
+    ``isi``, else 0), q_0 = ``q0`` (the all-trivial path's) and
+    q_1 = (1 - q_0)/(d - 1)."""
+    c = parity_weights(d, patterns.shape[1])[patterns[:, int(isi):].sum(axis=1)]
+    qb = np.where(patterns[:, 0] == 1, (1.0 - q0) / (d - 1), q0) if isi else q0
+    return (1.0 - c) / d + c * qb
+
+
+def _unital_shots(protocol, d: int, isi: bool, shots: int, rng: np.random.Generator):
+    """``shots`` draws of a unital pipeline (engine, steps, finish) whose
+    steps are an ISI bit (with ``isi``) and then one parity bit per link:
+    each shot's outcomes and q, and the ledger.
+
+    Only the all-trivial path is simulated, by `_sample`, which keeps its
+    row and ebit checks; every other q comes from `_parity_law`. An ISI
+    bit is 0 with probability 1/d and a parity 0 with 1/d^2 for any input,
+    so the bits take the walk's carried-uniform rule with those edges on
+    one ``rng.random(shots)``."""
+    engine, steps, finish = protocol
+    trivial = np.zeros((1, len(steps)), dtype=np.intp)
+    _, _, (q0,), ledger = _sample(engine, steps, finish, patterns=trivial)
+    u, lo, mass = rng.random(shots), np.zeros(shots), np.ones(shots)
+    patterns = np.empty((shots, len(steps)), dtype=np.int16)
+    for t in range(len(steps)):
+        cut = lo + mass * (1.0 / d if isi and t == 0 else 1.0 / (d * d))
+        k = u >= cut
+        patterns[:, t] = k
+        lo, mass = np.where(k, cut, lo), np.where(k, (lo + mass) - cut, cut - lo)
+    return patterns, _parity_law(float(q0), d, patterns, isi), ledger
 
 
 def _follow(engine: ProtocolEngine, steps, rng, forced) -> list[int]:
@@ -1005,18 +967,14 @@ def _dbqc_protocol(alice: Party, bob: Party):
     return ProtocolEngine(a, b), steps, _readout(b, bob.states[0], [current])
 
 
-def _isi_bit_and_parity_count(pattern: tuple) -> tuple:
-    """dbqc's merge key: a unital pipeline's branch state depends only on
-    the ISI bit b and the number s of odd parities (`parity_mix_alpha`)."""
-    return pattern[:1], sum(pattern[1:])
-
-
 def run_dbqc(alice: Party, bob: Party, shots: int, rng: np.random.Generator) -> DbqcResult:
     """Two-party black-box pipeline: ISI at Alice, ebit OQT link, Bob's programs.
 
     Estimates |<psi_o| U_bob... U_alice... |psi_in>|^2 without either party
     learning the other's program.  The per-shot estimator inverts the parity
     mixing exactly, so the average is unbiased over every branch pattern.
+    Every program must pass `oblivious.check_unital`: the shots are drawn
+    by the parity law (`_unital_shots`), which simulates one path.
     """
     if shots < 1:
         raise EstimationError("shots must be positive")
@@ -1025,11 +983,9 @@ def run_dbqc(alice: Party, bob: Party, shots: int, rng: np.random.Generator) -> 
     if not alice.states or not bob.states:
         raise ResourceError("alice needs an input state, bob a readout state")
     d = alice.states[0].dim
-    check_square_ports(alice.programs + bob.programs, d)
+    check_unital(alice.programs + bob.programs, d)
 
-    protocol = _dbqc_protocol(alice, bob)
-    key, uniforms = _isi_bit_and_parity_count, rng.random(shots)
-    patterns, _, qvals, ledger = _sample(*protocol, key, uniforms=uniforms)
+    patterns, qvals, ledger = _unital_shots(_dbqc_protocol(alice, bob), d, True, shots, rng)
     y = (rng.random(shots) >= qvals).astype(np.int8)  # the readout bit, 0 with probability q
     inv = parity_inverted(y == 0, patterns[:, 1:].sum(axis=1), d)
     b = patterns[:, 0]
@@ -1467,14 +1423,16 @@ def _pingpong_readout_protocol(programs, system, readout: np.ndarray):
 def pingpong_shots(programs, system, readout: np.ndarray, shots: int, rng: np.random.Generator):
     """``shots`` runs of a ping-pong chain read out on the vector
     ``readout``: each shot's parity bits, readout bit and unbiased estimate
-    of |<readout| U_n ... U_1 |system>|^2, and the ledger. A unital chain's
-    state depends only on the number of odd parities, so branches merge on
-    it."""
+    of |<readout| U_n ... U_1 |system>|^2, and the ledger. Every program
+    must pass `oblivious.check_unital`: the shots are drawn by the parity
+    law (`_unital_shots`), which simulates one path."""
     if shots < 1:
         raise EstimationError("shots must be positive")
-    engine, steps, finish = _pingpong_readout_protocol(programs, system, readout)
-    d = engine.layout.dim("blk0_state")
-    patterns, _, qvals, ledger = _sample(engine, steps, finish, sum, uniforms=rng.random(shots))
+    programs = list(programs)
+    protocol = _pingpong_readout_protocol(programs, system, readout)
+    d = protocol[0].layout.dim("blk0_state")
+    check_unital(programs, d)
+    patterns, qvals, ledger = _unital_shots(protocol, d, False, shots, rng)
     y = (rng.random(shots) >= qvals).astype(np.int8)
     t_hat = parity_inverted(y == 0, patterns.sum(axis=1), d)
     return patterns, y, t_hat, ledger

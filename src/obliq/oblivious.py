@@ -202,12 +202,25 @@ def parity_mix_alpha(s: int, d: int) -> float:
     return (1.0 - (-1.0) ** s / (d * d - 1.0) ** s) / d
 
 
+def parity_weights(d: int, n: int) -> np.ndarray:
+    """c_s = (-1)^s / (d^2-1)^s for s = 0..n, the target's weight in the
+    chain closed form alpha_s * I + c_s * target with alpha_s = (1 - c_s) / d.
+    It underflows to 0 where (d^2-1)^s would overflow."""
+    return (-1.0 / (d * d - 1)) ** np.arange(n + 1)
+
+
 def parity_inverted(values: np.ndarray, s: np.ndarray, d: int, trace: float = 1.0) -> np.ndarray:
     """(-1)^s (d^2-1)^s (m - alpha_s tr O) per record: the chain closed form
     inverted for tr(O target), with ``values`` the records' m (an
-    expectation or an eigenvalue of O) and ``trace`` tr O."""
+    expectation or an eigenvalue of O) and ``trace`` tr O. Raises
+    EstimationError where (d^2-1)^s is not a finite float64."""
     counts = np.arange(int(s.max(initial=0)) + 1)
-    base = ((-1.0) ** counts) * float(d * d - 1) ** counts
+    with np.errstate(over="ignore"):
+        base = ((-1.0) ** counts) * float(d * d - 1) ** counts
+    if not np.isfinite(base[-1]):
+        raise EstimationError(
+            f"no finite estimate: (d^2-1)^s overflows float64 at s = {counts[-1]}, d = {d}"
+        )
     alpha = np.array([parity_mix_alpha(int(v), d) for v in counts])
     return base[s] * (values - alpha[s] * trace)
 
@@ -230,6 +243,20 @@ def check_square_ports(programs: Sequence[ChoiProgram], d: int) -> None:
         raise DimensionError(f"program ports must match the system dimension {d}")
 
 
+def check_unital(programs: Sequence[ChoiProgram], d: int) -> None:
+    """Refuse a program without square ``d``-dimensional ports
+    (DimensionError) or whose out-port marginal is further than 1e-8 from
+    I/d, the in-port bound of `ChoiProgram` (StateValidationError): the
+    parity law holds for unital programs only."""
+    check_square_ports(programs, d)
+    for k, prog in enumerate(programs):
+        marg = partial_trace(prog.density(), [OUT], prog.state.layout)
+        if np.abs(marg - np.eye(d) / d).max() > 1e-8:
+            raise StateValidationError(
+                f"program {k} is not unital: branch states with equal parity sum diverged"
+            )
+
+
 def oqt_sample_records(
     programs: Sequence[ChoiProgram],
     system: PureState | MixedState | np.ndarray,
@@ -238,9 +265,8 @@ def oqt_sample_records(
 ) -> OqtRecordBatch:
     """Draw many parity trails of a chain of unital programs at once.
 
-    Each program needs square ports of the system's dimension d and an
-    out-port marginal within 1e-8 of I/d, the in-port bound of `ChoiProgram`.
-    A link's trivial outcome then has probability 1/d^2 for any input, so
+    Each program must pass `check_unital` at the system's dimension d. A
+    link's trivial outcome then has probability 1/d^2 for any input, so
     one `oqt_step` per link simulates the all-trivial path only: shot i's
     bit at link k is u[k, i] >= edge_k, u = ``rng.random((n, shots))`` and
     edge_k the link's CDF as ``rng.choice`` forms it. The state after s odd
@@ -250,26 +276,18 @@ def oqt_sample_records(
         raise EstimationError(f"shots must be positive, got {shots}")
     rho = _as_system(system)
     d = rho.dim
-    check_square_ports(programs, d)
+    check_unital(programs, d)
     edges = np.empty(len(programs))
     for k, prog in enumerate(programs):
-        marg = partial_trace(prog.density(), [OUT], prog.state.layout)
-        if np.abs(marg - np.eye(d) / d).max() > 1e-8:
-            raise StateValidationError(
-                f"program {k} is not unital: branch states with equal parity sum diverged"
-            )
         b0, b1 = oqt_step(prog, rho)
         total = b0.probability + b1.probability
         head, tail = b0.probability / total, b1.probability / total
         edges[k] = head / (head + tail)
         rho = b0.post_state
     bits = (rng.random((len(programs), shots)) >= edges[:, None]).T.astype(np.int8, order="C")
-    # c_s = (-1)^s / (d^2-1)^s and alpha_s = (1 - c_s) / d, which underflows
-    # to I/d where (d^2-1)^s would overflow.
-    weights = (-1.0 / (d * d - 1)) ** np.arange(len(programs) + 1)
     states = {
         s: MixedState(rho.layout, (1.0 - c) / d * np.eye(d) + c * rho.matrix)
-        for s, c in enumerate(weights.tolist())
+        for s, c in enumerate(parity_weights(d, len(programs)).tolist())
     }
     return OqtRecordBatch(bits, bits.sum(axis=1), states)
 

@@ -73,6 +73,29 @@ WIDE_DBQC = (
     "65dd73bed781f936897b003cf1de1ec5e8ddba212ffccff3230d408b103aebfa",
 )
 
+# sha256 of (records.jsonl, summary.csv, resolved-scenario) of
+# `_near_unitary_dbqc` and `_near_unitary_pingpong`, computed when every
+# drawn branch was simulated densely.
+NEAR_UNITARY = {
+    "dbqc": (
+        "7252d16a496796a27636744bfa3e772956b2c8a8b2c48da7f1a0b83eb93c201c",
+        "5a978a8691a8c7a831c2e75dc6c681e9aac5f0267a70aacb700d6689e8b3c242",
+        "e24057a2aa7a3f147c3910b3ec5c184d0ea231c4aec0d22fb7a108ae0c888251",
+    ),
+    "pingpong": (
+        "6fe3a9624e19ff7cc2c996a4ba29dc6cb4cb6813515710f5de70d2531ebd472c",
+        "ed985c56dfa27b365f644ad6f02533f0aa82f02c0ce74346383a2c555436ac62",
+        "70e35a0a0945e046394fc2b4153b1cb47ed7d19c7c5b17e3364de6636e256be0",
+    ),
+}
+
+
+def _artifact_digests(out: Path) -> tuple:
+    return tuple(
+        hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("records.jsonl", "summary.csv", "resolved-scenario")
+    )
+
 
 def test_every_scenario_is_pinned():
     assert sorted(p.stem for p in SCENARIO_DIR.glob("*.json")) == sorted(DIGESTS)
@@ -82,11 +105,7 @@ def test_every_scenario_is_pinned():
 def test_artifact_digests(stem, tmp_path):
     out = tmp_path / stem
     assert main(["run", str(SCENARIO_DIR / f"{stem}.json"), "--out", str(out)]) == 0
-    got = tuple(
-        hashlib.sha256((out / name).read_bytes()).hexdigest()
-        for name in ("records.jsonl", "summary.csv", "resolved-scenario")
-    )
-    assert got == DIGESTS[stem]
+    assert _artifact_digests(out) == DIGESTS[stem]
 
 
 def _wide_knitting() -> dict:
@@ -162,8 +181,76 @@ def test_many_row_digests(tmp_path):
     path.write_text(json.dumps(_wide_dbqc()))
     out = tmp_path / "out"
     assert main(["run", str(path), "--out", str(out)]) == 0
-    got = tuple(
-        hashlib.sha256((out / name).read_bytes()).hexdigest()
-        for name in ("records.jsonl", "summary.csv", "resolved-scenario")
-    )
-    assert got == WIDE_DBQC
+    assert _artifact_digests(out) == WIDE_DBQC
+
+
+# Pythagorean triples (a, b, c): a rotation [[a, -b], [b, a]] / c.
+TRIPLES = np.array([[3, 4, 5], [5, 12, 13], [8, 15, 17], [7, 24, 25]])
+PHASES = np.array([1, 1j, -1, -1j])
+
+
+def _literal(m):
+    return [[c.real, c.imag] for c in m.tolist()]
+
+
+def _rotations(rng, d):
+    """Pythagorean rotations on disjoint pairs of a random permutation of
+    the d levels, after phases from {1, i, -1, -i}, drawn with integer draws
+    only."""
+    g = np.diag(PHASES[rng.integers(0, 4, size=d)])
+    perm = rng.permutation(d)
+    for i, j in zip(perm[0::2], perm[1::2]):
+        a, b, c = TRIPLES[rng.integers(0, 4)]
+        rot = np.eye(d, dtype=complex)
+        rot[[i, i, j, j], [i, j, i, j]] = np.array([a, -b, b, a]) / c
+        g = rot @ g
+    return g
+
+
+def _near_unitary(rng, d):
+    """Two layers of rotations plus 1e-11 times a third: max |U^dag U - I|
+    is up to 2e-11, inside `gates.UNITARY_TOL`."""
+    return _rotations(rng, d) @ _rotations(rng, d) + 1e-11 * _rotations(rng, d)
+
+
+def _near_unitary_dbqc() -> dict:
+    """A 16-bit dbqc (7 + 8 programs) at d = 7 with 2,000 shots."""
+    rng = np.random.default_rng(20261020)
+    d = 7
+    return {
+        "version": 1,
+        "kind": "dbqc",
+        "seed": 20,
+        "shots": 2000,
+        "tolerance": 1e-9,
+        "input_state": {"vector": _literal((_rotations(rng, d) @ _rotations(rng, d))[:, 0])},
+        "readout_state": {"vector": _literal((_rotations(rng, d) @ _rotations(rng, d))[:, 0])},
+        "alice_programs": [{"matrix": [_literal(r) for r in _near_unitary(rng, d)]} for _ in range(7)],
+        "bob_programs": [{"matrix": [_literal(r) for r in _near_unitary(rng, d)]} for _ in range(8)],
+    }
+
+
+def _near_unitary_pingpong() -> dict:
+    """A 16-program qubit ping-pong with 2,000 shots."""
+    rng = np.random.default_rng(20261021)
+    return {
+        "version": 1,
+        "kind": "pingpong",
+        "seed": 21,
+        "shots": 2000,
+        "tolerance": 1e-9,
+        "input_state": {"vector": _literal(_rotations(rng, 2)[:, 0])},
+        "readout_state": {"vector": _literal(_rotations(rng, 2)[:, 1])},
+        "programs": [{"matrix": [_literal(r) for r in _near_unitary(rng, 2)]} for _ in range(16)],
+        "blocks": 2,
+    }
+
+
+@pytest.mark.parametrize("kind, scenario", [("dbqc", _near_unitary_dbqc), ("pingpong", _near_unitary_pingpong)])
+def test_near_unitary_digests(kind, scenario, tmp_path):
+    # Gates validation accepts but that are not unitary to rounding: the
+    # parity law draws the records the dense walk of every branch drew.
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(scenario()))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert _artifact_digests(tmp_path / "out") == NEAR_UNITARY[kind]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from obliq.channels import choi_of
+from obliq.channels import amplitude_damping_channel, choi_of
 from obliq.distributed import (
     KnitCircuit,
     KnitGate,
@@ -382,6 +382,24 @@ def test_dbqc_guards():
     alice = Party("alice", programs=[choi_of(named_gate("H"))], states=[basis_state(0, 2)])
     with pytest.raises(EstimationError):
         run_dbqc(alice, bob, 0, rng)
+
+
+def test_dbqc_and_pingpong_refuse_a_non_unital_program():
+    # The parity law needs unital programs. A damped |0> pipeline through X
+    # has a truth of 0 (or 0.9 with the damping at Bob); sampled as if unital
+    # its estimator's mean was 0.45 either way.
+    zero = basis_state(0, 2)
+    damping = choi_of(amplitude_damping_channel(0.9))
+    flip = choi_of(named_gate("X"))
+    rng = np.random.default_rng(408)
+    for a, b in (([damping], [flip]), ([flip], [damping])):
+        alice, bob = Party("alice", programs=a, states=[zero]), Party("bob", programs=b, states=[zero])
+        with pytest.raises(StateValidationError, match="not unital"):
+            run_dbqc(alice, bob, 100, rng)
+    with pytest.raises(StateValidationError, match="not unital"):
+        pingpong_shots([flip, damping], zero, np.array([1.0, 0.0]), 100, rng)
+    with pytest.raises(DimensionError):
+        pingpong_shots([choi_of(random_unitary(3, rng))], zero, np.array([1.0, 0.0]), 100, rng)
 
 
 # --- tri-party schemes ---

@@ -145,6 +145,16 @@ def test_oqt_sample_records_refuses_ports_that_are_not_square_of_the_system_dime
         oqt_sample_records([choi_of(random_unitary(3, rng))], basis_state(0, 2), 10, rng)
 
 
+def test_parity_inverted_refuses_a_parity_count_beyond_float64():
+    # (d^2-1)^s is 35^200 ~ 1e308 at d = 6, s = 200: no finite estimate exists.
+    values = np.array([0.0, 1.0])
+    assert np.isfinite(oblivious.parity_inverted(values, np.array([0, 199]), 6)).all()
+    with pytest.raises(EstimationError, match="s = 200, d = 6"):
+        oblivious.parity_inverted(values, np.array([3, 200]), 6)
+    with pytest.raises(EstimationError, match="s = 647, d = 2"):
+        oblivious.parity_inverted(values, np.array([647, 0]), 2)
+
+
 def _mixed_unitary(d, rng):
     """A unital channel: 2-3 random unitaries mixed with random weights."""
     weights = rng.dirichlet(np.ones(int(rng.integers(2, 4))))

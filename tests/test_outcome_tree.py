@@ -8,8 +8,10 @@ give what expanding every pattern and calling ``rng.choice`` gives; a
 script must give what one fresh engine per shot gives. The results must
 be equal exactly, not approximately.
 
-dbqc and ping-pong merge equal branches on a key (the parity lattice); the
-merged walk is checked against the unmerged tree.
+dbqc and ping-pong simulate only their all-trivial path and take every
+other pattern's readout probability from the parity law
+(`distributed._parity_law`); the law is checked against the dense tree
+over every pattern, and their drawn shots against expanding that tree.
 """
 
 import itertools
@@ -24,7 +26,7 @@ from obliq import cli, qmath
 from obliq import distributed as dist
 from obliq.channels import KrausChannel, choi_of, unitary_of_choi
 from obliq.distributed import Party, ProtocolEngine
-from obliq.errors import BranchError
+from obliq.errors import BranchError, StateValidationError
 from obliq.gates import CNOT, X, Z, matrix_to_json
 from obliq.oblivious import GeneralizedPauliBasis, bell_projector, parity_mix_alpha
 from obliq.qmath import RegisterLayout, projector, random_statevector, random_unitary
@@ -199,7 +201,7 @@ def _triparty_scheme2_reference(a, b, gate, psi_o, pattern):
     return path_prob, q, eng.ledger
 
 
-def _walk_all(protocol, patterns, key=None):
+def _walk_all(protocol, patterns):
     """A protocol (engine, steps, finish) walked along every pattern in
     ``patterns``: the patterns, path probabilities, finish values and the
     leaves' ledger."""
@@ -211,7 +213,7 @@ def _walk_all(protocol, patterns, key=None):
         ledgers.append(eng.ledger)
         return values
 
-    walked = dist._walk(engine, steps, leaf, patterns=np.array(patterns), key=key)
+    walked = dist._walk(engine, steps, leaf, patterns=np.array(patterns))
     return (*walked, ledgers[0])
 
 
@@ -314,28 +316,23 @@ def test_pingpong_tree_matches_one_pass_per_pattern(seed, d, kraus):
     _assert_leaves_equal(leaves, patterns, references)
 
 
-# --- parity lattice: the merged walk against the tree ---
+# --- the parity law against the tree ---
 
 PROGRAM_KINDS = st.sampled_from(["unitary", "kraus", "near-unitary"])
+UNITAL_KINDS = st.sampled_from(["unitary", "mixed-unitary", "near-unitary"])
 
 
 def _program_of_kind(rng, d, kind, off=1e-10):
-    """A unitary or random Kraus program, or a unitary U + off V (V a random
-    unitary), so that max |U^dag U - I| is up to about 2 off. Validation
-    accepts off = 2e-11 (`gates.UNITARY_TOL`), not the default 1e-10."""
+    """A unitary, random Kraus or mixed-unitary program (2-3 random unitaries
+    with random weights), or a unitary U + off V (V a random unitary), so
+    that max |U^dag U - I| is up to about 2 off. Validation accepts
+    off = 2e-11 (`gates.UNITARY_TOL`), not the default 1e-10."""
     if kind == "near-unitary":
         return choi_of(random_unitary(d, rng) + off * random_unitary(d, rng))
+    if kind == "mixed-unitary":
+        weights = rng.dirichlet(np.ones(int(rng.integers(2, 4))))
+        return choi_of(KrausChannel([np.sqrt(w) * random_unitary(d, rng) for w in weights]))
     return _program(rng, d, kind == "kraus")
-
-
-def _counting_finish(protocol, calls):
-    """Wrap a protocol function so that its finish counts the leaf rows it reads."""
-
-    def wrapped(*args):
-        engine, steps, finish = protocol(*args)
-        return engine, steps, lambda eng: (calls.extend([1] * len(eng)), finish(eng))[1]
-
-    return wrapped
 
 
 def _every_pattern(protocol, args):
@@ -343,24 +340,20 @@ def _every_pattern(protocol, args):
     return list(itertools.product((0, 1), repeat=len(protocol(*args)[1])))
 
 
-def _assert_lattice_matches_tree(protocol, args, key):
-    """The walk over every pattern merged on ``key`` against the tree:
-    equal patterns and ledgers, and probabilities and values within 1e-12,
-    or equal when nothing merged (finish read every leaf). Returns the
-    number of leaf rows the merged walk's finish read."""
-    patterns = _every_pattern(protocol, args)
-    tree = _walk_all(protocol(*args), patterns)
-    calls = []
-    lattice = _walk_all(_counting_finish(protocol, calls)(*args), patterns, key)
-    assert lattice[0].tolist() == tree[0].tolist()
-    assert lattice[3] == tree[3]
-    if len(calls) == len(tree[0]):
-        assert lattice[1].tolist() == tree[1].tolist()
-        assert lattice[2].tolist() == tree[2].tolist()
-    else:
-        assert np.abs(lattice[1] - tree[1]).max() <= 1e-12
-        assert np.abs(lattice[2] - tree[2]).max() <= 1e-12
-    return len(calls)
+def _assert_law_matches_tree(protocol, args, d, isi, bound):
+    """The parity law's q (`distributed._parity_law` of the all-trivial
+    path's q) and path probability (1/d or 1 - 1/d for the ISI bit, 1/d^2
+    or 1 - 1/d^2 per link) within ``bound`` of every pattern's dense walk."""
+    patterns = np.array(_every_pattern(protocol, args))
+    _, probs, qvals, _ = _walk_all(protocol(*args), patterns)
+    assert not patterns[0].any()
+    law = dist._parity_law(qvals[0], d, patterns, isi)
+    trivial = np.full(patterns.shape[1], 1.0 / d**2)
+    if isi:
+        trivial[0] = 1.0 / d
+    path = np.where(patterns == 0, trivial, 1.0 - trivial).prod(axis=1)
+    assert np.abs(law - qvals).max() <= bound
+    assert np.abs(path - probs).max() <= bound
 
 
 def _dbqc_parties(rng, d, n_alice, n_bob, kind, off=1e-10):
@@ -377,80 +370,82 @@ def _dbqc_parties(rng, d, n_alice, n_bob, kind, off=1e-10):
     return alice, bob
 
 
+# Unitary and mixed-unitary programs follow the law to rounding (about
+# 1e-15); gates up to 2e-11 from unitary (off = 1e-11), which validation
+# accepts, to about 3e-11 at 5 links.
+LAW_BOUND = {"unitary": 1e-12, "mixed-unitary": 1e-12, "near-unitary": 1e-10}
+
+
 @TREE
 @given(
     seed=SEEDS,
     d=st.integers(2, 3),
     n_alice=st.integers(1, 3),
     n_bob=st.integers(1, 3),
-    kind=PROGRAM_KINDS,
+    kind=UNITAL_KINDS,
 )
-def test_dbqc_lattice_matches_tree(seed, d, n_alice, n_bob, kind):
+def test_dbqc_parity_law_matches_tree(seed, d, n_alice, n_bob, kind):
     n_bob = min(n_bob, 4 - n_alice)  # at most 4 links
-    alice, bob = _dbqc_parties(np.random.default_rng(seed), d, n_alice, n_bob, kind)
-    # With Kraus programs, branches still merge across the ebit link: it is
-    # an identity channel, so its parity flip commutes with its neighbours'.
-    key = dist._isi_bit_and_parity_count
-    _assert_lattice_matches_tree(dist._dbqc_protocol, (alice, bob), key)
+    alice, bob = _dbqc_parties(np.random.default_rng(seed), d, n_alice, n_bob, kind, 1e-11)
+    _assert_law_matches_tree(dist._dbqc_protocol, (alice, bob), d, True, LAW_BOUND[kind])
 
 
 @TREE
-@given(seed=SEEDS, d=st.integers(2, 3), n=st.integers(1, 5), kind=PROGRAM_KINDS)
-def test_pingpong_lattice_matches_tree(seed, d, n, kind):
+@given(seed=SEEDS, d=st.integers(2, 3), n=st.integers(1, 5), kind=UNITAL_KINDS)
+def test_pingpong_parity_law_matches_tree(seed, d, n, kind):
     rng = np.random.default_rng(seed)
-    programs = [_program_of_kind(rng, d, kind) for _ in range(n)]
-    system = _pure(random_statevector(d, rng))
-    readout = random_statevector(d, rng)
-    protocol = dist._pingpong_readout_protocol
-    finished = _assert_lattice_matches_tree(protocol, (programs, system, readout), sum)
-    if kind == "kraus":  # a non-unital program does not commute with a parity flip
-        assert finished == 2**n
+    programs = [_program_of_kind(rng, d, kind, 1e-11) for _ in range(n)]
+    args = (programs, _pure(random_statevector(d, rng)), random_statevector(d, rng))
+    _assert_law_matches_tree(dist._pingpong_readout_protocol, args, d, False, LAW_BOUND[kind])
 
 
-def test_unitary_runs_finish_once_per_isi_bit_and_parity_count(monkeypatch):
+def test_unital_runs_allocate_each_program_once(monkeypatch):
+    """dbqc and ping-pong simulate one path: n programs make n
+    `alloc_program` calls, however many shots and patterns they draw."""
+    calls = []
+    alloc_program = ProtocolEngine.alloc_program
+
+    def counted(self, *args):
+        calls.append(1)
+        return alloc_program(self, *args)
+
+    monkeypatch.setattr(ProtocolEngine, "alloc_program", counted)
     rng = np.random.default_rng(5)
-    alice, bob = _dbqc_parties(rng, 2, 3, 3, "unitary")
-    patterns = _every_pattern(dist._dbqc_protocol, (alice, bob))
-    key = dist._isi_bit_and_parity_count
-    tree_calls, calls, drawn_calls = [], [], []
-    _walk_all(_counting_finish(dist._dbqc_protocol, tree_calls)(alice, bob), patterns)
-    _walk_all(_counting_finish(dist._dbqc_protocol, calls)(alice, bob), patterns, key)
-    assert (len(tree_calls), len(calls)) == (128, 14)  # (b, s) in {0, 1} x {0..6}
-    monkeypatch.setattr(dist, "_dbqc_protocol", _counting_finish(dist._dbqc_protocol, drawn_calls))
-    dist.run_dbqc(alice, bob, 10, rng)
-    assert len(drawn_calls) <= 10  # one leaf at most per shot
-
-    programs = [_program_of_kind(rng, 2, "unitary") for _ in range(6)]
-    args = (programs, _pure(random_statevector(2, rng)), random_statevector(2, rng))
-    protocol = dist._pingpong_readout_protocol
-    patterns = _every_pattern(protocol, args)
-    tree_calls, calls = [], []
-    _walk_all(_counting_finish(protocol, tree_calls)(*args), patterns)
-    _walk_all(_counting_finish(protocol, calls)(*args), patterns, sum)
-    assert (len(tree_calls), len(calls)) == (64, 7)  # s in {0..6}
+    for n_alice, n_bob in ((1, 1), (3, 3), (7, 8)):
+        alice, bob = _dbqc_parties(rng, 2, n_alice, n_bob, "unitary")
+        calls.clear()
+        res = dist.run_dbqc(alice, bob, 500, rng)
+        assert len(calls) == n_alice + n_bob
+        assert len({tuple(row) for row in res.parity_bits.tolist()}) > 1
+    for n in (1, 6, 16):
+        programs = [_program_of_kind(rng, 2, "unitary") for _ in range(n)]
+        calls.clear()
+        dist.pingpong_shots(programs, _pure(random_statevector(2, rng)), random_statevector(2, rng), 500, rng)
+        assert len(calls) == n
 
 
 # --- the drawn walk against expanding every pattern and rng.choice ---
 
 
 def _drawn_protocol(kind, seed, d, n, program_kind):
-    """A random small protocol that validation would accept: (runner name,
-    protocol function, its arguments, merge key)."""
+    """A random small protocol that validation would accept (a runner
+    refuses dbqc and ping-pong with Kraus programs): (runner name, protocol
+    function, its arguments)."""
     rng, off = np.random.default_rng(seed), 2e-11
     if kind == "dbqc":
         n_alice = 1 + n % 2
         alice, bob = _dbqc_parties(rng, d, n_alice, 1 + n // 2, program_kind, off)
-        return kind, dist._dbqc_protocol, (alice, bob), dist._isi_bit_and_parity_count
+        return kind, dist._dbqc_protocol, (alice, bob)
     if kind == "pingpong":
         programs = [_program_of_kind(rng, d, program_kind, off) for _ in range(n)]
         args = (programs, _pure(random_statevector(d, rng)), random_statevector(d, rng))
-        return kind, dist._pingpong_readout_protocol, args, sum
+        return kind, dist._pingpong_readout_protocol, args
     parties = [
         Party(name, programs=[_program_of_kind(rng, dim, program_kind, off)],
               states=[_pure(random_statevector(dim, rng))])
         for name, dim in (("a", d), ("b", 2), ("c", 2 * d))
     ]
-    return kind, dist._triparty_scheme1_protocol, tuple(parties), None
+    return kind, dist._triparty_scheme1_protocol, tuple(parties)
 
 
 def _run_drawn(kind, args, shots, rng):
@@ -467,10 +462,10 @@ def _run_drawn(kind, args, shots, rng):
     return patterns, res.bits["y"], np.array([res.estimate, res.stderr])
 
 
-def _expanded(kind, protocol, args, key, shots, rng):
+def _expanded(kind, protocol, args, shots, rng):
     """The reference: every pattern walked, then ``rng.choice`` over them."""
     patterns = np.array(_every_pattern(protocol, args))
-    _, probs, qvals, _ = _walk_all(protocol(*args), patterns, key)
+    _, probs, qvals, _ = _walk_all(protocol(*args), patterns)
     idx = rng.choice(len(probs), size=shots, p=probs / probs.sum())
     y = (rng.random(shots) >= qvals[idx]).astype(np.int8)
     drawn = patterns[idx]
@@ -499,16 +494,20 @@ def _expanded(kind, protocol, args, key, shots, rng):
     shots=st.integers(1, 60),
 )
 def test_drawn_walk_matches_expanding_every_pattern(seed, kind, d, n, program_kind, shots):
-    kind, protocol, args, key = _drawn_protocol(kind, seed, d, n, program_kind)
+    kind, protocol, args = _drawn_protocol(kind, seed, d, n, program_kind)
     rng, ref_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-    got = _run_drawn(kind, args, shots, rng)
-    want = _expanded(kind, protocol, args, key, shots, ref_rng)
-    for g, w in zip(got, want):
-        assert g.dtype.kind == w.dtype.kind and np.array_equal(g, w, equal_nan=True)
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    if program_kind == "kraus" and kind != "triparty":
+        with pytest.raises(StateValidationError, match="not unital"):
+            _run_drawn(kind, args, shots, rng)
+    else:
+        got = _run_drawn(kind, args, shots, rng)
+        want = _expanded(kind, protocol, args, shots, ref_rng)
+        for g, w in zip(got, want):
+            assert g.dtype.kind == w.dtype.kind and np.array_equal(g, w, equal_nan=True)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
-    # Unmerged, the drawn walk takes each shot's path probability and value
-    # from the same engines as the full expansion.
+    # The drawn walk takes each shot's path probability and value from the
+    # same engines as the full expansion.
     patterns = np.array(_every_pattern(protocol, args))
     _, probs, qvals, ledger = _walk_all(protocol(*args), patterns)
     uniforms = np.random.default_rng(seed + 2).random(shots)
@@ -690,16 +689,16 @@ def test_script_tree_matches_one_run_per_shot(seed, d, blocks, final, shots):
 
 def _level_protocol(kind, rng, d, n, program_kind):
     """A random protocol validation would accept: (protocol function, its
-    arguments, merge key, draws) where draws are the runner's keyword for
-    the shots (carried uniforms, fresh uniforms or patterns)."""
-    off = 2e-11  # within gates.UNITARY_TOL, far enough to stop merging
+    arguments, draws) where draws are the keyword for the shots (carried
+    uniforms, fresh uniforms or patterns)."""
+    off = 2e-11  # within gates.UNITARY_TOL
     if kind == "dbqc":
         alice, bob = _dbqc_parties(rng, d, 1 + n % 2, 1 + n // 2, program_kind, off)
-        return dist._dbqc_protocol, (alice, bob), dist._isi_bit_and_parity_count, "carried"
+        return dist._dbqc_protocol, (alice, bob), "carried"
     if kind == "pingpong":
         programs = [_program_of_kind(rng, d, program_kind, off) for _ in range(n)]
         args = (programs, _pure(random_statevector(d, rng)), random_statevector(d, rng))
-        return dist._pingpong_readout_protocol, args, sum, "carried"
+        return dist._pingpong_readout_protocol, args, "carried"
     d = min(d, 3)  # a 3-party run at d = 7 is over the joint dimension cap
     if kind == "triparty-I":
         parties = tuple(
@@ -707,13 +706,13 @@ def _level_protocol(kind, rng, d, n, program_kind):
                   states=[_pure(random_statevector(dim, rng))])
             for name, dim in (("a", d), ("b", 2), ("c", 2 * d))
         )
-        return dist._triparty_scheme1_protocol, parties, None, "carried"
+        return dist._triparty_scheme1_protocol, parties, "carried"
     a, b = (
         Party(name, programs=[choi_of(random_unitary(dim, rng))], states=[_pure(random_statevector(dim, rng))])
         for name, dim in (("a", 2), ("b", d))
     )
     args = (a, b, random_unitary(d, rng), _pure(random_statevector(2 * d, rng)))
-    return dist._triparty_scheme2_protocol, args, None, "patterns"
+    return dist._triparty_scheme2_protocol, args, "patterns"
 
 
 def _script_protocol(rng, d, n):
@@ -727,7 +726,7 @@ def _script_protocol(rng, d, n):
     def protocol():
         return ProtocolEngine(*sc["parties"]), steps, lambda eng: None
 
-    return protocol, (), None, "fresh"
+    return protocol, (), "fresh"
 
 
 def _followed(protocol, args, pattern):
@@ -753,7 +752,7 @@ def _followed(protocol, args, pattern):
     return outcomes, prob, 0.0 if value is None else value[0]
 
 
-def _level_walk(protocol, args, key, draws, rng, shots):
+def _level_walk(protocol, args, draws, rng, shots):
     engine, steps, finish = protocol(*args)
     if draws == "patterns":
         kw = {"patterns": np.array(list(itertools.product((0, 1), (0, 1), range(4))))}
@@ -762,7 +761,7 @@ def _level_walk(protocol, args, key, draws, rng, shots):
         kw = {"uniforms": rng.random((shots, width))}
     else:
         kw = {"uniforms": rng.random(shots)}
-    return dist._walk(engine, steps, finish, key=key, **kw)
+    return dist._walk(engine, steps, finish, **kw)
 
 
 LEVEL = settings(max_examples=40, deadline=None)
@@ -779,16 +778,16 @@ LEVEL = settings(max_examples=40, deadline=None)
 )
 def test_level_walk_matches_one_path_per_shot(seed, kind, d, n, program_kind, shots):
     """Each shot of the level walk takes the outcomes, path probability and
-    finish value of `_follow` on its own pattern, merged or not; and a walk
+    finish value of `_follow` on its own pattern; and a walk
     of one row per step (the node-by-node walk) gives the same bytes, so
     stacking rows and chunking them by the row budget change nothing."""
     rng = np.random.default_rng(seed)
     if kind == "script":
-        protocol, args, key, draws = _script_protocol(rng, d, min(n, 2 if d > 3 else 3))
+        protocol, args, draws = _script_protocol(rng, d, min(n, 2 if d > 3 else 3))
     else:
         n = min(n, 2) if d > 3 else n
-        protocol, args, key, draws = _level_protocol(kind, rng, d, n, program_kind)
-    walked = _level_walk(protocol, args, key, draws, np.random.default_rng(seed + 1), shots)
+        protocol, args, draws = _level_protocol(kind, rng, d, n, program_kind)
+    walked = _level_walk(protocol, args, draws, np.random.default_rng(seed + 1), shots)
     outcomes, probs, values = walked
     for shot, pattern in enumerate(outcomes.tolist()):
         got, prob, value = _followed(protocol, args, pattern)
@@ -798,7 +797,7 @@ def test_level_walk_matches_one_path_per_shot(seed, kind, d, n, program_kind, sh
     budget = dist.ROW_BUDGET
     try:
         dist.ROW_BUDGET = 1
-        alone = _level_walk(protocol, args, key, draws, np.random.default_rng(seed + 1), shots)
+        alone = _level_walk(protocol, args, draws, np.random.default_rng(seed + 1), shots)
     finally:
         dist.ROW_BUDGET = budget
     for got, want in zip(alone, walked):

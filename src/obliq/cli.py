@@ -951,16 +951,11 @@ def main(argv=None) -> int:
         out = run_scenario(args.file, overrides)
         print(f"wrote {out}/records.jsonl, {out}/summary.csv, {out}/resolved-scenario")
         return 0
-    except ObliqError as exc:
-        for klass, code in _EXIT_CODES:
-            if isinstance(exc, klass):
-                print(f"error: {exc}", file=sys.stderr)
-                return code
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 6
-    except Exception as exc:  # I/O failures and unexpected faults
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 6
+    except Exception as exc:  # input errors by `_EXIT_CODES`; anything else, I/O included, exits 6
+        code = next((code for klass, code in _EXIT_CODES if isinstance(exc, klass)), 6)
+        kind = "runtime error" if code == 6 else "error"
+        print(f"{kind}: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

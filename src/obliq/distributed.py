@@ -21,7 +21,8 @@ runs the same step on the same registers, so one `ProtocolEngine` holds
 them all as rows of a (B, D, D) stack and each engine operation acts on
 every row at once. A measurement gives a (B, outcomes) table, a fork is a
 row selection, a correction is applied to the rows that took its outcome,
-and the descent rule assigns every shot of a level its outcome at once.
+and every shot of a level takes its outcome at once, from its own row of
+fresh uniforms (scripts) or of given patterns (every runner).
 The layout, owners, ebits and ledger are the engine's, shared by its rows;
 outcome-dependent work that would make them differ is refused. A step whose
 stack would outgrow `ROW_BUDGET` complex entries runs on chunks of rows, so
@@ -34,12 +35,18 @@ measurement). `_announced` is the one announced binary measurement
 (measure, broadcast, count an OQT link, consume an ebit), shared by the
 runners and the CLI's script ops.
 
-dbqc and ping-pong take unital programs only (`oblivious.check_unital`)
-and sample by the paper's parity law instead of walking: after ISI bit b
-and s odd parities the branch state is alpha_s I + c_s rho(b, 0), with
-c_s = (-1)^s / (d^2-1)^s, and rho(1, 0) = (I - rho(0, 0)) / (d - 1). So
-`_unital_shots` simulates the all-trivial path alone and forms every other
-branch's readout probability from it.
+The runners walk a few patterns and then draw their shots from a law. An
+oblivious primitive's outcomes say nothing of the program, so their laws
+are fixed: an ISI bit is 0 with probability 1/d, an OQT parity with 1/d^2,
+and `_law_patterns` draws such bits on one uniform per shot. Tri-party
+scheme I walks its 16 patterns once and draws from that law; scheme II
+walks its 16 equally likely paths. dbqc and ping-pong take unital programs
+only (`oblivious.check_unital`) and read their readout probabilities off
+the paper's parity law: after ISI bit b and s odd parities the branch
+state is alpha_s I + c_s rho(b, 0), with c_s = (-1)^s / (d^2-1)^s, and
+rho(1, 0) = (I - rho(0, 0)) / (d - 1). So `_unital_shots` simulates the
+all-trivial path alone and forms every other branch's readout probability
+from it.
 """
 from __future__ import annotations
 
@@ -523,17 +530,10 @@ def _walk(root, steps, finish, uniforms=None, patterns=None, tol=None):
     live branch of its depth, one row each, and its table gives every row's
     outcome row; with ``tol``, a row further than ``tol`` from summing to 1
     raises BranchError. The next level is branch(rows, ks) of the (row,
-    outcome) pairs some shot takes, in that order. The descent rule runs
-    once per level: a shot on row r takes outcome k when e[k] <= u < e[k+1]
-    for e = lo + mass cdf (the CDF of r's row as ``rng.choice`` forms it),
-    ties going right, and [lo, lo + mass) narrows to the outcome's interval.
-    ``uniforms`` of shape (shots,) carry one uniform per shot down the whole
-    path from [0, 1), so a shot takes the leaf ``rng.choice(leaves,
-    size=shots, p=path probabilities)`` takes with the same
-    ``rng.random(shots)``, up to rounding at an edge; an interval's shots
-    are a run of the sorted uniforms, cut at its edges, so a level costs its
-    intervals, not its shots. Shape (shots, draws) gives each draw a fresh
-    uniform at lo = 0, mass = 1: exactly ``rng.choice(k, p=row)``, as a
+    outcome) pairs some shot takes, in that order. ``uniforms`` (a row per
+    shot, a column per draw) give each draw a fresh uniform u, and a shot
+    on row r takes outcome k when cdf[k-1] <= u < cdf[k] for the CDF of r's
+    row as ``rng.choice`` forms it: exactly ``rng.choice(k, p=row)``, as a
     script draws. ``patterns`` (a row per shot) give the outcomes; one that
     is not a measurement's is refused before the state changes.
 
@@ -542,67 +542,39 @@ def _walk(root, steps, finish, uniforms=None, patterns=None, tol=None):
     first.
     """
     shots = len(uniforms if patterns is None else patterns)
-    carried = patterns is None and uniforms.ndim == 1
-    order = np.argsort(uniforms) if carried else None
-    ordered = uniforms[order] if carried else None
     outcomes = np.zeros((shots, len(steps)), dtype=np.int16)
     probs, values, width = np.empty(shots), np.zeros(shots), 0
-    # A chunk's shots come in parts: one per interval of the sorted uniforms
-    # when they are carried, else one per shot. The columns: row, lo, mass,
-    # path probability, first and end position in ``order`` and the outcomes
-    # so far; a part of one shot is the shot's index, and its outcomes go
-    # straight to ``outcomes``.
-    if carried:
-        root_parts = (np.zeros(1, dtype=np.intp), np.zeros(1), np.ones(1), np.ones(1),
-                      np.zeros(1, dtype=np.intp), np.full(1, shots), np.zeros((1, len(steps)), np.int16))
-    else:
-        root_parts = (np.zeros(shots, dtype=np.intp), None, None, np.ones(shots), np.arange(shots),
-                      None, None)
 
-    def descend(table: np.ndarray, draw: int, parts: tuple) -> tuple:
-        """The parts after the draw-th measurement: each outcome's share of
-        each part, with the pair (row, outcome) it took in place of its row."""
+    def descend(table: np.ndarray, draw: int, row, prob, shot) -> tuple:
+        """The (row, outcome) code each shot of a chunk takes at the draw-th
+        measurement, and its path probability after it; a chunk is the
+        columns row, path probability and shot index of its shots."""
         total = table.sum(axis=1)
         if tol is not None:
             off = ~(np.abs(total - 1.0) <= tol)
             if off.any():
                 raise BranchError(f"branch outcome probabilities sum to {total[off][0]:.12g}, not 1")
         n = table.shape[1]
-        cdf = np.cumsum(table / total[:, None], axis=1)
-        cdf /= cdf[:, -1:]
-        edges = np.concatenate((np.zeros((len(cdf), 1)), cdf), axis=1)
-        row, lo, mass, prob, first, end, seen = parts
-        if carried:
-            cuts = lo[:, None] + mass[:, None] * edges[row]
-            at = np.searchsorted(ordered, cuts[:, 1:-1])
-            bounds = np.concatenate(
-                (first[:, None], np.clip(at, first[:, None], end[:, None]), end[:, None]), axis=1
-            )
-            src, ks = np.nonzero(np.diff(bounds, axis=1))
-            lo, high = cuts[src, ks], cuts[src, ks + 1]
-            first, end, mass = bounds[src, ks], bounds[src, ks + 1], high - lo
-            row, prob, seen = row[src], prob[src], seen[src]
-            seen[:, draw] = ks
-        elif patterns is not None:  # a part per shot, which the chunk owns
-            ks = np.take(patterns[:, draw], first)
+        if patterns is not None:
+            ks = np.take(patterns[:, draw], shot)
             if ks.min() < 0 or ks.max() >= n:
                 bad = ks[(ks < 0) | (ks >= n)][0]
                 raise BranchError(f"forced outcome {bad} is not one of 0..{n - 1}")
-            outcomes[first, draw] = ks
-        else:  # a fresh uniform: lo = 0 and mass = 1
-            u = np.take(uniforms[:, draw], first)
+        else:
+            cdf = np.cumsum(table / total[:, None], axis=1)
+            cdf /= cdf[:, -1:]
+            u = np.take(uniforms[:, draw], shot)
             ks = np.zeros(len(u), dtype=np.intp)
-            for j in range(1, n):
-                ks += u >= np.take(edges[:, j], row)
-            outcomes[first, draw] = ks
+            for j in range(n - 1):
+                ks += u >= np.take(cdf[:, j], row)
+        outcomes[shot, draw] = ks
         codes = row * n + ks
-        prob *= np.take(table, codes)
-        return codes, lo, mass, prob, first, end, seen
+        return codes, prob * np.take(table, codes)
 
-    # Chunks to walk, depth first: (level, depth, draws so far, parts).
-    stack = [(root, 0, 0, root_parts)]
+    # Chunks to walk, depth first: (level, depth, draws so far, chunk).
+    stack = [(root, 0, 0, (np.zeros(shots, dtype=np.intp), np.ones(shots), np.arange(shots)))]
     while stack:
-        level, start, draws, parts = stack.pop()
+        level, start, draws, chunk = stack.pop()
         work = level.fork()
         try:
             for depth in range(start, len(steps)):
@@ -611,13 +583,7 @@ def _walk(root, steps, finish, uniforms=None, patterns=None, tol=None):
                     break
             else:
                 found = finish(work)
-                row, _, _, prob, shot, end, seen = parts
-                if carried:  # each part's run of shots
-                    sizes = end - shot
-                    at = np.repeat(shot - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
-                    row, prob, seen, shot = (*(np.repeat(c, sizes, axis=0) for c in (row, prob, seen)),
-                                             order[at])
-                    outcomes[shot] = seen
+                row, prob, shot = chunk
                 probs[shot] = prob
                 if found is not None:
                     values[shot] = np.asarray(found)[row]
@@ -626,23 +592,24 @@ def _walk(root, steps, finish, uniforms=None, patterns=None, tol=None):
         except _Split as split:
             for a in reversed(range(0, len(level), split.rows)):
                 rows = np.arange(a, min(a + split.rows, len(level)))
-                mine = (parts[0] >= a) & (parts[0] < a + split.rows)
-                mine = tuple(None if col is None else col[mine] for col in parts)
-                stack.append((level.select(rows), start, draws, (mine[0] - a, *mine[1:])))
+                mine = (chunk[0] >= a) & (chunk[0] < a + split.rows)
+                row, prob, shot = (col[mine] for col in chunk)
+                stack.append((level.select(rows), start, draws, (row - a, prob, shot)))
             continue
         table, branch = measurement
-        codes, *rest = descend(table, draws, parts)
+        codes, prob = descend(table, draws, *chunk)
         n = table.shape[1]
         taken = np.bincount(codes, minlength=len(table) * n) > 0
         pairs = np.flatnonzero(taken)
         child = branch(pairs // n, pairs % n)
-        stack.append((child, depth + 1, draws + 1, ((np.cumsum(taken) - 1)[codes], *rest)))
+        stack.append((child, depth + 1, draws + 1, ((np.cumsum(taken) - 1)[codes], prob, chunk[2])))
     return outcomes[:, :width], probs, values
 
 
-def _sample(engine: ProtocolEngine, steps, finish, **draws):
-    """`_walk` a protocol with each row within 1e-9 / len(steps) of 1 (a full expansion within
-    1e-9): each shot's outcomes, path probability and finish value, and the leaves' ledger."""
+def _sample(engine: ProtocolEngine, steps, finish, patterns):
+    """`_walk` the outcome ``patterns`` of a protocol with each row within 1e-9 / len(steps) of 1
+    (a full expansion within 1e-9): each pattern's path probability and finish value, and the
+    leaves' ledger."""
     ledgers = []
 
     def leaf(eng: ProtocolEngine):
@@ -652,8 +619,25 @@ def _sample(engine: ProtocolEngine, steps, finish, **draws):
         ledgers.append(eng.ledger)
         return values
 
-    out, probs, values = _walk(engine, steps, leaf, tol=1e-9 / len(steps), **draws)
-    return out, probs, values, ledgers[0]
+    _, probs, values = _walk(engine, steps, leaf, patterns=patterns, tol=1e-9 / len(steps))
+    return probs, values, ledgers[0]
+
+
+def _law_patterns(edges, u: np.ndarray) -> np.ndarray:
+    """Each shot's outcomes of binary steps with a fixed law, step t giving 0
+    with probability ``edges[t]`` whatever came before: one uniform per shot
+    carried down the path, so a shot takes the leaf that ``rng.choice(leaves,
+    p=product law)`` takes on the same ``u``, up to rounding at an edge. At
+    each step [lo, lo + mass) splits at cut = lo + mass e; the shot takes 1
+    when u >= cut and keeps its part."""
+    lo, mass = np.zeros(len(u)), np.ones(len(u))
+    patterns = np.empty((len(u), len(edges)), dtype=np.int16)
+    for t, e in enumerate(edges):
+        cut = lo + mass * e
+        k = u >= cut
+        patterns[:, t] = k
+        lo, mass = np.where(k, cut, lo), np.where(k, (lo + mass) - cut, cut - lo)
+    return patterns
 
 
 def _parity_law(q0: float, d: int, patterns: np.ndarray, isi: bool) -> np.ndarray:
@@ -674,18 +658,12 @@ def _unital_shots(protocol, d: int, isi: bool, shots: int, rng: np.random.Genera
     Only the all-trivial path is simulated, by `_sample`, which keeps its
     row and ebit checks; every other q comes from `_parity_law`. An ISI
     bit is 0 with probability 1/d and a parity 0 with 1/d^2 for any input,
-    so the bits take the walk's carried-uniform rule with those edges on
-    one ``rng.random(shots)``."""
+    so `_law_patterns` draws the bits with those edges on one
+    ``rng.random(shots)``."""
     engine, steps, finish = protocol
-    trivial = np.zeros((1, len(steps)), dtype=np.intp)
-    _, _, (q0,), ledger = _sample(engine, steps, finish, patterns=trivial)
-    u, lo, mass = rng.random(shots), np.zeros(shots), np.ones(shots)
-    patterns = np.empty((shots, len(steps)), dtype=np.int16)
-    for t in range(len(steps)):
-        cut = lo + mass * (1.0 / d if isi and t == 0 else 1.0 / (d * d))
-        k = u >= cut
-        patterns[:, t] = k
-        lo, mass = np.where(k, cut, lo), np.where(k, (lo + mass) - cut, cut - lo)
+    _, (q0,), ledger = _sample(engine, steps, finish, np.zeros((1, len(steps)), dtype=np.intp))
+    edges = [1.0 / d if isi and t == 0 else 1.0 / (d * d) for t in range(len(steps))]
+    patterns = _law_patterns(edges, rng.random(shots))
     return patterns, _parity_law(float(q0), d, patterns, isi), ledger
 
 
@@ -1038,9 +1016,18 @@ def _triparty_scheme1_protocol(a: Party, b: Party, c: Party):
 
 def _run_triparty_scheme1(a: Party, b: Party, c: Party, shots: int, rng: np.random.Generator):
     da, db = a.states[0].dim, b.states[0].dim
-    protocol = _triparty_scheme1_protocol(a, b, c)
-    patterns, _, qvals, ledger = _sample(*protocol, uniforms=rng.random(shots))
-    y = (rng.random(shots) >= qvals).astype(np.int8)
+    # The bits' law is fixed whatever the programs: an ISI bit is 0 with
+    # probability 1/d (a Choi state's in-port marginal is I/d), a parity bit
+    # with 1/d^2 (C's in-ports are halves of a Choi state). So the 16
+    # patterns are walked once, checked against the law, and drawn from it.
+    edges = np.array([1.0 / da, 1.0 / db, 1.0 / (da * da), 1.0 / (db * db)])
+    leaves = np.array(list(itertools.product((0, 1), repeat=4)))
+    probs, qvals, ledger = _sample(*_triparty_scheme1_protocol(a, b, c), leaves)
+    law = np.where(leaves == 0, edges, 1.0 - edges).prod(axis=1)
+    if np.abs(probs - law).max() > 1e-9:
+        raise BranchError("scheme I path probabilities are off the law of its bits")
+    patterns = _law_patterns(edges, rng.random(shots))
+    y = (rng.random(shots) >= qvals[patterns @ (8, 4, 2, 1)]).astype(np.int8)
     ba, bb, i, j = patterns.T
     k = np.maximum(i, j)
 
@@ -1103,7 +1090,7 @@ def _run_triparty_scheme2(a: Party, b: Party, c: Party, shots: int, rng: np.rand
     # Every (m1, m2, teleport) path, each walked once, has the same
     # probability, so shots draw their pattern uniformly.
     patterns = np.array(list(itertools.product((0, 1), (0, 1), range(4))))
-    _, probs, qvals, ledger = _sample(*protocol, patterns=patterns)
+    probs, qvals, ledger = _sample(*protocol, patterns)
     if np.abs(probs - 1.0 / len(probs)).max() > 1e-9:
         raise BranchError("scheme II path probabilities are not uniform")
     if np.ptp(qvals) > 1e-10:

@@ -116,6 +116,18 @@ def test_exit_code_capacity_error(tmp_path):
     assert main(["validate", path]) == 5
 
 
+def test_an_error_without_a_message_names_its_type(tmp_path, monkeypatch, capsys):
+    from obliq import cli
+
+    def out_of_memory(*args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "run_scenario", out_of_memory)
+    path = _write(tmp_path, "dbqc.json", _minimal_dbqc())
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 6
+    assert capsys.readouterr().err == "runtime error: MemoryError\n"
+
+
 def _minimal_pingpong(programs):
     return {
         "version": 1,

@@ -15,7 +15,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from obliq.channels import KrausChannel, choi_of
 from obliq.cli import main
+from obliq.distributed import Party, run_triparty
+from obliq.qmath import RegisterLayout
+from obliq.states import PureState
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -254,3 +258,52 @@ def test_near_unitary_digests(kind, scenario, tmp_path):
     path.write_text(json.dumps(scenario()))
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
     assert _artifact_digests(tmp_path / "out") == NEAR_UNITARY[kind]
+
+
+def _qutrit_damping():
+    """Amplitude damping of levels 1 and 2 into 0 at rate 16/25."""
+    k0 = np.diag([1.0, 0.6, 0.6])
+    k1, k2 = np.zeros((3, 3)), np.zeros((3, 3))
+    k1[0, 1] = k2[0, 2] = 0.8
+    return KrausChannel((k0, k1, k2))
+
+
+def _scheme1_parties(damped: bool):
+    """Scheme I with a qutrit at A and a qubit at B: rotations drawn with
+    integer draws only, and amplitude damping at A when ``damped``."""
+    rng = np.random.default_rng(20261022)
+
+    def pure(vec):
+        return PureState(RegisterLayout.of(("s", len(vec))), vec)
+
+    ua, ub = _rotations(rng, 3), _rotations(rng, 2)
+    uc = _rotations(rng, 6) @ _rotations(rng, 6)
+    a = Party("a", programs=[choi_of(_qutrit_damping() if damped else ua)], states=[pure(ua[1].conj())])
+    b = Party("b", programs=[choi_of(ub)], states=[pure(ub[0].conj())])
+    psi_o = uc @ np.kron(ua[:, 1], _rotations(rng, 2)[:, 0])
+    c = Party("c", programs=[choi_of(uc)], states=[pure(psi_o)])
+    return a, b, c
+
+
+# sha256 of `_scheme1_digest` for 4,000 shots of `_scheme1_parties`, keyed
+# by ``damped``: edges 1/3 and 1/9 are not exact in binary.
+SCHEME1_QUTRIT = {
+    False: "2af1dc07a31a696a32a37730ed73e1b95e755b73effdc3a8a36a9ea2db251aab",
+    True: "0948362ca355c43936176a323f970e3b93f0f79947d7ae7d00464a5febe2da12",
+}
+
+
+def _scheme1_digest(res, rng) -> str:
+    h = hashlib.sha256()
+    for name in sorted(res.bits):
+        h.update(name.encode() + np.asarray(res.bits[name], dtype=np.int8).tobytes())
+    h.update(np.array([res.estimate, res.stderr, res.kept], dtype=float).tobytes())
+    h.update(json.dumps(rng.bit_generator.state, sort_keys=True).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("damped", [False, True])
+def test_scheme1_qutrit_digests(damped):
+    rng = np.random.default_rng(22)
+    res = run_triparty("I", *_scheme1_parties(damped), 4000, rng)
+    assert _scheme1_digest(res, rng) == SCHEME1_QUTRIT[damped]

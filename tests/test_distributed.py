@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from obliq import distributed as dist
 from obliq.channels import amplitude_damping_channel, choi_of
 from obliq.distributed import (
     KnitCircuit,
@@ -18,6 +19,7 @@ from obliq.distributed import (
     teleport_state,
 )
 from obliq.errors import (
+    BranchError,
     CapacityError,
     DimensionError,
     DuplicateLabelError,
@@ -436,6 +438,22 @@ def test_triparty_scheme1_ledger():
     assert led.oqt_ops == 2
     assert led.qt_corrections == 0
     assert led.depth == 1
+
+
+@pytest.mark.parametrize("skew, refused", [(5e-10, False), (2e-9, True)])
+def test_triparty_scheme1_refuses_paths_off_the_law(monkeypatch, skew, refused):
+    real = dist._sample
+
+    def skewed(*args):
+        probs, qvals, ledger = real(*args)
+        return probs + skew * (np.arange(len(probs)) == 5), qvals, ledger
+
+    monkeypatch.setattr(dist, "_sample", skewed)
+    if refused:
+        with pytest.raises(BranchError, match="off the law"):
+            run_triparty("I", *_cnot_task(), 10, np.random.default_rng(0))
+    else:
+        assert run_triparty("I", *_cnot_task(), 10, np.random.default_rng(0)).shots == 10
 
 
 def test_triparty_scheme2_estimate_and_ledger():

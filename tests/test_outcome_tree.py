@@ -12,6 +12,9 @@ dbqc and ping-pong simulate only their all-trivial path and take every
 other pattern's readout probability from the parity law
 (`distributed._parity_law`); the law is checked against the dense tree
 over every pattern, and their drawn shots against expanding that tree.
+Scheme I walks its 16 patterns; its shots, drawn from the fixed law of its
+bits (`distributed._law_patterns`), are checked against expanding the tree
+too.
 """
 
 import itertools
@@ -506,17 +509,26 @@ def test_drawn_walk_matches_expanding_every_pattern(seed, kind, d, n, program_ki
             assert g.dtype.kind == w.dtype.kind and np.array_equal(g, w, equal_nan=True)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
-    # The drawn walk takes each shot's path probability and value from the
-    # same engines as the full expansion.
-    patterns = np.array(_every_pattern(protocol, args))
-    _, probs, qvals, ledger = _walk_all(protocol(*args), patterns)
-    uniforms = np.random.default_rng(seed + 2).random(shots)
-    idx = np.random.default_rng(seed + 2).choice(len(probs), size=shots, p=probs / probs.sum())
-    drawn = dist._sample(*protocol(*args), uniforms=uniforms)
-    assert drawn[0].tolist() == patterns[idx].tolist()
-    assert drawn[1].tolist() == probs[idx].tolist()
-    assert drawn[2].tolist() == qvals[idx].tolist()
-    assert drawn[3] == ledger
+
+@TREE
+@given(
+    seed=SEEDS,
+    dims=st.lists(st.integers(2, 7), min_size=1, max_size=6),
+    squared=st.booleans(),
+    shots=st.integers(1, 500),
+)
+def test_law_patterns_pick_the_leaf_rng_choice_picks(seed, dims, squared, shots):
+    """A fixed-law draw of binary steps (edges 1/d or 1/d^2, as the ISI and
+    parity bits have) takes, on the same uniforms, the leaf that
+    ``rng.choice`` over the product law takes."""
+    edges = [1.0 / (d * d if squared else d) for d in dims]
+    leaves = np.array(list(itertools.product((0, 1), repeat=len(edges))))
+    law = np.where(leaves == 0, edges, 1.0 - np.array(edges)).prod(axis=1)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    drawn = dist._law_patterns(edges, rng.random(shots))
+    idx = ref_rng.choice(len(leaves), size=shots, p=law)
+    assert drawn.tolist() == leaves[idx].tolist()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_a_walk_keeps_each_step_within_the_row_budget(monkeypatch):
@@ -689,16 +701,16 @@ def test_script_tree_matches_one_run_per_shot(seed, d, blocks, final, shots):
 
 def _level_protocol(kind, rng, d, n, program_kind):
     """A random protocol validation would accept: (protocol function, its
-    arguments, draws) where draws are the keyword for the shots (carried
-    uniforms, fresh uniforms or patterns)."""
+    arguments, draws) where draws says how the shots are given (fresh
+    uniforms or patterns)."""
     off = 2e-11  # within gates.UNITARY_TOL
     if kind == "dbqc":
         alice, bob = _dbqc_parties(rng, d, 1 + n % 2, 1 + n // 2, program_kind, off)
-        return dist._dbqc_protocol, (alice, bob), "carried"
+        return dist._dbqc_protocol, (alice, bob), "fresh"
     if kind == "pingpong":
         programs = [_program_of_kind(rng, d, program_kind, off) for _ in range(n)]
         args = (programs, _pure(random_statevector(d, rng)), random_statevector(d, rng))
-        return dist._pingpong_readout_protocol, args, "carried"
+        return dist._pingpong_readout_protocol, args, "fresh"
     d = min(d, 3)  # a 3-party run at d = 7 is over the joint dimension cap
     if kind == "triparty-I":
         parties = tuple(
@@ -706,7 +718,7 @@ def _level_protocol(kind, rng, d, n, program_kind):
                   states=[_pure(random_statevector(dim, rng))])
             for name, dim in (("a", d), ("b", 2), ("c", 2 * d))
         )
-        return dist._triparty_scheme1_protocol, parties, "carried"
+        return dist._triparty_scheme1_protocol, parties, "fresh"
     a, b = (
         Party(name, programs=[choi_of(random_unitary(dim, rng))], states=[_pure(random_statevector(dim, rng))])
         for name, dim in (("a", 2), ("b", d))
@@ -756,11 +768,9 @@ def _level_walk(protocol, args, draws, rng, shots):
     engine, steps, finish = protocol(*args)
     if draws == "patterns":
         kw = {"patterns": np.array(list(itertools.product((0, 1), (0, 1), range(4))))}
-    elif draws == "fresh":
+    else:
         width = sum(1 for _ in dist._follow(*protocol(*args)[:2], np.random.default_rng(0), None))
         kw = {"uniforms": rng.random((shots, width))}
-    else:
-        kw = {"uniforms": rng.random(shots)}
     return dist._walk(engine, steps, finish, **kw)
 
 

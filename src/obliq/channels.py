@@ -20,6 +20,7 @@ from .qmath import (
     as_complex,
     dagger,
     is_unitary,
+    layout_of,
     partial_trace,
     tensor_product,
 )
@@ -82,6 +83,7 @@ class ChoiProgram:
     state: PureState | MixedState
     out_dim: int = field(init=False)
     in_dim: int = field(init=False)
+    _density: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         layout = self.state.layout
@@ -89,22 +91,37 @@ class ChoiProgram:
             raise DimensionError(f"program layout must be (out, in), got {layout.labels}")
         object.__setattr__(self, "out_dim", layout.dim(OUT))
         object.__setattr__(self, "in_dim", layout.dim(IN))
-        marg = partial_trace(self.density(), [IN], layout)
-        if np.abs(marg - np.eye(self.in_dim) / self.in_dim).max() > 1e-8:
+        if np.abs(self.marginal(IN) - np.eye(self.in_dim) / self.in_dim).max() > 1e-8:
             raise StateValidationError("program in-port marginal is not I/d")
 
     @property
     def is_pure(self) -> bool:
         return isinstance(self.state, PureState)
 
+    def marginal(self, port: str) -> np.ndarray:
+        """The reduced state on ``port`` (OUT or IN). A pure program's
+        amplitudes form a d_out x d_in matrix A, and its marginals are
+        A A^dag and A^T A*, formed without the density matrix; a mixed
+        program's is a partial trace."""
+        if not self.is_pure:
+            return partial_trace(self.state.matrix, [port], self.state.layout)
+        a = self.state.amplitudes.reshape(self.out_dim, self.in_dim)
+        return a @ a.conj().T if port == OUT else a.T @ a.conj()
+
     def density(self) -> np.ndarray:
-        """The program's density matrix. Both kinds of state were validated
-        when built, so no `MixedState` is made (and checked) again."""
-        return self.state.density() if self.is_pure else self.state.matrix
+        """The program's density matrix, a pure program's formed once and
+        read-only. Both kinds of state were validated when built, so no
+        `MixedState` is made (and checked) again."""
+        if not self.is_pure:
+            return self.state.matrix
+        if self._density is None:
+            object.__setattr__(self, "_density", self.state.density())
+            self._density.flags.writeable = False
+        return self._density
 
 
 def program_layout(out_dim: int, in_dim: int) -> RegisterLayout:
-    return RegisterLayout.of((OUT, out_dim), (IN, in_dim))
+    return layout_of(((OUT, out_dim), (IN, in_dim)))
 
 
 def choi_of(op: np.ndarray | KrausChannel) -> ChoiProgram:
@@ -121,10 +138,10 @@ def choi_of(op: np.ndarray | KrausChannel) -> ChoiProgram:
     u = as_complex(op)
     if not is_unitary(u, 1e-8):
         raise StateValidationError("matrix program must be unitary")
+    # (U ox 1)|omega> holds U[a, b] times omega's amplitude 1/sqrt(d) at
+    # |a, b>: the products `kron(U, I) @ omega` forms, without its zeros.
     d = u.shape[0]
-    omega = bell_state(d).amplitudes
-    amps = tensor_product(u, np.eye(d)) @ omega
-    return ChoiProgram(PureState(program_layout(d, d), amps))
+    return ChoiProgram(PureState(program_layout(d, d), u.reshape(-1) * (1.0 / np.sqrt(d))))
 
 
 def unitary_of_choi(program: ChoiProgram) -> np.ndarray:

@@ -69,6 +69,7 @@ from .distributed import (
     _binary,
     _cat_entangler,
     _follow,
+    _parity_basis,
     _teleport,
     _walk,
     controlled_block,
@@ -95,7 +96,6 @@ from .gates import (
     matrix_from_json,
     real_from_literal,
 )
-from .oblivious import bell_projector
 from .qmath import MAX_STATE_DIM, RegisterLayout, is_hermitian, projector
 from .states import PureState
 from .superchannel import oqt_compose_choi
@@ -299,7 +299,7 @@ def _parse_step(n: int, step: dict, parties: list, resources: dict):
         who, labs, rec = party(), labels(), record("parity")
 
         def link(eng):
-            bell = _binary(bell_projector(eng.layout.dim(labs[0])))
+            bell = _parity_basis(eng.layout.dim(labs[0]))
             ebit = None if rid is None else _ebit(eng, rid, known)
             return _announced(eng, who, bell, labs, oqt=True, ebit=ebit)
 
@@ -569,6 +569,22 @@ def _capacity_violations(sc: dict) -> list[str]:
         bits = len(sc["programs"])
         if bits > MAX_BRANCH_BITS:
             return [f"pingpong has {bits} programs, over the cap {MAX_BRANCH_BITS}"]
+    # A run's widest joint dimension. A dbqc or pingpong link holds a
+    # register beside a program (d^3). Scheme I holds C's program
+    # (d_a d_b)^2 beside A's (d_a^2), then B's (d_b^2) beside A's out port;
+    # scheme II's widest is its nonlocal program's state. A composition
+    # holds both channels' programs. Knitting is capped above, a script by
+    # its dry run.
+    peak = 1
+    if kind in ("dbqc", "pingpong"):
+        peak = len(sc["input_state"]) ** 3
+    elif kind == "triparty":
+        da, db = len(sc["psi_a"]), len(sc["psi_b"])
+        peak = max(da**4 * db**2, da**3 * db**4) if sc["scheme"] == "I" else (da * db) ** 2
+    elif kind == "channel_composition":
+        peak = math.prod(c.in_dim * c.out_dim for c in sc["channels"])
+    if peak > MAX_STATE_DIM:
+        return [f"joint dimension {peak} exceeds the cap {MAX_STATE_DIM}"]
     return []
 
 
@@ -804,20 +820,30 @@ def _row_keys(columns: dict, shots: int):
 def _values(col, idx: np.ndarray) -> list[str]:
     """The canonical JSON of `col` at each shot in `idx`. No encoded bool,
     int or float holds a comma or a bracket, so a numeric column is encoded
-    by one call and split by text; strings may, so each is encoded alone."""
+    by one call and split by text; strings may, so each is encoded alone.
+    A 2-D integer column (bit rows) encodes each of its distinct rows once."""
     if isinstance(col, dict):
         keys = sorted(col)
         prefixes = [_canonical_json(k) + ":" for k in keys]
         members = zip(*[_values(col[k], idx) for k in keys]) if keys else [()] * len(idx)
         return ["{" + ",".join(map(str.__add__, prefixes, m)) + "}" for m in members]
-    values = col[idx].tolist()
+    rows = col[idx]
     if col.dtype.kind not in "biuf":
-        return [_canonical_json(v) for v in values]
-    text = _canonical_json(values)
+        return [_canonical_json(v) for v in rows.tolist()]
     if col.ndim == 1:
-        return text[1:-1].split(",")
+        return _canonical_json(rows.tolist())[1:-1].split(",")
+    inverse = None
+    if col.dtype.kind in "biu" and rows.size:
+        # Each row's digits above the least entry, read in one radix, key it.
+        digits = rows.astype(np.int64) - rows.min()
+        radix = int(digits.max()) + 1
+        if radix ** rows.shape[1] < 1 << 62:
+            key = digits @ radix ** np.arange(rows.shape[1], dtype=np.int64)
+            _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+            rows = rows[first]
     # A width-0 column reads "[[],[]]": its pieces are empty, as they should be.
-    return [f"[{v}]" for v in text[2:-2].split("],[")]
+    texts = [f"[{v}]" for v in _canonical_json(rows.tolist())[2:-2].split("],[")]
+    return texts if inverse is None else [texts[i] for i in inverse.tolist()]
 
 
 def _write_records(path: Path, columns: dict, shots: int) -> None:

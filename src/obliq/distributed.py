@@ -15,6 +15,17 @@ and the measured labels leave the layout and the owner map. A forced
 outcome outside the measurement's outcomes is refused before the state
 changes.
 
+What the caller gives is checked once, where the engine takes it: a raw
+vector or matrix state (as `PureState` and `MixedState` check theirs), a
+projector or weight that must fit the measured registers, a forced
+outcome, a party and its registers. What the engine forms itself is never
+checked again: its stacked states, and what a measurement contracts them
+with. A `_Plan` (positions, trace plans, the layout after) is built once
+per (layout, labels), and a `_Basis` forms its projectors' columns and
+weights once, so at D <= 16 an operation is a few numpy calls. Only the
+outcome rows keep their sum checks, which no rounding of valid input
+reaches: 1e-8 per engine measurement, 1e-9 over a runner's path.
+
 Every protocol is defined once as a list of steps, and `_walk` is the one
 walk of their outcomes. It goes level by level: every branch of a depth
 runs the same step on the same registers, so one `ProtocolEngine` holds
@@ -45,15 +56,16 @@ only (`oblivious.check_unital`) and read their readout probabilities off
 the paper's parity law: after ISI bit b and s odd parities the branch
 state is alpha_s I + c_s rho(b, 0), with c_s = (-1)^s / (d^2-1)^s, and
 rho(1, 0) = (I - rho(0, 0)) / (d - 1). So `_unital_shots` simulates the
-all-trivial path alone and forms every other branch's readout probability
-from it.
+all-trivial path alone, following it as `_follow` does, and forms every
+other branch's readout probability from it.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,6 +93,7 @@ from .oblivious import (
 from .qmath import (
     MAX_STATE_DIM,
     RegisterLayout,
+    _trace_plan,
     apply_on_targets,
     as_complex,
     embed_operator,  # noqa: F401  (a module binding the layer probes in bench/ wrap)
@@ -90,6 +103,7 @@ from .qmath import (
     layout_of,
     partial_trace,
     projector,
+    traced_rows,
 )
 from .states import MixedState, PureState, bell_state
 
@@ -125,13 +139,13 @@ class ResourceLedger:
     depth: int = 0
 
     def validate(self) -> None:
-        counters = asdict(self)
+        counters = self.as_dict()
         overhead = counters.pop("knit_overhead")
         if any(c < 0 for c in counters.values()) or overhead < 1.0:
             raise ResourceError(f"invalid ledger {self}")
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))  # the fields, in order; all are numbers
 
 
 class ProtocolEngine:
@@ -198,15 +212,20 @@ class ProtocolEngine:
         twin._state = self._state
         twin._ebits = dict(self._ebits)
         twin._used = set(self._used)
-        twin.ledger = replace(self.ledger)
+        twin.ledger = ResourceLedger(**vars(self.ledger))
         return twin
 
-    def select(self, rows) -> ProtocolEngine:
-        """An independent copy holding the rows ``rows`` (increasing indices).
-        A run of rows shares the state array, as `fork` does."""
-        twin = self.fork()
+    def _rows(self, rows) -> np.ndarray:
+        """The states of the rows ``rows`` (increasing indices); a run of
+        rows is a view of the state array."""
         a, b = rows[0], rows[-1] + 1
-        twin._state = self._state[a:b] if b - a == len(rows) else self._state[rows]
+        return self._state[a:b] if b - a == len(rows) else self._state[rows]
+
+    def select(self, rows) -> ProtocolEngine:
+        """An independent copy holding the rows ``rows`` (increasing indices),
+        sharing the state array as `fork` does."""
+        twin = self.fork()
+        twin._state = self._rows(rows)
         return twin
 
     def _same_frame(self, other: ProtocolEngine) -> bool:
@@ -223,17 +242,17 @@ class ProtocolEngine:
     def reduced(self, labels) -> np.ndarray:
         return partial_trace(self._state, list(labels), self.layout)
 
-    def _probabilities(self, party: str, ops, labels) -> np.ndarray:
-        """tr(P rho_labels) for each row and each operator P on the registers
-        ``labels``: a (rows, len(ops)) table."""
+    def _probabilities(self, party: str, basis: _Basis, labels) -> np.ndarray:
+        """tr(P rho_labels) for each row and each projector P of ``basis`` on
+        the registers ``labels``: a (rows, outcomes) table."""
         self.check_owned(party, labels)
-        reduced = self.reduced(labels)
-        m = reduced.shape[-1]
-        if any(p.shape != (m, m) for p in ops):
+        plan = _plan(self._layout, tuple(labels))
+        m = plan.dim
+        if basis.dim != m:
             raise DimensionError(f"operator shapes do not match the registers {list(labels)}")
+        reduced = traced_rows(self._state, self._layout.dims, plan.reduce)
         # Column k is vec(P_k^T), so each row's entries are one vector-matrix product.
-        columns = np.stack([p.T for p in ops], axis=-1).reshape(m * m, len(ops))
-        return (reduced.reshape(len(reduced), 1, m * m) @ columns)[:, 0].real
+        return (reduced.reshape(len(reduced), 1, m * m) @ basis.columns)[:, 0].real
 
     def _touch(self) -> None:
         if self.ledger.depth == 0:
@@ -304,23 +323,20 @@ class ProtocolEngine:
     ) -> None:
         """Allocate a program state; in_labels is a label or (label, dim) list."""
         name = self._party(party)
-        if isinstance(in_labels, str):
-            in_regs = [(in_labels, program.in_dim)]
-        else:
-            in_regs = [(lab, dim) for lab, dim in in_labels]
-        if math.prod(d for _, d in in_regs) != program.in_dim:
-            raise DimensionError("in-port register dims do not factor the in dimension")
         regs = [(out_label, program.out_dim, name)]
-        regs += [(lab, dim, name) for lab, dim in in_regs]
+        if isinstance(in_labels, str):
+            regs.append((in_labels, program.in_dim, name))
+        else:
+            regs += [(lab, dim, name) for lab, dim in in_labels]
+            if math.prod(dim for _, dim, _ in regs[1:]) != program.in_dim:
+                raise DimensionError("in-port register dims do not factor the in dimension")
         self._append_block(regs, program.density())
 
     def distribute_ebit(
         self, party_a: str, party_b: str, label_a: str, label_b: str, d: int = 2
     ) -> int:
         na, nb = self._party(party_a), self._party(party_b)
-        pair = bell_state(d)
-        block = projector(pair.amplitudes)
-        self._append_block([(label_a, d, na), (label_b, d, nb)], block)
+        self._append_block([(label_a, d, na), (label_b, d, nb)], bell_projector(d))
         return self._register_ebit((label_a, label_b))
 
     def transport(self, label: str, to_party: str) -> int:
@@ -360,21 +376,21 @@ class ProtocolEngine:
         """Trace out the registers ``labels``. With ``weight``, an operator W
         on those registers in the order of ``labels``, the state becomes
         tr_labels((W ox 1) rho) instead."""
-        labels = list(labels)
-        if len(set(labels)) != len(labels):
-            raise DuplicateLabelError(f"repeated register in {labels}")
-        layout = self.layout
-        pos = [layout.index(lab) for lab in labels]
+        plan = _plan(self._layout, tuple(labels))
+        vec = None
         if weight is not None:
-            # partial_trace takes W in layout order: permute its tensor factors.
-            dims = [layout.dims[p] for p in pos]
-            order = np.argsort(pos).tolist()
-            axes = order + [len(pos) + k for k in order]
-            weight = as_complex(weight).reshape(dims + dims).transpose(axes).reshape(weight.shape)
-        keep = [lab for lab in layout.labels if lab not in set(labels)]
-        self._state = partial_trace(self._state, keep, layout, weight)
-        self._layout = layout.subset(keep)
-        for lab in labels:
+            weight = as_complex(weight)
+            if weight.shape != (plan.dim, plan.dim):
+                raise DimensionError(f"weight shape {weight.shape} does not match the registers {list(labels)}")
+            vec = _layout_weight(weight, plan)
+        self._state = traced_rows(self._state, self._layout.dims, plan.collapse, vec)
+        self._drop(plan)
+
+    def _drop(self, plan: _Plan) -> None:
+        """Take the registers a measurement consumed out of the layout and
+        the owner map."""
+        self._layout = plan.after
+        for lab in plan.labels:
             del self._owner[lab]
 
     # -- dynamics --
@@ -414,7 +430,7 @@ class ProtocolEngine:
 
     def probability(self, party: str, p0: np.ndarray, labels) -> np.ndarray:
         """Each row's branch-0 probability of {p0, 1-p0}, without collapsing."""
-        return np.clip(self._probabilities(party, [as_complex(p0)], labels)[:, 0], 0.0, 1.0)
+        return self._probabilities(party, _Basis([p0]), labels)[:, 0].clip(0.0, 1.0)
 
     def measure_projective(
         self,
@@ -425,47 +441,55 @@ class ProtocolEngine:
         forced: int | None = None,
     ) -> tuple[int, float]:
         """One outcome per projector; consumes ``labels`` as `measure_binary` does."""
-        return self._project(party, [as_complex(p) for p in projectors], labels, rng, forced)
+        return self._project(party, _Basis(projectors), labels, rng, forced)
 
-    def _project(self, party, projectors, labels, rng, forced) -> tuple[int, float]:
+    def _project(self, party, basis, labels, rng, forced) -> tuple[int, float]:
         """One path of a one-step protocol (`_follow`): the outcome, drawn
         with ``rng`` or taken from ``forced``, and its probability."""
-        measured = _measured(self, party, projectors, labels)
+        measured = _measured(self, party, basis, labels)
         (idx,) = _follow(self, [lambda eng: measured], rng, None if forced is None else [forced])
         return idx, float(measured[0][0, idx])
 
-    def _outcomes(self, party, projectors, labels) -> np.ndarray:
-        """Each row's probability of each projector on ``labels``, clipped at
-        0; raises unless every row sums to 1 within 1e-8, and never
-        renormalizes."""
-        probs = np.clip(self._probabilities(party, projectors, labels), 0.0, None)
+    def _outcomes(self, party, basis, labels) -> np.ndarray:
+        """Each row's probability of each projector of ``basis`` on
+        ``labels``, clipped at 0; raises unless every row sums to 1 within
+        1e-8, and never renormalizes."""
+        probs = np.maximum(self._probabilities(party, basis, labels), 0.0)
         total = probs.sum(axis=1)
         off = np.abs(total - 1.0) > 1e-8
         if off.any():
             raise StateValidationError(f"measurement probabilities sum to {total[off][0]}")
         return probs
 
-    def _branch(self, rows, ks, labels, projectors, table, after=None) -> ProtocolEngine:
-        """The rows ``rows`` collapsed on the outcomes ``ks`` (pairs sorted by
-        row, then outcome), as one engine in that order. Outcome k's
-        projector weights the trace of ``labels`` on the rows that took it,
-        which are divided by their probabilities in ``table``, and then
-        ``after(engine, k)`` does its follow-up work on them. That work may
-        not leave the outcomes with different registers, ebits or ledgers.
-        A single outcome taken by every row collapses this engine itself."""
-        twins = []
-        for k in sorted(set(ks.tolist())):
-            sel = rows[ks == k]
-            twin = self if len(sel) == len(ks) == len(self) else self.select(sel)
+    def _branch(self, rows, ks, plan, basis, table, after=None) -> ProtocolEngine:
+        """This engine's rows ``rows`` collapsed on the outcomes ``ks`` (pairs
+        sorted by row, then outcome), as one engine in that order. Outcome
+        k's projector weights the trace of the measured registers on the
+        rows that took it, which are divided by their probabilities in
+        ``table``. The layout and the owner map then change once, and
+        ``after(engine, k)`` does each outcome's follow-up work on its rows.
+        That work may not leave the outcomes with different registers, ebits
+        or ledgers. The engine is consumed: a single outcome collapses it
+        itself."""
+        weights = basis.weights(plan)
+        dims = self._layout.dims
+        taken = sorted(set(ks.tolist()))
+        states = []
+        for k in taken:
+            sel = rows if len(taken) == 1 else rows[ks == k]
             probs = table[sel, k]
             if probs.min() < 1e-14:
                 raise BranchError(f"measurement branch {k} has vanishing probability")
-            twin.discard(labels, projectors[k])
-            twin._state /= probs[:, None, None]
-            twin._touch()
+            state = traced_rows(self._rows(sel), dims, plan.collapse, weights[k])
+            state /= probs[:, None, None]
+            states.append(state)
+        self._drop(plan)
+        self._touch()
+        twins = [self] if len(taken) == 1 else [self.fork() for _ in taken]
+        for k, twin, state in zip(taken, twins, states):
+            twin._state = state
             if after is not None:
                 after(twin, k)
-            twins.append(twin)
         first = twins[0]
         if len(twins) > 1:
             if not all(first._same_frame(twin) for twin in twins[1:]):
@@ -479,10 +503,77 @@ class ProtocolEngine:
         return first
 
 
-def _binary(p0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The projectors (p0, 1 - p0) of a binary measurement."""
+class _Basis(tuple):
+    """A measurement's projectors, with what the engine contracts: the
+    columns vec(P_k^T) of its outcome tables, and per plan each projector
+    as its collapse's weight vec(W^T), W's factors in layout order. A
+    protocol builds its bases once (`_binary`, `_parity_basis`,
+    `_bell_basis`), so every run reuses what they formed."""
+
+    def __new__(cls, projectors):
+        basis = super().__new__(cls, [as_complex(p) for p in projectors])
+        m = basis[0].shape[0] if basis and basis[0].ndim == 2 else 0
+        fits = all(p.shape == (m, m) for p in basis)
+        basis.dim = m if fits else 0  # the dimension of the registers they fit; 0 for none
+        basis.columns = np.empty((basis.dim**2, len(basis)), dtype=complex)
+        for k, proj in enumerate(basis if fits else ()):
+            basis.columns[:, k] = proj.T.reshape(-1)
+        basis._weights = {}
+        return basis
+
+    def weights(self, plan: _Plan) -> tuple[np.ndarray, ...]:
+        key = (plan.dims, plan.axes)
+        if key not in self._weights:
+            self._weights[key] = tuple(_layout_weight(p, plan) for p in self)
+        return self._weights[key]
+
+
+def _layout_weight(weight: np.ndarray, plan: _Plan) -> np.ndarray:
+    """vec(W^T) of a weight on ``plan``'s registers in label order, with
+    its tensor factors permuted into layout order for the collapse."""
+    shape = plan.dims * 2
+    return weight.reshape(shape).transpose(plan.axes).reshape(weight.shape).T.reshape(-1)
+
+
+class _Plan(NamedTuple):
+    """How a measurement of ``labels`` reads and collapses a stack on one
+    layout, built once per (layout, labels) by `_plan`."""
+
+    labels: tuple
+    dims: tuple  # of the measured registers, in label order
+    dim: int
+    axes: tuple  # the transpose that puts an operator's factors in layout order
+    reduce: tuple  # the outcome table's trace plan, keeping ``labels``
+    collapse: tuple  # the collapse's trace plan, keeping the rest
+    after: RegisterLayout
+
+
+@functools.lru_cache(maxsize=4096)
+def _plan(layout: RegisterLayout, labels: tuple) -> _Plan:
+    """The `_Plan` of measuring ``labels`` on ``layout``; unknown or
+    repeated labels are refused."""
+    pos = tuple(layout.index(lab) for lab in labels)
+    if len(set(pos)) != len(pos):
+        raise DuplicateLabelError(f"repeated register in {list(labels)}")
+    keep = tuple(k for k in range(len(layout)) if k not in pos)
+    dims, order = tuple(layout.dims[p] for p in pos), np.argsort(pos).tolist()
+    axes = (*order, *(len(pos) + k for k in order))
+    after = layout_of(tuple(layout.regs[k] for k in keep))
+    return _Plan(labels, dims, math.prod(dims), axes, _trace_plan(layout.dims, pos),
+                 _trace_plan(layout.dims, keep), after)
+
+
+def _binary(p0: np.ndarray) -> _Basis:
+    """The basis (p0, 1 - p0) of a binary measurement."""
     p0 = as_complex(p0)
-    return p0, np.eye(p0.shape[0]) - p0
+    return _Basis((p0, np.eye(p0.shape[0]) - p0))
+
+
+@functools.lru_cache(maxsize=None)
+def _parity_basis(d: int) -> _Basis:
+    """An OQT link's binary Bell basis on a pair of d-dimensional registers,
+    built once per d."""
+    return _binary(bell_projector(d))
 
 
 # --- protocols as steps: the one walk ---
@@ -508,14 +599,15 @@ class _Split(Exception):
         self.rows = rows
 
 
-def _measured(eng: ProtocolEngine, party: str, projectors, labels, after=None):
-    """A step's measurement of ``labels``: the table of every row's
-    outcome probabilities, formed once, and branch(rows, ks) (see
+def _measured(eng: ProtocolEngine, party: str, basis: _Basis, labels, after=None):
+    """A step's measurement of ``labels`` in ``basis``: the table of every
+    row's outcome probabilities, formed once, and branch(rows, ks) (see
     `ProtocolEngine._branch`, with ``after`` its follow-up work)."""
-    table = eng._outcomes(party, projectors, labels)
+    table = eng._outcomes(party, basis, labels)
+    plan = _plan(eng.layout, tuple(labels))
 
     def branch(rows: np.ndarray, ks: np.ndarray) -> ProtocolEngine:
-        return eng._branch(rows, ks, labels, projectors, table, after)
+        return eng._branch(rows, ks, plan, basis, table, after)
 
     return table, branch
 
@@ -613,14 +705,18 @@ def _sample(engine: ProtocolEngine, steps, finish, patterns):
     ledgers = []
 
     def leaf(eng: ProtocolEngine):
-        if not eng.ebits_conserved():
-            raise ResourceError("ebit conservation violated")
-        values = finish(eng)
         ledgers.append(eng.ledger)
-        return values
+        return _finished(eng, finish)
 
     _, probs, values = _walk(engine, steps, leaf, patterns=patterns, tol=1e-9 / len(steps))
     return probs, values, ledgers[0]
+
+
+def _finished(eng: ProtocolEngine, finish):
+    """``finish`` read on a leaf, after its ebits are checked conserved."""
+    if not eng.ebits_conserved():
+        raise ResourceError("ebit conservation violated")
+    return finish(eng)
 
 
 def _law_patterns(edges, u: np.ndarray) -> np.ndarray:
@@ -655,22 +751,24 @@ def _unital_shots(protocol, d: int, isi: bool, shots: int, rng: np.random.Genera
     steps are an ISI bit (with ``isi``) and then one parity bit per link:
     each shot's outcomes and q, and the ledger.
 
-    Only the all-trivial path is simulated, by `_sample`, which keeps its
-    row and ebit checks; every other q comes from `_parity_law`. An ISI
-    bit is 0 with probability 1/d and a parity 0 with 1/d^2 for any input,
-    so `_law_patterns` draws the bits with those edges on one
+    Only the all-trivial path is simulated, by `_follow` with the row and
+    ebit checks of `_sample`; every other q comes from `_parity_law`. An
+    ISI bit is 0 with probability 1/d and a parity 0 with 1/d^2 for any
+    input, so `_law_patterns` draws the bits with those edges on one
     ``rng.random(shots)``."""
     engine, steps, finish = protocol
-    _, (q0,), ledger = _sample(engine, steps, finish, np.zeros((1, len(steps)), dtype=np.intp))
+    _follow(engine, steps, None, [0] * len(steps), tol=1e-9 / len(steps))
+    (q0,) = _finished(engine, finish)
     edges = [1.0 / d if isi and t == 0 else 1.0 / (d * d) for t in range(len(steps))]
     patterns = _law_patterns(edges, rng.random(shots))
-    return patterns, _parity_law(float(q0), d, patterns, isi), ledger
+    return patterns, _parity_law(float(q0), d, patterns, isi), engine.ledger
 
 
-def _follow(engine: ProtocolEngine, steps, rng, forced) -> list[int]:
+def _follow(engine: ProtocolEngine, steps, rng, forced, tol=None) -> list[int]:
     """The outcomes of one path of ``steps`` run on ``engine`` itself (one
     row), each drawn as ``rng.choice(k, p=row)`` (the engine's single-path
-    draw), or taken from ``forced``."""
+    draw), or taken from ``forced``. With ``tol``, a row further than
+    ``tol`` from summing to 1 raises BranchError, as in `_walk`."""
     if (rng is None) == (forced is None):
         raise EstimationError("pass exactly one of rng or forced")
     if len(engine) != 1:
@@ -681,6 +779,8 @@ def _follow(engine: ProtocolEngine, steps, rng, forced) -> list[int]:
         if measurement is None:
             continue
         (row,), branch = measurement
+        if tol is not None and not abs(row.sum() - 1.0) <= tol:
+            raise BranchError(f"branch outcome probabilities sum to {row.sum():.12g}, not 1")
         if forced is None:
             k = int(rng.choice(len(row), p=row / row.sum()))
         else:
@@ -706,15 +806,15 @@ def mean_stderr(values: np.ndarray) -> tuple[float, float]:
 
 
 @functools.lru_cache(maxsize=None)
-def _bell_basis(d: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """The d^2 Pauli operators sigma_i and the projectors onto
+def _bell_basis(d: int) -> tuple[tuple[np.ndarray, ...], _Basis]:
+    """The d^2 Pauli operators sigma_i and the basis of projectors onto
     (sigma_i x I)|omega>, built once per d; read-only."""
     sigmas = GeneralizedPauliBasis(d).operators
     omega = bell_state(d).amplitudes
     projs = [projector(np.kron(sig, np.eye(d)) @ omega) for sig in sigmas]
     for arr in sigmas + projs:
         arr.flags.writeable = False
-    return tuple(sigmas), tuple(projs)
+    return tuple(sigmas), _Basis(projs)
 
 
 def _ebit_ends(engine: ProtocolEngine, ebit: int, near_label: str) -> tuple[str, str]:
@@ -776,6 +876,9 @@ def teleport_state(
     return dest, idx
 
 
+_Z_BASIS, _X_BASIS = _binary(np.diag([1.0, 0.0])), _binary(np.full((2, 2), 0.5))
+
+
 def _cat_entangler(control_label: str, target_label: str, ebit: int, gate: np.ndarray):
     """The two steps of a controlled ``gate`` across two parties through one
     ebit: the Z measurement of the control side's ebit half, then the X
@@ -786,7 +889,6 @@ def _cat_entangler(control_label: str, target_label: str, ebit: int, gate: np.nd
             [np.zeros_like(gate), gate],
         ]
     ).astype(complex)
-    z_basis, x_basis = _binary(np.diag([1.0, 0.0])), _binary(np.full((2, 2), 0.5))
 
     def z_step(eng: ProtocolEngine):
         ea, eb = _ebit_ends(eng, ebit, control_label)
@@ -804,7 +906,7 @@ def _cat_entangler(control_label: str, target_label: str, ebit: int, gate: np.nd
             eng.ledger.qt_corrections += 1
             eng.force_layer()
 
-        return _measured(eng, pa, z_basis, [ea], correct)
+        return _measured(eng, pa, _Z_BASIS, [ea], correct)
 
     def x_step(eng: ProtocolEngine):
         # The Z measurement consumed the control side's half.
@@ -820,7 +922,7 @@ def _cat_entangler(control_label: str, target_label: str, ebit: int, gate: np.nd
             eng.force_layer()
             eng.consume_ebit(ebit)
 
-        return _measured(eng, pb, x_basis, [eb], correct)
+        return _measured(eng, pb, _X_BASIS, [eb], correct)
 
     return [z_step, x_step]
 
@@ -923,7 +1025,7 @@ def _dbqc_protocol(alice: Party, bob: Party):
     a, b = alice.name, bob.name
     psi_in: PureState = alice.states[0]
     d = psi_in.dim
-    bell = _binary(bell_projector(d))
+    bell = _parity_basis(d)
 
     def ebit_link(current: str):
         def step(eng: ProtocolEngine):
@@ -1003,7 +1105,7 @@ def _triparty_scheme1_protocol(a: Party, b: Party, c: Party):
     eng.alloc_program(c.name, c.programs[0], "c_out", [("c_in1", da), ("c_in2", db)])
     e1 = eng.transport("c_in1", a.name)
     e2 = eng.transport("c_in2", b.name)
-    bell_a, bell_b = _binary(bell_projector(da)), _binary(bell_projector(db))
+    bell_a, bell_b = _parity_basis(da), _parity_basis(db)
 
     steps = [
         _isi(a.name, a.programs[0], a.states[0], "a_out", "a_in"),
@@ -1338,7 +1440,7 @@ def _pingpong_protocol(programs: list, system):
     eng.alloc("device", "blk0_state", system)
     d = eng.layout.dim("blk0_state")
     check_square_ports(programs, d)
-    bell = _binary(bell_projector(d))
+    bell = _parity_basis(d)
 
     def hop(k: int, prog: ChoiProgram, out: str, inp: str, current: str):
         def count(eng: ProtocolEngine, bit: int) -> None:
@@ -1390,7 +1492,7 @@ def pingpong_run(
             raise EstimationError("one forced bit per program is required")
     eng, steps, current = _pingpong_protocol(programs, system)
     bits = _follow(eng, steps, rng, forced_bits)
-    final = MixedState(RegisterLayout.of(("s", eng.layout.dim(current))), eng.reduced([current])[0])
+    final = MixedState.formed(layout_of((("s", eng.layout.dim(current)),)), eng.reduced([current])[0])
     record = OqtRecord(parity_bits=tuple(bits), s=sum(bits), final_state=final)
     return record, eng.ledger
 

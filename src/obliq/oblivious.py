@@ -37,11 +37,12 @@ from .qmath import (
     as_complex,
     embed_operator,  # noqa: F401  (a module binding the layer probes in bench/ wrap)
     is_hermitian,
+    layout_of,
     partial_trace,
     projector,
     tensor_product,
 )
-from .states import MixedState, PureState, as_mixed, bell_state
+from .states import MixedState, PureState, bell_state
 
 SYS = "s"
 
@@ -122,7 +123,7 @@ def _binary_measure(
     branch 0 is tr_M(P0 rho) and branch 1 is tr_M(rho) minus branch 0, each
     O(D^2); no layout-sized projector is built.
     """
-    keep_layout = RegisterLayout(tuple((new, layout.dim(old)) for new, old in zip(names, keep)))
+    keep_layout = layout_of(tuple((new, layout.dim(old)) for new, old in zip(names, keep)))
     num0 = partial_trace(joint, list(keep), layout, p0)
     nums = (num0, partial_trace(joint, list(keep), layout) - num0)
     branches = []
@@ -130,7 +131,7 @@ def _binary_measure(
         prob = float(np.trace(num).real)
         if prob < 1e-14:
             raise BranchError(f"branch {parity} has probability {prob}")
-        branches.append(BinaryBranch(parity, prob, MixedState(keep_layout, num / prob)))
+        branches.append(BinaryBranch(parity, prob, MixedState.formed(keep_layout, num / prob)))
     return branches[0], branches[1]
 
 
@@ -157,13 +158,15 @@ def isi_measure(
 
 
 def _as_system(state: PureState | MixedState | np.ndarray) -> MixedState:
-    if isinstance(state, (PureState, MixedState)):
-        mixed = as_mixed(state)
-        return MixedState(RegisterLayout.of((SYS, mixed.dim)), mixed.matrix)
-    mat = as_complex(state)
+    """``state`` on the register SYS. A vector or a matrix is checked as
+    `PureState` and `MixedState` check theirs; a `MixedState` was checked
+    when it was made."""
+    if isinstance(state, MixedState):
+        return MixedState.formed(layout_of(((SYS, state.dim),)), state.matrix)
+    mat = state.density() if isinstance(state, PureState) else as_complex(state)
     if mat.ndim == 1:
         mat = projector(mat)
-    return MixedState(RegisterLayout.of((SYS, mat.shape[0]),), mat)
+    return MixedState(layout_of(((SYS, mat.shape[0]),)), mat)
 
 
 def oqt_step(
@@ -182,7 +185,7 @@ def oqt_step(
         raise DimensionError(
             f"system dim {sys_state.dim} does not match program in-port {d_in}"
         )
-    layout = RegisterLayout.of((OUT, program.out_dim), (IN, d_in), (SYS, d_in))
+    layout = layout_of(((OUT, program.out_dim), (IN, d_in), (SYS, d_in)))
     joint = tensor_product(program.density(), sys_state.matrix)
     return _binary_measure(joint, layout, bell_projector(d_in), [OUT], [SYS])
 
@@ -250,8 +253,7 @@ def check_unital(programs: Sequence[ChoiProgram], d: int) -> None:
     parity law holds for unital programs only."""
     check_square_ports(programs, d)
     for k, prog in enumerate(programs):
-        marg = partial_trace(prog.density(), [OUT], prog.state.layout)
-        if np.abs(marg - np.eye(d) / d).max() > 1e-8:
+        if np.abs(prog.marginal(OUT) - np.eye(d) / d).max() > 1e-8:
             raise StateValidationError(
                 f"program {k} is not unital: branch states with equal parity sum diverged"
             )
@@ -286,7 +288,7 @@ def oqt_sample_records(
         rho = b0.post_state
     bits = (rng.random((len(programs), shots)) >= edges[:, None]).T.astype(np.int8, order="C")
     states = {
-        s: MixedState(rho.layout, (1.0 - c) / d * np.eye(d) + c * rho.matrix)
+        s: MixedState.formed(rho.layout, (1.0 - c) / d * np.eye(d) + c * rho.matrix)
         for s, c in enumerate(parity_weights(d, len(programs)).tolist())
     }
     return OqtRecordBatch(bits, bits.sum(axis=1), states)

@@ -243,16 +243,38 @@ def apply_on_targets(
 
 
 @functools.lru_cache(maxsize=4096)
-def _trace_plan(dims: tuple, keep: tuple) -> tuple[tuple, int, int]:
+def _trace_plan(dims: tuple, keep: tuple) -> tuple[tuple, int, int, int, np.ndarray]:
     """For a stack (B, D, D) on ``dims``: the transpose to (row, kept row
     digits, kept column digits, traced row digits, traced column digits),
     with kept registers in the order ``keep`` and traced ones in layout
-    order, and the kept and traced dimensions."""
+    order; the kept and traced dimensions; the number of traced registers;
+    and a read-only vector of ones over the traced dimension."""
     n = len(dims)
     drop = [k for k in range(n) if k not in keep]
     perm = (0, *(1 + p for p in keep), *(1 + n + p for p in keep),
             *(1 + p for p in drop), *(1 + n + p for p in drop))
-    return perm, math.prod(dims[p] for p in keep), math.prod(dims[p] for p in drop)
+    dd = math.prod(dims[p] for p in drop)
+    ones = np.ones(dd, dtype=complex)
+    ones.flags.writeable = False
+    return perm, math.prod(dims[p] for p in keep), dd, len(drop), ones
+
+
+def traced_rows(rho: np.ndarray, dims: tuple, plan: tuple, weight: np.ndarray | None = None):
+    """`partial_trace` of a stack (B, D, D) on ``dims`` by ``plan`` (from
+    `_trace_plan`), with ``weight`` the vector vec(W^T) of a weight W on the
+    traced registers in layout order. Nothing is checked: the engine calls
+    it on states it formed itself. Each row is one matrix-vector product of
+    its transposed entries with vec(W^T), or of its traced diagonal entries
+    with ones, so a row gets the bytes it gets alone."""
+    perm, dk, dd, nd, ones = plan
+    b = len(rho)
+    t = rho.reshape((b,) + dims + dims).transpose(perm)
+    if weight is not None:
+        return (t.reshape(b, dk * dk, dd * dd) @ weight).reshape(b, dk, dk)
+    first = len(perm) - 2 * nd  # only the traced diagonal is copied
+    for i in range(nd):
+        t = t.diagonal(axis1=first, axis2=first + nd - i)
+    return (t.reshape(b, dk * dk, dd) @ ones).reshape(b, dk, dk)
 
 
 def partial_trace(
@@ -262,10 +284,8 @@ def partial_trace(
 
     With ``weight``, an operator W on the traced-out registers in layout
     order, the result is tr_out((1 ox W) rho) instead, in O(D^2). ``rho`` is
-    a D x D matrix, or a stack (B, D, D) whose rows are traced alike: each
-    row is one matrix-vector product of its transposed entries with vec(W^T)
-    (of its traced diagonal entries with ones, without a weight), so it
-    gets the bytes it gets alone.
+    a D x D matrix, or a stack (B, D, D) whose rows are traced alike by
+    `traced_rows`.
     """
     rho = as_complex(rho)
     dims = layout.dims
@@ -275,17 +295,12 @@ def partial_trace(
     keep = list(keep)
     keep_pos = _positions(keep, layout)
     if rho.ndim == 3:
-        perm, dk, dd = _trace_plan(dims, keep_pos)
+        plan = _trace_plan(dims, keep_pos)
+        dd = plan[2]
         if weight is not None and weight.shape != (dd, dd):
             raise DimensionError(f"weight shape {weight.shape} does not match traced dim {dd}")
-        b, nk, nd = len(rho), len(keep_pos), len(dims) - len(keep_pos)
-        t = rho.reshape((b,) + dims + dims).transpose(perm)
-        if weight is not None:
-            out = t.reshape(b, dk * dk, dd * dd) @ as_complex(weight).T.reshape(-1)
-            return out.reshape(b, dk, dk)
-        for i in range(nd):  # only the traced diagonal is copied
-            t = np.diagonal(t, axis1=1 + 2 * nk, axis2=1 + 2 * nk + nd - i)
-        return (t.reshape(b, dk * dk, dd) @ np.ones(dd, dtype=complex)).reshape(b, dk, dk)
+        vec = None if weight is None else as_complex(weight).T.reshape(-1)
+        return traced_rows(rho, dims, plan, vec)
     n = len(dims)
     drop = [k for k in range(n) if k not in keep_pos]
     perm = [*keep_pos, *drop]

@@ -63,6 +63,15 @@ class MixedState:
         if wmin < -1e-8:
             raise StateValidationError(f"density matrix has eigenvalue {wmin}")
 
+    @classmethod
+    def formed(cls, layout: RegisterLayout, matrix: np.ndarray) -> "MixedState":
+        """A state that obliq formed itself from checked states, by a
+        measurement or a relabeling: it is not checked again."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "layout", layout)
+        object.__setattr__(state, "matrix", matrix)
+        return state
+
     @property
     def dim(self) -> int:
         return self.layout.total_dim

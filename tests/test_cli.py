@@ -159,6 +159,71 @@ def test_branch_bit_cap_is_a_capacity_error(tmp_path, at_cap, over_cap):
     assert not out.exists()
 
 
+def _identity(d):
+    return {"matrix": [[[float(i == j), 0.0] for j in range(d)] for i in range(d)]}
+
+
+def _triparty(scheme, da, db):
+    return {
+        "version": 1,
+        "kind": "triparty",
+        "scheme": scheme,
+        "seed": 5,
+        "shots": 20,
+        "psi_a": {"basis": 0, "dim": da},
+        "psi_b": {"basis": 0, "dim": db},
+        "readout_state": {"basis": 0, "dim": da * db},
+        "a_program": _identity(da),
+        "b_program": _identity(db),
+        "nonlocal_program": _identity(da * db),
+    }
+
+
+def _pingpong(d):
+    state = {"basis": 0, "dim": d}
+    return {"version": 1, "kind": "pingpong", "seed": 5, "shots": 20, "input_state": state,
+            "readout_state": state, "programs": [_identity(d)]}
+
+
+def _composition(d):
+    return {"version": 1, "kind": "channel_composition", "seed": 5, "shots": 3,
+            "channels": [{"kraus": [_identity(d)["matrix"]]}] * 2}
+
+
+@pytest.mark.parametrize(
+    "at_cap, over_cap, peak",
+    [
+        # Scheme I peaks at max(d_a^4 d_b^2, d_a^3 d_b^4): 648, and 2,187 for qutrits.
+        (_triparty("I", 2, 3), _triparty("I", 3, 3), 2187),
+        # Scheme II at (d_a d_b)^2, its nonlocal program's state: 1,024 and 1,156.
+        (_triparty("II", 2, 16), _triparty("II", 2, 17), 1156),
+        # A dbqc or ping-pong link holds a register beside a program: d^3.
+        (_minimal_dbqc(input_state={"basis": 0, "dim": 10}, readout_state={"basis": 0, "dim": 10},
+                       alice_programs=[_identity(10)], bob_programs=[_identity(10)]),
+         _minimal_dbqc(input_state={"basis": 0, "dim": 11}, readout_state={"basis": 0, "dim": 11},
+                       alice_programs=[_identity(11)], bob_programs=[_identity(11)]), 1331),
+        (_pingpong(10), _pingpong(11), 1331),
+        # A composition holds both channels' programs: d^4.
+        (_composition(5), _composition(6), 1296),
+    ],
+    ids=["triparty-I", "triparty-II", "dbqc", "pingpong", "channel-composition"],
+)
+def test_peak_joint_dimension_is_refused_at_validation(tmp_path, capsys, at_cap, over_cap, peak):
+    """A scenario whose run would pass the joint-dimension cap is refused
+    at validation with the engine's message (exit 5), not at run time; one
+    at the cap validates and runs."""
+    path = _write(tmp_path, "at-cap.json", at_cap)
+    assert main(["validate", path]) == 0
+    assert main(["run", path, "--out", str(tmp_path / "ok")]) == 0
+    path = _write(tmp_path, "over-cap.json", over_cap)
+    capsys.readouterr()
+    assert main(["validate", path]) == 5
+    assert f"joint dimension {peak} exceeds the cap 1024" in capsys.readouterr().err
+    out = tmp_path / "never"
+    assert main(["run", path, "--out", str(out)]) == 5
+    assert not out.exists()
+
+
 def test_validate_reports_every_violation(tmp_path, capsys):
     sc = _minimal_dbqc(seed=-4, shots=0)
     path = _write(tmp_path, "double-bad.json", sc)

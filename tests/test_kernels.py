@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from obliq.algorithms import compose_programs
 from obliq.channels import IN, OUT, KrausChannel, choi_of, conjugate_program
+from obliq import distributed as dist
 from obliq.distributed import KnitCircuit, KnitGate, ProtocolEngine, knit_estimate
 from obliq.oblivious import (
     SYS,
@@ -165,6 +166,30 @@ def test_axis_plans_are_cached_per_dims_and_positions():
         run(first, ["b", "a"])
         assert plan.cache_info().misses == 2
     assert qmath.layout_of(first.regs) is qmath.layout_of(first.regs)
+
+
+def test_measurement_plans_are_cached_per_layout_and_labels():
+    """A measurement's plan (positions, trace plans, the layout after it) is
+    built once per (layout, labels) and shared by the outcome table, the
+    collapse and `discard`; a basis forms its weights once per plan shape."""
+    rng = np.random.default_rng(9)
+    layout = RegisterLayout.of(("a", 2), ("b", 3), ("c", 2))
+    rho = _density(rng, 12)
+    basis = dist._binary(_projector(rng, 6))
+    dist._plan.cache_clear()
+    table, branch = dist._measured(_engine(layout, rho), "p", basis, ["c", "b"])
+    assert dist._plan.cache_info().misses == 1
+    child = branch(np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp))
+    assert child.layout == layout.subset(["a"])
+    _engine(layout, rho).discard(["c", "b"], basis[1])
+    _engine(layout, rho).probability("p", _projector(rng, 6), ["c", "b"])
+    assert (dist._plan.cache_info().hits, dist._plan.cache_info().misses) == (3, 1)
+    _engine(layout, rho).discard(["b", "c"])
+    assert dist._plan.cache_info().misses == 2
+    plan = dist._plan(layout, ("c", "b"))
+    assert basis.weights(plan) is basis.weights(plan)
+    assert plan.reduce is qmath._trace_plan(layout.dims, (2, 1))
+    assert plan.collapse is qmath._trace_plan(layout.dims, (0,))
 
 
 # --- engine operations ---

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obliq import oblivious
-from obliq.channels import KrausChannel, amplitude_damping_channel, choi_of
+from obliq.channels import IN, OUT, ChoiProgram, KrausChannel, amplitude_damping_channel, choi_of
 from obliq.distributed import pingpong_run
 from obliq.errors import DimensionError, EstimationError, StateValidationError
 from obliq.gates import named_gate
@@ -14,6 +14,7 @@ from obliq.oblivious import (
     FlagState,
     GeneralizedPauliBasis,
     bell_projector,
+    check_unital,
     controlled_gate,
     isi_measure,
     local_parity_sampling,
@@ -28,8 +29,8 @@ from obliq.oblivious import (
     sequence_unitary,
     toffoli_boundary_compile,
 )
-from obliq.qmath import RegisterLayout, random_statevector, random_unitary
-from obliq.states import basis_state
+from obliq.qmath import RegisterLayout, partial_trace, random_statevector, random_unitary
+from obliq.states import MixedState, basis_state
 
 
 def test_generalized_pauli_basis_orthonormal():
@@ -133,6 +134,34 @@ def test_oqt_sample_records_refuses_a_non_unital_last_program():
     progs = [choi_of(random_unitary(2, rng)), choi_of(amplitude_damping_channel(0.3))]
     with pytest.raises(StateValidationError, match="equal parity sum diverged"):
         oqt_sample_records(progs, random_statevector(2, rng), 10, rng)
+
+
+def test_mixed_programs_keep_the_dense_marginal_checks(monkeypatch):
+    """A pure program's marginals come from its amplitudes; a mixed one's
+    from partial traces of its density matrix: one for its in port when it
+    is made, one for its out port in check_unital, which still refuses
+    amplitude damping."""
+    from obliq import channels
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return partial_trace(*args, **kwargs)
+
+    monkeypatch.setattr(channels, "partial_trace", counted)
+    rng = np.random.default_rng(5)
+    pure = choi_of(random_unitary(3, rng))
+    check_unital([pure], 3)
+    assert calls == []
+    mixed = ChoiProgram(MixedState(pure.state.layout, pure.density()))
+    assert calls == [[IN]]
+    check_unital([mixed], 3)
+    assert calls == [[IN], [OUT]]
+    damped = choi_of(amplitude_damping_channel(0.3))
+    with pytest.raises(StateValidationError, match="program 1 is not unital"):
+        check_unital([choi_of(np.eye(2)), damped], 2)
+    assert calls[-1] == [OUT]
 
 
 def test_oqt_sample_records_refuses_ports_that_are_not_square_of_the_system_dimension():

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from obliq.channels import (
+    IN,
+    OUT,
     ChoiProgram,
     amplitude_damping_channel,
     apply_channel,
@@ -19,7 +21,9 @@ from obliq.channels import (
     unitary_of_choi,
 )
 from obliq.errors import DimensionError, StateValidationError
-from obliq.qmath import RegisterLayout, random_statevector, random_unitary
+from obliq.gates import gate_from_literal
+from obliq.oblivious import check_unital
+from obliq.qmath import RegisterLayout, partial_trace, random_statevector, random_unitary
 from obliq.states import MixedState, PureState, basis_state, bell_state
 
 
@@ -86,6 +90,61 @@ def test_choi_in_marginal_is_checked_to_1e_8(pure):
     program(1e-10)
     with pytest.raises(StateValidationError):
         program(1e-7)
+
+
+def test_choi_of_a_unitary_is_the_dense_product_bytewise():
+    """choi_of forms (U ox 1)|omega> as U's entries times omega's amplitude:
+    the bytes `kron(U, I) @ omega` gives, for Haar unitaries and named gates."""
+    rng = np.random.default_rng(2026)
+    unitaries = [random_unitary(d, rng) for d in range(2, 8) for _ in range(40)]
+    unitaries += [gate_from_literal(name) for name in ("H", "X", "Y", "Z", "S", "T", "CNOT", "CZ", "SWAP")]
+    for u in unitaries:
+        d = u.shape[0]
+        dense = np.kron(u, np.eye(d)) @ bell_state(d).amplitudes
+        assert choi_of(u).state.amplitudes.tobytes() == dense.tobytes()
+
+
+def _near_unital(rng, d, eps):
+    """Unit-norm amplitudes A = S U / |S U| with S = 1 + eps H (H Hermitian,
+    random): a pure program whose port marginals miss I/d by about eps/d."""
+    h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    a = (np.eye(d) + eps * (h + h.conj().T)) @ random_unitary(d, rng)
+    return a / np.linalg.norm(a)
+
+
+def test_amplitude_marginals_decide_as_the_dense_partial_traces():
+    """A pure program's in-port marginal A^T A* (checked by ChoiProgram) and
+    out-port marginal A A^dag (checked by check_unital) accept and refuse
+    exactly where the partial traces of its density matrix do, for
+    programs on both sides of the 1e-8 bound."""
+    rng = np.random.default_rng(17)
+    lay = {d: program_layout(d, d) for d in range(2, 6)}
+    seen = set()
+    for d in range(2, 6):
+        for eps in np.geomspace(2e-9, 5e-8, 60):
+            a = _near_unital(rng, d, eps)
+            rho = np.outer(a.reshape(-1), a.reshape(-1).conj())
+            dense = {
+                port: np.abs(partial_trace(rho, [port], lay[d]) - np.eye(d) / d).max() > 1e-8
+                for port in (IN, OUT)
+            }
+            try:
+                prog = ChoiProgram(PureState(lay[d], a.reshape(-1)))
+            except StateValidationError:
+                assert dense[IN]
+                seen.add((IN, True))
+                continue
+            assert not dense[IN]
+            seen.add((IN, False))
+            try:
+                check_unital([prog], d)
+            except StateValidationError:
+                assert dense[OUT]
+                seen.add((OUT, True))
+                continue
+            assert not dense[OUT]
+            seen.add((OUT, False))
+    assert seen == {(IN, True), (IN, False), (OUT, True), (OUT, False)}
 
 
 def test_choi_of_channel_and_back():

@@ -164,8 +164,8 @@ def compose_programs(p1: ChoiProgram, p2: ChoiProgram) -> tuple[BinaryBranch, Bi
     d = p1.in_dim
     c1 = conjugate_program(p1)
     layout = RegisterLayout.of(("o1", d), ("i1", d), ("o2", d), ("i2", d))
-    joint = tensor_product(c1.density(), p2.density())
-    return _binary_measure(joint, layout, bell_projector(d), ["i1", "i2"], [OUT, IN])
+    factors = [c1.density(), p2.density()]
+    return _binary_measure(factors, layout, bell_projector(d), ["i1", "i2"], [OUT, IN])
 
 
 # ---------------------------------------------------------------------------

@@ -642,9 +642,9 @@ def _run_triparty(sc: dict, rng: np.random.Generator):
 
 def _run_pingpong(sc: dict, rng: np.random.Generator):
     programs, psi_in = _programs(sc["programs"]), _state(sc["input_state"])
-    patterns, y, t_hat, ledger = pingpong_shots(programs, psi_in, sc["readout_state"], sc["shots"], rng)
+    patterns, s, y, t_hat, ledger = pingpong_shots(programs, psi_in, sc["readout_state"], sc["shots"], rng)
     estimate, stderr = mean_stderr(t_hat)
-    columns = {"parity_bits": patterns, "s": patterns.sum(axis=1), "readout": y, "estimate": t_hat}
+    columns = {"parity_bits": patterns, "s": s, "readout": y, "estimate": t_hat}
     return estimate, stderr, ledger, columns
 
 

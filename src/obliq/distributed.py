@@ -724,24 +724,31 @@ def _law_patterns(edges, u: np.ndarray) -> np.ndarray:
     with probability ``edges[t]`` whatever came before: one uniform per shot
     carried down the path, so a shot takes the leaf that ``rng.choice(leaves,
     p=product law)`` takes on the same ``u``, up to rounding at an edge. At
-    each step [lo, lo + mass) splits at cut = lo + mass e; the shot takes 1
-    when u >= cut and keeps its part."""
-    lo, mass = np.zeros(len(u)), np.ones(len(u))
+    each step a part [lo, lo + mass) splits at cut = lo + mass e; a shot
+    takes 1 when u >= its cut and keeps its part. Shots on one outcome prefix
+    share their part, so parts are kept once per prefix (``at`` is each
+    shot's; of m prefixes, p's children are p and p + m) until there would
+    be more prefixes than shots, then once per shot."""
+    lo, mass = np.zeros(1), np.ones(1)
+    at = np.zeros(len(u), dtype=np.intp)
     patterns = np.empty((len(u), len(edges)), dtype=np.int16)
     for t, e in enumerate(edges):
         cut = lo + mass * e
-        k = u >= cut
+        k = u >= cut[at]
         patterns[:, t] = k
-        lo, mass = np.where(k, cut, lo), np.where(k, (lo + mass) - cut, cut - lo)
+        at = at + len(lo) * k
+        lo, mass = np.concatenate((lo, cut)), np.concatenate((cut - lo, (lo + mass) - cut))
+        if len(lo) > len(u):
+            lo, mass, at = lo[at], mass[at], np.arange(len(u))
     return patterns
 
 
-def _parity_law(q0: float, d: int, patterns: np.ndarray, isi: bool) -> np.ndarray:
+def _parity_law(q0: float, d: int, patterns: np.ndarray, s: np.ndarray, isi: bool) -> np.ndarray:
     """Each pattern's q by the parity law: q(b, s) = (1 - c_s)/d + c_s q_b,
-    with s the pattern's odd parities, b its ISI bit (its first column when
-    ``isi``, else 0), q_0 = ``q0`` (the all-trivial path's) and
+    with s its number of odd parities (in ``s``), b its ISI bit (its first
+    column when ``isi``, else 0), q_0 = ``q0`` (the all-trivial path's) and
     q_1 = (1 - q_0)/(d - 1)."""
-    c = parity_weights(d, patterns.shape[1])[patterns[:, int(isi):].sum(axis=1)]
+    c = parity_weights(d, patterns.shape[1])[s]
     qb = np.where(patterns[:, 0] == 1, (1.0 - q0) / (d - 1), q0) if isi else q0
     return (1.0 - c) / d + c * qb
 
@@ -749,7 +756,8 @@ def _parity_law(q0: float, d: int, patterns: np.ndarray, isi: bool) -> np.ndarra
 def _unital_shots(protocol, d: int, isi: bool, shots: int, rng: np.random.Generator):
     """``shots`` draws of a unital pipeline (engine, steps, finish) whose
     steps are an ISI bit (with ``isi``) and then one parity bit per link:
-    each shot's outcomes and q, and the ledger.
+    each shot's outcomes, its number s of odd parities, its q, and the
+    ledger.
 
     Only the all-trivial path is simulated, by `_follow` with the row and
     ebit checks of `_sample`; every other q comes from `_parity_law`. An
@@ -761,7 +769,8 @@ def _unital_shots(protocol, d: int, isi: bool, shots: int, rng: np.random.Genera
     (q0,) = _finished(engine, finish)
     edges = [1.0 / d if isi and t == 0 else 1.0 / (d * d) for t in range(len(steps))]
     patterns = _law_patterns(edges, rng.random(shots))
-    return patterns, _parity_law(float(q0), d, patterns, isi), engine.ledger
+    s = patterns[:, int(isi):] @ np.ones(len(steps) - int(isi), dtype=int)
+    return patterns, s, _parity_law(float(q0), d, patterns, s, isi), engine.ledger
 
 
 def _follow(engine: ProtocolEngine, steps, rng, forced, tol=None) -> list[int]:
@@ -1065,9 +1074,9 @@ def run_dbqc(alice: Party, bob: Party, shots: int, rng: np.random.Generator) -> 
     d = alice.states[0].dim
     check_unital(alice.programs + bob.programs, d)
 
-    patterns, qvals, ledger = _unital_shots(_dbqc_protocol(alice, bob), d, True, shots, rng)
+    patterns, s, qvals, ledger = _unital_shots(_dbqc_protocol(alice, bob), d, True, shots, rng)
     y = (rng.random(shots) >= qvals).astype(np.int8)  # the readout bit, 0 with probability q
-    inv = parity_inverted(y == 0, patterns[:, 1:].sum(axis=1), d)
+    inv = parity_inverted(y == 0, s, d)
     b = patterns[:, 0]
     t_hat = np.where(b == 0, inv, 1.0 - (d - 1) * inv)
     estimate, stderr = mean_stderr(t_hat)
@@ -1511,17 +1520,17 @@ def _pingpong_readout_protocol(programs, system, readout: np.ndarray):
 
 def pingpong_shots(programs, system, readout: np.ndarray, shots: int, rng: np.random.Generator):
     """``shots`` runs of a ping-pong chain read out on the vector
-    ``readout``: each shot's parity bits, readout bit and unbiased estimate
-    of |<readout| U_n ... U_1 |system>|^2, and the ledger. Every program
-    must pass `oblivious.check_unital`: the shots are drawn by the parity
-    law (`_unital_shots`), which simulates one path."""
+    ``readout``: each shot's parity bits, number s of odd parities, readout
+    bit and unbiased estimate of |<readout| U_n ... U_1 |system>|^2, and the
+    ledger. Every program must pass `oblivious.check_unital`: the shots are
+    drawn by the parity law (`_unital_shots`), which simulates one path."""
     if shots < 1:
         raise EstimationError("shots must be positive")
     programs = list(programs)
     protocol = _pingpong_readout_protocol(programs, system, readout)
     d = protocol[0].layout.dim("blk0_state")
     check_unital(programs, d)
-    patterns, qvals, ledger = _unital_shots(protocol, d, False, shots, rng)
+    patterns, s, qvals, ledger = _unital_shots(protocol, d, False, shots, rng)
     y = (rng.random(shots) >= qvals).astype(np.int8)
-    t_hat = parity_inverted(y == 0, patterns.sum(axis=1), d)
-    return patterns, y, t_hat, ledger
+    t_hat = parity_inverted(y == 0, s, d)
+    return patterns, s, y, t_hat, ledger

@@ -68,10 +68,10 @@ def complex_from_literal(value) -> complex:
 _JSON_NUMBERS = {float, int}
 
 
-def _finite_floats(values) -> np.ndarray | None:
-    """``values`` as one float array if every entry is a JSON int or float
-    and every result is finite, else None."""
-    if not set(map(type, values)) <= _JSON_NUMBERS:
+def _finite_floats(values, kinds: set) -> np.ndarray | None:
+    """``values`` as one float array if ``kinds``, the entries' types, are
+    JSON int or float and every result is finite, else None."""
+    if not kinds <= _JSON_NUMBERS:
         return None
     try:
         out = np.array(values, dtype=float)
@@ -82,17 +82,21 @@ def _finite_floats(values) -> np.ndarray | None:
 
 def reals_from_literal(values: list) -> np.ndarray:
     """`real_from_literal` over a list, as a float array."""
-    out = _finite_floats(values)
+    out = _finite_floats(values, set(map(type, values)))
     return np.array([real_from_literal(v) for v in values], dtype=float) if out is None else out
 
 
 def complexes_from_literal(values: list) -> np.ndarray:
-    """`complex_from_literal` over a list, as a complex array."""
+    """`complex_from_literal` over a list, as a complex array. The entries'
+    types are scanned once."""
     kinds = set(map(type, values))
     if kinds <= _JSON_NUMBERS:
-        return reals_from_literal(values).astype(complex)
-    if kinds == {list} and set(map(len, values)) == {2}:
-        pairs = _finite_floats(list(chain.from_iterable(values)))
+        reals = _finite_floats(values, kinds)
+        if reals is not None:
+            return reals.astype(complex)
+    elif kinds == {list} and set(map(len, values)) == {2}:
+        flat = list(chain.from_iterable(values))
+        pairs = _finite_floats(flat, set(map(type, flat)))
         if pairs is not None:
             return pairs.view(complex)
     return np.array([complex_from_literal(v) for v in values], dtype=complex)

@@ -225,5 +225,5 @@ def oqt_compose_choi(p1: ChoiProgram, p2: ChoiProgram) -> tuple[BinaryBranch, Bi
     layout = RegisterLayout.of(
         ("o1", p1.out_dim), ("i1", p1.in_dim), ("o2", p2.out_dim), ("i2", p2.in_dim)
     )
-    joint = tensor_product(p1.density(), p2.density())
-    return _binary_measure(joint, layout, bell_projector(d), ["o2", "i1"], [OUT, IN])
+    factors = [p1.density(), p2.density()]
+    return _binary_measure(factors, layout, bell_projector(d), ["o2", "i1"], [OUT, IN])

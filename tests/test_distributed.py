@@ -404,6 +404,14 @@ def test_dbqc_and_pingpong_refuse_a_non_unital_program():
         pingpong_shots([choi_of(random_unitary(3, rng))], zero, np.array([1.0, 0.0]), 100, rng)
 
 
+def test_pingpong_shots_give_each_shots_odd_parity_count():
+    rng = np.random.default_rng(409)
+    programs = [choi_of(random_unitary(2, rng)) for _ in range(6)]
+    patterns, s, y, t_hat, _ = pingpong_shots(programs, basis_state(0, 2), np.array([1.0, 0.0]), 500, rng)
+    assert s.dtype == patterns.sum(axis=1).dtype and np.array_equal(s, patterns.sum(axis=1))
+    assert len({*s.tolist()}) > 2 and y.shape == t_hat.shape == s.shape
+
+
 # --- tri-party schemes ---
 
 

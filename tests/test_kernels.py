@@ -8,16 +8,20 @@ branch, goes through the same kernels: each row must match the reference
 and get the bytes it gets alone.
 """
 
+import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obliq.algorithms import compose_programs
 from obliq.channels import IN, OUT, KrausChannel, choi_of, conjugate_program
 from obliq import distributed as dist
+from obliq.errors import CapacityError
 from obliq.distributed import KnitCircuit, KnitGate, ProtocolEngine, knit_estimate
 from obliq.oblivious import (
     SYS,
@@ -331,6 +335,95 @@ def test_multiparty_binary_bell_matches_dense_projectors(dims, seed, kraus):
         prob = float(np.trace(num).real)
         want.append((prob, partial_trace(num, keep, layout) / prob))
     _assert_branches(multiparty_binary_bell(parts), want)
+
+
+# --- product traces ---
+
+
+def _parent_layout(factors, keep, layout):
+    """The layout `traced_product` replaces: np.kron of the factors, then a
+    transposed C-ordered copy in (kept, traced, kept, traced) order."""
+    dims, n = layout.dims, len(layout)
+    keep_pos = [layout.index(lab) for lab in keep]
+    perm = keep_pos + [k for k in range(n) if k not in keep_pos]
+    joint = functools.reduce(np.kron, factors)
+    t = joint.reshape(dims + dims).transpose(perm + [n + p for p in perm])
+    dk = math.prod(dims[p] for p in keep_pos)
+    return np.ascontiguousarray(t.reshape(dk, layout.total_dim // dk, dk, -1))
+
+
+@st.composite
+def product_cases(draw):
+    """1-3 factors, each a pure or mixed program on (out, in) or a system
+    density, with d = 2-5 and a product of dimension at most 1024, and a
+    kept register list in any order."""
+    rng = np.random.default_rng(draw(SEEDS))
+    factors, regs = [], []
+    for k in range(draw(st.integers(1, 3))):
+        d = draw(st.integers(2, 5))
+        program = draw(st.booleans())
+        if math.prod(dim for _, dim in regs) * d ** (2 if program else 1) > 1024:
+            break
+        if program:
+            factors.append(_program(rng, d, draw(st.booleans())).density())
+            regs += [(f"o{k}", d), (f"i{k}", d)]
+        else:
+            factors.append(_density(rng, d))
+            regs.append((f"s{k}", d))
+    layout = RegisterLayout(tuple(regs))
+    keep = draw(st.permutations(layout.labels))[: draw(st.integers(0, len(regs)))]
+    return factors, list(keep), layout
+
+
+@KERNEL
+@given(product_cases())
+def test_traced_product_is_the_transposed_kron_bytewise(case):
+    factors, keep, layout = case
+    got = qmath.traced_product(factors, keep, layout)
+    want = _parent_layout(factors, keep, layout)
+    assert got.shape == want.shape and got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+
+
+def test_traced_product_takes_every_keep_order_bytewise():
+    rng = np.random.default_rng(3)
+    factors = [_program(rng, 3, True).density(), _density(rng, 2), _program(rng, 2, False).density()]
+    layout = RegisterLayout.of(("o0", 3), ("i0", 3), ("s1", 2), ("o2", 2), ("i2", 2))
+    for size in range(len(layout) + 1):
+        for keep in itertools.permutations(layout.labels, size):
+            want = _parent_layout(factors, keep, layout)
+            assert qmath.traced_product(factors, keep, layout).tobytes() == want.tobytes()
+
+
+def test_composition_at_d5_holds_one_product_array():
+    """Composing two channel programs at d = 5 (D = 625) peaks below 1.5
+    D^2 complex entries: the product is laid out once and both branches
+    are read from it."""
+    rng = np.random.default_rng(11)
+    p1, p2 = _program(rng, 5, True), _program(rng, 5, True)
+    oqt_compose_choi(p1, p2)  # plans and projectors are cached
+    tracemalloc.start()
+    try:
+        oqt_compose_choi(p1, p2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 625**2 * 16
+
+
+def test_traced_product_over_capacity_allocates_nothing(monkeypatch):
+    rng = np.random.default_rng(4)
+    factors = [_density(rng, 32), _density(rng, 32)]
+    layout = RegisterLayout.of(("a", 32), ("b", 32))
+    monkeypatch.setattr(qmath, "MAX_ENTRIES", 1024**2 - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="would hold 1048576 entries, capacity is 1048575"):
+            qmath.traced_product(factors, ["a"], layout)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 # --- circuit knitting ---

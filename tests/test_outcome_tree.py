@@ -350,7 +350,7 @@ def _assert_law_matches_tree(protocol, args, d, isi, bound):
     patterns = np.array(_every_pattern(protocol, args))
     _, probs, qvals, _ = _walk_all(protocol(*args), patterns)
     assert not patterns[0].any()
-    law = dist._parity_law(qvals[0], d, patterns, isi)
+    law = dist._parity_law(qvals[0], d, patterns, patterns[:, int(isi):].sum(axis=1), isi)
     trivial = np.full(patterns.shape[1], 1.0 / d**2)
     if isi:
         trivial[0] = 1.0 / d
@@ -458,7 +458,7 @@ def _run_drawn(kind, args, shots, rng):
         res = dist.run_dbqc(*args, shots, rng)
         return np.column_stack([res.isi_bits, res.parity_bits]), res.readout_bits, res.per_shot
     if kind == "pingpong":
-        patterns, y, t_hat, _ = dist.pingpong_shots(*args, shots, rng)
+        patterns, _, y, t_hat, _ = dist.pingpong_shots(*args, shots, rng)
         return patterns, y, t_hat
     res = dist.run_triparty("I", *args, shots, rng)
     patterns = np.column_stack([res.bits[b] for b in ("b_a", "b_b", "i", "j")])
@@ -529,6 +529,39 @@ def test_law_patterns_pick_the_leaf_rng_choice_picks(seed, dims, squared, shots)
     idx = ref_rng.choice(len(leaves), size=shots, p=law)
     assert drawn.tolist() == leaves[idx].tolist()
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def _per_shot_law_patterns(edges, u):
+    """The fixed-law draw with each shot's part carried on its own: at each
+    step its [lo, lo + mass) splits at cut = lo + mass e, and it takes 1
+    when u >= cut."""
+    lo, mass = np.zeros(len(u)), np.ones(len(u))
+    patterns = np.empty((len(u), len(edges)), dtype=np.int16)
+    for t, e in enumerate(edges):
+        cut = lo + mass * e
+        k = u >= cut
+        patterns[:, t] = k
+        lo, mass = np.where(k, cut, lo), np.where(k, (lo + mass) - cut, cut - lo)
+    return patterns
+
+
+@pytest.mark.parametrize("edges", [
+    (1 / 2, 1 / 2, 1 / 4, 1 / 4),
+    (1 / 2,) + (1 / 4,) * 6,
+    (1 / 3, 1 / 9, 1 / 9),
+    (1 / 7,) + (1 / 49,) * 15,
+])
+@pytest.mark.parametrize("shots", [1, 10, 2000, 25000])
+def test_law_patterns_per_prefix_match_the_per_shot_rule(edges, shots):
+    """Parts kept once per outcome prefix give every shot the pattern its own
+    carried part gives, uniforms on a cut included (0.5 is the first cut of
+    (1/2, ...) and 0.75 the second after it)."""
+    pinned = [0.5, 0.75, 0.0, 0.25, 0.625, 0.5625, 1.0 - 2.0**-53, 1 / 3, 1 / 7]
+    u = np.random.default_rng(shots).random(shots)
+    u[: len(pinned)] = pinned[:shots]
+    got = dist._law_patterns(edges, u)
+    assert got.dtype == np.int16
+    assert np.array_equal(got, _per_shot_law_patterns(edges, u))
 
 
 def test_a_walk_keeps_each_step_within_the_row_budget(monkeypatch):

@@ -1,4 +1,5 @@
-"""Per-operation microbench of `ProtocolEngine` at several joint dimensions.
+"""Per-operation microbench of `ProtocolEngine` at several joint dimensions,
+and of the binary measurements of product states.
 
     python3 tools/engine_microbench.py [SRC] [--repeat 7]
 
@@ -21,6 +22,15 @@ qubit program measured by an injection. Each operation is timed with
 
 An operation that changes its engine runs on forks made before the clock
 starts, one per call, so its time holds no fork.
+
+The binary measurements of product states are timed the same way, and each
+one's tracemalloc peak (MB) is taken over one call after a warm-up call:
+
+* ``oqt_step`` at D = 216 and 343: a Haar unitary's program (d = 6, 7)
+  and a pure system state;
+* ``oqt_compose_choi`` at D = 256 and 625: two random channel programs
+  (d = 4, 5) with 2 and 3 Kraus operators.
+
 BLAS runs on one thread. The last line printed is one JSON object.
 """
 
@@ -38,6 +48,7 @@ import math  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 import timeit  # noqa: E402
+import tracemalloc  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -123,6 +134,38 @@ def measure(obliq, repeat: int) -> dict:
     return out
 
 
+def _channel(obliq, d: int, count: int, rng):
+    """The program of a random channel on d dimensions with ``count`` Kraus
+    operators (blocks of a Haar isometry)."""
+    iso = obliq.qmath.random_unitary(d * count, rng)[:, :d]
+    kraus = tuple(iso[k * d : (k + 1) * d] for k in range(count))
+    return obliq.channels.choi_of(obliq.channels.KrausChannel(kraus))
+
+
+def _peak_mb(fn) -> float:
+    """The tracemalloc peak of one call of ``fn``, after a warm-up call."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return round(tracemalloc.get_traced_memory()[1] / 1e6, 3)
+    finally:
+        tracemalloc.stop()
+
+
+def measure_products(obliq, repeat: int) -> dict:
+    rng = np.random.default_rng(0)
+    calls = {}
+    for d in (6, 7):
+        program = obliq.channels.choi_of(obliq.qmath.random_unitary(d, rng))
+        system = obliq.qmath.random_statevector(d, rng)
+        calls[f"oqt_step.{d**3}"] = lambda p=program, v=system: obliq.oblivious.oqt_step(p, v)
+    for d in (4, 5):
+        p1, p2 = _channel(obliq, d, 2, rng), _channel(obliq, d, 3, rng)
+        calls[f"oqt_compose_choi.{d**4}"] = lambda a=p1, b=p2: obliq.superchannel.oqt_compose_choi(a, b)
+    return {name: {"us": _best(fn, repeat), "peak_mb": _peak_mb(fn)} for name, fn in calls.items()}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("src", nargs="?", default=str(Path(__file__).resolve().parent.parent / "src"))
@@ -132,7 +175,11 @@ def main(argv=None) -> int:
     import obliq.distributed  # noqa: F401  (binds obliq.distributed)
     import obliq
 
-    result = {"src": str(Path(args.src).resolve()), "us_per_call": measure(obliq, args.repeat)}
+    result = {
+        "src": str(Path(args.src).resolve()),
+        "us_per_call": measure(obliq, args.repeat),
+        "product_measurements": measure_products(obliq, args.repeat),
+    }
     print(json.dumps(result))
     return 0
 

@@ -1264,6 +1264,16 @@ class KnitDecomposition:
     local_dim: int
 
 
+@functools.lru_cache(maxsize=None)
+def _pauli_pairs(d: int) -> tuple[np.ndarray, ...]:
+    """kron(sigma_i, sigma_j) at index i d^2 + j, formed once per d; read-only."""
+    sigmas = _bell_basis(d)[0]
+    pairs = tuple(np.kron(si, sj) for si in sigmas for sj in sigmas)
+    for pair in pairs:
+        pair.flags.writeable = False
+    return pairs
+
+
 def knit_decompose(u: np.ndarray, local_dim: int | None = None) -> KnitDecomposition:
     u = as_complex(u)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
@@ -1274,16 +1284,14 @@ def knit_decompose(u: np.ndarray, local_dim: int | None = None) -> KnitDecomposi
         raise DimensionError(f"dimension {n} is not a two-qudit product d*d")
     if not is_unitary(u):
         raise StateValidationError("knit decomposition expects a unitary gate")
-    basis = GeneralizedPauliBasis(d)
-    coeff = np.empty((d * d, d * d), dtype=complex)
+    coeff = np.empty(n * n, dtype=complex)
     recon = np.zeros_like(u)
-    for i, si in enumerate(basis.operators):
-        for j, sj in enumerate(basis.operators):
-            pair = np.kron(si, sj)
-            coeff[i, j] = np.vdot(pair, u) / (d * d)
-            recon = recon + coeff[i, j] * pair
+    for k, pair in enumerate(_pauli_pairs(d)):
+        coeff[k] = np.vdot(pair, u) / n
+        recon = recon + coeff[k] * pair
     if np.abs(recon - u).max() > 1e-12:
         raise StateValidationError("basis reconstruction failed")
+    coeff = coeff.reshape(n, n)
     one_norm = float(np.abs(coeff).sum())
     return KnitDecomposition(
         coefficients=coeff, one_norm=one_norm, overhead=one_norm**2, local_dim=d
@@ -1350,7 +1358,6 @@ def _knit_propagate(circuit: KnitCircuit, factor: np.ndarray):
     """
     layout = circuit.layout
     d = circuit.local_dim
-    basis = GeneralizedPauliBasis(d)
     weights, factors = [1.0 + 0.0j], [factor]
     exact = factor
     decomps = []
@@ -1362,16 +1369,9 @@ def _knit_propagate(circuit: KnitCircuit, factor: np.ndarray):
             continue
         if len(g.targets) != 2:
             raise DimensionError("cut gates must touch exactly two qudits")
-        if g.matrix.shape != (d * d, d * d) or not is_unitary(g.matrix):
-            raise StateValidationError("cut gates must be two-qudit unitaries")
-        dec = knit_decompose(g.matrix, d)
+        dec = knit_decompose(g.matrix, d)  # refuses a gate that is not unitary
         decomps.append(dec)
-        pairs = [
-            (dec.coefficients[i, j], np.kron(basis.operators[i], basis.operators[j]))
-            for i in range(d * d)
-            for j in range(d * d)
-            if abs(dec.coefficients[i, j]) > 1e-14
-        ]
+        pairs = [(c, pair) for c, pair in zip(dec.coefficients.ravel(), _pauli_pairs(d)) if abs(c) > 1e-14]
         weights = [w * wc for w in weights for wc, _ in pairs]
         factors = [apply_on_targets(pair, f, labels, layout) for f in factors for _, pair in pairs]
     return np.array(weights), np.stack(factors), exact, decomps
@@ -1402,6 +1402,12 @@ def knit_estimate(
         raise DimensionError("observable does not match the circuit width")
     if not is_hermitian(observable):
         raise StateValidationError("observable must be Hermitian")
+    return _knit_estimate(circuit, observable, mode, shots, rng)
+
+
+def _knit_estimate(circuit: KnitCircuit, observable: np.ndarray, mode: str, shots, rng) -> KnitEstimate:
+    """`knit_estimate` of a complex Hermitian observable of the circuit's
+    width, which it does not check again."""
     factor, lam = circuit.initial_factor()
     weights, factors, exact, decomps = _knit_propagate(circuit, factor)
     flat = factors.reshape(len(weights), -1)

@@ -152,6 +152,10 @@ def matrix_from_json(rows) -> np.ndarray:
         raise ScenarioSchemaError("matrix literal must be a non-empty square list of rows")
     if len(rows) < 2:
         raise ScenarioSchemaError("matrix literal needs at least 2 rows")
+    if not isinstance(rows[0][0], list):  # a real matrix: no flattened list
+        reals = _finite_floats(rows, set(map(type, chain.from_iterable(rows))))
+        if reals is not None:
+            return reals.astype(complex)
     return complexes_from_literal(list(chain.from_iterable(rows))).reshape(len(rows), len(rows))
 
 

@@ -79,7 +79,8 @@ def is_unitary(a: np.ndarray, tol: float = EPS) -> bool:
 @_OVERFLOW_FAILS
 def is_hermitian(a: np.ndarray, tol: float = EPS) -> bool:
     a = as_complex(a)
-    return is_square(a) and bool(np.abs(a - a.conj().T).max() <= tol)
+    d = np.conjugate(a.T, order="C")  # a fresh array, which takes the difference
+    return is_square(a) and bool(np.abs(np.subtract(a, d, out=d)).max() <= tol)
 
 
 def is_psd(a: np.ndarray, tol: float = EPS) -> bool:

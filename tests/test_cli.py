@@ -331,6 +331,27 @@ def test_knitting_exact_single_record(tmp_path):
     assert rec["mode"] == "exact_sum"
 
 
+@pytest.mark.parametrize("name", ["knitting-exact", "knitting-sampled"])
+def test_a_run_checks_the_observable_once(tmp_path, monkeypatch, name):
+    """Validation checks the observable; the runner does not check it again."""
+    import obliq
+
+    golden = SCENARIO_DIR / f"{name}.json"
+    observable = np.array(json.loads(golden.read_text())["observable"], dtype=complex)
+    checked = []
+    for module in (obliq.cli, obliq.distributed, obliq.oblivious, obliq.qmath):
+        real = module.is_hermitian
+
+        def counting(a, *args, _real=real, **kwargs):
+            if np.shape(a) == observable.shape and np.array_equal(a, observable):
+                checked.append(a)
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(module, "is_hermitian", counting)
+    assert main(["run", str(golden), "--out", str(tmp_path / "out")]) == 0
+    assert len(checked) == 1
+
+
 def test_scheme2_controlled_form_checked(tmp_path):
     sc = {
         "version": 1,

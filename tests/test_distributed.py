@@ -541,6 +541,23 @@ def test_knit_decompose_rejects_nonunitary():
         knit_decompose(np.ones((4, 4)))
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_cached_pauli_pairs_are_the_read_only_kron_products(d):
+    from obliq.oblivious import GeneralizedPauliBasis
+
+    sigmas = GeneralizedPauliBasis(d).operators
+    pairs = dist._pauli_pairs(d)
+    assert pairs is dist._pauli_pairs(d)
+    assert len(pairs) == d**4
+    for k, pair in enumerate(pairs):
+        expected = np.kron(sigmas[k // (d * d)], sigmas[k % (d * d)])
+        assert pair.dtype == expected.dtype and pair.shape == expected.shape
+        assert pair.tobytes() == expected.tobytes()
+        assert not pair.flags.writeable
+    with pytest.raises(ValueError):
+        pairs[0][0, 0] = 2.0
+
+
 def _cluster_circuit(cut: bool):
     return KnitCircuit(
         num_qudits=2,
@@ -611,6 +628,17 @@ def test_knit_sampled_needs_rng_and_shots():
         knit_estimate(_cluster_circuit(True), obs, mode="sampled")
     with pytest.raises(EstimationError):
         knit_estimate(_cluster_circuit(True), obs, mode="wrong")
+
+
+def test_knit_estimate_checks_its_inputs():
+    obs = np.kron(named_gate("X"), named_gate("Z")).astype(complex)
+    with pytest.raises(StateValidationError, match="Hermitian"):
+        knit_estimate(_cluster_circuit(True), obs + np.triu(np.ones((4, 4)), 1) * 1e-6)
+    with pytest.raises(DimensionError, match="circuit width"):
+        knit_estimate(_cluster_circuit(True), named_gate("Z"))
+    off = KnitCircuit(num_qudits=2, gates=(KnitGate(named_gate("CZ") * (1 + 1e-6), (0, 1), cut=True),))
+    with pytest.raises(StateValidationError, match="unitary"):
+        knit_estimate(off, obs)
 
 
 def test_knit_cut_needs_two_targets():

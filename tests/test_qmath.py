@@ -46,6 +46,21 @@ def test_predicates():
     assert is_psd(dagger(u) @ u)
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_is_hermitian_is_the_max_entry_of_a_minus_its_adjoint(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 40))
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    h = a + a.conj().T + 1e-10 * rng.normal(size=(n, n))
+    for m in (h, h.real, h.T, h[::-1, ::-1], np.asfortranarray(h), a, np.full((n, n), 1e308 + 1e308j)):
+        for tol in (1e-9, 1e-10, 1e-11):
+            with np.errstate(over="ignore", invalid="ignore"):
+                expected = bool(np.abs(m - m.conj().T).max() <= tol)
+            assert is_hermitian(m, tol) == expected
+    assert not is_hermitian(np.zeros((n, n + 1)))
+    assert not is_hermitian(np.zeros(n))
+
+
 def test_random_unitary_distributes_phases():
     rng = np.random.default_rng(42)
     for d in (2, 3, 5):

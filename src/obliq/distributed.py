@@ -10,40 +10,44 @@ consumes.
 
 A measurement consumes the registers it measures, as every primitive of the
 paper does (injection, the OQT link, the teleportation Bell measurement):
-outcome k leaves tr_M((P_k ox 1) rho) / p_k, one weighted `partial_trace`,
-and the measured labels leave the layout and the owner map. A forced
-outcome outside the measurement's outcomes is refused before the state
-changes.
+outcome k leaves tr_M((P_k ox 1) rho) / p_k, one weighted trace
+(`qmath.traced_rows`), and the measured labels leave the layout and the
+owner map. A forced outcome outside the measurement's outcomes is refused
+before the state changes.
 
 What the caller gives is checked once, where the engine takes it: a raw
 vector or matrix state (as `PureState` and `MixedState` check theirs), a
-projector or weight that must fit the measured registers, a forced
-outcome, a party and its registers. What the engine forms itself is never
-checked again: its stacked states, and what a measurement contracts them
-with. A `_Plan` (positions, trace plans, the layout after) is built once
-per (layout, labels), and a `_Basis` forms its projectors' columns and
-weights once, so at D <= 16 an operation is a few numpy calls. Only the
-outcome rows keep their sum checks, which no rounding of valid input
-reaches: 1e-8 per engine measurement, 1e-9 over a runner's path.
+projector that must fit the measured registers, a forced outcome, a party
+and its registers. What the engine forms itself is never checked again:
+its stacked states, and what a measurement contracts them with. A `_Plan`
+(positions, trace plans, the layout after) is built once per (layout,
+labels), and a `_Basis` forms its projectors' columns and weights once, so
+at D <= 16 an operation is a few numpy calls. Only the outcome rows keep
+their sum checks, which no rounding of valid input reaches: 1e-8 per
+engine measurement, 1e-9 over a runner's path.
 
 Every protocol is defined once as a list of steps, and `_walk` is the one
 walk of their outcomes. It goes level by level: every branch of a depth
 runs the same step on the same registers, so one `ProtocolEngine` holds
 them all as rows of a (B, D, D) stack and each engine operation acts on
 every row at once. A measurement gives a (B, outcomes) table, a fork is a
-row selection, a correction is applied to the rows that took its outcome,
-and every shot of a level takes its outcome at once, from its own row of
-fresh uniforms (scripts) or of given patterns (every runner).
-The layout, owners, ebits and ledger are the engine's, shared by its rows;
-outcome-dependent work that would make them differ is refused. A step whose
-stack would outgrow `ROW_BUDGET` complex entries runs on chunks of rows, so
-D <= 16 is batched whole and D = 343 goes one row at a time. A measurement
-may have any number of outcomes: two for a binary one, d**2 for a
-teleportation. `teleport_state`, `remote_controlled_gate`, `pingpong_run`
-(the one single-path OQT chain) and the engine's own measurements follow
-one path on an engine of one row (`_follow`, one ``rng.choice`` per
-measurement). `_announced` is the one announced binary measurement
-(measure, broadcast, count an OQT link, consume an ebit), shared by the
+row selection, and every shot of a level takes its outcome at once, from
+its own row of fresh uniforms (scripts) or of given patterns (every runner).
+The layout, owners, ebits and ledger are the engine's, shared by its rows.
+As in the paper, a primitive's classical side (the bits it broadcasts, the
+ebit it uses, the layer it forces) does not depend on its outcome; only
+the byproduct correction does. So a measurement's follow-up is data: the
+outcome-free bookkeeping ``after(engine)``, run once per level, and an
+optional correction (party, operators, labels), operators[k] acting on the
+rows that took outcome k. A step whose stack would outgrow `ROW_BUDGET`
+complex entries runs on chunks of rows, so D <= 16 is batched whole and
+D = 343 goes one row at a time. A measurement may have any number of
+outcomes: two for a binary one, d**2 for a teleportation.
+`teleport_state`, `remote_controlled_gate`, `pingpong_run` (the one
+single-path OQT chain) and the engine's own measurements follow one path
+on an engine of one row (`_follow`, one ``rng.choice`` per measurement).
+`_announced` is the one announced measurement (measure, broadcast, count
+an OQT link, consume an ebit, correct the byproduct), shared by the
 runners and the CLI's script ops.
 
 The runners walk a few patterns and then draw their shots from a law. An
@@ -228,17 +232,6 @@ class ProtocolEngine:
         twin._state = self._rows(rows)
         return twin
 
-    def _same_frame(self, other: ProtocolEngine) -> bool:
-        """Whether ``other`` holds the same layout, owners, ebit registry,
-        used ebits and ledger."""
-        return (
-            self._layout == other._layout
-            and self._owner == other._owner
-            and self._ebits == other._ebits
-            and self._used == other._used
-            and self.ledger == other.ledger
-        )
-
     def reduced(self, labels) -> np.ndarray:
         return partial_trace(self._state, list(labels), self.layout)
 
@@ -372,18 +365,10 @@ class ProtocolEngine:
     def ebits_conserved(self) -> bool:
         return self.ledger.ebits_consumed == len(self._used)
 
-    def discard(self, labels, weight: np.ndarray | None = None) -> None:
-        """Trace out the registers ``labels``. With ``weight``, an operator W
-        on those registers in the order of ``labels``, the state becomes
-        tr_labels((W ox 1) rho) instead."""
+    def discard(self, labels) -> None:
+        """Trace out the registers ``labels``."""
         plan = _plan(self._layout, tuple(labels))
-        vec = None
-        if weight is not None:
-            weight = as_complex(weight)
-            if weight.shape != (plan.dim, plan.dim):
-                raise DimensionError(f"weight shape {weight.shape} does not match the registers {list(labels)}")
-            vec = _layout_weight(weight, plan)
-        self._state = traced_rows(self._state, self._layout.dims, plan.collapse, vec)
+        self._state = traced_rows(self._state, self._layout.dims, plan.collapse)
         self._drop(plan)
 
     def _drop(self, plan: _Plan) -> None:
@@ -461,46 +446,40 @@ class ProtocolEngine:
             raise StateValidationError(f"measurement probabilities sum to {total[off][0]}")
         return probs
 
-    def _branch(self, rows, ks, plan, basis, table, after=None) -> ProtocolEngine:
+    def _branch(self, rows, ks, plan, basis, table, after=None, correct=None) -> ProtocolEngine:
         """This engine's rows ``rows`` collapsed on the outcomes ``ks`` (pairs
-        sorted by row, then outcome), as one engine in that order. Outcome
-        k's projector weights the trace of the measured registers on the
-        rows that took it, which are divided by their probabilities in
-        ``table``. The layout and the owner map then change once, and
-        ``after(engine, k)`` does each outcome's follow-up work on its rows.
-        That work may not leave the outcomes with different registers, ebits
-        or ledgers. The engine is consumed: a single outcome collapses it
-        itself."""
+        sorted by row, then outcome), in that order. Outcome k's projector
+        weights the trace of the measured registers on the rows that took
+        it, which are divided by their probabilities in ``table`` and, with
+        ``correct`` = (party, operators, labels), conjugated by operators[k]
+        on ``labels``. The layout and the owner map then change once, and
+        ``after(engine)`` does the outcome-free follow-up once for every row.
+        The engine is consumed."""
         weights = basis.weights(plan)
         dims = self._layout.dims
         taken = sorted(set(ks.tolist()))
-        states = []
+        whole = len(taken) == 1  # every row took one outcome: nothing to scatter
+        out = None if whole else np.empty((len(rows), *(plan.after.total_dim,) * 2), dtype=complex)
         for k in taken:
-            sel = rows if len(taken) == 1 else rows[ks == k]
+            mine = slice(None) if whole else ks == k
+            sel = rows[mine]
             probs = table[sel, k]
             if probs.min() < 1e-14:
                 raise BranchError(f"measurement branch {k} has vanishing probability")
             state = traced_rows(self._rows(sel), dims, plan.collapse, weights[k])
             state /= probs[:, None, None]
-            states.append(state)
+            if correct is not None:
+                state = apply_on_targets(correct[1][k], state, correct[2], plan.after, conjugate=True)
+            if whole:
+                out = state
+            else:
+                out[mine] = state
+        self._state = out
         self._drop(plan)
         self._touch()
-        twins = [self] if len(taken) == 1 else [self.fork() for _ in taken]
-        for k, twin, state in zip(taken, twins, states):
-            twin._state = state
-            if after is not None:
-                after(twin, k)
-        first = twins[0]
-        if len(twins) > 1:
-            if not all(first._same_frame(twin) for twin in twins[1:]):
-                raise BranchError(
-                    "outcome-dependent work left rows of one depth with different "
-                    "registers, ebits or ledgers"
-                )
-            stacked = np.concatenate([twin._state for twin in twins])
-            first._state = np.empty_like(stacked)
-            first._state[np.argsort(ks, kind="stable")] = stacked
-        return first
+        if after is not None:
+            after(self)
+        return self
 
 
 class _Basis(tuple):
@@ -522,17 +501,15 @@ class _Basis(tuple):
         return basis
 
     def weights(self, plan: _Plan) -> tuple[np.ndarray, ...]:
+        """Each projector's vec(W^T), its tensor factors (in label order)
+        permuted into layout order for the collapse."""
         key = (plan.dims, plan.axes)
         if key not in self._weights:
-            self._weights[key] = tuple(_layout_weight(p, plan) for p in self)
+            shape = plan.dims * 2
+            self._weights[key] = tuple(
+                p.reshape(shape).transpose(plan.axes).reshape(p.shape).T.reshape(-1) for p in self
+            )
         return self._weights[key]
-
-
-def _layout_weight(weight: np.ndarray, plan: _Plan) -> np.ndarray:
-    """vec(W^T) of a weight on ``plan``'s registers in label order, with
-    its tensor factors permuted into layout order for the collapse."""
-    shape = plan.dims * 2
-    return weight.reshape(shape).transpose(plan.axes).reshape(weight.shape).T.reshape(-1)
 
 
 class _Plan(NamedTuple):
@@ -582,8 +559,9 @@ def _parity_basis(d: int) -> _Basis:
 # measurement on the level it is given (a `ProtocolEngine` holding one row
 # per live branch) and returns None if it measures nothing, else the
 # (rows, outcomes) probability table and branch(rows, ks): the level of the
-# rows ``rows`` after the outcomes ``ks``, with their follow-up work
-# (broadcast, correction) done. A finish reads each row of a leaf level.
+# rows ``rows`` after the outcomes ``ks``, corrected and with its
+# bookkeeping (broadcast, ebit, layer) done. A finish reads each row of a
+# leaf level.
 
 # Stacked states one step may hold, in complex entries: an engine whose rows
 # would outgrow it raises `_Split`, and the walk reruns the step on fewer
@@ -599,15 +577,18 @@ class _Split(Exception):
         self.rows = rows
 
 
-def _measured(eng: ProtocolEngine, party: str, basis: _Basis, labels, after=None):
+def _measured(eng: ProtocolEngine, party: str, basis: _Basis, labels, after=None, correct=None):
     """A step's measurement of ``labels`` in ``basis``: the table of every
     row's outcome probabilities, formed once, and branch(rows, ks) (see
-    `ProtocolEngine._branch`, with ``after`` its follow-up work)."""
+    `ProtocolEngine._branch`, with ``after`` its bookkeeping and
+    ``correct`` its correction, whose party must hold its registers)."""
     table = eng._outcomes(party, basis, labels)
     plan = _plan(eng.layout, tuple(labels))
+    if correct is not None:
+        eng.check_owned(correct[0], correct[2])
 
     def branch(rows: np.ndarray, ks: np.ndarray) -> ProtocolEngine:
-        return eng._branch(rows, ks, plan, basis, table, after)
+        return eng._branch(rows, ks, plan, basis, table, after, correct)
 
     return table, branch
 
@@ -853,15 +834,9 @@ def _teleport(state_label: str, ebit: int):
         if eng.layout.dim(ea) != d:
             raise DimensionError("ebit dimension does not match the state register")
         corrections, projs = _bell_basis(d)
-
-        def correct(eng: ProtocolEngine, idx: int) -> None:
-            eng.consume_ebit(ebit)
-            eng.broadcast(2 * math.ceil(math.log2(d)))
-            eng.apply_local(dest, corrections[idx], [eb])
-            eng.ledger.qt_corrections += 1
-            eng.force_layer()
-
-        return _measured(eng, source, projs, [state_label, ea], correct)
+        bits = 2 * math.ceil(math.log2(d))
+        return _announced(eng, source, projs, [state_label, ea], bits, ebit=ebit,
+                          correct=(dest, corrections, [eb]))
 
     return step
 
@@ -886,6 +861,7 @@ def teleport_state(
 
 
 _Z_BASIS, _X_BASIS = _binary(np.diag([1.0, 0.0])), _binary(np.full((2, 2), 0.5))
+_X_POWERS, _Z_POWERS = (np.eye(2), X), (np.eye(2), Z)  # X^m and Z^m for m = 0, 1
 
 
 def _cat_entangler(control_label: str, target_label: str, ebit: int, gate: np.ndarray):
@@ -908,14 +884,7 @@ def _cat_entangler(control_label: str, target_label: str, ebit: int, gate: np.nd
         if gate.shape != (eng.layout.dim(target_label),) * 2 or not is_unitary(gate):
             raise StateValidationError("the controlled gate must be unitary on the target")
         eng.apply_local(pa, CNOT, [control_label, ea])
-
-        def correct(eng: ProtocolEngine, m1: int) -> None:
-            eng.broadcast(1)
-            eng.apply_local(pb, np.linalg.matrix_power(X, m1), [eb])
-            eng.ledger.qt_corrections += 1
-            eng.force_layer()
-
-        return _measured(eng, pa, _Z_BASIS, [ea], correct)
+        return _announced(eng, pa, _Z_BASIS, [ea], correct=(pb, _X_POWERS, [eb]))
 
     def x_step(eng: ProtocolEngine):
         # The Z measurement consumed the control side's half.
@@ -923,15 +892,7 @@ def _cat_entangler(control_label: str, target_label: str, ebit: int, gate: np.nd
         pa = eng.owner(control_label)
         pb = eng.check_owned(eng.owner(target_label), [target_label, eb])
         eng.apply_local(pb, ctrl, [eb, target_label])
-
-        def correct(eng: ProtocolEngine, m2: int) -> None:
-            eng.broadcast(1)
-            eng.apply_local(pa, np.linalg.matrix_power(Z, m2), [control_label])
-            eng.ledger.qt_corrections += 1
-            eng.force_layer()
-            eng.consume_ebit(ebit)
-
-        return _measured(eng, pb, _X_BASIS, [eb], correct)
+        return _announced(eng, pb, _X_BASIS, [eb], ebit=ebit, correct=(pa, _Z_POWERS, [control_label]))
 
     return [z_step, x_step]
 
@@ -977,20 +938,26 @@ class DbqcResult:
 
 
 def _announced(
-    eng: ProtocolEngine, party: str, basis, labels, oqt: bool = False, ebit: int | None = None
+    eng: ProtocolEngine, party: str, basis, labels, bits: int = 1, oqt: bool = False,
+    ebit: int | None = None, correct=None,
 ):
-    """The binary measurement ``basis`` = (p0, 1 - p0) on ``labels``, which
-    it consumes, and the broadcast of its bit; ``oqt`` counts it as an OQT
-    link and ``ebit`` is the ebit it consumes."""
+    """The measurement ``basis`` on ``labels``, which it consumes, and the
+    broadcast of ``bits`` bits of its outcome; ``oqt`` counts it as an OQT
+    link, ``ebit`` is the ebit it consumes, and ``correct`` = (party,
+    operators, labels) is its byproduct correction, a counted event and a
+    forced layer whatever the outcome."""
 
-    def announce(eng: ProtocolEngine, bit: int) -> None:
-        eng.broadcast(1)
+    def announce(eng: ProtocolEngine) -> None:
+        eng.broadcast(bits)
         if oqt:
             eng.record_oqt()
         if ebit is not None:
             eng.consume_ebit(ebit)
+        if correct is not None:
+            eng.ledger.qt_corrections += 1
+            eng.force_layer()
 
-    return _measured(eng, party, basis, labels, announce)
+    return _measured(eng, party, basis, labels, announce, correct)
 
 
 def _isi(party: str, program: ChoiProgram, psi: PureState, out: str, inp: str):
@@ -1414,9 +1381,8 @@ def _knit_estimate(circuit: KnitCircuit, observable: np.ndarray, mode: str, shot
     flat_o = ((observable @ factors) * lam).reshape(len(weights), -1)
     overhead = float(np.prod([dec.overhead for dec in decomps])) if decomps else 1.0
 
-    if mode == "exact_sum":
-        gram = flat.conj() @ flat_o.T
-        value = np.einsum("l,k,lk->", weights.conj(), weights, gram)
+    if mode == "exact_sum":  # sum_lk conj(w_l) w_k <A_l R, O A_k R>, by linearity
+        value = (weights @ flat).conj() @ (weights @ flat_o)
         return KnitEstimate(estimate=float(value.real), stderr=0.0, overhead=overhead)
 
     if mode != "sampled":
@@ -1458,7 +1424,7 @@ def _pingpong_protocol(programs: list, system):
     bell = _parity_basis(d)
 
     def hop(k: int, prog: ChoiProgram, out: str, inp: str, current: str):
-        def count(eng: ProtocolEngine, bit: int) -> None:
+        def count(eng: ProtocolEngine) -> None:
             eng.record_oqt()
             if k > 0:
                 eng.force_layer()

@@ -9,16 +9,18 @@ Conventions used throughout the package:
 * everything is a dense complex128 ndarray;
 * an operator on some registers of a layout is applied by contracting it
   with those registers' axes (`apply_on_targets`), and a measurement weight
-  on the traced-out registers folds into `partial_trace`; neither ever
-  builds the layout-sized operator. `embed_operator` builds that operator
-  and is kept as the reference the contractions are tested against. The
-  weighted trace is the one kernel of every measurement: the measured
-  registers are traced out, weighted by the outcome's projector. A product
-  of states is laid out for that trace by `traced_product`, which writes
-  each entry np.kron would form straight into the traced order;
+  on the traced-out registers folds into the trace of a stack
+  (`traced_rows`); neither ever builds the layout-sized operator.
+  `embed_operator` builds that operator and is kept as the reference the
+  contractions are tested against. The weighted trace is the one kernel of
+  every measurement: the measured registers are traced out, weighted by the
+  outcome's projector. `partial_trace` is the unweighted trace. A product
+  of states is laid out for a trace by `traced_product`, which writes each
+  entry np.kron would form straight into the traced order;
 * a stack of states (B, D, D), one per branch, goes through the same
-  kernels with a leading batch axis: `apply_on_targets` and `partial_trace`
-  contract each row by the same matrix products, and `kron_rows` forms the
+  kernels with a leading batch axis: `apply_on_targets`, `partial_trace`
+  and `traced_rows` contract each row by the same matrix products, and
+  `kron_rows` forms the
   products np.kron forms, so a row of a stack gets the bytes it gets alone.
   Their axis plans are cached per (dims, positions), and `layout_of` builds
   a layout once per register list;
@@ -44,7 +46,7 @@ EPS = 1e-10
 
 # Dense capacity guards. MAX_ENTRIES bounds matrix element counts produced by
 # tensor products; MAX_STATE_DIM bounds the total dimension of one register
-# group. Both are module defaults and can be overridden per call.
+# group. Both are module constants.
 MAX_ENTRIES = 1 << 20
 MAX_STATE_DIM = 1 << 10
 
@@ -90,19 +92,18 @@ def is_psd(a: np.ndarray, tol: float = EPS) -> bool:
     return bool(w.min() >= -tol)
 
 
-def _check_entries(entries: int, max_entries: int | None = None) -> None:
-    cap = MAX_ENTRIES if max_entries is None else max_entries
-    if entries > cap:
+def _check_entries(entries: int) -> None:
+    if entries > MAX_ENTRIES:
         raise CapacityError(
-            f"tensor product would hold {entries} entries, capacity is {cap}"
+            f"tensor product would hold {entries} entries, capacity is {MAX_ENTRIES}"
         )
 
 
-def tensor_product(a: np.ndarray, b: np.ndarray, max_entries: int | None = None) -> np.ndarray:
-    """Kronecker product with a capacity guard on the result size."""
+def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product with a capacity guard (`MAX_ENTRIES`) on the result size."""
     a = as_complex(a)
     b = as_complex(b)
-    _check_entries(a.size * b.size, max_entries)
+    _check_entries(a.size * b.size)
     return np.kron(a, b)
 
 
@@ -326,36 +327,21 @@ def traced_product(factors, keep, layout: RegisterLayout) -> np.ndarray:
     return np.ascontiguousarray(t).reshape(shape)
 
 
-def partial_trace(
-    rho: np.ndarray, keep, layout: RegisterLayout, weight: np.ndarray | None = None
-) -> np.ndarray:
+def partial_trace(rho: np.ndarray, keep, layout: RegisterLayout) -> np.ndarray:
     """Trace out everything except ``keep``; result is ordered as ``keep``.
 
-    With ``weight``, an operator W on the traced-out registers in layout
-    order, the result is tr_out((1 ox W) rho) instead, in O(D^2). ``rho`` is
-    a D x D matrix, laid out by `traced_product`, or a stack (B, D, D)
-    whose rows are traced alike by `traced_rows`.
+    ``rho`` is a D x D matrix, laid out by `traced_product`, or a stack
+    (B, D, D) whose rows are traced alike by `traced_rows`.
     """
     rho = as_complex(rho)
-    dims = layout.dims
     d = layout.total_dim
     if rho.shape[-2:] != (d, d) or rho.ndim not in (2, 3):
         raise DimensionError(f"state shape {rho.shape} does not match layout dim {d}")
     keep = list(keep)
     if rho.ndim == 3:
-        plan = _trace_plan(dims, _positions(keep, layout))
-        dd = plan[2]
-        if weight is not None and weight.shape != (dd, dd):
-            raise DimensionError(f"weight shape {weight.shape} does not match traced dim {dd}")
-        vec = None if weight is None else as_complex(weight).T.reshape(-1)
-        return traced_rows(rho, dims, plan, vec)
+        return traced_rows(rho, layout.dims, _trace_plan(layout.dims, _positions(keep, layout)))
     t = traced_product([rho], keep, layout)
-    dd = t.shape[1]
-    if weight is None:
-        return np.ascontiguousarray(np.trace(t, axis1=1, axis2=3))
-    if weight.shape != (dd, dd):
-        raise DimensionError(f"weight shape {weight.shape} does not match traced dim {dd}")
-    return np.einsum("anbm,mn->ab", t, weight)
+    return np.ascontiguousarray(np.trace(t, axis1=1, axis2=3))
 
 
 def kron_rows(rho: np.ndarray, block: np.ndarray) -> np.ndarray:

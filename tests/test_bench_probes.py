@@ -1,23 +1,32 @@
-"""The benchmark's per-layer probes wrap bindings that must exist.
+"""The benchmark's per-layer probes wrap bindings that must exist, and the
+engine microbench runs on the engine as it is.
 
 `bench/run.py:layer_probes` wraps named attributes of obliq's modules (the
 binding each caller imported). A binding removed from obliq would otherwise
 show up only as a failed traced benchmark run. The tracer reads each binding
 from ``vars(owner)``, so an inherited or merely reachable attribute does not
-count: the test applies the same rule.
+count: the test applies the same rule. `tools/engine_microbench.py` calls
+engine methods by name, so a changed signature would otherwise show up only
+when the tool is run.
 """
 
 import importlib
+import math
 import os
+import timeit
 from pathlib import Path
 
+import pytest
+
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
+TOOLS_DIR = Path(__file__).resolve().parent.parent / "tools"
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def test_every_layer_probe_binding_exists(monkeypatch):
     # Importing the bench driver pins the BLAS thread variables; keep them
     # scoped to this test.
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    for var in BLAS_VARS:
         monkeypatch.setenv(var, os.environ.get(var, "1"))
     monkeypatch.syspath_prepend(str(BENCH_DIR))
     run = importlib.import_module("run")
@@ -29,3 +38,23 @@ def test_every_layer_probe_binding_exists(monkeypatch):
         if p.attr not in vars(p.owner)
     ]
     assert missing == []
+
+
+@pytest.mark.parametrize("big_d", [4, 16])
+def test_engine_microbench_times_every_operation(monkeypatch, big_d):
+    # Importing the microbench pins the BLAS thread variables; keep them
+    # scoped to this test.
+    for var in BLAS_VARS:
+        monkeypatch.setenv(var, os.environ.get(var, "1"))
+    monkeypatch.syspath_prepend(str(TOOLS_DIR))
+    microbench = importlib.import_module("engine_microbench")
+    import obliq.distributed  # noqa: F401  (binds obliq.distributed)
+    import obliq
+
+    # A smoke test times nothing: ten calls per timing instead of timeit's
+    # 0.2-second autorange.
+    monkeypatch.setattr(timeit.Timer, "autorange", lambda timer: (10, 0.0))
+    row = microbench.measure(obliq, big_d, repeat=1)
+    ops = {"fork", "outcomes", "apply_local", "probability", "alloc_program", "measure", "discard"}
+    assert set(row) == ops
+    assert all(math.isfinite(us) and us > 0 for us in row.values())

@@ -9,12 +9,15 @@ table and says which digests changed, and why, in CHANGES.md.
 """
 
 import hashlib
+import itertools
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from obliq import cli
+from obliq import distributed as dist
 from obliq.channels import KrausChannel, choi_of
 from obliq.cli import main
 from obliq.distributed import Party, run_triparty
@@ -307,3 +310,87 @@ def test_scheme1_qutrit_digests(damped):
     rng = np.random.default_rng(22)
     res = run_triparty("I", *_scheme1_parties(damped), 4000, rng)
     assert _scheme1_digest(res, rng) == SCHEME1_QUTRIT[damped]
+
+
+# --- the walk of multi-outcome levels, leaf by leaf ---
+
+
+def _walk_digest(protocol, **draws) -> str:
+    """sha256 of `_walk` on ``protocol`` (engine, steps): each shot's
+    outcomes and path probability, then the state bytes of every leaf
+    level's rows in the order the walk finishes them."""
+    engine, steps = protocol
+    leaves = []
+
+    def leaf(eng):
+        leaves.append(eng.state().tobytes())
+
+    outcomes, probs, _ = dist._walk(engine, steps, leaf, **draws)
+    h = hashlib.sha256(outcomes.tobytes() + probs.tobytes())
+    for state in leaves:
+        h.update(state)
+    return h.hexdigest()
+
+
+def _scheme2_walk() -> tuple:
+    """Scheme II with a qutrit at B, walked over its 16 patterns."""
+    rng = np.random.default_rng(20261023)
+
+    def pure(vec):
+        return PureState(RegisterLayout.of(("s", len(vec))), vec)
+
+    ua, ub = _rotations(rng, 2), _rotations(rng, 3)
+    a = Party("a", programs=[choi_of(ua)], states=[pure(_rotations(rng, 2)[:, 0])])
+    b = Party("b", programs=[choi_of(ub)], states=[pure(_rotations(rng, 3)[:, 1])])
+    psi_o = pure(_rotations(rng, 6)[:, 2])
+    engine, steps, _ = dist._triparty_scheme2_protocol(a, b, _rotations(rng, 3), psi_o)
+    patterns = np.array(list(itertools.product((0, 1), (0, 1), range(4))))
+    return (engine, steps), {"patterns": patterns}
+
+
+def _script_walk() -> tuple:
+    """A script that teleports a qutrit from alice to bob and back, runs a
+    remote CNOT between fresh qubits and measures the qutrit: 300 shots of
+    fresh uniforms, five draws each."""
+    rng = np.random.default_rng(20261024)
+
+    def vector(d):
+        return {"vector": _literal(_rotations(rng, d)[:, 0])}
+
+    def ebit(rid, pa, pb, d):
+        return {"op": "distribute_ebit", "party_a": pa, "party_b": pb, "label_a": f"e{rid}a",
+                "label_b": f"e{rid}b", "resource": rid, "dim": d}
+
+    steps = [
+        {"op": "prepare_state", "party": "alice", "label": "s", "state": vector(3)},
+        {"op": "local_gate", "party": "alice", "labels": ["s"],
+         "gate": {"matrix": [_literal(r) for r in _rotations(rng, 3)]}},
+        ebit(1, "alice", "bob", 3),
+        {"op": "bell_measure_qt", "party": "alice", "state_label": "s", "resource": 1},
+        ebit(2, "bob", "alice", 3),
+        {"op": "bell_measure_qt", "party": "bob", "state_label": "e1b", "resource": 2},
+        {"op": "prepare_state", "party": "alice", "label": "c", "state": vector(2)},
+        {"op": "prepare_state", "party": "bob", "label": "t", "state": vector(2)},
+        ebit(3, "alice", "bob", 2),
+        {"op": "remote_cnot", "party": "alice", "control": "c", "target": "t", "resource": 3},
+        {"op": "final_measure", "party": "alice", "labels": ["e2b"], "state": vector(3)},
+    ]
+    sc = cli.validate_scenario({"version": 1, "kind": "script", "seed": 24, "shots": 300,
+                                "parties": ["alice", "bob"], "steps": steps})
+    walker = [step for _, op_steps in sc["steps"] for step in op_steps]
+    engine = dist.ProtocolEngine(*sc["parties"])
+    return (engine, walker), {"uniforms": rng.random((300, 5))}
+
+
+# sha256 of `_walk_digest`, computed when each outcome's follow-up ran on an
+# engine of its own and the outcomes were stitched back into one stack.
+WALKS = {
+    "scheme2": "dd8821ef8c6f17614814c9fd03ed048c6ed0f4033f2984cde0eefb2bbc471008",
+    "script": "1458eab07335bd8873beb740bca657901f684ae7f1a3530061dd52ca19450356",
+}
+
+
+@pytest.mark.parametrize("case", sorted(WALKS))
+def test_multi_outcome_walk_digests(case):
+    protocol, draws = {"scheme2": _scheme2_walk, "script": _script_walk}[case]()
+    assert _walk_digest(protocol, **draws) == WALKS[case]

@@ -602,6 +602,20 @@ def test_knit_two_cuts_multiplicative_overhead():
     assert abs(res.estimate - direct.estimate) < 1e-10
 
 
+def test_knit_exact_sum_of_four_haar_cuts_matches_the_uncut_circuit():
+    """Four cut copies of a Haar two-qubit gate make 16^4 = 65,536 terms.
+    The exact sum is linear in them, so it forms no terms x terms matrix
+    (64 GiB here), and it matches tr(O U rho U^dag) of the uncut circuit."""
+    rng = np.random.default_rng(2026)
+    u = random_unitary(4, rng)
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    obs = (a + a.conj().T) / 2
+    circuit = KnitCircuit(num_qudits=2, gates=tuple(KnitGate(u, (0, 1), cut=True) for _ in range(4)))
+    res = knit_estimate(circuit, obs, mode="exact_sum")
+    psi = np.linalg.matrix_power(u, 4)[:, 0]  # U^4 |00>
+    assert abs(res.estimate - np.vdot(psi, obs @ psi).real) <= 1e-12
+
+
 def test_knit_sampled_unbiased_and_stderr():
     rng = np.random.default_rng(416)
     v = np.kron([0.6, 0.8], [0.6, 0.8]).astype(complex)

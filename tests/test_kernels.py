@@ -102,13 +102,21 @@ def test_apply_on_targets_matches_embedded_operator(case, seed, cols):
 @KERNEL
 @given(layouts_and_targets(), SEEDS)
 def test_weighted_partial_trace_matches_embedded_weight(case, seed):
+    """The weighted trace of a measurement (`traced_rows` with vec(W^T), W
+    on the traced registers in layout order) against tr_out((1 ox W) rho)."""
     layout, keep = case
     rng = np.random.default_rng(seed)
     traced = [lab for lab in layout.labels if lab not in keep]
     weight = _ginibre(rng, math.prod(layout.dim(t) for t in traced))
     rho = _ginibre(rng, layout.total_dim)
     want = partial_trace(embed_operator(weight, traced, layout) @ rho, keep, layout)
-    assert np.abs(partial_trace(rho, keep, layout, weight) - want).max() <= TOL
+    assert np.abs(_weighted(rho[None], keep, layout, weight)[0] - want).max() <= TOL
+
+
+def _weighted(stack, keep, layout, weight):
+    """`qmath.traced_rows` of ``stack`` keeping ``keep``, weighted by ``weight``."""
+    plan = qmath._trace_plan(layout.dims, tuple(layout.index(lab) for lab in keep))
+    return qmath.traced_rows(stack, layout.dims, plan, weight.T.reshape(-1))
 
 
 @KERNEL
@@ -131,7 +139,7 @@ def test_stacked_kernels_match_the_references_row_by_row(case, seed, rows, block
             apply_on_targets(op, x, targets, layout, True),
             apply_on_targets(op, f, targets, layout),
             partial_trace(x, targets, layout),
-            partial_trace(x, targets, layout, weight),
+            _weighted(x, targets, layout, weight),
             kron_rows(x, block),
         )
 
@@ -185,7 +193,7 @@ def test_measurement_plans_are_cached_per_layout_and_labels():
     assert dist._plan.cache_info().misses == 1
     child = branch(np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp))
     assert child.layout == layout.subset(["a"])
-    _engine(layout, rho).discard(["c", "b"], basis[1])
+    _engine(layout, rho).discard(["c", "b"])
     _engine(layout, rho).probability("p", _projector(rng, 6), ["c", "b"])
     assert (dist._plan.cache_info().hits, dist._plan.cache_info().misses) == (3, 1)
     _engine(layout, rho).discard(["b", "c"])

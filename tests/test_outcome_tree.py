@@ -29,7 +29,7 @@ from obliq import cli, qmath
 from obliq import distributed as dist
 from obliq.channels import KrausChannel, choi_of, unitary_of_choi
 from obliq.distributed import Party, ProtocolEngine
-from obliq.errors import BranchError, StateValidationError
+from obliq.errors import StateValidationError
 from obliq.gates import CNOT, X, Z, matrix_to_json
 from obliq.oblivious import GeneralizedPauliBasis, bell_projector, parity_mix_alpha
 from obliq.qmath import RegisterLayout, projector, random_statevector, random_unitary
@@ -847,35 +847,36 @@ def test_level_walk_matches_one_path_per_shot(seed, kind, d, n, program_kind, sh
         assert np.array_equal(got, want)
 
 
-def test_outcome_dependent_work_may_not_split_a_level():
-    """The rows of a level share their registers, ebits and ledger: a step
-    whose follow-up work differs by outcome in any of them is refused when
-    two outcomes are taken at once."""
+def test_outcome_free_follow_up_runs_once_per_level(monkeypatch):
+    """A measurement's follow-up is data. ``after``, the bookkeeping that no
+    outcome changes, runs once on a level however many outcomes its rows
+    take, and the level stays one engine: the walk forks once per level and
+    `_branch` forks none. A correction's operators[k] acts only on the rows
+    that took outcome k: measuring one half of a Bell pair and correcting
+    the other by X^k leaves |0><0| on every row."""
     basis = dist._binary(np.diag([1.0, 0.0]))
+    calls, leaves = [], []
 
-    def step_with(after):
-        def run(eng):
-            eng.alloc("p", "q", np.full(2, 2**-0.5))
-            return dist._measured(eng, "p", basis, ["q"], after)
+    def after(eng):
+        calls.append(len(eng))
+        eng.broadcast(1)
 
-        return run
+    def step(eng):
+        eng.distribute_ebit("p", "p", "q", "r")
+        return dist._measured(eng, "p", basis, ["q"], after, ("p", (np.eye(2), X), ["r"]))
 
-    def walk(after, patterns):
-        return dist._walk(ProtocolEngine("p"), [step_with(after)], lambda eng: None,
-                          patterns=np.array(patterns))
+    def finish(eng):
+        leaves.append((eng.ledger, eng.state()))
 
-    def ebit_used_on_one(eng, k):
-        eid = eng.distribute_ebit("p", "p", "e1", "e2")
-        if k:
-            eng.consume_ebit(eid)
-
-    def register_per_outcome(eng, k):
-        eng.alloc("p", f"r{k}", np.array([1.0, 0.0]))
-
-    for after in (lambda eng, k: eng.broadcast(k), ebit_used_on_one, register_per_outcome):
-        with pytest.raises(BranchError, match="different registers, ebits or ledgers"):
-            walk(after, [[0], [1]])
-        walk(after, [[1], [1]])  # one outcome: nothing to disagree with
-    outcomes, probs, _ = walk(lambda eng, k: eng.broadcast(1), [[0], [1], [1]])
+    forks = []
+    fork = ProtocolEngine.fork
+    monkeypatch.setattr(ProtocolEngine, "fork", lambda eng: forks.append(len(eng)) or fork(eng))
+    outcomes, probs, _ = dist._walk(ProtocolEngine("p"), [step], finish,
+                                    patterns=np.array([[0], [1], [1]]))
     assert outcomes.tolist() == [[0], [1], [1]]
     assert np.abs(probs - 0.5).max() <= 1e-15
+    assert calls == [2] and forks == [1, 2]
+    ((ledger, states),) = leaves
+    assert ledger.classical_bits_sent == 1
+    assert states.shape == (2, 2, 2)
+    assert np.abs(states - np.diag([1.0, 0.0])).max() <= 1e-15

@@ -3,6 +3,7 @@ import pytest
 
 from obliq.errors import CapacityError, DuplicateLabelError, UnknownLabelError
 from obliq.qmath import (
+    MAX_ENTRIES,
     RegisterLayout,
     dagger,
     distance_up_to_phase,
@@ -126,8 +127,9 @@ def test_partial_trace_keeps_order():
 
 
 def test_tensor_product_capacity_guard():
-    with pytest.raises(CapacityError):
-        tensor_product(np.eye(64), np.eye(64), max_entries=100)
+    assert MAX_ENTRIES == 1 << 20  # 2^24 entries are over it
+    with pytest.raises(CapacityError, match=f"capacity is {MAX_ENTRIES}$"):
+        tensor_product(np.eye(64), np.eye(64))
 
 
 def test_projector_and_phase_distance():

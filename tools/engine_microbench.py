@@ -25,7 +25,7 @@ qubit program measured by an injection. Each operation is timed with
 * ``outcomes``: the outcome table of the step's measurement (`_outcomes`);
 * ``measure``: the outcome table and the collapse on outcome 0
   (`_measured` and its branch), which consumes the measured registers;
-* ``discard``: the weighted trace of the measured registers;
+* ``discard``: the (unweighted) trace of the measured registers;
 * ``apply_local``: a d x d unitary on the program's out port;
 * ``probability``: a projector's probability on the out port.
 
@@ -121,8 +121,8 @@ def measure(obliq, big_d: int, repeat: int) -> dict:
     """The engine's operations at joint dimension ``big_d``."""
     dist = obliq.distributed
     d, system, bystander = DIMS[big_d]
-    base, program, u, labels, weight = _setup(obliq, d, system, bystander)
-    projectors = dist._binary(weight)
+    base, program, u, labels, proj = _setup(obliq, d, system, bystander)
+    projectors = dist._binary(proj)
     full = base.fork()
     full.alloc_program("p", program, "out", "in")
     assert full.layout.total_dim == big_d
@@ -144,7 +144,7 @@ def measure(obliq, big_d: int, repeat: int) -> dict:
     consuming = {
         "alloc_program": (base, lambda eng: eng.alloc_program("p", program, "out", "in")),
         "measure": (full, collapse),
-        "discard": (full, lambda eng: eng.discard(labels, weight)),
+        "discard": (full, lambda eng: eng.discard(labels)),
     }
     row = {name: _best(fn, repeat) for name, fn in reading.items()}
     row.update({name: _best_on_forks(*pair, repeat) for name, pair in consuming.items()})

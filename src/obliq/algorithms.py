@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .channels import ChoiProgram, IN, OUT, choi_of, conjugate_program, unitary_of_choi
+from .channels import ChoiProgram, IN, OUT, choi_of, conjugate_program, transpose_program, unitary_of_choi
 from .distributed import pingpong_run
 from .errors import (
     BlockEncodingError,
@@ -26,8 +26,7 @@ from .gates import H, Y, ry
 from .oblivious import (
     BinaryBranch,
     OqtRecord,
-    _binary_measure,
-    bell_projector,
+    _bell_layer,
     controlled_gate,
 )
 from .qmath import (
@@ -152,20 +151,15 @@ def swap_test(
 def compose_programs(p1: ChoiProgram, p2: ChoiProgram) -> tuple[BinaryBranch, BinaryBranch]:
     """Binary Bell measurement fusing two unitary programs into one.
 
-    Pairing the out ports of |U1*> and |U2> leaves, on the trivial branch
-    (probability 1/d^2), the program state of U1^dag U2 on the former in
-    ports; p1 is conjugated internally because the raw pairing builds the
-    transpose product.
+    The trivial branch (probability 1/d^2) holds the program state of
+    U1^dag U2: the composition `superchannel.oqt_compose_choi` of p2 with
+    the program of U1^dag, which is p1 transposed and conjugated.
     """
     if not (p1.is_pure and p2.is_pure):
         raise StateValidationError("composition needs pure (unitary) programs")
     if p1.in_dim != p2.in_dim or p1.out_dim != p2.out_dim or p1.in_dim != p1.out_dim:
         raise DimensionError("composition needs equal square port dims")
-    d = p1.in_dim
-    c1 = conjugate_program(p1)
-    layout = RegisterLayout.of(("o1", d), ("i1", d), ("o2", d), ("i2", d))
-    factors = [c1.density(), p2.density()]
-    return _binary_measure(factors, layout, bell_projector(d), ["i1", "i2"], [OUT, IN])
+    return _bell_layer([(p2, transpose_program(conjugate_program(p1)))], [OUT, IN])
 
 
 # ---------------------------------------------------------------------------

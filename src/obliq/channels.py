@@ -76,8 +76,8 @@ class ChoiProgram:
     """Program state over ports (out, in) with the unit-trace-per-port marginal.
 
     The in-port marginal of any trace-preserving program is I/in_dim; that is
-    validated on construction. ``state`` may be pure (unitary program) or
-    mixed (channel program).
+    validated on construction (for in_dim 1 the state's trace check did it).
+    ``state`` may be pure (unitary program) or mixed (channel program).
     """
 
     state: PureState | MixedState
@@ -91,7 +91,7 @@ class ChoiProgram:
             raise DimensionError(f"program layout must be (out, in), got {layout.labels}")
         object.__setattr__(self, "out_dim", layout.dim(OUT))
         object.__setattr__(self, "in_dim", layout.dim(IN))
-        if np.abs(self.marginal(IN) - np.eye(self.in_dim) / self.in_dim).max() > 1e-8:
+        if self.in_dim > 1 and np.abs(self.marginal(IN) - np.eye(self.in_dim) / self.in_dim).max() > 1e-8:
             raise StateValidationError("program in-port marginal is not I/d")
 
     @property

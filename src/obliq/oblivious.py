@@ -10,7 +10,9 @@ The three primitives are
   the in port, with a parity bit per step and closed-form branch states
   (`oqt_step` gives both branches of one step, `oqt_sample_records` samples
   many trails of a unital chain at once by the parity law; one trail of a
-  chain on the protocol engine is `distributed.pingpong_run`);
+  chain on the protocol engine is `distributed.pingpong_run`). A system is
+  a program with a 1-dimensional in port, so a step, a composition of two
+  programs and the multi-party layer are one Bell layer, `_bell_layer`;
 * oblivious control: controlled application of a black-box gate built from
   controlled swaps, one unconditional doubled application U ox U*, and an
   entangled flag whose eigenvalue is exactly one.
@@ -24,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .channels import ChoiProgram, IN, OUT
+from .channels import ChoiProgram, OUT, program_layout
 from .errors import (
     BranchError,
     DimensionError,
@@ -101,10 +103,10 @@ def bell_projector(d: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BinaryBranch:
-    """One outcome of a two-outcome measurement: parity bit, probability,
-    and the normalized post-measurement state of the surviving registers."""
+    """One outcome of a two-outcome measurement: probability and the
+    normalized post-measurement state of the surviving registers. A
+    measurement returns (trivial, complement): the position is the parity."""
 
-    parity: int
     probability: float
     post_state: MixedState
 
@@ -136,7 +138,7 @@ def _binary_measure(
         prob = float(np.trace(num).real)
         if prob < 1e-14:
             raise BranchError(f"branch {parity} has probability {prob}")
-        branches.append(BinaryBranch(parity, prob, MixedState.formed(keep_layout, num / prob)))
+        branches.append(BinaryBranch(prob, MixedState.formed(keep_layout, num / prob)))
     return branches[0], branches[1]
 
 
@@ -150,28 +152,48 @@ def isi_measure(
     with probability 1/d, and the other branch leaves
     (1 - U psi U^dag)/(d - 1).
     """
-    amps = inject.amplitudes if isinstance(inject, PureState) else as_complex(inject).reshape(-1)
-    if amps.shape[0] != program.in_dim:
+    if not isinstance(inject, PureState):
+        inject = PureState(layout_of(((SYS, np.size(inject)),)), inject)
+    if inject.dim != program.in_dim:
         raise DimensionError(
-            f"inject dim {amps.shape[0]} does not match program in-port {program.in_dim}"
+            f"inject dim {inject.dim} does not match program in-port {program.in_dim}"
         )
-    norm = np.linalg.norm(amps)
-    if abs(norm - 1.0) > 1e-8:
-        raise StateValidationError(f"inject norm {norm} is not 1")
-    p0 = projector(amps.conj())
+    p0 = projector(inject.amplitudes.conj())
     return _binary_measure([program.density()], program.state.layout, p0, [OUT], [SYS])
 
 
-def _as_system(state: PureState | MixedState | np.ndarray) -> MixedState:
-    """``state`` on the register SYS. A vector or a matrix is checked as
-    `PureState` and `MixedState` check theirs; a `MixedState` was checked
-    when it was made."""
-    if isinstance(state, MixedState):
-        return MixedState.formed(layout_of(((SYS, state.dim),)), state.matrix)
-    mat = state.density() if isinstance(state, PureState) else as_complex(state)
-    if mat.ndim == 1:
-        mat = projector(mat)
-    return MixedState(layout_of(((SYS, mat.shape[0]),)), mat)
+def _bell_layer(
+    pairs: Sequence[tuple[ChoiProgram, ChoiProgram]], names: Sequence[str]
+) -> tuple[BinaryBranch, BinaryBranch]:
+    """Binary Bell measurement of each pair (p1, p2)'s p1 out port against
+    its p2 in port: the link product of program states. The trivial outcome,
+    every pair's |omega><omega| at once, leaves each composite (p2 after p1)
+    on (p2 out, p1 in), renamed to ``names``; an in port of dimension 1 is
+    dropped. The layout's capacity is checked before the projector is formed.
+    """
+    regs, keep = [], []
+    for k, (p1, p2) in enumerate(pairs):
+        if p1.out_dim != p2.in_dim:
+            raise DimensionError(f"cannot join pair {k}: out {p1.out_dim} vs in {p2.in_dim}")
+        o1, i1, o2, i2 = (f"{port}.{k}" for port in ("o1", "i1", "o2", "i2"))
+        regs += [(o1, p1.out_dim), (i1, p1.in_dim), (o2, p2.out_dim), (i2, p2.in_dim)]
+        keep += [o2, i1] if p1.in_dim > 1 else [o2]
+    layout = layout_of(tuple(regs))
+    p0 = functools.reduce(np.kron, [bell_projector(p2.in_dim) for _, p2 in pairs])
+    factors = [p.density() for pair in pairs for p in pair]
+    return _binary_measure(factors, layout, p0, keep, names)
+
+
+def _as_program(state: PureState | MixedState | np.ndarray) -> ChoiProgram:
+    """``state`` as a program with a 1-dimensional in port. A vector or a
+    matrix is checked as `MixedState` checks its density matrix; a state
+    was checked when it was made and is not checked again."""
+    if isinstance(state, (PureState, MixedState)):
+        mat = state.density() if isinstance(state, PureState) else state.matrix
+        return ChoiProgram(MixedState.formed(program_layout(len(mat), 1), mat))
+    mat = as_complex(state)
+    mat = projector(mat) if mat.ndim == 1 else mat
+    return ChoiProgram(MixedState(program_layout(len(mat), 1), mat))
 
 
 def oqt_step(
@@ -179,20 +201,12 @@ def oqt_step(
 ) -> tuple[BinaryBranch, BinaryBranch]:
     """One oblivious teleportation step.
 
-    The binary Bell measurement {|omega><omega|, complement} on (in port,
-    system) either teleports the system through the program (parity 0,
-    probability 1/d^2) or leaves the complement state
+    The binary Bell measurement {|omega><omega|, complement} on (system,
+    in port) either teleports the system through the program (the first
+    branch, parity 0, probability 1/d^2) or leaves the complement state
     (d - U rho U^dag) / (d^2 - 1) on the out port (parity 1).
     """
-    sys_state = _as_system(system)
-    d_in = program.in_dim
-    if sys_state.dim != d_in:
-        raise DimensionError(
-            f"system dim {sys_state.dim} does not match program in-port {d_in}"
-        )
-    layout = layout_of(((OUT, program.out_dim), (IN, d_in), (SYS, d_in)))
-    factors = [program.density(), sys_state.matrix]
-    return _binary_measure(factors, layout, bell_projector(d_in), [OUT], [SYS])
+    return _bell_layer([(_as_program(system), program)], [SYS])
 
 
 @dataclass(frozen=True)
@@ -281,7 +295,7 @@ def oqt_sample_records(
     """
     if shots < 1:
         raise EstimationError(f"shots must be positive, got {shots}")
-    rho = _as_system(system)
+    rho = _as_program(system).state
     d = rho.dim
     check_unital(programs, d)
     edges = np.empty(len(programs))
@@ -293,7 +307,7 @@ def oqt_sample_records(
         rho = b0.post_state
     bits = (rng.random((len(programs), shots)) >= edges[:, None]).T.astype(np.int8, order="C")
     states = {
-        s: MixedState.formed(rho.layout, (1.0 - c) / d * np.eye(d) + c * rho.matrix)
+        s: MixedState.formed(layout_of(((SYS, d),)), (1.0 - c) / d * np.eye(d) + c * rho.matrix)
         for s, c in enumerate(parity_weights(d, len(programs)).tolist())
     }
     return OqtRecordBatch(bits, bits.sum(axis=1), states)
@@ -354,21 +368,13 @@ def multiparty_binary_bell(
     """Joint binary Bell measurement across several (program, system) pairs.
 
     The trivial outcome is the product of all local trivial projectors; its
-    branch teleports every system at once. The complement lumps every other
-    local pattern into a single parity-1 branch.
+    branch teleports system k onto ``out{k}``, all at once. The complement
+    lumps every other local pattern into a single parity-1 branch.
     """
     if not parts:
         raise DimensionError("need at least one (program, system) part")
-    regs, factors, outs = [], [], []
-    for k, (prog, system) in enumerate(parts):
-        sys_state = _as_system(system)
-        if sys_state.dim != prog.in_dim:
-            raise DimensionError(f"part {k}: system dim does not match program in-port")
-        regs += [(f"out{k}", prog.out_dim), (f"in{k}", prog.in_dim), (f"s{k}", prog.in_dim)]
-        outs.append(f"out{k}")
-        factors += [prog.density(), sys_state.matrix]
-    p0 = functools.reduce(np.kron, [bell_projector(prog.in_dim) for prog, _ in parts])
-    return _binary_measure(factors, RegisterLayout(tuple(regs)), p0, outs, outs)
+    pairs = [(_as_program(system), prog) for prog, system in parts]
+    return _bell_layer(pairs, [f"out{k}" for k in range(len(parts))])
 
 
 @dataclass(frozen=True)

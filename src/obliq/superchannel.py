@@ -4,7 +4,8 @@ A comb with a pre-circuit U1, a memory register, and a post-circuit U2
 transforms program states directly: its Kraus operators act on the (out, in)
 port pair without ever decoding the program. Also here: controlled channels
 through dilations, the channel-trace readout, and sequential composition of
-channel programs by a binary Bell measurement.
+channel programs by the binary Bell layer `oblivious._bell_layer`, the one
+an OQT step runs.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .channels import (
     stinespring_dilation,
 )
 from .errors import DimensionError, StateValidationError
-from .oblivious import _binary_measure, BinaryBranch, bell_projector
+from .oblivious import BinaryBranch, _bell_layer
 from .qmath import (
     RegisterLayout,
     as_complex,
@@ -217,13 +218,4 @@ def oqt_compose_choi(p1: ChoiProgram, p2: ChoiProgram) -> tuple[BinaryBranch, Bi
     the program state of the composite (p2 after p1) on the outer ports;
     works verbatim for mixed (channel) programs.
     """
-    if p1.out_dim != p2.in_dim:
-        raise DimensionError(
-            f"cannot chain: p1 out {p1.out_dim} vs p2 in {p2.in_dim}"
-        )
-    d = p1.out_dim
-    layout = RegisterLayout.of(
-        ("o1", p1.out_dim), ("i1", p1.in_dim), ("o2", p2.out_dim), ("i2", p2.in_dim)
-    )
-    factors = [p1.density(), p2.density()]
-    return _binary_measure(factors, layout, bell_projector(d), ["o2", "i1"], [OUT, IN])
+    return _bell_layer([(p1, p2)], [OUT, IN])

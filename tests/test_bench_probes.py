@@ -6,8 +6,8 @@ binding each caller imported). A binding removed from obliq would otherwise
 show up only as a failed traced benchmark run. The tracer reads each binding
 from ``vars(owner)``, so an inherited or merely reachable attribute does not
 count: the test applies the same rule. `tools/engine_microbench.py` calls
-engine methods by name, so a changed signature would otherwise show up only
-when the tool is run.
+engine methods and the product measurements by name, so a changed signature
+would otherwise show up only when the tool is run.
 """
 
 import importlib
@@ -40,21 +40,35 @@ def test_every_layer_probe_binding_exists(monkeypatch):
     assert missing == []
 
 
-@pytest.mark.parametrize("big_d", [4, 16])
-def test_engine_microbench_times_every_operation(monkeypatch, big_d):
-    # Importing the microbench pins the BLAS thread variables; keep them
-    # scoped to this test.
+def _microbench(monkeypatch):
+    """The microbench module, with BLAS pins scoped to the test and timeit's
+    0.2-second autorange replaced by ten calls: a smoke test times nothing."""
     for var in BLAS_VARS:
         monkeypatch.setenv(var, os.environ.get(var, "1"))
     monkeypatch.syspath_prepend(str(TOOLS_DIR))
-    microbench = importlib.import_module("engine_microbench")
+    monkeypatch.setattr(timeit.Timer, "autorange", lambda timer: (10, 0.0))
+    return importlib.import_module("engine_microbench")
+
+
+@pytest.mark.parametrize("big_d", [4, 16])
+def test_engine_microbench_times_every_operation(monkeypatch, big_d):
+    microbench = _microbench(monkeypatch)
     import obliq.distributed  # noqa: F401  (binds obliq.distributed)
     import obliq
 
-    # A smoke test times nothing: ten calls per timing instead of timeit's
-    # 0.2-second autorange.
-    monkeypatch.setattr(timeit.Timer, "autorange", lambda timer: (10, 0.0))
     row = microbench.measure(obliq, big_d, repeat=1)
     ops = {"fork", "outcomes", "apply_local", "probability", "alloc_program", "measure", "discard"}
     assert set(row) == ops
     assert all(math.isfinite(us) and us > 0 for us in row.values())
+
+
+def test_engine_microbench_times_every_product_measurement(monkeypatch):
+    microbench = _microbench(monkeypatch)
+    import obliq.oblivious  # noqa: F401  (binds obliq.oblivious)
+    import obliq.superchannel  # noqa: F401  (binds obliq.superchannel)
+    import obliq
+
+    for name in microbench.PRODUCTS:
+        row = microbench.measure_product(obliq, name, repeat=1)
+        assert set(row) == {"us", "peak_mb"}
+        assert all(math.isfinite(v) and v > 0 for v in row.values()), name

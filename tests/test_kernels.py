@@ -9,6 +9,7 @@ and get the bytes it gets alone.
 """
 
 import functools
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -317,6 +318,20 @@ def test_composition_layers_match_dense_projectors(d, seed, kraus):
     joint = np.kron(conjugate_program(u1).density(), u2.density())
     want = _dense_binary(joint, layout, bell_projector(d), ["o1", "o2"], ["i1", "i2"])
     _assert_branches(compose_programs(u1, u2), want)
+
+
+def test_channel_composition_bytes_are_pinned_past_qubits():
+    """Both branches of composing two random channel programs at d = 3, 4
+    and 5, down to the byte: the Bell layer's factor order and summation
+    order, which the CLI's d = 2 composition digest alone pins."""
+    digest = hashlib.sha256()
+    for d in (3, 4, 5):
+        rng = np.random.default_rng(d)
+        p1, p2 = _program(rng, d, True), _program(rng, d, True)
+        for branch in oqt_compose_choi(p1, p2):
+            digest.update(np.float64(branch.probability).tobytes())
+            digest.update(branch.post_state.matrix.tobytes())
+    assert digest.hexdigest() == "1bbc7dfadf1041670edad3e6417de3081b6b33f1bc1b4b0ef33fd3730d0333f2"
 
 
 @PROTOCOL

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obliq import oblivious
+from obliq.algorithms import compose_programs
 from obliq.channels import IN, OUT, ChoiProgram, KrausChannel, amplitude_damping_channel, choi_of
 from obliq.distributed import pingpong_run
-from obliq.errors import DimensionError, EstimationError, StateValidationError
+from obliq.errors import CapacityError, DimensionError, EstimationError, StateValidationError
 from obliq.gates import named_gate
 from obliq.oblivious import (
     FlagState,
@@ -31,6 +33,7 @@ from obliq.oblivious import (
 )
 from obliq.qmath import RegisterLayout, partial_trace, random_statevector, random_unitary
 from obliq.states import MixedState, basis_state
+from obliq.superchannel import oqt_compose_choi
 
 
 def test_generalized_pauli_basis_orthonormal():
@@ -270,6 +273,36 @@ def test_multiparty_binary_bell_product_branch():
     ob = np.outer(ub @ pb, (ub @ pb).conj())
     assert np.abs(b0.post_state.matrix - np.kron(oa, ob)).max() < 1e-10
     assert abs(b0.probability + b1.probability - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("parts, d", [(4, 4), (3, 5), (3, 4)])
+def test_multiparty_binary_bell_refuses_capacity_before_the_projector(parts, d):
+    """Over the cap, the layer raises CapacityError before the joint Bell
+    projector (up to 64 GiB here) or any product is formed."""
+    rng = np.random.default_rng(108)
+    layer = [(choi_of(random_unitary(d, rng)), random_statevector(d, rng)) for _ in range(parts)]
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            multiparty_binary_bell(layer)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
+def test_bell_layers_name_their_branch_registers():
+    rng = np.random.default_rng(109)
+    p1, p2 = choi_of(random_unitary(3, rng)), choi_of(random_unitary(3, rng))
+    psi = random_statevector(3, rng)
+    layers = [
+        (oqt_step(p1, psi), (oblivious.SYS,)),
+        (oqt_compose_choi(p1, p2), (OUT, IN)),
+        (compose_programs(p1, p2), (OUT, IN)),
+        (multiparty_binary_bell([(p1, psi), (p2, psi)]), ("out0", "out1")),
+    ]
+    for branches, labels in layers:
+        assert [b.post_state.layout.labels for b in branches] == [labels, labels]
 
 
 def test_local_parity_sampling_all_zero_rate():

@@ -566,6 +566,11 @@ def _capacity_violations(sc: dict) -> list[str]:
     if kind == "knitting" and _knit_dim(sc) is None:
         ld, nq = sc.get("local_dim", 2), sc["num_qudits"]
         return [f"circuit dimension {ld}**{nq} exceeds the cap {MAX_STATE_DIM}"]
+    if kind == "knitting" and sc.get("mode", "exact_sum") == "sampled":
+        ld, cuts = sc.get("local_dim", 2), sum(g.cut for g in sc["gates"])
+        if ld ** (4 * cuts) >= 2**63:  # each cut has up to local_dim**4 Pauli pairs
+            return [f"sampled knitting has up to local_dim**(4*cuts) = {ld}**{4 * cuts} terms, "
+                    "past the int64 term index (2**63)"]
     if kind == "dbqc":
         bits = 1 + len(sc["alice_programs"]) + len(sc["bob_programs"])
         if bits > MAX_BRANCH_BITS:

@@ -53,7 +53,9 @@ runners and the CLI's script ops.
 The runners walk a few patterns and then draw their shots from a law. An
 oblivious primitive's outcomes say nothing of the program, so their laws
 are fixed: an ISI bit is 0 with probability 1/d, an OQT parity with 1/d^2,
-and `_law_patterns` draws such bits on one uniform per shot. Tri-party
+and `_law_patterns` draws such bits on one uniform per shot. It takes one
+CDF per step (a bit's is its edge), so it also draws sampled knitting's
+Pauli pair at each cut, whose law |c_i| / sum |c| is fixed too. Tri-party
 scheme I walks its 16 patterns once and draws from that law; scheme II
 walks its 16 equally likely paths. dbqc and ping-pong take unital programs
 only (`oblivious.check_unital`) and read their readout probabilities off
@@ -700,27 +702,43 @@ def _finished(eng: ProtocolEngine, finish):
     return finish(eng)
 
 
-def _law_patterns(edges, u: np.ndarray) -> np.ndarray:
-    """Each shot's outcomes of binary steps with a fixed law, step t giving 0
-    with probability ``edges[t]`` whatever came before: one uniform per shot
-    carried down the path, so a shot takes the leaf that ``rng.choice(leaves,
-    p=product law)`` takes on the same ``u``, up to rounding at an edge. At
-    each step a part [lo, lo + mass) splits at cut = lo + mass e; a shot
-    takes 1 when u >= its cut and keeps its part. Shots on one outcome prefix
-    share their part, so parts are kept once per prefix (``at`` is each
-    shot's; of m prefixes, p's children are p and p + m) until there would
-    be more prefixes than shots, then once per shot."""
-    lo, mass = np.zeros(1), np.ones(1)
-    at = np.zeros(len(u), dtype=np.intp)
-    patterns = np.empty((len(u), len(edges)), dtype=np.int16)
-    for t, e in enumerate(edges):
-        cut = lo + mass * e
-        k = u >= cut[at]
-        patterns[:, t] = k
-        at = at + len(lo) * k
-        lo, mass = np.concatenate((lo, cut)), np.concatenate((cut - lo, (lo + mass) - cut))
-        if len(lo) > len(u):
-            lo, mass, at = lo[at], mass[at], np.arange(len(u))
+def _law_patterns(cdfs, u: np.ndarray) -> np.ndarray:
+    """Each shot's outcomes of steps with a fixed law, ``cdfs[t]`` being step
+    t's CDF without its final 1 whatever came before (a binary step's is its
+    edge, the probability of 0): one uniform per shot carried down the path,
+    so a shot takes the leaf that ``rng.choice(leaves, p=product law)`` takes
+    on the same ``u``, up to rounding at an edge. A part [lo, lo + mass) has
+    edges lo + mass c[j]; a shot takes the number of edges <= u (by
+    bisection) and keeps the part between its edges. Shots on one outcome
+    prefix share their part, so parts are kept once per prefix (``at`` is
+    each shot's; of m prefixes, p's child k is p + k m) while the children
+    are no more than the shots, then once per shot (``at`` None), each
+    forming only its own child."""
+    cdfs = [np.atleast_1d(c) for c in cdfs]
+    lo, mass, at = np.zeros(1), np.ones(1), np.zeros(len(u), dtype=np.intp)
+    top = max((len(c) for c in cdfs), default=1)
+    patterns = np.empty((len(u), len(cdfs)), dtype=np.promote_types(np.int16, np.min_scalar_type(top)))
+    for t, c in enumerate(cdfs):
+        n, step, m = len(c), (1 << len(c).bit_length()) >> 1, len(lo)
+        ext = np.concatenate(([0.0], c, np.ones(2 * step - n + 1)))  # a part's edge j is lo + mass ext[j]
+        if at is not None and m * (n + 1) > len(u):  # from here on each shot keeps its own part
+            lo, mass, at = lo[at], mass[at], None
+        if at is None:
+            edge = lambda j: lo + mass * ext[j]  # noqa: E731
+        else:  # one edge j (an int) is gathered from its row: a binary step is that one comparison
+            edges = lo + mass * ext[:, None]  # edge j of part p at [j, p]
+            edge = lambda j: edges[j][at] if type(j) is int else edges.ravel()[at + j * m]  # noqa: E731
+        k = step * (edge(step) <= u)
+        while step > 1:  # the largest k < 2 step with edge k <= u; the edges past n are the part's end
+            step >>= 1
+            k += step * (edge(k + step) <= u)
+        patterns[:, t] = np.minimum(k, n, out=k)
+        if at is None:
+            first = edge(k)
+            lo, mass = first, edge(k + 1) - first
+        else:
+            lo, mass = edges[: n + 1].ravel(), (edges[1 : n + 2] - edges[: n + 1]).ravel()
+            at += m * k
     return patterns
 
 
@@ -1228,7 +1246,6 @@ class KnitDecomposition:
     coefficients: np.ndarray
     one_norm: float
     overhead: float
-    local_dim: int
 
 
 @functools.lru_cache(maxsize=None)
@@ -1260,9 +1277,7 @@ def knit_decompose(u: np.ndarray, local_dim: int | None = None) -> KnitDecomposi
         raise StateValidationError("basis reconstruction failed")
     coeff = coeff.reshape(n, n)
     one_norm = float(np.abs(coeff).sum())
-    return KnitDecomposition(
-        coefficients=coeff, one_norm=one_norm, overhead=one_norm**2, local_dim=d
-    )
+    return KnitDecomposition(coefficients=coeff, one_norm=one_norm, overhead=one_norm**2)
 
 
 @dataclass(frozen=True)
@@ -1309,39 +1324,40 @@ class KnitEstimate:
     estimate: float
     stderr: float
     overhead: float
-    shots: int | None = None
     term_indices: np.ndarray | None = None
     per_shot: np.ndarray | None = None
 
 
-def _knit_propagate(circuit: KnitCircuit, factor: np.ndarray):
-    """Push the input factor through every cut assignment's gates.
-
-    Each cut gate branches every partial term into its weighted Pauli pairs,
-    so terms sharing a prefix share its propagation. Returns the weights w_K
-    (ordered as itertools.product over the cuts), the propagated factors
-    A_K R stacked on a leading axis, the uncut circuit's U R, and each cut's
-    decomposition.
-    """
-    layout = circuit.layout
-    d = circuit.local_dim
-    weights, factors = [1.0 + 0.0j], [factor]
-    exact = factor
-    decomps = []
+def _knit_propagate(circuit: KnitCircuit, factor: np.ndarray, ops, patterns: np.ndarray):
+    """``factor`` pushed through the circuit once per distinct term that the
+    rows of ``patterns`` take, the t-th cut gate replaced by ops[t][k] for
+    the row's k in column t: the stack of propagated terms, and each row's
+    index in it. Terms that share a prefix share its propagation: at each
+    cut only the (prefix, k) pairs some row takes go on: found as `_walk`
+    finds its taken (row, outcome) pairs (a table of every (prefix, k) code,
+    ranked by its cumsum, no sort) while that table holds at most 4 codes
+    per row, and by `np.unique` of the rows' codes past that."""
+    layout, row, f, t = circuit.layout, np.zeros(len(patterns), dtype=np.intp), factor[None], 0
     for g in circuit.gates:
-        labels = [f"q{t}" for t in g.targets]
-        exact = apply_on_targets(g.matrix, exact, labels, layout)
+        labels = [f"q{q}" for q in g.targets]
         if not g.cut:
-            factors = [apply_on_targets(g.matrix, f, labels, layout) for f in factors]
+            f = apply_on_targets(g.matrix, f, labels, layout)
             continue
-        if len(g.targets) != 2:
-            raise DimensionError("cut gates must touch exactly two qudits")
-        dec = knit_decompose(g.matrix, d)  # refuses a gate that is not unitary
-        decomps.append(dec)
-        pairs = [(c, pair) for c, pair in zip(dec.coefficients.ravel(), _pauli_pairs(d)) if abs(c) > 1e-14]
-        weights = [w * wc for w in weights for wc, _ in pairs]
-        factors = [apply_on_targets(pair, f, labels, layout) for f in factors for _, pair in pairs]
-    return np.array(weights), np.stack(factors), exact, decomps
+        n = len(ops[t])
+        codes = row * n + patterns[:, t]
+        if len(f) * n <= 4 * len(codes):
+            taken = np.zeros(len(f) * n, dtype=bool)
+            taken[codes] = True
+            kept, row = np.flatnonzero(taken), np.cumsum(taken)[codes] - 1
+        else:
+            kept, row = np.unique(codes, return_inverse=True)
+        parent, k = np.divmod(kept, n)
+        child = np.empty((len(k),) + f.shape[1:], dtype=complex)
+        for o in np.flatnonzero(np.bincount(k, minlength=n)):
+            mine = np.flatnonzero(k == o)
+            child[mine] = apply_on_targets(ops[t][o], f[parent[mine]], labels, layout)
+        f, t = child, t + 1
+    return f, row
 
 
 def knit_estimate(
@@ -1353,11 +1369,14 @@ def knit_estimate(
 ) -> KnitEstimate:
     """Estimate tr(O circuit(rho)) with marked gates expanded by knitting.
 
-    exact_sum evaluates the full paired double sum over cut assignments and
-    matches the uncut expectation exactly.  sampled draws the ket-side
-    assignment with probability proportional to |weight| while keeping the
-    bra side summed exactly, so the standard error carries one factor of
-    sqrt(overhead) as the quasi-probability mass.
+    A cut gate is sum_i c_i P_i over its nonzero Pauli pairs. exact_sum
+    evaluates the paired double sum over the terms by linearity: one factor
+    goes through the circuit, each cut gate replaced by sum_i c_i P_i.
+    sampled draws each cut's pair with probability |c_i| / sum |c| (the
+    ket-side term with |weight| / sum |w|) while keeping the bra side summed
+    exactly, so the standard error carries one factor of sqrt(overhead) as
+    the quasi-probability mass; only the distinct drawn prefixes are
+    propagated, at most min(shots, terms) per cut.
 
     With rho = R diag(lam) R^dag, every term tr(A_l^dag O A_k rho) is the
     inner product of the propagated factors A_l R and O A_k R weighted by
@@ -1376,37 +1395,44 @@ def _knit_estimate(circuit: KnitCircuit, observable: np.ndarray, mode: str, shot
     """`knit_estimate` of a complex Hermitian observable of the circuit's
     width, which it does not check again."""
     factor, lam = circuit.initial_factor()
-    weights, factors, exact, decomps = _knit_propagate(circuit, factor)
-    flat = factors.reshape(len(weights), -1)
-    flat_o = ((observable @ factors) * lam).reshape(len(weights), -1)
-    overhead = float(np.prod([dec.overhead for dec in decomps])) if decomps else 1.0
+    cuts, pairs = [], _pauli_pairs(circuit.local_dim)  # each cut's decomposition and nonzero pairs
+    for g in (g for g in circuit.gates if g.cut):
+        if len(g.targets) != 2:
+            raise DimensionError("cut gates must touch exactly two qudits")
+        dec = knit_decompose(g.matrix, circuit.local_dim)  # refuses a gate that is not unitary
+        cuts.append((dec, np.flatnonzero(np.abs(dec.coefficients.ravel()) > 1e-14)))
+    overhead = float(np.prod([dec.overhead for dec, _ in cuts]))
+    one = np.zeros((1, len(cuts)), dtype=np.intp)  # the one term of one operator per cut
 
     if mode == "exact_sum":  # sum_lk conj(w_l) w_k <A_l R, O A_k R>, by linearity
-        value = (weights @ flat).conj() @ (weights @ flat_o)
+        ops = [[sum(dec.coefficients.flat[i] * pairs[i] for i in nz)] for dec, nz in cuts]
+        (f,), _ = _knit_propagate(circuit, factor, ops, one)
+        value = np.vdot(f, (observable @ f) * lam)
         return KnitEstimate(estimate=float(value.real), stderr=0.0, overhead=overhead)
 
     if mode != "sampled":
         raise EstimationError(f"unknown knit mode {mode!r}")
     if shots is None or shots < 1 or rng is None:
         raise EstimationError("sampled mode needs shots and rng")
-
-    mass = float(np.prod([dec.one_norm for dec in decomps])) if decomps else 1.0
-    sandwich = flat_o @ exact.conj().ravel()
+    terms = math.prod(len(nz) for _, nz in cuts)
+    if terms >= 2**63:
+        raise CapacityError(f"sampled knitting has {terms} terms, past the int64 term index (2**63)")
+    laws = [np.cumsum(np.abs(dec.coefficients.flat[nz])) for dec, nz in cuts]
+    patterns = _law_patterns([c[:-1] / c[-1] for c in laws], rng.random(shots))
+    drawn, row = _knit_propagate(circuit, factor, [[pairs[i] for i in nz] for _, nz in cuts], patterns)
+    (exact,), _ = _knit_propagate(circuit, factor, [[g.matrix] for g in circuit.gates if g.cut], one)
+    first = np.empty(len(drawn), dtype=np.intp)
+    first[row] = np.arange(shots)  # a shot that drew each term
+    idx, weights = np.zeros(len(drawn), dtype=np.int64), np.ones(len(drawn), dtype=complex)
+    for t, (dec, nz) in enumerate(cuts):  # mixed radix in itertools.product order; w_K from 1 in cut order
+        k = patterns[first, t]
+        idx, weights = idx * len(nz) + k, weights * dec.coefficients.flat[nz[k]]
+    mass = float(np.prod([dec.one_norm for dec, _ in cuts]))
+    sandwich = ((observable @ drawn) * lam).reshape(len(drawn), -1) @ exact.conj().ravel()
     phases = np.where(np.abs(weights) > 0, weights / np.abs(weights), 1.0)
-    values = mass * (phases * sandwich).real
-    probs = np.abs(weights)
-    probs = probs / probs.sum()
-    idx = rng.choice(len(weights), size=shots, p=probs)
-    per_shot = values[idx]
+    per_shot, idx = (mass * (phases * sandwich).real)[row], idx[row]
     estimate, stderr = mean_stderr(per_shot)
-    return KnitEstimate(
-        estimate=estimate,
-        stderr=stderr,
-        overhead=overhead,
-        shots=shots,
-        term_indices=idx,
-        per_shot=per_shot,
-    )
+    return KnitEstimate(estimate=estimate, stderr=stderr, overhead=overhead, term_indices=idx, per_shot=per_shot)
 
 
 # --- ping-pong register reuse ---

@@ -185,14 +185,18 @@ def _bell_layer(
 
 
 def _as_program(state: PureState | MixedState | np.ndarray) -> ChoiProgram:
-    """``state`` as a program with a 1-dimensional in port. A vector or a
-    matrix is checked as `MixedState` checks its density matrix; a state
-    was checked when it was made and is not checked again."""
+    """``state`` as a program with a 1-dimensional in port. A raw vector v is
+    held to |<v|v> - 1| <= 1e-8 (`MixedState`'s trace bound), a raw matrix is
+    checked as `MixedState` checks it, and a state was checked when made."""
     if isinstance(state, (PureState, MixedState)):
         mat = state.density() if isinstance(state, PureState) else state.matrix
         return ChoiProgram(MixedState.formed(program_layout(len(mat), 1), mat))
     mat = as_complex(state)
-    mat = projector(mat) if mat.ndim == 1 else mat
+    if mat.ndim == 1:
+        norm2 = float(np.vdot(mat, mat).real)
+        if not abs(norm2 - 1.0) <= 1e-8:
+            raise StateValidationError(f"state vector squared norm {norm2} is not 1")
+        return ChoiProgram(MixedState.formed(program_layout(len(mat), 1), projector(mat)))
     return ChoiProgram(MixedState(program_layout(len(mat), 1), mat))
 
 

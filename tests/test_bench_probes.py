@@ -72,3 +72,15 @@ def test_engine_microbench_times_every_product_measurement(monkeypatch):
         row = microbench.measure_product(obliq, name, repeat=1)
         assert set(row) == {"us", "peak_mb"}
         assert all(math.isfinite(v) and v > 0 for v in row.values()), name
+
+
+def test_engine_microbench_times_every_knitting_row(monkeypatch):
+    microbench = _microbench(monkeypatch)
+    import obliq.distributed  # noqa: F401  (binds obliq.distributed)
+    import obliq
+
+    assert len(microbench.KNITS) == 14
+    for name in microbench.KNITS:
+        row = microbench.measure_knit(obliq, name, repeat=1)
+        assert set(row) == {"us", "peak_mb"}
+        assert all(math.isfinite(v) and v > 0 for v in row.values()), name

@@ -1,6 +1,7 @@
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -800,6 +801,63 @@ def test_knitting_width_cap_names_the_cap(tmp_path, capsys, num_qudits):
     err = capsys.readouterr().err
     assert f"2**{num_qudits} exceeds the cap 1024" in err
     assert len(err) < 200
+
+
+def _haar_cuts(cuts, mode, shots=1000):
+    """A 2-qubit knitting scenario of ``cuts`` cut copies of one Haar gate
+    (16 nonzero Pauli pairs each) and its uncut expectation."""
+    rng = np.random.default_rng(cuts)
+    u = random_unitary(4, rng)
+    a = rng.normal(size=(4, 4))
+    obs = (a + a.T) / 2
+    psi = np.linalg.matrix_power(u, cuts)[:, 0]
+    sc = _minimal_knitting(mode=mode, shots=shots, observable=obs.tolist(),
+                           gates=[{"matrix": matrix_to_json(u), "targets": [0, 1], "cut": True}] * cuts)
+    return sc, float(np.vdot(psi, obs @ psi).real)
+
+
+@pytest.mark.parametrize("cuts", [6, 8])
+@pytest.mark.parametrize("mode", ["exact_sum", "sampled"])
+def test_knitting_of_many_haar_cuts_runs_by_cut(tmp_path, cuts, mode):
+    # 16^6 and 16^8 terms: both modes exited 6 with a MemoryError when
+    # every term was formed.
+    sc, want = _haar_cuts(cuts, mode)
+    out = tmp_path / "out"
+    assert main(["run", _write(tmp_path, "cuts.json", sc), "--out", str(out)]) == 0
+    estimate, stderr = map(float, (out / "summary.csv").read_text().splitlines()[1].split(",")[3:5])
+    if mode == "exact_sum":
+        assert abs(estimate - want) <= 1e-10
+    else:
+        assert abs(estimate - want) <= 5 * stderr
+
+
+@pytest.mark.parametrize("shots", [1, 10])
+def test_sampled_knitting_of_a_pauli_product_cut_after_a_haar_cut_runs(tmp_path, shots):
+    # The X (x) Z cut has one nonzero pair; the Haar cut before it has more
+    # pairs than there are shots.
+    sc, _ = _haar_cuts(1, "sampled", shots=shots)
+    xz = np.kron([[0, 1], [1, 0]], [[1, 0], [0, -1]])
+    sc["gates"] = sc["gates"] + [{"matrix": matrix_to_json(xz), "targets": [0, 1], "cut": True}]
+    out = tmp_path / "out"
+    assert main(["run", _write(tmp_path, "cuts.json", sc), "--out", str(out)]) == 0
+
+
+def test_sampled_knitting_past_the_int64_term_index_exits_5_before_it_allocates(tmp_path, capsys):
+    # 16 generic cuts at d = 2 index up to 2**64 terms; a knit_term_index
+    # is an int64. The exact sum has no term index and validates.
+    sc, _ = _haar_cuts(16, "sampled", shots=10**6)
+    path = _write(tmp_path, "cuts.json", sc)
+    out = tmp_path / "never"
+    tracemalloc.start()
+    try:
+        assert main(["run", path, "--out", str(out)]) == 5
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    assert not out.exists()
+    assert "local_dim**(4*cuts) = 2**64" in capsys.readouterr().err
+    assert main(["validate", _write(tmp_path, "exact.json", _haar_cuts(16, "exact_sum")[0])]) == 0
 
 
 ONE = {"vector": [[1, 0]]}

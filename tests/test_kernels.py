@@ -23,6 +23,7 @@ from obliq.algorithms import compose_programs
 from obliq.channels import IN, OUT, KrausChannel, choi_of, conjugate_program
 from obliq import distributed as dist
 from obliq.errors import CapacityError
+from obliq.gates import named_gate
 from obliq.distributed import KnitCircuit, KnitGate, ProtocolEngine, knit_estimate
 from obliq.oblivious import (
     SYS,
@@ -526,3 +527,146 @@ def test_knit_estimate_matches_dense_double_sum(case):
     idx = np.random.default_rng(seed).choice(len(weights), size=50, p=probs)
     assert np.array_equal(res.term_indices, idx)
     assert np.abs(res.per_shot - values[idx]).max() <= TOL
+
+
+def _stacked_knit_terms(circuit):
+    """Every term of the knitting sum, in `itertools.product` order over
+    each cut's nonzero Pauli pairs: the weights w_K and the full-circuit
+    matrices A_K as one (T, D, D) stack, built a gate at a time."""
+    layout, d = circuit.layout, circuit.local_dim
+    basis = GeneralizedPauliBasis(d)
+    weights, mats = np.ones(1, dtype=complex), np.eye(layout.total_dim, dtype=complex)[None]
+    for g in circuit.gates:
+        labels = [f"q{t}" for t in g.targets]
+        if not g.cut:
+            mats = embed_operator(g.matrix, labels, layout) @ mats
+            continue
+        pairs = [np.kron(a, b) for a, b in itertools.product(basis.operators, repeat=2)]
+        coeff = np.array([np.vdot(p, g.matrix) / (d * d) for p in pairs])
+        nz = np.flatnonzero(np.abs(coeff) > 1e-14)
+        lifted = np.stack([embed_operator(pairs[i], labels, layout) for i in nz])
+        weights = (weights[:, None] * coeff[nz][None, :]).ravel()
+        mats = (lifted[None] @ mats[:, None]).reshape(-1, *mats.shape[1:])
+    return weights, mats
+
+
+def _knit_case(d, n, cuts, mixed, seed):
+    """A random circuit: ``cuts`` Haar two-qudit cut gates between random
+    one-qudit gates, a pure or mixed input, and a unit-norm observable."""
+    rng = np.random.default_rng(seed)
+    gates = []
+    for _ in range(cuts):
+        gates.append(KnitGate(random_unitary(d, rng), (int(rng.integers(n)),)))
+        pair = tuple(int(q) for q in rng.permutation(n)[:2])
+        gates.append(KnitGate(random_unitary(d * d, rng), pair, cut=True))
+    dim = d**n
+    if mixed:
+        state = rho = _density(rng, dim)
+    else:
+        state = random_statevector(dim, rng)
+        rho = np.outer(state, state.conj())
+    obs = _ginibre(rng, dim)
+    obs = obs + obs.conj().T
+    return KnitCircuit(n, tuple(gates), d, state), rho, obs / np.linalg.norm(obs, 2)
+
+
+KNIT_CASES = [
+    (d, n, cuts, mixed)
+    for d, n, top in ((2, 2, 4), (2, 3, 3), (3, 2, 2))
+    for cuts in range(1, top + 1)
+    for mixed in (False, True)
+]
+
+
+def _pauli_cut_case(haar_first=False):
+    """Three qubits: a cut X (x) Z (one nonzero pair), then a cut CZ (four);
+    with ``haar_first``, a Haar cut (sixteen) before them."""
+    rng = np.random.default_rng(31)
+    gates = (KnitGate(np.kron(named_gate("X"), named_gate("Z")), (0, 2), cut=True),
+             KnitGate(random_unitary(2, rng), (1,)), KnitGate(named_gate("CZ"), (1, 2), cut=True))
+    if haar_first:
+        gates = (KnitGate(random_unitary(4, rng), (0, 1), cut=True),) + gates
+    state = random_statevector(8, rng)
+    obs = _ginibre(rng, 8)
+    obs = obs + obs.conj().T
+    return KnitCircuit(3, gates, 2, state), np.outer(state, state.conj()), obs / np.linalg.norm(obs, 2)
+
+
+@pytest.mark.parametrize(
+    "d, n, cuts, mixed, shots",
+    [case + (400,) for case in KNIT_CASES] + [(2, 3, "pauli", False, 400)]
+    + [(2, 3, "haar-pauli", False, shots) for shots in (1, 10)],
+)
+def test_knit_by_cut_matches_the_enumerated_terms(d, n, cuts, mixed, shots):
+    """Both modes against every term enumerated: the exact value is
+    sum_lk conj(w_l) w_k tr(A_l^dag O A_k rho), each drawn term is the one
+    ``rng.choice`` over |w| draws on the same generator (which ends in the
+    same state), and each shot's value is mass * Re(phase_K tr(U^dag O A_K
+    rho)), all within 1e-12. The last cases have a cut of one nonzero pair,
+    there also after a Haar cut whose 16 pairs outnumber the shots."""
+    if isinstance(cuts, str):
+        seed, (circuit, rho, obs) = 5, _pauli_cut_case(haar_first=cuts == "haar-pauli")
+    else:
+        seed = 1000 * d + 100 * n + 10 * cuts + mixed
+        circuit, rho, obs = _knit_case(d, n, cuts, mixed, seed)
+    weights, mats = _stacked_knit_terms(circuit)
+    total = np.tensordot(weights, mats, axes=1)
+    want = np.trace(total.conj().T @ obs @ total @ rho).real
+    assert abs(knit_estimate(circuit, obs, mode="exact_sum").estimate - want) <= TOL
+
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    res = knit_estimate(circuit, obs, mode="sampled", shots=shots, rng=rng)
+    idx = ref_rng.choice(len(weights), size=shots, p=np.abs(weights) / np.abs(weights).sum())
+    assert np.array_equal(res.term_indices, idx)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    uncut = KnitCircuit(n, tuple(KnitGate(g.matrix, g.targets) for g in circuit.gates), d)
+    _, (u,) = _stacked_knit_terms(uncut)
+    drawn = mats[idx]
+    mass = np.abs(weights).sum()
+    values = mass * (weights[idx] / np.abs(weights[idx]) * np.trace(u.conj().T @ obs @ drawn @ rho, axis1=1, axis2=2)).real
+    assert np.abs(res.per_shot - values).max() <= TOL
+
+
+@pytest.mark.parametrize("shots", [1, 7, 1000])
+def test_knit_sampled_propagates_only_the_distinct_drawn_prefixes(monkeypatch, shots):
+    """Four Haar cuts (16 pairs each, 65,536 terms), each followed by a
+    one-qubit gate: the gate after cut t acts on one row per distinct drawn
+    prefix of t + 1 pairs, at most min(shots, 16^(t+1))."""
+    rng = np.random.default_rng(7)
+    v = random_unitary(2, rng)
+    gates = [KnitGate(g, (0, 1), cut=True) for g in (random_unitary(4, rng) for _ in range(4))]
+    circuit = KnitCircuit(2, tuple(x for g in gates for x in (g, KnitGate(v, (0,)))))
+    obs = _ginibre(rng, 4)
+    rows = []
+
+    def counted(op, x, *args, **kwargs):
+        if op is v and x.ndim == 3:
+            rows.append(len(x))
+        return apply_on_targets(op, x, *args, **kwargs)
+
+    monkeypatch.setattr(dist, "apply_on_targets", counted)
+    res = knit_estimate(circuit, obs + obs.conj().T, mode="sampled", shots=shots, rng=np.random.default_rng(8))
+    prefixes = [len(set((res.term_indices // 16 ** (3 - t)).tolist())) for t in range(4)]
+    assert rows[:4] == prefixes  # the drawn terms; the uncut circuit follows on one row
+    assert rows[4:] == [1] * 4
+    assert all(r <= min(shots, 16 ** (t + 1)) for t, r in enumerate(rows[:4]))
+
+
+def test_knit_sampled_memory_is_set_by_the_shots_not_the_pairs():
+    """Three Haar cuts on two ququarts (256 nonzero pairs each), 5,000 shots:
+    a table of every (prefix, pair) code at the third cut would hold 5,000 x
+    256 codes, 11.5 MB with its int64 rank; the taken codes alone are ranked
+    instead, and the peak stays near the 5,000 propagated 16-entry factors."""
+    rng = np.random.default_rng(9)
+    circuit = KnitCircuit(2, tuple(KnitGate(random_unitary(16, rng), (0, 1), cut=True) for _ in range(3)), 4)
+    obs = _ginibre(rng, 16)
+    obs = obs + obs.conj().T
+    knit_estimate(circuit, obs, mode="sampled", shots=10, rng=np.random.default_rng(1))
+    tracemalloc.start()
+    try:
+        res = knit_estimate(circuit, obs, mode="sampled", shots=5000, rng=np.random.default_rng(2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(set((res.term_indices // 256).tolist())) > 4000  # distinct two-cut prefixes
+    assert peak < 8_000_000

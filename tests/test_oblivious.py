@@ -81,6 +81,19 @@ def test_oqt_step_branch_law():
         assert np.abs(b1.post_state.matrix - mix).max() < 1e-10
 
 
+@pytest.mark.parametrize("excess", [1.5e-8, -1.5e-8])
+def test_oqt_step_refuses_a_vector_whose_squared_norm_is_off_by_more_than_1e_8(excess):
+    """A raw vector is held to |<v|v> - 1| <= 1e-8, the trace bound a density
+    matrix meets; |‖v‖ - 1| <= 1e-8 would let these through (‖v‖ - 1 is
+    about 7.5e-9)."""
+    psi = random_statevector(3, np.random.default_rng(104))
+    program = choi_of(random_unitary(3, np.random.default_rng(105)))
+    with pytest.raises(StateValidationError, match="squared norm"):
+        oqt_step(program, psi * np.sqrt(1.0 + excess))
+    b0, b1 = oqt_step(program, psi * np.sqrt(1.0 + excess / 3))
+    assert abs(b0.probability + b1.probability - 1.0) < 1e-8
+
+
 def test_oqt_chain_closed_form():
     # chain state depends on the parity pattern only through its sum
     rng = np.random.default_rng(102)

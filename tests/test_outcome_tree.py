@@ -17,8 +17,10 @@ bits (`distributed._law_patterns`), are checked against expanding the tree
 too.
 """
 
+import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -562,6 +564,49 @@ def test_law_patterns_per_prefix_match_the_per_shot_rule(edges, shots):
     got = dist._law_patterns(edges, u)
     assert got.dtype == np.int16
     assert np.array_equal(got, _per_shot_law_patterns(edges, u))
+
+
+def _cdf(probs):
+    """A law's CDF without its final 1, formed as ``rng.choice`` forms it."""
+    cdf = np.cumsum(probs)
+    return cdf[:-1] / cdf[-1]
+
+
+@pytest.mark.parametrize("seed", [3, 14, 159])
+@pytest.mark.parametrize(
+    "sizes, shots", [((16, 4, 81), 2000), ((2, 16, 16, 3), 50), ((40_000, 3), 1000), ((1, 5, 1), 100), ((16, 16, 1), 50)]
+)
+def test_law_patterns_of_many_outcomes_pick_the_leaf_rng_choice_picks(seed, sizes, shots):
+    """Steps of k outcomes (1 up to 40,000, past int16) draw, on the same
+    uniforms, the mixed-radix leaf that ``rng.choice`` over the product law
+    draws, and leave the generator where it leaves it; also a one-outcome
+    step once the prefixes outnumber the shots."""
+    laws = [np.random.default_rng(seed + k).random(k) for k in sizes]
+    law = functools.reduce(np.multiply.outer, [p / p.sum() for p in laws]).ravel()
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    drawn = dist._law_patterns([_cdf(p) for p in laws], rng.random(shots))
+    idx = ref_rng.choice(len(law), size=shots, p=law)
+    assert np.iinfo(drawn.dtype).max >= max(sizes) - 1
+    assert np.array_equal(np.ravel_multi_index(tuple(drawn.T), sizes), idx)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_law_patterns_hold_memory_linear_in_the_shots():
+    """10^5 shots of 8 steps of 16 outcomes: past the first steps each shot
+    keeps its own part and forms only its own child, so the peak stays near
+    a few arrays of one number per shot, where the 16 children of every
+    shot's part would take 10^5 x 17 x 8 bytes = 13.6 MB alone."""
+    u = np.random.default_rng(5).random(100_000)
+    cdf = _cdf(np.random.default_rng(6).random(16))
+    dist._law_patterns([cdf] * 8, u[:100])
+    tracemalloc.start()
+    try:
+        patterns = dist._law_patterns([cdf] * 8, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert patterns.shape == (100_000, 8)
+    assert peak < 12_000_000
 
 
 def test_a_walk_keeps_each_step_within_the_row_budget(monkeypatch):

@@ -40,6 +40,10 @@ one's tracemalloc peak (MB) is taken over one call after a warm-up call:
 * ``oqt_compose_choi`` at D = 256 and 625: two random channel programs
   (d = 4, 5) with 2 and 3 Kraus operators.
 
+Knitting is timed the same way, with its tracemalloc peak: ``knit.exact.cN``
+and ``knit.sampled.cN`` (1,000 shots) estimate an observable of a 2-qubit
+circuit of N = 2..8 cut copies of one Haar two-qubit gate, 16^N terms.
+
 The literals are knitting scenarios whose observable is a 256 x 256 real
 symmetric matrix of JSON ints (``obs256-int``) or floats (``obs256-float``),
 or a 64 x 64 Hermitian matrix of ``[re, im]`` pairs (``obs64-pairs``). For
@@ -188,6 +192,26 @@ def measure_product(obliq, name: str, repeat: int) -> dict:
     return {"us": _best(fn, repeat), "peak_mb": _peak_mb(fn)}
 
 
+# Knitting rows: knit.MODE.cN, N cut copies of one Haar two-qubit gate.
+KNITS = tuple(f"knit.{mode}.c{cuts}" for mode in ("exact", "sampled") for cuts in range(2, 9))
+
+
+def measure_knit(obliq, name: str, repeat: int) -> dict:
+    """One knitting estimate on 2 qubits: µs per call and its tracemalloc peak."""
+    dist = obliq.distributed
+    _, mode, cuts = name.split(".")
+    rng = np.random.default_rng(int(cuts[1:]))
+    u = obliq.qmath.random_unitary(4, rng)
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    obs = (a + a.conj().T) / 2
+    circuit = dist.KnitCircuit(2, tuple(dist.KnitGate(u, (0, 1), cut=True) for _ in range(int(cuts[1:]))))
+    if mode == "exact":
+        fn = lambda: dist.knit_estimate(circuit, obs, mode="exact_sum")  # noqa: E731
+    else:
+        fn = lambda: dist.knit_estimate(circuit, obs, mode="sampled", shots=1000, rng=rng)  # noqa: E731
+    return {"us": _best(fn, repeat), "peak_mb": _peak_mb(fn)}
+
+
 LITERALS = ("obs256-int", "obs256-float", "obs64-pairs")
 
 
@@ -234,6 +258,7 @@ def measure_literal(obliq, name: str, repeat: int) -> dict:
 SECTIONS = {
     "us_per_call": ([str(d) for d in DIMS], lambda obliq, key, r: measure(obliq, int(key), r)),
     "product_measurements": (PRODUCTS, measure_product),
+    "knitting": (KNITS, measure_knit),
     "literals_ms": (LITERALS, measure_literal),
 }
 

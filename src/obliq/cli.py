@@ -583,8 +583,9 @@ def _capacity_violations(sc: dict) -> list[str]:
     # register beside a program (d^3). Scheme I holds C's program
     # (d_a d_b)^2 beside A's (d_a^2), then B's (d_b^2) beside A's out port;
     # scheme II's widest is its nonlocal program's state. A composition
-    # holds both channels' programs. Knitting is capped above, a script by
-    # its dry run.
+    # is capped by both channels' programs together, a validation contract:
+    # its Bell layer forms only the kept state. Knitting is capped above, a
+    # script by its dry run.
     peak = 1
     if kind in ("dbqc", "pingpong"):
         peak = len(sc["input_state"]) ** 3

@@ -12,7 +12,9 @@ The three primitives are
   many trails of a unital chain at once by the parity law; one trail of a
   chain on the protocol engine is `distributed.pingpong_run`). A system is
   a program with a 1-dimensional in port, so a step, a composition of two
-  programs and the multi-party layer are one Bell layer, `_bell_layer`;
+  programs and the multi-party layer are one Bell layer, `_bell_layer`. It
+  contracts each linked pair of ports (the link product of program states)
+  and forms only the kept state, never the product of the programs' states;
 * oblivious control: controlled application of a black-box gate built from
   controlled swaps, one unconditional doubled application U ox U*, and an
   entangled flag whose eigenvalue is exactly one.
@@ -35,6 +37,7 @@ from .errors import (
 )
 from .qmath import (
     RegisterLayout,
+    _check_entries,
     apply_on_targets,
     as_complex,
     embed_operator,  # noqa: F401  (a module binding the layer probes in bench/ wrap)
@@ -43,7 +46,6 @@ from .qmath import (
     partial_trace,  # noqa: F401  (a module binding the layer probes in bench/ wrap)
     projector,
     tensor_product,
-    traced_product,
 )
 from .states import MixedState, PureState, bell_state
 
@@ -111,34 +113,17 @@ class BinaryBranch:
     post_state: MixedState
 
 
-def _binary_measure(
-    factors: Sequence[np.ndarray],
-    layout: RegisterLayout,
-    p0: np.ndarray,
-    keep: Sequence[str],
-    names: Sequence[str],
+def _branches(
+    num0: np.ndarray, total: np.ndarray, layout: RegisterLayout
 ) -> tuple[BinaryBranch, BinaryBranch]:
-    """Measure {P0, 1 - P0} on the product of ``factors`` (square, each on
-    consecutive registers of ``layout``), then trace everything but
-    ``keep``, whose registers are renamed to ``names`` in the
-    post-measurement states.
-
-    ``p0`` is the trivial outcome's projector on the registers that are not
-    kept, in layout order. Because it acts only on traced-out registers,
-    branch 0 is tr_M(P0 rho) and branch 1 is tr_M(rho) minus branch 0, each
-    O(D^2) on the one array `traced_product` lays out; neither the
-    Kronecker product nor a layout-sized projector is built.
-    """
-    keep_layout = layout_of(tuple((new, layout.dim(old)) for new, old in zip(names, keep)))
-    t = traced_product(factors, keep, layout)
-    num0 = np.einsum("anbm,mn->ab", t, p0)
-    nums = (num0, np.trace(t, axis1=1, axis2=3) - num0)
+    """The trivial branch of numerator ``num0`` and the complement
+    ``total`` - ``num0``, each normalized by its trace, on ``layout``."""
     branches = []
-    for parity, num in enumerate(nums):
+    for parity, num in enumerate((num0, total - num0)):
         prob = float(np.trace(num).real)
         if prob < 1e-14:
             raise BranchError(f"branch {parity} has probability {prob}")
-        branches.append(BinaryBranch(prob, MixedState.formed(keep_layout, num / prob)))
+        branches.append(BinaryBranch(prob, MixedState.formed(layout, num / prob)))
     return branches[0], branches[1]
 
 
@@ -158,8 +143,26 @@ def isi_measure(
         raise DimensionError(
             f"inject dim {inject.dim} does not match program in-port {program.in_dim}"
         )
-    p0 = projector(inject.amplitudes.conj())
-    return _binary_measure([program.density()], program.state.layout, p0, [OUT], [SYS])
+    psi, (d, i) = inject.amplitudes, (program.out_dim, program.in_dim)
+    num0 = np.einsum("oipj,i,j->op", program.density().reshape(d, i, d, i), psi, psi.conj())
+    return _branches(num0, program.marginal(OUT), layout_of(((SYS, d),)))
+
+
+def _bell_link(p1: ChoiProgram, p2: ChoiProgram) -> tuple[np.ndarray, np.ndarray]:
+    """One pair's trivial numerator and traced total on (p2 out, p1 in).
+
+    With p1's state read as J1[x, i, y, j] and p2's as J2[o, x, p, y], the
+    trivial numerator is einsum("xiyj,oxpy->oipj", J1, J2) / d for the linked
+    dimension d: one matrix product over the linked indices (x, y). The
+    traced total contracts them with vec(1) on each side instead, which is
+    p2's out-port marginal ox p1's in-port marginal.
+    """
+    x, i, o = p1.out_dim, p1.in_dim, p2.out_dim
+    j1 = p1.density().reshape(x, i, x, i).transpose(1, 3, 0, 2).reshape(i * i, x * x)
+    j2 = p2.density().reshape(o, x, o, x).transpose(1, 3, 0, 2).reshape(x * x, o * o)
+    trace = np.eye(x).reshape(-1)
+    links = (j1 @ j2) / x, np.outer(j1 @ trace, trace @ j2)
+    return tuple(m.reshape(i, i, o, o).transpose(2, 0, 3, 1).reshape(o * i, o * i) for m in links)
 
 
 def _bell_layer(
@@ -169,19 +172,21 @@ def _bell_layer(
     its p2 in port: the link product of program states. The trivial outcome,
     every pair's |omega><omega| at once, leaves each composite (p2 after p1)
     on (p2 out, p1 in), renamed to ``names``; an in port of dimension 1 is
-    dropped. The layout's capacity is checked before the projector is formed.
+    dropped. Both the projector and the state factor by pair, so each branch
+    is the Kronecker product of the pairs' `_bell_link` results: no product
+    of the pairs' states and no projector on it is formed. The kept layout's
+    capacity is checked before any array is.
     """
-    regs, keep = [], []
+    dims = []
     for k, (p1, p2) in enumerate(pairs):
         if p1.out_dim != p2.in_dim:
             raise DimensionError(f"cannot join pair {k}: out {p1.out_dim} vs in {p2.in_dim}")
-        o1, i1, o2, i2 = (f"{port}.{k}" for port in ("o1", "i1", "o2", "i2"))
-        regs += [(o1, p1.out_dim), (i1, p1.in_dim), (o2, p2.out_dim), (i2, p2.in_dim)]
-        keep += [o2, i1] if p1.in_dim > 1 else [o2]
-    layout = layout_of(tuple(regs))
-    p0 = functools.reduce(np.kron, [bell_projector(p2.in_dim) for _, p2 in pairs])
-    factors = [p.density() for pair in pairs for p in pair]
-    return _binary_measure(factors, layout, p0, keep, names)
+        dims += [p2.out_dim, p1.in_dim] if p1.in_dim > 1 else [p2.out_dim]
+    layout = layout_of(tuple(zip(names, dims)))
+    _check_entries(layout.total_dim**2)
+    links = [_bell_link(p1, p2) for p1, p2 in pairs]
+    num0, total = (functools.reduce(np.kron, parts) for parts in zip(*links))
+    return _branches(num0, total, layout)
 
 
 def _as_program(state: PureState | MixedState | np.ndarray) -> ChoiProgram:

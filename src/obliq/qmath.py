@@ -14,9 +14,9 @@ Conventions used throughout the package:
   `embed_operator` builds that operator and is kept as the reference the
   contractions are tested against. The weighted trace is the one kernel of
   every measurement: the measured registers are traced out, weighted by the
-  outcome's projector. `partial_trace` is the unweighted trace. A product
-  of states is laid out for a trace by `traced_product`, which writes each
-  entry np.kron would form straight into the traced order;
+  outcome's projector. `partial_trace` is the unweighted trace. A binary
+  Bell measurement of a product of program states contracts each linked
+  pair of indices (`oblivious._bell_layer`), so no product is laid out;
 * a stack of states (B, D, D), one per branch, goes through the same
   kernels with a leading batch axis: `apply_on_targets`, `partial_trace`
   and `traced_rows` contract each row by the same matrix products, and
@@ -284,63 +284,25 @@ def traced_rows(rho: np.ndarray, dims: tuple, plan: tuple, weight: np.ndarray | 
     return (t.reshape(b, dk * dk, dd) @ ones).reshape(b, dk, dk)
 
 
-@functools.lru_cache(maxsize=4096)
-def _product_plan(dims: tuple, sizes: tuple, keep: tuple) -> tuple[tuple, tuple, tuple]:
-    """For square factors of ``sizes`` on consecutive registers of ``dims``
-    (a register of dimension 1 joins the factor before it): each factor's
-    shape on the layout's row and column digits, 1 on the other factors'
-    registers; the transpose of those digits to (kept rows, traced rows,
-    kept columns, traced columns), kept in the order ``keep``; and the shape
-    (dk, dd, dk, dd) of the product."""
-    n = len(dims)
-    shapes, first = [], 0
-    for size in sizes:
-        last = first
-        while last < n and (math.prod(dims[first:last]) < size or dims[last] == 1):
-            last += 1
-        shapes.append(((1,) * first + dims[first:last] + (1,) * (n - last)) * 2)
-        first = last
-    if first != n or [math.prod(s) for s in shapes] != [size * size for size in sizes]:
-        raise DimensionError(f"factor sizes {list(sizes)} do not tile the layout dims {dims}")
-    order = [*keep, *(k for k in range(n) if k not in keep)]
-    dk = math.prod(dims[p] for p in keep)
-    return tuple(shapes), (*order, *(n + k for k in order)), (dk, math.prod(dims) // dk) * 2
-
-
-def traced_product(factors, keep, layout: RegisterLayout) -> np.ndarray:
-    """The product ``np.kron`` forms of the square ``factors`` (each on
-    consecutive registers of ``layout``, in order), as a C-ordered array
-    (dk, dd, dk, dd) of (kept row, traced row, kept column, traced column),
-    kept registers in the order ``keep`` and traced ones in layout order.
-    Each entry is the one product np.kron forms, written straight into that
-    order, so no Kronecker product and no transposed copy of it is formed.
-    `MAX_ENTRIES` caps the entries as in `tensor_product`, before anything
-    is allocated. A 1 x 1 factor is multiplied in like any other,
-    which need not keep the other factors' bytes, so callers pass none."""
-    _check_entries(math.prod(np.size(f) for f in factors))
-    sizes = tuple(len(f) for f in factors)
-    shapes, perm, shape = _product_plan(layout.dims, sizes, _positions(keep, layout))
-    t = None
-    for f, where in zip(factors, shapes):
-        v = as_complex(f).reshape(where).transpose(perm)
-        t = v if t is None else np.multiply(t, v, order="C")
-    return np.ascontiguousarray(t).reshape(shape)
-
-
 def partial_trace(rho: np.ndarray, keep, layout: RegisterLayout) -> np.ndarray:
     """Trace out everything except ``keep``; result is ordered as ``keep``.
 
-    ``rho`` is a D x D matrix, laid out by `traced_product`, or a stack
-    (B, D, D) whose rows are traced alike by `traced_rows`.
+    ``rho`` is a D x D matrix, copied once into (kept row, traced row, kept
+    column, traced column) order, kept registers in the order ``keep``, and
+    traced there; or a stack (B, D, D) whose rows are traced alike by
+    `traced_rows`.
     """
     rho = as_complex(rho)
     d = layout.total_dim
     if rho.shape[-2:] != (d, d) or rho.ndim not in (2, 3):
         raise DimensionError(f"state shape {rho.shape} does not match layout dim {d}")
-    keep = list(keep)
+    dims, keep = layout.dims, _positions(keep, layout)
     if rho.ndim == 3:
-        return traced_rows(rho, layout.dims, _trace_plan(layout.dims, _positions(keep, layout)))
-    t = traced_product([rho], keep, layout)
+        return traced_rows(rho, dims, _trace_plan(dims, keep))
+    order = [*keep, *(k for k in range(len(dims)) if k not in keep)]
+    dk = math.prod(dims[p] for p in keep)
+    t = rho.reshape(dims + dims).transpose(*order, *(len(dims) + k for k in order))
+    t = np.ascontiguousarray(t).reshape(dk, d // dk, dk, d // dk)
     return np.ascontiguousarray(np.trace(t, axis1=1, axis2=3))
 
 

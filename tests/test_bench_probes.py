@@ -68,10 +68,15 @@ def test_engine_microbench_times_every_product_measurement(monkeypatch):
     import obliq.superchannel  # noqa: F401  (binds obliq.superchannel)
     import obliq
 
+    assert {f"multiparty.k{parts}" for parts in range(2, 6)} <= set(microbench.PRODUCTS)
     for name in microbench.PRODUCTS:
         row = microbench.measure_product(obliq, name, repeat=1)
         assert set(row) == {"us", "peak_mb"}
         assert all(math.isfinite(v) and v > 0 for v in row.values()), name
+    # A layer over the kept-state cap (4^6 = 4,096) is recorded as refused.
+    monkeypatch.setitem(microbench.PRODUCTS, "multiparty.k6", 4)
+    row = microbench.measure_product(obliq, "multiparty.k6", repeat=1)
+    assert row == {"refused": "CapacityError: layout dimension 4096 exceeds capacity 1024"}
 
 
 def test_engine_microbench_times_every_knitting_row(monkeypatch):

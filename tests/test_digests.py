@@ -29,8 +29,8 @@ SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 # stem: sha256 of (records.jsonl, summary.csv, resolved-scenario)
 DIGESTS = {
     "channel-composition": (
-        "da1a97a53865f1190e2f38b128472e091e9d597359a00fb0eee93090b3146e83",
-        "b0d779805e1555d863175ca3c6b0a0e5bee5d0694b2ea0038d484cb8133a8862",
+        "6ba9085d558be01e7c6c6787388efc5c435f2143d5e356f974730c0280a53f77",
+        "605e8a1e0f970f1e0f72e4a4b8653adb9d2cac2305c55dba76c1c77d203e8da6",
         "4fa7e8dd8c6dce0e5be0421e9f4568942b5448c0fba7fa964ead0717fce3e72f",
     ),
     "dbqc": (

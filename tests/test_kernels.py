@@ -28,6 +28,8 @@ from obliq.distributed import KnitCircuit, KnitGate, ProtocolEngine, knit_estima
 from obliq.oblivious import (
     SYS,
     GeneralizedPauliBasis,
+    _as_program,
+    _bell_layer,
     bell_projector,
     isi_measure,
     multiparty_binary_bell,
@@ -321,20 +323,6 @@ def test_composition_layers_match_dense_projectors(d, seed, kraus):
     _assert_branches(compose_programs(u1, u2), want)
 
 
-def test_channel_composition_bytes_are_pinned_past_qubits():
-    """Both branches of composing two random channel programs at d = 3, 4
-    and 5, down to the byte: the Bell layer's factor order and summation
-    order, which the CLI's d = 2 composition digest alone pins."""
-    digest = hashlib.sha256()
-    for d in (3, 4, 5):
-        rng = np.random.default_rng(d)
-        p1, p2 = _program(rng, d, True), _program(rng, d, True)
-        for branch in oqt_compose_choi(p1, p2):
-            digest.update(np.float64(branch.probability).tobytes())
-            digest.update(branch.post_state.matrix.tobytes())
-    assert digest.hexdigest() == "1bbc7dfadf1041670edad3e6417de3081b6b33f1bc1b4b0ef33fd3730d0333f2"
-
-
 @PROTOCOL
 @given(st.lists(st.integers(2, 3), min_size=1, max_size=3), SEEDS, st.booleans())
 def test_multiparty_binary_bell_matches_dense_projectors(dims, seed, kraus):
@@ -361,12 +349,136 @@ def test_multiparty_binary_bell_matches_dense_projectors(dims, seed, kraus):
     _assert_branches(multiparty_binary_bell(parts), want)
 
 
-# --- product traces ---
+# --- Bell layers by contraction ---
+
+
+def _kraus_program(rng, d_in, d_out, count):
+    """The program of a channel from ``d_in`` to ``d_out`` with ``count``
+    Kraus operators (blocks of a Haar isometry); one square operator is a
+    pure program."""
+    if count == 1 and d_in == d_out:
+        return choi_of(random_unitary(d_in, rng))
+    count = max(count, -(-d_in // d_out))
+    iso = random_unitary(d_out * count, rng)[:, :d_in]
+    return choi_of(KrausChannel(tuple(iso[k * d_out : (k + 1) * d_out] for k in range(count))))
+
+
+@st.composite
+def bell_pairs(draw):
+    """1-3 pairs (p1, p2), p1's out port of p2's in-port dimension x = 2-5.
+    p1 is a system state (in port of dimension 1), a pure program (in port
+    x) or a channel's with 1-3 Kraus operators (in port 2-5); p2 is pure
+    (out port x) or a channel's (out port 2-5). A pair's largest free
+    dimension shrinks, and p1 becomes a state, until the joint dimension
+    leaves 8 for each pair still to come, so it is at most 1024."""
+    rng = np.random.default_rng(draw(SEEDS))
+    count = draw(st.integers(1, 3))
+    pairs, joint = [], 1
+    for k in range(count):
+        kinds = draw(st.sampled_from(["state", "pure", "kraus"])), draw(st.sampled_from(["pure", "kraus"]))
+        free = {"x": draw(st.integers(2, 5)), "a": draw(st.integers(2, 5)), "o": draw(st.integers(2, 5))}
+
+        def dims():
+            x = free["x"]
+            a = {"state": 1, "pure": x}.get(kinds[0], free["a"])
+            return a, x, x if kinds[1] == "pure" else free["o"]
+
+        limit = 1024 // (joint * 8 ** (count - 1 - k))
+        while math.prod(dims()) * free["x"] > limit:
+            ports = {"x": True, "a": kinds[0] == "kraus", "o": kinds[1] == "kraus"}
+            shrink = [v for v, own in ports.items() if own and free[v] > 2]
+            if shrink:
+                free[max(shrink, key=free.get)] -= 1
+            else:
+                kinds = "state", kinds[1]
+        a, x, o = dims()
+        joint *= a * x * x * o
+        if kinds[0] == "state":
+            p1 = _as_program(_density(rng, x) if draw(st.booleans()) else random_statevector(x, rng))
+        else:
+            p1 = _kraus_program(rng, a, x, 1 if kinds[0] == "pure" else draw(st.integers(1, 3)))
+        pairs.append((p1, _kraus_program(rng, x, o, 1 if kinds[1] == "pure" else draw(st.integers(1, 3)))))
+    return pairs
+
+
+@PROTOCOL
+@given(bell_pairs())
+def test_bell_layer_matches_the_dense_product_projector(pairs):
+    """Both branches of a layer against np.kron of every program state, the
+    explicit product of the pairs' Bell projectors, and `partial_trace`."""
+    regs, keep = [], []
+    for k, (p1, p2) in enumerate(pairs):
+        regs += [(f"o1.{k}", p1.out_dim), (f"i1.{k}", p1.in_dim)]
+        regs += [(f"o2.{k}", p2.out_dim), (f"i2.{k}", p2.in_dim)]
+        keep += [f"o2.{k}", f"i1.{k}"] if p1.in_dim > 1 else [f"o2.{k}"]
+    layout = RegisterLayout(tuple(regs))
+    joint = functools.reduce(np.kron, [p.density() for pair in pairs for p in pair])
+    p0 = functools.reduce(np.kron, [bell_projector(p2.in_dim) for _, p2 in pairs])
+    links = [lab for k in range(len(pairs)) for lab in (f"o1.{k}", f"i2.{k}")]
+    full = embed_operator(p0, links, layout)
+    pj = full @ joint
+    pjp = pj @ full
+    want = []
+    for num in (pjp, joint - pj - pj.conj().T + pjp):  # P J P and (1 - P) J (1 - P)
+        prob = float(np.trace(num).real)
+        want.append((prob, partial_trace(num, keep, layout) / prob))
+    got = _bell_layer(pairs, [f"r{k}" for k in range(len(keep))])
+    _assert_branches(got, want)
+    assert got[0].post_state.layout.dims == tuple(layout.dim(lab) for lab in keep)
+
+
+def test_channel_composition_bytes_are_pinned_past_qubits():
+    """Both branches of composing two random channel programs at d = 3, 4
+    and 5, down to the byte: the Bell layer's contraction and summation
+    order, which the CLI's d = 2 composition digest alone pins."""
+    digest = hashlib.sha256()
+    for d in (3, 4, 5):
+        rng = np.random.default_rng(d)
+        p1, p2 = _program(rng, d, True), _program(rng, d, True)
+        for branch in oqt_compose_choi(p1, p2):
+            digest.update(np.float64(branch.probability).tobytes())
+            digest.update(branch.post_state.matrix.tobytes())
+    assert digest.hexdigest() == "64605e8ec98f30fdf55a0060ac8d2ed5da6dbe1e67586acfeb2734f5b4071b67"
+
+
+def test_composition_at_d5_holds_one_product_array():
+    """Composing two channel programs at d = 5 (joint dimension 625) peaks
+    below 256 KB: only the kept 25 x 25 branches and the pairs' reshaped
+    copies are formed, never the 625 x 625 product (6.25 MB)."""
+    rng = np.random.default_rng(11)
+    p1, p2 = _program(rng, 5, True), _program(rng, 5, True)
+    oqt_compose_choi(p1, p2)  # layouts are cached
+    tracemalloc.start()
+    try:
+        oqt_compose_choi(p1, p2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
+
+
+def test_bell_layer_over_entry_capacity_allocates_nothing(monkeypatch):
+    """The layer checks its kept state against `MAX_ENTRIES` before it
+    forms any array."""
+    rng = np.random.default_rng(4)
+    p1, p2 = _program(rng, 5, True), _program(rng, 5, True)
+    monkeypatch.setattr(qmath, "MAX_ENTRIES", 25**2 - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="would hold 625 entries, capacity is 624"):
+            oqt_compose_choi(p1, p2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+# --- partial traces ---
 
 
 def _parent_layout(factors, keep, layout):
-    """The layout `traced_product` replaces: np.kron of the factors, then a
-    transposed C-ordered copy in (kept, traced, kept, traced) order."""
+    """np.kron of the factors, then a transposed C-ordered copy in (kept,
+    traced, kept, traced) order: the array `partial_trace` traces."""
     dims, n = layout.dims, len(layout)
     keep_pos = [layout.index(lab) for lab in keep]
     perm = keep_pos + [k for k in range(n) if k not in keep_pos]
@@ -374,6 +486,10 @@ def _parent_layout(factors, keep, layout):
     t = joint.reshape(dims + dims).transpose(perm + [n + p for p in perm])
     dk = math.prod(dims[p] for p in keep_pos)
     return np.ascontiguousarray(t.reshape(dk, layout.total_dim // dk, dk, -1))
+
+
+def _traced(factors, keep, layout):
+    return np.ascontiguousarray(np.trace(_parent_layout(factors, keep, layout), axis1=1, axis2=3))
 
 
 @st.composite
@@ -401,53 +517,23 @@ def product_cases(draw):
 
 @KERNEL
 @given(product_cases())
-def test_traced_product_is_the_transposed_kron_bytewise(case):
+def test_partial_trace_is_the_trace_of_the_transposed_kron_bytewise(case):
     factors, keep, layout = case
-    got = qmath.traced_product(factors, keep, layout)
-    want = _parent_layout(factors, keep, layout)
+    got = partial_trace(functools.reduce(np.kron, factors), keep, layout)
+    want = _traced(factors, keep, layout)
     assert got.shape == want.shape and got.flags.c_contiguous
     assert got.tobytes() == want.tobytes()
 
 
-def test_traced_product_takes_every_keep_order_bytewise():
+def test_partial_trace_takes_every_keep_order_bytewise():
     rng = np.random.default_rng(3)
     factors = [_program(rng, 3, True).density(), _density(rng, 2), _program(rng, 2, False).density()]
+    joint = functools.reduce(np.kron, factors)
     layout = RegisterLayout.of(("o0", 3), ("i0", 3), ("s1", 2), ("o2", 2), ("i2", 2))
     for size in range(len(layout) + 1):
         for keep in itertools.permutations(layout.labels, size):
-            want = _parent_layout(factors, keep, layout)
-            assert qmath.traced_product(factors, keep, layout).tobytes() == want.tobytes()
-
-
-def test_composition_at_d5_holds_one_product_array():
-    """Composing two channel programs at d = 5 (D = 625) peaks below 1.5
-    D^2 complex entries: the product is laid out once and both branches
-    are read from it."""
-    rng = np.random.default_rng(11)
-    p1, p2 = _program(rng, 5, True), _program(rng, 5, True)
-    oqt_compose_choi(p1, p2)  # plans and projectors are cached
-    tracemalloc.start()
-    try:
-        oqt_compose_choi(p1, p2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * 625**2 * 16
-
-
-def test_traced_product_over_capacity_allocates_nothing(monkeypatch):
-    rng = np.random.default_rng(4)
-    factors = [_density(rng, 32), _density(rng, 32)]
-    layout = RegisterLayout.of(("a", 32), ("b", 32))
-    monkeypatch.setattr(qmath, "MAX_ENTRIES", 1024**2 - 1)
-    tracemalloc.start()
-    try:
-        with pytest.raises(CapacityError, match="would hold 1048576 entries, capacity is 1048575"):
-            qmath.traced_product(factors, ["a"], layout)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 1024
+            want = _traced(factors, keep, layout)
+            assert partial_trace(joint, keep, layout).tobytes() == want.tobytes()
 
 
 # --- circuit knitting ---

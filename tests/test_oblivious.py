@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import tracemalloc
 
@@ -289,14 +290,28 @@ def test_multiparty_binary_bell_product_branch():
 
 
 @pytest.mark.parametrize("parts, d", [(4, 4), (3, 5), (3, 4)])
-def test_multiparty_binary_bell_refuses_capacity_before_the_projector(parts, d):
-    """Over the cap, the layer raises CapacityError before the joint Bell
-    projector (up to 64 GiB here) or any product is formed."""
+def test_multiparty_binary_bell_is_the_kron_of_its_parts_past_the_joint_cap(parts, d):
+    """Layers whose joint dimension (d^3 per part, up to 262,144) passes
+    the cap run, since only the kept state (d per part) is formed: the
+    trivial branch is the product of each part's `oqt_step` trivial branch."""
     rng = np.random.default_rng(108)
     layer = [(choi_of(random_unitary(d, rng)), random_statevector(d, rng)) for _ in range(parts)]
+    b0, b1 = multiparty_binary_bell(layer)
+    steps = [oqt_step(prog, psi)[0] for prog, psi in layer]
+    assert abs(b0.probability - np.prod([s.probability for s in steps])) <= 1e-12
+    want = functools.reduce(np.kron, [s.post_state.matrix for s in steps])
+    assert np.abs(b0.post_state.matrix - want).max() <= 1e-12
+    assert abs(b0.probability + b1.probability - 1.0) <= 1e-12
+
+
+def test_multiparty_binary_bell_refuses_capacity_by_the_kept_state():
+    """Six parts at d = 4 keep a 4,096-dimensional state, over the cap: the
+    layer raises CapacityError before it forms any array."""
+    rng = np.random.default_rng(108)
+    layer = [(choi_of(random_unitary(4, rng)), random_statevector(4, rng)) for _ in range(6)]
     tracemalloc.start()
     try:
-        with pytest.raises(CapacityError):
+        with pytest.raises(CapacityError, match="layout dimension 4096 exceeds capacity 1024"):
             multiparty_binary_bell(layer)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

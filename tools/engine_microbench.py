@@ -38,7 +38,11 @@ one's tracemalloc peak (MB) is taken over one call after a warm-up call:
 * ``oqt_step`` at D = 216 and 343: a Haar unitary's program (d = 6, 7)
   and a pure system state;
 * ``oqt_compose_choi`` at D = 256 and 625: two random channel programs
-  (d = 4, 5) with 2 and 3 Kraus operators.
+  (d = 4, 5) with 2 and 3 Kraus operators;
+* ``multiparty.kK`` for K = 2..5: `multiparty_binary_bell` on K parts, each
+  a Haar unitary's program (d = 4) and a pure system state (joint dimension
+  64^K, kept dimension 4^K). A tree that refuses the layer records the
+  refusal (``refused``) in place of a time.
 
 Knitting is timed the same way, with its tracemalloc peak: ``knit.exact.cN``
 and ``knit.sampled.cN`` (1,000 shots) estimate an observable of a 2-qubit
@@ -174,21 +178,40 @@ def _peak_mb(fn) -> float:
         tracemalloc.stop()
 
 
-# Product measurement at joint dimension D: its local dimension d.
-PRODUCTS = {"oqt_step.216": 6, "oqt_step.343": 7, "oqt_compose_choi.256": 4, "oqt_compose_choi.625": 5}
+# Product measurement at joint dimension D, or of K parts (kind.kK): its
+# local dimension d.
+PRODUCTS = {
+    "oqt_step.216": 6,
+    "oqt_step.343": 7,
+    "oqt_compose_choi.256": 4,
+    "oqt_compose_choi.625": 5,
+    **{f"multiparty.k{parts}": 4 for parts in range(2, 6)},
+}
 
 
 def measure_product(obliq, name: str, repeat: int) -> dict:
-    """One product measurement: µs per call and its tracemalloc peak."""
-    kind, big_d = name.split(".")
-    rng, d = np.random.default_rng(int(big_d)), PRODUCTS[name]
+    """One product measurement: µs per call and its tracemalloc peak, or the
+    CapacityError that refuses it."""
+    kind, size = name.split(".")
+    rng, d = np.random.default_rng(int(size.lstrip("k"))), PRODUCTS[name]
     if kind == "oqt_step":
         program = obliq.channels.choi_of(obliq.qmath.random_unitary(d, rng))
         system = obliq.qmath.random_statevector(d, rng)
         fn = lambda: obliq.oblivious.oqt_step(program, system)  # noqa: E731
+    elif kind == "multiparty":
+        qm = obliq.qmath
+        layer = [
+            (obliq.channels.choi_of(qm.random_unitary(d, rng)), qm.random_statevector(d, rng))
+            for _ in range(int(size[1:]))
+        ]
+        fn = lambda: obliq.oblivious.multiparty_binary_bell(layer)  # noqa: E731
     else:
         p1, p2 = _channel(obliq, d, 2, rng), _channel(obliq, d, 3, rng)
         fn = lambda: obliq.superchannel.oqt_compose_choi(p1, p2)  # noqa: E731
+    try:
+        fn()
+    except obliq.errors.CapacityError as exc:
+        return {"refused": f"CapacityError: {exc}"}
     return {"us": _best(fn, repeat), "peak_mb": _peak_mb(fn)}
 
 

@@ -27,6 +27,7 @@ from .oblivious import (
     BinaryBranch,
     OqtRecord,
     _bell_layer,
+    _swap_blocks,
     controlled_gate,
 )
 from .qmath import (
@@ -125,12 +126,7 @@ def swap_test_probability(psi: PureState | np.ndarray, phi: PureState | np.ndarr
     b = phi.amplitudes if isinstance(phi, PureState) else as_complex(phi).reshape(-1)
     if a.shape != b.shape:
         raise DimensionError("swap test needs equal dims")
-    d = a.shape[0]
-    swap = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            swap[j * d + i, i * d + j] = 1.0
-    return dqc1(swap, tensor_product(projector(a), projector(b)), X_AXIS)
+    return dqc1(_swap_blocks(a.shape[0]), tensor_product(projector(a), projector(b)), X_AXIS)
 
 
 def swap_test(

@@ -93,6 +93,7 @@ from .oblivious import (
     bell_projector,
     check_square_ports,
     check_unital,
+    controlled_gate,
     parity_inverted,
     parity_weights,
 )
@@ -814,15 +815,23 @@ def mean_stderr(values: np.ndarray) -> tuple[float, float]:
 
 
 @functools.lru_cache(maxsize=None)
-def _bell_basis(d: int) -> tuple[tuple[np.ndarray, ...], _Basis]:
-    """The d^2 Pauli operators sigma_i and the basis of projectors onto
-    (sigma_i x I)|omega>, built once per d; read-only."""
-    sigmas = GeneralizedPauliBasis(d).operators
+def _paulis(d: int) -> np.ndarray:
+    """The (d^2, d, d) stack of the Pauli operators sigma_i, built once per
+    d; read-only. Read as (d^2, d^2), row i holds sigma_i's entries."""
+    stack = np.array(GeneralizedPauliBasis(d).operators)
+    stack.flags.writeable = False
+    return stack
+
+
+@functools.lru_cache(maxsize=None)
+def _bell_basis(d: int) -> _Basis:
+    """The projectors onto (sigma_i x I)|omega> for the `_paulis` sigma_i,
+    built once per d; read-only."""
     omega = bell_state(d).amplitudes
-    projs = [projector(np.kron(sig, np.eye(d)) @ omega) for sig in sigmas]
-    for arr in sigmas + projs:
-        arr.flags.writeable = False
-    return tuple(sigmas), _Basis(projs)
+    projs = [projector(np.kron(sig, np.eye(d)) @ omega) for sig in _paulis(d)]
+    for proj in projs:
+        proj.flags.writeable = False
+    return _Basis(projs)
 
 
 def _ebit_ends(engine: ProtocolEngine, ebit: int, near_label: str) -> tuple[str, str]:
@@ -851,10 +860,9 @@ def _teleport(state_label: str, ebit: int):
         d = eng.layout.dim(state_label)
         if eng.layout.dim(ea) != d:
             raise DimensionError("ebit dimension does not match the state register")
-        corrections, projs = _bell_basis(d)
         bits = 2 * math.ceil(math.log2(d))
-        return _announced(eng, source, projs, [state_label, ea], bits, ebit=ebit,
-                          correct=(dest, corrections, [eb]))
+        return _announced(eng, source, _bell_basis(d), [state_label, ea], bits, ebit=ebit,
+                          correct=(dest, _paulis(d), [eb]))
 
     return step
 
@@ -886,12 +894,7 @@ def _cat_entangler(control_label: str, target_label: str, ebit: int, gate: np.nd
     """The two steps of a controlled ``gate`` across two parties through one
     ebit: the Z measurement of the control side's ebit half, then the X
     measurement of the target side's half (see `remote_controlled_gate`)."""
-    ctrl = np.block(
-        [
-            [np.eye(gate.shape[0]), np.zeros_like(gate)],
-            [np.zeros_like(gate), gate],
-        ]
-    ).astype(complex)
+    ctrl = controlled_gate(gate)
 
     def z_step(eng: ProtocolEngine):
         ea, eb = _ebit_ends(eng, ebit, control_label)
@@ -1248,17 +1251,20 @@ class KnitDecomposition:
     overhead: float
 
 
-@functools.lru_cache(maxsize=None)
-def _pauli_pairs(d: int) -> tuple[np.ndarray, ...]:
-    """kron(sigma_i, sigma_j) at index i d^2 + j, formed once per d; read-only."""
-    sigmas = _bell_basis(d)[0]
-    pairs = tuple(np.kron(si, sj) for si in sigmas for sj in sigmas)
-    for pair in pairs:
-        pair.flags.writeable = False
-    return pairs
+def _regrouped(m: np.ndarray, d: int) -> np.ndarray:
+    """M[(a c), (b e)] as M'[(a b), (c e)], so kron(A, B)' = outer(A, B); its own inverse."""
+    return m.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+
+
+def _pauli_pair(d: int, i: int) -> np.ndarray:
+    """kron(sigma_a, sigma_b), i = a d^2 + b, as np.kron's broadcast product (the same bytes)."""
+    sigmas, (a, b) = _paulis(d), divmod(i, d * d)
+    return (sigmas[a][:, None, :, None] * sigmas[b][None, :, None, :]).reshape(d * d, d * d)
 
 
 def knit_decompose(u: np.ndarray, local_dim: int | None = None) -> KnitDecomposition:
+    """U = sum_ij c_ij sigma_i x sigma_j: with S the `_paulis` stack read as
+    rows, C = conj(S) U' conj(S)^T / d^2 and U' = S^T C S (U' `_regrouped`)."""
     u = as_complex(u)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise DimensionError("gate must be a square matrix")
@@ -1268,14 +1274,10 @@ def knit_decompose(u: np.ndarray, local_dim: int | None = None) -> KnitDecomposi
         raise DimensionError(f"dimension {n} is not a two-qudit product d*d")
     if not is_unitary(u):
         raise StateValidationError("knit decomposition expects a unitary gate")
-    coeff = np.empty(n * n, dtype=complex)
-    recon = np.zeros_like(u)
-    for k, pair in enumerate(_pauli_pairs(d)):
-        coeff[k] = np.vdot(pair, u) / n
-        recon = recon + coeff[k] * pair
-    if np.abs(recon - u).max() > 1e-12:
+    sigmas = _paulis(d).reshape(n, n)
+    coeff = sigmas.conj() @ _regrouped(u, d) @ sigmas.conj().T / n
+    if np.abs(_regrouped(sigmas.T @ coeff @ sigmas, d) - u).max() > 1e-12:
         raise StateValidationError("basis reconstruction failed")
-    coeff = coeff.reshape(n, n)
     one_norm = float(np.abs(coeff).sum())
     return KnitDecomposition(coefficients=coeff, one_norm=one_norm, overhead=one_norm**2)
 
@@ -1330,20 +1332,21 @@ class KnitEstimate:
 
 def _knit_propagate(circuit: KnitCircuit, factor: np.ndarray, ops, patterns: np.ndarray):
     """``factor`` pushed through the circuit once per distinct term that the
-    rows of ``patterns`` take, the t-th cut gate replaced by ops[t][k] for
-    the row's k in column t: the stack of propagated terms, and each row's
-    index in it. Terms that share a prefix share its propagation: at each
-    cut only the (prefix, k) pairs some row takes go on: found as `_walk`
-    finds its taken (row, outcome) pairs (a table of every (prefix, k) code,
-    ranked by its cumsum, no sort) while that table holds at most 4 codes
-    per row, and by `np.unique` of the rows' codes past that."""
+    rows of ``patterns`` take, the t-th cut gate replaced by ops[t](k) (formed
+    when applied; a lone operator m is passed as [m].__getitem__) for the
+    row's k in column t: the stack of propagated terms, and each row's index
+    in it. Terms that share a prefix share its propagation: at each cut only
+    the (prefix, k) pairs some row takes go on, found as `_walk` finds its
+    taken (row, outcome) pairs (a table of every (prefix, k) code, ranked by
+    its cumsum, no sort) while that table holds at most 4 codes per row, and
+    by `np.unique` of the rows' codes past that."""
     layout, row, f, t = circuit.layout, np.zeros(len(patterns), dtype=np.intp), factor[None], 0
     for g in circuit.gates:
         labels = [f"q{q}" for q in g.targets]
         if not g.cut:
             f = apply_on_targets(g.matrix, f, labels, layout)
             continue
-        n = len(ops[t])
+        n = int(patterns[:, t].max()) + 1
         codes = row * n + patterns[:, t]
         if len(f) * n <= 4 * len(codes):
             taken = np.zeros(len(f) * n, dtype=bool)
@@ -1355,7 +1358,7 @@ def _knit_propagate(circuit: KnitCircuit, factor: np.ndarray, ops, patterns: np.
         child = np.empty((len(k),) + f.shape[1:], dtype=complex)
         for o in np.flatnonzero(np.bincount(k, minlength=n)):
             mine = np.flatnonzero(k == o)
-            child[mine] = apply_on_targets(ops[t][o], f[parent[mine]], labels, layout)
+            child[mine] = apply_on_targets(ops[t](o), f[parent[mine]], labels, layout)
         f, t = child, t + 1
     return f, row
 
@@ -1395,7 +1398,7 @@ def _knit_estimate(circuit: KnitCircuit, observable: np.ndarray, mode: str, shot
     """`knit_estimate` of a complex Hermitian observable of the circuit's
     width, which it does not check again."""
     factor, lam = circuit.initial_factor()
-    cuts, pairs = [], _pauli_pairs(circuit.local_dim)  # each cut's decomposition and nonzero pairs
+    cuts, d = [], circuit.local_dim  # each cut's decomposition and nonzero pairs
     for g in (g for g in circuit.gates if g.cut):
         if len(g.targets) != 2:
             raise DimensionError("cut gates must touch exactly two qudits")
@@ -1405,7 +1408,9 @@ def _knit_estimate(circuit: KnitCircuit, observable: np.ndarray, mode: str, shot
     one = np.zeros((1, len(cuts)), dtype=np.intp)  # the one term of one operator per cut
 
     if mode == "exact_sum":  # sum_lk conj(w_l) w_k <A_l R, O A_k R>, by linearity
-        ops = [[sum(dec.coefficients.flat[i] * pairs[i] for i in nz)] for dec, nz in cuts]
+        s = _paulis(d).reshape(d * d, d * d)  # sum_nz c_i P_i is S^T C S regrouped, C zero off nz
+        kept = (np.where(np.abs(dec.coefficients) > 1e-14, dec.coefficients, 0) for dec, _ in cuts)
+        ops = [[_regrouped(s.T @ c @ s, d)].__getitem__ for c in kept]
         (f,), _ = _knit_propagate(circuit, factor, ops, one)
         value = np.vdot(f, (observable @ f) * lam)
         return KnitEstimate(estimate=float(value.real), stderr=0.0, overhead=overhead)
@@ -1419,8 +1424,8 @@ def _knit_estimate(circuit: KnitCircuit, observable: np.ndarray, mode: str, shot
         raise CapacityError(f"sampled knitting has {terms} terms, past the int64 term index (2**63)")
     laws = [np.cumsum(np.abs(dec.coefficients.flat[nz])) for dec, nz in cuts]
     patterns = _law_patterns([c[:-1] / c[-1] for c in laws], rng.random(shots))
-    drawn, row = _knit_propagate(circuit, factor, [[pairs[i] for i in nz] for _, nz in cuts], patterns)
-    (exact,), _ = _knit_propagate(circuit, factor, [[g.matrix] for g in circuit.gates if g.cut], one)
+    drawn, row = _knit_propagate(circuit, factor, [lambda k, nz=nz: _pauli_pair(d, nz[k]) for _, nz in cuts], patterns)
+    (exact,), _ = _knit_propagate(circuit, factor, [[g.matrix].__getitem__ for g in circuit.gates if g.cut], one)
     first = np.empty(len(drawn), dtype=np.intp)
     first[row] = np.arange(shots)  # a shot that drew each term
     idx, weights = np.zeros(len(drawn), dtype=np.int64), np.ones(len(drawn), dtype=complex)

@@ -117,13 +117,14 @@ def _branches(
     num0: np.ndarray, total: np.ndarray, layout: RegisterLayout
 ) -> tuple[BinaryBranch, BinaryBranch]:
     """The trivial branch of numerator ``num0`` and the complement
-    ``total`` - ``num0``, each normalized by its trace, on ``layout``."""
+    ``total`` - ``num0``, formed in ``total``'s buffer, each normalized in
+    place by its trace, on ``layout``: the caller passes both arrays fresh."""
     branches = []
-    for parity, num in enumerate((num0, total - num0)):
+    for parity, num in enumerate((num0, np.subtract(total, num0, out=total))):
         prob = float(np.trace(num).real)
         if prob < 1e-14:
             raise BranchError(f"branch {parity} has probability {prob}")
-        branches.append(BinaryBranch(prob, MixedState.formed(layout, num / prob)))
+        branches.append(BinaryBranch(prob, MixedState.formed(layout, np.divide(num, prob, out=num))))
     return branches[0], branches[1]
 
 
@@ -475,11 +476,8 @@ def _materialize(apply_op: Callable[[np.ndarray], np.ndarray], d: int) -> np.nda
 
 
 def _swap_blocks(dim: int) -> np.ndarray:
-    s = np.zeros((dim * dim, dim * dim))
-    for a in range(dim):
-        for b in range(dim):
-            s[b * dim + a, a * dim + b] = 1.0
-    return s
+    """SWAP on two dim-dimensional registers: the identity with its row factors exchanged."""
+    return np.eye(dim * dim).reshape((dim,) * 4).transpose(1, 0, 2, 3).reshape(dim * dim, dim * dim)
 
 
 def controlled_gate(u: np.ndarray) -> np.ndarray:

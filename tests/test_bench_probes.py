@@ -84,8 +84,10 @@ def test_engine_microbench_times_every_knitting_row(monkeypatch):
     import obliq.distributed  # noqa: F401  (binds obliq.distributed)
     import obliq
 
-    assert len(microbench.KNITS) == 14
+    assert len(microbench.KNITS) == 17
+    assert {f"knit_decompose.d{d}" for d in (4, 6, 8)} <= set(microbench.KNITS)
     for name in microbench.KNITS:
         row = microbench.measure_knit(obliq, name, repeat=1)
-        assert set(row) == {"us", "peak_mb"}
+        first = {"first_us", "first_peak_mb"} if name.startswith("knit_decompose.") else set()
+        assert set(row) == {"us", "peak_mb"} | first
         assert all(math.isfinite(v) and v > 0 for v in row.values()), name

@@ -831,6 +831,20 @@ def test_knitting_of_many_haar_cuts_runs_by_cut(tmp_path, cuts, mode):
         assert abs(estimate - want) <= 5 * stderr
 
 
+@pytest.mark.parametrize("mode", ["exact_sum", "sampled"])
+def test_knitting_of_a_haar_cut_at_local_dim_16_runs(tmp_path, mode):
+    # The 65,536 Pauli pairs of a cut at d = 16 as dense 256 x 256 matrices
+    # would take 69 GB; the scenario validates, so it must run.
+    rng = np.random.default_rng(16)
+    u = random_unitary(256, rng)
+    a = rng.normal(size=(256, 256))
+    sc = _minimal_knitting(mode=mode, shots=5, local_dim=16, observable=((a + a.T) / 2).tolist(),
+                           gates=[{"matrix": matrix_to_json(u), "targets": [0, 1], "cut": True}])
+    path = _write(tmp_path, "d16.json", sc)
+    assert main(["validate", path]) == 0
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 0
+
+
 @pytest.mark.parametrize("shots", [1, 10])
 def test_sampled_knitting_of_a_pauli_product_cut_after_a_haar_cut_runs(tmp_path, shots):
     # The X (x) Z cut has one nonzero pair; the Haar cut before it has more

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -541,21 +543,41 @@ def test_knit_decompose_rejects_nonunitary():
         knit_decompose(np.ones((4, 4)))
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5])
-def test_cached_pauli_pairs_are_the_read_only_kron_products(d):
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_knit_coefficients_and_pairs_match_the_dense_definition(d):
+    """c_ij = tr((sigma_i x sigma_j)^dag U) / d^2, taken pair by pair from
+    the dense Kronecker products, for a Haar unitary; and each pair the
+    sampled mode forms holds np.kron's bytes."""
     from obliq.oblivious import GeneralizedPauliBasis
 
+    u = random_unitary(d * d, np.random.default_rng(d))
     sigmas = GeneralizedPauliBasis(d).operators
-    pairs = dist._pauli_pairs(d)
-    assert pairs is dist._pauli_pairs(d)
-    assert len(pairs) == d**4
-    for k, pair in enumerate(pairs):
-        expected = np.kron(sigmas[k // (d * d)], sigmas[k % (d * d)])
-        assert pair.dtype == expected.dtype and pair.shape == expected.shape
-        assert pair.tobytes() == expected.tobytes()
-        assert not pair.flags.writeable
-    with pytest.raises(ValueError):
-        pairs[0][0, 0] = 2.0
+    pairs = [np.kron(si, sj) for si in sigmas for sj in sigmas]
+    want = np.array([np.vdot(pair, u) / d**2 for pair in pairs]).reshape(d * d, d * d)
+    dec = knit_decompose(u, local_dim=d)
+    assert dec.coefficients.shape == (d * d, d * d)
+    assert np.abs(dec.coefficients - want).max() <= 1e-15
+    assert all(dist._pauli_pair(d, i).tobytes() == pair.tobytes() for i, pair in enumerate(pairs))
+
+
+@pytest.mark.parametrize("mode", ["exact_sum", "sampled"])
+def test_knit_estimate_at_local_dim_8_holds_no_pair_table(mode):
+    """One Haar cut on two d = 8 qudits peaks under 2 MB in its first call,
+    what it caches included: the 4,096 Pauli pairs as dense 64 x 64
+    matrices would take 268 MB; the coefficients and the cut operator are
+    contractions of the 64 single-qudit operators."""
+    rng = np.random.default_rng(8)
+    circuit = KnitCircuit(2, (KnitGate(random_unitary(64, rng), (0, 1), cut=True),), 8)
+    a = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
+    obs = a + a.conj().T
+    kwargs = {"shots": 100, "rng": np.random.default_rng(1)} if mode == "sampled" else {}
+    tracemalloc.start()
+    try:
+        knit_estimate(circuit, obs, mode=mode, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def _cluster_circuit(cut: bool):

@@ -319,6 +319,22 @@ def test_multiparty_binary_bell_refuses_capacity_by_the_kept_state():
     assert peak < 1e6
 
 
+def test_multiparty_binary_bell_holds_two_kept_states():
+    """Five parts at d = 4 keep a 1,024-dimensional state, 16.8 MB a copy:
+    the layer peaks under 42 MB (the trivial numerator and the total, whose
+    buffer takes the complement; both branches are normalized in place)."""
+    rng = np.random.default_rng(5)
+    layer = [(choi_of(random_unitary(4, rng)), random_statevector(4, rng)) for _ in range(5)]
+    tracemalloc.start()
+    try:
+        b0, b1 = multiparty_binary_bell(layer)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 42_000_000
+    assert abs(np.trace(b0.post_state.matrix) - 1) <= 1e-12 and abs(np.trace(b1.post_state.matrix) - 1) <= 1e-12
+
+
 def test_bell_layers_name_their_branch_registers():
     rng = np.random.default_rng(109)
     p1, p2 = choi_of(random_unitary(3, rng)), choi_of(random_unitary(3, rng))

@@ -44,8 +44,12 @@ one's tracemalloc peak (MB) is taken over one call after a warm-up call:
   64^K, kept dimension 4^K). A tree that refuses the layer records the
   refusal (``refused``) in place of a time.
 
-Knitting is timed the same way, with its tracemalloc peak: ``knit.exact.cN``
-and ``knit.sampled.cN`` (1,000 shots) estimate an observable of a 2-qubit
+Knitting is timed the same way, with its tracemalloc peak:
+``knit_decompose.dD`` for D = 4, 6, 8 decomposes one Haar two-qudit gate at
+local dimension D over its D^4 Pauli pairs; its row also gives the child's
+first call (``first_us``, ``first_peak_mb``), which builds what the
+decomposition caches, as a run does once. ``knit.exact.cN`` and
+``knit.sampled.cN`` (1,000 shots) estimate an observable of a 2-qubit
 circuit of N = 2..8 cut copies of one Haar two-qubit gate, 16^N terms.
 
 The literals are knitting scenarios whose observable is a 256 x 256 real
@@ -215,13 +219,31 @@ def measure_product(obliq, name: str, repeat: int) -> dict:
     return {"us": _best(fn, repeat), "peak_mb": _peak_mb(fn)}
 
 
-# Knitting rows: knit.MODE.cN, N cut copies of one Haar two-qubit gate.
-KNITS = tuple(f"knit.{mode}.c{cuts}" for mode in ("exact", "sampled") for cuts in range(2, 9))
+# Knitting rows: knit_decompose.dD, one Haar gate on two qudits of dimension
+# D; knit.MODE.cN, N cut copies of one Haar two-qubit gate.
+KNITS = (
+    *(f"knit_decompose.d{d}" for d in (4, 6, 8)),
+    *(f"knit.{mode}.c{cuts}" for mode in ("exact", "sampled") for cuts in range(2, 9)),
+)
 
 
 def measure_knit(obliq, name: str, repeat: int) -> dict:
-    """One knitting estimate on 2 qubits: µs per call and its tracemalloc peak."""
+    """One decomposition, or one knitting estimate on 2 qubits: µs per call
+    and its tracemalloc peak."""
     dist = obliq.distributed
+    if name.startswith("knit_decompose."):
+        d = int(name.split(".d")[1])
+        u = obliq.qmath.random_unitary(d * d, np.random.default_rng(d))
+        fn = lambda: dist.knit_decompose(u, d)  # noqa: E731
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            fn()
+            first = {"first_us": round((time.perf_counter() - start) * 1e6, 3),
+                     "first_peak_mb": round(tracemalloc.get_traced_memory()[1] / 1e6, 3)}
+        finally:
+            tracemalloc.stop()
+        return {**first, "us": _best(fn, repeat), "peak_mb": _peak_mb(fn)}
     _, mode, cuts = name.split(".")
     rng = np.random.default_rng(int(cuts[1:]))
     u = obliq.qmath.random_unitary(4, rng)

@@ -52,10 +52,11 @@ runners and the CLI's script ops.
 
 The runners walk a few patterns and then draw their shots from a law. An
 oblivious primitive's outcomes say nothing of the program, so their laws
-are fixed: an ISI bit is 0 with probability 1/d, an OQT parity with 1/d^2,
-and `_law_patterns` draws such bits on one uniform per shot. It takes one
-CDF per step (a bit's is its edge), so it also draws sampled knitting's
-Pauli pair at each cut, whose law |c_i| / sum |c| is fixed too. Tri-party
+are fixed: an ISI bit is 0 with probability 1/d, an OQT parity with 1/d^2.
+`oblivious._law_patterns` draws such bits, one fresh ``rng.random(shots)``
+per step, as ``rng.choice`` over the step's law would. It takes one CDF per
+step (a bit's is its edge), so it also draws sampled knitting's Pauli pair
+at each cut, whose law |c_i| / sum |c| is fixed too. Tri-party
 scheme I walks its 16 patterns once and draws from that law; scheme II
 walks its 16 equally likely paths. dbqc and ping-pong take unital programs
 only (`oblivious.check_unital`) and read their readout probabilities off
@@ -90,6 +91,7 @@ from .gates import CNOT, X, Z
 from .oblivious import (
     GeneralizedPauliBasis,
     OqtRecord,
+    _law_patterns,
     bell_projector,
     check_square_ports,
     check_unital,
@@ -171,8 +173,8 @@ class ProtocolEngine:
     checked on allocation, and a forced measurement outcome must be one of
     the measurement's outcomes. Cross-party correlations can only be
     created by `distribute_ebit` or `transport`, which move a register to a
-    new owner and register an entanglement resource id for the ledger's
-    conservation check.
+    new owner and register an entanglement resource id; a runner refuses a
+    leaf that leaves one unconsumed (`ebits_unused`).
     """
 
     def __init__(self, *parties: str):
@@ -364,9 +366,6 @@ class ProtocolEngine:
     @property
     def ebits_unused(self) -> int:
         return len(self._ebits) - len(self._used)
-
-    def ebits_conserved(self) -> bool:
-        return self.ledger.ebits_consumed == len(self._used)
 
     def discard(self, labels) -> None:
         """Trace out the registers ``labels``."""
@@ -697,50 +696,11 @@ def _sample(engine: ProtocolEngine, steps, finish, patterns):
 
 
 def _finished(eng: ProtocolEngine, finish):
-    """``finish`` read on a leaf, after its ebits are checked conserved."""
-    if not eng.ebits_conserved():
-        raise ResourceError("ebit conservation violated")
+    """``finish`` read on a leaf, after checking that it consumed every ebit
+    it was given."""
+    if eng.ebits_unused:
+        raise ResourceError(f"{eng.ebits_unused} ebit(s) distributed and never consumed (leaked)")
     return finish(eng)
-
-
-def _law_patterns(cdfs, u: np.ndarray) -> np.ndarray:
-    """Each shot's outcomes of steps with a fixed law, ``cdfs[t]`` being step
-    t's CDF without its final 1 whatever came before (a binary step's is its
-    edge, the probability of 0): one uniform per shot carried down the path,
-    so a shot takes the leaf that ``rng.choice(leaves, p=product law)`` takes
-    on the same ``u``, up to rounding at an edge. A part [lo, lo + mass) has
-    edges lo + mass c[j]; a shot takes the number of edges <= u (by
-    bisection) and keeps the part between its edges. Shots on one outcome
-    prefix share their part, so parts are kept once per prefix (``at`` is
-    each shot's; of m prefixes, p's child k is p + k m) while the children
-    are no more than the shots, then once per shot (``at`` None), each
-    forming only its own child."""
-    cdfs = [np.atleast_1d(c) for c in cdfs]
-    lo, mass, at = np.zeros(1), np.ones(1), np.zeros(len(u), dtype=np.intp)
-    top = max((len(c) for c in cdfs), default=1)
-    patterns = np.empty((len(u), len(cdfs)), dtype=np.promote_types(np.int16, np.min_scalar_type(top)))
-    for t, c in enumerate(cdfs):
-        n, step, m = len(c), (1 << len(c).bit_length()) >> 1, len(lo)
-        ext = np.concatenate(([0.0], c, np.ones(2 * step - n + 1)))  # a part's edge j is lo + mass ext[j]
-        if at is not None and m * (n + 1) > len(u):  # from here on each shot keeps its own part
-            lo, mass, at = lo[at], mass[at], None
-        if at is None:
-            edge = lambda j: lo + mass * ext[j]  # noqa: E731
-        else:  # one edge j (an int) is gathered from its row: a binary step is that one comparison
-            edges = lo + mass * ext[:, None]  # edge j of part p at [j, p]
-            edge = lambda j: edges[j][at] if type(j) is int else edges.ravel()[at + j * m]  # noqa: E731
-        k = step * (edge(step) <= u)
-        while step > 1:  # the largest k < 2 step with edge k <= u; the edges past n are the part's end
-            step >>= 1
-            k += step * (edge(k + step) <= u)
-        patterns[:, t] = np.minimum(k, n, out=k)
-        if at is None:
-            first = edge(k)
-            lo, mass = first, edge(k + 1) - first
-        else:
-            lo, mass = edges[: n + 1].ravel(), (edges[1 : n + 2] - edges[: n + 1]).ravel()
-            at += m * k
-    return patterns
 
 
 def _parity_law(q0: float, d: int, patterns: np.ndarray, s: np.ndarray, isi: bool) -> np.ndarray:
@@ -762,13 +722,13 @@ def _unital_shots(protocol, d: int, isi: bool, shots: int, rng: np.random.Genera
     Only the all-trivial path is simulated, by `_follow` with the row and
     ebit checks of `_sample`; every other q comes from `_parity_law`. An
     ISI bit is 0 with probability 1/d and a parity 0 with 1/d^2 for any
-    input, so `_law_patterns` draws the bits with those edges on one
-    ``rng.random(shots)``."""
+    input, so `_law_patterns` draws the bits with those edges, one
+    ``rng.random(shots)`` per bit."""
     engine, steps, finish = protocol
     _follow(engine, steps, None, [0] * len(steps), tol=1e-9 / len(steps))
     (q0,) = _finished(engine, finish)
     edges = [1.0 / d if isi and t == 0 else 1.0 / (d * d) for t in range(len(steps))]
-    patterns = _law_patterns(edges, rng.random(shots))
+    patterns = _law_patterns(edges, rng, shots)
     s = patterns[:, int(isi):] @ np.ones(len(steps) - int(isi), dtype=int)
     return patterns, s, _parity_law(float(q0), d, patterns, s, isi), engine.ledger
 
@@ -1125,7 +1085,7 @@ def _run_triparty_scheme1(a: Party, b: Party, c: Party, shots: int, rng: np.rand
     law = np.where(leaves == 0, edges, 1.0 - edges).prod(axis=1)
     if np.abs(probs - law).max() > 1e-9:
         raise BranchError("scheme I path probabilities are off the law of its bits")
-    patterns = _law_patterns(edges, rng.random(shots))
+    patterns = _law_patterns(edges, rng, shots)
     y = (rng.random(shots) >= qvals[patterns @ (8, 4, 2, 1)]).astype(np.int8)
     ba, bb, i, j = patterns.T
     k = np.maximum(i, j)
@@ -1423,7 +1383,7 @@ def _knit_estimate(circuit: KnitCircuit, observable: np.ndarray, mode: str, shot
     if terms >= 2**63:
         raise CapacityError(f"sampled knitting has {terms} terms, past the int64 term index (2**63)")
     laws = [np.cumsum(np.abs(dec.coefficients.flat[nz])) for dec, nz in cuts]
-    patterns = _law_patterns([c[:-1] / c[-1] for c in laws], rng.random(shots))
+    patterns = _law_patterns([c[:-1] / c[-1] for c in laws], rng, shots)
     drawn, row = _knit_propagate(circuit, factor, [lambda k, nz=nz: _pauli_pair(d, nz[k]) for _, nz in cuts], patterns)
     (exact,), _ = _knit_propagate(circuit, factor, [[g.matrix].__getitem__ for g in circuit.gates if g.cut], one)
     first = np.empty(len(drawn), dtype=np.intp)

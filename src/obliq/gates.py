@@ -5,10 +5,11 @@ optional angle, an explicit matrix with complex entries written as
 ``[re, im]`` pairs, or a Kraus list of such matrices. Every numeric literal
 of a scenario (amplitudes, matrix entries, angles, rates, the tolerance) is
 read by `real_from_literal`, alone or through `complex_from_literal`. Arrays
-of literals (state vectors, matrices) go through `reals_from_literal` and
-`complexes_from_literal`: one numpy conversion when every entry is a JSON
-int or float, else `real_from_literal` entry by entry, so the first bad
-literal raises the scalar parser's error.
+of literals go through `complexes_from_literal` (state vectors) and
+`matrix_from_json` (matrices): one numpy conversion when every entry is a
+JSON int or float, or every entry a pair of them, else
+`complex_from_literal` entry by entry, so the first bad literal raises the
+scalar parser's error.
 """
 
 from __future__ import annotations
@@ -78,12 +79,6 @@ def _finite_floats(values, kinds: set) -> np.ndarray | None:
     except OverflowError:
         return None
     return out if np.isfinite(out).all() else None
-
-
-def reals_from_literal(values: list) -> np.ndarray:
-    """`real_from_literal` over a list, as a float array."""
-    out = _finite_floats(values, set(map(type, values)))
-    return np.array([real_from_literal(v) for v in values], dtype=float) if out is None else out
 
 
 def complexes_from_literal(values: list) -> np.ndarray:

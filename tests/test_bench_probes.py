@@ -91,3 +91,15 @@ def test_engine_microbench_times_every_knitting_row(monkeypatch):
         first = {"first_us", "first_peak_mb"} if name.startswith("knit_decompose.") else set()
         assert set(row) == {"us", "peak_mb"} | first
         assert all(math.isfinite(v) and v > 0 for v in row.values()), name
+
+
+def test_engine_microbench_times_every_law_draw(monkeypatch):
+    microbench = _microbench(monkeypatch)
+    import obliq.oblivious  # noqa: F401  (binds obliq.oblivious)
+    import obliq
+
+    assert set(microbench.LAWS) == {"law.binary", "law.d7", "law.k256"}
+    for name in microbench.LAWS:
+        row = microbench.measure_law(obliq, name, repeat=1)
+        assert set(row) == {"us", "peak_mb"}
+        assert all(math.isfinite(v) and v > 0 for v in row.values()), name

@@ -34,8 +34,8 @@ DIGESTS = {
         "4fa7e8dd8c6dce0e5be0421e9f4568942b5448c0fba7fa964ead0717fce3e72f",
     ),
     "dbqc": (
-        "ce8093f19f6dfea948e9f6bacd06c40e6520e5670096a2044ed57f7d1968b762",
-        "aa591a93c6e7cafed42d7a6837eec986627fedf238312205baa298fef9715355",
+        "c9256015bc532b33363a9f6df5f6a264442739ba8441f1482fc86f91b87bbbe2",
+        "a8eaf8d385514d73db3cde5d96ba130301464de69073577cbdd9f45a68449a3a",
         "8d27e607370b7df51897e15f3b9a0bea70663f1389224204e96f8878db55a68d",
     ),
     "knitting-exact": (
@@ -49,8 +49,8 @@ DIGESTS = {
         "f397136883b54efb080e8e97cf5d2b02b1653e6f5c020a4074789f56e13076d1",
     ),
     "pingpong": (
-        "2bb277459cd39a7f1cfaab92b5e0095cbdaf3f5b3241a4c2766db62aa9fe9c5b",
-        "b9c7c89ed99283dfa637e28fc38f30c3eef27184070322430c266b65e87be94a",
+        "e44c2854859ba60dc1de54acc16b88c249118329cc619f39e32975f66dfbde9c",
+        "c3eda57ad5418e731662c7e67b31b52ebab80e6c25caec3376d612ae72715622",
         "8ad6bfd16c632d0d764770b4d322ef50adfdcdfe1692f8361938b960d4c0cea4",
     ),
     "script-teleport": (
@@ -59,8 +59,8 @@ DIGESTS = {
         "6fcf0116871a04a2f7eab69b16eb8903a5e69210cc47a1f61f296ac30d369696",
     ),
     "triparty-scheme1": (
-        "7d86b89a34fdb8cf96cd936c28aba22412a93cdf16060a16cc451b2f46aeba8a",
-        "ff412fc6665594e10f2ee6ac1a763e5df54286a3c2150885616be297136c513a",
+        "df9d13ad3bf0c64d3126a5bd313c3d09f3695d15fcc0c5d924bf21993c60e6e9",
+        "74e0b292f713b290ed27163453b34769cb453f624f0211f6f9d79154aae4aa1c",
         "319555b968fa4400749ac5371605dacdee85304ef52cdbae1401814218a2e02f",
     ),
     "triparty-scheme2": (
@@ -75,23 +75,23 @@ WIDE_RESOLVED_SCENARIO = "0ed2215bb34ab85f652b08c81638126b36b2d716fbdb8349ced573
 
 # sha256 of (records.jsonl, summary.csv, resolved-scenario) of `_wide_dbqc`.
 WIDE_DBQC = (
-    "de3127266ed079617ce40d3ced89e64baddebd7624d1753cb109785b6dc4457b",
-    "0e3d7573119e1e731601f573717cea26ff39c970a6aab4bfdb163741216d65d9",
+    "6637068505bf444b16df06eb081cae7dbdc2d315ae0d509c3e3e3ef700c62f43",
+    "50900de8f8fe808e1357b1922660982fa69b0b17d36972519e92bc4781c54389",
     "65dd73bed781f936897b003cf1de1ec5e8ddba212ffccff3230d408b103aebfa",
 )
 
 # sha256 of (records.jsonl, summary.csv, resolved-scenario) of
-# `_near_unitary_dbqc` and `_near_unitary_pingpong`, computed when every
-# drawn branch was simulated densely.
+# `_near_unitary_dbqc` and `_near_unitary_pingpong`: the digests that
+# simulating every drawn branch densely gives too.
 NEAR_UNITARY = {
     "dbqc": (
-        "7252d16a496796a27636744bfa3e772956b2c8a8b2c48da7f1a0b83eb93c201c",
-        "5a978a8691a8c7a831c2e75dc6c681e9aac5f0267a70aacb700d6689e8b3c242",
+        "9c7189a3d735b0b1e4f89db2136b6114831955b35ffa396e21e470d445694ca7",
+        "8baeb0cbd4f354a7bcf18acc4922be97c6db0013f9f78ebb09e4b176a00afc16",
         "e24057a2aa7a3f147c3910b3ec5c184d0ea231c4aec0d22fb7a108ae0c888251",
     ),
     "pingpong": (
-        "6fe3a9624e19ff7cc2c996a4ba29dc6cb4cb6813515710f5de70d2531ebd472c",
-        "ed985c56dfa27b365f644ad6f02533f0aa82f02c0ce74346383a2c555436ac62",
+        "87e76ec24d1652bf25be191eb0a03e98967d9b5efbfd3b683f962cb2523a3033",
+        "ceafcf05fad907394245fe0b948f1f4f6372286c12b697d5df72c7e193487e73",
         "70e35a0a0945e046394fc2b4153b1cb47ed7d19c7c5b17e3364de6636e256be0",
     ),
 }
@@ -291,8 +291,8 @@ def _scheme1_parties(damped: bool):
 # sha256 of `_scheme1_digest` for 4,000 shots of `_scheme1_parties`, keyed
 # by ``damped``: edges 1/3 and 1/9 are not exact in binary.
 SCHEME1_QUTRIT = {
-    False: "2af1dc07a31a696a32a37730ed73e1b95e755b73effdc3a8a36a9ea2db251aab",
-    True: "0948362ca355c43936176a323f970e3b93f0f79947d7ae7d00464a5febe2da12",
+    False: "c1099cca064ec484d744394d934ed9ee206c4bfef62da4372bb8fdc89de93eb4",
+    True: "4dd22dede83d5409ede51d4a98f752caa2f73b0ce7db0a2d9ea04a713feac6c5",
 }
 
 

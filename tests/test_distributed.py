@@ -171,14 +171,38 @@ def test_ebit_bookkeeping():
     eng = ProtocolEngine("a", "b")
     eid = eng.distribute_ebit("a", "b", "ea", "eb")
     assert eng.ebits_unused == 1
-    assert eng.ebits_conserved()
+    assert eng.ledger.ebits_consumed == 0 and not eng.is_consumed(eid)
     eng.consume_ebit(eid)
     assert eng.ebits_unused == 0
-    assert eng.ebits_conserved()
+    assert eng.ledger.ebits_consumed == 1 and eng.is_consumed(eid)
     with pytest.raises(ResourceError):
         eng.consume_ebit(eid)
     with pytest.raises(ResourceError):
         eng.consume_ebit(99)
+
+
+def test_a_protocol_that_leaks_an_ebit_is_refused():
+    """A protocol given an ebit that it never consumes is refused at its
+    leaves, with the count; the same protocol consuming it runs."""
+    basis = dist._binary(np.diag([1.0, 0.0]))
+
+    def protocol(consume):
+        eng = ProtocolEngine("a", "b")
+        eid = eng.distribute_ebit("a", "b", "ea", "eb")
+        eng.alloc("a", "q", plus_state())
+
+        def step(eng):
+            if consume:
+                eng.consume_ebit(eid)
+            return dist._measured(eng, "a", basis, ["q"])
+
+        return eng, [step], lambda eng: np.full(len(eng), 0.5)
+
+    patterns = np.array([[0], [1]])
+    probs, _, ledger = dist._sample(*protocol(True), patterns)
+    assert np.abs(probs - 0.5).max() < 1e-12 and ledger.ebits_consumed == 1
+    with pytest.raises(ResourceError, match="^1 ebit"):
+        dist._sample(*protocol(False), patterns)
 
 
 # --- teleportation ---
@@ -235,7 +259,7 @@ def test_teleport_ledger():
     assert led.classical_bits_sent == 2
     assert led.qt_corrections == 1
     assert led.depth == 2
-    assert eng.ebits_conserved()
+    assert eng.ebits_unused == 0
 
 
 def test_teleport_rejects_reused_ebit():
@@ -285,7 +309,7 @@ def test_remote_cnot_ledger():
     assert led.ebits_consumed == 1
     assert led.classical_bits_sent == 2
     assert led.qt_corrections == 2
-    assert eng.ebits_conserved()
+    assert eng.ebits_unused == 0
 
 
 def test_remote_cnot_twice_is_identity():

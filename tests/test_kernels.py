@@ -569,6 +569,28 @@ def _dense_knit_terms(circuit):
     return np.array(weights), mats, exact
 
 
+def _cut_laws(circuit):
+    """Each cut's law |c_i| / sum |c| over its nonzero Pauli pairs, in cut
+    order, the coefficients c_i = tr(P_i^dag G) / d^2 formed pair by pair."""
+    d = circuit.local_dim
+    pairs = [np.kron(a, b) for a, b in itertools.product(GeneralizedPauliBasis(d).operators, repeat=2)]
+    laws = []
+    for g in (g for g in circuit.gates if g.cut):
+        w = np.abs([np.vdot(p, g.matrix) / (d * d) for p in pairs])
+        laws.append(w[w > 1e-14] / w[w > 1e-14].sum())
+    return laws
+
+
+def _drawn_terms(circuit, shots, rng):
+    """Each shot's term index, each cut's pair drawn by ``rng.choice`` over
+    its law in cut order: the mixed radix over each cut's nonzero pairs,
+    first cut most significant."""
+    idx = np.zeros(shots, dtype=np.int64)
+    for law in _cut_laws(circuit):
+        idx = idx * len(law) + rng.choice(len(law), size=shots, p=law)
+    return idx
+
+
 @st.composite
 def knit_circuits(draw):
     """Random 2-3 qudit circuits with one or two cut gates (two only for qubits)."""
@@ -609,8 +631,7 @@ def test_knit_estimate_matches_dense_double_sum(case):
     mass = np.abs(weights).sum()  # the product of the cuts' one-norms
     values = mass * (weights / np.abs(weights) * [np.vdot(exact, obs @ m @ rho) for m in mats]).real
     res = knit_estimate(circuit, obs, mode="sampled", shots=50, rng=np.random.default_rng(seed))
-    probs = np.abs(weights) / np.abs(weights).sum()
-    idx = np.random.default_rng(seed).choice(len(weights), size=50, p=probs)
+    idx = _drawn_terms(circuit, 50, np.random.default_rng(seed))
     assert np.array_equal(res.term_indices, idx)
     assert np.abs(res.per_shot - values[idx]).max() <= TOL
 
@@ -686,10 +707,11 @@ def _pauli_cut_case(haar_first=False):
 def test_knit_by_cut_matches_the_enumerated_terms(d, n, cuts, mixed, shots):
     """Both modes against every term enumerated: the exact value is
     sum_lk conj(w_l) w_k tr(A_l^dag O A_k rho), each drawn term is the one
-    ``rng.choice`` over |w| draws on the same generator (which ends in the
-    same state), and each shot's value is mass * Re(phase_K tr(U^dag O A_K
-    rho)), all within 1e-12. The last cases have a cut of one nonzero pair,
-    there also after a Haar cut whose 16 pairs outnumber the shots."""
+    that ``rng.choice`` over each cut's |c_i| draws, cut by cut, on the same
+    generator (which ends in the same state), and each shot's value is
+    mass * Re(phase_K tr(U^dag O A_K rho)), all within 1e-12. The last
+    cases have a cut of one nonzero pair, there also after a Haar cut whose
+    16 pairs outnumber the shots."""
     if isinstance(cuts, str):
         seed, (circuit, rho, obs) = 5, _pauli_cut_case(haar_first=cuts == "haar-pauli")
     else:
@@ -702,7 +724,7 @@ def test_knit_by_cut_matches_the_enumerated_terms(d, n, cuts, mixed, shots):
 
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     res = knit_estimate(circuit, obs, mode="sampled", shots=shots, rng=rng)
-    idx = ref_rng.choice(len(weights), size=shots, p=np.abs(weights) / np.abs(weights).sum())
+    idx = _drawn_terms(circuit, shots, ref_rng)
     assert np.array_equal(res.term_indices, idx)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     uncut = KnitCircuit(n, tuple(KnitGate(g.matrix, g.targets) for g in circuit.gates), d)
@@ -711,6 +733,22 @@ def test_knit_by_cut_matches_the_enumerated_terms(d, n, cuts, mixed, shots):
     mass = np.abs(weights).sum()
     values = mass * (weights[idx] / np.abs(weights[idx]) * np.trace(u.conj().T @ obs @ drawn @ rho, axis1=1, axis2=2)).real
     assert np.abs(res.per_shot - values).max() <= TOL
+
+
+def test_knit_sampled_keeps_every_cut_on_its_law():
+    """40,000 shots of 15 Haar cuts on two qubits, 16^15 = 2^60 terms, past
+    the 53 bits of one uniform: every cut's count of each of its pairs lies
+    within 6 sigma of its law |c_i| / sum |c|, the last cut's as the
+    first's."""
+    shots, rng = 40_000, np.random.default_rng(15)
+    circuit = KnitCircuit(2, tuple(KnitGate(random_unitary(4, rng), (0, 1), cut=True) for _ in range(15)))
+    obs = _ginibre(rng, 4)
+    res = knit_estimate(circuit, obs + obs.conj().T, mode="sampled", shots=shots, rng=rng)
+    laws = _cut_laws(circuit)
+    pairs = np.unravel_index(res.term_indices, [len(law) for law in laws])
+    for t, (law, drawn) in enumerate(zip(laws, pairs)):
+        counts = np.bincount(drawn, minlength=len(law))
+        assert (np.abs(counts - shots * law) <= 6 * np.sqrt(shots * law * (1 - law))).all(), t
 
 
 @pytest.mark.parametrize("shots", [1, 7, 1000])

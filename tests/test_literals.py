@@ -1,10 +1,9 @@
 """The array parsers and the `resolved-scenario` writer against their
 one-value-at-a-time definitions.
 
-`gates.reals_from_literal`, `gates.complexes_from_literal` and
-`gates.matrix_from_json` must return what `real_from_literal` and
-`complex_from_literal` return entry by entry, bit for bit, or raise the error
-that the first bad entry raises. `cli._indented_json` must return the text of
+`gates.complexes_from_literal` and `gates.matrix_from_json` must return
+what `complex_from_literal` returns entry by entry, bit for bit, or raise the
+error that the first bad entry raises. `cli._indented_json` must return the text of
 ``json.dumps(obj, sort_keys=True, indent=2)``.
 """
 
@@ -21,8 +20,6 @@ from obliq.gates import (
     complex_from_literal,
     complexes_from_literal,
     matrix_from_json,
-    real_from_literal,
-    reals_from_literal,
 )
 
 EDGE_INTS = [2**63 - 1, 2**63, 2**63 + 1, -(2**63) - 1, -(2**63), 2**64 + 1, 2**1023 * 3 // 2, 10**400, -(10**400)]
@@ -69,10 +66,11 @@ def real_matrices(draw):
     return rows
 
 
-def _entry_by_entry(parse, values, dtype):
-    """(array, None) from parsing each entry, or (None, (type, message))."""
+def _entry_by_entry(values):
+    """(array, None) from `complex_from_literal` on each entry, or (None,
+    (type, message))."""
     try:
-        return np.array([parse(v) for v in values], dtype=dtype), None
+        return np.array([complex_from_literal(v) for v in values], dtype=complex), None
     except Exception as exc:
         return None, (type(exc), str(exc))
 
@@ -89,12 +87,11 @@ def _entry_by_entry(parse, values, dtype):
 @example(values=[[1, 0.5], [[0.5, -1.0], 2]])
 @example(values=[[[1, 0], [0, 0]], [[0, 0], [1, 0]]])
 def test_array_parsers_agree_with_scalar_parsers(values):
-    cases = [(reals_from_literal, real_from_literal, values), (complexes_from_literal, complex_from_literal, values)]
+    cases = [(complexes_from_literal, values)]
     if len(values) >= 2 and all(isinstance(row, list) and len(row) == len(values) for row in values):
-        cases.append((matrix_from_json, complex_from_literal, [v for row in values for v in row]))
-    for array_parse, scalar_parse, entries in cases:
-        dtype = float if scalar_parse is real_from_literal else complex
-        expected, error = _entry_by_entry(scalar_parse, entries, dtype)
+        cases.append((matrix_from_json, [v for row in values for v in row]))
+    for array_parse, entries in cases:
+        expected, error = _entry_by_entry(entries)
         try:
             got, got_error = array_parse(values), None
         except Exception as exc:

@@ -13,8 +13,9 @@ other pattern's readout probability from the parity law
 (`distributed._parity_law`); the law is checked against the dense tree
 over every pattern, and their drawn shots against expanding that tree.
 Scheme I walks its 16 patterns; its shots, drawn from the fixed law of its
-bits (`distributed._law_patterns`), are checked against expanding the tree
-too.
+bits (`oblivious._law_patterns`), are checked against expanding the tree
+too. A fixed-law draw takes each step's outcome as ``rng.choice`` over that
+step's law takes it, the steps drawn in order.
 """
 
 import functools
@@ -27,7 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from obliq import cli, qmath
+from obliq import cli, oblivious, qmath
 from obliq import distributed as dist
 from obliq.channels import KrausChannel, choi_of, unitary_of_choi
 from obliq.distributed import Party, ProtocolEngine
@@ -99,7 +100,7 @@ def _dbqc_reference(alice, bob, pattern):
 
     (q,) = eng.probability(bob.name, projector(psi_o.amplitudes), [current])
     eng.broadcast(1)
-    assert eng.ebits_conserved()
+    assert eng.ebits_unused == 0
     return path_prob, q, eng.ledger
 
 
@@ -133,7 +134,7 @@ def _triparty_reference(a, b, c, pattern):
 
     (q,) = eng.probability(c.name, projector(c.states[0].amplitudes), ["c_out"])
     eng.broadcast(1)
-    assert eng.ebits_conserved()
+    assert eng.ebits_unused == 0
     return path_prob, q, eng.ledger
 
 
@@ -202,7 +203,7 @@ def _triparty_scheme2_reference(a, b, gate, psi_o, pattern):
 
     (q,) = eng.probability(b.name, projector(psi_o.amplitudes), ["e2b", "qb"])
     eng.broadcast(1)
-    assert eng.ebits_conserved()
+    assert eng.ebits_unused == 0
     return path_prob, q, eng.ledger
 
 
@@ -467,13 +468,29 @@ def _run_drawn(kind, args, shots, rng):
     return patterns, res.bits["y"], np.array([res.estimate, res.stderr])
 
 
+def _edges(kind, args, width):
+    """Each bit's probability of 0 by the paper's law: 1/d for an ISI bit,
+    1/d^2 for a parity."""
+    if kind == "triparty":
+        da, db = args[0].states[0].dim, args[1].states[0].dim
+        return [1 / da, 1 / db, 1 / da**2, 1 / db**2]
+    if kind == "dbqc":
+        d = args[0].states[0].dim
+        return [1 / d] + [1 / d**2] * (width - 1)
+    return [1 / len(args[2]) ** 2] * width
+
+
 def _expanded(kind, protocol, args, shots, rng):
-    """The reference: every pattern walked, then ``rng.choice`` over them."""
+    """The reference: every pattern walked and its path probability checked
+    within 1e-9 of the bits' law, then each bit drawn by ``rng.choice`` over
+    its law, in step order, and each shot's readout on its walked leaf."""
     patterns = np.array(_every_pattern(protocol, args))
     _, probs, qvals, _ = _walk_all(protocol(*args), patterns)
-    idx = rng.choice(len(probs), size=shots, p=probs / probs.sum())
+    edges = np.array(_edges(kind, args, patterns.shape[1]))
+    assert np.abs(probs - np.where(patterns == 0, edges, 1.0 - edges).prod(axis=1)).max() <= 1e-9
+    drawn = np.column_stack([rng.choice(2, size=shots, p=[e, 1.0 - e]) for e in edges])
+    idx = drawn @ (1 << np.arange(len(edges))[::-1])  # the leaf, in `_every_pattern` order
     y = (rng.random(shots) >= qvals[idx]).astype(np.int8)
-    drawn = patterns[idx]
     if kind == "triparty":
         da, db = args[0].states[0].dim, args[1].states[0].dim
         eta = np.where((drawn[:, 0] == 0) & (drawn[:, 1] == 0), 1.0, -1.0)
@@ -520,50 +537,49 @@ def test_drawn_walk_matches_expanding_every_pattern(seed, kind, d, n, program_ki
     shots=st.integers(1, 500),
 )
 def test_law_patterns_pick_the_leaf_rng_choice_picks(seed, dims, squared, shots):
-    """A fixed-law draw of binary steps (edges 1/d or 1/d^2, as the ISI and
-    parity bits have) takes, on the same uniforms, the leaf that
-    ``rng.choice`` over the product law takes."""
+    """A fixed-law draw of binary steps, each given by its edge 1/d or 1/d^2
+    as the ISI and parity bits are, takes at every step the outcome that
+    ``rng.choice`` over the step's law takes on the same generator, the
+    steps drawn in order, and leaves the generator where those calls leave
+    it."""
     edges = [1.0 / (d * d if squared else d) for d in dims]
-    leaves = np.array(list(itertools.product((0, 1), repeat=len(edges))))
-    law = np.where(leaves == 0, edges, 1.0 - np.array(edges)).prod(axis=1)
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    drawn = dist._law_patterns(edges, rng.random(shots))
-    idx = ref_rng.choice(len(leaves), size=shots, p=law)
-    assert drawn.tolist() == leaves[idx].tolist()
+    drawn = oblivious._law_patterns(edges, rng, shots)
+    want = np.column_stack([ref_rng.choice(2, size=shots, p=[e, 1.0 - e]) for e in edges])
+    assert drawn.dtype == np.int16 and drawn.tolist() == want.tolist()
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-def _per_shot_law_patterns(edges, u):
-    """The fixed-law draw with each shot's part carried on its own: at each
-    step its [lo, lo + mass) splits at cut = lo + mass e, and it takes 1
-    when u >= cut."""
-    lo, mass = np.zeros(len(u)), np.ones(len(u))
-    patterns = np.empty((len(u), len(edges)), dtype=np.int16)
-    for t, e in enumerate(edges):
-        cut = lo + mass * e
-        k = u >= cut
-        patterns[:, t] = k
-        lo, mass = np.where(k, cut, lo), np.where(k, (lo + mass) - cut, cut - lo)
-    return patterns
+class _Uniforms:
+    """A generator stub: ``random(n)`` hands out its next n uniforms."""
+
+    def __init__(self, uniforms):
+        self.uniforms = list(uniforms)
+
+    def random(self, n):
+        out, self.uniforms = np.array(self.uniforms[:n]), self.uniforms[n:]
+        return out
 
 
-@pytest.mark.parametrize("edges", [
-    (1 / 2, 1 / 2, 1 / 4, 1 / 4),
-    (1 / 2,) + (1 / 4,) * 6,
-    (1 / 3, 1 / 9, 1 / 9),
-    (1 / 7,) + (1 / 49,) * 15,
+@pytest.mark.parametrize("cdfs", [
+    [[1 / 2], [1 / 2], [1 / 4], [1 / 4]],
+    [[1 / 2]] + [[1 / 4]] * 6,
+    [[1 / 3], [1 / 9], [1 / 9]],
+    [[1 / 7]] + [[1 / 49]] * 15,
+    [[1 / 4, 1 / 2, 3 / 4], [1 / 3], [1 / 7, 1 / 3, 1 / 2, 0.5625]],
 ])
-@pytest.mark.parametrize("shots", [1, 10, 2000, 25000])
-def test_law_patterns_per_prefix_match_the_per_shot_rule(edges, shots):
-    """Parts kept once per outcome prefix give every shot the pattern its own
-    carried part gives, uniforms on a cut included (0.5 is the first cut of
-    (1/2, ...) and 0.75 the second after it)."""
-    pinned = [0.5, 0.75, 0.0, 0.25, 0.625, 0.5625, 1.0 - 2.0**-53, 1 / 3, 1 / 7]
-    u = np.random.default_rng(shots).random(shots)
-    u[: len(pinned)] = pinned[:shots]
-    got = dist._law_patterns(edges, u)
-    assert got.dtype == np.int16
-    assert np.array_equal(got, _per_shot_law_patterns(edges, u))
+def test_law_patterns_draw_pinned_uniforms(cdfs):
+    """Every step draws the same pinned uniforms (edges of these laws, 0 and
+    1 - 2^-53), then one just below each of its own edges: a shot takes the
+    number of the step's edges at or below its uniform, so a uniform on an
+    edge goes right, as in ``rng.choice``."""
+    pinned = [0.5, 0.75, 0.0, 0.25, 0.625, 0.5625, 1.0 - 2.0**-53, 1 / 3, 1 / 7, 1 / 9, 1 / 49]
+    uniforms = [pinned + [np.nextafter(e, 0.0) for e in cdf] for cdf in cdfs]
+    shots = max(map(len, uniforms))
+    uniforms = [us + [0.0] * (shots - len(us)) for us in uniforms]
+    got = oblivious._law_patterns(cdfs, _Uniforms(itertools.chain(*uniforms)), shots)
+    want = np.array([[sum(e <= u for e in cdf) for u in us] for cdf, us in zip(cdfs, uniforms)]).T
+    assert got.dtype == np.int16 and np.array_equal(got, want)
 
 
 def _cdf(probs):
@@ -577,31 +593,43 @@ def _cdf(probs):
     "sizes, shots", [((16, 4, 81), 2000), ((2, 16, 16, 3), 50), ((40_000, 3), 1000), ((1, 5, 1), 100), ((16, 16, 1), 50)]
 )
 def test_law_patterns_of_many_outcomes_pick_the_leaf_rng_choice_picks(seed, sizes, shots):
-    """Steps of k outcomes (1 up to 40,000, past int16) draw, on the same
-    uniforms, the mixed-radix leaf that ``rng.choice`` over the product law
-    draws, and leave the generator where it leaves it; also a one-outcome
-    step once the prefixes outnumber the shots."""
-    laws = [np.random.default_rng(seed + k).random(k) for k in sizes]
-    law = functools.reduce(np.multiply.outer, [p / p.sum() for p in laws]).ravel()
+    """Steps of k outcomes (1 up to 40,000, past int16) take, on the same
+    generator, the outcomes that ``rng.choice`` over each step's law takes,
+    the steps drawn in order, and leave the generator where those calls
+    leave it: a one-outcome step draws its uniforms too."""
+    laws = [p / p.sum() for p in (np.random.default_rng(seed + k).random(k) for k in sizes)]
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    drawn = dist._law_patterns([_cdf(p) for p in laws], rng.random(shots))
-    idx = ref_rng.choice(len(law), size=shots, p=law)
+    drawn = oblivious._law_patterns([_cdf(p) for p in laws], rng, shots)
+    want = np.column_stack([ref_rng.choice(len(p), size=shots, p=p) for p in laws])
     assert np.iinfo(drawn.dtype).max >= max(sizes) - 1
-    assert np.array_equal(np.ravel_multi_index(tuple(drawn.T), sizes), idx)
+    assert np.array_equal(drawn, want)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+@pytest.mark.parametrize("steps, outcomes", [(15, 16), (7, 256)])
+def test_law_patterns_keep_every_step_on_its_law(steps, outcomes):
+    """40,000 shots of laws whose product has 2^60 or 2^56 leaves, past the
+    53 bits of one uniform: every step's count of every outcome lies within
+    6 sigma of its law, the last step's as the first's."""
+    shots, rng = 40_000, np.random.default_rng(outcomes)
+    laws = [p / p.sum() for p in rng.random((steps, outcomes)) + 0.5]
+    drawn = oblivious._law_patterns([_cdf(p) for p in laws], rng, shots)
+    for t, p in enumerate(laws):
+        counts = np.bincount(drawn[:, t], minlength=outcomes)
+        assert (np.abs(counts - shots * p) <= 6 * np.sqrt(shots * p * (1 - p))).all(), t
+
+
 def test_law_patterns_hold_memory_linear_in_the_shots():
-    """10^5 shots of 8 steps of 16 outcomes: past the first steps each shot
-    keeps its own part and forms only its own child, so the peak stays near
-    a few arrays of one number per shot, where the 16 children of every
-    shot's part would take 10^5 x 17 x 8 bytes = 13.6 MB alone."""
-    u = np.random.default_rng(5).random(100_000)
+    """10^5 shots of 8 steps of 16 outcomes: each step holds one uniform and
+    one outcome per shot beside the patterns, so the peak stays near a few
+    arrays of one number per shot, where the 16 edges of every shot would
+    take 10^5 x 17 x 8 bytes = 13.6 MB alone."""
     cdf = _cdf(np.random.default_rng(6).random(16))
-    dist._law_patterns([cdf] * 8, u[:100])
+    oblivious._law_patterns([cdf] * 8, np.random.default_rng(5), 100)
+    rng = np.random.default_rng(5)
     tracemalloc.start()
     try:
-        patterns = dist._law_patterns([cdf] * 8, u)
+        patterns = oblivious._law_patterns([cdf] * 8, rng, 100_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

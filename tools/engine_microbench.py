@@ -52,6 +52,13 @@ decomposition caches, as a run does once. ``knit.exact.cN`` and
 ``knit.sampled.cN`` (1,000 shots) estimate an observable of a 2-qubit
 circuit of N = 2..8 cut copies of one Haar two-qubit gate, 16^N terms.
 
+The fixed-law draw (`oblivious._law_patterns`) is timed the same way, its
+uniforms included, with its tracemalloc peak: ``law.binary`` draws 25,000
+shots of 4 binary steps (a qubit dbqc's edges 1/2, 1/4, 1/4, 1/4),
+``law.d7`` 2,000 shots of 16 binary steps at d = 7 (1/7, then 1/49), and
+``law.k256`` 12,500 shots of 3 steps of 256 outcomes. A tree whose draw
+took one uniform per shot is timed with that uniform drawn in the call.
+
 The literals are knitting scenarios whose observable is a 256 x 256 real
 symmetric matrix of JSON ints (``obs256-int``) or floats (``obs256-float``),
 or a 64 x 64 Hermitian matrix of ``[re, im]`` pairs (``obs64-pairs``). For
@@ -257,6 +264,27 @@ def measure_knit(obliq, name: str, repeat: int) -> dict:
     return {"us": _best(fn, repeat), "peak_mb": _peak_mb(fn)}
 
 
+# Fixed-law draws: their shots and each step's CDF without its final 1.
+_K256 = np.cumsum(np.random.default_rng(256).random((3, 256)), axis=1)
+LAWS = {
+    "law.binary": (25_000, [1 / 2, 1 / 4, 1 / 4, 1 / 4]),
+    "law.d7": (2_000, [1 / 7] + [1 / 49] * 15),
+    "law.k256": (12_500, list(_K256[:, :-1] / _K256[:, -1:])),
+}
+
+
+def measure_law(obliq, name: str, repeat: int) -> dict:
+    """One fixed-law draw, its uniforms included: µs per call and its
+    tracemalloc peak."""
+    shots, cdfs = LAWS[name]
+    rng, draw = np.random.default_rng(1), getattr(obliq.oblivious, "_law_patterns", None)
+    if draw is None:  # a tree whose draw took one uniform per shot
+        old = obliq.distributed._law_patterns
+        draw = lambda cdfs, rng, shots: old(cdfs, rng.random(shots))  # noqa: E731
+    fn = lambda: draw(cdfs, rng, shots)  # noqa: E731
+    return {"us": _best(fn, repeat), "peak_mb": _peak_mb(fn)}
+
+
 LITERALS = ("obs256-int", "obs256-float", "obs64-pairs")
 
 
@@ -304,6 +332,7 @@ SECTIONS = {
     "us_per_call": ([str(d) for d in DIMS], lambda obliq, key, r: measure(obliq, int(key), r)),
     "product_measurements": (PRODUCTS, measure_product),
     "knitting": (KNITS, measure_knit),
+    "law": (LAWS, measure_law),
     "literals_ms": (LITERALS, measure_literal),
 }
 

@@ -582,6 +582,32 @@ def test_law_patterns_draw_pinned_uniforms(cdfs):
     assert got.dtype == np.int16 and np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("edges", [
+    (1 / 2, 1 / 2, 1 / 4, 1 / 4),
+    (1 / 2,) + (1 / 4,) * 6,
+    (1 / 3, 1 / 9, 1 / 9),
+    (1 / 7,) + (1 / 49,) * 15,
+])
+@pytest.mark.parametrize("shots", [1, 10, 2000, 25000])
+def test_law_patterns_per_prefix_match_the_per_shot_rule(edges, shots):
+    """Drawing only the first t steps, for every t, gives the first t columns
+    of the full draw, and each is the per-shot rule: shot s takes 1 at step t
+    when its own uniform of that step is at or above the edge, uniforms on
+    an edge included (pinned at the start of every step's uniforms)."""
+    pinned = [0.5, 0.75, 0.0, 0.25, 0.625, 0.5625, 1.0 - 2.0**-53, 1 / 3, 1 / 7, 1 / 9, 1 / 49]
+    rng = np.random.default_rng(shots)
+    uniforms = []
+    for _ in edges:
+        u = rng.random(shots)
+        u[: len(pinned)] = pinned[:shots]
+        uniforms.append(u.tolist())
+    want = np.array([[int(us[s] >= e) for e, us in zip(edges, uniforms)] for s in range(shots)])
+    for t in range(1, len(edges) + 1):
+        got = oblivious._law_patterns(edges[:t], _Uniforms(itertools.chain(*uniforms[:t])), shots)
+        assert got.dtype == np.int16
+        assert np.array_equal(got, want[:, :t]), t
+
+
 def _cdf(probs):
     """A law's CDF without its final 1, formed as ``rng.choice`` forms it."""
     cdf = np.cumsum(probs)

@@ -277,11 +277,8 @@ def measure_law(obliq, name: str, repeat: int) -> dict:
     """One fixed-law draw, its uniforms included: µs per call and its
     tracemalloc peak."""
     shots, cdfs = LAWS[name]
-    rng, draw = np.random.default_rng(1), getattr(obliq.oblivious, "_law_patterns", None)
-    if draw is None:  # a tree whose draw took one uniform per shot
-        old = obliq.distributed._law_patterns
-        draw = lambda cdfs, rng, shots: old(cdfs, rng.random(shots))  # noqa: E731
-    fn = lambda: draw(cdfs, rng, shots)  # noqa: E731
+    rng = np.random.default_rng(1)
+    fn = lambda: obliq.oblivious._law_patterns(cdfs, rng, shots)  # noqa: E731
     return {"us": _best(fn, repeat), "peak_mb": _peak_mb(fn)}
 
 

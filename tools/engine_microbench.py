@@ -56,8 +56,7 @@ The fixed-law draw (`oblivious._law_patterns`) is timed the same way, its
 uniforms included, with its tracemalloc peak: ``law.binary`` draws 25,000
 shots of 4 binary steps (a qubit dbqc's edges 1/2, 1/4, 1/4, 1/4),
 ``law.d7`` 2,000 shots of 16 binary steps at d = 7 (1/7, then 1/49), and
-``law.k256`` 12,500 shots of 3 steps of 256 outcomes. A tree whose draw
-took one uniform per shot is timed with that uniform drawn in the call.
+``law.k256`` 12,500 shots of 3 steps of 256 outcomes.
 
 The literals are knitting scenarios whose observable is a 256 x 256 real
 symmetric matrix of JSON ints (``obs256-int``) or floats (``obs256-float``),

@@ -22,7 +22,8 @@ validated by a dry run that follows one path of its steps
 (`distributed._follow`) on a real `ProtocolEngine`: its locality, dimension
 and resource errors exit 4 (5 for capacity) as `step n: ...`. Script steps
 never branch on outcomes, so every path meets the registers, owners and
-ebits of the dry run. A
+ebits of the dry run, and an ebit that the dry run distributes and never
+consumes is refused (exit 4), naming its resource id. A
 measurement consumes its registers, so a step that names a register after
 it was measured (also by `final_measure`) is refused this way. The ops are
 built from the runners' steps: `isi_inject`, `oqt_link` and `final_measure`
@@ -33,12 +34,18 @@ up before it measures), `bell_measure_qt` from `_teleport`, and
 Every gate literal must be within `gates.UNITARY_TOL` of unitary; a gate
 further off exits 3.
 
-Each runner returns its records as columns: record key -> per-shot numpy
-array (1-D for a scalar, 2-D for a list) or a nested mapping of columns (for
-an object). `_write_records` turns them into `records.jsonl`, one canonical
-JSON line per shot (`json.dumps(sort_keys=True, separators=(",", ":"))`, so
-keys are sorted at every level) with `shot` the 0-based shot index. These
-bytes are stable across versions unless CHANGES.md says otherwise.
+Each runner returns its records as a row table: ``rows`` maps each record
+key to one entry per distinct record (a 1-D numpy array for a scalar, 2-D
+for a list) or to a nested mapping of such columns (for an object), and
+``row_of_shot`` gives each shot's row. A runner takes each shot's row from
+what it drew: the fixed-law pattern and readout bit, scheme II's path and
+readout, a script walk's leaf, sampled knitting's term; an exact kind has
+one row. The rows are pairwise distinct and each is some shot's.
+`_write_records` renders each row once and writes `records.jsonl`, one
+canonical JSON line per shot (`json.dumps(sort_keys=True, separators=(",",
+":"))`, so keys are sorted at every level) with `shot` the 0-based shot
+index. These bytes are stable across versions unless CHANGES.md says
+otherwise.
 
 The tri-party and script runners walk only the outcome prefixes their
 shots draw (`distributed._walk`); a script's ops are walker steps. The
@@ -336,7 +343,8 @@ def _parse_step(n: int, step: dict, parties: list, resources: dict):
 
 
 def _dry_run(sc: dict) -> list[str]:
-    """Follow one path of a parsed script and return the errors of its steps.
+    """Follow one path of a parsed script and return the errors of its steps,
+    or, if none failed, those of the ebits it distributed and never consumed.
 
     It continues past a failing step. A CapacityError stops it and is raised.
     """
@@ -350,6 +358,12 @@ def _dry_run(sc: dict) -> list[str]:
             raise CapacityError(f"step {n}: {exc}") from exc
         except ObliqError as exc:
             out.append(f"step {n}: {exc}")
+    if not out:  # every distribute step ran, so the n-th ebit has engine id n
+        out = [
+            f"ebit {rid} distributed and never consumed (leaked)"
+            for rid, (eid, _) in sc["resources"].items()
+            if not eng.is_consumed(eid)
+        ]
     return out
 
 
@@ -460,10 +474,10 @@ def _parsed(raw: dict) -> tuple[dict, list[str]]:
         if not isinstance(steps, list) or not steps:
             out.append("script scenario needs a non-empty steps list")
         else:
-            sc["steps"], resources = [], {}
+            sc["steps"], sc["resources"] = [], {}
             for n, step in enumerate(steps):
                 try:
-                    sc["steps"].append(_script_step(n, step, parties, resources))
+                    sc["steps"].append(_script_step(n, step, parties, sc["resources"]))
                 except ObliqError as exc:
                     out.append(f"step {n}: {exc}")
     return sc, out
@@ -631,13 +645,7 @@ def _run_dbqc(sc: dict, rng: np.random.Generator):
     alice = Party("alice", programs=_programs(sc["alice_programs"]), states=[_state(sc["input_state"])])
     bob = Party("bob", programs=_programs(sc["bob_programs"]), states=[_state(sc["readout_state"])])
     res = run_dbqc(alice, bob, sc["shots"], rng)
-    columns = {
-        "isi_bit": res.isi_bits,
-        "parity_bits": res.parity_bits,
-        "readout": res.readout_bits,
-        "estimate": res.per_shot,
-    }
-    return res.estimate, res.stderr, res.ledger, columns
+    return res.estimate, res.stderr, res.ledger, res.rows, res.row_of_shot
 
 
 def _run_triparty(sc: dict, rng: np.random.Generator):
@@ -645,18 +653,20 @@ def _run_triparty(sc: dict, rng: np.random.Generator):
     b = Party("b", programs=_programs([sc["b_program"]]), states=[_state(sc["psi_b"])])
     c = Party("c", programs=_programs([sc["nonlocal_program"]]), states=[_state(sc["readout_state"])])
     res = run_triparty(sc["scheme"], a, b, c, sc["shots"], rng)
-    columns = dict(res.bits)
+    rows = dict(res.rows)
     if res.scheme == "I":
-        columns["kept"] = res.bits["k"] == 0
-    return res.estimate, res.stderr, res.ledger, columns
+        rows["kept"] = rows["k"] == 0
+    return res.estimate, res.stderr, res.ledger, rows, res.row_of_shot
 
 
 def _run_pingpong(sc: dict, rng: np.random.Generator):
     programs, psi_in = _programs(sc["programs"]), _state(sc["input_state"])
-    patterns, s, y, t_hat, ledger = pingpong_shots(programs, psi_in, sc["readout_state"], sc["shots"], rng)
-    estimate, stderr = mean_stderr(t_hat)
-    columns = {"parity_bits": patterns, "s": s, "readout": y, "estimate": t_hat}
-    return estimate, stderr, ledger, columns
+    return pingpong_shots(programs, psi_in, sc["readout_state"], sc["shots"], rng)
+
+
+def _one_row(shots: int, **record):
+    """A table of the one row ``record``, taken by every shot."""
+    return {key: np.array([value]) for key, value in record.items()}, np.zeros(shots, dtype=np.intp)
 
 
 def _run_knitting(sc: dict, rng: np.random.Generator):
@@ -670,11 +680,11 @@ def _run_knitting(sc: dict, rng: np.random.Generator):
     # `_observable` and the semantic checks have checked the observable.
     res = _knit_estimate(circuit, sc["observable"], mode, shots, rng)
     if mode == "sampled":
-        columns = {"knit_term_index": res.term_indices, "value": res.per_shot}
+        rows, row_of_shot = res.rows, res.row_of_shot
     else:
-        columns = {"mode": _constant("exact_sum", shots), "estimate": _constant(res.estimate, shots)}
+        rows, row_of_shot = _one_row(shots, mode="exact_sum", estimate=res.estimate)
     ledger = ResourceLedger(knit_overhead=res.overhead, max_live_registers=sc["num_qudits"], depth=1)
-    return res.estimate, res.stderr, ledger, columns
+    return res.estimate, res.stderr, ledger, rows, row_of_shot
 
 
 def _run_channel_composition(sc: dict, rng: np.random.Generator):
@@ -685,43 +695,54 @@ def _run_channel_composition(sc: dict, rng: np.random.Generator):
     direct = choi_of(composed)
     distance = float(np.linalg.norm(branch0.post_state.matrix - direct.density()))
     ledger = ResourceLedger(oqt_ops=1, max_live_registers=4, depth=1)
-    shots = sc["shots"]
-    columns = {
-        "branch": _constant(0, shots),
-        "branch_probability": _constant(float(branch0.probability), shots),
-        "frobenius_distance": _constant(distance, shots),
-        "within_tolerance": _constant(distance <= sc["tolerance"], shots),
-    }
-    return distance, 0.0, ledger, columns
+    rows, row_of_shot = _one_row(
+        sc["shots"],
+        branch=0,
+        branch_probability=float(branch0.probability),
+        frobenius_distance=distance,
+        within_tolerance=distance <= sc["tolerance"],
+    )
+    return distance, 0.0, ledger, rows, row_of_shot
 
 
 def _run_script(sc: dict, rng: np.random.Generator):
     """Shots walk the script's steps (`distributed._walk`). Shot i draws from
     row i of ``rng.random((shots, draws))`` as one ``rng.choice`` per draw
-    would, so outcomes and generator state are those of a run per shot."""
+    would, so outcomes and generator state are those of a run per shot.
+    A record's row is the walk's leaf: the finish numbers the rows of each
+    leaf level on from those of the levels finished before it."""
     shots = sc["shots"]
     steps = [s for _, op_steps in sc["steps"] for s in op_steps]
     draws = sum(len(op_steps) for record, op_steps in sc["steps"] if record)
     uniforms = rng.random((shots, draws))
-    root, ledgers = ProtocolEngine(*sc["parties"]), []
-    patterns, _, _ = _walk(root, steps, lambda eng: ledgers.append(eng.ledger), uniforms)
-    columns, col = {"bits": {}}, 0
+    ledgers, ends = [], [0]  # each leaf level's ledger, and where its rows end
+
+    def number(level: ProtocolEngine) -> np.ndarray:
+        ledgers.append(level.ledger)
+        ends.append(ends[-1] + len(level))
+        return np.arange(ends[-2], ends[-1])
+
+    outcomes, _, leaf = _walk(ProtocolEngine(*sc["parties"]), steps, number, uniforms)
+    row_of_shot = leaf.astype(np.intp)
+    shot_of_row = np.empty(ends[-1], dtype=np.intp)
+    shot_of_row[row_of_shot] = np.arange(shots)  # a shot that reached each leaf
+    outcomes = outcomes[shot_of_row]
+    rows, col = {"bits": {}}, 0
     for record, op_steps in sc["steps"]:
         if not record:
             continue
-        value = np.zeros(shots, dtype=np.int64)
-        for outcome in patterns[:, col : col + len(op_steps)].T:
+        value = np.zeros(len(outcomes), dtype=np.int64)
+        for outcome in outcomes[:, col : col + len(op_steps)].T:
             value = 2 * value + outcome
         col += len(op_steps)
         if record[0] == "bits":
-            columns["bits"][record[1]] = value
+            rows["bits"][record[1]] = value
         else:
-            columns["readout"] = value
-    ledger = ledgers[0]
-    if "readout" not in columns:
-        return math.nan, 0.0, ledger, columns
-    estimate, stderr = mean_stderr((columns["readout"] == 0).astype(float))
-    return estimate, stderr, ledger, columns
+            rows["readout"] = value
+    if "readout" not in rows:
+        return math.nan, 0.0, ledgers[0], rows, row_of_shot
+    estimate, stderr = mean_stderr((rows["readout"] == 0)[row_of_shot].astype(float))
+    return estimate, stderr, ledgers[0], rows, row_of_shot
 
 
 _RUNNERS = {
@@ -769,114 +790,41 @@ def _indented_json(obj, pad: str = "\n") -> str:
     return "[" + inner + ("," + inner).join([_indented_json(v, inner) for v in obj]) + pad + "]"
 
 
-def _constant(value, shots: int) -> np.ndarray:
-    """A column that holds `value` for every shot, without a copy per shot."""
-    return np.broadcast_to(np.asarray(value), (shots,))
-
-
-def _leaf_columns(columns: dict):
-    """Every 1-D column: nested mappings are walked, 2-D columns split."""
-    for col in columns.values():
-        if isinstance(col, dict):
-            yield from _leaf_columns(col)
-        elif col.ndim == 2:
-            yield from col.T
-        else:
-            yield col
-
-
-def _codes(col: np.ndarray):
-    """Integer codes in [0, n) for `col`, and n; equal codes mean equal values."""
-    kind = col.dtype.kind
-    if kind in "bi" or (kind == "u" and col.dtype.itemsize < 8):
-        lo, hi = int(col.min()), int(col.max())
-        if hi - lo < col.shape[0]:
-            return col.astype(np.int64) - lo, hi - lo + 1
-    uniq, codes = np.unique(col, return_inverse=True)
-    return codes, len(uniq)
-
-
-def _one_shot_per_key(key: np.ndarray, n: int) -> np.ndarray:
-    """For each value in [0, n), some shot whose key has it (-1 if none)."""
-    shot = np.full(n, -1, dtype=np.int64)
-    shot[key] = np.arange(len(key))
-    return shot
-
-
-def _row_keys(columns: dict, shots: int):
-    """A key per shot in [0, n), equal exactly where rows are equal, and n.
-
-    Column codes are folded in as mixed-radix digits. A column that the key
-    so far already fixes (a constant, or an estimate computed from the bits
-    before it) is skipped, so the runners' columns need no sort. Floats are
-    compared by bit pattern, so 0.0 and -0.0 differ. The key is re-coded to
-    its distinct values whenever its range passes `shots`, so the next fold
-    stays below shots**2.
-    """
-    key, n = np.zeros(shots, dtype=np.int64), 1
-    for col in _leaf_columns(columns):
-        if col.shape != (shots,):
-            raise ObliqError("internal: a record column does not have one entry per shot")
-        if col.dtype.kind == "f":
-            col = col.view(f"u{col.dtype.itemsize}")
-        if (col == col[_one_shot_per_key(key, n)[key]]).all():
-            continue
-        codes, width = _codes(col)
-        key, n = key * width + codes, n * width
-        if n > shots:
-            key, n = _codes(key)
-    return key, n
-
-
-def _values(col, idx: np.ndarray) -> list[str]:
-    """The canonical JSON of `col` at each shot in `idx`. No encoded bool,
-    int or float holds a comma or a bracket, so a numeric column is encoded
-    by one call and split by text; strings may, so each is encoded alone.
-    A 2-D integer column (bit rows) encodes each of its distinct rows once."""
+def _values(col, n: int) -> list[str]:
+    """The canonical JSON of each row of `col`, a column of a row table
+    (``n`` rows for a mapping without keys). No encoded bool, int or float
+    holds a comma or a bracket, so a numeric column is encoded by one call
+    and split by text; strings may, so each is encoded alone."""
     if isinstance(col, dict):
         keys = sorted(col)
         prefixes = [_canonical_json(k) + ":" for k in keys]
-        members = zip(*[_values(col[k], idx) for k in keys]) if keys else [()] * len(idx)
+        members = zip(*[_values(col[k], n) for k in keys]) if keys else [()] * n
         return ["{" + ",".join(map(str.__add__, prefixes, m)) + "}" for m in members]
-    rows = col[idx]
     if col.dtype.kind not in "biuf":
-        return [_canonical_json(v) for v in rows.tolist()]
+        return [_canonical_json(v) for v in col.tolist()]
     if col.ndim == 1:
-        return _canonical_json(rows.tolist())[1:-1].split(",")
-    inverse = None
-    if col.dtype.kind in "biu" and rows.size:
-        # Each row's digits above the least entry, read in one radix, key it.
-        digits = rows.astype(np.int64) - rows.min()
-        radix = int(digits.max()) + 1
-        if radix ** rows.shape[1] < 1 << 62:
-            key = digits @ radix ** np.arange(rows.shape[1], dtype=np.int64)
-            _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-            rows = rows[first]
+        return _canonical_json(col.tolist())[1:-1].split(",")
     # A width-0 column reads "[[],[]]": its pieces are empty, as they should be.
-    texts = [f"[{v}]" for v in _canonical_json(rows.tolist())[2:-2].split("],[")]
-    return texts if inverse is None else [texts[i] for i in inverse.tolist()]
+    return [f"[{v}]" for v in _canonical_json(col.tolist())[2:-2].split("],[")]
 
 
-def _write_records(path: Path, columns: dict, shots: int) -> None:
+def _write_records(path: Path, rows: dict, row_of_shot: np.ndarray) -> None:
     """Write `records.jsonl`: one canonical JSON object per shot, in order.
 
-    `columns` maps each record key to a per-shot array (1-D for a scalar,
-    2-D for a list) or to a nested mapping of such columns (for an object).
-    The writer adds `shot`, the 0-based index. Shots with equal rows share
-    one rendering, built by column (`_values`, one encoder call per numeric
-    column at one shot per row): the keys before `shot` and those after it
-    each render as an object, split open, and each line is head + shot + tail.
+    `rows` maps each record key to one entry per distinct record (a 1-D
+    array for a scalar, 2-D for a list) or to a nested mapping of such
+    columns (for an object); shot i's record is row ``row_of_shot[i]``.
+    The writer adds `shot`, the 0-based index. Each row renders once, by
+    column (`_values`, one encoder call per numeric column): the keys
+    before `shot` and those after it each render as an object, split open,
+    and each line is head + shot + tail.
     """
-    key, n = _row_keys(columns, shots)
-    # Any shot of a row stands for all of them; some codes in [0, n) have none.
-    shot_of = _one_shot_per_key(key, n)
-    rows = np.flatnonzero(shot_of >= 0)
-    before = _values({k: c for k, c in columns.items() if k < "shot"}, shot_of[rows])
-    after = _values({k: c for k, c in columns.items() if k > "shot"}, shot_of[rows])
-    heads, tails = [""] * n, [""] * n
-    for g, b, a in zip(rows.tolist(), before, after):
-        heads[g] = '{"shot":' if b == "{}" else b[:-1] + ',"shot":'
-        tails[g] = "}\n" if a == "{}" else "," + a[1:] + "\n"
+    n = int(row_of_shot.max()) + 1  # the rows a mapping without keys must cover
+    before = _values({k: c for k, c in rows.items() if k < "shot"}, n)
+    after = _values({k: c for k, c in rows.items() if k > "shot"}, n)
+    heads = ['{"shot":' if b == "{}" else b[:-1] + ',"shot":' for b in before]
+    tails = ["}\n" if a == "{}" else "," + a[1:] + "\n" for a in after]
+    shots = len(row_of_shot)
     with open(path, "w") as fh:
         for start in range(0, shots, _WRITE_CHUNK):
             stop = min(start + _WRITE_CHUNK, shots)
@@ -884,7 +832,7 @@ def _write_records(path: Path, columns: dict, shots: int) -> None:
                 "".join(
                     [
                         f"{heads[g]}{i}{tails[g]}"
-                        for i, g in zip(range(start, stop), key[start:stop].tolist())
+                        for i, g in zip(range(start, stop), row_of_shot[start:stop].tolist())
                     ]
                 )
             )
@@ -905,14 +853,14 @@ def run_scenario(path: str | Path, overrides: dict | None = None) -> Path:
     sc = validate_scenario(raw)
 
     rng = np.random.default_rng(sc["seed"])
-    estimate, stderr, ledger, columns = _RUNNERS[sc["kind"]](sc, rng)
+    estimate, stderr, ledger, rows, row_of_shot = _RUNNERS[sc["kind"]](sc, rng)
 
     out_dir = overrides.get("out") or raw.get("out") or f"runs/{Path(path).stem}"
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
     (out_path / "resolved-scenario").write_text(_indented_json(raw) + "\n")
 
-    _write_records(out_path / "records.jsonl", columns, sc["shots"])
+    _write_records(out_path / "records.jsonl", rows, row_of_shot)
 
     ledger = ledger or ResourceLedger()
     buf = io.StringIO()

@@ -595,6 +595,27 @@ def _measured(eng: ProtocolEngine, party: str, basis: _Basis, labels, after=None
     return table, branch
 
 
+def _ranked(codes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The codes in [0, ``n``) that some entry of ``codes`` takes, in
+    increasing order, and each entry's rank among them: a table of every
+    code, ranked by its cumsum, no sort."""
+    taken = np.zeros(n, dtype=bool)
+    taken[codes] = True
+    return np.flatnonzero(taken), np.cumsum(taken)[codes] - 1
+
+
+def _pattern_rows(columns, sizes) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct patterns that ``columns`` (column t in range(sizes[t]),
+    one entry per shot) hold, as rows in increasing mixed-radix order, and
+    each shot's index among them."""
+    codes = np.zeros(len(columns[0]), dtype=np.intp)
+    for column, size in zip(columns, sizes):
+        codes *= size
+        codes += column
+    kept, row_of_shot = _ranked(codes, math.prod(sizes))
+    return np.stack(np.unravel_index(kept, sizes), axis=1), row_of_shot
+
+
 def _walk(root, steps, finish, uniforms=None, patterns=None, tol=None):
     """Walk the shots of ``uniforms`` or ``patterns`` through ``steps`` from
     ``root`` (an engine of one row) and return each shot's outcomes (a
@@ -674,10 +695,9 @@ def _walk(root, steps, finish, uniforms=None, patterns=None, tol=None):
         table, branch = measurement
         codes, prob = descend(table, draws, *chunk)
         n = table.shape[1]
-        taken = np.bincount(codes, minlength=len(table) * n) > 0
-        pairs = np.flatnonzero(taken)
+        pairs, row = _ranked(codes, len(table) * n)
         child = branch(pairs // n, pairs % n)
-        stack.append((child, depth + 1, draws + 1, ((np.cumsum(taken) - 1)[codes], prob, chunk[2])))
+        stack.append((child, depth + 1, draws + 1, (row, prob, chunk[2])))
     return outcomes[:, :width], probs, values
 
 
@@ -715,22 +735,26 @@ def _parity_law(q0: float, d: int, patterns: np.ndarray, s: np.ndarray, isi: boo
 
 def _unital_shots(protocol, d: int, isi: bool, shots: int, rng: np.random.Generator):
     """``shots`` draws of a unital pipeline (engine, steps, finish) whose
-    steps are an ISI bit (with ``isi``) and then one parity bit per link:
-    each shot's outcomes, its number s of odd parities, its q, and the
-    ledger.
+    steps are an ISI bit (with ``isi``) and then one parity bit per link,
+    each followed by its readout bit y, 0 with probability q: the distinct
+    rows of (outcomes, y) the shots take, each row's number s of odd
+    parities, each shot's row, and the ledger.
 
     Only the all-trivial path is simulated, by `_follow` with the row and
     ebit checks of `_sample`; every other q comes from `_parity_law`. An
     ISI bit is 0 with probability 1/d and a parity 0 with 1/d^2 for any
     input, so `_law_patterns` draws the bits with those edges, one
-    ``rng.random(shots)`` per bit."""
+    ``rng.random(shots)`` per bit, and y one more."""
     engine, steps, finish = protocol
     _follow(engine, steps, None, [0] * len(steps), tol=1e-9 / len(steps))
     (q0,) = _finished(engine, finish)
     edges = [1.0 / d if isi and t == 0 else 1.0 / (d * d) for t in range(len(steps))]
     patterns = _law_patterns(edges, rng, shots)
     s = patterns[:, int(isi):] @ np.ones(len(steps) - int(isi), dtype=int)
-    return patterns, s, _parity_law(float(q0), d, patterns, s, isi), engine.ledger
+    q = _parity_law(float(q0), d, patterns, s, isi)
+    y = rng.random(shots) >= q
+    rows, row_of_shot = _pattern_rows([*patterns.T, y], (2,) * (len(steps) + 1))
+    return rows, rows[:, int(isi):-1].sum(axis=1), row_of_shot, engine.ledger
 
 
 def _follow(engine: ProtocolEngine, steps, rng, forced, tol=None) -> list[int]:
@@ -908,14 +932,15 @@ def remote_controlled_gate(
 
 @dataclass(frozen=True)
 class DbqcResult:
+    """``rows`` maps each record key to one entry per distinct record the
+    shots take, and ``row_of_shot`` gives each shot's record."""
+
     estimate: float
     stderr: float
     ledger: ResourceLedger
     shots: int
-    isi_bits: np.ndarray
-    parity_bits: np.ndarray
-    readout_bits: np.ndarray
-    per_shot: np.ndarray
+    rows: dict
+    row_of_shot: np.ndarray
 
 
 def _announced(
@@ -1022,21 +1047,18 @@ def run_dbqc(alice: Party, bob: Party, shots: int, rng: np.random.Generator) -> 
     d = alice.states[0].dim
     check_unital(alice.programs + bob.programs, d)
 
-    patterns, s, qvals, ledger = _unital_shots(_dbqc_protocol(alice, bob), d, True, shots, rng)
-    y = (rng.random(shots) >= qvals).astype(np.int8)  # the readout bit, 0 with probability q
+    bits, s, row_of_shot, ledger = _unital_shots(_dbqc_protocol(alice, bob), d, True, shots, rng)
+    b, y = bits[:, 0], bits[:, -1]
     inv = parity_inverted(y == 0, s, d)
-    b = patterns[:, 0]
     t_hat = np.where(b == 0, inv, 1.0 - (d - 1) * inv)
-    estimate, stderr = mean_stderr(t_hat)
+    estimate, stderr = mean_stderr(t_hat[row_of_shot])
     return DbqcResult(
         estimate=estimate,
         stderr=stderr,
         ledger=ledger,
         shots=shots,
-        isi_bits=b,
-        parity_bits=patterns[:, 1:],
-        readout_bits=y,
-        per_shot=t_hat,
+        rows={"isi_bit": b, "parity_bits": bits[:, 1:-1], "readout": y, "estimate": t_hat},
+        row_of_shot=row_of_shot,
     )
 
 
@@ -1051,7 +1073,8 @@ class TripartyResult:
     ledger: ResourceLedger
     shots: int
     kept: int
-    bits: dict
+    rows: dict  # as in `DbqcResult`
+    row_of_shot: np.ndarray
 
 
 def _triparty_scheme1_protocol(a: Party, b: Party, c: Party):
@@ -1086,23 +1109,24 @@ def _run_triparty_scheme1(a: Party, b: Party, c: Party, shots: int, rng: np.rand
     if np.abs(probs - law).max() > 1e-9:
         raise BranchError("scheme I path probabilities are off the law of its bits")
     patterns = _law_patterns(edges, rng, shots)
-    y = (rng.random(shots) >= qvals[patterns @ (8, 4, 2, 1)]).astype(np.int8)
-    ba, bb, i, j = patterns.T
+    y = rng.random(shots) >= qvals[patterns @ (8, 4, 2, 1)]
+    bits, row_of_shot = _pattern_rows([*patterns.T, y], (2,) * 5)
+    ba, bb, i, j, y = bits.T
     k = np.maximum(i, j)
 
-    keep = k == 0
-    kept = int(keep.sum())
+    keep = (k == 0)[row_of_shot]
     eta = np.where((ba == 0) & (bb == 0), 1.0, -1.0)
     t_hat = 0.5 * (1.0 + eta * da * db * (y == 0))
-    estimate, stderr = mean_stderr(t_hat[keep])
+    estimate, stderr = mean_stderr(t_hat[row_of_shot][keep])
     return TripartyResult(
         scheme="I",
         estimate=estimate,
         stderr=stderr,
         ledger=ledger,
         shots=shots,
-        kept=kept,
-        bits={"b_a": ba, "b_b": bb, "i": i, "j": j, "k": k.astype(np.int8), "y": y},
+        kept=int(keep.sum()),
+        rows={"b_a": ba, "b_b": bb, "i": i, "j": j, "k": k, "y": y},
+        row_of_shot=row_of_shot,
     )
 
 
@@ -1157,8 +1181,10 @@ def _run_triparty_scheme2(a: Party, b: Party, c: Party, shots: int, rng: np.rand
     q = float(qvals.mean())
 
     idx = rng.choice(len(probs), size=shots)
-    y = (rng.random(shots) >= q).astype(np.int8)
-    estimate, stderr = mean_stderr((y == 0).astype(float))
+    y = rng.random(shots) >= q
+    drawn, row_of_shot = _pattern_rows([idx, y], (len(probs), 2))
+    path, y = drawn.T
+    estimate, stderr = mean_stderr((y == 0).astype(float)[row_of_shot])
     return TripartyResult(
         scheme="II",
         estimate=estimate,
@@ -1166,7 +1192,8 @@ def _run_triparty_scheme2(a: Party, b: Party, c: Party, shots: int, rng: np.rand
         ledger=ledger,
         shots=shots,
         kept=shots,
-        bits={"m1": patterns[idx, 0], "m2": patterns[idx, 1], "teleport": patterns[idx, 2], "y": y},
+        rows={"m1": patterns[path, 0], "m2": patterns[path, 1], "teleport": patterns[path, 2], "y": y},
+        row_of_shot=row_of_shot,
     )
 
 
@@ -1286,8 +1313,8 @@ class KnitEstimate:
     estimate: float
     stderr: float
     overhead: float
-    term_indices: np.ndarray | None = None
-    per_shot: np.ndarray | None = None
+    rows: dict | None = None  # sampled: as in `DbqcResult`, one row per drawn term
+    row_of_shot: np.ndarray | None = None
 
 
 def _knit_propagate(circuit: KnitCircuit, factor: np.ndarray, ops, patterns: np.ndarray):
@@ -1296,10 +1323,9 @@ def _knit_propagate(circuit: KnitCircuit, factor: np.ndarray, ops, patterns: np.
     when applied; a lone operator m is passed as [m].__getitem__) for the
     row's k in column t: the stack of propagated terms, and each row's index
     in it. Terms that share a prefix share its propagation: at each cut only
-    the (prefix, k) pairs some row takes go on, found as `_walk` finds its
-    taken (row, outcome) pairs (a table of every (prefix, k) code, ranked by
-    its cumsum, no sort) while that table holds at most 4 codes per row, and
-    by `np.unique` of the rows' codes past that."""
+    the (prefix, k) pairs some row takes go on, ranked by `_ranked` as
+    `_walk` ranks its taken (row, outcome) pairs while its table holds at
+    most 4 codes per row, and by `np.unique` of the rows' codes past that."""
     layout, row, f, t = circuit.layout, np.zeros(len(patterns), dtype=np.intp), factor[None], 0
     for g in circuit.gates:
         labels = [f"q{q}" for q in g.targets]
@@ -1309,9 +1335,7 @@ def _knit_propagate(circuit: KnitCircuit, factor: np.ndarray, ops, patterns: np.
         n = int(patterns[:, t].max()) + 1
         codes = row * n + patterns[:, t]
         if len(f) * n <= 4 * len(codes):
-            taken = np.zeros(len(f) * n, dtype=bool)
-            taken[codes] = True
-            kept, row = np.flatnonzero(taken), np.cumsum(taken)[codes] - 1
+            kept, row = _ranked(codes, len(f) * n)
         else:
             kept, row = np.unique(codes, return_inverse=True)
         parent, k = np.divmod(kept, n)
@@ -1395,9 +1419,10 @@ def _knit_estimate(circuit: KnitCircuit, observable: np.ndarray, mode: str, shot
     mass = float(np.prod([dec.one_norm for dec, _ in cuts]))
     sandwich = ((observable @ drawn) * lam).reshape(len(drawn), -1) @ exact.conj().ravel()
     phases = np.where(np.abs(weights) > 0, weights / np.abs(weights), 1.0)
-    per_shot, idx = (mass * (phases * sandwich).real)[row], idx[row]
-    estimate, stderr = mean_stderr(per_shot)
-    return KnitEstimate(estimate=estimate, stderr=stderr, overhead=overhead, term_indices=idx, per_shot=per_shot)
+    values = mass * (phases * sandwich).real
+    estimate, stderr = mean_stderr(values[row])
+    rows = {"knit_term_index": idx, "value": values}
+    return KnitEstimate(estimate=estimate, stderr=stderr, overhead=overhead, rows=rows, row_of_shot=row)
 
 
 # --- ping-pong register reuse ---
@@ -1483,17 +1508,21 @@ def _pingpong_readout_protocol(programs, system, readout: np.ndarray):
 
 def pingpong_shots(programs, system, readout: np.ndarray, shots: int, rng: np.random.Generator):
     """``shots`` runs of a ping-pong chain read out on the vector
-    ``readout``: each shot's parity bits, number s of odd parities, readout
-    bit and unbiased estimate of |<readout| U_n ... U_1 |system>|^2, and the
-    ledger. Every program must pass `oblivious.check_unital`: the shots are
-    drawn by the parity law (`_unital_shots`), which simulates one path."""
+    ``readout``: the mean and standard error of the shots' unbiased
+    estimates of |<readout| U_n ... U_1 |system>|^2, the ledger, and the
+    records as in `DbqcResult`: ``rows`` (parity bits, number s of odd
+    parities, readout bit and estimate) and ``row_of_shot``. Every program
+    must pass `oblivious.check_unital`: the shots are drawn by the parity
+    law (`_unital_shots`), which simulates one path."""
     if shots < 1:
         raise EstimationError("shots must be positive")
     programs = list(programs)
     protocol = _pingpong_readout_protocol(programs, system, readout)
     d = protocol[0].layout.dim("blk0_state")
     check_unital(programs, d)
-    patterns, s, qvals, ledger = _unital_shots(protocol, d, False, shots, rng)
-    y = (rng.random(shots) >= qvals).astype(np.int8)
+    bits, s, row_of_shot, ledger = _unital_shots(protocol, d, False, shots, rng)
+    y = bits[:, -1]
     t_hat = parity_inverted(y == 0, s, d)
-    return patterns, s, y, t_hat, ledger
+    rows = {"parity_bits": bits[:, :-1], "s": s, "readout": y, "estimate": t_hat}
+    estimate, stderr = mean_stderr(t_hat[row_of_shot])
+    return estimate, stderr, ledger, rows, row_of_shot

@@ -331,7 +331,7 @@ def test_criterion_09_knitting():
         assert abs(mean - exact_val) < 1e-10
         rng = np.random.default_rng(9090)
         sm = knit_estimate(circ, obs, mode="sampled", shots=100000, rng=rng)
-        observed = float(sm.per_shot.std(ddof=1))
+        observed = float(sm.rows["value"][sm.row_of_shot].std(ddof=1))
         assert abs(observed - sigma) / sigma < 0.02
         assert abs(sm.stderr - observed / np.sqrt(100000.0)) < 1e-12
         assert abs(sm.estimate - exact_val) < 4.0 * sm.stderr

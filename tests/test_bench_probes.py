@@ -103,3 +103,16 @@ def test_engine_microbench_times_every_law_draw(monkeypatch):
         row = microbench.measure_law(obliq, name, repeat=1)
         assert set(row) == {"us", "peak_mb"}
         assert all(math.isfinite(v) and v > 0 for v in row.values()), name
+
+
+def test_engine_microbench_times_every_record_row(monkeypatch):
+    microbench = _microbench(monkeypatch)
+    monkeypatch.setattr(microbench, "RECORD_SHOTS", 50)
+    import obliq.cli  # noqa: F401  (binds obliq.cli)
+    import obliq
+
+    assert set(microbench.RECORDS) == {"dbqc", "triparty-scheme1", "script-teleport", "knitting-sampled"}
+    for name in microbench.RECORDS:
+        row = microbench.measure_records(obliq, name, repeat=1)
+        assert set(row) == {"ms", "peak_mb"}
+        assert all(math.isfinite(v) and v > 0 for v in row.values()), name

@@ -725,6 +725,31 @@ def test_script_errors_name_the_scripts_resource_id(tmp_path, capsys, op):
     assert "step 5: ebit 7 already consumed" in capsys.readouterr().err
 
 
+def _leaked_ebit_script():
+    """A state prepared, an ebit distributed as "spare" and never used, and
+    the prepared register measured."""
+    sc = _script_teleport()
+    sc["steps"] = [
+        {"op": "prepare_state", "party": "alice", "label": "psi", "state": {"basis": 0, "dim": 2}},
+        {"op": "distribute_ebit", "party_a": "alice", "party_b": "bob",
+         "label_a": "ea", "label_b": "eb", "resource": "spare"},
+        {"op": "final_measure", "party": "alice", "labels": ["psi"], "state": {"basis": 0, "dim": 2}},
+    ]
+    return sc
+
+
+def test_a_script_that_leaks_an_ebit_is_refused(tmp_path, capsys):
+    path = _write(tmp_path, "leaked-ebit.json", _leaked_ebit_script())
+    out = tmp_path / "never"
+    for args in (["run", path, "--validate-only"], ["run", path, "--out", str(out)]):
+        assert main(args) == 4
+        assert "ebit spare distributed and never consumed (leaked)" in capsys.readouterr().err
+    assert not out.exists()
+    teleport = _write(tmp_path, "teleport.json", _script_teleport())
+    assert main(["run", teleport, "--validate-only"]) == 0
+    assert main(["run", teleport, "--out", str(tmp_path / "teleport")]) == 0
+
+
 def test_a_measured_register_is_gone(tmp_path, capsys):
     sc = _script_teleport()
     sc["steps"].append({"op": "local_gate", "party": "bob", "gate": "H", "labels": ["eb"]})

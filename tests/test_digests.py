@@ -298,8 +298,8 @@ SCHEME1_QUTRIT = {
 
 def _scheme1_digest(res, rng) -> str:
     h = hashlib.sha256()
-    for name in sorted(res.bits):
-        h.update(name.encode() + np.asarray(res.bits[name], dtype=np.int8).tobytes())
+    for name in sorted(res.rows):
+        h.update(name.encode() + np.asarray(res.rows[name][res.row_of_shot], dtype=np.int8).tobytes())
     h.update(np.array([res.estimate, res.stderr, res.kept], dtype=float).tobytes())
     h.update(json.dumps(rng.bit_generator.state, sort_keys=True).encode())
     return h.hexdigest()

@@ -367,8 +367,8 @@ def test_dbqc_estimate_unbiased():
     bob = Party("bob", programs=[choi_of(ub)], states=[_pure(psi_o)])
     res = run_dbqc(alice, bob, 60000, rng)
     assert abs(res.estimate - truth) < 3.5 * res.stderr + 1e-12
-    assert res.per_shot.shape == (60000,)
-    assert res.parity_bits.shape == (60000, 2)
+    assert res.row_of_shot.shape == (60000,)
+    assert res.rows["parity_bits"][res.row_of_shot].shape == (60000, 2)
 
 
 def test_dbqc_identity_insertion_invariance():
@@ -433,7 +433,8 @@ def test_dbqc_and_pingpong_refuse_a_non_unital_program():
 def test_pingpong_shots_give_each_shots_odd_parity_count():
     rng = np.random.default_rng(409)
     programs = [choi_of(random_unitary(2, rng)) for _ in range(6)]
-    patterns, s, y, t_hat, _ = pingpong_shots(programs, basis_state(0, 2), np.array([1.0, 0.0]), 500, rng)
+    *_, rows, row_of_shot = pingpong_shots(programs, basis_state(0, 2), np.array([1.0, 0.0]), 500, rng)
+    patterns, s, y, t_hat = (rows[key][row_of_shot] for key in ("parity_bits", "s", "readout", "estimate"))
     assert s.dtype == patterns.sum(axis=1).dtype and np.array_equal(s, patterns.sum(axis=1))
     assert len({*s.tolist()}) > 2 and y.shape == t_hat.shape == s.shape
 
@@ -679,7 +680,7 @@ def test_knit_sampled_unbiased_and_stderr():
     res = knit_estimate(circuit, obs, mode="sampled", shots=50000, rng=rng)
     assert abs(res.estimate - exact) < 4.0 * res.stderr + 1e-12
     assert res.stderr > 0.0
-    assert res.term_indices.shape == (50000,)
+    assert res.row_of_shot.shape == (50000,)
 
 
 def test_knit_sampled_needs_rng_and_shots():

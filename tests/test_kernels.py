@@ -632,8 +632,8 @@ def test_knit_estimate_matches_dense_double_sum(case):
     values = mass * (weights / np.abs(weights) * [np.vdot(exact, obs @ m @ rho) for m in mats]).real
     res = knit_estimate(circuit, obs, mode="sampled", shots=50, rng=np.random.default_rng(seed))
     idx = _drawn_terms(circuit, 50, np.random.default_rng(seed))
-    assert np.array_equal(res.term_indices, idx)
-    assert np.abs(res.per_shot - values[idx]).max() <= TOL
+    assert np.array_equal(res.rows["knit_term_index"][res.row_of_shot], idx)
+    assert np.abs(res.rows["value"][res.row_of_shot] - values[idx]).max() <= TOL
 
 
 def _stacked_knit_terms(circuit):
@@ -725,14 +725,14 @@ def test_knit_by_cut_matches_the_enumerated_terms(d, n, cuts, mixed, shots):
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     res = knit_estimate(circuit, obs, mode="sampled", shots=shots, rng=rng)
     idx = _drawn_terms(circuit, shots, ref_rng)
-    assert np.array_equal(res.term_indices, idx)
+    assert np.array_equal(res.rows["knit_term_index"][res.row_of_shot], idx)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     uncut = KnitCircuit(n, tuple(KnitGate(g.matrix, g.targets) for g in circuit.gates), d)
     _, (u,) = _stacked_knit_terms(uncut)
     drawn = mats[idx]
     mass = np.abs(weights).sum()
     values = mass * (weights[idx] / np.abs(weights[idx]) * np.trace(u.conj().T @ obs @ drawn @ rho, axis1=1, axis2=2)).real
-    assert np.abs(res.per_shot - values).max() <= TOL
+    assert np.abs(res.rows["value"][res.row_of_shot] - values).max() <= TOL
 
 
 def test_knit_sampled_keeps_every_cut_on_its_law():
@@ -745,7 +745,7 @@ def test_knit_sampled_keeps_every_cut_on_its_law():
     obs = _ginibre(rng, 4)
     res = knit_estimate(circuit, obs + obs.conj().T, mode="sampled", shots=shots, rng=rng)
     laws = _cut_laws(circuit)
-    pairs = np.unravel_index(res.term_indices, [len(law) for law in laws])
+    pairs = np.unravel_index(res.rows["knit_term_index"][res.row_of_shot], [len(law) for law in laws])
     for t, (law, drawn) in enumerate(zip(laws, pairs)):
         counts = np.bincount(drawn, minlength=len(law))
         assert (np.abs(counts - shots * law) <= 6 * np.sqrt(shots * law * (1 - law))).all(), t
@@ -770,7 +770,7 @@ def test_knit_sampled_propagates_only_the_distinct_drawn_prefixes(monkeypatch, s
 
     monkeypatch.setattr(dist, "apply_on_targets", counted)
     res = knit_estimate(circuit, obs + obs.conj().T, mode="sampled", shots=shots, rng=np.random.default_rng(8))
-    prefixes = [len(set((res.term_indices // 16 ** (3 - t)).tolist())) for t in range(4)]
+    prefixes = [len(set((res.rows["knit_term_index"] // 16 ** (3 - t)).tolist())) for t in range(4)]
     assert rows[:4] == prefixes  # the drawn terms; the uncut circuit follows on one row
     assert rows[4:] == [1] * 4
     assert all(r <= min(shots, 16 ** (t + 1)) for t, r in enumerate(rows[:4]))
@@ -792,5 +792,5 @@ def test_knit_sampled_memory_is_set_by_the_shots_not_the_pairs():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(set((res.term_indices // 256).tolist())) > 4000  # distinct two-cut prefixes
+    assert len(set((res.rows["knit_term_index"] // 256).tolist())) > 4000  # distinct two-cut prefixes
     assert peak < 8_000_000

@@ -422,7 +422,7 @@ def test_unital_runs_allocate_each_program_once(monkeypatch):
         calls.clear()
         res = dist.run_dbqc(alice, bob, 500, rng)
         assert len(calls) == n_alice + n_bob
-        assert len({tuple(row) for row in res.parity_bits.tolist()}) > 1
+        assert len({tuple(row) for row in res.rows["parity_bits"][res.row_of_shot].tolist()}) > 1
     for n in (1, 6, 16):
         programs = [_program_of_kind(rng, 2, "unitary") for _ in range(n)]
         calls.clear()
@@ -459,13 +459,15 @@ def _run_drawn(kind, args, shots, rng):
     estimates (scheme I: the estimate and its standard error)."""
     if kind == "dbqc":
         res = dist.run_dbqc(*args, shots, rng)
-        return np.column_stack([res.isi_bits, res.parity_bits]), res.readout_bits, res.per_shot
+        rows, row_of_shot = res.rows, res.row_of_shot
+        patterns = np.column_stack([rows["isi_bit"], rows["parity_bits"]])[row_of_shot]
+        return patterns, rows["readout"][row_of_shot], rows["estimate"][row_of_shot]
     if kind == "pingpong":
-        patterns, _, y, t_hat, _ = dist.pingpong_shots(*args, shots, rng)
-        return patterns, y, t_hat
+        _, _, _, rows, row_of_shot = dist.pingpong_shots(*args, shots, rng)
+        return rows["parity_bits"][row_of_shot], rows["readout"][row_of_shot], rows["estimate"][row_of_shot]
     res = dist.run_triparty("I", *args, shots, rng)
-    patterns = np.column_stack([res.bits[b] for b in ("b_a", "b_b", "i", "j")])
-    return patterns, res.bits["y"], np.array([res.estimate, res.stderr])
+    patterns = np.column_stack([res.rows[b] for b in ("b_a", "b_b", "i", "j")])[res.row_of_shot]
+    return patterns, res.rows["y"][res.row_of_shot], np.array([res.estimate, res.stderr])
 
 
 def _edges(kind, args, width):
@@ -794,6 +796,14 @@ def _script(rng, d, blocks, final, shots):
             "steps": steps}
 
 
+def _per_shot(rows, row_of_shot):
+    """The row table's columns expanded to one entry per shot."""
+    return {
+        key: _per_shot(col, row_of_shot) if isinstance(col, dict) else col[row_of_shot]
+        for key, col in rows.items()
+    }
+
+
 def _assert_same_columns(got, want):
     assert got.keys() == want.keys()
     for key in want:
@@ -817,7 +827,8 @@ def _assert_same_columns(got, want):
 def test_script_tree_matches_one_run_per_shot(seed, d, blocks, final, shots):
     sc = cli.validate_scenario(_script(np.random.default_rng(seed), d, blocks, final, shots))
     rng, ref_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-    estimate, stderr, ledger, columns = cli._run_script(sc, rng)
+    estimate, stderr, ledger, rows, row_of_shot = cli._run_script(sc, rng)
+    columns = _per_shot(rows, row_of_shot)
     want_estimate, want_stderr, want_ledger, want_columns = _per_shot_run_script(sc, ref_rng)
     if final:
         assert (estimate, stderr) == (want_estimate, want_stderr)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import obliq.cli
-from obliq.cli import _constant, _write_records
+from obliq.cli import _write_records
 
 # Keys that sort before, around and after "shot".
 KEYS = ["a", "bits", "estimate", "kept", "readout", "s", "sho", "shota", "z", "Shot"]
@@ -19,8 +19,14 @@ FLOATS = [0.0, -0.0, float("nan"), float("inf"), float("-inf"), 0.1, -2.5, 1e300
 STRINGS = ["exact_sum", "a,b", 'q"', "\\", "é", "],[", ""]
 
 
-def _reference(columns, shots: int) -> str:
-    """The per-record path: a dict of Python values and `json.dumps` per shot."""
+def _constant(value, shots: int) -> np.ndarray:
+    """A column that holds `value` for every shot, without a copy per shot."""
+    return np.broadcast_to(np.asarray(value), (shots,))
+
+
+def _reference(columns, shots: int, row_of_shot=None) -> str:
+    """The per-record path: a dict of Python values and `json.dumps` per
+    shot, of row ``row_of_shot[i]`` of ``columns`` (row i if not given)."""
 
     def value(col, i):
         if isinstance(col, dict):
@@ -38,14 +44,17 @@ def _reference(columns, shots: int) -> str:
 
     lines = []
     for i in range(shots):
-        rec = {"shot": i, **{k: value(c, i) for k, c in columns.items()}}
+        row = i if row_of_shot is None else row_of_shot[i]
+        rec = {"shot": i, **{k: value(c, row) for k, c in columns.items()}}
         lines.append(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
     return "".join(lines)
 
 
-def _written(tmp_path, columns, shots: int) -> str:
+def _written(tmp_path, columns, shots: int, row_of_shot=None) -> str:
+    """The writer's bytes for the row table ``columns``, shot i taking row
+    ``row_of_shot[i]`` (row i if not given)."""
     path = tmp_path / "records.jsonl"
-    _write_records(path, columns, shots)
+    _write_records(path, columns, np.arange(shots) if row_of_shot is None else row_of_shot)
     return path.read_text()
 
 
@@ -100,6 +109,24 @@ def test_writer_matches_per_record_dumps(tmp_path_factory, table):
     columns, shots = table
     tmp_path = tmp_path_factory.mktemp("records")
     assert _written(tmp_path, columns, shots) == _reference(columns, shots)
+
+
+@st.composite
+def _shared_table(draw):
+    """A table of n rows and each shot's row in it: several shots may share
+    a row, and a row may be taken by no shot."""
+    columns, n = draw(_table())
+    shots = draw(st.integers(1, 40))
+    row_of_shot = np.array(draw(st.lists(st.integers(0, n - 1), min_size=shots, max_size=shots)))
+    return columns, shots, row_of_shot
+
+
+@settings(max_examples=300, deadline=None)
+@given(_shared_table())
+def test_writer_of_shared_rows_matches_per_record_dumps(tmp_path_factory, table):
+    columns, shots, row_of_shot = table
+    tmp_path = tmp_path_factory.mktemp("records")
+    assert _written(tmp_path, columns, shots, row_of_shot) == _reference(columns, shots, row_of_shot)
 
 
 def test_signed_zero_nan_and_inf_stay_apart(tmp_path):

@@ -65,6 +65,13 @@ each, in milliseconds per call: ``load_scenario`` (reading and decoding the
 file), ``validate_scenario`` of the decoded scenario, and the
 ``resolved-scenario`` writer ``_indented_json``.
 
+The record rows (``records_ms``) time `cli.run_scenario` on the shipped
+``dbqc``, ``triparty-scheme1``, ``script-teleport`` and ``knitting-sampled``
+scenarios at 200,000 shots (``RECORD_SHOTS``), writing into a temporary
+directory: ``ms`` per call and the tracemalloc peak (``peak_mb``) of one
+call after a warm-up call. Most of such a run is writing `records.jsonl`.
+The scenarios are read from the tree that holds ``SRC``.
+
 BLAS runs on one thread. The last line printed is one JSON object.
 """
 
@@ -324,12 +331,29 @@ def measure_literal(obliq, name: str, repeat: int) -> dict:
         return {op: round(_best(fn, repeat) / 1e3, 4) for op, fn in calls.items()}
 
 
+RECORDS = ("dbqc", "triparty-scheme1", "script-teleport", "knitting-sampled")
+RECORD_SHOTS = 200_000
+
+
+def measure_records(obliq, name: str, repeat: int) -> dict:
+    """ms per call of `cli.run_scenario` on the shipped scenario ``name`` at
+    `RECORD_SHOTS` shots, and its tracemalloc peak."""
+    import obliq.cli as cli
+
+    path = Path(obliq.__file__).resolve().parents[2] / "scenarios" / f"{name}.json"
+    with tempfile.TemporaryDirectory() as tmp:
+        overrides = {"shots": RECORD_SHOTS, "out": tmp}
+        fn = lambda: cli.run_scenario(path, overrides)  # noqa: E731
+        return {"ms": round(_best(fn, repeat) / 1e3, 3), "peak_mb": _peak_mb(fn)}
+
+
 SECTIONS = {
     "us_per_call": ([str(d) for d in DIMS], lambda obliq, key, r: measure(obliq, int(key), r)),
     "product_measurements": (PRODUCTS, measure_product),
     "knitting": (KNITS, measure_knit),
     "law": (LAWS, measure_law),
     "literals_ms": (LITERALS, measure_literal),
+    "records_ms": (RECORDS, measure_records),
 }
 
 

@@ -709,24 +709,13 @@ def _run_script(sc: dict, rng: np.random.Generator):
     """Shots walk the script's steps (`distributed._walk`). Shot i draws from
     row i of ``rng.random((shots, draws))`` as one ``rng.choice`` per draw
     would, so outcomes and generator state are those of a run per shot.
-    A record's row is the walk's leaf: the finish numbers the rows of each
-    leaf level on from those of the levels finished before it."""
-    shots = sc["shots"]
+    The records' rows are the walk's leaves, each shot's row its leaf."""
     steps = [s for _, op_steps in sc["steps"] for s in op_steps]
     draws = sum(len(op_steps) for record, op_steps in sc["steps"] if record)
-    uniforms = rng.random((shots, draws))
-    ledgers, ends = [], [0]  # each leaf level's ledger, and where its rows end
-
-    def number(level: ProtocolEngine) -> np.ndarray:
-        ledgers.append(level.ledger)
-        ends.append(ends[-1] + len(level))
-        return np.arange(ends[-2], ends[-1])
-
-    outcomes, _, leaf = _walk(ProtocolEngine(*sc["parties"]), steps, number, uniforms)
-    row_of_shot = leaf.astype(np.intp)
-    shot_of_row = np.empty(ends[-1], dtype=np.intp)
-    shot_of_row[row_of_shot] = np.arange(shots)  # a shot that reached each leaf
-    outcomes = outcomes[shot_of_row]
+    uniforms = rng.random((sc["shots"], draws))
+    ledgers = []  # each leaf level's ledger
+    outcomes, _, _, row_of_shot = _walk(ProtocolEngine(*sc["parties"]), steps,
+                                        lambda level: ledgers.append(level.ledger), uniforms)
     rows, col = {"bits": {}}, 0
     for record, op_steps in sc["steps"]:
         if not record:

@@ -33,6 +33,7 @@ them all as rows of a (B, D, D) stack and each engine operation acts on
 every row at once. A measurement gives a (B, outcomes) table, a fork is a
 row selection, and every shot of a level takes its outcome at once, from
 its own row of fresh uniforms (scripts) or of given patterns (every runner).
+The walk returns a row table: its leaves' paths, once each, and each shot's leaf.
 The layout, owners, ebits and ledger are the engine's, shared by its rows.
 As in the paper, a primitive's classical side (the bits it broadcasts, the
 ebit it uses, the layer it forces) does not depend on its outcome; only
@@ -96,6 +97,7 @@ from .oblivious import (
     check_square_ports,
     check_unital,
     controlled_gate,
+    mean_stderr,
     parity_inverted,
     parity_weights,
 )
@@ -618,33 +620,36 @@ def _pattern_rows(columns, sizes) -> tuple[np.ndarray, np.ndarray]:
 
 def _walk(root, steps, finish, uniforms=None, patterns=None, tol=None):
     """Walk the shots of ``uniforms`` or ``patterns`` through ``steps`` from
-    ``root`` (an engine of one row) and return each shot's outcomes (a
-    column per draw), path probability (multiplied in step order from 1.0)
-    and finish value; finish(level) returns one value per row, or None.
+    ``root`` (an engine of one row) and return its leaves as a row table:
+    one row per leaf some shot reaches, numbered in the order their levels
+    finish, with its outcomes (a column per draw), path probability
+    (multiplied in step order from 1.0) and finish value; and each shot's
+    leaf. finish(level) returns one value per row, or None.
 
     Level by level: a step runs once on a level, an engine holding every
     live branch of its depth, one row each, and its table gives every row's
     outcome row; with ``tol``, a row further than ``tol`` from summing to 1
     raises BranchError. The next level is branch(rows, ks) of the (row,
-    outcome) pairs some shot takes, in that order. ``uniforms`` (a row per
-    shot, a column per draw) give each draw a fresh uniform u, and a shot
-    on row r takes outcome k when cdf[k-1] <= u < cdf[k] for the CDF of r's
-    row as ``rng.choice`` forms it: exactly ``rng.choice(k, p=row)``, as a
-    script draws. ``patterns`` (a row per shot) give the outcomes; one that
-    is not a measurement's is refused before the state changes.
+    outcome) pairs some shot takes, in that order: a child's path is its
+    parent's with k appended, its probability its parent's times
+    table[parent, k]. ``uniforms`` (a row per shot, a column per draw) give
+    each draw a fresh uniform u, and a shot on row r takes outcome k when
+    cdf[k-1] <= u < cdf[k] for the CDF of r's row as ``rng.choice`` forms
+    it: exactly ``rng.choice(k, p=row)``, as a script draws. ``patterns`` (a
+    row per shot) give the outcomes; one that is not a measurement's is
+    refused before the state changes.
 
     An engine whose step would stack more than `ROW_BUDGET` entries raises
     `_Split`, and the step reruns on chunks of rows that fit, walked depth
     first.
     """
     shots = len(uniforms if patterns is None else patterns)
-    outcomes = np.zeros((shots, len(steps)), dtype=np.int16)
-    probs, values, width = np.empty(shots), np.zeros(shots), 0
+    leaf_of_shot = np.empty(shots, dtype=np.intp)
+    leaves, count = [], 0  # each finished level's (paths, probabilities, values), and their rows
 
-    def descend(table: np.ndarray, draw: int, row, prob, shot) -> tuple:
+    def descend(table: np.ndarray, draw: int, row: np.ndarray, shot: np.ndarray) -> np.ndarray:
         """The (row, outcome) code each shot of a chunk takes at the draw-th
-        measurement, and its path probability after it; a chunk is the
-        columns row, path probability and shot index of its shots."""
+        measurement, for the chunk's columns row and shot index."""
         total = table.sum(axis=1)
         if tol is not None:
             off = ~(np.abs(total - 1.0) <= tol)
@@ -663,14 +668,14 @@ def _walk(root, steps, finish, uniforms=None, patterns=None, tol=None):
             ks = np.zeros(len(u), dtype=np.intp)
             for j in range(n - 1):
                 ks += u >= np.take(cdf[:, j], row)
-        outcomes[shot, draw] = ks
-        codes = row * n + ks
-        return codes, prob * np.take(table, codes)
+        return row * n + ks
 
-    # Chunks to walk, depth first: (level, depth, draws so far, chunk).
-    stack = [(root, 0, 0, (np.zeros(shots, dtype=np.intp), np.ones(shots), np.arange(shots)))]
+    # Chunks to walk, depth first: (level, depth, each row's outcome path and
+    # path probability, each shot's row and shot index).
+    path, prob = np.zeros((1, 0), dtype=np.int16), np.ones(1)
+    stack = [(root, 0, path, prob, np.zeros(shots, dtype=np.intp), np.arange(shots))]
     while stack:
-        level, start, draws, chunk = stack.pop()
+        level, start, path, prob, row, shot = stack.pop()
         work = level.fork()
         try:
             for depth in range(start, len(steps)):
@@ -679,40 +684,42 @@ def _walk(root, steps, finish, uniforms=None, patterns=None, tol=None):
                     break
             else:
                 found = finish(work)
-                row, prob, shot = chunk
-                probs[shot] = prob
-                if found is not None:
-                    values[shot] = np.asarray(found)[row]
-                width = max(width, draws)
+                values = np.zeros(len(prob)) if found is None else np.asarray(found, dtype=float)
+                leaves.append((path, prob, values))
+                leaf_of_shot[shot] = count + row
+                count += len(prob)
                 continue
         except _Split as split:
             for a in reversed(range(0, len(level), split.rows)):
-                rows = np.arange(a, min(a + split.rows, len(level)))
-                mine = (chunk[0] >= a) & (chunk[0] < a + split.rows)
-                row, prob, shot = (col[mine] for col in chunk)
-                stack.append((level.select(rows), start, draws, (row - a, prob, shot)))
+                b = min(a + split.rows, len(level))
+                mine = (row >= a) & (row < b)
+                chunk = (path[a:b], prob[a:b], row[mine] - a, shot[mine])
+                stack.append((level.select(np.arange(a, b)), start, *chunk))
             continue
         table, branch = measurement
-        codes, prob = descend(table, draws, *chunk)
         n = table.shape[1]
-        pairs, row = _ranked(codes, len(table) * n)
-        child = branch(pairs // n, pairs % n)
-        stack.append((child, depth + 1, draws + 1, (row, prob, chunk[2])))
-    return outcomes[:, :width], probs, values
+        pairs, row = _ranked(descend(table, path.shape[1], row, shot), len(table) * n)
+        parents, ks = pairs // n, pairs % n
+        grown = np.empty((len(pairs), path.shape[1] + 1), dtype=np.int16)
+        grown[:, :-1] = path[parents]
+        grown[:, -1] = ks
+        stack.append((branch(parents, ks), depth + 1, grown, prob[parents] * np.take(table, pairs), row, shot))
+    outcomes, probs, values = (np.concatenate(column) for column in zip(*leaves))
+    return outcomes, probs, values, leaf_of_shot
 
 
 def _sample(engine: ProtocolEngine, steps, finish, patterns):
     """`_walk` the outcome ``patterns`` of a protocol with each row within 1e-9 / len(steps) of 1
-    (a full expansion within 1e-9): each pattern's path probability and finish value, and the
-    leaves' ledger."""
+    (a full expansion within 1e-9): each pattern's path probability and finish value, read from
+    the walk's leaves at each pattern's leaf, and the leaves' ledger."""
     ledgers = []
 
     def leaf(eng: ProtocolEngine):
         ledgers.append(eng.ledger)
         return _finished(eng, finish)
 
-    _, probs, values = _walk(engine, steps, leaf, patterns=patterns, tol=1e-9 / len(steps))
-    return probs, values, ledgers[0]
+    _, probs, values, leaf_of_shot = _walk(engine, steps, leaf, patterns=patterns, tol=1e-9 / len(steps))
+    return probs[leaf_of_shot], values[leaf_of_shot], ledgers[0]
 
 
 def _finished(eng: ProtocolEngine, finish):
@@ -783,16 +790,6 @@ def _follow(engine: ProtocolEngine, steps, rng, forced, tol=None) -> list[int]:
         branch(np.zeros(1, dtype=np.intp), np.array([k]))
         outcomes.append(k)
     return outcomes
-
-
-def mean_stderr(values: np.ndarray) -> tuple[float, float]:
-    """The mean of per-shot values and its standard error (0 for one shot;
-    NaN and 0 for none)."""
-    n = len(values)
-    if n == 0:
-        return math.nan, 0.0
-    stderr = float(values.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return float(values.mean()), stderr
 
 
 # --- teleportation primitives ---

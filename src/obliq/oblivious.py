@@ -257,6 +257,16 @@ def parity_inverted(values: np.ndarray, s: np.ndarray, d: int, trace: float = 1.
     return base[s] * (values - alpha[s] * trace)
 
 
+def mean_stderr(values: np.ndarray) -> tuple[float, float]:
+    """The mean of ``values`` (one per shot or record) and its standard
+    error (0 for one value; NaN and 0 for none)."""
+    n = len(values)
+    if n == 0:
+        return np.nan, 0.0
+    stderr = float(values.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    return float(values.mean()), stderr
+
+
 def _law_patterns(cdfs, rng: np.random.Generator, shots: int) -> np.ndarray:
     """``shots`` outcome patterns of steps whose laws are fixed whatever came
     before, ``cdfs[t]`` being step t's CDF without its final 1 (a binary
@@ -379,10 +389,7 @@ def oqt_estimate_observable(
             probs /= probs.sum()
             idx = rng.choice(evals.shape[0], size=count, p=probs)
             values[mask] = evals[idx]
-    t_hat = parity_inverted(values, batch.s, d, tr_obs)
-    estimate = float(t_hat.mean())
-    stderr = float(t_hat.std(ddof=1) / np.sqrt(len(batch))) if len(batch) > 1 else 0.0
-    return estimate, stderr
+    return mean_stderr(parity_inverted(values, batch.s, d, tr_obs))
 
 
 # ---------------------------------------------------------------------------

@@ -116,3 +116,15 @@ def test_engine_microbench_times_every_record_row(monkeypatch):
         row = microbench.measure_records(obliq, name, repeat=1)
         assert set(row) == {"ms", "peak_mb"}
         assert all(math.isfinite(v) and v > 0 for v in row.values()), name
+
+
+def test_engine_microbench_times_every_walk_row(monkeypatch):
+    microbench = _microbench(monkeypatch)
+    import obliq.cli  # noqa: F401  (binds obliq.cli)
+    import obliq
+
+    assert microbench.WALKS == {"walk.300": 300, "walk.200000": 200_000}
+    for name in microbench.WALKS:
+        row = microbench.measure_walk(obliq, name, repeat=1)
+        assert set(row) == {"us", "peak_mb"}
+        assert all(math.isfinite(v) and v > 0 for v in row.values()), name

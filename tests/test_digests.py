@@ -325,8 +325,8 @@ def _walk_digest(protocol, **draws) -> str:
     def leaf(eng):
         leaves.append(eng.state().tobytes())
 
-    outcomes, probs, _ = dist._walk(engine, steps, leaf, **draws)
-    h = hashlib.sha256(outcomes.tobytes() + probs.tobytes())
+    outcomes, probs, _, leaf_of_shot = dist._walk(engine, steps, leaf, **draws)
+    h = hashlib.sha256(outcomes[leaf_of_shot].tobytes() + probs[leaf_of_shot].tobytes())
     for state in leaves:
         h.update(state)
     return h.hexdigest()

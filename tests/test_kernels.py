@@ -13,6 +13,7 @@ import hashlib
 import itertools
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 
 from obliq.algorithms import compose_programs
 from obliq.channels import IN, OUT, KrausChannel, choi_of, conjugate_program
+from obliq import cli
 from obliq import distributed as dist
 from obliq.errors import CapacityError
 from obliq.gates import named_gate
@@ -794,3 +796,22 @@ def test_knit_sampled_memory_is_set_by_the_shots_not_the_pairs():
         tracemalloc.stop()
     assert len(set((res.rows["knit_term_index"] // 256).tolist())) > 4000  # distinct two-cut prefixes
     assert peak < 8_000_000
+
+
+def test_script_walk_memory_is_set_by_the_leaves_not_the_shots():
+    """`cli._run_script` on the shipped `script-teleport` at 200,000 shots
+    (two draws each) peaks under 16 MB: the walk keeps one outcome row,
+    path probability and finish value per leaf (4 here) and carries only
+    each shot's row and index down a level. Per-shot outcome, probability
+    and value columns took it to 20.8 MB."""
+    raw = cli.load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "script-teleport.json")
+    cli._run_script(cli.validate_scenario({**raw, "shots": 10}), np.random.default_rng(1))  # plans are cached
+    sc = cli.validate_scenario({**raw, "shots": 200_000})
+    tracemalloc.start()
+    try:
+        _, _, _, rows, row_of_shot = cli._run_script(sc, np.random.default_rng(sc["seed"]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows["readout"]) == 4 and len(row_of_shot) == 200_000
+    assert peak < 16_000_000

@@ -219,8 +219,8 @@ def _walk_all(protocol, patterns):
         ledgers.append(eng.ledger)
         return values
 
-    walked = dist._walk(engine, steps, leaf, patterns=np.array(patterns))
-    return (*walked, ledgers[0])
+    *leaves, leaf_of_shot = dist._walk(engine, steps, leaf, patterns=np.array(patterns))
+    return (*(column[leaf_of_shot] for column in leaves), ledgers[0])
 
 
 def _assert_leaves_equal(leaves, patterns, references):
@@ -693,18 +693,18 @@ def test_a_walk_keeps_each_step_within_the_row_budget(monkeypatch):
     root = ProtocolEngine("p")
     root.alloc("p", "bystander", np.eye(64) / 64)
     uniforms = np.random.default_rng(1).random((500, 10))
-    bits, _, _ = dist._walk(root, steps, lambda eng: None, uniforms)
-    assert len({tuple(b) for b in bits.tolist()}) > 350
+    bits, _, _, leaf_of_shot = dist._walk(root, steps, lambda eng: None, uniforms)
+    assert len({tuple(b) for b in bits[leaf_of_shot].tolist()}) > 350
     assert max(sizes) <= dist.ROW_BUDGET < 128**2 * 5
     assert max(sizes) > 128**2  # more than one row per step
 
     rng = np.random.default_rng(2)
     uniforms = rng.random((500, 10))
-    bits, _, _ = dist._walk(root, steps, lambda eng: None, uniforms)
+    bits, _, _, leaf_of_shot = dist._walk(root, steps, lambda eng: None, uniforms)
     rng = np.random.default_rng(2)
     for shot in range(500):
         eng = root.fork()
-        assert dist._follow(eng, steps, rng, None) == bits[shot].tolist()
+        assert dist._follow(eng, steps, rng, None) == bits[leaf_of_shot[shot]].tolist()
 
 
 # --- script kind: the drawn walk against one script run per shot ---
@@ -930,10 +930,13 @@ LEVEL = settings(max_examples=40, deadline=None)
     shots=st.integers(1, 40),
 )
 def test_level_walk_matches_one_path_per_shot(seed, kind, d, n, program_kind, shots):
-    """Each shot of the level walk takes the outcomes, path probability and
-    finish value of `_follow` on its own pattern; and a walk
-    of one row per step (the node-by-node walk) gives the same bytes, so
-    stacking rows and chunking them by the row budget change nothing."""
+    """The level walk returns its leaves as a row table: pairwise distinct
+    outcome rows, each some shot's leaf, and each shot's leaf holds the
+    outcomes, path probability and finish value of `_follow` on its own
+    pattern. So does a walk of one row per step (the node-by-node walk,
+    whose leaf offsets cross chunks), and both give each shot the same
+    bytes, so stacking rows and chunking them by the row budget change
+    nothing."""
     rng = np.random.default_rng(seed)
     if kind == "script":
         protocol, args, draws = _script_protocol(rng, d, min(n, 2 if d > 3 else 3))
@@ -941,20 +944,26 @@ def test_level_walk_matches_one_path_per_shot(seed, kind, d, n, program_kind, sh
         n = min(n, 2) if d > 3 else n
         protocol, args, draws = _level_protocol(kind, rng, d, n, program_kind)
     walked = _level_walk(protocol, args, draws, np.random.default_rng(seed + 1), shots)
-    outcomes, probs, values = walked
-    for shot, pattern in enumerate(outcomes.tolist()):
-        got, prob, value = _followed(protocol, args, pattern)
-        assert got == pattern
-        assert abs(probs[shot] - prob) <= 1e-12
-        assert abs(values[shot] - value) <= 1e-12
     budget = dist.ROW_BUDGET
     try:
         dist.ROW_BUDGET = 1
         alone = _level_walk(protocol, args, draws, np.random.default_rng(seed + 1), shots)
     finally:
         dist.ROW_BUDGET = budget
-    for got, want in zip(alone, walked):
-        assert np.array_equal(got, want)
+    followed = {}
+    for outcomes, probs, values, leaf_of_shot in (walked, alone):
+        assert len({tuple(path) for path in outcomes.tolist()}) == len(outcomes)
+        assert np.array_equal(np.unique(leaf_of_shot), np.arange(len(outcomes)))
+        for leaf in leaf_of_shot:
+            pattern = tuple(outcomes[leaf].tolist())
+            if pattern not in followed:
+                followed[pattern] = _followed(protocol, args, pattern)
+            got, prob, value = followed[pattern]
+            assert tuple(got) == pattern
+            assert abs(probs[leaf] - prob) <= 1e-12
+            assert abs(values[leaf] - value) <= 1e-12
+    for got, want in zip(alone[:3], walked[:3]):
+        assert np.array_equal(got[alone[3]], want[walked[3]])
 
 
 def test_outcome_free_follow_up_runs_once_per_level(monkeypatch):
@@ -981,9 +990,9 @@ def test_outcome_free_follow_up_runs_once_per_level(monkeypatch):
     forks = []
     fork = ProtocolEngine.fork
     monkeypatch.setattr(ProtocolEngine, "fork", lambda eng: forks.append(len(eng)) or fork(eng))
-    outcomes, probs, _ = dist._walk(ProtocolEngine("p"), [step], finish,
-                                    patterns=np.array([[0], [1], [1]]))
-    assert outcomes.tolist() == [[0], [1], [1]]
+    outcomes, probs, _, leaf_of_shot = dist._walk(ProtocolEngine("p"), [step], finish,
+                                                  patterns=np.array([[0], [1], [1]]))
+    assert outcomes.tolist() == [[0], [1]] and leaf_of_shot.tolist() == [0, 1, 1]
     assert np.abs(probs - 0.5).max() <= 1e-15
     assert calls == [2] and forks == [1, 2]
     ((ledger, states),) = leaves

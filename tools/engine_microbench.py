@@ -72,6 +72,12 @@ directory: ``ms`` per call and the tracemalloc peak (``peak_mb``) of one
 call after a warm-up call. Most of such a run is writing `records.jsonl`.
 The scenarios are read from the tree that holds ``SRC``.
 
+The walk rows (``walk``) time the script runner `cli._run_script` on the
+shipped ``script-teleport`` at 300 shots (``walk.300``, a ``deep-links``
+script's size, where the walk's fixed cost per level shows) and at 200,000
+(``walk.200000``), its uniforms included: ``us`` per call and the
+tracemalloc peak (``peak_mb``) of one call after a warm-up call.
+
 BLAS runs on one thread. The last line printed is one JSON object.
 """
 
@@ -347,6 +353,22 @@ def measure_records(obliq, name: str, repeat: int) -> dict:
         return {"ms": round(_best(fn, repeat) / 1e3, 3), "peak_mb": _peak_mb(fn)}
 
 
+# Script walks: the shots of each `cli._run_script` row on script-teleport.
+WALKS = {"walk.300": 300, "walk.200000": 200_000}
+
+
+def measure_walk(obliq, name: str, repeat: int) -> dict:
+    """µs per call of `cli._run_script` on the shipped script-teleport at
+    the shots of ``name``, and its tracemalloc peak."""
+    import obliq.cli as cli
+
+    path = Path(obliq.__file__).resolve().parents[2] / "scenarios" / "script-teleport.json"
+    sc = cli.validate_scenario({**cli.load_scenario(path), "shots": WALKS[name]})
+    rng = np.random.default_rng(sc["seed"])
+    fn = lambda: cli._run_script(sc, rng)  # noqa: E731
+    return {"us": _best(fn, repeat), "peak_mb": _peak_mb(fn)}
+
+
 SECTIONS = {
     "us_per_call": ([str(d) for d in DIMS], lambda obliq, key, r: measure(obliq, int(key), r)),
     "product_measurements": (PRODUCTS, measure_product),
@@ -354,6 +376,7 @@ SECTIONS = {
     "law": (LAWS, measure_law),
     "literals_ms": (LITERALS, measure_literal),
     "records_ms": (RECORDS, measure_records),
+    "walk": (WALKS, measure_walk),
 }
 
 

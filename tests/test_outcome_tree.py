@@ -23,9 +23,10 @@ import itertools
 import math
 import tracemalloc
 
+import dense
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from obliq import cli, oblivious, qmath
@@ -837,6 +838,76 @@ def test_script_tree_matches_one_run_per_shot(seed, d, blocks, final, shots):
     assert ledger == want_ledger
     _assert_same_columns(columns, want_columns)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+# --- scripts against the dense reference ---
+
+SCRIPT_BLOCKS = st.lists(st.sampled_from(["oqt", "local", "teleport", "cnot"]), max_size=3).filter(
+    lambda b: b.count("cnot") <= 2
+)
+
+
+def _dense(raw, ideal=False):
+    """`dense.run` of a script within the reference's joint-dimension cap;
+    a wider one is rejected as an example."""
+    try:
+        return dense.run(raw, ideal)
+    except dense.TooWide:
+        assume(False)
+
+
+@TREE
+@given(seed=SEEDS, d=st.integers(2, 3), blocks=SCRIPT_BLOCKS, final=st.booleans())
+def test_script_walk_matches_the_dense_reference(seed, d, blocks, final):
+    """Walked along every outcome pattern of the dense reference (`dense`,
+    which shares no code with the engine), a script gives each pattern the
+    reference's probability and post-measurement state within 1e-12: the
+    state of every live register, whatever order the engine keeps them in."""
+    raw = _script(np.random.default_rng(seed), d, blocks, final, 1)
+    branches = _dense(raw)
+    sc = cli.validate_scenario(raw)
+    steps = [step for _, op_steps in sc["steps"] for step in op_steps]
+    states = []
+
+    def finish(level):
+        start = len(states)
+        states.extend((level.layout.regs, rho) for rho in level.state())
+        return np.arange(start, len(states))
+
+    patterns = np.array([b.pattern for b in branches])
+    outcomes, probs, values, row_of_shot = dist._walk(ProtocolEngine(*sc["parties"]), steps, finish,
+                                                      patterns=patterns)
+    assert outcomes[row_of_shot].tolist() == patterns.tolist()
+    for b, row in zip(branches, row_of_shot):
+        assert abs(probs[row] - b.probability) <= 1e-12
+        regs, rho = states[int(values[row])]
+        assert sorted(regs) == sorted(b.regs)
+        want = dense.canonical(b.rho, b.regs) / b.probability
+        assert np.abs(dense.canonical(rho, regs) - want).max() <= 1e-12
+
+
+@TREE
+@given(seed=SEEDS, d=st.integers(2, 3), blocks=SCRIPT_BLOCKS, final=st.booleans())
+def test_dense_teleports_and_remote_cnots_are_oblivious(seed, d, blocks, final):
+    """The paper's obliviousness, on the dense reference alone: every
+    outcome of a teleportation through a fresh ebit has law 1/d^2 and each
+    cat-entangler bit law 1/2, whatever came before (Bennett et al. 1993;
+    Eisert et al. 2000); and summed over those outcomes, each pattern of the
+    other measurements leaves the state the ideal circuit leaves, where a
+    teleportation moves its register and a remote CNOT is the CNOT."""
+    raw = _script(np.random.default_rng(seed), d, blocks, final, 1)
+    branches, ideal = _dense(raw), _dense(raw, ideal=True)
+    oblivious_ops = ("bell_measure_qt", "remote_cnot")
+    summed = {}
+    for b in branches:
+        for op, law in b.laws:
+            if op in oblivious_ops:
+                assert np.abs(np.array(law) - 1 / len(law)).max() <= 1e-12
+        key = tuple(k for k, (op, _) in zip(b.pattern, b.laws) if op not in oblivious_ops)
+        summed[key] = summed.get(key, 0) + dense.canonical(b.rho, b.regs)
+    assert len(summed) == len(ideal)
+    for b in ideal:
+        assert np.abs(summed[b.pattern] - dense.canonical(b.rho, b.regs)).max() <= 1e-12
 
 
 # --- the level walk against one path per shot ---

@@ -22,14 +22,14 @@ validated by a dry run that follows one path of its steps
 (`distributed._follow`) on a real `ProtocolEngine`: its locality, dimension
 and resource errors exit 4 (5 for capacity) as `step n: ...`. Script steps
 never branch on outcomes, so every path meets the registers, owners and
-ebits of the dry run, and an ebit that the dry run distributes and never
-consumes is refused (exit 4), naming its resource id. A
-measurement consumes its registers, so a step that names a register after
-it was measured (also by `final_measure`) is refused this way. The ops are
-built from the runners' steps: `isi_inject`, `oqt_link` and `final_measure`
-from `distributed._announced` (an `oqt_link` through an ebit looks the ebit
-up before it measures), `bell_measure_qt` from `_teleport`, and
-`remote_cnot` from the two steps of `_cat_entangler`.
+ebits of the dry run; an ebit it distributes and never consumes is refused
+(exit 4), naming its resource id, and so is a step naming a register that
+a measurement consumed. The state-dependent ops, `isi_inject`, `oqt_link`
+and `final_measure`, are measurements (`distributed._announced`).
+`bell_measure_qt` and `remote_cnot` are the channels of their oblivious
+primitives, whose outcomes are drawn from fixed laws (`distributed._teleport`
+and the two steps of `_cat_entangler`); through an ebit that a gate or a
+measurement touched since its distribute step, either is refused (exit 4).
 
 Every gate literal must be within `gates.UNITARY_TOL` of unitary; a gate
 further off exits 3.
@@ -38,8 +38,8 @@ Each runner returns its records as a row table: ``rows`` maps each record
 key to one entry per distinct record (a 1-D numpy array for a scalar, 2-D
 for a list) or to a nested mapping of such columns (for an object), and
 ``row_of_shot`` gives each shot's row. A runner takes each shot's row from
-what it drew: the fixed-law pattern and readout bit, scheme II's path and
-readout, a script walk's leaf, sampled knitting's term; an exact kind has
+what it drew: the fixed-law pattern and readout bit, scheme II's pattern
+and readout, a script walk's path, sampled knitting's term; an exact kind has
 one row. The rows are pairwise distinct and each is some shot's.
 `_write_records` renders each row once and writes `records.jsonl`, one
 canonical JSON line per shot (`json.dumps(sort_keys=True, separators=(",",
@@ -47,11 +47,10 @@ canonical JSON line per shot (`json.dumps(sort_keys=True, separators=(",",
 index. These bytes are stable across versions unless CHANGES.md says
 otherwise.
 
-The tri-party and script runners walk only the outcome prefixes their
-shots draw (`distributed._walk`); a script's ops are walker steps. The
-dbqc and ping-pong runners simulate one path and draw every shot by the
-parity law (`distributed._unital_shots`). `MAX_BRANCH_BITS` caps the
-branch bits of dbqc and ping-pong runs.
+Scheme I and script runners walk only the outcome prefixes their shots
+draw (`distributed._walk`); a script's ops are walker steps. The dbqc,
+ping-pong and scheme II runners simulate one path and draw every shot from
+a law. `MAX_BRANCH_BITS` caps the branch bits of dbqc and ping-pong runs.
 
 Exit codes: 0 success, 2 parse error, 3 schema error, 4 semantic error,
 5 capacity error, 6 runtime failure.
@@ -197,14 +196,16 @@ def _knit_gate(obj) -> KnitGate:
 # --- script steps ---
 
 
-def _ebit(eng: ProtocolEngine, rid, known) -> int:
-    """The engine's id of the unused ebit a script distributed as ``rid``;
-    ``known`` is (engine id, registers) from its distribute step, or None.
-    Its errors name ``rid``, the id the script uses."""
+def _ebit(eng: ProtocolEngine, rid, known, fresh: bool = False) -> int:
+    """The engine's id of the unused (with ``fresh``, also untouched) ebit a
+    script distributed as ``rid``; ``known`` is (engine id, registers) from
+    its distribute step, or None. Its errors name ``rid``, the script's id."""
     if known is None or eng._ebits.get(known[0]) != known[1]:
         raise ResourceError(f"ebit {rid} was never distributed")
     if eng.is_consumed(known[0]):
         raise ResourceError(f"ebit {rid} already consumed")
+    if fresh and not eng.is_fresh(known[0]):
+        raise ResourceError(f"ebit {rid} was touched since it was distributed")
     return known[0]
 
 
@@ -321,21 +322,21 @@ def _parse_step(n: int, step: dict, parties: list, resources: dict):
 
         def teleport(eng):
             eng.check_owned(who, [lab])
-            return _teleport(lab, _ebit(eng, rid, known))(eng)
+            return _teleport(lab, _ebit(eng, rid, known, fresh=True))(eng)
 
         return rec, [teleport]
     if op == "remote_cnot":
-        # Its two measurements, m1 and m2, are recorded as 2 * m1 + m2.
+        # Its two bits, m1 and m2, are recorded as 2 * m1 + m2.
         who, ctrl, tgt, rec = party(), label("control"), label("target"), record("cnot")
 
-        def z_step(eng):
+        def m1_step(eng):
             eng.check_owned(who, [ctrl])
-            return _cat_entangler(ctrl, tgt, _ebit(eng, rid, known), X)[0](eng)
+            return _cat_entangler(ctrl, tgt, _ebit(eng, rid, known, fresh=True), X)[0](eng)
 
-        def x_step(eng):
+        def m2_step(eng):
             return _cat_entangler(ctrl, tgt, _ebit(eng, rid, known), X)[1](eng)
 
-        return rec, [z_step, x_step]
+        return rec, [m1_step, m2_step]
     if op == "final_measure":
         who, basis, labs = party(), _binary(projector(state)), labels()
         return ("readout",), [lambda eng: _announced(eng, who, basis, labs)]

@@ -2,70 +2,59 @@
 
 Parties own registers; the engine knows each party by name and refuses any
 operation that would couple registers held by different parties, so
-entanglement can only spread through explicitly distributed ebits.  Every
-run produces a ResourceLedger counting ebits, broadcast bits,
-oblivious-teleportation events, byproduct corrections and forced temporal
-layers. `Party` bundles a name with the programs and states a runner
-consumes.
+entanglement spreads only through distributed ebits. Every run produces a
+ResourceLedger counting ebits, broadcast bits, oblivious-teleportation
+events, byproduct corrections and forced temporal layers. `Party` bundles a
+name with the programs and states a runner consumes.
 
 A measurement consumes the registers it measures, as every primitive of the
-paper does (injection, the OQT link, the teleportation Bell measurement):
-outcome k leaves tr_M((P_k ox 1) rho) / p_k, one weighted trace
-(`qmath.traced_rows`), and the measured labels leave the layout and the
-owner map. A forced outcome outside the measurement's outcomes is refused
-before the state changes.
+paper does: outcome k leaves tr_M((P_k ox 1) rho) / p_k, one weighted trace
+(`qmath.traced_rows`). A forced outcome outside the measurement's outcomes
+is refused before the state changes. What the caller gives (a raw state, a
+projector that must fit its registers, a forced outcome, a party and its
+registers) is checked once, where the engine takes it; what the engine
+forms is never checked again. A `_Plan` (positions, trace plans, the layout
+after) is built once per (layout, labels) and a `_Basis` forms its
+projectors' columns and weights once, so at D <= 16 an operation is a few
+numpy calls. Only the outcome rows keep their sum checks, which no rounding
+of valid input reaches: 1e-8 per engine measurement, 1e-9 over a path.
 
-What the caller gives is checked once, where the engine takes it: a raw
-vector or matrix state (as `PureState` and `MixedState` check theirs), a
-projector that must fit the measured registers, a forced outcome, a party
-and its registers. What the engine forms itself is never checked again:
-its stacked states, and what a measurement contracts them with. A `_Plan`
-(positions, trace plans, the layout after) is built once per (layout,
-labels), and a `_Basis` forms its projectors' columns and weights once, so
-at D <= 16 an operation is a few numpy calls. Only the outcome rows keep
-their sum checks, which no rounding of valid input reaches: 1e-8 per
-engine measurement, 1e-9 over a runner's path.
-
-Every protocol is defined once as a list of steps, and `_walk` is the one
-walk of their outcomes. It goes level by level: every branch of a depth
-runs the same step on the same registers, so one `ProtocolEngine` holds
-them all as rows of a (B, D, D) stack and each engine operation acts on
-every row at once. A measurement gives a (B, outcomes) table, a fork is a
-row selection, and every shot of a level takes its outcome at once, from
-its own row of fresh uniforms (scripts) or of given patterns (every runner).
-The walk returns a row table: its leaves' paths, once each, and each shot's leaf.
-The layout, owners, ebits and ledger are the engine's, shared by its rows.
-As in the paper, a primitive's classical side (the bits it broadcasts, the
-ebit it uses, the layer it forces) does not depend on its outcome; only
-the byproduct correction does. So a measurement's follow-up is data: the
-outcome-free bookkeeping ``after(engine)``, run once per level, and an
-optional correction (party, operators, labels), operators[k] acting on the
-rows that took outcome k. A step whose stack would outgrow `ROW_BUDGET`
-complex entries runs on chunks of rows, so D <= 16 is batched whole and
-D = 343 goes one row at a time. A measurement may have any number of
-outcomes: two for a binary one, d**2 for a teleportation.
-`teleport_state`, `remote_controlled_gate`, `pingpong_run` (the one
-single-path OQT chain) and the engine's own measurements follow one path
-on an engine of one row (`_follow`, one ``rng.choice`` per measurement).
-`_announced` is the one announced measurement (measure, broadcast, count
-an OQT link, consume an ebit, correct the byproduct), shared by the
-runners and the CLI's script ops.
+Every protocol is a list of steps, and `_walk` is the one walk of their
+outcomes, level by level: one `ProtocolEngine` holds every branch of a
+depth as a row of a (B, D, D) stack, a measurement gives a (B, outcomes)
+table, a fork is a row selection, and every shot of a level takes its
+outcome at once, from its own fresh uniforms (scripts) or given patterns.
+It returns a row table: its distinct paths and each shot's path. A step
+whose stack would outgrow `ROW_BUDGET` complex entries runs on chunks of
+rows. As in the paper, a primitive's classical side (the bits broadcast,
+the ebit used, the layer forced) does not depend on its outcome, so a
+measurement's follow-up ``after(engine)`` runs once per level. Through a
+fresh ebit, a teleportation or a remote controlled gate is, with its
+corrections, a channel whatever its outcomes (the identity onto the far
+half, or the controlled gate), and its outcomes have fixed laws (1/d^2, or
+1/2 per cat-entangler bit). So its step is a `_Law`: each shot draws its
+outcome from the law, no row forks, and the channel runs once per level.
+One through an ebit that a gate or a measurement touched since
+`distribute_ebit` is refused. `teleport_state`, `remote_controlled_gate`,
+`pingpong_run` (the one single-path OQT chain) and the engine's own
+measurements follow one path on an engine of one row (`_follow`, one
+``rng.choice`` per draw). `_announced` is the one announced measurement,
+shared by the runners and the CLI's script ops.
 
 The runners walk a few patterns and then draw their shots from a law. An
 oblivious primitive's outcomes say nothing of the program, so their laws
 are fixed: an ISI bit is 0 with probability 1/d, an OQT parity with 1/d^2.
 `oblivious._law_patterns` draws such bits, one fresh ``rng.random(shots)``
-per step, as ``rng.choice`` over the step's law would. It takes one CDF per
-step (a bit's is its edge), so it also draws sampled knitting's Pauli pair
-at each cut, whose law |c_i| / sum |c| is fixed too. Tri-party
-scheme I walks its 16 patterns once and draws from that law; scheme II
-walks its 16 equally likely paths. dbqc and ping-pong take unital programs
-only (`oblivious.check_unital`) and read their readout probabilities off
-the paper's parity law: after ISI bit b and s odd parities the branch
-state is alpha_s I + c_s rho(b, 0), with c_s = (-1)^s / (d^2-1)^s, and
-rho(1, 0) = (I - rho(0, 0)) / (d - 1). So `_unital_shots` simulates the
-all-trivial path alone, following it as `_follow` does, and forms every
-other branch's readout probability from it.
+per step, as ``rng.choice`` over the step's law would; it also draws
+sampled knitting's Pauli pair at each cut, of fixed law |c_i| / sum |c|.
+Tri-party scheme I walks its 16 patterns once and draws from their law;
+scheme II follows its one path and draws its 16 equally likely patterns.
+dbqc and ping-pong take unital programs only (`oblivious.check_unital`)
+and read their readout probabilities off the paper's parity law: after ISI
+bit b and s odd parities the branch state is alpha_s I + c_s rho(b, 0),
+with c_s = (-1)^s / (d^2-1)^s, and rho(1, 0) = (I - rho(0, 0)) / (d - 1).
+So `_unital_shots` simulates the all-trivial path alone, as `_follow`
+does, and forms every other branch's readout probability from it.
 """
 from __future__ import annotations
 
@@ -88,7 +77,7 @@ from .errors import (
     ResourceError,
     StateValidationError,
 )
-from .gates import CNOT, X, Z
+from .gates import X
 from .oblivious import (
     GeneralizedPauliBasis,
     OqtRecord,
@@ -116,7 +105,7 @@ from .qmath import (
     projector,
     traced_rows,
 )
-from .states import MixedState, PureState, bell_state
+from .states import MixedState, PureState
 
 @dataclass
 class Party:
@@ -164,19 +153,16 @@ class ProtocolEngine:
 
     An engine holds a stack of B branch states, its rows, on one register
     layout: a (B, D, D) array. The layout, the owners, the ebit registry and
-    the ledger belong to the engine and so to every row; each operation acts
-    on every row, and each reading (`state`, `reduced`, `probability`)
-    returns one entry per row. A fresh engine has one row; `_walk` makes
-    more, one per live branch of a depth.
+    the ledger are the engine's and so every row's; each operation acts on
+    every row, and each reading (`state`, `reduced`, `probability`) returns
+    one entry per row. A fresh engine has one row; `_walk` makes more.
 
-    A party is a name: the constructor takes the parties' names, and every
-    method that acts for a party takes its name. All multi-register
-    operations require a single owner. Raw vector and matrix states are
-    checked on allocation, and a forced measurement outcome must be one of
-    the measurement's outcomes. Cross-party correlations can only be
-    created by `distribute_ebit` or `transport`, which move a register to a
-    new owner and register an entanglement resource id; a runner refuses a
-    leaf that leaves one unconsumed (`ebits_unused`).
+    A party is a name, and every method that acts for a party takes it. A
+    multi-register operation requires a single owner. Cross-party
+    correlations come only from `distribute_ebit` or `transport`, which move
+    a register to a new owner and register an entanglement resource id; a
+    runner refuses a leaf that leaves one unconsumed (`ebits_unused`). An
+    ebit stays fresh (`is_fresh`) until a gate or a measurement touches it.
     """
 
     def __init__(self, *parties: str):
@@ -191,6 +177,7 @@ class ProtocolEngine:
         # Ebit id -> its registers; ids count up from 0.
         self._ebits: dict[int, tuple[str, ...]] = {}
         self._used: set[int] = set()
+        self._touched: set[str] = set()  # labels a gate or measurement acted on
         self.ledger = ResourceLedger()
 
     # -- layout plumbing --
@@ -214,8 +201,8 @@ class ProtocolEngine:
     def fork(self) -> ProtocolEngine:
         """An independent copy. The state array is shared: every operation
         rebinds ``_state`` to a new array and none writes into the one it
-        replaces. The owner map, the ebit registry with its used ids, and
-        the ledger are copied."""
+        replaces. The owner map, the ebit registry with its used ids and
+        touched labels, and the ledger are copied."""
         twin = object.__new__(ProtocolEngine)
         twin.parties = self.parties
         twin._layout = self._layout
@@ -223,6 +210,7 @@ class ProtocolEngine:
         twin._state = self._state
         twin._ebits = dict(self._ebits)
         twin._used = set(self._used)
+        twin._touched = set(self._touched)
         twin.ledger = ResourceLedger(**vars(self.ledger))
         return twin
 
@@ -337,6 +325,7 @@ class ProtocolEngine:
     ) -> int:
         na, nb = self._party(party_a), self._party(party_b)
         self._append_block([(label_a, d, na), (label_b, d, nb)], bell_projector(d))
+        self._touched -= {label_a, label_b}
         return self._register_ebit((label_a, label_b))
 
     def transport(self, label: str, to_party: str) -> int:
@@ -365,6 +354,10 @@ class ProtocolEngine:
     def is_consumed(self, eid: int) -> bool:
         return eid in self._used
 
+    def is_fresh(self, eid: int) -> bool:
+        """Whether ebit ``eid`` holds its Bell pair: no gate or measurement touched it."""
+        return self._touched.isdisjoint(self._ebits[eid])
+
     @property
     def ebits_unused(self) -> int:
         return len(self._ebits) - len(self._used)
@@ -379,6 +372,7 @@ class ProtocolEngine:
         """Take the registers a measurement consumed out of the layout and
         the owner map."""
         self._layout = plan.after
+        self._touched.update(plan.labels)
         for lab in plan.labels:
             del self._owner[lab]
 
@@ -386,9 +380,12 @@ class ProtocolEngine:
 
     def apply_local(self, party: str, matrix: np.ndarray, labels) -> None:
         self.check_owned(party, labels)
-        self._state = apply_on_targets(
-            matrix, self._state, list(labels), self.layout, conjugate=True
-        )
+        self._apply(matrix, labels)
+
+    def _apply(self, matrix: np.ndarray, labels) -> None:
+        """``matrix`` on the registers ``labels``, whoever holds them."""
+        self._state = apply_on_targets(matrix, self._state, list(labels), self.layout, conjugate=True)
+        self._touched.update(labels)
         self._touch()
 
     def broadcast(self, bits: int) -> None:
@@ -450,15 +447,13 @@ class ProtocolEngine:
             raise StateValidationError(f"measurement probabilities sum to {total[off][0]}")
         return probs
 
-    def _branch(self, rows, ks, plan, basis, table, after=None, correct=None) -> ProtocolEngine:
+    def _branch(self, rows, ks, plan, basis, table, after=None) -> ProtocolEngine:
         """This engine's rows ``rows`` collapsed on the outcomes ``ks`` (pairs
         sorted by row, then outcome), in that order. Outcome k's projector
         weights the trace of the measured registers on the rows that took
-        it, which are divided by their probabilities in ``table`` and, with
-        ``correct`` = (party, operators, labels), conjugated by operators[k]
-        on ``labels``. The layout and the owner map then change once, and
-        ``after(engine)`` does the outcome-free follow-up once for every row.
-        The engine is consumed."""
+        it, which are divided by their probabilities in ``table``. The layout
+        and the owner map then change once, and ``after(engine)`` does the
+        outcome-free follow-up once for every row. The engine is consumed."""
         weights = basis.weights(plan)
         dims = self._layout.dims
         taken = sorted(set(ks.tolist()))
@@ -472,8 +467,6 @@ class ProtocolEngine:
                 raise BranchError(f"measurement branch {k} has vanishing probability")
             state = traced_rows(self._rows(sel), dims, plan.collapse, weights[k])
             state /= probs[:, None, None]
-            if correct is not None:
-                state = apply_on_targets(correct[1][k], state, correct[2], plan.after, conjugate=True)
             if whole:
                 out = state
             else:
@@ -490,8 +483,8 @@ class _Basis(tuple):
     """A measurement's projectors, with what the engine contracts: the
     columns vec(P_k^T) of its outcome tables, and per plan each projector
     as its collapse's weight vec(W^T), W's factors in layout order. A
-    protocol builds its bases once (`_binary`, `_parity_basis`,
-    `_bell_basis`), so every run reuses what they formed."""
+    protocol builds its bases once (`_binary`, `_parity_basis`), so every
+    run reuses what they formed."""
 
     def __new__(cls, projectors):
         basis = super().__new__(cls, [as_complex(p) for p in projectors])
@@ -560,12 +553,11 @@ def _parity_basis(d: int) -> _Basis:
 # --- protocols as steps: the one walk ---
 
 # A protocol is a list of steps. A step does the outcome-free work before its
-# measurement on the level it is given (a `ProtocolEngine` holding one row
-# per live branch) and returns None if it measures nothing, else the
-# (rows, outcomes) probability table and branch(rows, ks): the level of the
-# rows ``rows`` after the outcomes ``ks``, corrected and with its
-# bookkeeping (broadcast, ebit, layer) done. A finish reads each row of a
-# leaf level.
+# draw on the level it is given (a `ProtocolEngine` holding one row per live
+# branch) and returns None if it draws nothing, a `_Law`, or the (rows,
+# outcomes) probability table and branch(rows, ks): the level of the rows
+# ``rows`` after the outcomes ``ks``, with its bookkeeping (broadcast, ebit,
+# layer) done. A finish reads each row of a leaf level.
 
 # Stacked states one step may hold, in complex entries: an engine whose rows
 # would outgrow it raises `_Split`, and the walk reruns the step on fewer
@@ -581,71 +573,82 @@ class _Split(Exception):
         self.rows = rows
 
 
-def _measured(eng: ProtocolEngine, party: str, basis: _Basis, labels, after=None, correct=None):
+def _measured(eng: ProtocolEngine, party: str, basis: _Basis, labels, after=None):
     """A step's measurement of ``labels`` in ``basis``: the table of every
     row's outcome probabilities, formed once, and branch(rows, ks) (see
-    `ProtocolEngine._branch`, with ``after`` its bookkeeping and
-    ``correct`` its correction, whose party must hold its registers)."""
+    `ProtocolEngine._branch`, with ``after`` its bookkeeping)."""
     table = eng._outcomes(party, basis, labels)
     plan = _plan(eng.layout, tuple(labels))
-    if correct is not None:
-        eng.check_owned(correct[0], correct[2])
 
     def branch(rows: np.ndarray, ks: np.ndarray) -> ProtocolEngine:
-        return eng._branch(rows, ks, plan, basis, table, after, correct)
+        return eng._branch(rows, ks, plan, basis, table, after)
 
     return table, branch
 
 
+class _Law(NamedTuple):
+    """An oblivious primitive's outcome: its law, one (1, outcomes) table for
+    every row, and ``after(level)``, its channel and bookkeeping."""
+
+    table: np.ndarray
+    after: object
+
+
 def _ranked(codes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The codes in [0, ``n``) that some entry of ``codes`` takes, in
-    increasing order, and each entry's rank among them: a table of every
-    code, ranked by its cumsum, no sort."""
+    increasing order, and each entry's rank among them: while ``n`` is at
+    most 4 per entry, a table of every code, ranked by its cumsum, no sort;
+    past that, `np.unique` of the entries."""
+    if n > 4 * len(codes):
+        return np.unique(codes, return_inverse=True)
     taken = np.zeros(n, dtype=bool)
     taken[codes] = True
-    return np.flatnonzero(taken), np.cumsum(taken)[codes] - 1
+    rank = np.cumsum(taken)[codes]
+    rank -= 1
+    return np.flatnonzero(taken), rank
 
 
 def _pattern_rows(columns, sizes) -> tuple[np.ndarray, np.ndarray]:
     """The distinct patterns that ``columns`` (column t in range(sizes[t]),
-    one entry per shot) hold, as rows in increasing mixed-radix order, and
-    each shot's index among them."""
-    codes = np.zeros(len(columns[0]), dtype=np.intp)
+    one entry per shot) hold, as rows in lexicographic order, and each shot's
+    row; ranked column by column, so no table of every pattern is formed."""
+    row_of_shot, count = np.zeros(len(columns[0]), dtype=np.intp), 1
     for column, size in zip(columns, sizes):
-        codes *= size
-        codes += column
-    kept, row_of_shot = _ranked(codes, math.prod(sizes))
-    return np.stack(np.unravel_index(kept, sizes), axis=1), row_of_shot
+        kept, row_of_shot = _ranked(row_of_shot * size + column, count * size)
+        count = len(kept)
+    first = np.empty(count, dtype=np.intp)
+    first[row_of_shot] = np.arange(len(row_of_shot))  # a shot of each row
+    return np.stack([column[first] for column in columns], axis=1, dtype=np.intp), row_of_shot
 
 
 def _walk(root, steps, finish, uniforms=None, patterns=None, tol=None):
     """Walk the shots of ``uniforms`` or ``patterns`` through ``steps`` from
-    ``root`` (an engine of one row) and return its leaves as a row table:
-    one row per leaf some shot reaches, numbered in the order their levels
-    finish, with its outcomes (a column per draw), path probability
-    (multiplied in step order from 1.0) and finish value; and each shot's
-    leaf. finish(level) returns one value per row, or None.
+    ``root`` (an engine of one row) and return a row table: one row per
+    distinct path some shot takes, with its outcomes (a column per draw),
+    path probability (multiplied in step order from 1.0, law outcomes last)
+    and finish value, and each shot's row. finish(level) returns one value
+    per row, or None.
 
     Level by level: a step runs once on a level, an engine holding every
-    live branch of its depth, one row each, and its table gives every row's
-    outcome row; with ``tol``, a row further than ``tol`` from summing to 1
-    raises BranchError. The next level is branch(rows, ks) of the (row,
-    outcome) pairs some shot takes, in that order: a child's path is its
-    parent's with k appended, its probability its parent's times
-    table[parent, k]. ``uniforms`` (a row per shot, a column per draw) give
-    each draw a fresh uniform u, and a shot on row r takes outcome k when
-    cdf[k-1] <= u < cdf[k] for the CDF of r's row as ``rng.choice`` forms
-    it: exactly ``rng.choice(k, p=row)``, as a script draws. ``patterns`` (a
-    row per shot) give the outcomes; one that is not a measurement's is
-    refused before the state changes.
-
-    An engine whose step would stack more than `ROW_BUDGET` entries raises
-    `_Split`, and the step reruns on chunks of rows that fit, walked depth
-    first.
+    live branch of its depth, one row each; with ``tol``, a table row
+    further than ``tol`` from summing to 1 raises BranchError. The next
+    level is branch(rows, ks) of the (row, outcome) pairs some shot takes:
+    a child's path is its parent's with k appended, its probability its
+    parent's times table[parent, k]. A `_Law` step forks nothing: each
+    shot's outcome is kept per shot and after(level) runs once, and at the
+    end `_pattern_rows` ranks the law outcomes beside each shot's leaf.
+    ``uniforms`` (a row per shot, a column per draw) give each draw a fresh
+    uniform u, and a shot takes outcome k when cdf[k-1] <= u < cdf[k] for
+    its row's CDF as ``rng.choice`` forms it: exactly ``rng.choice(k,
+    p=row)``. ``patterns`` (a row per shot) give the outcomes; one that is
+    not a measurement's is refused before the state changes. A step that
+    would stack more than `ROW_BUDGET` entries raises `_Split`, and reruns
+    on chunks of rows that fit, walked depth first.
     """
     shots = len(uniforms if patterns is None else patterns)
     leaf_of_shot = np.empty(shots, dtype=np.intp)
     leaves, count = [], 0  # each finished level's (paths, probabilities, values), and their rows
+    laws = {}  # each law draw's law and every shot's outcome of it
 
     def descend(table: np.ndarray, draw: int, row: np.ndarray, shot: np.ndarray) -> np.ndarray:
         """The (row, outcome) code each shot of a chunk takes at the draw-th
@@ -668,6 +671,8 @@ def _walk(root, steps, finish, uniforms=None, patterns=None, tol=None):
             ks = np.zeros(len(u), dtype=np.intp)
             for j in range(n - 1):
                 ks += u >= np.take(cdf[:, j], row)
+            ks += row * n
+            return ks
         return row * n + ks
 
     # Chunks to walk, depth first: (level, depth, each row's outcome path and
@@ -676,16 +681,23 @@ def _walk(root, steps, finish, uniforms=None, patterns=None, tol=None):
     stack = [(root, 0, path, prob, np.zeros(shots, dtype=np.intp), np.arange(shots))]
     while stack:
         level, start, path, prob, row, shot = stack.pop()
-        work = level.fork()
+        work, laid = level.fork(), path  # laid: path with a column held for each law draw
         try:
             for depth in range(start, len(steps)):
                 measurement = steps[depth](work)
-                if measurement is not None:
+                if isinstance(measurement, _Law):
+                    draw = laid.shape[1]
+                    if draw not in laws:  # an outcome is below d^2 <= MAX_STATE_DIM
+                        laws[draw] = (measurement.table[0], np.empty(shots, dtype=np.int16))
+                    laws[draw][1][shot] = descend(measurement.table, draw, np.zeros(1, dtype=np.intp), shot)
+                    measurement.after(work)
+                    laid = np.pad(laid, ((0, 0), (0, 1)))
+                elif measurement is not None:
                     break
             else:
                 found = finish(work)
                 values = np.zeros(len(prob)) if found is None else np.asarray(found, dtype=float)
-                leaves.append((path, prob, values))
+                leaves.append((laid, prob, values))
                 leaf_of_shot[shot] = count + row
                 count += len(prob)
                 continue
@@ -698,20 +710,25 @@ def _walk(root, steps, finish, uniforms=None, patterns=None, tol=None):
             continue
         table, branch = measurement
         n = table.shape[1]
-        pairs, row = _ranked(descend(table, path.shape[1], row, shot), len(table) * n)
+        pairs, row = _ranked(descend(table, laid.shape[1], row, shot), len(table) * n)
         parents, ks = pairs // n, pairs % n
-        grown = np.empty((len(pairs), path.shape[1] + 1), dtype=np.int16)
-        grown[:, :-1] = path[parents]
+        grown = np.empty((len(pairs), laid.shape[1] + 1), dtype=np.int16)
+        grown[:, :-1] = laid[parents]
         grown[:, -1] = ks
         stack.append((branch(parents, ks), depth + 1, grown, prob[parents] * np.take(table, pairs), row, shot))
     outcomes, probs, values = (np.concatenate(column) for column in zip(*leaves))
-    return outcomes, probs, values, leaf_of_shot
+    drawn, row_of_shot = _pattern_rows([leaf_of_shot, *(ks for _, ks in laws.values())],
+                                       [count, *(len(law) for law, _ in laws.values())])
+    outcomes, probs, values = outcomes[drawn[:, 0]], probs[drawn[:, 0]], values[drawn[:, 0]]
+    for j, (draw, (law, _)) in enumerate(laws.items(), start=1):
+        outcomes[:, draw] = drawn[:, j]
+        probs *= law[drawn[:, j]]
+    return outcomes, probs, values, row_of_shot
 
 
 def _sample(engine: ProtocolEngine, steps, finish, patterns):
     """`_walk` the outcome ``patterns`` of a protocol with each row within 1e-9 / len(steps) of 1
-    (a full expansion within 1e-9): each pattern's path probability and finish value, read from
-    the walk's leaves at each pattern's leaf, and the leaves' ledger."""
+    (a full expansion within 1e-9): each pattern's path probability and finish value, and the ledger."""
     ledgers = []
 
     def leaf(eng: ProtocolEngine):
@@ -766,9 +783,9 @@ def _unital_shots(protocol, d: int, isi: bool, shots: int, rng: np.random.Genera
 
 def _follow(engine: ProtocolEngine, steps, rng, forced, tol=None) -> list[int]:
     """The outcomes of one path of ``steps`` run on ``engine`` itself (one
-    row), each drawn as ``rng.choice(k, p=row)`` (the engine's single-path
-    draw), or taken from ``forced``. With ``tol``, a row further than
-    ``tol`` from summing to 1 raises BranchError, as in `_walk`."""
+    row), each drawn as ``rng.choice(k, p=row)`` (a `_Law`'s row is its law)
+    or taken from ``forced``. With ``tol``, a row further than ``tol`` from
+    summing to 1 raises BranchError, as in `_walk`."""
     if (rng is None) == (forced is None):
         raise EstimationError("pass exactly one of rng or forced")
     if len(engine) != 1:
@@ -787,7 +804,10 @@ def _follow(engine: ProtocolEngine, steps, rng, forced, tol=None) -> list[int]:
             k = forced[len(outcomes)]
             if k not in range(len(row)):
                 raise BranchError(f"forced outcome {k} is not one of 0..{len(row) - 1}")
-        branch(np.zeros(1, dtype=np.intp), np.array([k]))
+        if isinstance(measurement, _Law):
+            branch(engine)
+        else:
+            branch(np.zeros(1, dtype=np.intp), np.array([k]))
         outcomes.append(k)
     return outcomes
 
@@ -804,19 +824,8 @@ def _paulis(d: int) -> np.ndarray:
     return stack
 
 
-@functools.lru_cache(maxsize=None)
-def _bell_basis(d: int) -> _Basis:
-    """The projectors onto (sigma_i x I)|omega> for the `_paulis` sigma_i,
-    built once per d; read-only."""
-    omega = bell_state(d).amplitudes
-    projs = [projector(np.kron(sig, np.eye(d)) @ omega) for sig in _paulis(d)]
-    for proj in projs:
-        proj.flags.writeable = False
-    return _Basis(projs)
-
-
 def _ebit_ends(engine: ProtocolEngine, ebit: int, near_label: str) -> tuple[str, str]:
-    """The two registers of an unused ebit, the one held with ``near_label`` first."""
+    """The two registers of an unused, fresh ebit, the one held with ``near_label`` first."""
     regs = engine._ebits.get(ebit)
     if regs is None:
         raise ResourceError(f"ebit {ebit} was never distributed")
@@ -824,6 +833,8 @@ def _ebit_ends(engine: ProtocolEngine, ebit: int, near_label: str) -> tuple[str,
         raise ResourceError(f"ebit {ebit} already consumed")
     if len(regs) != 2:
         raise ResourceError(f"ebit {ebit} is not a two-register ebit")
+    if not engine.is_fresh(ebit):
+        raise ResourceError(f"ebit {ebit} was touched since it was distributed")
     ea, eb = regs
     if engine.owner(ea) != engine.owner(near_label):
         ea, eb = eb, ea
@@ -831,19 +842,27 @@ def _ebit_ends(engine: ProtocolEngine, ebit: int, near_label: str) -> tuple[str,
 
 
 def _teleport(state_label: str, ebit: int):
-    """The step that teleports ``state_label`` through ``ebit``: a joint
-    measurement with d^2 outcomes, then the byproduct correction."""
+    """The step that teleports ``state_label`` through the fresh ``ebit``: d^2
+    outcomes of law 1/d^2, then its channel, the identity onto the far half
+    (a swap into it, and the trace of the pair, a tensor factor, now in the
+    source and the near half), with its measurement's bookkeeping."""
 
     def step(eng: ProtocolEngine):
         ea, eb = _ebit_ends(eng, ebit, state_label)
-        source = eng.check_owned(eng.owner(state_label), [state_label, ea])
-        dest = eng.owner(eb)
+        _plan(eng.layout, (state_label, ea, eb))  # refuses a repeated register
+        eng.check_owned(eng.owner(state_label), [state_label, ea])
         d = eng.layout.dim(state_label)
         if eng.layout.dim(ea) != d:
             raise DimensionError("ebit dimension does not match the state register")
         bits = 2 * math.ceil(math.log2(d))
-        return _announced(eng, source, _bell_basis(d), [state_label, ea], bits, ebit=ebit,
-                          correct=(dest, _paulis(d), [eb]))
+        swap = np.eye(d * d)[np.arange(d * d).reshape(d, d).T.ravel()]  # |i, j> -> |j, i>
+
+        def after(eng: ProtocolEngine) -> None:
+            eng._apply(swap, [state_label, eb])
+            eng.discard([state_label, ea])
+            _announce(eng, bits, ebit=ebit, corrected=True)
+
+        return _Law(np.full((1, d * d), 1.0 / (d * d)), after)
 
     return step
 
@@ -855,48 +874,44 @@ def teleport_state(
     rng: np.random.Generator | None = None,
     forced: int | None = None,
 ) -> tuple[str, int]:
-    """Teleport a register through a distributed ebit.
-
-    The joint measurement uses the basis (sigma_i x I)|omega>, after which the
-    destination holds sigma_i^dag psi; the correction is sigma_i.  Returns
-    (destination label, byproduct index).
-    """
+    """Teleport a register through a fresh distributed ebit: the joint
+    measurement in the basis (sigma_i x I)|omega> leaves the destination
+    holding sigma_i^dag psi, and the correction sigma_i makes it the identity
+    channel whatever i, of law 1/d^2. So i is drawn from that law (or
+    ``forced``) and the channel applied. Returns (destination label, i)."""
     _, dest = _ebit_ends(engine, ebit, state_label)
     forced = None if forced is None else [forced]
     (idx,) = _follow(engine, [_teleport(state_label, ebit)], rng, forced)
     return dest, idx
 
 
-_Z_BASIS, _X_BASIS = _binary(np.diag([1.0, 0.0])), _binary(np.full((2, 2), 0.5))
-_X_POWERS, _Z_POWERS = (np.eye(2), X), (np.eye(2), Z)  # X^m and Z^m for m = 0, 1
-
-
 def _cat_entangler(control_label: str, target_label: str, ebit: int, gate: np.ndarray):
-    """The two steps of a controlled ``gate`` across two parties through one
-    ebit: the Z measurement of the control side's ebit half, then the X
-    measurement of the target side's half (see `remote_controlled_gate`)."""
+    """The two steps of a controlled ``gate`` through one fresh ebit: the
+    cat-entangler's bits m1 and m2, of law 1/2 each; the first also applies
+    its channel, the gate on (control, target), the pair traced out."""
     ctrl = controlled_gate(gate)
 
-    def z_step(eng: ProtocolEngine):
+    def m1_step(eng: ProtocolEngine):
         ea, eb = _ebit_ends(eng, ebit, control_label)
-        pa = eng.check_owned(eng.owner(control_label), [control_label, ea])
-        pb = eng.check_owned(eng.owner(target_label), [target_label, eb])
+        _plan(eng.layout, (control_label, target_label, ea, eb))  # refuses a repeated register
+        eng.check_owned(eng.owner(control_label), [control_label, ea])
+        eng.check_owned(eng.owner(target_label), [target_label, eb])
         if eng.layout.dim(control_label) != 2 or eng.layout.dim(ea) != 2:
             raise DimensionError("the cat-entangler control and ebit must be qubits")
         if gate.shape != (eng.layout.dim(target_label),) * 2 or not is_unitary(gate):
             raise StateValidationError("the controlled gate must be unitary on the target")
-        eng.apply_local(pa, CNOT, [control_label, ea])
-        return _announced(eng, pa, _Z_BASIS, [ea], correct=(pb, _X_POWERS, [eb]))
 
-    def x_step(eng: ProtocolEngine):
-        # The Z measurement consumed the control side's half.
-        (eb,) = [lab for lab in eng._ebits[ebit] if lab in eng._owner]
-        pa = eng.owner(control_label)
-        pb = eng.check_owned(eng.owner(target_label), [target_label, eb])
-        eng.apply_local(pb, ctrl, [eb, target_label])
-        return _announced(eng, pb, _X_BASIS, [eb], ebit=ebit, correct=(pa, _Z_POWERS, [control_label]))
+        def after(eng: ProtocolEngine) -> None:
+            eng.discard([ea, eb])
+            eng._apply(ctrl, [control_label, target_label])
+            _announce(eng, corrected=True)
 
-    return [z_step, x_step]
+        return _Law(np.full((1, 2), 0.5), after)
+
+    def m2_step(eng: ProtocolEngine):
+        return _Law(np.full((1, 2), 0.5), lambda eng: _announce(eng, ebit=ebit, corrected=True))
+
+    return [m1_step, m2_step]
 
 
 def remote_controlled_gate(
@@ -909,18 +924,15 @@ def remote_controlled_gate(
     forced: tuple[int, int] | None = None,
 ) -> tuple[int, int]:
     """Apply a controlled ``gate`` (default X, a nonlocal CNOT) across two
-    parties through one ebit and two broadcast bits.
-
-    Cat-entangler construction: CNOT the control onto the local ebit half,
-    Z-measure it (outcome m1, correction X^m1 on the remote half), apply the
-    controlled gate locally at the target side, X-measure the remote half
-    (outcome m2, correction Z^m2 on the control).  Both corrections count as
-    byproduct events regardless of outcome. Exactly one of ``rng`` and
-    ``forced`` (the pair (m1, m2)) selects the path. Returns (m1, m2).
-    """
+    parties through one fresh ebit and two broadcast bits: the cat-entangler
+    CNOTs the control onto the local ebit half, Z-measures it (m1, correction
+    X^m1 on the remote half), applies the controlled gate at the target side
+    and X-measures the remote half (m2, correction Z^m2 on the control).
+    That is the controlled gate whatever (m1, m2), each of law 1/2, so the
+    bits are drawn from their law (or ``forced``, the pair) and the gate
+    applied; both corrections count as byproduct events. Returns (m1, m2)."""
     gate = X if gate is None else as_complex(gate)
-    steps = _cat_entangler(control_label, target_label, ebit, gate)
-    m1, m2 = _follow(engine, steps, rng, forced)
+    m1, m2 = _follow(engine, _cat_entangler(control_label, target_label, ebit, gate), rng, forced)
     return m1, m2
 
 
@@ -940,27 +952,24 @@ class DbqcResult:
     row_of_shot: np.ndarray
 
 
-def _announced(
-    eng: ProtocolEngine, party: str, basis, labels, bits: int = 1, oqt: bool = False,
-    ebit: int | None = None, correct=None,
-):
-    """The measurement ``basis`` on ``labels``, which it consumes, and the
-    broadcast of ``bits`` bits of its outcome; ``oqt`` counts it as an OQT
-    link, ``ebit`` is the ebit it consumes, and ``correct`` = (party,
-    operators, labels) is its byproduct correction, a counted event and a
+def _announce(eng: ProtocolEngine, bits=1, oqt=False, ebit=None, corrected=False) -> None:
+    """A primitive's classical side, which no outcome changes: the broadcast
+    of ``bits`` bits, an OQT link with ``oqt``, the ebit it consumes, and
+    with ``corrected`` its byproduct correction, a counted event and a
     forced layer whatever the outcome."""
+    eng.broadcast(bits)
+    if oqt:
+        eng.record_oqt()
+    if ebit is not None:
+        eng.consume_ebit(ebit)
+    if corrected:
+        eng.ledger.qt_corrections += 1
+        eng.force_layer()
 
-    def announce(eng: ProtocolEngine) -> None:
-        eng.broadcast(bits)
-        if oqt:
-            eng.record_oqt()
-        if ebit is not None:
-            eng.consume_ebit(ebit)
-        if correct is not None:
-            eng.ledger.qt_corrections += 1
-            eng.force_layer()
 
-    return _measured(eng, party, basis, labels, announce, correct)
+def _announced(eng: ProtocolEngine, party: str, basis, labels, bits=1, oqt=False, ebit=None):
+    """The measurement ``basis`` on ``labels``, which it consumes, and its `_announce`."""
+    return _measured(eng, party, basis, labels, lambda eng: _announce(eng, bits, oqt, ebit))
 
 
 def _isi(party: str, program: ChoiProgram, psi: PureState, out: str, inp: str):
@@ -1146,7 +1155,7 @@ def controlled_block(u: np.ndarray, db: int) -> np.ndarray:
 
 def _triparty_scheme2_protocol(a: Party, b: Party, gate: np.ndarray, psi_o: PureState):
     """Scheme II's engine, steps (the cat-entangler's m1 and m2, then the
-    teleportation of A's register to B) and finish."""
+    teleportation of A's register to B, each a `_Law`) and finish."""
     eng = ProtocolEngine(a.name, b.name)
     eng.alloc(a.name, "qa", a.states[0])
     eng.alloc(b.name, "qb", b.states[0])
@@ -1166,30 +1175,24 @@ def _triparty_scheme2_protocol(a: Party, b: Party, gate: np.ndarray, psi_o: Pure
 
 def _run_triparty_scheme2(a: Party, b: Party, c: Party, shots: int, rng: np.random.Generator):
     gate = controlled_block(unitary_of_choi(c.programs[0]), b.states[0].dim)
-    protocol = _triparty_scheme2_protocol(a, b, gate, c.states[0])
-    # Every (m1, m2, teleport) path, each walked once, has the same
-    # probability, so shots draw their pattern uniformly.
-    patterns = np.array(list(itertools.product((0, 1), (0, 1), range(4))))
-    probs, qvals, ledger = _sample(*protocol, patterns)
-    if np.abs(probs - 1.0 / len(probs)).max() > 1e-9:
-        raise BranchError("scheme II path probabilities are not uniform")
-    if np.ptp(qvals) > 1e-10:
-        raise StateValidationError("byproduct paths disagree after correction")
-    q = float(qvals.mean())
-
-    idx = rng.choice(len(probs), size=shots)
-    y = rng.random(shots) >= q
-    drawn, row_of_shot = _pattern_rows([idx, y], (len(probs), 2))
-    path, y = drawn.T
+    engine, steps, finish = _triparty_scheme2_protocol(a, b, gate, c.states[0])
+    # The cat-entangler's bits and the qubit teleportation's outcome are
+    # oblivious: the protocol is one path, its channel, and each of its
+    # 2 x 2 x 4 (m1, m2, teleport) patterns has probability 1/16.
+    _follow(engine, steps, None, [0, 0, 0])
+    (q,) = _finished(engine, finish)
+    path = np.unravel_index(rng.choice(16, size=shots), (2, 2, 4))
+    drawn, row_of_shot = _pattern_rows([*path, rng.random(shots) >= q], (2, 2, 4, 2))
+    m1, m2, teleport, y = drawn.T
     estimate, stderr = mean_stderr((y == 0).astype(float)[row_of_shot])
     return TripartyResult(
         scheme="II",
         estimate=estimate,
         stderr=stderr,
-        ledger=ledger,
+        ledger=engine.ledger,
         shots=shots,
         kept=shots,
-        rows={"m1": patterns[path, 0], "m2": patterns[path, 1], "teleport": patterns[path, 2], "y": y},
+        rows={"m1": m1, "m2": m2, "teleport": teleport, "y": y},
         row_of_shot=row_of_shot,
     )
 
@@ -1321,8 +1324,7 @@ def _knit_propagate(circuit: KnitCircuit, factor: np.ndarray, ops, patterns: np.
     row's k in column t: the stack of propagated terms, and each row's index
     in it. Terms that share a prefix share its propagation: at each cut only
     the (prefix, k) pairs some row takes go on, ranked by `_ranked` as
-    `_walk` ranks its taken (row, outcome) pairs while its table holds at
-    most 4 codes per row, and by `np.unique` of the rows' codes past that."""
+    `_walk` ranks its taken (row, outcome) pairs."""
     layout, row, f, t = circuit.layout, np.zeros(len(patterns), dtype=np.intp), factor[None], 0
     for g in circuit.gates:
         labels = [f"q{q}" for q in g.targets]
@@ -1330,11 +1332,7 @@ def _knit_propagate(circuit: KnitCircuit, factor: np.ndarray, ops, patterns: np.
             f = apply_on_targets(g.matrix, f, labels, layout)
             continue
         n = int(patterns[:, t].max()) + 1
-        codes = row * n + patterns[:, t]
-        if len(f) * n <= 4 * len(codes):
-            kept, row = _ranked(codes, len(f) * n)
-        else:
-            kept, row = np.unique(codes, return_inverse=True)
+        kept, row = _ranked(row * n + patterns[:, t], len(f) * n)
         parent, k = np.divmod(kept, n)
         child = np.empty((len(k),) + f.shape[1:], dtype=complex)
         for o in np.flatnonzero(np.bincount(k, minlength=n)):

@@ -128,3 +128,16 @@ def test_engine_microbench_times_every_walk_row(monkeypatch):
         row = microbench.measure_walk(obliq, name, repeat=1)
         assert set(row) == {"us", "peak_mb"}
         assert all(math.isfinite(v) and v > 0 for v in row.values()), name
+
+
+def test_engine_microbench_times_every_hops_row(monkeypatch):
+    microbench = _microbench(monkeypatch)
+    monkeypatch.setattr(microbench, "HOP_SHOTS", 50)
+    import obliq.cli  # noqa: F401  (binds obliq.cli)
+    import obliq
+
+    assert microbench.HOPS == {"hops.d5.k4": (5, 4)}
+    for name in microbench.HOPS:
+        row = microbench.measure_hops(obliq, name, repeat=1)
+        assert set(row) == {"us", "peak_mb"}
+        assert all(math.isfinite(v) and v > 0 for v in row.values()), name

@@ -505,9 +505,7 @@ def _minimal_triparty_scheme2():
 
 
 @pytest.mark.parametrize(
-    "sc",
-    [_minimal_dbqc(), _minimal_triparty_scheme1(), _minimal_triparty_scheme2()],
-    ids=["dbqc", "triparty-I", "triparty-II"],
+    "sc", [_minimal_dbqc(), _minimal_triparty_scheme1()], ids=["dbqc", "triparty-I"]
 )
 def test_bad_path_probability_is_not_renormalized(tmp_path, monkeypatch, capsys, sc):
     from obliq.distributed import ProtocolEngine
@@ -748,6 +746,39 @@ def test_a_script_that_leaks_an_ebit_is_refused(tmp_path, capsys):
     teleport = _write(tmp_path, "teleport.json", _script_teleport())
     assert main(["run", teleport, "--validate-only"]) == 0
     assert main(["run", teleport, "--out", str(tmp_path / "teleport")]) == 0
+
+
+def _touched_ebit_script(op, half):
+    """An ebit distributed as "link", its half ``half`` ("ea" at alice,
+    "eb" at bob) rotated by its holder, and then a teleportation or a remote
+    CNOT through it."""
+    holder = {"ea": "alice", "eb": "bob"}[half]
+    steps = [
+        {"op": "prepare_state", "party": "alice", "label": "psi", "state": {"basis": 0, "dim": 2}},
+        {"op": "prepare_state", "party": "bob", "label": "t", "state": {"basis": 0, "dim": 2}},
+        {"op": "distribute_ebit", "party_a": "alice", "party_b": "bob",
+         "label_a": "ea", "label_b": "eb", "resource": "link"},
+        {"op": "local_gate", "party": holder, "gate": "H", "labels": [half]},
+    ]
+    if op == "bell_measure_qt":
+        steps.append({"op": op, "party": "alice", "state_label": "psi", "resource": "link"})
+    else:
+        steps.append({"op": op, "party": "alice", "control": "psi", "target": "t", "resource": "link"})
+    return dict(_script_teleport(), steps=steps)
+
+
+@pytest.mark.parametrize("half", ["ea", "eb"])
+@pytest.mark.parametrize("op", ["bell_measure_qt", "remote_cnot"])
+def test_a_script_through_a_touched_ebit_is_refused(tmp_path, capsys, op, half):
+    """A teleportation or remote CNOT is simulated as its channel, which it
+    is only through a fresh ebit: one whose half a gate touched since its
+    distribute step is refused with exit 4, naming its resource id."""
+    path = _write(tmp_path, "touched-ebit.json", _touched_ebit_script(op, half))
+    out = tmp_path / "never"
+    for args in (["validate", path], ["run", path, "--validate-only"], ["run", path, "--out", str(out)]):
+        assert main(args) == 4
+        assert "step 4: ebit link was touched since it was distributed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_a_measured_register_is_gone(tmp_path, capsys):

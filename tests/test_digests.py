@@ -333,7 +333,8 @@ def _walk_digest(protocol, **draws) -> str:
 
 
 def _scheme2_walk() -> tuple:
-    """Scheme II with a qutrit at B, walked over its 16 patterns."""
+    """Scheme II with a qutrit at B, drawn over its 16 patterns: each is a
+    law outcome, so the walk holds one row."""
     rng = np.random.default_rng(20261023)
 
     def pure(vec):
@@ -382,11 +383,12 @@ def _script_walk() -> tuple:
     return (engine, walker), {"uniforms": rng.random((300, 5))}
 
 
-# sha256 of `_walk_digest`, computed when each outcome's follow-up ran on an
-# engine of its own and the outcomes were stitched back into one stack.
+# sha256 of `_walk_digest`, computed when teleportations and remote CNOTs
+# through fresh ebits became their channels (law outcomes that fork no row),
+# after the script walk matched the dense reference (`dense`).
 WALKS = {
-    "scheme2": "dd8821ef8c6f17614814c9fd03ed048c6ed0f4033f2984cde0eefb2bbc471008",
-    "script": "1458eab07335bd8873beb740bca657901f684ae7f1a3530061dd52ca19450356",
+    "scheme2": "575ffbbcd4d3aef719e0f8a798934c1c8e1c9e7560ef024440effbe3084ca5fd",
+    "script": "3ae27532eb110b39d292f5a60c4973ea714306c1fe9ef17398c09c5a94291e05",
 }
 
 

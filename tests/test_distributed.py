@@ -280,6 +280,66 @@ def test_teleport_dim_mismatch():
         teleport_state(eng, "s", eid, forced=0)
 
 
+def test_teleport_draws_its_law_and_moves_the_register():
+    """A drawn teleportation takes its outcome as ``rng.choice`` over the
+    law 1/d^2 does and leaves the generator where that call leaves it; the
+    far half then holds what the source held, its correlations with a
+    bystander included."""
+    for d in (2, 3, 4, 5):
+        states = np.random.default_rng(410 + d)
+        rng, ref = np.random.default_rng(d), np.random.default_rng(d)
+        for _ in range(10):
+            eng = ProtocolEngine("a", "b")
+            eng.alloc("a", "r", random_statevector(2, states))
+            eng.alloc("a", "s", random_statevector(d, states))
+            eng.apply_local("a", random_unitary(2 * d, states), ["r", "s"])
+            before = eng.reduced(["r", "s"])
+            eid = eng.distribute_ebit("a", "b", "ea", "eb", d)
+            dest, idx = teleport_state(eng, "s", eid, rng=rng)
+            assert idx == ref.choice(d * d, p=np.full(d * d, 1.0 / d**2))
+            assert dest == "eb" and eng.owner("eb") == "b"
+            assert set(eng.layout.labels) == {"r", "eb"}
+            assert np.abs(eng.reduced(["r", "eb"]) - before).max() <= 1e-12
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def _touched(touch):
+    """An engine with a state at "a", a target at "b" and an ebit whose
+    halves "ea" (at "a") and "eb" (at "b") ``touch`` then acts on."""
+    eng = ProtocolEngine("a", "b")
+    eng.alloc("a", "s", _pure(plus_state()))
+    eng.alloc("b", "t", basis_state(0, 2, label="t"))
+    eid = eng.distribute_ebit("a", "b", "ea", "eb")
+    touch(eng)
+    return eng, eid
+
+
+TOUCHES = {
+    "gate-near": lambda eng: eng.apply_local("a", named_gate("H"), ["ea"]),
+    "gate-far": lambda eng: eng.apply_local("b", named_gate("X"), ["eb"]),
+    "measure-near": lambda eng: eng.measure_binary("a", np.diag([1.0, 0.0]), ["ea"], forced=0),
+}
+
+
+@pytest.mark.parametrize("touch", sorted(TOUCHES))
+def test_a_teleport_or_remote_gate_through_a_touched_ebit_is_refused(touch):
+    """An ebit that a gate or a measurement touched since `distribute_ebit`
+    no longer holds its Bell pair, so a teleportation or remote gate through
+    it would not be its channel: both are refused before the state changes.
+    An untouched one runs."""
+    for run in (lambda eng, eid: teleport_state(eng, "s", eid, forced=0),
+                lambda eng, eid: remote_controlled_gate(eng, "s", "t", eid, forced=(0, 0))):
+        eng, eid = _touched(TOUCHES[touch])
+        assert not eng.is_fresh(eid)
+        before = _engine_view(eng)
+        with pytest.raises(ResourceError, match=f"ebit {eid} was touched since it was distributed"):
+            run(eng, eid)
+        _assert_view_unchanged(eng, before)
+        eng, eid = _touched(lambda eng: eng.apply_local("a", named_gate("H"), ["s"]))
+        assert eng.is_fresh(eid)
+        run(eng, eid)
+
+
 # --- remote controlled gates ---
 
 

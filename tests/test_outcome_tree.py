@@ -286,6 +286,10 @@ def test_triparty_scheme1_tree_matches_one_pass_per_pattern(seed, dims, kraus):
 @TREE
 @given(seed=SEEDS, db=st.integers(2, 3), n_local=st.integers(0, 2))
 def test_triparty_scheme2_tree_matches_one_pass_per_pattern(seed, db, n_local):
+    """Scheme II's steps are its cat-entangler bits and its teleportation,
+    each drawn from its law with its channel applied: every pattern has
+    probability 1/16 and, within 1e-12, the readout and ledger of the
+    cat-entangler and teleportation measured and corrected along it."""
     rng = np.random.default_rng(seed)
     a = Party(
         "a",
@@ -300,10 +304,14 @@ def test_triparty_scheme2_tree_matches_one_pass_per_pattern(seed, db, n_local):
     gate = random_unitary(db, rng)
     psi_o = _pure(random_statevector(2 * db, rng))
     patterns = list(itertools.product((0, 1), (0, 1), range(4)))
-    leaves = _walk_all(dist._triparty_scheme2_protocol(a, b, gate, psi_o), patterns)
+    got, probs, qvals, ledger = _walk_all(dist._triparty_scheme2_protocol(a, b, gate, psi_o), patterns)
     references = [_triparty_scheme2_reference(a, b, gate, psi_o, pat) for pat in patterns]
-    _assert_leaves_equal(leaves, patterns, references)
-    assert all(abs(p - 1 / 16) <= 1e-9 for p, _, _ in references)
+    assert got.tolist() == [list(pat) for pat in patterns]
+    assert probs.tolist() == [1 / 16] * 16
+    for q, (p, want_q, want_ledger) in zip(qvals, references):
+        assert abs(p - 1 / 16) <= 1e-9
+        assert abs(q - want_q) <= 1e-12
+        assert ledger == want_ledger
 
 
 @TREE
@@ -840,6 +848,66 @@ def test_script_tree_matches_one_run_per_shot(seed, d, blocks, final, shots):
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+# --- oblivious primitives fork no row ---
+
+
+def _hops_script(d, hops, shots):
+    """A d-dimensional state teleported ``hops`` times, back and forth
+    between alice and bob, through fresh ebits, then measured."""
+    rng = np.random.default_rng(10 * d + hops)
+    parties = ["alice", "bob"]
+    steps = [{"op": "prepare_state", "party": "alice", "label": "e0b", "state": _vector(rng, d)}]
+    for k in range(1, hops + 1):
+        me, other = parties[(k - 1) % 2], parties[k % 2]
+        steps += [
+            {"op": "distribute_ebit", "party_a": me, "party_b": other, "label_a": f"e{k}a",
+             "label_b": f"e{k}b", "resource": k, "dim": d},
+            {"op": "bell_measure_qt", "party": me, "state_label": f"e{k - 1}b", "resource": k},
+        ]
+    steps.append({"op": "final_measure", "party": parties[hops % 2], "labels": [f"e{hops}b"],
+                  "state": _vector(rng, d)})
+    return {"version": 1, "kind": "script", "seed": hops, "shots": shots, "parties": parties,
+            "steps": steps}
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_teleport_hops_hold_one_walk_row_until_the_final_measurement(d):
+    """Teleportations through fresh ebits are law outcomes that fork no row:
+    a k-hop script's walk runs every step on one row, its final measurement
+    included, for any number of shots, and its records still take every
+    teleportation's d^2 outcomes."""
+    for hops in range(1, 7):
+        sc = cli.validate_scenario(_hops_script(d, hops, 4000))
+        rows = []
+
+        def counted(step):
+            return lambda eng: rows.append(len(eng)) or step(eng)
+
+        steps = [counted(step) for _, op_steps in sc["steps"] for step in op_steps]
+        uniforms = np.random.default_rng(hops).random((sc["shots"], hops + 1))
+        outcomes, _, _, row_of_shot = dist._walk(ProtocolEngine(*sc["parties"]), steps, lambda eng: None, uniforms)
+        assert rows == [1] * len(steps)
+        per_shot = outcomes[row_of_shot]
+        assert all(len(np.unique(per_shot[:, k])) == d * d for k in range(hops))
+
+
+def test_scheme2_collapses_no_row(monkeypatch):
+    """Scheme II's cat-entangler bits and teleportation are its only
+    outcomes, all oblivious: its run follows one path and collapses no row."""
+    calls = []
+    branch = ProtocolEngine._branch
+    monkeypatch.setattr(ProtocolEngine, "_branch", lambda eng, *args: calls.append(1) or branch(eng, *args))
+    rng = np.random.default_rng(12)
+    for db in (2, 3):
+        a = Party("a", programs=[choi_of(random_unitary(2, rng))], states=[_pure(random_statevector(2, rng))])
+        b = Party("b", programs=[choi_of(random_unitary(db, rng))], states=[_pure(random_statevector(db, rng))])
+        c = Party("c", programs=[choi_of(oblivious.controlled_gate(random_unitary(db, rng)))],
+                  states=[_pure(random_statevector(2 * db, rng))])
+        res = dist.run_triparty("II", a, b, c, 2000, rng)
+        assert len(res.rows["m1"]) > 1
+    assert calls == []
+
+
 # --- scripts against the dense reference ---
 
 SCRIPT_BLOCKS = st.lists(st.sampled_from(["oqt", "local", "teleport", "cnot"]), max_size=3).filter(
@@ -1041,9 +1109,8 @@ def test_outcome_free_follow_up_runs_once_per_level(monkeypatch):
     """A measurement's follow-up is data. ``after``, the bookkeeping that no
     outcome changes, runs once on a level however many outcomes its rows
     take, and the level stays one engine: the walk forks once per level and
-    `_branch` forks none. A correction's operators[k] acts only on the rows
-    that took outcome k: measuring one half of a Bell pair and correcting
-    the other by X^k leaves |0><0| on every row."""
+    `_branch` forks none. Each row collapses on its own outcome: measuring
+    one half of a Bell pair leaves the other in |k><k| on the row of k."""
     basis = dist._binary(np.diag([1.0, 0.0]))
     calls, leaves = [], []
 
@@ -1053,7 +1120,7 @@ def test_outcome_free_follow_up_runs_once_per_level(monkeypatch):
 
     def step(eng):
         eng.distribute_ebit("p", "p", "q", "r")
-        return dist._measured(eng, "p", basis, ["q"], after, ("p", (np.eye(2), X), ["r"]))
+        return dist._measured(eng, "p", basis, ["q"], after)
 
     def finish(eng):
         leaves.append((eng.ledger, eng.state()))
@@ -1069,4 +1136,4 @@ def test_outcome_free_follow_up_runs_once_per_level(monkeypatch):
     ((ledger, states),) = leaves
     assert ledger.classical_bits_sent == 1
     assert states.shape == (2, 2, 2)
-    assert np.abs(states - np.diag([1.0, 0.0])).max() <= 1e-15
+    assert np.abs(states - np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])).max() <= 1e-15

@@ -78,6 +78,13 @@ script's size, where the walk's fixed cost per level shows) and at 200,000
 (``walk.200000``), its uniforms included: ``us`` per call and the
 tracemalloc peak (``peak_mb``) of one call after a warm-up call.
 
+The teleport-chain row (``hops.d5.k4``) times `cli._run_script` the same
+way on a script that teleports a d = 5 state 4 times between two parties,
+each hop through a fresh ebit, and then measures it, at 20,000 shots
+(``HOP_SHOTS``): the script whose walk held up to 25^k rows while
+teleportations were measured, and holds one row now that they are drawn
+from their law.
+
 BLAS runs on one thread. The last line printed is one JSON object.
 """
 
@@ -369,6 +376,41 @@ def measure_walk(obliq, name: str, repeat: int) -> dict:
     return {"us": _best(fn, repeat), "peak_mb": _peak_mb(fn)}
 
 
+# Teleport chains: (local dimension, hops) of each row's script.
+HOPS = {"hops.d5.k4": (5, 4)}
+HOP_SHOTS = 20_000
+
+
+def hops_scenario(d: int, hops: int, shots: int) -> dict:
+    """A script that prepares a d-dimensional state at alice, teleports it
+    ``hops`` times back and forth between alice and bob, each hop through a
+    fresh ebit, and measures it against |0>."""
+    parties = ["alice", "bob"]
+    steps = [{"op": "prepare_state", "party": "alice", "label": "e0b",
+              "state": {"vector": [[1 / math.sqrt(d), 0.0]] * d}}]
+    for k in range(1, hops + 1):
+        me, other = parties[(k - 1) % 2], parties[k % 2]
+        steps += [
+            {"op": "distribute_ebit", "party_a": me, "party_b": other, "label_a": f"e{k}a",
+             "label_b": f"e{k}b", "resource": k, "dim": d},
+            {"op": "bell_measure_qt", "party": me, "state_label": f"e{k - 1}b", "resource": k},
+        ]
+    steps.append({"op": "final_measure", "party": parties[hops % 2], "labels": [f"e{hops}b"],
+                  "state": {"basis": 0, "dim": d}})
+    return {"version": 1, "kind": "script", "seed": 5, "shots": shots, "parties": parties, "steps": steps}
+
+
+def measure_hops(obliq, name: str, repeat: int) -> dict:
+    """µs per call of `cli._run_script` on the teleport chain ``name`` at
+    `HOP_SHOTS` shots, its uniforms included, and its tracemalloc peak."""
+    import obliq.cli as cli
+
+    sc = cli.validate_scenario(hops_scenario(*HOPS[name], HOP_SHOTS))
+    rng = np.random.default_rng(sc["seed"])
+    fn = lambda: cli._run_script(sc, rng)  # noqa: E731
+    return {"us": _best(fn, repeat), "peak_mb": _peak_mb(fn)}
+
+
 SECTIONS = {
     "us_per_call": ([str(d) for d in DIMS], lambda obliq, key, r: measure(obliq, int(key), r)),
     "product_measurements": (PRODUCTS, measure_product),
@@ -377,6 +419,7 @@ SECTIONS = {
     "literals_ms": (LITERALS, measure_literal),
     "records_ms": (RECORDS, measure_records),
     "walk": (WALKS, measure_walk),
+    "hops": (HOPS, measure_hops),
 }
 
 

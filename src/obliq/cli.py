@@ -44,8 +44,11 @@ one row. The rows are pairwise distinct and each is some shot's.
 `_write_records` renders each row once and writes `records.jsonl`, one
 canonical JSON line per shot (`json.dumps(sort_keys=True, separators=(",",
 ":"))`, so keys are sorted at every level) with `shot` the 0-based shot
-index. These bytes are stable across versions unless CHANGES.md says
-otherwise.
+index. A line is its row's text split around `shot`, with the shot's
+number between: blocks of 1,000 lines take the number from two tables built
+at import ("0".."999" and "000".."999") after the block's own number, so no
+text is made per shot. These bytes are stable across versions unless
+CHANGES.md says otherwise.
 
 Scheme I and script runners walk only the outcome prefixes their shots
 draw (`distributed._walk`); a script's ops are walker steps. The dbqc,
@@ -748,8 +751,12 @@ _RUNNERS = {
 # --- artifact writing ---
 
 
-# Lines of `records.jsonl` joined in memory before each write.
-_WRITE_CHUNK = 1 << 13
+# Lines of `records.jsonl` joined in memory before each write: a power of
+# ten, so shot j * _WRITE_CHUNK + k reads as str(j) followed by k padded to
+# the width of _WRITE_CHUNK - 1 (block 0 writes plain str(k)).
+_WRITE_CHUNK = 1000
+_DIGITS = np.array([str(k) for k in range(_WRITE_CHUNK)], dtype=object)
+_PADDED = np.array([str(k).zfill(len(str(_WRITE_CHUNK - 1))) for k in range(_WRITE_CHUNK)], dtype=object)
 
 
 # One encoder: `json.dumps` with options builds a new one per call.
@@ -806,26 +813,27 @@ def _write_records(path: Path, rows: dict, row_of_shot: np.ndarray) -> None:
     columns (for an object); shot i's record is row ``row_of_shot[i]``.
     The writer adds `shot`, the 0-based index. Each row renders once, by
     column (`_values`, one encoder call per numeric column): the keys
-    before `shot` and those after it each render as an object, split open,
-    and each line is head + shot + tail.
+    before `shot` render as the row's head (the object split open, up to
+    ``"shot":``) and those after it as its tail. A line is four pieces,
+    the row's head, the shot's block prefix, its digits and the row's
+    tail, laid out a block of `_WRITE_CHUNK` lines at a time as one
+    object array and joined: no piece is made per shot.
     """
     n = int(row_of_shot.max()) + 1  # the rows a mapping without keys must cover
     before = _values({k: c for k, c in rows.items() if k < "shot"}, n)
     after = _values({k: c for k, c in rows.items() if k > "shot"}, n)
-    heads = ['{"shot":' if b == "{}" else b[:-1] + ',"shot":' for b in before]
-    tails = ["}\n" if a == "{}" else "," + a[1:] + "\n" for a in after]
-    shots = len(row_of_shot)
+    heads = np.array(['{"shot":' if b == "{}" else b[:-1] + ',"shot":' for b in before], dtype=object)
+    tails = np.array(["}\n" if a == "{}" else "," + a[1:] + "\n" for a in after], dtype=object)
+    pieces = np.empty((_WRITE_CHUNK, 4), dtype=object)  # one block's lines
     with open(path, "w") as fh:
-        for start in range(0, shots, _WRITE_CHUNK):
-            stop = min(start + _WRITE_CHUNK, shots)
-            fh.write(
-                "".join(
-                    [
-                        f"{heads[g]}{i}{tails[g]}"
-                        for i, g in zip(range(start, stop), row_of_shot[start:stop].tolist())
-                    ]
-                )
-            )
+        for block, start in enumerate(range(0, len(row_of_shot), _WRITE_CHUNK)):
+            taken = row_of_shot[start : start + _WRITE_CHUNK]
+            lines = pieces[: len(taken)]
+            lines[:, 0] = heads[taken]
+            lines[:, 1] = str(block) if block else ""
+            lines[:, 2] = (_PADDED if block else _DIGITS)[: len(taken)]
+            lines[:, 3] = tails[taken]
+            fh.write("".join(lines.ravel().tolist()))
 
 
 def _with_overrides(raw: dict, overrides: dict) -> dict:

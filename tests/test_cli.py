@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import obliq
 from obliq.cli import main, run_scenario, state_from_literal, validate_scenario
 from obliq.errors import ObliqError, ScenarioSchemaError
 from obliq.gates import CNOT, CZ, H, gate_from_literal, matrix_to_json, real_from_literal
@@ -60,6 +64,24 @@ def test_golden_runs(path, tmp_path):
     assert len(lines) == shots
     for line in lines[:5]:
         json.loads(line)
+
+
+def test_golden_runs_never_import_numpy_ma(tmp_path):
+    # The first `np.unique` of a process imports numpy.ma, about 5.5 ms of
+    # every run that calls it: no shipped scenario's run needs it.
+    code = (
+        "import sys\n"
+        "from obliq.cli import main\n"
+        "for k, path in enumerate(sys.argv[2:]):\n"
+        "    assert main(['run', path, '--out', f'{sys.argv[1]}/{k}']) == 0, path\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))\n"
+    )
+    src = str(Path(obliq.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    cmd = [sys.executable, "-c", code, str(tmp_path), *map(str, SCENARIOS)]
+    out = subprocess.run(cmd, check=True, capture_output=True, text=True, env=env).stdout
+    assert out.splitlines()[-1] == "[]"
+    assert len(list(tmp_path.glob("*/records.jsonl"))) == len(SCENARIOS)
 
 
 def test_exit_code_parse_error(tmp_path):

@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -183,6 +184,32 @@ def test_long_run_spans_write_chunks(tmp_path):
         "mode": _constant("sampled", shots),
     }
     assert _written(tmp_path, cols, shots) == _reference(cols, shots)
+
+
+@pytest.mark.parametrize("shots", [999, 1000, 1001, 10001, 25001])
+def test_shots_at_and_past_block_edges(tmp_path, shots):
+    # Seven rows of mixed columns, each shot taking one at random.
+    rng = np.random.default_rng(shots)
+    cols = {
+        "bits": {"isi_0": np.arange(7) % 2, "é": np.arange(7) // 2 % 2},
+        "estimate": np.linspace(-1.5, 1.5, 7),
+        "parity_bits": np.arange(14).reshape(7, 2).astype(np.int8) % 3,
+        "z": np.array(STRINGS),
+    }
+    row_of_shot = rng.integers(0, 7, size=shots)
+    # Compared line by line, so a failure names its first wrong line.
+    written = _written(tmp_path, cols, shots, row_of_shot).splitlines(keepends=True)
+    assert written == _reference(cols, shots, row_of_shot).splitlines(keepends=True)
+
+
+def test_seven_digit_shot_numbers(tmp_path):
+    # One row taken by every shot: line i differs from the others only by
+    # "shot":i, up to 1,000,004.
+    shots = 1_000_005
+    cols = {"a": np.array([1], dtype=np.int8), "z": np.array(["x"])}
+    text = _written(tmp_path, cols, shots, np.zeros(shots, dtype=np.intp))
+    assert text.splitlines() == [f'{{"a":1,"shot":{i},"z":"x"}}' for i in range(shots)]
+    assert text.endswith("\n")
 
 
 def test_two_dimensional_bool_and_float_columns(tmp_path):

@@ -69,8 +69,16 @@ The record rows (``records_ms``) time `cli.run_scenario` on the shipped
 ``dbqc``, ``triparty-scheme1``, ``script-teleport`` and ``knitting-sampled``
 scenarios at 200,000 shots (``RECORD_SHOTS``), writing into a temporary
 directory: ``ms`` per call and the tracemalloc peak (``peak_mb``) of one
-call after a warm-up call. Most of such a run is writing `records.jsonl`.
-The scenarios are read from the tree that holds ``SRC``.
+call after a warm-up call. Each row also gives the first call of a fresh
+child, which pays whatever a run builds or imports once per process: its
+time (``first_ms``, untraced) and, from a second fresh child, its
+tracemalloc peak (``first_peak_mb``). The two come from two children
+because tracemalloc slowed a first call of these runs 1.2-1.8 fold, which
+would hide a one-time cost in the first call's time. The second child
+runs first, into the same directory, so every timed call writes over the
+files of an identical run: writing over a 12 MB `records.jsonl` took
+8-12 ms longer than writing a new one. Most of such a run is writing
+`records.jsonl`. The scenarios are read from the tree that holds ``SRC``.
 
 The walk rows (``walk``) time the script runner `cli._run_script` on the
 shipped ``script-teleport`` at 300 shots (``walk.300``, a ``deep-links``
@@ -348,16 +356,42 @@ RECORDS = ("dbqc", "triparty-scheme1", "script-teleport", "knitting-sampled")
 RECORD_SHOTS = 200_000
 
 
-def measure_records(obliq, name: str, repeat: int) -> dict:
-    """ms per call of `cli.run_scenario` on the shipped scenario ``name`` at
-    `RECORD_SHOTS` shots, and its tracemalloc peak."""
+def _record_run(obliq, name: str, shots: int, out: str):
+    """`cli.run_scenario` on the shipped scenario ``name`` at ``shots``
+    shots, writing into ``out``."""
     import obliq.cli as cli
 
     path = Path(obliq.__file__).resolve().parents[2] / "scenarios" / f"{name}.json"
+    return lambda: cli.run_scenario(path, {"shots": shots, "out": out})
+
+
+def measure_records(obliq, name: str, repeat: int) -> dict:
+    """ms of this process's first `cli.run_scenario` call on the shipped
+    scenario ``name`` at `RECORD_SHOTS` shots and of each later call, the
+    tracemalloc peak of a later call, and that of a fresh child's first
+    call, which writes the files each timed call writes over."""
+    src = str(Path(obliq.__file__).resolve().parents[1])
     with tempfile.TemporaryDirectory() as tmp:
-        overrides = {"shots": RECORD_SHOTS, "out": tmp}
-        fn = lambda: cli.run_scenario(path, overrides)  # noqa: E731
-        return {"ms": round(_best(fn, repeat) / 1e3, 3), "peak_mb": _peak_mb(fn)}
+        row = _in_child(src, "records_first", f"{name}@{RECORD_SHOTS}@{tmp}", repeat)
+        fn = _record_run(obliq, name, RECORD_SHOTS, tmp)
+        start = time.perf_counter()
+        fn()
+        row["first_ms"] = round((time.perf_counter() - start) * 1e3, 3)
+        row.update(ms=round(_best(fn, repeat) / 1e3, 3), peak_mb=_peak_mb(fn))
+    return row
+
+
+def first_record_peak(obliq, key: str, repeat: int) -> dict:
+    """The tracemalloc peak of this process's first `cli.run_scenario`
+    call, ``key`` being NAME@SHOTS@OUT."""
+    name, shots, out = key.split("@", 2)
+    fn = _record_run(obliq, name, int(shots), out)
+    tracemalloc.start()
+    try:
+        fn()
+        return {"first_peak_mb": round(tracemalloc.get_traced_memory()[1] / 1e6, 3)}
+    finally:
+        tracemalloc.stop()
 
 
 # Script walks: the shots of each `cli._run_script` row on script-teleport.
@@ -446,8 +480,9 @@ def main(argv=None) -> int:
         import obliq.distributed  # noqa: F401  (binds obliq.distributed)
         import obliq
 
-        section, key = args.only.split(":")
-        print(json.dumps(SECTIONS[section][1](obliq, key, args.repeat)))
+        section, key = args.only.split(":", 1)
+        fn = first_record_peak if section == "records_first" else SECTIONS[section][1]
+        print(json.dumps(fn(obliq, key, args.repeat)))
         return 0
     result = {"src": src}
     for section, (keys, _) in SECTIONS.items():
